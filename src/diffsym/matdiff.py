@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 from .linalg import det_expansion
 from .scalars import RatFunc, RatFuncField, rational_ode_solve
+from .scalars.elem import FieldElem
 
 
-class DiffMatrix:
+class DiffMatrix(FieldElem):
     """Square matrix over a differential field/ring descriptor."""
 
     __slots__ = ("field", "rows")
@@ -55,24 +56,27 @@ class DiffMatrix:
     def entry(self, r: int, c: int):
         return self.rows[r][c]
 
-    def _check(self, other: "DiffMatrix"):
+    def _coerce_other(self, other) -> "DiffMatrix":
+        if not isinstance(other, DiffMatrix):
+            raise TypeError(f"cannot combine a matrix with {type(other).__name__}")
         if other.size != self.size:
             raise ValueError("matrix size mismatch")
+        return other
+
+    def _one(self) -> "DiffMatrix":
+        return DiffMatrix.identity(self.field, self.size)
 
     def __add__(self, other):
-        self._check(other)
+        self._coerce_other(other)
         return DiffMatrix(self.field, [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
 
     def __neg__(self):
         return DiffMatrix(self.field, [[-a for a in r] for r in self.rows])
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, DiffMatrix):
             return self.scale(other)
-        self._check(other)
+        self._coerce_other(other)
         n = self.size
         z = self.field.zero()
         out = []
@@ -94,15 +98,8 @@ class DiffMatrix:
         c = self.field.coerce(c)
         return DiffMatrix(self.field, [[a * c for a in r] for r in self.rows])
 
-    def __pow__(self, n: int):
-        result = DiffMatrix.identity(self.field, self.size)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def inv(self):
+        raise ValueError("negative powers of a matrix are not supported")
 
     def derive(self) -> "DiffMatrix":
         return DiffMatrix(self.field, [[a.derive() for a in r] for r in self.rows])
@@ -143,14 +140,9 @@ class DiffMatrix:
         return "[" + "; ".join(", ".join(repr(a) for a in r) for r in self.rows) + "]"
 
 
-def delta_c(x: DiffMatrix) -> DiffMatrix:
-    """Coordinate-wise derivation."""
-    return x.derive()
-
-
 def apply_dP(p: DiffMatrix, x: DiffMatrix) -> DiffMatrix:
     """d_P(X) = delta^c(X) + XP - PX."""
-    p._check(x)
+    p._coerce_other(x)
     return x.derive() + x * p - p * x
 
 
@@ -176,7 +168,7 @@ def verify_gauge(p: DiffMatrix, f: DiffMatrix) -> GaugeVerdict:
     """Check delta^c(F) = PF exactly and det F != 0."""
     from .parser import scalar_to_str
 
-    p._check(f)
+    p._coerce_other(f)
     lhs = f.derive()
     rhs = p * f
     failing = None
@@ -192,11 +184,6 @@ def verify_gauge(p: DiffMatrix, f: DiffMatrix) -> GaugeVerdict:
         return GaugeVerdict(det_nonzero, det_nonzero, None, None, None)
     r, c = failing
     return GaugeVerdict(False, det_nonzero, failing, scalar_to_str(lhs.rows[r][c]), scalar_to_str(rhs.rows[r][c]))
-
-
-def rational_degree(f: RatFunc):
-    """deg(num) - deg(den), the degree function driving the no-cyclic-subfield argument."""
-    return f.degree()
 
 
 def prop44_matrix(field: RatFuncField, lambdas, f) -> DiffMatrix:

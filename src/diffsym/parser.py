@@ -322,44 +322,24 @@ def _wrap(s: str) -> str:
     return f"({s})"
 
 
+def _term_str(c, names, exps) -> str:
+    """c * name_0^e_0 * ... in the grammar, dropping a unit coefficient."""
+    cs = _wrap(scalar_to_str(c))
+    monos = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+    if monos and cs == "1":
+        return "*".join(monos)
+    return "*".join([cs] + monos)
+
+
 def _kummer_str(x: KummerElem) -> str:
     name = x.parent.gen_name
-    parts = []
-    for i, c in enumerate(x.coeffs):
-        if c.is_zero():
-            continue
-        cs = _wrap(scalar_to_str(c))
-        if i == 0:
-            body = cs
-        else:
-            mono = name if i == 1 else f"{name}^{i}"
-            body = mono if cs == "1" else f"{cs}*{mono}"
-        parts.append(body)
-    if not parts:
-        return "0"
-    return " + ".join(parts)
+    parts = [_term_str(c, [name], [i]) for i, c in enumerate(x.coeffs) if not c.is_zero()]
+    return " + ".join(parts) if parts else "0"
 
 
 def _polydiff_str(x: PolyDiffElem) -> str:
-    if x.is_zero():
-        return "0"
-    parts = []
-    for exps in sorted(x.terms.keys()):
-        c = x.terms[exps]
-        cs = _wrap(scalar_to_str(c))
-        monos = []
-        for name, e in zip(x.parent.names, exps):
-            if e == 0:
-                continue
-            monos.append(name if e == 1 else f"{name}^{e}")
-        if not monos:
-            body = cs
-        elif cs == "1":
-            body = "*".join(monos)
-        else:
-            body = "*".join([cs] + monos)
-        parts.append(body)
-    return " + ".join(parts)
+    parts = [_term_str(x.terms[exps], x.parent.names, exps) for exps in sorted(x.terms)]
+    return " + ".join(parts) if parts else "0"
 
 
 def scalar_to_str(x) -> str:
@@ -377,5 +357,9 @@ def scalar_to_str(x) -> str:
     raise TypeError(f"cannot print {x!r}")
 
 
-def ratfunc_to_json(f: RatFunc) -> dict:
-    return {"num": _poly_str(f.num, f.parent.var), "den": _poly_str(f.den, f.parent.var)}
+def symbol_to_str(x) -> str:
+    """Print a symbol algebra element as a sum of c*u^i*v^j; parse_symbol round-trips it."""
+    parts = [
+        _term_str(c, "uv", (i, j)) for i, row in enumerate(x.grid) for j, c in enumerate(row) if not c.is_zero()
+    ]
+    return " + ".join(parts) if parts else "0"

@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .elem import FieldElem
 from .polys import Poly, QQ, poly_extended_gcd
 
 
@@ -86,7 +87,7 @@ class CycloField:
         return f"Q(w_{self.m})"
 
 
-class CycloElem:
+class CycloElem(FieldElem):
     """An element of Q(w), reduced mod Phi_m."""
 
     __slots__ = ("parent", "coeffs")
@@ -115,9 +116,6 @@ class CycloElem:
     def derive(self) -> "CycloElem":
         return self.parent.zero()
 
-    def _coerce_other(self, other) -> "CycloElem":
-        return self.parent.coerce(other)
-
     def __add__(self, other):
         other = self._coerce_other(other)
         return CycloElem(self.parent, [a + b for a, b in zip(self.coeffs, other.coeffs)])
@@ -126,12 +124,6 @@ class CycloElem:
 
     def __neg__(self):
         return CycloElem(self.parent, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-self._coerce_other(other))
-
-    def __rsub__(self, other):
-        return self._coerce_other(other) - self
 
     def __mul__(self, other):
         other = self._coerce_other(other)
@@ -155,38 +147,8 @@ class CycloElem:
             raise AssertionError("cyclotomic modulus is not coprime to a nonzero element")
         return self.parent.from_poly(s)
 
-    def __truediv__(self, other):
-        return self * self._coerce_other(other).inv()
-
-    def __rtruediv__(self, other):
-        return self._coerce_other(other) * self.inv()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        result = self.parent.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        try:
-            other = self._coerce_other(other)
-        except TypeError:
-            return NotImplemented
-        return self.coeffs == other.coeffs
+    def _key(self):
+        return self.coeffs
 
     def __hash__(self):
         return hash((self.parent.m, self.coeffs))
-
-    def __repr__(self):
-        from ..parser import scalar_to_str
-
-        try:
-            return scalar_to_str(self)
-        except Exception:
-            return f"CycloElem({list(self.coeffs)})"

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclo import CycloElem
+from .elem import FieldElem
 from .polys import Poly, poly_extended_gcd
 from .powers import (
     ReducibleRadicandError,
@@ -137,7 +138,7 @@ class KummerField:
         return f"{self.base!r}({self.gen_name}; {self.gen_name}^{self.m}=...)"
 
 
-class KummerElem:
+class KummerElem(FieldElem):
     """Element on the basis 1, xi, ..., xi^(m-1) with base-field coefficients."""
 
     __slots__ = ("parent", "coeffs")
@@ -160,9 +161,6 @@ class KummerElem:
             raise ValueError("element does not lie in the base field")
         return self.coeffs[0]
 
-    def _coerce_other(self, other) -> "KummerElem":
-        return self.parent.coerce(other)
-
     def __add__(self, other):
         other = self._coerce_other(other)
         return KummerElem(self.parent, [a + b for a, b in zip(self.coeffs, other.coeffs)])
@@ -171,12 +169,6 @@ class KummerElem:
 
     def __neg__(self):
         return KummerElem(self.parent, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-self._coerce_other(other))
-
-    def __rsub__(self, other):
-        return self._coerce_other(other) - self
 
     def __mul__(self, other):
         other = self._coerce_other(other)
@@ -212,24 +204,6 @@ class KummerElem:
         coeffs = [s.coeff(i) for i in range(self.parent.m)]
         return KummerElem(self.parent, coeffs)
 
-    def __truediv__(self, other):
-        return self * self._coerce_other(other).inv()
-
-    def __rtruediv__(self, other):
-        return self._coerce_other(other) * self.inv()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        result = self.parent.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def derive(self) -> "KummerElem":
         """Leibniz-compatible derivation: xi^i picks up i * gen_rate."""
         rate = self.parent.gen_rate
@@ -249,20 +223,8 @@ class KummerElem:
             out.append(c * self.parent.base.coerce(w ** ((i * j) % self.parent.cyclo.m)))
         return KummerElem(self.parent, out)
 
-    def __eq__(self, other):
-        try:
-            other = self._coerce_other(other)
-        except TypeError:
-            return NotImplemented
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+    def _key(self):
+        return self.coeffs
 
     def __hash__(self):
         return hash(("KummerElem", self.coeffs))
-
-    def __repr__(self):
-        from ..parser import scalar_to_str
-
-        try:
-            return scalar_to_str(self)
-        except Exception:
-            return f"KummerElem({list(self.coeffs)})"

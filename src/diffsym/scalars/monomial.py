@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclo import CycloElem
+from .elem import FieldElem
 from .kummer import KummerElem
 from .ratfunc import RatFunc
 
@@ -89,7 +90,7 @@ class MonomialDiffField(PolyDiffField):
             self.set_gen_derivative(i, self.gen(i).scale(self.rates[i]))
 
 
-class PolyDiffElem:
+class PolyDiffElem(FieldElem):
     """Finite sum of monomials Prod x_i^{e_i} with base-field coefficients."""
 
     __slots__ = ("parent", "terms")
@@ -110,9 +111,6 @@ class PolyDiffElem:
         c = self.parent.base.coerce(c)
         return PolyDiffElem(self.parent, {e: v * c for e, v in self.terms.items()})
 
-    def _coerce_other(self, other) -> "PolyDiffElem":
-        return self.parent.coerce(other)
-
     def __add__(self, other):
         other = self._coerce_other(other)
         out = dict(self.terms)
@@ -124,12 +122,6 @@ class PolyDiffElem:
 
     def __neg__(self):
         return PolyDiffElem(self.parent, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce_other(other))
-
-    def __rsub__(self, other):
-        return self._coerce_other(other) - self
 
     def __mul__(self, other):
         if not isinstance(other, PolyDiffElem):
@@ -147,35 +139,12 @@ class PolyDiffElem:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if not isinstance(other, PolyDiffElem):
-            try:
-                other = self._coerce_other(other)
-            except TypeError:
-                return NotImplemented
-        return self * other ** (-1)
-
-    def __rtruediv__(self, other):
-        return self._coerce_other(other) / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            # Laurent monomials only: a single term can be inverted exactly
-            if len(self.terms) != 1:
-                raise ValueError("negative powers are only available for single monomials")
-            ((exps, c),) = self.terms.items()
-            inv = PolyDiffElem(
-                self.parent, {tuple(-e for e in exps): self.parent.base.one() / c}
-            )
-            return inv ** (-n)
-        result = self.parent.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def inv(self) -> "PolyDiffElem":
+        # Laurent monomials only: a single term can be inverted exactly
+        if len(self.terms) != 1:
+            raise ValueError("negative powers are only available for single monomials")
+        ((exps, c),) = self.terms.items()
+        return PolyDiffElem(self.parent, {tuple(-e for e in exps): self.parent.base.one() / c})
 
     def derive(self) -> "PolyDiffElem":
         """Leibniz extension of the base derivation and the generator images."""
@@ -193,17 +162,5 @@ class PolyDiffElem:
                 total = total + partial * parent.gen_derivative(i)
         return total
 
-    def __eq__(self, other):
-        try:
-            other = self._coerce_other(other)
-        except TypeError:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self):
-        from ..parser import scalar_to_str
-
-        try:
-            return scalar_to_str(self)
-        except Exception:
-            return f"PolyDiffElem({self.terms!r})"
+    def _key(self):
+        return self.terms

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .elem import FieldElem
+
 
 def is_zero_elem(x) -> bool:
     """Zero test that works for Fractions, ints and our field elements."""
@@ -46,7 +48,7 @@ class RationalField:
 QQ = RationalField()
 
 
-class Poly:
+class Poly(FieldElem):
     """Polynomial with coefficients in a field; coeffs[i] is the t^i coefficient."""
 
     __slots__ = ("field", "coeffs")
@@ -113,12 +115,6 @@ class Poly:
     def __neg__(self):
         return Poly(self.field, [-c for c in self.coeffs])
 
-    def __sub__(self, other):
-        return self + (-self._coerce_other(other))
-
-    def __rsub__(self, other):
-        return self._coerce_other(other) - self
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
             c = self.field.coerce(other)
@@ -135,17 +131,11 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def _one(self):
+        return Poly.one(self.field)
+
+    def inv(self):
+        raise ValueError("negative power of a polynomial")
 
     def __divmod__(self, other):
         other = self._coerce_other(other)
@@ -190,25 +180,8 @@ class Poly:
         """Formal derivative with respect to the polynomial variable."""
         return Poly(self.field, [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
 
-    def evaluate(self, point):
-        """Horner evaluation; the point's parent must coerce our coefficients."""
-        if self.is_zero():
-            return point - point
-        acc = None
-        for c in reversed(self.coeffs):
-            if acc is None:
-                acc = point - point + c
-            else:
-                acc = acc * point + c
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            try:
-                other = self._coerce_other(other)
-            except TypeError:
-                return NotImplemented
-        return self.coeffs == other.coeffs
+    def _key(self):
+        return self.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)

@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclo import CycloElem, CycloField
+from .elem import FieldElem
 from .polys import Poly, poly_gcd
 
 
@@ -45,12 +46,10 @@ class RatFuncField:
 
     def coerce(self, x) -> "RatFunc":
         if isinstance(x, RatFunc):
-            if x.parent.cyclo == self.cyclo and x.parent.var == self.var:
-                if x.parent is self or x.parent.derivation == self.derivation:
-                    return RatFunc(self, x.num, x.den)
-                # same underlying field, different derivation tag
-                return RatFunc(self, x.num, x.den)
-            raise TypeError("rational function from an incompatible field")
+            # RatFunc is immutable, so an element of this field is returned as is
+            if x.parent is self or x.parent == self:
+                return x
+            raise TypeError("rational function from another field or with another derivation")
         if isinstance(x, CycloElem):
             return self.from_poly(Poly.constant(self.cyclo, self.cyclo.coerce(x)))
         if isinstance(x, (int, Fraction)):
@@ -75,7 +74,7 @@ class RatFuncField:
         return f"Q(w_{self.cyclo.m})({self.var}; {tag})"
 
 
-class RatFunc:
+class RatFunc(FieldElem):
     """A rational function num/den over Q(w), kept in canonical form."""
 
     __slots__ = ("parent", "num", "den")
@@ -123,9 +122,6 @@ class RatFunc:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _coerce_other(self, other) -> "RatFunc":
-        return self.parent.coerce(other)
-
     def __add__(self, other):
         other = self._coerce_other(other)
         return RatFunc(self.parent, self.num * other.den + other.num * self.den, self.den * other.den)
@@ -134,12 +130,6 @@ class RatFunc:
 
     def __neg__(self):
         return RatFunc(self.parent, -self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerce_other(other))
-
-    def __rsub__(self, other):
-        return self._coerce_other(other) - self
 
     def __mul__(self, other):
         other = self._coerce_other(other)
@@ -152,24 +142,6 @@ class RatFunc:
             raise ZeroDivisionError("inverse of zero")
         return RatFunc(self.parent, self.den, self.num)
 
-    def __truediv__(self, other):
-        return self * self._coerce_other(other).inv()
-
-    def __rtruediv__(self, other):
-        return self._coerce_other(other) * self.inv()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        result = self.parent.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def derive(self) -> "RatFunc":
         """Quotient-rule derivative; zero if the field carries the zero derivation."""
         if self.parent.is_zero_derivation:
@@ -178,20 +150,8 @@ class RatFunc:
         dd = self.den.derivative()
         return RatFunc(self.parent, dn * self.den - self.num * dd, self.den * self.den)
 
-    def __eq__(self, other):
-        try:
-            other = self._coerce_other(other)
-        except TypeError:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+    def _key(self):
+        return self.num.coeffs, self.den.coeffs
 
     def __hash__(self):
         return hash((self.num.coeffs, self.den.coeffs))
-
-    def __repr__(self):
-        from ..parser import scalar_to_str
-
-        try:
-            return scalar_to_str(self)
-        except Exception:
-            return f"RatFunc({self.num!r}/{self.den!r})"

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from .linalg import kernel_basis, solve_affine
 from .scalars import Poly
+from .scalars.elem import FieldElem
 
 
 class AlgebraMismatchError(ValueError):
@@ -112,7 +113,7 @@ class SymbolAlgebra:
         return f"({self.alpha!r},{self.beta!r})_{{k,w_{self.m}}}"
 
 
-class SymbolElem:
+class SymbolElem(FieldElem):
     """Coefficient grid: coeffs[i][j] multiplies u^i v^j."""
 
     __slots__ = ("algebra", "grid")
@@ -142,14 +143,21 @@ class SymbolElem:
             raise ValueError("element is not a scalar")
         return self.grid[0][0]
 
-    def _check_same(self, other: "SymbolElem"):
+    def _coerce_other(self, other) -> "SymbolElem":
+        if not isinstance(other, SymbolElem):
+            raise TypeError(f"cannot combine a symbol algebra element with {type(other).__name__}")
         if other.algebra != self.algebra:
             raise AlgebraMismatchError("elements of different symbol algebras")
+        return other
+
+    def _one(self) -> "SymbolElem":
+        return self.algebra.one()
+
+    def _key(self):
+        return self.grid
 
     def __add__(self, other):
-        if not isinstance(other, SymbolElem):
-            return NotImplemented
-        self._check_same(other)
+        other = self._coerce_other(other)
         return SymbolElem(
             self.algebra,
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.grid, other.grid)],
@@ -158,12 +166,6 @@ class SymbolElem:
     def __neg__(self):
         return SymbolElem(self.algebra, [[-c for c in row] for row in self.grid])
 
-    def __sub__(self, other):
-        if not isinstance(other, SymbolElem):
-            return NotImplemented
-        self._check_same(other)
-        return self + (-other)
-
     def scale(self, c) -> "SymbolElem":
         c = self.algebra.field.coerce(c)
         return SymbolElem(self.algebra, [[a * c for a in row] for row in self.grid])
@@ -171,7 +173,7 @@ class SymbolElem:
     def __mul__(self, other):
         if not isinstance(other, SymbolElem):
             return self.scale(other)
-        self._check_same(other)
+        self._coerce_other(other)
         alg = self.algebra
         m = alg.m
         out = [[alg.field.zero()] * m for _ in range(m)]
@@ -208,23 +210,8 @@ class SymbolElem:
             return self * inverse_via_minimal_polynomial(other)
         return self.scale(field.one() / field.coerce(other))
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers: use inverse_via_minimal_polynomial")
-        result = self.algebra.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, SymbolElem):
-            return NotImplemented
-        self._check_same(other)
-        return all(a == b for r1, r2 in zip(self.grid, other.grid) for a, b in zip(r1, r2))
+    def inv(self):
+        raise ValueError("negative powers: use inverse_via_minimal_polynomial")
 
     def trace(self):
         """m^2 times the u^0 v^0 coefficient."""
@@ -247,16 +234,9 @@ class SymbolElem:
         return {"m": self.algebra.m, "entries": entries}
 
     def __repr__(self):
-        terms = []
-        for i, row in enumerate(self.grid):
-            for j, c in enumerate(row):
-                if c.is_zero():
-                    continue
-                mono = "".join(
-                    [f"u^{i}" if i > 1 else ("u" if i == 1 else ""), f"v^{j}" if j > 1 else ("v" if j == 1 else "")]
-                )
-                terms.append(f"({c!r}){mono}" if mono else f"({c!r})")
-        return " + ".join(terms) if terms else "0"
+        from .parser import symbol_to_str
+
+        return symbol_to_str(self)
 
 
 def left_multiplication_matrix(a: SymbolElem):

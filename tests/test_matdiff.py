@@ -29,6 +29,12 @@ def test_matrix_arithmetic(k):
     assert a.trace() == t + t
 
 
+def test_matrix_negative_power_raises(k):
+    # 1x1 and zero, so a power loop that never ends would allocate nothing
+    with pytest.raises(ValueError):
+        DiffMatrix.zero(k, 1) ** -1
+
+
 def test_derive_is_leibniz_on_products(k):
     t = k.gen()
     a = DiffMatrix(k, [[t, t * t], [k.one(), t]])

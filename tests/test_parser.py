@@ -61,6 +61,18 @@ def test_roundtrip_monomial(rng):
         assert parse_scalar(scalar_to_str(x), e) == x
 
 
+def test_roundtrip_symbol(rng):
+    k = RatFuncField(CycloField(3), "t")
+    alg = SymbolAlgebra(k, k.gen(), k.gen() + k.one(), 3)
+    u, v = alg.u(), alg.v()
+    assert repr(v + u * v * 2) == "v + 2*u*v"
+    for _ in range(20):
+        x = alg.zero_elem()
+        for _ in range(3):
+            x = x + alg.monomial(rng.randrange(3), rng.randrange(3), random_ratfunc(k, rng))
+        assert parse_symbol(repr(x), alg) == x
+
+
 def test_parse_symbol_elements():
     k = RatFuncField(CycloField(3), "t")
     alg = SymbolAlgebra(k, k.gen(), k.gen() + k.one(), 3)

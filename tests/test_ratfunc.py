@@ -65,6 +65,17 @@ def test_zero_derivation_variant():
     assert k0.gen().derive().is_zero()
 
 
+def test_coerce_keeps_own_elements_and_rejects_other_derivation(k):
+    t = k.gen()
+    assert k.coerce(t) is t
+    assert RatFuncField(CycloField(3), "t").coerce(t) is t
+    k0 = RatFuncField(CycloField(3), "t", "zero")
+    with pytest.raises(TypeError):
+        k.coerce(k0.gen())
+    with pytest.raises(TypeError):
+        k0.coerce(t)
+
+
 def test_constant_value(k):
     w = k.omega()
     assert w.is_constant()
