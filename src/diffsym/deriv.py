@@ -66,7 +66,6 @@ class Derivation:
     def apply(self, x: SymbolElem) -> SymbolElem:
         alg = self.algebra
         x = alg.coerce_elem(x)
-        images = self._basis_images()
         total = alg.zero_elem()
         for i in range(alg.m):
             for j in range(alg.m):
@@ -77,7 +76,9 @@ class Derivation:
                     dc = c.derive()
                     if not dc.is_zero():
                         total = total + alg.monomial(i, j, dc)
-                total = total + images[i][j].scale(c)
+                # d(1) = 0, so a scalar needs none of the m^2 basis images
+                if i or j:
+                    total = total + self._basis_images()[i][j].scale(c)
         return total
 
     def __add__(self, other: "Derivation") -> "Derivation":

@@ -151,4 +151,7 @@ class CycloElem(FieldElem):
         return self.coeffs
 
     def __hash__(self):
+        # a rational equals the same rational in every Q(w), and the Fraction itself
+        if self.is_rational():
+            return hash(self.coeffs[0])
         return hash((self.parent.m, self.coeffs))

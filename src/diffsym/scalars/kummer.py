@@ -227,4 +227,7 @@ class KummerElem(FieldElem):
         return self.coeffs
 
     def __hash__(self):
+        # an element of the base field equals its base value
+        if self.is_base():
+            return hash(self.coeffs[0])
         return hash(("KummerElem", self.coeffs))

@@ -154,4 +154,7 @@ class RatFunc(FieldElem):
         return self.num.coeffs, self.den.coeffs
 
     def __hash__(self):
+        # a constant equals its value in Q(w)
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.num.coeffs, self.den.coeffs))

@@ -59,3 +59,14 @@ def test_coerce_cross_conductor_rationals():
 def test_derive_is_zero():
     f = CycloField(3)
     assert f.omega().derive().is_zero()
+
+
+def test_hash_agrees_with_equality_across_conductors():
+    from fractions import Fraction
+
+    a, b = CycloField(3).one(), CycloField(4).one()
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    half = CycloField(5).from_rational(Fraction(1, 2))
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert hash(CycloField(3).omega()) != hash(CycloField(3).one())

@@ -105,3 +105,14 @@ def test_polydiff_prescribed_images(k):
     e.set_gen_derivative(0, e.gen(1))
     e.set_gen_derivative(1, e.gen(0))
     assert (e.gen(0) * e.gen(1)).derive() == e.gen(0) ** 2 + e.gen(1) ** 2
+
+
+def test_hash_agrees_with_equality_down_the_tower(k):
+    t = k.gen()
+    xi_field = KummerField(k, t, 3, "xi")
+    eta_field = KummerField(xi_field, t + k.one(), 3, "eta")
+    assert xi_field.coerce(t) == t and hash(xi_field.coerce(t)) == hash(t)
+    assert xi_field.one() == 1 and hash(xi_field.one()) == hash(1)
+    xi = xi_field.gen()
+    assert eta_field.coerce(xi) == xi and hash(eta_field.coerce(xi)) == hash(xi)
+    assert eta_field.coerce(t) == t and hash(eta_field.coerce(t)) == hash(t)

@@ -81,3 +81,12 @@ def test_constant_value(k):
     assert w.is_constant()
     assert w.constant_value() == k.cyclo.omega()
     assert not k.gen().is_constant()
+
+
+def test_hash_agrees_with_equality_for_constants(k):
+    assert k.one() == 1 and hash(k.one()) == hash(1)
+    w = k.cyclo.omega()
+    assert k.omega() == w and hash(k.omega()) == hash(w)
+    assert len({k.one(), k.cyclo.one(), 1}) == 1
+    t = k.gen()
+    assert hash(t / (t + k.one())) == hash(k.one() - k.one() / (t + k.one()))

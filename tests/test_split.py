@@ -3,8 +3,11 @@
 import pytest
 
 from diffsym import (
+    DiffMatrix,
+    IsoVerdict,
     PhiMap,
     SymbolAlgebra,
+    apply_dP,
     compute_Ps,
     compute_w,
     find_twist_partner,
@@ -32,6 +35,76 @@ def make_algebra(m, derivation="dt"):
 
 def make_phi(alg):
     return PhiMap(alg, KummerField(alg.field, alg.alpha, alg.m, "xi"))
+
+
+def dense_phi(phi, x):
+    """Reference Phi: the sum of c_ij A^i B^j over the dense matrix powers."""
+    x = phi.ext_algebra.coerce_elem(x)
+    m = phi.algebra.m
+    out = DiffMatrix.zero(phi.ext_field, m)
+    for i in range(m):
+        for j in range(m):
+            c = x.grid[i][j]
+            if not c.is_zero():
+                out = out + (phi._a_pows[i] * phi._b_pows[j]).scale(c)
+    return out
+
+
+def full_basis_verdict(phi, d, p):
+    """Reference isomorphism check on all m^2 basis elements and on xi, via dense Phi."""
+    d_ext = d.extend(phi.ext_field)
+    alg = phi.ext_algebra
+    for i in range(alg.m):
+        for j in range(alg.m):
+            x = alg.monomial(i, j, phi.ext_field.one())
+            if not dense_phi(phi, d_ext.apply(x)) == apply_dP(p, dense_phi(phi, x)):
+                return IsoVerdict(False, (i, j))
+    x = alg.scalar(phi.ext_field.gen())
+    if not dense_phi(phi, d_ext.apply(x)) == apply_dP(p, dense_phi(phi, x)):
+        return IsoVerdict(False, ("xi",))
+    return IsoVerdict(True, None)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_sparse_apply_matches_dense(m, rng):
+    alg = make_algebra(m)
+    phi = make_phi(alg)
+    ext = phi.ext_algebra
+    xi = phi.ext_field.gen()
+    for _ in range(3):
+        a = ext.coerce_elem(alg.random_element(rng))
+        b = ext.coerce_elem(alg.random_element(rng))
+        x = a + b.scale(xi ** rng.randrange(1, m))
+        assert phi.apply(x) == dense_phi(phi, x)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_generator_check_matches_full_basis(m, rng):
+    alg = make_algebra(m)
+    phi = make_phi(alg)
+    e = phi.ext_field
+    labels = set()
+    for _ in range(2):
+        d = random_valid_derivation(alg, rng)
+        p, _ = compute_P_with_diagnostics(d, phi)
+        # xi on one entry; a diagonal entry commutes with A, so only v fails,
+        # and xi B commutes with B, so only u fails
+        perturbed = [p + DiffMatrix.unit(e, m, r, s, e.gen()) for r in range(m) for s in range(m)]
+        perturbed.append(p + phi.b_mat.scale(e.gen()))
+        for q in [p] + perturbed:
+            verdict = verify_diff_isomorphism(phi, d, q)
+            assert verdict == full_basis_verdict(phi, d, q)
+            labels.add(verdict.failing_basis)
+    assert labels == {None, (0, 1), (1, 0)}
+
+
+def test_derivation_apply_on_a_scalar_builds_no_basis_images(rng):
+    alg = make_algebra(3)
+    d = random_valid_derivation(alg, rng)
+    t = alg.field.gen()
+    c = t * t / (t + alg.field.one())
+    assert d.apply(alg.scalar(c)) == alg.monomial(0, 0, c.derive())
+    assert d._images is None
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 7])
@@ -90,7 +163,7 @@ def test_closed_form_matches_for_standard(rng):
     assert closed_form_P(decompose(d), phi) == compute_Ps(phi)
 
 
-@pytest.mark.parametrize("m,deg", [(3, 9), (5, 25)])
+@pytest.mark.parametrize("m,deg", [(3, 9), (5, 25), (7, 49)])
 def test_split_standard_odd(m, deg):
     rep = split_standard(make_algebra(m))
     assert rep.passed
