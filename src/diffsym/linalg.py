@@ -6,8 +6,6 @@ small (at most m^2 x m^2 at desk scale), so no fraction-free tricks needed.
 
 from __future__ import annotations
 
-from itertools import permutations
-
 
 def _rref(rows, field, width):
     """Reduced row echelon form in place; returns the list of pivot columns."""
@@ -81,27 +79,33 @@ def invert_matrix(matrix, field):
 
 
 def det_expansion(matrix, ring):
-    """Determinant by permutation expansion; works over rings without division."""
+    """Determinant by permutation expansion; works over rings without division.
+
+    The permutations are walked depth-first over the rows, so each prefix
+    product is formed once and shared by every permutation that extends it;
+    a zero entry prunes its whole subtree.  Placing column c after the
+    columns already used adds one inversion per used column greater than c,
+    which gives the sign as the walk goes.
+    """
     n = len(matrix)
     if n == 0:
         return ring.one()
     total = ring.zero()
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = ring.one()
-        skip = False
-        for i in range(n):
-            entry = matrix[i][perm[i]]
+
+    def expand(row, used, prefix, negative):
+        nonlocal total
+        for col in range(n):
+            if col in used:
+                continue
+            entry = matrix[row][col]
             if entry.is_zero():
-                skip = True
-                break
-            term = term * entry
-        if skip:
-            continue
-        total = total + term if sign > 0 else total - term
+                continue
+            product = entry if prefix is None else prefix * entry
+            flip = sum(1 for c in used if c > col) % 2 == 1
+            if row == n - 1:
+                total = total - product if negative != flip else total + product
+            else:
+                expand(row + 1, used + (col,), product, negative != flip)
+
+    expand(0, (), None, False)
     return total

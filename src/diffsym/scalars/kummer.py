@@ -192,10 +192,28 @@ class KummerElem(FieldElem):
     __rmul__ = __mul__
 
     def inv(self) -> "KummerElem":
-        if self.is_zero():
+        """The inverse; closed form for a monomial c xi^k, extended Euclid otherwise.
+
+        (c xi^k)^-1 is c^-1 for k = 0 and (c alpha)^-1 xi^(m-k) for k > 0,
+        since xi^m = alpha.
+        """
+        support = [k for k, c in enumerate(self.coeffs) if not c.is_zero()]
+        if not support:
             raise ZeroDivisionError("inverse of zero in a Kummer extension")
+        if len(support) > 1:
+            return self._inv_euclid()
+        k = support[0]
+        parent = self.parent
+        coeffs = [parent.base.zero()] * parent.m
+        if k == 0:
+            coeffs[0] = self.coeffs[0].inv()
+        else:
+            coeffs[parent.m - k] = (self.coeffs[k] * parent.alpha).inv()
+        return KummerElem(parent, coeffs)
+
+    def _inv_euclid(self) -> "KummerElem":
+        """The inverse mod z^m - alpha by the extended Euclidean algorithm."""
         base = self.parent.base
-        # invert mod z^m - alpha via the extended Euclidean algorithm
         modulus = Poly(base, [-self.parent.alpha] + [base.zero()] * (self.parent.m - 1) + [base.one()])
         me = Poly(base, list(self.coeffs))
         g, s, _ = poly_extended_gcd(me, modulus)

@@ -184,7 +184,10 @@ class Poly(FieldElem):
         return self.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals its coefficient; p equals the rational function p/1
+        if self.degree <= 0:
+            return hash(self.coeff(0))
+        return hash((self.coeffs, (self.field.one(),)))
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)})"

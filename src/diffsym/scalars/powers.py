@@ -44,16 +44,23 @@ def is_prime(n: int) -> bool:
 
 
 def _int_nth_root(n: int, k: int):
-    """Exact k-th root of a nonnegative integer, or None."""
+    """Exact k-th root of a nonnegative integer, or None.
+
+    Newton's method on ints: from a start above the real root, the step
+    x -> ((k-1) x + n // x^(k-1)) // k decreases strictly until it reaches
+    floor(n^(1/k)); no float is involved, so any size of n is exact.
+    """
     if n < 0:
         raise ValueError("negative input")
     if n in (0, 1):
         return n
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1, r + 2):
-        if cand >= 0 and cand**k == n:
-            return cand
-    return None
+    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    return x if x**k == n else None
 
 
 def rational_nth_root(q: Fraction, k: int):

@@ -214,8 +214,19 @@ class IsoVerdict:
         return {"ok": self.ok, "failing_basis": list(self.failing_basis) if self.failing_basis else None}
 
 
+def _scalar_generators(field):
+    """(name, generator) for each layer of a Kummer tower over Q(w)(t), top layer first."""
+    gens = []
+    while isinstance(field, KummerField):
+        gens.append((field.gen_name, field.gen()))
+        field = field.base
+    if isinstance(field, RatFuncField):
+        gens.append((field.var, field.gen()))
+    return gens
+
+
 def verify_diff_isomorphism(phi: PhiMap, d: Derivation, p: DiffMatrix) -> IsoVerdict:
-    """Check Phi(d*(x)) = d_P(Phi(x)) for x = v, u and the scalar xi, in that order.
+    """Check Phi(d*(x)) = d_P(Phi(x)) for x = v, u and the scalar generators xi, t.
 
     Agreement on v and u is agreement on every basis element u^i v^j:
 
@@ -225,25 +236,32 @@ def verify_diff_isomorphism(phi: PhiMap, d: Derivation, p: DiffMatrix) -> IsoVer
     * d_P is a derivation on matrices.
 
     So Phi o d* and d_P o Phi, both Leibniz along Phi, agree on every u^i v^j
-    if and only if they agree on u and on v. The check on the scalar xi
-    compares d*(xi) with delta(xi). The verdict equals that of a check on all
-    m^2 basis elements in row-major order, failing_basis included: 1 = u^0 v^0 never fails (d*(1) = 0 and
-    d_P(I) = 0), a failure at any u^i v^j implies one at u or v, and v = (0, 1)
-    comes before u = (1, 0).
+    if and only if they agree on u and on v. The verdict on the basis equals
+    that of a check on all m^2 basis elements in row-major order,
+    failing_basis included: 1 = u^0 v^0 never fails (d*(1) = 0 and
+    d_P(I) = 0), a failure at any u^i v^j implies one at u or v, and
+    v = (0, 1) comes before u = (1, 0).
+
+    On a scalar x, Phi(x) = xI commutes with P, so d_P(xI) = delta(x) I, and
+    Phi is injective: the check is d*(x) = delta(x) in A tensor k(xi), with
+    no matrix built. It runs on each generator of the coefficient tower, xi
+    first and the variable t last; every derivation kills Q(w), so these
+    decide agreement on all coefficients.
     """
     d_ext = d.extend(phi.ext_field)
     alg = phi.ext_algebra
     one = phi.ext_field.one()
-    xi = alg.scalar(phi.ext_field.gen())
     # d_ext.dv and d_ext.du are d*(v) and d*(u); no basis images are built
-    checks = (
+    for label, x, image in (
         ((0, 1), alg.monomial(0, 1, one), d_ext.dv),
         ((1, 0), alg.monomial(1, 0, one), d_ext.du),
-        (("xi",), xi, d_ext.apply(xi)),
-    )
-    for label, x, image in checks:
+    ):
         if not phi.apply(image) == apply_dP(p, phi.apply(x)):
             return IsoVerdict(False, label)
+    for name, gen in _scalar_generators(phi.ext_field):
+        x = phi.ext_field.coerce(gen)
+        if not d_ext.apply(alg.scalar(x)) == alg.scalar(x.derive()):
+            return IsoVerdict(False, (name,))
     return IsoVerdict(True, None)
 
 

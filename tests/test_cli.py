@@ -132,3 +132,10 @@ def test_replay_all_cases(capsys, registry):
 def test_replay_single_and_unknown(capsys):
     assert main(["replay", "--case", "tr-identity"]) == 0
     assert main(["replay", "--case", "nope"]) == 2
+
+
+def test_split_standard_with_a_huge_radicand_constant(capsys):
+    # 10^401 is above the float range; the certificate decides it exactly
+    code, report = run_json(capsys, "split", "standard", "--m", "2", "--alpha", "10^401*t^2", "--beta", "t+1")
+    assert code == 0
+    assert report["verdicts"]["gauge"]["ok"] and report["degree"] == 8

@@ -70,3 +70,72 @@ def test_hash_agrees_with_equality_across_conductors():
     half = CycloField(5).from_rational(Fraction(1, 2))
     assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
     assert hash(CycloField(3).omega()) != hash(CycloField(3).one())
+
+
+def _random_elem(f, rng, density):
+    from fractions import Fraction
+
+    from diffsym.scalars import CycloElem
+
+    coeffs = [
+        Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < density else 0
+        for _ in range(f.degree)
+    ]
+    return CycloElem(f, coeffs)
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_product_matches_poly_product_mod_phi(m, rng):
+    """The table-folded product equals the Poly product reduced mod Phi_m."""
+    from fractions import Fraction
+
+    f = CycloField(m)
+    w = f.omega()
+    samples = [f.zero(), f.one(), f.from_rational(Fraction(-3, 7)), w, w ** (m - 1)]
+    samples += [_random_elem(f, rng, density) for density in (0.3, 0.7, 1.0, 1.0)]
+    for a in samples:
+        for b in samples:
+            product = a * b
+            reduced = (a._poly() * b._poly()) % f.modulus
+            assert product.coeffs == tuple(reduced.coeff(i) for i in range(f.degree))
+            assert all(type(c) is Fraction for c in product.coeffs)
+            assert len(product.coeffs) == f.degree
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 9, 11, 12, 13, 15, 16])
+def test_inverse_of_random_elements(m, rng):
+    f = CycloField(m)
+    for density in (0.3, 0.7, 1.0, 1.0):
+        x = _random_elem(f, rng, density)
+        if x.is_zero():
+            continue
+        assert x * x.inv() == f.one()
+        assert x.inv() * x == 1
+
+
+def test_interned_constants_compare_and_hash_as_values():
+    from fractions import Fraction
+
+    f = CycloField(5)
+    assert f.zero() is f.zero() and f.one() is f.one() and f.omega() is f.omega()
+    assert f.zero() == 0 and f.zero() == Fraction(0) and f.zero() == CycloField(3).zero()
+    assert f.one() == 1 and f.one() == CycloField(7).one()
+    assert hash(f.zero()) == hash(0) and hash(f.one()) == hash(1)
+    assert f.zero().is_zero() and not f.one().is_zero()
+    w = f.omega()
+    assert w + f.zero() == w and w * f.one() == w and (w * f.zero()).is_zero()
+    assert len({f.zero(), CycloField(4).zero(), 0}) == 1
+
+
+def test_public_constructor_still_validates():
+    from fractions import Fraction
+
+    from diffsym.scalars import CycloElem
+
+    f = CycloField(5)
+    x = CycloElem(f, [1, 2, 0, Fraction(1, 2)])
+    assert all(type(c) is Fraction for c in x.coeffs)
+    with pytest.raises(ValueError):
+        CycloElem(f, [1, 2])
+    with pytest.raises(TypeError):
+        CycloElem(f, [1, 2, 3, object()])

@@ -116,3 +116,55 @@ def test_hash_agrees_with_equality_down_the_tower(k):
     xi = xi_field.gen()
     assert eta_field.coerce(xi) == xi and hash(eta_field.coerce(xi)) == hash(xi)
     assert eta_field.coerce(t) == t and hash(eta_field.coerce(t)) == hash(t)
+
+
+def _towers(m):
+    """k(xi) with xi^m = t over Q(w_m)(t), and the eta and zeta towers over it on t + 1."""
+    k = RatFuncField(CycloField(m), "t")
+    t = k.gen()
+    xi_field = KummerField(k, t, m, "xi")
+    eta_field = KummerField(xi_field, t + k.one(), m, "eta")
+    zeta_field = KummerField(xi_field, t + k.one(), 2 * m, "zeta")
+    return xi_field, eta_field, zeta_field
+
+
+def _base_samples(field):
+    """A rational constant, a monomial and a sum in the base of a Kummer field."""
+    base = field.base
+    samples = [base.coerce(-3), base.gen() * 2]
+    samples.append(base.gen() + base.one() * 5)
+    return samples
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_monomial_inverse_matches_extended_euclid(m):
+    """(c xi^k)^-1 in closed form equals the extended-Euclid inverse, for every k."""
+    for field in _towers(m):
+        gen = field.gen()
+        for c in _base_samples(field):
+            for k in range(field.m):
+                x = gen**k * field.coerce(c)
+                inv = x.inv()
+                assert inv == x._inv_euclid()
+                assert x * inv == field.one()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_inverse_of_non_monomials(m, rng):
+    xi_field, eta_field, zeta_field = _towers(m)
+    # Euclid over k(xi)[z] of degree 2m is slow at m = 4, 5 and covers nothing new
+    for field in (xi_field, eta_field) + ((zeta_field,) if m <= 3 else ()):
+        gen = field.gen()
+        x = field.coerce(rng.randint(1, 4)) + gen * rng.randint(1, 3) + gen ** (field.m - 1) * rng.randint(-3, 3)
+        assert x * x.inv() == field.one()
+
+
+def test_negative_powers_of_the_generator():
+    xi_field, eta_field, _ = _towers(3)
+    for field in (xi_field, eta_field):
+        gen = field.gen()
+        for n in range(1, 2 * field.m + 1):
+            assert gen ** (-n) * gen**n == field.one()
+        assert gen ** (-field.m) == field.coerce(field.alpha).inv()
+    with pytest.raises(ZeroDivisionError):
+        xi_field.zero().inv()

@@ -111,3 +111,18 @@ def test_multiplicity_counts():
     assert multiplicity((t + 1) ** 4 * t, t + 1) == 4
     assert multiplicity((t + 1) ** 4 * t, t) == 1
     assert multiplicity(t + 2, t + 3) == 0
+
+
+def test_hash_agrees_with_equality_across_types():
+    from diffsym.scalars import CycloField, RatFuncField
+
+    c = CycloField(2)
+    k = RatFuncField(c)
+    assert k.gen() == Poly.gen(c) and hash(k.gen()) == hash(Poly.gen(c))
+    q = Poly(CycloField(3), [CycloField(3).omega(), 1, 2])
+    assert RatFuncField(CycloField(3)).from_poly(q) == q
+    assert hash(RatFuncField(CycloField(3)).from_poly(q)) == hash(q)
+    three = Poly.constant(c, c.from_rational(3))
+    assert three == c.from_rational(3) and hash(three) == hash(c.from_rational(3)) == hash(3)
+    assert Poly.zero(c) == c.zero() and hash(Poly.zero(c)) == hash(c.zero())
+    assert P([Fraction(1, 2)]) == Fraction(1, 2) and hash(P([Fraction(1, 2)])) == hash(Fraction(1, 2))

@@ -83,3 +83,24 @@ def test_tower_certificate(k):
     with pytest.raises(ReducibleRadicandError):
         # valuations of alpha at every place of beta's support: inconclusive
         certify_power_free_over_kummer(t, 2, t**2, 2)
+
+
+def test_int_nth_root_is_exact_for_large_integers():
+    from diffsym.scalars.powers import _int_nth_root
+
+    assert _int_nth_root(10**400, 2) == 10**200
+    assert _int_nth_root(10**400, 4) == 10**100
+    assert _int_nth_root((10**20 + 1) ** 3, 3) == 10**20 + 1
+    assert _int_nth_root((10**20 + 1) ** 3 + 1, 3) is None
+    assert _int_nth_root(10**401, 2) is None
+    assert _int_nth_root(2**64, 64) == 2
+    for n in (2, 3, 5, 7):
+        for r in (0, 1, 2, 3, 10**30 + 7):
+            assert _int_nth_root(r**n, n) == r
+
+
+def test_kummer_vahlen_rejects_a_cube_with_a_large_constant(k):
+    t = k.gen()
+    with pytest.raises(ReducibleRadicandError):
+        # z^3 - ((10^20+1) t)^3 has the root (10^20+1) t
+        kummer_vahlen_certify((t * (10**20 + 1)) ** 3, 3)

@@ -51,7 +51,7 @@ def dense_phi(phi, x):
 
 
 def full_basis_verdict(phi, d, p):
-    """Reference isomorphism check on all m^2 basis elements and on xi, via dense Phi."""
+    """Reference isomorphism check on all m^2 basis elements, on xi and on t, via dense Phi."""
     d_ext = d.extend(phi.ext_field)
     alg = phi.ext_algebra
     for i in range(alg.m):
@@ -59,9 +59,10 @@ def full_basis_verdict(phi, d, p):
             x = alg.monomial(i, j, phi.ext_field.one())
             if not dense_phi(phi, d_ext.apply(x)) == apply_dP(p, dense_phi(phi, x)):
                 return IsoVerdict(False, (i, j))
-    x = alg.scalar(phi.ext_field.gen())
-    if not dense_phi(phi, d_ext.apply(x)) == apply_dP(p, dense_phi(phi, x)):
-        return IsoVerdict(False, ("xi",))
+    for name, c in (("xi", phi.ext_field.gen()), ("t", phi.algebra.field.gen())):
+        x = alg.scalar(c)
+        if not dense_phi(phi, d_ext.apply(x)) == apply_dP(p, dense_phi(phi, x)):
+            return IsoVerdict(False, (name,))
     return IsoVerdict(True, None)
 
 
@@ -96,6 +97,25 @@ def test_generator_check_matches_full_basis(m, rng):
             assert verdict == full_basis_verdict(phi, d, q)
             labels.add(verdict.failing_basis)
     assert labels == {None, (0, 1), (1, 0)}
+
+
+def test_isomorphism_check_covers_the_variable_t():
+    """inner(v) does not differentiate t, but d/dt does: Phi(d*(t)) = 0 while d_P(tI) = I."""
+    k = RatFuncField(CycloField(2), "t")
+    alg = SymbolAlgebra(k, 2, 3, 2)
+    phi = make_phi(alg)
+    d = inner_derivation(alg.v())
+    p = phi.apply(alg.v())
+    t = phi.ext_algebra.scalar(k.gen())
+    assert not phi.apply(d.extend(phi.ext_field).apply(t)) == apply_dP(p, phi.apply(t))
+    verdict = verify_diff_isomorphism(phi, d, p)
+    assert verdict == IsoVerdict(False, ("t",))
+    assert verdict == full_basis_verdict(phi, d, p)
+    # over the zero base derivation the same map is a differential isomorphism
+    k0 = RatFuncField(CycloField(2), "t", "zero")
+    alg0 = SymbolAlgebra(k0, 2, 3, 2)
+    phi0 = make_phi(alg0)
+    assert verify_diff_isomorphism(phi0, inner_derivation(alg0.v()), phi0.apply(alg0.v())).ok
 
 
 def test_derivation_apply_on_a_scalar_builds_no_basis_images(rng):
