@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 for a passing check, 1 for a refuted or failed check, 2 for
-usage and input errors.  Every subcommand accepts --json for a structured
-report on stdout.
+usage and input errors, 3 when an internal self-check fails.  Every
+subcommand accepts --json for a structured report on stdout.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .deriv import (
     constants_inner,
@@ -201,8 +202,10 @@ def _derivation_from_args(args, alg):
 def cmd_split_generic(args) -> int:
     alg = _algebra(args)
     phi = PhiMap(alg, KummerField(alg.field, alg.alpha, alg.m, "xi"))
-    p = compute_P(_derivation_from_args(args, alg), phi)
-    return _emit_split(args, split_generic(p))
+    d = _derivation_from_args(args, alg)
+    p = compute_P(d, phi)
+    report = replace(split_generic(p), isomorphism=verify_diff_isomorphism(phi, d, p))
+    return _emit_split(args, report)
 
 
 def cmd_split_verify(args) -> int:
@@ -303,6 +306,7 @@ _REPLAY_CASES = {
     "corner-pole": _case_corner_pole,
     "split-standard-m2": lambda: _case_split_standard(2),
     "split-standard-m3": lambda: _case_split_standard(3),
+    "split-standard-m7": lambda: _case_split_standard(7),
     "split-inner-m2": lambda: _case_split_inner(2),
     "split-inner-m3": lambda: _case_split_inner(3),
     "split-inner-half-m2": lambda: _case_split_inner_half(2),
@@ -421,6 +425,9 @@ def main(argv=None) -> int:
     except (ParseError, ReducibleRadicandError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal self-check failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

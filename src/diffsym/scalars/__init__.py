@@ -3,7 +3,7 @@
 from .cyclo import CycloElem, CycloField, cyclotomic_polynomial
 from .kummer import KummerElem, KummerField
 from .monomial import MonomialDiffField, PolyDiffElem, PolyDiffField
-from .ode import OdeSolution, brute_force_ode_oracle, rational_ode_solve
+from .ode import OdeSolution, rational_ode_solve
 from .polys import (
     Poly,
     QQ,
@@ -38,7 +38,6 @@ __all__ = [
     "RatFunc",
     "RatFuncField",
     "ReducibleRadicandError",
-    "brute_force_ode_oracle",
     "coprime_basis",
     "cyclo_nth_root",
     "cyclotomic_polynomial",

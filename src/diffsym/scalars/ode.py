@@ -101,42 +101,3 @@ def _proportional(a: RatFunc, b: RatFunc) -> bool:
         return a.is_zero() and b.is_zero()
     q = a / b
     return q.is_constant()
-
-
-def brute_force_ode_oracle(mu, g: RatFunc, degree_bound: int = 8) -> OdeSolution:
-    """Independent bounded-ansatz oracle: x = N / den(g)^2 with deg N bounded.
-
-    Used only to cross-check rational_ode_solve on small instances; the ansatz
-    denominator and degree bound are deliberately generous and independent of
-    the production solver's pole analysis.
-    """
-    field = g.parent
-    mu = field.cyclo.coerce(mu)
-    cyclo = field.cyclo
-    den = g.den * g.den
-    max_deg = den.degree + degree_bound
-    lhs_of = []
-    n_rows = max_deg + den.degree + 2
-    rhs_rf = g * field.from_poly(den) ** 2
-    if rhs_rf.den.degree != 0:
-        return OdeSolution(None, _homogeneous_basis(field, mu))
-    rhs_poly = rhs_rf.num
-    d_deriv = den.derivative()
-    for i in range(max_deg + 1):
-        basis = Poly(cyclo, [cyclo.zero()] * i + [cyclo.one()])
-        img = basis.derivative() * den - basis * d_deriv + basis * den * mu
-        lhs_of.append([img.coeff(r) for r in range(n_rows)])
-    matrix = [[lhs_of[c][r] for c in range(max_deg + 1)] for r in range(n_rows)]
-    target = [rhs_poly.coeff(r) for r in range(n_rows)]
-    vec, kernel = solve_affine(matrix, target, cyclo)
-    particular = None
-    if vec is not None:
-        particular = field.from_poly(Poly(cyclo, vec), den)
-    hom = list(_homogeneous_basis(field, mu))
-    for v in kernel:
-        x = field.from_poly(Poly(cyclo, v), den)
-        if x.is_zero():
-            continue
-        if not any(_proportional(x, h) for h in hom):
-            hom.append(x)
-    return OdeSolution(particular, hom)

@@ -13,10 +13,15 @@ from .elem import FieldElem
 
 
 def is_zero_elem(x) -> bool:
-    """Zero test that works for Fractions, ints and our field elements."""
-    if isinstance(x, (int, Fraction)):
+    """Zero test that works for Fractions, ints and our field elements.
+
+    Field elements are asked first: ``isinstance(x, Fraction)`` would go
+    through the ABC machinery of ``numbers`` on every tower element.
+    """
+    is_zero = getattr(x, "is_zero", None)
+    if is_zero is None:
         return x == 0
-    return x.is_zero()
+    return is_zero()
 
 
 class RationalField:

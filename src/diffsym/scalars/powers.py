@@ -83,9 +83,9 @@ def rational_nth_root(q: Fraction, k: int):
 def cyclo_nth_root(c: CycloElem, k: int, height: int = 3):
     """Search for e in Q(w) with e^k = c.
 
-    Rational c is decided exactly.  Otherwise a bounded-height search over
-    integer coordinate vectors is attempted; None means "no root found" (for
-    non-rational inputs this is a bounded search, not a proof).
+    A rational root of a rational c is found exactly.  Otherwise a
+    bounded-height search over integer coordinate vectors is attempted; None
+    means "no root found", which is not a proof that none exists.
     """
     field = c.parent
     if c.is_rational():
@@ -140,28 +140,56 @@ def mth_power_up_to_constant(f: RatFunc, m: int):
     return c, h
 
 
+def rational_is_power_in_cyclotomic(q: Fraction, p: int, n: int) -> bool:
+    """Decide exactly whether a nonzero rational q is a p-th power in Q(w_n), p prime.
+
+    For odd p, Q(q^(1/p)) is abelian only when q is a rational p-th power.
+    For p = 2, Q(sqrt(d)) lies in Q(w_n) iff d is, modulo rational squares,
+    in the group generated by q* = (-1)^((q-1)/2) q for each odd prime q | n,
+    by -1 when 4 | n and by 2 when 8 | n; so q is a square in Q(w_n) iff
+    q*d is a rational square for one d of that group.  q is never factored.
+    """
+    if p != 2:
+        return rational_nth_root(q, p) is not None
+    gens = [r if r % 4 == 1 else -r for r in _prime_factors(n) if r != 2]
+    if n % 4 == 0:
+        gens.append(-1)
+    if n % 8 == 0:
+        gens.append(2)
+    classes = {1}
+    for g in gens:
+        classes |= {c * g for c in classes}
+    return any(rational_nth_root(q * d, 2) is not None for d in classes)
+
+
 def kummer_vahlen_certify(alpha: RatFunc, m: int) -> None:
     """Certify z^m - alpha irreducible over Q(w)(t); raise otherwise.
 
     Classical criterion: alpha not in k^p for every prime p | m and, when
-    4 | m, alpha not in -4 k^4.  Constant cofactors are tested for p-th powers
-    in Q(w) by exact rational root extraction plus a bounded-height search.
+    4 | m, alpha not in -4 k^4.  A rational constant cofactor is tested for
+    p-th powers in Q(w) exactly (``rational_is_power_in_cyclotomic``); any
+    other cofactor by a bounded-height search, and when that finds no root
+    the answer is "cannot certify".
     """
     if alpha.is_zero():
         raise ReducibleRadicandError("radicand must be nonzero")
     for p in _prime_factors(m):
         res = mth_power_up_to_constant(alpha, p)
-        if res is not None:
-            c, _h = res
-            e = cyclo_nth_root(c, p)
-            if e is not None:
-                raise ReducibleRadicandError(
-                    f"radicand is a {p}-th power in the base field (z^{m} - a reducible)"
-                )
-            if not c.is_rational():
+        if res is None:
+            continue
+        c, _h = res
+        if c.is_rational():
+            reducible = rational_is_power_in_cyclotomic(c.rational_value(), p, c.parent.m)
+        else:
+            reducible = cyclo_nth_root(c, p) is not None
+            if not reducible:
                 raise ReducibleRadicandError(
                     f"cannot certify that the constant cofactor is a {p}-th non-power"
                 )
+        if reducible:
+            raise ReducibleRadicandError(
+                f"radicand is a {p}-th power in the base field (z^{m} - a reducible)"
+            )
     if m % 4 == 0:
         res = mth_power_up_to_constant(alpha, 4)
         if res is not None:

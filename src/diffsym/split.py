@@ -1,7 +1,8 @@
 """Differential splitting constructions and their verification.
 
-The pipeline: Phi maps A tensor k(xi) onto M_m(k(xi)); a derivation d on A
-transports to d_P with P = Phi(theta - w); explicit gauge matrices F with
+The pipeline: Phi maps A tensor k(xi) onto M_m(k(xi)); a derivation
+d = d_s + inner(theta) on A transports to d_P with P = Phi(theta) + P_s,
+P_s the diagonal matrix of d_s; explicit gauge matrices F with
 delta^c(F) = PF are then built over a Kummer tower (standard derivation), a
 monomial differential field (inner derivations over a zero base derivation),
 or a fully generic polynomial field.
@@ -9,7 +10,6 @@ or a fully generic polynomial field.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,8 +26,6 @@ from .scalars import (
 )
 from .linalg import kernel_basis
 from .symalg import SymbolAlgebra, SymbolElem, minimal_polynomial
-
-logger = logging.getLogger(__name__)
 
 
 class PhiMap:
@@ -49,22 +47,17 @@ class PhiMap:
         self.ext_algebra = algebra.extend(xi_field)
         xi = xi_field.gen()
         w = xi_field.cyclo.omega()
-        rows = [[xi_field.zero()] * m for _ in range(m)]
-        for r in range(m):
-            rows[r][r] = xi * xi_field.coerce(w ** ((m - r) % m))
-        self.a_mat = DiffMatrix(xi_field, rows)
+        diag = [xi * xi_field.coerce(w ** ((m - r) % m)) for r in range(m)]
+        self.a_mat = DiffMatrix.diagonal(xi_field, diag)
         rows = [[xi_field.zero()] * m for _ in range(m)]
         rows[0][m - 1] = xi_field.coerce(algebra.beta)
         for r in range(1, m):
             rows[r][r - 1] = xi_field.one()
         self.b_mat = DiffMatrix(xi_field, rows)
-        self._a_pows = [DiffMatrix.identity(xi_field, m)]
-        self._b_pows = [DiffMatrix.identity(xi_field, m)]
-        for _ in range(1, m):
-            self._a_pows.append(self._a_pows[-1] * self.a_mat)
-            self._b_pows.append(self._b_pows[-1] * self.b_mat)
         # _a_diag[i][r] = A^i[r][r] = xi^i w^((m-r)i mod m)
-        self._a_diag = [[a.rows[r][r] for r in range(m)] for a in self._a_pows]
+        self._a_diag = [[xi_field.one()] * m]
+        for _ in range(1, m):
+            self._a_diag.append([a * b for a, b in zip(self._a_diag[-1], diag)])
         self._beta = xi_field.coerce(algebra.beta)
         self._validate_relations()
 
@@ -73,9 +66,9 @@ class PhiMap:
         e = self.ext_field
         alpha_i = DiffMatrix.identity(e, m).scale(e.coerce(self.algebra.alpha))
         beta_i = DiffMatrix.identity(e, m).scale(e.coerce(self.algebra.beta))
-        if not self._a_pows[m - 1] * self.a_mat == alpha_i:
+        if not self.a_mat**m == alpha_i:
             raise AssertionError("A^m != alpha I")
-        if not self._b_pows[m - 1] * self.b_mat == beta_i:
+        if not self.b_mat**m == beta_i:
             raise AssertionError("B^m != beta I")
         omega = e.coerce(e.cyclo.omega())
         if not self.b_mat * self.a_mat == (self.a_mat * self.b_mat).scale(omega):
@@ -124,22 +117,6 @@ def t_r_value(m: int, r: int) -> Fraction:
     return closed
 
 
-def compute_w(phi: PhiMap) -> SymbolElem:
-    """w with d_Phi = d_s + inner(w) on A tensor k(xi)."""
-    alg = phi.ext_algebra
-    m = alg.m
-    e = phi.ext_field
-    dbeta = phi.algebra.beta.derive()
-    grid = [[e.zero()] * m for _ in range(m)]
-    if not dbeta.is_zero():
-        xi = e.gen()
-        w = e.cyclo.omega()
-        denom_base = e.coerce(phi.algebra.alpha) * e.coerce(phi.algebra.beta) * m
-        for i in range(1, m):
-            grid[i][0] = e.coerce(dbeta) * xi ** (m - i) / (denom_base * (e.coerce(w**i) - e.one()))
-    return SymbolElem(alg, grid)
-
-
 def compute_Ps(phi: PhiMap) -> DiffMatrix:
     """P for the standard derivation: (delta(beta)/(m beta)) diag(t_0..t_{m-1})."""
     m = phi.algebra.m
@@ -149,60 +126,23 @@ def compute_Ps(phi: PhiMap) -> DiffMatrix:
 
 
 def closed_form_P(theta: SymbolElem, phi: PhiMap) -> DiffMatrix:
-    """Entry-wise closed form of Phi(theta - w) from the theta coefficients.
+    """P = Phi(theta) + P_s, the matrix of d_s + inner(theta) transported by Phi.
 
-    p_rs collects theta_{i,(r-s) mod m} * xi^i * w^{-ri}, with a beta factor
-    above the diagonal and the w-correction on the diagonal; an independent
-    path around the matrix products in PhiMap.apply.
+    Phi carries d_s to d_{P_s} (``compute_Ps``; P_s = -Phi(w) for the w with
+    d_Phi = d_s + inner(w)), and inner(theta) to the commutator with
+    Phi(theta).
     """
-    m = phi.algebra.m
-    e = phi.ext_field
-    th = theta.grid
-    xi = e.gen()
-    w = e.cyclo.omega()
-    beta = e.coerce(phi.algebra.beta)
-    dbeta = e.coerce(phi.algebra.beta.derive())
-    rows = []
-    for r in range(m):
-        row = []
-        for s in range(m):
-            j = (r - s) % m
-            acc = e.zero()
-            for i in range(m):
-                if th[i][j].is_zero():
-                    continue
-                acc = acc + e.coerce(th[i][j]) * xi**i * e.coerce(w ** (((m - r) * i) % m))
-            if r < s:
-                acc = acc * beta
-            if r == s and not dbeta.is_zero():
-                for i in range(1, m):
-                    acc = acc - e.coerce(w ** (((m - r) * i) % m)) * dbeta / (
-                        (e.coerce(w**i) - e.one()) * beta * m
-                    )
-            row.append(acc)
-        rows.append(row)
-    return DiffMatrix(e, rows)
-
-
-def compute_P_with_diagnostics(d: Derivation, phi: PhiMap):
-    """P = Phi(theta - w), plus any disagreements with the entry-wise form."""
-    theta = decompose(d)
-    theta_e = phi.ext_algebra.coerce_elem(theta)
-    p = phi.apply(theta_e - compute_w(phi))
-    diagnostics = []
-    literal = closed_form_P(theta, phi)
-    for r in range(phi.algebra.m):
-        for s in range(phi.algebra.m):
-            if not p.rows[r][s] == literal.rows[r][s]:
-                diagnostics.append(f"closed-form table disagrees at ({r},{s})")
-    return p, diagnostics
+    return phi.apply(theta) + compute_Ps(phi)
 
 
 def compute_P(d: Derivation, phi: PhiMap) -> DiffMatrix:
-    p, diagnostics = compute_P_with_diagnostics(d, phi)
-    for note in diagnostics:
-        logger.info("compute_P cross-check: %s", note)
-    return p
+    """P with Phi(d*(x)) = d_P(Phi(x)), from d = d_s + inner(theta)."""
+    return closed_form_P(decompose(d), phi)
+
+
+def compute_P_with_diagnostics(d: Derivation, phi: PhiMap):
+    """(P, diagnostics) for callers that take a pair; P has one path, so the list is empty."""
+    return compute_P(d, phi), []
 
 
 @dataclass
@@ -370,7 +310,7 @@ def _require_zero_base(algebra: SymbolAlgebra):
         raise ValueError("this construction requires the zero base derivation")
 
 
-def _u_polynomial_coeffs(rho: SymbolElem):
+def _require_u_polynomial(rho: SymbolElem):
     alg = rho.algebra
     for i in range(alg.m):
         for j in range(1, alg.m):
@@ -379,7 +319,37 @@ def _u_polynomial_coeffs(rho: SymbolElem):
                     "rho must be written as a polynomial in u; "
                     "rewrite it over a Kummer generator first (see find_twist_partner)"
                 )
-    return [rho.grid[i][0] for i in range(alg.m)]
+
+
+def _exponential_split(phi: PhiMap, rho: SymbolElem, p: DiffMatrix, trdeg: int, diagnostics: list) -> SplitReport:
+    """Report for inner(rho), P = Phi(rho) diagonal: adjoin x_r with delta(x_r) = P[r][r] x_r, r < trdeg.
+
+    F = diag(x_0, ..., x_{trdeg-1}) followed by x_0^{-1}, x_1^{-1}, ... on
+    the remaining m - trdeg rows, whose rates must be the negated first ones.
+    """
+    m = phi.algebra.m
+    iso = verify_diff_isomorphism(phi, inner_derivation(rho), p)
+    names = [f"x{r}" for r in range(trdeg)]
+    rates = [p.rows[r][r] for r in range(trdeg)]
+    e = MonomialDiffField(phi.ext_field, names, rates)
+    entries = [e.gen(r) for r in range(trdeg)] + [e.gen(r) ** (-1) for r in range(m - trdeg)]
+    f_mat = DiffMatrix.diagonal(e, entries)
+    gauge = verify_gauge(p.coerce_to(e), f_mat)
+    from .parser import scalar_to_str
+
+    return SplitReport(
+        extension={
+            "tower": [_tower_entry(phi.ext_field)] + [{"gen": n, "power": None, "radicand": None} for n in names],
+            "derivation_rules": [f"delta({n}) = ({scalar_to_str(r)}) {n}" for n, r in zip(names, rates)],
+        },
+        p=p,
+        f=f_mat,
+        gauge=gauge,
+        isomorphism=iso,
+        degree=None,
+        transcendence_degree=trdeg,
+        diagnostics=diagnostics,
+    )
 
 
 def split_inner_cyclic(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitReport:
@@ -388,35 +358,9 @@ def split_inner_cyclic(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitReport:
     rho = algebra.coerce_elem(rho)
     if minimal_polynomial(rho).degree != algebra.m:
         raise ValueError("rho does not generate a degree-m subfield")
-    coeffs = _u_polynomial_coeffs(rho)
-    m = algebra.m
-    xi_field = KummerField(algebra.field, algebra.alpha, m, "xi")
-    phi = PhiMap(algebra, xi_field)
-    p = DiffMatrix.zero(xi_field, m)
-    for i, a in enumerate(coeffs):
-        if not a.is_zero():
-            p = p + phi._a_pows[i].scale(xi_field.coerce(a))
-    iso = verify_diff_isomorphism(phi, inner_derivation(rho), p)
-    names = [f"x{r}" for r in range(m)]
-    rates = [p.rows[r][r] for r in range(m)]
-    e = MonomialDiffField(xi_field, names, rates)
-    f_mat = DiffMatrix.diagonal(e, [e.gen(r) for r in range(m)])
-    gauge = verify_gauge(p.coerce_to(e), f_mat)
-    from .parser import scalar_to_str
-
-    return SplitReport(
-        extension={
-            "tower": [_tower_entry(xi_field)] + [{"gen": n, "power": None, "radicand": None} for n in names],
-            "derivation_rules": [f"delta({n}) = ({scalar_to_str(r)}) {n}" for n, r in zip(names, rates)],
-        },
-        p=p,
-        f=f_mat,
-        gauge=gauge,
-        isomorphism=iso,
-        degree=None,
-        transcendence_degree=m,
-        diagnostics=[],
-    )
+    _require_u_polynomial(rho)
+    phi = PhiMap(algebra, KummerField(algebra.field, algebra.alpha, algebra.m, "xi"))
+    return _exponential_split(phi, rho, phi.apply(rho), algebra.m, [])
 
 
 def split_inner_even_half(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitReport:
@@ -437,36 +381,14 @@ def split_inner_even_half(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitRepor
     ):
         raise ValueError("rho must be a nonzero scalar multiple of u")
     half = m // 2
-    xi_field = KummerField(algebra.field, algebra.alpha, m, "xi")
-    phi = PhiMap(algebra, xi_field)
+    phi = PhiMap(algebra, KummerField(algebra.field, algebra.alpha, m, "xi"))
     p = phi.apply(rho)
     diagnostics = []
     # cross-check the block form diag(P0, -P0)
     for r in range(half):
         if not (p.rows[r][r] + p.rows[half + r][half + r]).is_zero():
             diagnostics.append(f"block antisymmetry fails at row {r}")
-    iso = verify_diff_isomorphism(phi, inner_derivation(rho), p)
-    names = [f"x{r}" for r in range(half)]
-    rates = [p.rows[r][r] for r in range(half)]
-    e = MonomialDiffField(xi_field, names, rates)
-    entries = [e.gen(r) for r in range(half)] + [e.gen(r) ** (-1) for r in range(half)]
-    f_mat = DiffMatrix.diagonal(e, entries)
-    gauge = verify_gauge(p.coerce_to(e), f_mat)
-    from .parser import scalar_to_str
-
-    return SplitReport(
-        extension={
-            "tower": [_tower_entry(xi_field)] + [{"gen": n, "power": None, "radicand": None} for n in names],
-            "derivation_rules": [f"delta({n}) = ({scalar_to_str(r)}) {n}" for n, r in zip(names, rates)],
-        },
-        p=p,
-        f=f_mat,
-        gauge=gauge,
-        isomorphism=iso,
-        degree=None,
-        transcendence_degree=half,
-        diagnostics=diagnostics,
-    )
+    return _exponential_split(phi, rho, p, half, diagnostics)
 
 
 def split_generic(p: DiffMatrix) -> SplitReport:

@@ -239,16 +239,6 @@ class SymbolElem(FieldElem):
         return symbol_to_str(self)
 
 
-def left_multiplication_matrix(a: SymbolElem):
-    """Matrix of x -> a*x in the basis u^i v^j (brute-force oracle helper)."""
-    alg = a.algebra
-    cols = []
-    for b in alg.basis():
-        cols.append((a * b).to_vector())
-    n = alg.m**2
-    return [[cols[c][r] for c in range(n)] for r in range(n)]
-
-
 def centralizer(a: SymbolElem):
     """Basis of {x : xa = ax} via an exact m^2 x m^2 kernel computation."""
     alg = a.algebra

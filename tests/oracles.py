@@ -1,0 +1,150 @@
+"""Reference implementations that the tests compare production code against.
+
+Each one computes its answer by a different, slower route than the package:
+dense matrix products in place of the sparse Phi, the m^2 basis elements in
+place of the generators, the entry-wise formula for P with its explicit
+w-correction in place of Phi(theta) + P_s, an explicit matrix for left
+multiplication, and a bounded-ansatz linear system for the ODE solver.
+"""
+
+from diffsym import DiffMatrix, IsoVerdict, Poly, SymbolElem, apply_dP
+from diffsym.linalg import solve_affine
+from diffsym.scalars.ode import OdeSolution, _homogeneous_basis, _proportional
+
+
+def matrix_powers(phi):
+    """([A^0, ..., A^{m-1}], [B^0, ..., B^{m-1}]) from phi.a_mat and phi.b_mat."""
+    m = phi.algebra.m
+    return [phi.a_mat**i for i in range(m)], [phi.b_mat**j for j in range(m)]
+
+
+def dense_phi(phi, x, powers=None):
+    """Reference Phi: the sum of c_ij A^i B^j over the dense matrix powers."""
+    a_pows, b_pows = powers or matrix_powers(phi)
+    x = phi.ext_algebra.coerce_elem(x)
+    m = phi.algebra.m
+    out = DiffMatrix.zero(phi.ext_field, m)
+    for i in range(m):
+        for j in range(m):
+            c = x.grid[i][j]
+            if not c.is_zero():
+                out = out + (a_pows[i] * b_pows[j]).scale(c)
+    return out
+
+
+def full_basis_verdict(phi, d, p):
+    """Reference isomorphism check on all m^2 basis elements, on xi and on t, via dense Phi."""
+    powers = matrix_powers(phi)
+    d_ext = d.extend(phi.ext_field)
+    alg = phi.ext_algebra
+    for i in range(alg.m):
+        for j in range(alg.m):
+            x = alg.monomial(i, j, phi.ext_field.one())
+            if not dense_phi(phi, d_ext.apply(x), powers) == apply_dP(p, dense_phi(phi, x, powers)):
+                return IsoVerdict(False, (i, j))
+    for name, c in (("xi", phi.ext_field.gen()), ("t", phi.algebra.field.gen())):
+        x = alg.scalar(c)
+        if not dense_phi(phi, d_ext.apply(x), powers) == apply_dP(p, dense_phi(phi, x, powers)):
+            return IsoVerdict(False, (name,))
+    return IsoVerdict(True, None)
+
+
+def compute_w(phi):
+    """w with d_Phi = d_s + inner(w) on A tensor k(xi)."""
+    alg = phi.ext_algebra
+    m = alg.m
+    e = phi.ext_field
+    dbeta = phi.algebra.beta.derive()
+    grid = [[e.zero()] * m for _ in range(m)]
+    if not dbeta.is_zero():
+        xi = e.gen()
+        w = e.cyclo.omega()
+        denom_base = e.coerce(phi.algebra.alpha) * e.coerce(phi.algebra.beta) * m
+        for i in range(1, m):
+            grid[i][0] = e.coerce(dbeta) * xi ** (m - i) / (denom_base * (e.coerce(w**i) - e.one()))
+    return SymbolElem(alg, grid)
+
+
+def entrywise_P(theta, phi):
+    """Entry-wise closed form of Phi(theta - w) from the theta coefficients.
+
+    p_rs collects theta_{i,(r-s) mod m} * xi^i * w^{-ri}, with a beta factor
+    above the diagonal and the w-correction
+    -sum_{i>0} w^{-ri} delta(beta) / ((w^i - 1) m beta) on the diagonal.
+    """
+    m = phi.algebra.m
+    e = phi.ext_field
+    th = theta.grid
+    xi = e.gen()
+    w = e.cyclo.omega()
+    beta = e.coerce(phi.algebra.beta)
+    dbeta = e.coerce(phi.algebra.beta.derive())
+    rows = []
+    for r in range(m):
+        row = []
+        for s in range(m):
+            j = (r - s) % m
+            acc = e.zero()
+            for i in range(m):
+                if th[i][j].is_zero():
+                    continue
+                acc = acc + e.coerce(th[i][j]) * xi**i * e.coerce(w ** (((m - r) * i) % m))
+            if r < s:
+                acc = acc * beta
+            if r == s and not dbeta.is_zero():
+                for i in range(1, m):
+                    acc = acc - e.coerce(w ** (((m - r) * i) % m)) * dbeta / (
+                        (e.coerce(w**i) - e.one()) * beta * m
+                    )
+            row.append(acc)
+        rows.append(row)
+    return DiffMatrix(e, rows)
+
+
+def left_multiplication_matrix(a):
+    """Matrix of x -> a*x in the basis u^i v^j."""
+    alg = a.algebra
+    cols = []
+    for b in alg.basis():
+        cols.append((a * b).to_vector())
+    n = alg.m**2
+    return [[cols[c][r] for c in range(n)] for r in range(n)]
+
+
+def brute_force_ode_oracle(mu, g, degree_bound: int = 8) -> OdeSolution:
+    """Bounded-ansatz oracle: x = N / den(g)^2 with deg N bounded.
+
+    Cross-checks rational_ode_solve on small instances; the ansatz
+    denominator and degree bound are deliberately generous and independent of
+    the production solver's pole analysis.
+    """
+    field = g.parent
+    mu = field.cyclo.coerce(mu)
+    cyclo = field.cyclo
+    den = g.den * g.den
+    max_deg = den.degree + degree_bound
+    lhs_of = []
+    n_rows = max_deg + den.degree + 2
+    rhs_rf = g * field.from_poly(den) ** 2
+    if rhs_rf.den.degree != 0:
+        return OdeSolution(None, _homogeneous_basis(field, mu))
+    rhs_poly = rhs_rf.num
+    d_deriv = den.derivative()
+    for i in range(max_deg + 1):
+        basis = Poly(cyclo, [cyclo.zero()] * i + [cyclo.one()])
+        img = basis.derivative() * den - basis * d_deriv + basis * den * mu
+        lhs_of.append([img.coeff(r) for r in range(n_rows)])
+    matrix = [[lhs_of[c][r] for c in range(max_deg + 1)] for r in range(n_rows)]
+    target = [rhs_poly.coeff(r) for r in range(n_rows)]
+    vec, kernel = solve_affine(matrix, target, cyclo)
+    particular = None
+    if vec is not None:
+        particular = field.from_poly(Poly(cyclo, vec), den)
+    hom = list(_homogeneous_basis(field, mu))
+    for v in kernel:
+        x = field.from_poly(Poly(cyclo, v), den)
+        if x.is_zero():
+            continue
+        if not any(_proportional(x, h) for h in hom):
+            hom.append(x)
+    return OdeSolution(particular, hom)

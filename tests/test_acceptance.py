@@ -14,6 +14,7 @@ from diffsym import (
     DiffMatrix,
     PhiMap,
     SymbolAlgebra,
+    compute_P,
     constants_inner,
     constants_standard,
     decompose,
@@ -37,11 +38,11 @@ from diffsym.scalars import (
     CycloField,
     KummerField,
     RatFuncField,
-    brute_force_ode_oracle,
     rational_ode_solve,
 )
 from diffsym.scalars.ode import _proportional
 from diffsym.split import compute_P_with_diagnostics
+from oracles import brute_force_ode_oracle, compute_w, dense_phi, entrywise_P, full_basis_verdict
 
 SEED = 20260823
 
@@ -233,10 +234,31 @@ def test_criterion_11_closed_form_cross_check():
         phi = make_phi(alg)
         for _ in range(10):
             d = random_valid_derivation(alg, rng)
-            p, diags = compute_P_with_diagnostics(d, phi)
-            for line in diags:
-                print(f"m={m}: {line}")
-            assert verify_diff_isomorphism(phi, d, p).ok
+            p = compute_P(d, phi)
+            # production P = Phi(theta) + P_s against both reference forms of Phi(theta - w)
+            theta = decompose(d)
+            assert p == entrywise_P(theta, phi)
+            assert p == dense_phi(phi, phi.ext_algebra.coerce_elem(theta) - compute_w(phi))
+            verdict = verify_diff_isomorphism(phi, d, p)
+            assert verdict.ok
+            assert verdict == full_basis_verdict(phi, d, p)
+
+
+def test_isomorphism_check_agrees_with_full_basis_oracle():
+    # the reports of criteria 8, 9 and 14, each re-checked on all m^2 basis elements
+    cases = []
+    for m in (3, 2, 4):
+        alg = make_algebra(m)
+        cases.append((alg, standard_derivation(alg), split_standard(alg)))
+    for m in (2, 3):
+        alg = make_algebra(m, derivation="zero")
+        cases.append((alg, inner_derivation(alg.u()), split_inner_cyclic(alg, alg.u())))
+    for m in (2, 4):
+        alg = make_algebra(m, derivation="zero")
+        cases.append((alg, inner_derivation(alg.u()), split_inner_even_half(alg, alg.u())))
+    for alg, d, rep in cases:
+        assert rep.isomorphism.ok
+        assert rep.isomorphism == full_basis_verdict(make_phi(alg), d, rep.p)
 
 
 def test_criterion_12_maximal_subfield_refutations():

@@ -139,3 +139,28 @@ def test_split_standard_with_a_huge_radicand_constant(capsys):
     code, report = run_json(capsys, "split", "standard", "--m", "2", "--alpha", "10^401*t^2", "--beta", "t+1")
     assert code == 0
     assert report["verdicts"]["gauge"]["ok"] and report["degree"] == 8
+
+
+def test_split_generic_reports_the_isomorphism_verdict(capsys, registry):
+    for extra in ([], ["--theta=u*v"]):
+        code, report = run_json(capsys, "split", "generic", "--m", "2", "--alpha", "t", "--beta", "t+1", *extra)
+        assert code == 0
+        validate(report, "split_report.json", registry)
+        assert report["verdicts"]["isomorphism"] == {"ok": True, "failing_basis": None}
+
+
+def test_failed_self_check_exits_3(capsys, monkeypatch):
+    import diffsym.cli
+
+    def broken(algebra):
+        raise AssertionError("gauge matrix lost its determinant")
+
+    monkeypatch.setattr(diffsym.cli, "split_standard", broken)
+    assert main(["split", "standard", "--m", "3", "--alpha", "t", "--beta", "t+1"]) == 3
+    assert "internal self-check failed: gauge matrix lost its determinant" in capsys.readouterr().err
+
+
+def test_replay_has_an_m7_standard_splitting(capsys):
+    code, report = run_json(capsys, "replay", "--case", "split-standard-m7")
+    assert code == 0
+    assert report["cases"] == [{"case": "split-standard-m7", "ok": True, "detail": "m=7: degree 49, gauge ok"}]

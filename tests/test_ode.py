@@ -4,13 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from diffsym.scalars import (
-    CycloField,
-    RatFuncField,
-    brute_force_ode_oracle,
-    rational_ode_solve,
-)
+from diffsym.scalars import CycloField, RatFuncField, rational_ode_solve
 from diffsym.scalars.ode import _proportional
+from oracles import brute_force_ode_oracle
 
 
 @pytest.fixture

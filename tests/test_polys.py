@@ -126,3 +126,14 @@ def test_hash_agrees_with_equality_across_types():
     assert three == c.from_rational(3) and hash(three) == hash(c.from_rational(3)) == hash(3)
     assert Poly.zero(c) == c.zero() and hash(Poly.zero(c)) == hash(c.zero())
     assert P([Fraction(1, 2)]) == Fraction(1, 2) and hash(P([Fraction(1, 2)])) == hash(Fraction(1, 2))
+
+
+def test_is_zero_elem_on_rationals_and_field_elements():
+    from diffsym.scalars import CycloField, is_zero_elem
+
+    f = CycloField(3)
+    assert [is_zero_elem(x) for x in (0, 2, False, True, Fraction(0), Fraction(-1, 3))] == [
+        True, False, True, False, True, False,
+    ]
+    assert is_zero_elem(f.zero()) and not is_zero_elem(f.omega())
+    assert is_zero_elem(Poly.zero(f)) and not is_zero_elem(Poly.one(f))

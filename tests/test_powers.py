@@ -104,3 +104,42 @@ def test_kummer_vahlen_rejects_a_cube_with_a_large_constant(k):
     with pytest.raises(ReducibleRadicandError):
         # z^3 - ((10^20+1) t)^3 has the root (10^20+1) t
         kummer_vahlen_certify((t * (10**20 + 1)) ** 3, 3)
+
+
+def test_kummer_vahlen_rejects_squares_of_gauss_sums():
+    # -7 = s^2 for the Gauss sum s in Q(w_7), and -3 = (1 + 2w)^2 in Q(w_3)
+    k14 = RatFuncField(CycloField(14), "t")
+    t = k14.gen()
+    for m in (2, 14):
+        with pytest.raises(ReducibleRadicandError):
+            kummer_vahlen_certify(t**2 * (-7), m)
+        kummer_vahlen_certify(t**2 * 5, m)  # 5 is no square in Q(w_14)
+    k9 = RatFuncField(CycloField(9), "t")
+    with pytest.raises(ReducibleRadicandError):
+        kummer_vahlen_certify(k9.gen() ** 2 * (-3), 2)
+
+
+def test_rational_powers_in_cyclotomic_fields():
+    from diffsym.scalars.powers import rational_is_power_in_cyclotomic as is_power
+
+    squares = [(-1, 4), (2, 8), (-2, 8), (5, 5), (-3, 3), (3, 12), (-7, 7), (7, 28),
+               (13, 13), (-11, 11), (Fraction(-28, 9), 14), (-15, 15), (4, 1), (Fraction(9, 4), 3)]
+    non_squares = [(-1, 3), (2, 4), (3, 3), (7, 7), (-7, 4), (5, 12), (-1, 2), (2, 1), (-15, 5)]
+    for q, n in squares:
+        assert is_power(Fraction(q), 2, n), (q, n)
+    for q, n in non_squares:
+        assert not is_power(Fraction(q), 2, n), (q, n)
+    # odd p: Q(q^(1/p)) is abelian only for a rational p-th power
+    assert is_power(Fraction(8), 3, 9) and is_power(Fraction(-1, 27), 3, 3)
+    assert not is_power(Fraction(2), 3, 9) and not is_power(Fraction(3), 5, 5)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
+def test_rational_squares_agree_with_the_bounded_search(n):
+    # where phi(n) <= 4 the search finds the square roots of small squarefree integers
+    from diffsym.scalars.powers import rational_is_power_in_cyclotomic as is_power
+
+    f = CycloField(n)
+    for q in (-6, -5, -3, -2, -1, 2, 3, 5, 6):
+        found = cyclo_nth_root(f.from_rational(q), 2) is not None
+        assert is_power(Fraction(q), 2, n) == found, q

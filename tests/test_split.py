@@ -8,8 +8,9 @@ from diffsym import (
     PhiMap,
     SymbolAlgebra,
     apply_dP,
+    compute_P,
     compute_Ps,
-    compute_w,
+    decompose,
     find_twist_partner,
     inner_derivation,
     maximal_subfield_necessary,
@@ -25,6 +26,7 @@ from diffsym import (
 )
 from diffsym.scalars import CycloField, KummerField, RatFuncField
 from diffsym.split import closed_form_P, compute_P_with_diagnostics
+from oracles import compute_w, dense_phi, entrywise_P, full_basis_verdict
 
 
 def make_algebra(m, derivation="dt"):
@@ -35,35 +37,6 @@ def make_algebra(m, derivation="dt"):
 
 def make_phi(alg):
     return PhiMap(alg, KummerField(alg.field, alg.alpha, alg.m, "xi"))
-
-
-def dense_phi(phi, x):
-    """Reference Phi: the sum of c_ij A^i B^j over the dense matrix powers."""
-    x = phi.ext_algebra.coerce_elem(x)
-    m = phi.algebra.m
-    out = DiffMatrix.zero(phi.ext_field, m)
-    for i in range(m):
-        for j in range(m):
-            c = x.grid[i][j]
-            if not c.is_zero():
-                out = out + (phi._a_pows[i] * phi._b_pows[j]).scale(c)
-    return out
-
-
-def full_basis_verdict(phi, d, p):
-    """Reference isomorphism check on all m^2 basis elements, on xi and on t, via dense Phi."""
-    d_ext = d.extend(phi.ext_field)
-    alg = phi.ext_algebra
-    for i in range(alg.m):
-        for j in range(alg.m):
-            x = alg.monomial(i, j, phi.ext_field.one())
-            if not dense_phi(phi, d_ext.apply(x)) == apply_dP(p, dense_phi(phi, x)):
-                return IsoVerdict(False, (i, j))
-    for name, c in (("xi", phi.ext_field.gen()), ("t", phi.algebra.field.gen())):
-        x = alg.scalar(c)
-        if not dense_phi(phi, d_ext.apply(x)) == apply_dP(p, dense_phi(phi, x)):
-            return IsoVerdict(False, (name,))
-    return IsoVerdict(True, None)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -174,9 +147,26 @@ def test_transported_P_closed_form_and_iso(m, rng):
         assert verify_diff_isomorphism(phi, d, p).ok
 
 
-def test_closed_form_matches_for_standard(rng):
-    from diffsym import decompose
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 7])
+def test_minus_phi_of_w_is_Ps(m):
+    # the w-correction of Phi(theta - w) is the diagonal P_s that compute_P adds
+    phi = make_phi(make_algebra(m))
+    assert phi.apply(-compute_w(phi)) == compute_Ps(phi)
 
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_P_matches_both_oracles(m, rng):
+    alg = make_algebra(m)
+    phi = make_phi(alg)
+    for _ in range(2):
+        d = random_valid_derivation(alg, rng)
+        theta = decompose(d)
+        p = compute_P(d, phi)
+        assert p == entrywise_P(theta, phi)
+        assert p == dense_phi(phi, phi.ext_algebra.coerce_elem(theta) - compute_w(phi))
+
+
+def test_closed_form_matches_for_standard(rng):
     alg = make_algebra(3)
     phi = make_phi(alg)
     d = standard_derivation(alg)

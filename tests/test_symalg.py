@@ -7,10 +7,10 @@ from diffsym import (
     centralizer,
     in_generated_subfield,
     inverse_via_minimal_polynomial,
-    left_multiplication_matrix,
     minimal_polynomial,
 )
 from diffsym.scalars import CycloField, RatFuncField
+from oracles import left_multiplication_matrix
 
 
 def make_algebra(m, derivation="dt"):
