@@ -87,8 +87,7 @@ def cmd_deriv_validate(args) -> int:
     dv = parse_symbol(args.dv, alg)
     verdict = validate(alg, du, dv)
     _emit(args, verdict.to_json(),
-          ["valid derivation" if verdict.ok else f"not a derivation: {' '.join(verdict.failing)}"]
-          + [f"diagnostic: {d}" for d in verdict.diagnostics])
+          ["valid derivation" if verdict.ok else f"not a derivation: {' '.join(verdict.failing)}"])
     return 0 if verdict.ok else 1
 
 

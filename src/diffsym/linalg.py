@@ -33,16 +33,12 @@ def _rref(rows, field, width):
     return pivots
 
 
-def kernel_basis(matrix, field):
-    """Basis of the right kernel of the matrix (rows x cols of field elements)."""
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    rows = [list(r) for r in matrix]
-    pivots = _rref(rows, field, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
+def _kernel_from_rref(rows, pivots, field, ncols):
+    """Right kernel basis read off a reduced matrix, one vector per free column."""
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [field.zero()] * ncols
         vec[fc] = field.one()
         for r, pc in enumerate(pivots):
@@ -51,21 +47,35 @@ def kernel_basis(matrix, field):
     return basis
 
 
+def kernel_basis(matrix, field):
+    """Basis of the right kernel of the matrix (rows x cols of field elements)."""
+    if not matrix:
+        return []
+    ncols = len(matrix[0])
+    rows = [list(r) for r in matrix]
+    return _kernel_from_rref(rows, _rref(rows, field, ncols), field, ncols)
+
+
 def solve_affine(matrix, rhs, field):
-    """All solutions of M x = b: (particular or None, kernel basis)."""
+    """All solutions of M x = b: (particular or None, kernel basis).
+
+    One elimination serves both: the left block of the reduced augmented
+    matrix is the reduced M, with the same pivots.
+    """
     if not matrix:
         return [], []
     ncols = len(matrix[0])
     rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
     pivots = _rref(rows, field, ncols)
+    kernel = _kernel_from_rref(rows, pivots, field, ncols)
     # inconsistent iff a row is (0 ... 0 | nonzero)
     for row in rows:
         if all(x.is_zero() for x in row[:-1]) and not row[-1].is_zero():
-            return None, kernel_basis(matrix, field)
+            return None, kernel
     particular = [field.zero()] * ncols
     for r, pc in enumerate(pivots):
         particular[pc] = rows[r][-1]
-    return particular, kernel_basis(matrix, field)
+    return particular, kernel
 
 
 def invert_matrix(matrix, field):

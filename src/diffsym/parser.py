@@ -25,6 +25,7 @@ from .scalars import (
     RatFunc,
     RatFuncField,
 )
+from .symalg import SymbolElem
 
 
 class ParseError(ValueError):
@@ -57,6 +58,27 @@ def _tokenize(src: str):
         pos = m.end()
     tokens.append(("end", "", len(src)))
     return tokens
+
+
+# Largest |exponent|, and largest t-degree a power may reach: the cost of a
+# power grows quadratically with its t-degree, so larger ones are usage errors.
+MAX_EXPONENT = 1000
+
+
+def _t_degree(x) -> int:
+    """max(deg num, deg den) of a rational function; the largest over the coefficients of a
+    tower or symbol element; 0 for constants."""
+    if isinstance(x, RatFunc):
+        return max(x.num.degree, x.den.degree)
+    if isinstance(x, KummerElem):
+        parts = x.coeffs
+    elif isinstance(x, PolyDiffElem):
+        parts = x.terms.values()
+    elif isinstance(x, SymbolElem):
+        parts = (c for row in x.grid for c in row)
+    else:
+        return 0
+    return max((_t_degree(c) for c in parts), default=0)
 
 
 class _Parser:
@@ -133,7 +155,11 @@ class _Parser:
             if kind != "int":
                 raise ParseError(f"unexpected token {val!r}", pos, expected="integer exponent")
             self.advance()
-            value = value ** (sign * int(val))
+            e = int(val)
+            if e > MAX_EXPONENT or _t_degree(value) * e > MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent {val} too large: |e| and t-degree * |e| must not exceed {MAX_EXPONENT}", pos)
+            value = value ** (sign * e)
         return value
 
     def atom(self):
@@ -206,8 +232,6 @@ class _AlgebraContext:
         return self.algebra.field.cyclo
 
     def coerce(self, x):
-        from .symalg import SymbolElem
-
         if isinstance(x, SymbolElem):
             return x
         return self.algebra.scalar(x)

@@ -23,7 +23,7 @@ from .ratfunc import RatFunc, RatFuncField
 class KummerField:
     """F(xi) with xi^m = alpha; base F is Q(w)(t) or another Kummer field."""
 
-    def __init__(self, base, alpha, m: int, gen_name: str = "xi", check: bool = True):
+    def __init__(self, base, alpha, m: int, gen_name: str = "xi"):
         alpha = base.coerce(alpha)
         if alpha.is_zero():
             raise ReducibleRadicandError("radicand must be nonzero")
@@ -33,12 +33,10 @@ class KummerField:
         self.alpha = alpha
         self.m = m
         self.gen_name = gen_name
-        if check:
-            self._certify_irreducible()
+        self._certify_irreducible()
         # delta_E(xi) = delta(alpha)/(m*alpha) * xi
         self.gen_rate = alpha.derive() / (alpha * m)
-        if check:
-            self._check_derivation_consistency()
+        self._check_derivation_consistency()
 
     # -- construction checks -------------------------------------------
 
@@ -48,27 +46,14 @@ class KummerField:
             kummer_vahlen_certify(self.alpha, self.m)
             return
         if isinstance(base, KummerField) and isinstance(base.base, RatFuncField):
-            bottom = self._bottom_radicand()
-            if bottom is None:
+            # alpha is a KummerElem over the bottom field Q(w)(t)
+            if not self.alpha.is_base():
                 raise ReducibleRadicandError(
                     "can only certify tower radicands that come from the bottom field"
                 )
-            certify_power_free_over_kummer(base.alpha, base.m, bottom, self.m)
+            certify_power_free_over_kummer(base.alpha, base.m, self.alpha.base_value(), self.m)
             return
         raise ReducibleRadicandError("unsupported tower shape for irreducibility check")
-
-    def _bottom_radicand(self):
-        """self.alpha as an element of the bottom rational function field, if possible."""
-        a = self.alpha
-        if isinstance(a, RatFunc):
-            return a
-        if isinstance(a, KummerElem):
-            if any(not c.is_zero() for c in a.coeffs[1:]):
-                return None
-            inner = a.coeffs[0]
-            if isinstance(inner, RatFunc):
-                return inner
-        return None
 
     def _check_derivation_consistency(self):
         # m * xi^(m-1) * delta_E(xi) must equal delta(alpha)

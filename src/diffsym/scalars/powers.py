@@ -162,14 +162,30 @@ def rational_is_power_in_cyclotomic(q: Fraction, p: int, n: int) -> bool:
     return any(rational_nth_root(q * d, 2) is not None for d in classes)
 
 
+def _rational_part(c: CycloElem, p: int):
+    """Rational q with c = q w^k and w^k a p-th power of a root of unity, or None.
+
+    k = 0 always qualifies; any k does when p does not divide n, since then
+    w^k = (w^(k p^-1 mod n))^p.  So c is a p-th power in Q(w) iff q is.
+    """
+    n = c.parent.m
+    w_inv = c.parent.omega() ** (n - 1)
+    for _ in range(n if n % p else 1):
+        if c.is_rational():
+            return c.rational_value()
+        c = c * w_inv
+    return None
+
+
 def kummer_vahlen_certify(alpha: RatFunc, m: int) -> None:
     """Certify z^m - alpha irreducible over Q(w)(t); raise otherwise.
 
     Classical criterion: alpha not in k^p for every prime p | m and, when
-    4 | m, alpha not in -4 k^4.  A rational constant cofactor is tested for
-    p-th powers in Q(w) exactly (``rational_is_power_in_cyclotomic``); any
-    other cofactor by a bounded-height search, and when that finds no root
-    the answer is "cannot certify".
+    4 | m, alpha not in -4 k^4.  A constant cofactor q w^k with q rational
+    (and k = 0 or p prime to n) is tested for p-th powers in Q(w) exactly
+    (``rational_is_power_in_cyclotomic``); any other cofactor by a
+    bounded-height search, and when that finds no root the answer is
+    "cannot certify".
     """
     if alpha.is_zero():
         raise ReducibleRadicandError("radicand must be nonzero")
@@ -178,8 +194,9 @@ def kummer_vahlen_certify(alpha: RatFunc, m: int) -> None:
         if res is None:
             continue
         c, _h = res
-        if c.is_rational():
-            reducible = rational_is_power_in_cyclotomic(c.rational_value(), p, c.parent.m)
+        q = _rational_part(c, p)
+        if q is not None:
+            reducible = rational_is_power_in_cyclotomic(q, p, c.parent.m)
         else:
             reducible = cyclo_nth_root(c, p) is not None
             if not reducible:

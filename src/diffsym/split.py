@@ -24,8 +24,7 @@ from .scalars import (
     is_prime,
     mth_power_up_to_constant,
 )
-from .linalg import kernel_basis
-from .symalg import SymbolAlgebra, SymbolElem, minimal_polynomial
+from .symalg import SymbolAlgebra, SymbolElem, minimal_polynomial, twisted_centralizer
 
 
 class PhiMap:
@@ -288,17 +287,7 @@ def split_standard(algebra: SymbolAlgebra) -> SplitReport:
 def find_twist_partner(rho1: SymbolElem):
     """Search for x with x rho1 = omega rho1 x and x^m scalar; None if absent."""
     alg = rho1.algebra
-    omega = alg.field.coerce(alg.omega)
-    cols = []
-    for b in alg.basis():
-        cols.append((b * rho1 - (rho1 * b).scale(omega)).to_vector())
-    n = alg.m**2
-    matrix = [[cols[c][r] for c in range(n)] for r in range(n)]
-    for vec in kernel_basis(matrix, alg.field):
-        grid = [[vec[i * alg.m + j] for j in range(alg.m)] for i in range(alg.m)]
-        x = SymbolElem(alg, grid)
-        if x.is_zero():
-            continue
+    for x in twisted_centralizer(rho1, alg.omega):
         xm = x**alg.m
         if xm.is_scalar() and not xm.is_zero():
             return x

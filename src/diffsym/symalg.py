@@ -75,24 +75,6 @@ class SymbolAlgebra:
     def basis(self):
         return [self.monomial(i, j, self.field.one()) for i in range(self.m) for j in range(self.m)]
 
-    def random_element(self, rng, entries: int = 3, coeff_range: int = 5, max_deg: int = 1) -> "SymbolElem":
-        """Sparse random element with small integer-polynomial coefficients."""
-        grid = self.zero_elem().grid_copy()
-        for _ in range(entries):
-            i = rng.randrange(self.m)
-            j = rng.randrange(self.m)
-            coeffs = [rng.randint(-coeff_range, coeff_range) for _ in range(max_deg + 1)]
-            grid[i][j] = grid[i][j] + self._small_scalar(coeffs)
-        return SymbolElem(self, grid)
-
-    def _small_scalar(self, int_coeffs):
-        from .scalars import RatFuncField
-
-        f = self.field
-        if isinstance(f, RatFuncField):
-            return f.from_poly(Poly(f.cyclo, [f.cyclo.from_rational(c) for c in int_coeffs]))
-        return f.coerce(int_coeffs[0])
-
     def extend(self, new_field) -> "SymbolAlgebra":
         """The same relations with scalars in an extension of the base field."""
         return SymbolAlgebra(new_field, new_field.coerce(self.alpha), new_field.coerce(self.beta), self.m)
@@ -126,9 +108,6 @@ class SymbolElem(FieldElem):
 
     def grid_copy(self):
         return [list(row) for row in self.grid]
-
-    def coefficient(self, i: int, j: int):
-        return self.grid[i][j]
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for row in self.grid for c in row)
@@ -239,20 +218,23 @@ class SymbolElem(FieldElem):
         return symbol_to_str(self)
 
 
-def centralizer(a: SymbolElem):
-    """Basis of {x : xa = ax} via an exact m^2 x m^2 kernel computation."""
+def twisted_centralizer(a: SymbolElem, c):
+    """Basis of {x : xa = c ax} for a scalar c, via an exact m^2 x m^2 kernel computation."""
     alg = a.algebra
-    cols = []
-    for b in alg.basis():
-        cols.append((b * a - a * b).to_vector())
+    # c is central, so c(ax) = (ca)x
+    ca = a.scale(c)
+    cols = [(b * a - ca * b).to_vector() for b in alg.basis()]
     n = alg.m**2
-    matrix = [[cols[c][r] for c in range(n)] for r in range(n)]
-    basis = kernel_basis(matrix, alg.field)
-    out = []
-    for vec in basis:
-        grid = [[vec[i * alg.m + j] for j in range(alg.m)] for i in range(alg.m)]
-        out.append(SymbolElem(alg, grid))
-    return out
+    matrix = [[cols[col][r] for col in range(n)] for r in range(n)]
+    return [
+        SymbolElem(alg, [[vec[i * alg.m + j] for j in range(alg.m)] for i in range(alg.m)])
+        for vec in kernel_basis(matrix, alg.field)
+    ]
+
+
+def centralizer(a: SymbolElem):
+    """Basis of {x : xa = ax}."""
+    return twisted_centralizer(a, a.algebra.field.one())
 
 
 def minimal_polynomial(a: SymbolElem) -> Poly:

@@ -4,11 +4,12 @@ Each one computes its answer by a different, slower route than the package:
 dense matrix products in place of the sparse Phi, the m^2 basis elements in
 place of the generators, the entry-wise formula for P with its explicit
 w-correction in place of Phi(theta) + P_s, an explicit matrix for left
-multiplication, and a bounded-ansatz linear system for the ODE solver.
+multiplication, a bounded-ansatz linear system for the ODE solver, and the
+minor identity T_alpha^-1 B' T_beta = -A' for the relations of a derivation.
 """
 
 from diffsym import DiffMatrix, IsoVerdict, Poly, SymbolElem, apply_dP
-from diffsym.linalg import solve_affine
+from diffsym.linalg import invert_matrix, solve_affine
 from diffsym.scalars.ode import OdeSolution, _homogeneous_basis, _proportional
 
 
@@ -148,3 +149,43 @@ def brute_force_ode_oracle(mu, g, degree_bound: int = 8) -> OdeSolution:
         if not any(_proportional(x, h) for h in hom):
             hom.append(x)
     return OdeSolution(particular, hom)
+
+
+def _t_gamma(algebra, gamma):
+    """The (m-1)x(m-1) twist matrix of the minor identity."""
+    m = algebra.m
+    field = algebra.field
+    w = algebra._omega_pow
+    rows = [[field.zero() for _ in range(m - 1)] for _ in range(m - 1)]
+    rows[0][m - 2] = (field.one() - w[1]) / gamma
+    for i in range(1, m - 1):
+        rows[i][i - 1] = w[(i + 1) % m] - w[1]
+    return rows
+
+
+def _minor(grid, drop_row, drop_col):
+    return [[grid[i][j] for j in range(len(grid)) if j != drop_col] for i in range(len(grid)) if i != drop_row]
+
+
+def _mat_mul(x, y, field):
+    return [
+        [sum((x[i][l] * y[l][j] for l in range(len(y))), field.zero()) for j in range(len(y[0]))]
+        for i in range(len(x))
+    ]
+
+
+def minor_identity_holds(algebra, du, dv):
+    """T_alpha^-1 B' T_beta = -A', with A' = d(u) less row 1 and column 0, B' = d(v) less row 0 and column 1.
+
+    Entry by entry it is REL1, REL2 at j >= 2, REL3 at i >= 2 and REL4 at
+    i, j >= 2; the relations it leaves out involve only the entries that the
+    A and B conditions pin down.
+    """
+    field = algebra.field
+    a = algebra.coerce_elem(du).grid
+    b = algebra.coerce_elem(dv).grid
+    # the alpha twist acts on the row shift, hence the transpose
+    t_alpha_inv = invert_matrix([list(r) for r in zip(*_t_gamma(algebra, algebra.alpha))], field)
+    lhs = _mat_mul(_mat_mul(t_alpha_inv, _minor(b, 0, 1), field), _t_gamma(algebra, algebra.beta), field)
+    a_minor = _minor(a, 1, 0)
+    return all((x + y).is_zero() for lrow, arow in zip(lhs, a_minor) for x, y in zip(lrow, arow))

@@ -122,6 +122,11 @@ def test_power_detect_exit_codes(capsys):
     assert main(["power-detect", "--m", "3", "--f", "8*t^3/(t+1)^3"]) == 0
 
 
+def test_huge_exponent_is_a_usage_error(capsys):
+    assert main(["power-detect", "--m", "3", "--f", "t^1000000000000"]) == 2
+    assert "exponent 1000000000000 too large" in capsys.readouterr().err
+
+
 def test_replay_all_cases(capsys, registry):
     code, report = run_json(capsys, "replay")
     assert code == 0

@@ -9,14 +9,14 @@ from diffsym import (
     constants_standard,
     decompose,
     inner_derivation,
-    random_valid_derivation,
     standard_derivation,
     subfield_stable,
     validate,
 )
-from diffsym.deriv import random_trace_zero
 from diffsym.linalg import solve_affine
 from diffsym.scalars import CycloField, RatFuncField
+from generators import random_element, random_trace_zero, random_valid_derivation
+from oracles import minor_identity_holds
 
 
 def make_algebra(m, derivation="dt", alpha=None, beta=None):
@@ -28,8 +28,10 @@ def make_algebra(m, derivation="dt", alpha=None, beta=None):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_standard_derivation_validates(m):
     alg = make_algebra(m)
-    v = standard_derivation(alg).verdict()
-    assert v.ok and not v.failing and not v.diagnostics
+    ds = standard_derivation(alg)
+    v = ds.verdict()
+    assert v.ok and not v.failing
+    assert minor_identity_holds(alg, ds.du, ds.dv)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -38,7 +40,7 @@ def test_leibniz_random(m, rng):
     for _ in range(5):
         d = random_valid_derivation(alg, rng)
         for _ in range(10):
-            a, b = alg.random_element(rng), alg.random_element(rng)
+            a, b = random_element(alg, rng), random_element(alg, rng)
             assert d.apply(a * b) == a * d.apply(b) + d.apply(a) * b
 
 
@@ -70,7 +72,40 @@ def test_perturbations_tagged(rng):
         verdict = validate(alg, du, dv)
         assert not verdict.ok
         assert tag in verdict.failing, (i, j, which, verdict.failing)
-        assert not verdict.diagnostics  # minor identity must agree with the tags
+        # the minor identity follows from the relations, so it can fail only with a REL tag
+        assert minor_identity_holds(alg, du, dv) or any(t.startswith("REL") for t in verdict.failing)
+
+
+def _bump(elem, i, j):
+    g = elem.grid_copy()
+    g[i][j] = g[i][j] + elem.algebra.field.one()
+    return elem.algebra.from_grid(g)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_minor_identity_holds_on_valid_derivations(m, rng):
+    alg = make_algebra(m)
+    for _ in range(3):
+        d = random_valid_derivation(alg, rng)
+        assert validate(alg, d.du, d.dv).ok
+        assert minor_identity_holds(alg, d.du, d.dv)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_single_condition_perturbations_against_the_minor_identity(m, rng):
+    """Each bump breaks exactly one condition; the REL tags fail exactly when the minor identity does."""
+    alg = make_algebra(m)
+    d = random_valid_derivation(alg, rng)
+    # (image, i, j, tag): the entry bumped by one and the only condition it enters
+    cases = [("du", 1, 0, "A"), ("dv", 0, 1, "B"), ("dv", m - 1, 0, "REL1")]
+    if m >= 3:
+        cases += [("dv", m - 1, 2, "REL2"), ("dv", 1, 0, "REL3"), ("dv", 1, 2, "REL4")]
+    for which, i, j, tag in cases:
+        du = _bump(d.du, i, j) if which == "du" else d.du
+        dv = _bump(d.dv, i, j) if which == "dv" else d.dv
+        verdict = validate(alg, du, dv)
+        assert verdict.failing == [tag]
+        assert minor_identity_holds(alg, du, dv) == (tag in ("A", "B"))
 
 
 def _oracle_theta(d):
@@ -117,7 +152,7 @@ def test_trace_compatibility(m, rng):
     alg = make_algebra(m)
     for _ in range(10):
         d = random_valid_derivation(alg, rng)
-        a = alg.random_element(rng)
+        a = random_element(alg, rng)
         assert d.apply(a).trace() == a.trace().derive()
 
 

@@ -1,10 +1,11 @@
-"""Linear algebra over the tower fields: the determinant expansion."""
+"""Linear algebra over the tower fields: the determinant expansion and affine solving."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
-from diffsym.linalg import det_expansion
+import diffsym.linalg
+from diffsym.linalg import det_expansion, kernel_basis, solve_affine
 from diffsym.scalars import CycloField, KummerField, RatFuncField
 
 
@@ -87,3 +88,60 @@ def test_permutation_matrix_sign():
     for perm in permutations(range(4)):
         matrix = [[one if perm[i] == j else zero for j in range(4)] for i in range(4)]
         assert det_expansion(matrix, field) == det_permutations(matrix, field)
+
+
+def _rank(matrix, field):
+    """Rank as the largest size of a nonzero minor, independent of the elimination."""
+    rows, cols = len(matrix), len(matrix[0])
+    for k in range(min(rows, cols), 0, -1):
+        for rs in combinations(range(rows), k):
+            for cs in combinations(range(cols), k):
+                if not det_expansion([[matrix[r][c] for c in cs] for r in rs], field).is_zero():
+                    return k
+    return 0
+
+
+def _apply(matrix, x, field):
+    return [sum((a * b for a, b in zip(row, x)), field.zero()) for row in matrix]
+
+
+@pytest.mark.parametrize("field", [CycloField(5), RatFuncField(CycloField(5), "t")], ids=["Q(w5)", "Q(w5)(t)"])
+def test_solve_affine_on_random_systems(field, rng):
+    for _ in range(12):
+        nrows, ncols = rng.randint(2, 4), rng.randint(2, 5)
+        matrix = [[_entry(field, rng) for _ in range(ncols)] for _ in range(nrows)]
+        # half the systems get a dependent last row, so some have a kernel and some no solution
+        if rng.random() < 0.5:
+            matrix[-1] = [a + a for a in matrix[0]]
+        x0 = [_entry(field, rng) for _ in range(ncols)]
+        rhs = _apply(matrix, x0, field)
+        inconsistent = matrix[-1] == [a + a for a in matrix[0]] and rng.random() < 0.5
+        if inconsistent:
+            rhs[-1] = rhs[-1] + field.one()
+        particular, kernel = solve_affine(matrix, rhs, field)
+        if inconsistent:
+            assert particular is None
+        else:
+            assert _apply(matrix, particular, field) == rhs
+        for vec in kernel:
+            assert all(x.is_zero() for x in _apply(matrix, vec, field))
+        assert len(kernel) == ncols - _rank(matrix, field)
+        assert kernel == kernel_basis(matrix, field)
+
+
+def test_solve_affine_runs_one_elimination(monkeypatch):
+    field = CycloField(5)
+    w = field.omega()
+    matrix = [[field.one(), w, w + field.one()], [w, w * w, w * w + w]]
+    calls = []
+    rref = diffsym.linalg._rref
+
+    def counting(*args):
+        calls.append(args)
+        return rref(*args)
+
+    monkeypatch.setattr(diffsym.linalg, "_rref", counting)
+    for rhs in ([field.one(), w], [field.one(), field.one()]):
+        calls.clear()
+        solve_affine(matrix, rhs, field)
+        assert len(calls) == 1

@@ -93,3 +93,19 @@ def test_parse_errors_carry_position():
         parse_scalar("xi", k)  # undefined symbol in this context
     with pytest.raises(ParseError):
         parse_scalar("t (", k)  # trailing input
+
+
+def test_large_powers_are_rejected_before_any_arithmetic():
+    k = RatFuncField(CycloField(3), "t")
+    with pytest.raises(ParseError) as info:
+        parse_scalar("t^1000000000000", k)
+    assert info.value.position == 2
+    with pytest.raises(ParseError) as info:
+        parse_scalar("(t^40)^40", k)  # t-degree 40 times 40
+    assert info.value.position == 7
+    with pytest.raises(ParseError):
+        parse_scalar("2^-1001", k)
+    assert parse_scalar("t^1000", k) == k.gen() ** 1000
+    alg = SymbolAlgebra(k, k.gen(), k.gen() + k.one(), 3)
+    with pytest.raises(ParseError):
+        parse_symbol("(u^999)^999", alg)  # u^999 = t^333 u^0

@@ -143,3 +143,20 @@ def test_rational_squares_agree_with_the_bounded_search(n):
     for q in (-6, -5, -3, -2, -1, 2, 3, 5, 6):
         found = cyclo_nth_root(f.from_rational(q), 2) is not None
         assert is_power(Fraction(q), 2, n) == found, q
+
+
+def test_kummer_vahlen_decides_rational_times_root_of_unity(monkeypatch):
+    # over Q(w_5), w^k = (w^(3k))^2, so q w^k is a square iff q is: exact, no search
+    import diffsym.scalars.powers as powers
+
+    def no_search(c, k, height=3):
+        raise AssertionError("bounded search used")
+
+    monkeypatch.setattr(powers, "cyclo_nth_root", no_search)
+    k5 = RatFuncField(CycloField(5), "t")
+    t, w = k5.gen(), k5.coerce(k5.cyclo.omega())
+    kummer_vahlen_certify(w * t**2 * 2, 2)
+    kummer_vahlen_certify(w**4 * t**2 * 3, 2)  # w^4 = -1 - w - w^2 - w^3
+    for square in (w * t**2 * 4, w**4 * t**2 * 5):  # 4w = (2w^3)^2; 5 = sqrt(5)^2 in Q(w_5)
+        with pytest.raises(ReducibleRadicandError):
+            kummer_vahlen_certify(square, 2)

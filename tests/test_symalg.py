@@ -5,11 +5,14 @@ import pytest
 from diffsym import (
     SymbolAlgebra,
     centralizer,
+    find_twist_partner,
     in_generated_subfield,
     inverse_via_minimal_polynomial,
     minimal_polynomial,
 )
+from diffsym.parser import symbol_to_str
 from diffsym.scalars import CycloField, RatFuncField
+from generators import random_element
 from oracles import left_multiplication_matrix
 
 
@@ -33,7 +36,7 @@ def test_defining_relations(m):
 def test_associativity_random(m, rng):
     alg = make_algebra(m)
     for _ in range(15):
-        a, b, c = (alg.random_element(rng) for _ in range(3))
+        a, b, c = (random_element(alg, rng) for _ in range(3))
         assert (a * b) * c == a * (b * c)
 
 
@@ -51,7 +54,7 @@ def test_regular_representation_is_multiplicative(m, rng):
         ]
 
     for _ in range(8):
-        a, b = alg.random_element(rng), alg.random_element(rng)
+        a, b = random_element(alg, rng), random_element(alg, rng)
         lhs = left_multiplication_matrix(a * b)
         rhs = matmul(left_multiplication_matrix(a), left_multiplication_matrix(b))
         assert all(
@@ -62,7 +65,7 @@ def test_regular_representation_is_multiplicative(m, rng):
 def test_trace_properties(rng):
     alg = make_algebra(3)
     for _ in range(15):
-        a, b = alg.random_element(rng), alg.random_element(rng)
+        a, b = random_element(alg, rng), random_element(alg, rng)
         assert (a * b).trace() == (b * a).trace()
         assert (a + b).trace() == a.trace() + b.trace()
     assert alg.one().trace() == alg.field.coerce(9)
@@ -79,6 +82,30 @@ def test_centralizer_of_u_is_ku(m):
         assert in_generated_subfield(b, alg.u())
 
 
+# centralizer and find_twist_partner once ran separate kernel computations;
+# these are their outputs then, over the zero base derivation with (t, t+1).
+SEPARATE_KERNEL_OUTPUTS = {
+    (2, "u"): (["1", "u"], "v"),
+    (2, "v"): (["1", "v"], "u"),
+    (2, "u + v"): (["1", "v + u"], "((-t)/(t + 1))*v + u"),
+    (3, "u"): (["1", "u", "u^2"], "v"),
+    (3, "v"): (["1", "v", "v^2"], "u^2"),
+    (3, "u + v"): (
+        ["1", "v + u", "v^2 + ((w + 1))*u*v + u^2"],
+        "((-t)/(t + 1))*v^2 + (((-w - 1)*t)/(t + 1))*u*v + u^2",
+    ),
+}
+
+
+@pytest.mark.parametrize("m, name", sorted(SEPARATE_KERNEL_OUTPUTS))
+def test_shared_kernel_reproduces_centralizer_and_twist_partner(m, name):
+    alg = make_algebra(m, derivation="zero")
+    x = {"u": alg.u(), "v": alg.v(), "u + v": alg.u() + alg.v()}[name]
+    basis, partner = SEPARATE_KERNEL_OUTPUTS[(m, name)]
+    assert [symbol_to_str(b) for b in centralizer(x)] == basis
+    assert symbol_to_str(find_twist_partner(x)) == partner
+
+
 def test_minimal_polynomial_of_generators():
     alg = make_algebra(3)
     p = minimal_polynomial(alg.u())
@@ -92,7 +119,7 @@ def test_minimal_polynomial_of_generators():
 def test_inverse_via_minimal_polynomial(rng):
     alg = make_algebra(2)
     for _ in range(10):
-        gamma = alg.random_element(rng)
+        gamma = random_element(alg, rng)
         if gamma.is_zero():
             continue
         try:
