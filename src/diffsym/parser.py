@@ -340,8 +340,23 @@ def _ratfunc_str(f: RatFunc) -> str:
     return f"({num})/({_poly_str(f.den, var)})"
 
 
+def _is_group(s: str) -> bool:
+    """True when s is one parenthesized group: its first '(' closes at its last character."""
+    if not s.startswith("("):
+        return False
+    depth = 0
+    for i, ch in enumerate(s):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth == 0:
+                return i == len(s) - 1
+    return False
+
+
 def _wrap(s: str) -> str:
-    if re.fullmatch(r"\d+|[a-zA-Z][a-zA-Z0-9]*(\^-?\d+)?", s):
+    if re.fullmatch(r"\d+|[a-zA-Z][a-zA-Z0-9]*(\^-?\d+)?", s) or _is_group(s):
         return s
     return f"({s})"
 

@@ -1,26 +1,26 @@
 """Exact arithmetic in the cyclotomic field Q(w), w a primitive m-th root of unity.
 
-Elements are residues of Q[x] mod the m-th cyclotomic polynomial Phi_m, stored
-as coefficient vectors of length deg(Phi_m).
+Elements are residues of Q[x] mod the m-th cyclotomic polynomial Phi_m.  Each
+is stored as an integer vector over one common denominator: ``num``, a tuple of
+deg(Phi_m) ints, and ``den``, an int > 0 with gcd(den, num...) = 1, so the
+pair is canonical and zero is ((0, ..., 0), 1).
 
-Arithmetic builds its results through ``_elem``, which stores a tuple of
-``Fraction`` as given; only the public ``CycloElem(parent, coeffs)`` converts
-and checks its input.  A product of two non-rational elements is a schoolbook
-convolution whose high coefficients are folded back through the field's table
-of x^(d+k) mod Phi_m.
+Arithmetic builds its results through ``_elem``, which stores the pair as
+given; only the public ``CycloElem(parent, coeffs)`` converts and checks its
+input.  A product of two non-rational elements is a schoolbook convolution
+whose high coefficients are folded back through the field's table of
+x^(d+k) mod Phi_m, which has integer entries since Phi_m is monic in Z[x].
+An inverse is the product of the other Galois conjugates over the norm.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from math import gcd, lcm
 
 from .elem import FieldElem
-from .polys import Poly, QQ, poly_extended_gcd
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .polys import Poly, QQ
 
 
 @lru_cache(maxsize=None)
@@ -36,17 +36,17 @@ def cyclotomic_polynomial(m: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _fold_table(m: int) -> tuple:
-    """x^(d+k) mod Phi_m for k = 0..d-2 (d = deg Phi_m), each as d Fractions."""
+def _power_table(m: int) -> tuple:
+    """x^j mod Phi_m for j = 0..max(m, 2d - 2) (d = deg Phi_m), each as d ints."""
     phi = cyclotomic_polynomial(m)
     d = phi.degree
-    row = tuple(-c for c in phi.coeffs[:d])  # x^d = -(p_0 + ... + p_(d-1) x^(d-1))
+    xd = tuple(-int(c) for c in phi.coeffs[:d])  # x^d = -(p_0 + ... + p_(d-1) x^(d-1))
+    row = (1,) + (0,) * (d - 1)
     table = []
-    for _ in range(d - 1):
+    for _ in range(max(m + 1, 2 * d - 1)):
         table.append(row)
         top = row[-1]
-        # x * row, with the x^d it produces folded back through table[0]
-        row = tuple((row[i - 1] if i else _ZERO) + top * table[0][i] for i in range(d))
+        row = tuple((row[i - 1] if i else 0) + top * xd[i] for i in range(d))
     return tuple(table)
 
 
@@ -63,15 +63,15 @@ class CycloField:
         xm1 = Poly(QQ, [-1] + [0] * (m - 1) + [1])
         if not (xm1 % self.modulus).is_zero():
             raise AssertionError("cyclotomic modulus does not divide x^m - 1")
-        self._fold = _fold_table(m)
-        self._zeros = (_ZERO,) * (d - 1)
-        self._zero = _elem(self, (_ZERO,) + self._zeros)
-        self._one = _elem(self, (_ONE,) + self._zeros)
-        if d == 1:
-            # Phi_1 = x - 1, Phi_2 = x + 1: omega is 1 resp. -1
-            self._omega = self.from_rational(-self.modulus.coeff(0))
-        else:
-            self._omega = _elem(self, (_ZERO, _ONE) + self._zeros[1:])
+        powers = _power_table(m)
+        self._fold = powers[d : 2 * d - 1]  # x^(d+k) for k = 0..d-2
+        self._wpow = powers[:m]  # w^j for j = 0..m-1
+        # sigma_k: w -> w^k for the units k of Z/m other than 1
+        self._conjugations = tuple(k for k in range(2, m) if gcd(k, m) == 1)
+        self._zeros = (0,) * (d - 1)
+        self._zero = _elem(self, (0,) + self._zeros, 1)
+        self._one = _elem(self, (1,) + self._zeros, 1)
+        self._omega = _elem(self, powers[1], 1)
 
     def zero(self) -> "CycloElem":
         return self._zero
@@ -80,7 +80,11 @@ class CycloField:
         return self._one
 
     def from_rational(self, q) -> "CycloElem":
-        return _elem(self, (q if type(q) is Fraction else Fraction(q),) + self._zeros)
+        if type(q) is int:
+            return _elem(self, (q,) + self._zeros, 1)
+        if type(q) is not Fraction:
+            q = Fraction(q)
+        return _elem(self, (q.numerator,) + self._zeros, q.denominator)
 
     def omega(self) -> "CycloElem":
         """The class of x, a primitive m-th root of unity."""
@@ -91,7 +95,7 @@ class CycloField:
             if x.parent is self or x.parent == self:
                 return x
             if x.is_rational():
-                return self.from_rational(x.rational_value())
+                return _elem(self, (x.num[0],) + self._zeros, x.den)
             raise TypeError("cyclotomic element from a different conductor")
         if isinstance(x, (int, Fraction)):
             return self.from_rational(x)
@@ -108,30 +112,39 @@ class CycloField:
 
 
 class CycloElem(FieldElem):
-    """An element of Q(w), reduced mod Phi_m."""
+    """An element num/den of Q(w), reduced mod Phi_m."""
 
-    __slots__ = ("parent", "coeffs")
+    __slots__ = ("parent", "num", "den")
 
     def __init__(self, parent: CycloField, coeffs):
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != parent.degree:
             raise ValueError("coefficient vector has the wrong length")
+        # the lcm of reduced denominators leaves num and den coprime
+        den = lcm(*(c.denominator for c in coeffs))
         self.parent = parent
-        self.coeffs = tuple(coeffs)
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, lowest power of w first."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
 
     def _poly(self) -> Poly:
         return Poly(QQ, list(self.coeffs))
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational element")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def derive(self) -> "CycloElem":
         return self.parent._zero
@@ -140,78 +153,124 @@ class CycloElem(FieldElem):
         parent = self.parent
         if type(other) is not CycloElem or other.parent is not parent:
             other = parent.coerce(other)
-        return _elem(parent, tuple(map(add, self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        if da == db:
+            return _reduced(parent, [x + y for x, y in zip(self.num, other.num)], da)
+        return _reduced(parent, [x * db + y * da for x, y in zip(self.num, other.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _elem(self.parent, tuple(-a for a in self.coeffs))
+        return _elem(self.parent, tuple([-x for x in self.num]), self.den)
 
     def __mul__(self, other):
         parent = self.parent
         if type(other) is not CycloElem or other.parent is not parent:
             other = parent.coerce(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.num, other.num
         if not any(b[1:]):
-            return _scaled(parent, a, b[0])
+            return _scaled(parent, a, self.den, b[0], other.den)
         if not any(a[1:]):
-            return _scaled(parent, b, a[0])
-        d = parent.degree
-        prod = [None] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        p = prod[i + j]
-                        prod[i + j] = x * y if p is None else p + x * y
-        out = prod[:d]
-        for c, row in zip(prod[d:], parent._fold):
-            if c:
-                for i, f in enumerate(row):
-                    if f:
-                        p = out[i]
-                        out[i] = c * f if p is None else p + c * f
-        return _elem(parent, tuple(_ZERO if c is None else c for c in out))
+            return _scaled(parent, b, other.den, a[0], self.den)
+        return _reduced(parent, _convolve(parent, a, b), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycloElem":
-        if self.is_zero():
+        num, den = self.num, self.den
+        if not any(num):
             raise ZeroDivisionError("inverse of zero in Q(w)")
         parent = self.parent
-        if self.is_rational():
-            return parent.from_rational(1 / self.coeffs[0])
-        g, s, _ = poly_extended_gcd(self._poly(), parent.modulus)
-        if g.degree != 0:
-            raise AssertionError("cyclotomic modulus is not coprime to a nonzero element")
-        # deg s < deg Phi_m, so s is already reduced
-        return _elem(parent, tuple(s.coeff(i) for i in range(parent.degree)))
+        if not any(num[1:]):
+            n = num[0]
+            return _elem(parent, (den if n > 0 else -den,) + parent._zeros, abs(n))
+        # a = A/den and A * Q = N with N in Z, so 1/a = den * Q / N
+        q, n = _conjugate_product(parent, num)
+        if n < 0:
+            den, n = -den, -n
+        return _reduced(parent, [den * x for x in q], n)
+
+    def norm(self) -> Fraction:
+        """N(a) = the product of the Galois conjugates sigma_k(a), k in (Z/m)*; a rational."""
+        if not any(self.num):
+            return Fraction(0)
+        _, n = _conjugate_product(self.parent, self.num)
+        return Fraction(n, self.den**self.parent.degree)
 
     def _key(self):
-        return self.coeffs
+        return self.num, self.den
 
     def __hash__(self):
         # a rational equals the same rational in every Q(w), and the Fraction itself
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.parent.m, self.coeffs))
+            return hash(self.num[0]) if self.den == 1 else hash(Fraction(self.num[0], self.den))
+        return hash((self.parent.m, self.num, self.den))
 
 
 _new = object.__new__
 
 
-def _elem(parent: CycloField, coeffs: tuple) -> CycloElem:
-    """The trusted constructor: coeffs is a tuple of deg(Phi_m) Fractions, stored as is."""
+def _elem(parent: CycloField, num: tuple, den: int) -> CycloElem:
+    """The trusted constructor: num (deg(Phi_m) ints) and den > 0 are coprime, stored as is."""
     e = _new(CycloElem)
     e.parent = parent
-    e.coeffs = coeffs
+    e.num = num
+    e.den = den
     return e
 
 
-def _scaled(parent: CycloField, coeffs: tuple, q: Fraction) -> CycloElem:
-    """coeffs * q for a rational q."""
-    if not q:
+def _reduced(parent: CycloField, num: list, den: int) -> CycloElem:
+    """num/den for den > 0, divided by gcd(den, num...)."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return _elem(parent, tuple([x // g for x in num]), den // g)
+    return _elem(parent, tuple(num), den)
+
+
+def _scaled(parent: CycloField, num: tuple, den: int, qn: int, qd: int) -> CycloElem:
+    """(num/den) * (qn/qd) for a rational qn/qd."""
+    if not qn:
         return parent._zero
-    if q == 1:
-        return _elem(parent, coeffs)
-    return _elem(parent, tuple(c * q for c in coeffs))
+    if qn == qd:
+        return _elem(parent, num, den)
+    return _reduced(parent, [x * qn for x in num], den * qd)
+
+
+def _convolve(parent: CycloField, a: tuple, b: tuple) -> list:
+    """The integer vector of a * b mod Phi_m, for integer vectors a and b."""
+    d = parent.degree
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    out = prod[:d]
+    for c, row in zip(prod[d:], parent._fold):
+        if c:
+            for i, f in enumerate(row):
+                if f:
+                    out[i] += c * f
+    return out
+
+
+def _conjugate_product(parent: CycloField, a: tuple):
+    """(Q, N) for a nonzero integer vector a: Q is the product of sigma_k(a) over the
+    units k != 1 of Z/m, and a * Q = N is the norm of a, a nonzero integer."""
+    m, d, wpow = parent.m, parent.degree, parent._wpow
+    q = None
+    for k in parent._conjugations:
+        s = [0] * d
+        for i, x in enumerate(a):
+            if x:
+                for j, f in enumerate(wpow[i * k % m]):
+                    if f:
+                        s[j] += x * f
+        q = s if q is None else _convolve(parent, q, s)
+    if q is None:
+        q = [1] + [0] * (d - 1)
+    n = _convolve(parent, a, q)
+    if not n[0] or any(n[1:]):
+        raise AssertionError("the norm of a nonzero cyclotomic element is not a nonzero rational")
+    return q, n[0]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from .cyclo import CycloElem
 from .polys import Poly, coprime_basis, multiplicity, squarefree_decompose
@@ -162,30 +163,58 @@ def rational_is_power_in_cyclotomic(q: Fraction, p: int, n: int) -> bool:
     return any(rational_nth_root(q * d, 2) is not None for d in classes)
 
 
-def _rational_part(c: CycloElem, p: int):
-    """Rational q with c = q w^k and w^k a p-th power of a root of unity, or None.
+def _rational_part(c: CycloElem, k: int):
+    """Rational q with c = q w^j and w^j a k-th power of a root of unity, or None.
 
-    k = 0 always qualifies; any k does when p does not divide n, since then
-    w^k = (w^(k p^-1 mod n))^p.  So c is a p-th power in Q(w) iff q is.
+    j = 0 always qualifies; any j does when k is prime to n, since then
+    w^j = (w^(j k^-1 mod n))^k.  So c is a k-th power in Q(w) iff q is.
     """
     n = c.parent.m
     w_inv = c.parent.omega() ** (n - 1)
-    for _ in range(n if n % p else 1):
+    for _ in range(n if gcd(n, k) == 1 else 1):
         if c.is_rational():
             return c.rational_value()
         c = c * w_inv
     return None
 
 
+def _constant_is_power(c: CycloElem, k: int) -> bool:
+    """Decide whether a nonzero c in Q(w_n) is a k-th power, k prime or k = 4.
+
+    A cofactor q w^j (``_rational_part``) is decided exactly, apart from a
+    4th root of a q that is a square in Q(w_n) but not in Q.  Otherwise c is
+    refuted when N(c) is no rational k-th power, since N(e^k) = N(e)^k, and
+    confirmed when a bounded-height search finds a root.  Where none of these
+    decides, raise "cannot certify".
+    """
+    n = c.parent.m
+    q = _rational_part(c, k)
+    if q is not None:
+        if k != 4:
+            return rational_is_power_in_cyclotomic(q, k, n)
+        # e^4 = q gives e^2 = s or -s with s^2 = q, so q is a square in Q(w_n)
+        s = rational_nth_root(q, 2)
+        if s is not None:
+            return rational_is_power_in_cyclotomic(s, 2, n) or rational_is_power_in_cyclotomic(-s, 2, n)
+        if not rational_is_power_in_cyclotomic(q, 2, n):
+            return False
+    if rational_nth_root(c.norm(), k) is None:
+        return False
+    if cyclo_nth_root(c, k) is not None:
+        return True
+    raise ReducibleRadicandError(f"cannot certify that the constant cofactor is a {k}-th non-power")
+
+
 def kummer_vahlen_certify(alpha: RatFunc, m: int) -> None:
     """Certify z^m - alpha irreducible over Q(w)(t); raise otherwise.
 
     Classical criterion: alpha not in k^p for every prime p | m and, when
-    4 | m, alpha not in -4 k^4.  A constant cofactor q w^k with q rational
-    (and k = 0 or p prime to n) is tested for p-th powers in Q(w) exactly
-    (``rational_is_power_in_cyclotomic``); any other cofactor by a
-    bounded-height search, and when that finds no root the answer is
-    "cannot certify".
+    4 | m, alpha not in -4 k^4.  The constant cofactor c of alpha = c h^p is
+    decided by ``_constant_is_power``.  For 4 | m the p = 2 test has already
+    shown that alpha is no square.  When also 4 | n, i lies in Q(w_n) and
+    -4 = (1 + i)^4, so alpha in -4 k^4 would make alpha a 4th power, hence
+    a square: nothing is left to test.  Otherwise c/(-4) is tested for a 4th
+    power in the same way.
     """
     if alpha.is_zero():
         raise ReducibleRadicandError("radicand must be nonzero")
@@ -194,25 +223,15 @@ def kummer_vahlen_certify(alpha: RatFunc, m: int) -> None:
         if res is None:
             continue
         c, _h = res
-        q = _rational_part(c, p)
-        if q is not None:
-            reducible = rational_is_power_in_cyclotomic(q, p, c.parent.m)
-        else:
-            reducible = cyclo_nth_root(c, p) is not None
-            if not reducible:
-                raise ReducibleRadicandError(
-                    f"cannot certify that the constant cofactor is a {p}-th non-power"
-                )
-        if reducible:
+        if _constant_is_power(c, p):
             raise ReducibleRadicandError(
                 f"radicand is a {p}-th power in the base field (z^{m} - a reducible)"
             )
-    if m % 4 == 0:
+    if m % 4 == 0 and alpha.parent.cyclo.m % 4 != 0:
         res = mth_power_up_to_constant(alpha, 4)
         if res is not None:
             c, _h = res
-            e = cyclo_nth_root(c / (-4), 4)
-            if e is not None:
+            if _constant_is_power(c / (-4), 4):
                 raise ReducibleRadicandError(
                     "radicand lies in -4 k^4 (z^m - a reducible for 4 | m)"
                 )
@@ -244,8 +263,6 @@ def certify_power_free_over_kummer(alpha: RatFunc, w_alpha_m: int, beta: RatFunc
     basis = coprime_basis(parts)
     va = _finite_valuations(alpha, basis)
     vb = _finite_valuations(beta, basis)
-    from math import gcd
-
     ram = [m // gcd(m, v) for v in va]
     checks = [p for p in _prime_factors(big_m)]
     moduli = checks + ([4] if big_m % 4 == 0 else [])

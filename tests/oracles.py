@@ -5,12 +5,18 @@ dense matrix products in place of the sparse Phi, the m^2 basis elements in
 place of the generators, the entry-wise formula for P with its explicit
 w-correction in place of Phi(theta) + P_s, an explicit matrix for left
 multiplication, a bounded-ansatz linear system for the ODE solver, and the
-minor identity T_alpha^-1 B' T_beta = -A' for the relations of a derivation.
+minor identity T_alpha^-1 B' T_beta = -A' for the relations of a derivation,
+and Q(w) arithmetic on ``Fraction`` coefficient vectors with the inverse by
+the extended Euclidean algorithm in place of the integer vectors and the
+Galois conjugates.
 """
+
+from fractions import Fraction
 
 from diffsym import DiffMatrix, IsoVerdict, Poly, SymbolElem, apply_dP
 from diffsym.linalg import invert_matrix, solve_affine
 from diffsym.scalars.ode import OdeSolution, _homogeneous_basis, _proportional
+from diffsym.scalars.polys import QQ, poly_extended_gcd
 
 
 def matrix_powers(phi):
@@ -189,3 +195,48 @@ def minor_identity_holds(algebra, du, dv):
     lhs = _mat_mul(_mat_mul(t_alpha_inv, _minor(b, 0, 1), field), _t_gamma(algebra, algebra.beta), field)
     a_minor = _minor(a, 1, 0)
     return all((x + y).is_zero() for lrow, arow in zip(lhs, a_minor) for x, y in zip(lrow, arow))
+
+
+def fraction_fold_table(field):
+    """x^(d+k) mod Phi_m for k = 0..d-2 (d = deg Phi_m), each as d Fractions."""
+    phi = field.modulus
+    d = phi.degree
+    row = tuple(-c for c in phi.coeffs[:d])  # x^d = -(p_0 + ... + p_(d-1) x^(d-1))
+    table = []
+    for _ in range(d - 1):
+        table.append(row)
+        top = row[-1]
+        row = tuple((row[i - 1] if i else Fraction(0)) + top * table[0][i] for i in range(d))
+    return tuple(table)
+
+
+def fraction_add(a, b):
+    """Sum of two Q(w) elements given as Fraction coefficient vectors."""
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def fraction_neg(a):
+    return tuple(-x for x in a)
+
+
+def fraction_mul(field, a, b):
+    """Product of Fraction coefficient vectors: schoolbook convolution, folded mod Phi_m."""
+    d = field.degree
+    prod = [Fraction(0)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    out = prod[:d]
+    for c, row in zip(prod[d:], fraction_fold_table(field)):
+        for i, f in enumerate(row):
+            out[i] += c * f
+    return tuple(out)
+
+
+def euclid_inverse(field, a):
+    """Inverse of a nonzero Fraction coefficient vector by the extended Euclidean algorithm."""
+    g, s, _ = poly_extended_gcd(Poly(QQ, list(a)), field.modulus)
+    if g.degree != 0:
+        raise ZeroDivisionError("not invertible mod Phi_m")
+    # deg s < deg Phi_m, so s is already reduced
+    return tuple(s.coeff(i) for i in range(field.degree))

@@ -72,13 +72,13 @@ def test_hash_agrees_with_equality_across_conductors():
     assert hash(CycloField(3).omega()) != hash(CycloField(3).one())
 
 
-def _random_elem(f, rng, density):
+def _random_elem(f, rng, density, max_den=5):
     from fractions import Fraction
 
     from diffsym.scalars import CycloElem
 
     coeffs = [
-        Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < density else 0
+        Fraction(rng.randint(-9, 9), rng.randint(1, max_den)) if rng.random() < density else 0
         for _ in range(f.degree)
     ]
     return CycloElem(f, coeffs)
@@ -139,3 +139,82 @@ def test_public_constructor_still_validates():
         CycloElem(f, [1, 2])
     with pytest.raises(TypeError):
         CycloElem(f, [1, 2, 3, object()])
+
+
+def _assert_canonical(x):
+    from math import gcd
+
+    assert len(x.num) == x.parent.degree and all(type(n) is int for n in x.num)
+    assert type(x.den) is int and x.den > 0
+    assert gcd(x.den, *x.num) == 1
+    if x.is_zero():
+        assert x.num == (0,) * x.parent.degree and x.den == 1
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_integer_core_agrees_with_the_fraction_oracle(m, rng):
+    from fractions import Fraction
+
+    from diffsym.scalars import CycloElem
+    from oracles import euclid_inverse, fraction_add, fraction_mul, fraction_neg
+
+    f = CycloField(m)
+    w = f.omega()
+    samples = [f.zero(), f.one(), f.from_rational(Fraction(-5, 12)), w, w ** (m - 1) * Fraction(7, 6)]
+    samples += [_random_elem(f, rng, 0.75, max_den=12) for _ in range(7)]
+    for x in samples:
+        _assert_canonical(x)
+        _assert_canonical(-x)
+        assert (-x).coeffs == fraction_neg(x.coeffs)
+        if not x.is_zero():
+            inv = x.inv()
+            _assert_canonical(inv)
+            assert inv.coeffs == euclid_inverse(f, x.coeffs)
+    for x in samples:
+        for y in samples:
+            for got, want in ((x + y, fraction_add(x.coeffs, y.coeffs)),
+                              (x - y, fraction_add(x.coeffs, fraction_neg(y.coeffs))),
+                              (x * y, fraction_mul(f, x.coeffs, y.coeffs))):
+                _assert_canonical(got)
+                assert got.coeffs == want
+                rebuilt = CycloElem(f, want)
+                assert got == rebuilt and hash(got) == hash(rebuilt)
+                if got.is_rational():
+                    assert got == want[0] and hash(got) == hash(want[0])
+            assert (x == y) == (x.coeffs == y.coeffs)
+    assert f.zero().num == (0,) * f.degree and f.zero().den == 1
+    assert (samples[-1] - samples[-1]).num == (0,) * f.degree
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16])
+def test_norm_is_the_determinant_of_multiplication(m, rng):
+    from diffsym.linalg import det_expansion
+
+    f = CycloField(m)
+    rationals = CycloField(1)
+    w = f.omega()
+    for x in [w, w + 2] + [_random_elem(f, rng, 0.75, max_den=12) for _ in range(2 if f.degree < 8 else 1)]:
+        # column j holds the coordinates of x * w^j
+        cols = [(x * w**j).coeffs for j in range(f.degree)]
+        matrix = [[rationals.from_rational(col[i]) for col in cols] for i in range(f.degree)]
+        assert x.norm() == det_expansion(matrix, rationals).rational_value()
+    assert f.zero().norm() == 0
+
+
+@pytest.mark.parametrize("m", [5, 7, 12])
+def test_inverse_self_check_fails_loudly(m):
+    f = CycloField(m)
+    f._conjugations = f._conjugations[:-1]  # drop one conjugate: the "norm" is no rational
+    with pytest.raises(AssertionError):
+        (f.omega() + 2).inv()
+
+
+def test_rationals_hash_as_fractions_across_conductors():
+    from fractions import Fraction
+
+    for q in (Fraction(0), Fraction(1), Fraction(-3), Fraction(5, 12), Fraction(-7, 9), Fraction(10**30 + 1, 6)):
+        for m in range(1, 17):
+            x = CycloField(m).from_rational(q)
+            _assert_canonical(x)
+            assert hash(x) == hash(q) and x == q and x.rational_value() == q
+            assert hash(x * x.parent.one()) == hash(q) and hash(x + 0) == hash(q)

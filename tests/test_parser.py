@@ -109,3 +109,26 @@ def test_large_powers_are_rejected_before_any_arithmetic():
     alg = SymbolAlgebra(k, k.gen(), k.gen() + k.one(), 3)
     with pytest.raises(ParseError):
         parse_symbol("(u^999)^999", alg)  # u^999 = t^333 u^0
+
+
+def test_constant_coefficients_print_without_doubled_parentheses(rng):
+    from diffsym.parser import _wrap, symbol_to_str
+
+    assert _wrap("(w + 1)") == "(w + 1)"
+    assert _wrap("(t)/(t + 1)") == "((t)/(t + 1))"
+    assert _wrap("(w + 1)*t + 2") == "((w + 1)*t + 2)"
+    assert _wrap("((w + 1))") == "((w + 1))"
+    for m in (3, 4, 5):
+        k = RatFuncField(CycloField(m), "t")
+        alg = SymbolAlgebra(k, k.gen(), k.gen() + k.one(), m)
+        for _ in range(10):
+            x = alg.zero_elem()
+            for _ in range(3):
+                x = x + alg.monomial(rng.randrange(m), rng.randrange(m), k.coerce(random_cyclo(k.cyclo, rng)))
+            text = symbol_to_str(x)
+            assert "((" not in text, text
+            y = parse_symbol(text, alg)
+            assert y == x and symbol_to_str(y) == text
+    k3 = RatFuncField(CycloField(3), "t")
+    alg = SymbolAlgebra(k3, k3.gen(), k3.gen() + k3.one(), 3)
+    assert symbol_to_str(parse_symbol("v^2 + (w + 1)*u*v + u^2", alg)) == "v^2 + (w + 1)*u*v + u^2"

@@ -6,6 +6,7 @@ import pytest
 
 from diffsym.scalars import (
     CycloField,
+    Poly,
     RatFuncField,
     ReducibleRadicandError,
     cyclo_nth_root,
@@ -19,6 +20,17 @@ from diffsym.scalars.powers import certify_power_free_over_kummer
 @pytest.fixture
 def k():
     return RatFuncField(CycloField(3), "t")
+
+
+@pytest.fixture
+def no_search(monkeypatch):
+    """Make the bounded-height root search fail, so a passing test decided exactly."""
+    import diffsym.scalars.powers as powers
+
+    def fail(c, k, height=3):
+        raise AssertionError("bounded search used")
+
+    monkeypatch.setattr(powers, "cyclo_nth_root", fail)
 
 
 def test_rational_nth_root():
@@ -145,14 +157,8 @@ def test_rational_squares_agree_with_the_bounded_search(n):
         assert is_power(Fraction(q), 2, n) == found, q
 
 
-def test_kummer_vahlen_decides_rational_times_root_of_unity(monkeypatch):
+def test_kummer_vahlen_decides_rational_times_root_of_unity(no_search):
     # over Q(w_5), w^k = (w^(3k))^2, so q w^k is a square iff q is: exact, no search
-    import diffsym.scalars.powers as powers
-
-    def no_search(c, k, height=3):
-        raise AssertionError("bounded search used")
-
-    monkeypatch.setattr(powers, "cyclo_nth_root", no_search)
     k5 = RatFuncField(CycloField(5), "t")
     t, w = k5.gen(), k5.coerce(k5.cyclo.omega())
     kummer_vahlen_certify(w * t**2 * 2, 2)
@@ -160,3 +166,48 @@ def test_kummer_vahlen_decides_rational_times_root_of_unity(monkeypatch):
     for square in (w * t**2 * 4, w**4 * t**2 * 5):  # 4w = (2w^3)^2; 5 = sqrt(5)^2 in Q(w_5)
         with pytest.raises(ReducibleRadicandError):
             kummer_vahlen_certify(square, 2)
+
+
+def test_kummer_vahlen_rejects_minus_four_times_a_fourth_power_over_q_w3():
+    # z^4 + 4b^4 = (z^2 + 2bz + 2b^2)(z^2 - 2bz + 2b^2) with b = 5wt; 5w lies beyond the search height
+    from diffsym.scalars import KummerField
+
+    k3 = RatFuncField(CycloField(3), "t")
+    t, w = k3.gen(), k3.coerce(k3.cyclo.omega())
+    alpha = w * t**4 * (-2500)
+    b = w * t * 5
+    factors = Poly(k3, [b**2 * 2, b * 2, 1]) * Poly(k3, [b**2 * 2, b * -2, 1])
+    assert factors == Poly(k3, [-alpha, 0, 0, 0, 1])
+    with pytest.raises(ReducibleRadicandError, match="-4 k"):
+        kummer_vahlen_certify(alpha, 4)
+    with pytest.raises(ReducibleRadicandError):
+        KummerField(k3, alpha, 4)
+
+
+def test_kummer_vahlen_decides_rational_fourth_powers_for_4_prime_to_n(no_search):
+    # over Q(w_3): e^4 = q forces e^2 = +-sqrt(q); -1, 2, -2 are no squares there, -3 is
+    k3 = RatFuncField(CycloField(3), "t")
+    t = k3.gen()
+    for q in (4, 2, -3):  # alpha = -4 q t^4 with q no 4th power in Q(w_3)
+        kummer_vahlen_certify(t**4 * (-4 * q), 4)
+    with pytest.raises(ReducibleRadicandError, match="-4 k"):
+        kummer_vahlen_certify(t**4 * (-4 * 81), 4)  # 81 = 3^4
+
+
+@pytest.mark.parametrize("n, p, a, norm", [(5, 2, 2, 11), (7, 2, 2, 43), (8, 2, 2, 17), (5, 3, 3, 61)])
+def test_kummer_vahlen_refutes_powers_by_the_norm(n, p, a, norm, no_search):
+    k = RatFuncField(CycloField(n), "t")
+    t, w = k.gen(), k.coerce(k.cyclo.omega())
+    c = w + a
+    assert c.constant_value().norm() == norm
+    kummer_vahlen_certify(c * t**p, p)
+
+
+def test_kummer_vahlen_cannot_certify_when_the_norm_is_a_power():
+    # (2 + w)(2 + w^4) has norm 11^2 over Q(w_5) yet is no square: no exact test decides it
+    k5 = RatFuncField(CycloField(5), "t")
+    t, w = k5.gen(), k5.coerce(k5.cyclo.omega())
+    c = (w + 2) * (w**4 + 2)
+    assert c.constant_value().norm() == 121
+    with pytest.raises(ReducibleRadicandError, match="cannot certify"):
+        kummer_vahlen_certify(c * t**2, 2)

@@ -91,7 +91,7 @@ SEPARATE_KERNEL_OUTPUTS = {
     (3, "u"): (["1", "u", "u^2"], "v"),
     (3, "v"): (["1", "v", "v^2"], "u^2"),
     (3, "u + v"): (
-        ["1", "v + u", "v^2 + ((w + 1))*u*v + u^2"],
+        ["1", "v + u", "v^2 + (w + 1)*u*v + u^2"],
         "((-t)/(t + 1))*v^2 + (((-w - 1)*t)/(t + 1))*u*v + u^2",
     ),
 }
