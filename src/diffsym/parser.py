@@ -337,7 +337,9 @@ def _ratfunc_str(f: RatFunc) -> str:
     num = _poly_str(f.num, var)
     if f.den.degree == 0:
         return num
-    return f"({num})/({_poly_str(f.den, var)})"
+    if not _is_group(num):
+        num = f"({num})"
+    return f"{num}/({_poly_str(f.den, var)})"
 
 
 def _is_group(s: str) -> bool:

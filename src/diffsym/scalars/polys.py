@@ -3,6 +3,10 @@
 The coefficient field is described by a small descriptor object providing
 ``zero()``, ``one()`` and ``coerce()``; coefficients themselves implement the
 usual arithmetic operators.  Everything here is exact: no floats, ever.
+
+Arithmetic builds its results through ``_poly``, which only trims trailing
+zeros, since sums and products of field elements are already field elements;
+only the public ``Poly(field, coeffs)`` coerces each coefficient.
 """
 
 from __future__ import annotations
@@ -69,11 +73,11 @@ class Poly(FieldElem):
 
     @classmethod
     def zero(cls, field):
-        return cls(field, [])
+        return _poly(field, [])
 
     @classmethod
     def one(cls, field):
-        return cls(field, [field.one()])
+        return _poly(field, [field.one()])
 
     @classmethod
     def gen(cls, field):
@@ -107,32 +111,39 @@ class Poly(FieldElem):
 
     def _coerce_other(self, other):
         if isinstance(other, Poly):
-            return other
+            if other.field is self.field or other.field == self.field:
+                return other
+            return Poly(self.field, other.coeffs)
         return Poly.constant(self.field, self.field.coerce(other))
 
     def __add__(self, other):
         other = self._coerce_other(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self.coeff(i) + other.coeff(i) for i in range(n)])
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = [x + y for x, y in zip(a, b)]
+        out.extend(a[len(b) :])
+        return _poly(self.field, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        return _poly(self.field, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if not isinstance(other, Poly):
-            c = self.field.coerce(other)
-            return Poly(self.field, [a * c for a in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
-        out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if is_zero_elem(a):
+        field = self.field
+        a, b = self.coeffs, self._coerce_other(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) <= 1:
+            return _poly(field, [x * b[0] for x in a] if b else [])
+        out = [field.zero()] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if is_zero_elem(x):
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+        return _poly(field, out)
 
     __rmul__ = __mul__
 
@@ -150,15 +161,18 @@ class Poly(FieldElem):
         rem = list(self.coeffs)
         dlead_inv = self.field.one() / other.leading_coeff()
         dd = other.degree
-        while len(rem) - 1 >= dd and rem:
-            c = rem[-1] * dlead_inv
-            k = len(rem) - 1 - dd
+        low = other.coeffs[:dd]
+        while len(rem) > dd:
+            # the leading term cancels exactly, so it is dropped, not computed
+            c = rem.pop() * dlead_inv
+            k = len(rem) - dd
             q[k] = c
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - c * b
+            c = -c
+            for i, b in enumerate(low):
+                rem[k + i] = rem[k + i] + c * b
             while rem and is_zero_elem(rem[-1]):
                 rem.pop()
-        return Poly(self.field, q), Poly(self.field, rem)
+        return _poly(self.field, q), _poly(self.field, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -179,11 +193,11 @@ class Poly(FieldElem):
         if lc == self.field.one():
             return self
         inv = self.field.one() / lc
-        return Poly(self.field, [c * inv for c in self.coeffs])
+        return _poly(self.field, [c * inv for c in self.coeffs])
 
     def derivative(self):
         """Formal derivative with respect to the polynomial variable."""
-        return Poly(self.field, [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
+        return _poly(self.field, [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
 
     def _key(self):
         return self.coeffs
@@ -196,6 +210,19 @@ class Poly(FieldElem):
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)})"
+
+
+_new = object.__new__
+
+
+def _poly(field, coeffs: list) -> Poly:
+    """The trusted constructor: coeffs are elements of field, stored once trailing zeros are trimmed."""
+    while coeffs and is_zero_elem(coeffs[-1]):
+        coeffs.pop()
+    p = _new(Poly)
+    p.field = field
+    p.coeffs = tuple(coeffs)
+    return p
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -1,7 +1,14 @@
 """The rational function field k = Q(w)(t) with derivation d/dt (or zero).
 
 Canonical form: numerator and denominator coprime, denominator monic, content
-kept in the numerator, so equality is a plain coefficient comparison.
+kept in the numerator, so equality is a plain coefficient comparison.  Zero is
+0/1, and a denominator of length 1 is the polynomial 1.
+
+Arithmetic builds its results through ``_ratfunc``, which stores a pair that
+is already canonical; only the public ``RatFunc(parent, num, den)`` cancels a
+gcd and makes the denominator monic.  Sums and products are Henrici's (Knuth,
+TAOCP vol. 2, 4.5.1): they take gcds of the operands' parts, which are smaller
+than the gcd of the unreduced result, and none when a denominator is 1.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ from fractions import Fraction
 
 from .cyclo import CycloElem, CycloField
 from .elem import FieldElem
-from .polys import Poly, poly_gcd
+from .polys import Poly, _poly, poly_gcd
 
 
 class RatFuncField:
@@ -22,26 +29,32 @@ class RatFuncField:
         self.cyclo = cyclo
         self.var = var
         self.derivation = derivation
+        self._one_poly = one = Poly.one(cyclo)
+        self._zero = _ratfunc(self, Poly.zero(cyclo), one)
+        self._one = _ratfunc(self, one, one)
 
     @property
     def is_zero_derivation(self) -> bool:
         return self.derivation == "zero"
 
     def zero(self) -> "RatFunc":
-        return RatFunc(self, Poly.zero(self.cyclo), Poly.one(self.cyclo))
+        return self._zero
 
     def one(self) -> "RatFunc":
-        return RatFunc(self, Poly.one(self.cyclo), Poly.one(self.cyclo))
+        return self._one
 
     def gen(self) -> "RatFunc":
-        return RatFunc(self, Poly.gen(self.cyclo), Poly.one(self.cyclo))
+        return _ratfunc(self, Poly.gen(self.cyclo), self._one_poly)
 
     def omega(self) -> "RatFunc":
-        return self.from_poly(Poly.constant(self.cyclo, self.cyclo.omega()))
+        return self._constant(self.cyclo.omega())
+
+    def _constant(self, c: CycloElem) -> "RatFunc":
+        return _ratfunc(self, _poly(self.cyclo, [c]), self._one_poly)
 
     def from_poly(self, num: Poly, den: Poly | None = None) -> "RatFunc":
         if den is None:
-            den = Poly.one(self.cyclo)
+            den = self._one_poly
         return RatFunc(self, num, den)
 
     def coerce(self, x) -> "RatFunc":
@@ -51,9 +64,9 @@ class RatFuncField:
                 return x
             raise TypeError("rational function from another field or with another derivation")
         if isinstance(x, CycloElem):
-            return self.from_poly(Poly.constant(self.cyclo, self.cyclo.coerce(x)))
+            return self._constant(self.cyclo.coerce(x))
         if isinstance(x, (int, Fraction)):
-            return self.from_poly(Poly.constant(self.cyclo, self.cyclo.from_rational(x)))
+            return self._constant(self.cyclo.from_rational(x))
         if isinstance(x, Poly) and x.field == self.cyclo:
             return self.from_poly(x)
         raise TypeError(f"cannot coerce {x!r} into {self!r}")
@@ -83,7 +96,7 @@ class RatFunc(FieldElem):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            den = Poly.one(parent.cyclo)
+            den = parent._one_poly
         else:
             if num.degree > 0 and den.degree > 0:
                 g = poly_gcd(num, den)
@@ -124,23 +137,67 @@ class RatFunc(FieldElem):
 
     def __add__(self, other):
         other = self._coerce_other(other)
-        return RatFunc(self.parent, self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not c.coeffs:
+            return self
+        if not a.coeffs:
+            return other
+        parent = self.parent
+        if len(b.coeffs) == 1 and len(d.coeffs) == 1:
+            return _ratfunc(parent, a + c, b)
+        if len(b.coeffs) == 1:
+            # a + c/d with gcd(c, d) = 1 is (a d + c)/d, already reduced
+            return _ratfunc(parent, a * d + c, d)
+        if len(d.coeffs) == 1:
+            return _ratfunc(parent, a + c * b, b)
+        g = poly_gcd(b, d)
+        if g.degree == 0:
+            return _ratfunc(parent, a * d + c * b, b * d)
+        # b = g b', d = g d': the sum is (a d' + c b')/(b' d), whose numerator is
+        # prime to b' and d', so only its gcd with g can cancel
+        b1 = b.exact_div(g)
+        num = a * d.exact_div(g) + c * b1
+        if not num.coeffs:  # x + (-x)
+            return parent._zero
+        h = poly_gcd(num, g)
+        if h.degree > 0:
+            return _ratfunc(parent, num.exact_div(h), b1 * d.exact_div(h))
+        return _ratfunc(parent, num, b1 * d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(self.parent, -self.num, self.den)
+        return _ratfunc(self.parent, -self.num, self.den)
 
     def __mul__(self, other):
         other = self._coerce_other(other)
-        return RatFunc(self.parent, self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a.coeffs:
+            return self
+        if not c.coeffs:
+            return other
+        # (a/b)(c/d) = (a/g1)(c/g2) / ((b/g2)(d/g1)) with g1 = gcd(a, d), g2 = gcd(c, b)
+        if len(a.coeffs) > 1 and len(d.coeffs) > 1:
+            g1 = poly_gcd(a, d)
+            if g1.degree > 0:
+                a, d = a.exact_div(g1), d.exact_div(g1)
+        if len(c.coeffs) > 1 and len(b.coeffs) > 1:
+            g2 = poly_gcd(c, b)
+            if g2.degree > 0:
+                c, b = c.exact_div(g2), b.exact_div(g2)
+        return _ratfunc(self.parent, a * c, b * d)
 
     __rmul__ = __mul__
 
     def inv(self) -> "RatFunc":
-        if self.is_zero():
+        num, den = self.num, self.den
+        if not num.coeffs:
             raise ZeroDivisionError("inverse of zero")
-        return RatFunc(self.parent, self.den, self.num)
+        lc = num.coeffs[-1]
+        if lc == self.parent.cyclo.one():
+            return _ratfunc(self.parent, den, num)
+        s = lc.inv()
+        return _ratfunc(self.parent, den * s, num * s)
 
     def derive(self) -> "RatFunc":
         """Quotient-rule derivative; zero if the field carries the zero derivation."""
@@ -158,3 +215,15 @@ class RatFunc(FieldElem):
         if self.is_constant():
             return hash(self.constant_value())
         return hash((self.num.coeffs, self.den.coeffs))
+
+
+_new = object.__new__
+
+
+def _ratfunc(parent: RatFuncField, num: Poly, den: Poly) -> RatFunc:
+    """The trusted constructor: num and den are coprime, den is monic, and den = 1 when num = 0."""
+    f = _new(RatFunc)
+    f.parent = parent
+    f.num = num
+    f.den = den
+    return f

@@ -6,14 +6,15 @@ place of the generators, the entry-wise formula for P with its explicit
 w-correction in place of Phi(theta) + P_s, an explicit matrix for left
 multiplication, a bounded-ansatz linear system for the ODE solver, and the
 minor identity T_alpha^-1 B' T_beta = -A' for the relations of a derivation,
-and Q(w) arithmetic on ``Fraction`` coefficient vectors with the inverse by
+Q(w) arithmetic on ``Fraction`` coefficient vectors with the inverse by
 the extended Euclidean algorithm in place of the integer vectors and the
-Galois conjugates.
+Galois conjugates, and Q(w)(t) arithmetic that cancels one gcd of the
+unreduced result in place of Henrici's gcds of the operands' parts.
 """
 
 from fractions import Fraction
 
-from diffsym import DiffMatrix, IsoVerdict, Poly, SymbolElem, apply_dP
+from diffsym import DiffMatrix, IsoVerdict, Poly, RatFunc, SymbolElem, apply_dP
 from diffsym.linalg import invert_matrix, solve_affine
 from diffsym.scalars.ode import OdeSolution, _homogeneous_basis, _proportional
 from diffsym.scalars.polys import QQ, poly_extended_gcd
@@ -240,3 +241,21 @@ def euclid_inverse(field, a):
         raise ZeroDivisionError("not invertible mod Phi_m")
     # deg s < deg Phi_m, so s is already reduced
     return tuple(s.coeff(i) for i in range(field.degree))
+
+
+def canonical_add(x, y):
+    """a/b + c/d as (a d + c b)/(b d), reduced by the canonicalising constructor."""
+    return RatFunc(x.parent, x.num * y.den + y.num * x.den, x.den * y.den)
+
+
+def canonical_mul(x, y):
+    """(a/b)(c/d) as (a c)/(b d), reduced by the canonicalising constructor."""
+    return RatFunc(x.parent, x.num * y.num, x.den * y.den)
+
+
+def canonical_neg(x):
+    return RatFunc(x.parent, -x.num, x.den)
+
+
+def canonical_inv(x):
+    return RatFunc(x.parent, x.den, x.num)

@@ -169,3 +169,9 @@ def test_replay_has_an_m7_standard_splitting(capsys):
     code, report = run_json(capsys, "replay", "--case", "split-standard-m7")
     assert code == 0
     assert report["cases"] == [{"case": "split-standard-m7", "ok": True, "detail": "m=7: degree 49, gauge ok"}]
+
+
+def test_split_standard_prints_a_constant_numerator_once_parenthesised(capsys):
+    code, out = run(capsys, "split", "standard", "--m", "3", "--alpha", "2*t", "--beta", "w*t+1", "--json")
+    assert code == 0
+    assert '"((-w - 1)/(t + (-w - 1)))*eta^2"' in out and "(((" not in out

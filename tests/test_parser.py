@@ -132,3 +132,27 @@ def test_constant_coefficients_print_without_doubled_parentheses(rng):
     k3 = RatFuncField(CycloField(3), "t")
     alg = SymbolAlgebra(k3, k3.gen(), k3.gen() + k3.one(), 3)
     assert symbol_to_str(parse_symbol("v^2 + (w + 1)*u*v + u^2", alg)) == "v^2 + (w + 1)*u*v + u^2"
+
+
+def test_constant_numerators_print_without_doubled_parentheses(rng):
+    from diffsym.parser import symbol_to_str
+
+    for m in (3, 4, 5):
+        k = RatFuncField(CycloField(m), "t")
+        t = k.gen()
+        alg = SymbolAlgebra(k, t, t + k.one(), m)
+        for _ in range(10):
+            c = k.coerce(random_cyclo(k.cyclo, rng))
+            if c.is_zero():
+                continue
+            f = c / (t + k.coerce(random_cyclo(k.cyclo, rng)))
+            text = scalar_to_str(f)
+            assert "((" not in text, text
+            g = parse_scalar(text, k)
+            assert g == f and scalar_to_str(g) == text
+            x = alg.monomial(rng.randrange(m), rng.randrange(m), f)
+            text = symbol_to_str(x)
+            assert "(((" not in text, text
+            assert parse_symbol(text, alg) == x
+    k3 = RatFuncField(CycloField(3), "t")
+    assert scalar_to_str(parse_scalar("((-w - 1))/(t + (-w - 1))", k3)) == "(-w - 1)/(t + (-w - 1))"

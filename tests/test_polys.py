@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffsym.scalars import (
@@ -137,3 +138,51 @@ def test_is_zero_elem_on_rationals_and_field_elements():
     ]
     assert is_zero_elem(f.zero()) and not is_zero_elem(f.omega())
     assert is_zero_elem(Poly.zero(f)) and not is_zero_elem(Poly.one(f))
+
+
+def test_public_constructors_validate():
+    from diffsym.scalars import CycloElem, CycloField, RatFunc, RatFuncField
+
+    c = CycloField(3)
+    p = Poly(c, [1, Fraction(1, 2), 0])
+    assert len(p.coeffs) == 2 and all(type(x) is CycloElem for x in p.coeffs)
+    assert p.coeffs == (c.one(), c.from_rational(Fraction(1, 2)))
+    with pytest.raises(TypeError):
+        Poly(c, ["x"])
+    k = RatFuncField(c)
+    t = Poly.gen(c)
+    f = RatFunc(k, t * 2 + 2, t * 2)
+    assert f.num.coeffs == (c.one(), c.one()) and f.den.coeffs == (c.zero(), c.one())
+
+
+def test_arithmetic_results_end_in_a_nonzero_coefficient():
+    from diffsym.scalars import CycloField, RatFuncField
+
+    c = CycloField(5)
+    w = c.omega()
+    t = Poly.gen(c)
+    p = t * t * w + t * 3 + 1
+    q = t * t * w - t + w
+    polys = [p + (-q), p - q, p - p, p * q, p * 0, p * Poly.zero(c), q * Poly.constant(c, w), p * w]
+    polys += [*divmod(p * q + t, q), p.monic(), (t * t).derivative(), Poly.constant(c, w).derivative(), -p]
+    k = RatFuncField(c)
+    x, y = k.from_poly(p) / k.from_poly(q), k.from_poly(q) / k.from_poly(t + 1)
+    for f in (x + y, x - x, x * y, x * 0, x.inv(), -y, x.derive(), x / y, y + 1 - y):
+        polys += [f.num, f.den]
+    for r in polys:
+        assert not r.coeffs or not r.coeffs[-1].is_zero()
+
+
+def test_interned_constants_hash_and_compare_as_before():
+    from diffsym.scalars import CycloField, RatFuncField
+
+    c = CycloField(3)
+    k = RatFuncField(c)
+    assert k.zero() is k.zero() and k.one() is k.one()
+    assert k.zero() == 0 and k.zero() == c.zero() and hash(k.zero()) == hash(0) == hash(c.zero())
+    assert k.one() == 1 and k.one() == c.one() and hash(k.one()) == hash(1) == hash(c.one())
+    assert k.zero().num.is_zero() and k.zero().den == Poly.one(c) and k.one().num == Poly.one(c)
+    assert k.coerce(0) == k.zero() and k.coerce(Fraction(1, 2)) == Fraction(1, 2)
+    assert hash(k.coerce(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert k.one() != k.zero() and k.zero() + k.one() == k.one() and k.one() * k.zero() == k.zero()
+    assert RatFuncField(c).zero() == k.zero() and RatFuncField(c, "t", "zero").one() == k.one().constant_value()

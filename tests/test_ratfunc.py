@@ -1,8 +1,11 @@
 """Rational function field Q(w)(t): canonical form and the d/dt derivation."""
 
+from fractions import Fraction
+
 import pytest
 
-from diffsym.scalars import CycloField, RatFuncField
+from diffsym.scalars import CycloElem, CycloField, Poly, RatFunc, RatFuncField, poly_gcd, ratfunc
+from oracles import canonical_add, canonical_inv, canonical_mul, canonical_neg
 
 
 @pytest.fixture
@@ -90,3 +93,102 @@ def test_hash_agrees_with_equality_for_constants(k):
     assert len({k.one(), k.cyclo.one(), 1}) == 1
     t = k.gen()
     assert hash(t / (t + k.one())) == hash(k.one() - k.one() / (t + k.one()))
+
+
+def _cyclo(field, rng):
+    """A random element of Q(w), rarely rational and rarely 1."""
+    return CycloElem(field, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(field.degree)])
+
+
+def _nonzero(field, rng):
+    c = field.zero()
+    while c.is_zero():
+        c = _cyclo(field, rng)
+    return c
+
+
+def _poly(field, rng, deg):
+    """A random polynomial of degree exactly deg; its leading coefficient is seldom 1."""
+    return Poly(field, [_cyclo(field, rng) for _ in range(deg)] + [_nonzero(field, rng)])
+
+
+def _henrici_pairs(k, rng):
+    """Operand pairs for the Henrici oracle test, and how many share a squared linear factor."""
+    c = k.cyclo
+    t = Poly.gen(c)
+    pairs = []
+    shared = 0
+    for _ in range(4):
+        x = RatFunc(k, _poly(c, rng, rng.randint(0, 3)), _poly(c, rng, rng.randint(0, 3)))
+        y = RatFunc(k, _poly(c, rng, rng.randint(0, 2)), _poly(c, rng, rng.randint(1, 3)))
+        pairs += [(x, y), (y, x)]
+        # x = a/p^2 and y = s/(p q) - x: gcd of the denominators p^2, and x + y = s/(p q)
+        # has a numerator that p divides once
+        p = t - Poly.constant(c, _cyclo(c, rng))
+        x = RatFunc(k, _poly(c, rng, 1), p * p)
+        z = RatFunc(k, _poly(c, rng, 1), p * _poly(c, rng, 1))
+        y = canonical_add(z, canonical_neg(x))
+        g = poly_gcd(x.den, y.den)
+        if g == (p * p).monic() and (x + y).den.degree == x.den.degree + y.den.degree - 3:
+            shared += 1
+        pairs += [(x, y), (y, x)]
+        # sums that cancel to zero: -x written with a content factor the constructor removes
+        three = Poly.constant(c, c.from_rational(3))
+        pairs.append((x, RatFunc(k, -x.num * three, x.den * three)))
+        # constant denominators, polynomials, constants and zero
+        u = RatFunc(k, _poly(c, rng, 2), _poly(c, rng, 0))
+        v = k.from_poly(_poly(c, rng, 1))
+        pairs += [(u, v), (u, y), (k.coerce(_cyclo(c, rng)), x), (k.zero(), y), (x, k.zero()), (k.one(), v)]
+    return pairs, shared
+
+
+def _same(got, want):
+    assert got._key() == want._key() and hash(got) == hash(want), (got, want)
+    assert got.parent == want.parent
+    assert got.den.coeffs[-1] == 1
+    assert all(not p.coeffs or not p.coeffs[-1].is_zero() for p in (got.num, got.den))
+
+
+@pytest.mark.parametrize("derivation", ["dt", "zero"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8])
+def test_henrici_arithmetic_agrees_with_the_canonicalising_oracle(m, derivation, rng):
+    k = RatFuncField(CycloField(m), "t", derivation)
+    pairs, shared = _henrici_pairs(k, rng)
+    assert shared >= 3
+    for x, y in pairs:
+        _same(x + y, canonical_add(x, y))
+        _same(x * y, canonical_mul(x, y))
+        _same(x - y, canonical_add(x, canonical_neg(y)))
+        _same(-x, canonical_neg(x))
+        _same(x + 2, canonical_add(x, k.coerce(2)))
+        _same(3 * x, canonical_mul(k.coerce(3), x))
+        if not x.is_zero():
+            _same(x.inv(), canonical_inv(x))
+            _same(y / x, canonical_mul(y, canonical_inv(x)))
+
+
+def test_henrici_gcd_counts(monkeypatch):
+    c = CycloField(5)
+    k = RatFuncField(c)
+    t = Poly.gen(c)
+    w = Poly.constant(c, c.omega())
+    f = k.from_poly(t * t * 3 + w * t + 1)
+    g = k.from_poly(t * w - 2)
+    x = RatFunc(k, t * t + 1, t - w)
+    y = RatFunc(k, t * w, t * t - 2)
+    calls = []
+    gcd = ratfunc.poly_gcd
+
+    def counting(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(ratfunc, "poly_gcd", counting)
+    for result in (f + g, f * g, f - g):
+        assert result.den.degree == 0
+    assert not calls
+    for z in (x, y, f, g):
+        z.inv()
+    assert not calls
+    assert (x + y).den == (t - w) * (t * t - 2)
+    assert len(calls) == 1
