@@ -8,6 +8,7 @@ subcommand accepts --json for a structured report on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -332,7 +333,9 @@ def cmd_replay(args) -> int:
 # -- argument wiring --------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process: parse_args returns a fresh Namespace per call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
 

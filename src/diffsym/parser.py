@@ -2,7 +2,7 @@
 
     expr   := ['-'] term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := atom ('^' int)?
+    factor := atom ('^' ['-'] int)?
     atom   := rational | 'w' | 't' | 'xi' | 'x'int | '(' expr ')'
 
 Whitespace is insignificant.  Printing produces strings that parse back to
@@ -11,6 +11,7 @@ the same canonical element.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -38,24 +39,20 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([a-zA-Z][a-zA-Z0-9]*)|([-+*/^()]))")
+_TOKEN_RE = re.compile(r"(\d+)|([a-zA-Z][a-zA-Z0-9]*)|([-+*/^()])")
+_SPACE_RE = re.compile(r"\s*")
+_TOKEN_KINDS = (None, "int", "name", "op")
 
 
 def _tokenize(src: str):
     tokens = []
-    pos = 0
+    pos = _SPACE_RE.match(src).end()
     while pos < len(src):
         m = _TOKEN_RE.match(src, pos)
-        if not m or m.end() == pos and not m.group(0).strip():
-            if src[pos:].strip() == "":
-                break
+        if m is None:
             raise ParseError(f"unexpected character {src[pos]!r}", pos)
-        if m.group(0).strip() == "" and m.end() > pos:
-            pos = m.end()
-            continue
-        kind = "int" if m.group(1) else ("name" if m.group(2) else "op")
-        tokens.append((kind, m.group(1) or m.group(2) or m.group(3), m.start()))
-        pos = m.end()
+        tokens.append((_TOKEN_KINDS[m.lastindex], m.group(), pos))
+        pos = _SPACE_RE.match(src, m.end()).end()
     tokens.append(("end", "", len(src)))
     return tokens
 
@@ -79,6 +76,9 @@ def _t_degree(x) -> int:
     else:
         return 0
     return max((_t_degree(c) for c in parts), default=0)
+
+
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 class _Parser:
@@ -122,8 +122,7 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
-                rhs = self.term()
-                value = value + rhs if val == "+" else value - rhs
+                value = self._binop(val, value, self.term())
             else:
                 return value
 
@@ -133,34 +132,38 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val in "*/":
                 self.advance()
-                rhs = self.factor()
-                if val == "*":
-                    value = value * rhs
-                else:
-                    value = value / rhs
+                value = self._binop(val, value, self.factor())
             else:
                 return value
 
+    def _binop(self, op: str, a, b):
+        return _BINOPS[op](a, b)
+
     def factor(self):
         value = self.atom()
+        e = self.exponent(value)
+        return value if e == 1 else value ** e
+
+    def exponent(self, base) -> int:
+        """The integer after an optional '^' (1 without one); |e| and t-degree(base) * |e| are bounded."""
         kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
+        if kind != "op" or val != "^":
+            return 1
+        self.advance()
+        sign = 1
+        kind, val, pos = self.peek()
+        if kind == "op" and val == "-":
             self.advance()
-            sign = 1
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "-":
-                self.advance()
-                sign = -1
-            kind, val, pos = self.peek()
-            if kind != "int":
-                raise ParseError(f"unexpected token {val!r}", pos, expected="integer exponent")
-            self.advance()
-            e = int(val)
-            if e > MAX_EXPONENT or _t_degree(value) * e > MAX_EXPONENT:
-                raise ParseError(
-                    f"exponent {val} too large: |e| and t-degree * |e| must not exceed {MAX_EXPONENT}", pos)
-            value = value ** (sign * e)
-        return value
+            sign = -1
+        kind, val, pos = self.peek()
+        if kind != "int":
+            raise ParseError(f"unexpected token {val!r}", pos, expected="integer exponent")
+        self.advance()
+        e = int(val)
+        if e > MAX_EXPONENT or _t_degree(base) * e > MAX_EXPONENT:
+            raise ParseError(
+                f"exponent {val} too large: |e| and t-degree * |e| must not exceed {MAX_EXPONENT}", pos)
+        return sign * e
 
     def atom(self):
         kind, val, pos = self.peek()
@@ -218,37 +221,44 @@ def parse_scalar(src: str, context):
     return _Parser(src, context).parse()
 
 
-class _AlgebraContext:
-    """Adapter letting _Parser build symbol-algebra elements: scalars are
-    lifted to scalar elements, and the tower walk for named generators still
-    sees the coefficient field through .base."""
-
-    def __init__(self, algebra):
-        self.algebra = algebra
-        self.base = algebra.field
-
-    @property
-    def cyclo(self):
-        return self.algebra.field.cyclo
-
-    def coerce(self, x):
-        if isinstance(x, SymbolElem):
-            return x
-        return self.algebra.scalar(x)
-
-
 class _SymbolParser(_Parser):
-    def _resolve_name(self, name, pos):
-        if name == "u":
-            return self.context.algebra.u()
-        if name == "v":
-            return self.context.algebra.v()
-        return super()._resolve_name(name, pos)
+    """The scalar grammar over the coefficient field, plus the generators u and v.
+
+    Scalar subexpressions stay elements of the coefficient field; a scalar is
+    lifted into the algebra only where it meets a symbol element, and a
+    product of the two is a scaling rather than a symbol product.  Powers of
+    u and v are built in closed form.
+    """
+
+    def __init__(self, src: str, algebra):
+        super().__init__(src, algebra.field)
+        self.algebra = algebra
+
+    def _binop(self, op, a, b):
+        a_symbol, b_symbol = isinstance(a, SymbolElem), isinstance(b, SymbolElem)
+        if a_symbol != b_symbol:
+            if op == "*":
+                return a.scale(b) if a_symbol else b.scale(a)
+            if a_symbol:
+                b = self.algebra.scalar(b)
+            else:
+                a = self.algebra.scalar(a)
+        return super()._binop(op, a, b)
+
+    def factor(self):
+        kind, name, _ = self.peek()
+        if kind == "name" and name in ("u", "v"):
+            # u^i and v^j in closed form, with no symbol product
+            self.advance()
+            power = self.algebra.u if name == "u" else self.algebra.v
+            return power(self.exponent(self.context.one()))
+        return super().factor()
 
 
 def parse_symbol(src: str, algebra):
     """Parse the scalar grammar extended by the generators u and v."""
-    return _SymbolParser(src, _AlgebraContext(algebra)).parse()
+    value = _SymbolParser(src, algebra).parse()
+    return value if isinstance(value, SymbolElem) else algebra.scalar(value)
 
 
 # ---------------------------------------------------------------------------

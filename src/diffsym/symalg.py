@@ -54,13 +54,12 @@ class SymbolAlgebra:
         return self.monomial(0, 0, self.field.coerce(c))
 
     def u(self, i: int = 1) -> "SymbolElem":
-        return self.monomial(i % self.m, 0, self.field.one()) * self._wrap_power(self.alpha, i)
+        """u^i = alpha^(i // m) u^(i mod m), for any integer i."""
+        return self.monomial(i % self.m, 0, self.alpha ** (i // self.m))
 
     def v(self, j: int = 1) -> "SymbolElem":
-        return self.monomial(0, j % self.m, self.field.one()) * self._wrap_power(self.beta, j)
-
-    def _wrap_power(self, radicand, e: int):
-        return self.scalar(radicand ** (e // self.m)) if e >= self.m else self.one()
+        """v^j = beta^(j // m) v^(j mod m), for any integer j."""
+        return self.monomial(0, j % self.m, self.beta ** (j // self.m))
 
     def monomial(self, i: int, j: int, c) -> "SymbolElem":
         if not (0 <= i < self.m and 0 <= j < self.m):
@@ -190,7 +189,8 @@ class SymbolElem(FieldElem):
         return self.scale(field.one() / field.coerce(other))
 
     def inv(self):
-        raise ValueError("negative powers: use inverse_via_minimal_polynomial")
+        """The inverse from the minimal polynomial; ZeroDivisionError for a zero divisor."""
+        return inverse_via_minimal_polynomial(self)
 
     def trace(self):
         """m^2 times the u^0 v^0 coefficient."""

@@ -175,3 +175,53 @@ def test_split_standard_prints_a_constant_numerator_once_parenthesised(capsys):
     code, out = run(capsys, "split", "standard", "--m", "3", "--alpha", "2*t", "--beta", "w*t+1", "--json")
     assert code == 0
     assert '"((-w - 1)/(t + (-w - 1)))*eta^2"' in out and "(((" not in out
+
+
+def test_the_argument_parser_is_built_once():
+    from diffsym.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+
+
+def _call(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("first, second, codes", [
+    (["split", "generic", "--m", "2", "--alpha", "t", "--beta", "t+1", "--theta", "u*v"],
+     ["split", "generic", "--m", "2", "--alpha", "t", "--beta", "t+1"], (0, 0)),
+    (["algebra", "check", "--m", "3", "--alpha", "t", "--beta", "t+1", "--json"],
+     ["algebra", "check", "--m", "3", "--alpha", "t", "--beta", "t+1"], (0, 0)),
+    (["deriv", "validate", "--m", "2", "--alpha", "t"],
+     ["deriv", "validate", "--m", "2", "--alpha", "t", "--beta", "t+1", "--du", "u", "--dv", "v"], (2, 1)),
+])
+def test_successive_calls_print_what_fresh_calls_print(capsys, first, second, codes):
+    from diffsym.cli import _build_parser
+
+    fresh = []
+    for argv in (first, second):
+        _build_parser.cache_clear()
+        fresh.append(_call(capsys, argv))
+    assert tuple(code for code, _, _ in fresh) == codes
+    parser = _build_parser()
+    assert [_call(capsys, first), _call(capsys, second)] == fresh
+    assert _build_parser() is parser
+
+
+def test_negative_scalar_powers_in_derivation_images(capsys):
+    code, report = run_json(
+        capsys, "deriv", "validate", "--m", "2", "--alpha", "t", "--beta", "t+1",
+        "--du", "(t^-1/2)*u", "--dv", "((t+1)^-1/2)*v",
+    )
+    assert code == 0 and report["ok"]
+
+
+def test_a_zero_divisor_power_is_an_input_error(capsys):
+    code = main(["deriv", "validate", "--m", "2", "--alpha", "1", "--beta", "t", "--du", "(1 + u)^-1", "--dv", "v"])
+    assert code == 2
+    assert "error: element is a zero divisor" in capsys.readouterr().err

@@ -95,6 +95,61 @@ def test_parse_errors_carry_position():
         parse_scalar("t (", k)  # trailing input
 
 
+def test_tokenizer_errors_name_the_offending_character():
+    k = RatFuncField(CycloField(3), "t")
+    for src, char, position in (("1 $", "$", 2), ("  $t", "$", 2), ("t +\t#", "#", 4), ("$", "$", 0)):
+        with pytest.raises(ParseError) as info:
+            parse_scalar(src, k)
+        assert info.value.position == position
+        assert str(info.value) == f"unexpected character {char!r} at position {position}"
+    with pytest.raises(ParseError) as info:
+        parse_scalar("t  (", k)
+    assert info.value.position == 3
+    assert parse_scalar("  ( t + 1 ) ^ 2  ", k) == (k.gen() + k.one()) ** 2
+
+
+def test_negative_powers_in_symbol_expressions():
+    k = RatFuncField(CycloField(2), "t")
+    t = k.gen()
+    alg = SymbolAlgebra(k, t, t + k.one(), 2)
+    assert parse_symbol("(t^-1/2)*u", alg) == parse_symbol("(1/(2*t))*u", alg)
+    assert parse_symbol("((t+1)^-1/2)*v", alg) == parse_symbol("(1/(2*(t+1)))*v", alg)
+    assert parse_symbol("t^-2", alg) == alg.scalar(t**-2)
+    for m in (2, 3):
+        k = RatFuncField(CycloField(m), "t")
+        alg = SymbolAlgebra(k, k.gen(), k.gen() + k.one(), m)
+        assert parse_symbol("u^-1", alg) == parse_symbol("1/u", alg)
+        assert parse_symbol("v^-2", alg) == parse_symbol("1/v^2", alg)
+        assert parse_symbol("(u + v)^-2 * (u + v)^2", alg) == alg.one()
+
+
+def test_symbol_products_while_parsing(monkeypatch):
+    from diffsym.symalg import SymbolElem
+
+    calls = []
+    mul = SymbolElem.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(SymbolElem, "__mul__", counting)
+    k = RatFuncField(CycloField(3), "t")
+    t, w = k.gen(), k.coerce(k.cyclo.omega())
+    alg = SymbolAlgebra(k, t, t + k.one(), 3)
+    assert parse_symbol("(3*w + 2)*t^2/(t + 1)", alg) == alg.scalar((w * 3 + 2) * t**2 / (t + k.one()))
+    assert parse_symbol("-t^-1 + 2*w", alg) == alg.scalar(-(t**-1) + w * 2)
+    assert not calls
+    k = RatFuncField(CycloField(5), "t")
+    t = k.gen()
+    alg = SymbolAlgebra(k, t, t + k.one(), 5)
+    x = parse_symbol("(2*t + 1)*u^4*v^2", alg)
+    assert len(calls) <= 1
+    calls.clear()
+    assert x == alg.monomial(4, 2, t * 2 + 1)
+    assert parse_symbol("u*u*u*u*v*v*(2*t + 1)", alg) == x
+
+
 def test_large_powers_are_rejected_before_any_arithmetic():
     k = RatFuncField(CycloField(3), "t")
     with pytest.raises(ParseError) as info:

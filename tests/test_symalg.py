@@ -129,6 +129,29 @@ def test_inverse_via_minimal_polynomial(rng):
         assert inv * gamma == alg.one()
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_generator_powers_for_every_integer_exponent(m):
+    alg = make_algebra(m)
+    for gen in (alg.u, alg.v):
+        for i in range(-2 * m, 2 * m + 2):
+            if i >= 0:
+                assert gen(i) == gen() ** i
+            assert gen(i) * gen(-i) == alg.one()
+    assert alg.u(-1) == alg.monomial(m - 1, 0, alg.field.one() / alg.alpha)
+
+
+def test_inv_is_the_minimal_polynomial_inverse():
+    for m in (2, 3):
+        alg = make_algebra(m)
+        x = alg.u() + alg.v()
+        assert x.inv() == inverse_via_minimal_polynomial(x)
+        assert x**-1 * x == alg.one()
+    k = RatFuncField(CycloField(2), "t")
+    alg = SymbolAlgebra(k, k.one(), k.gen(), 2)
+    with pytest.raises(ZeroDivisionError):
+        (alg.one() + alg.u()).inv()  # (1 + u)(1 - u) = 1 - alpha = 0
+
+
 def test_extend_preserves_relations():
     from diffsym.scalars import KummerField
 
