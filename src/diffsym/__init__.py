@@ -3,135 +3,22 @@
 Scalar towers Q < Q(w) < Q(w)(t) < Kummer/monomial extensions, the symbol
 algebra (alpha, beta)_{k,w}, its derivations, matrix differential algebras,
 and explicit differential splitting fields.
+
+The package root exports the names of the README's Library example; every
+other name is imported from its defining module (``diffsym.scalars``,
+``diffsym.parser``, ``diffsym.split``, ...).
 """
 
-from .deriv import (
-    ConstantWitness,
-    Derivation,
-    DerivationVerdict,
-    constants_inner,
-    constants_standard,
-    decompose,
-    inner_derivation,
-    standard_derivation,
-    subfield_stable,
-    validate,
-)
-from .matdiff import (
-    DiffMatrix,
-    GaugeVerdict,
-    RefutationReport,
-    apply_dP,
-    no_cyclic_subfield_witness,
-    prop44_constants,
-    prop44_matrix,
-    verify_gauge,
-)
-from .parser import ParseError, parse_scalar, parse_symbol, scalar_to_str
-from .scalars import (
-    CycloElem,
-    CycloField,
-    KummerElem,
-    KummerField,
-    MonomialDiffField,
-    OdeSolution,
-    Poly,
-    PolyDiffElem,
-    PolyDiffField,
-    RatFunc,
-    RatFuncField,
-    ReducibleRadicandError,
-    mth_power_up_to_constant,
-    rational_ode_solve,
-)
-from .split import (
-    IsoVerdict,
-    MaxSubfieldReport,
-    NormSplitReport,
-    PhiMap,
-    SplitReport,
-    compute_P,
-    compute_Ps,
-    find_twist_partner,
-    maximal_subfield_necessary,
-    norm_split_check,
-    split_generic,
-    split_inner_cyclic,
-    split_inner_even_half,
-    split_standard,
-    t_r_value,
-    verify_diff_isomorphism,
-)
-from .symalg import (
-    AlgebraMismatchError,
-    SymbolAlgebra,
-    SymbolElem,
-    centralizer,
-    in_generated_subfield,
-    inverse_via_minimal_polynomial,
-    minimal_polynomial,
-)
+from .deriv import decompose, inner_derivation, standard_derivation
+from .split import split_standard
+from .symalg import SymbolAlgebra
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraMismatchError",
-    "ConstantWitness",
-    "CycloElem",
-    "CycloField",
-    "Derivation",
-    "DerivationVerdict",
-    "DiffMatrix",
-    "GaugeVerdict",
-    "IsoVerdict",
-    "KummerElem",
-    "KummerField",
-    "MaxSubfieldReport",
-    "MonomialDiffField",
-    "NormSplitReport",
-    "OdeSolution",
-    "ParseError",
-    "PhiMap",
-    "Poly",
-    "PolyDiffElem",
-    "PolyDiffField",
-    "RatFunc",
-    "RatFuncField",
-    "ReducibleRadicandError",
-    "RefutationReport",
-    "SplitReport",
     "SymbolAlgebra",
-    "SymbolElem",
-    "apply_dP",
-    "centralizer",
-    "compute_P",
-    "compute_Ps",
-    "constants_inner",
-    "constants_standard",
     "decompose",
-    "find_twist_partner",
-    "in_generated_subfield",
     "inner_derivation",
-    "inverse_via_minimal_polynomial",
-    "maximal_subfield_necessary",
-    "minimal_polynomial",
-    "mth_power_up_to_constant",
-    "no_cyclic_subfield_witness",
-    "norm_split_check",
-    "parse_scalar",
-    "parse_symbol",
-    "prop44_constants",
-    "prop44_matrix",
-    "rational_ode_solve",
-    "scalar_to_str",
-    "split_generic",
-    "split_inner_cyclic",
-    "split_inner_even_half",
     "split_standard",
     "standard_derivation",
-    "subfield_stable",
-    "t_r_value",
-    "validate",
-    "verify_diff_isomorphism",
-    "verify_gauge",
 ]

@@ -45,7 +45,21 @@ from .split import (
 from .symalg import SymbolAlgebra
 
 
+# The largest --m any subcommand accepts: every subcommand answers within
+# seconds at m = 16, while `algebra check --m 150` runs for minutes.
+MAX_M = 16
+# split generic expands det F over all m! permutations, so each step past
+# m = 7 multiplies a run of tens of seconds by m.
+MAX_GENERIC_M = 7
+
+
+def _check_m(m: int, bound: int, what: str) -> None:
+    if m > bound:
+        raise ValueError(f"--m {m} is too large for {what}: m must not exceed {bound}")
+
+
 def _field(m: int, zero: bool = False) -> RatFuncField:
+    _check_m(m, MAX_M, "the CLI")
     return RatFuncField(CycloField(m), "t", "zero" if zero else "dt")
 
 
@@ -200,6 +214,7 @@ def _derivation_from_args(args, alg):
 
 
 def cmd_split_generic(args) -> int:
+    _check_m(args.m, MAX_GENERIC_M, "split generic, which expands det F over m! permutations")
     alg = _algebra(args)
     phi = PhiMap(alg, KummerField(alg.field, alg.alpha, alg.m, "xi"))
     d = _derivation_from_args(args, alg)

@@ -188,7 +188,7 @@ def decompose(d: Derivation) -> SymbolElem:
 def constants_inner(theta: SymbolElem):
     """Constants of inner(theta) over a zero base derivation: the centralizer."""
     alg = theta.algebra
-    if not getattr(alg.field, "is_zero_derivation", False):
+    if not alg.field.is_zero_derivation:
         raise ValueError("constants of an inner derivation require the zero base derivation")
     basis = centralizer(theta)
     if len(basis) < alg.m:

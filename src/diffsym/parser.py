@@ -3,10 +3,11 @@
     expr   := ['-'] term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
     factor := atom ('^' ['-'] int)?
-    atom   := rational | 'w' | 't' | 'xi' | 'x'int | '(' expr ')'
+    atom   := rational | name | '(' expr ')'
 
-Whitespace is insignificant.  Printing produces strings that parse back to
-the same canonical element.
+A name is one of the generators of the field being parsed (its
+``generators()``: w, t, xi, x0, ...).  Whitespace is insignificant.
+Printing produces strings that parse back to the same canonical element.
 """
 
 from __future__ import annotations
@@ -15,17 +16,7 @@ import operator
 import re
 from fractions import Fraction
 
-from .scalars import (
-    CycloElem,
-    CycloField,
-    KummerElem,
-    KummerField,
-    Poly,
-    PolyDiffElem,
-    PolyDiffField,
-    RatFunc,
-    RatFuncField,
-)
+from .scalars import CycloElem, KummerElem, Poly, PolyDiffElem, RatFunc
 from .symalg import SymbolElem
 
 
@@ -144,8 +135,12 @@ class _Parser:
         e = self.exponent(value)
         return value if e == 1 else value ** e
 
-    def exponent(self, base) -> int:
-        """The integer after an optional '^' (1 without one); |e| and t-degree(base) * |e| are bounded."""
+    def exponent(self, base, period: int = 1) -> int:
+        """The integer e after an optional '^' (1 without one).
+
+        |e| and the t-degree of base^(e // period) are bounded; the period is m
+        for u^e = alpha^(e // m) u^(e mod m), and 1 for a plain power.
+        """
         kind, val, pos = self.peek()
         if kind != "op" or val != "^":
             return 1
@@ -159,11 +154,11 @@ class _Parser:
         if kind != "int":
             raise ParseError(f"unexpected token {val!r}", pos, expected="integer exponent")
         self.advance()
-        e = int(val)
-        if e > MAX_EXPONENT or _t_degree(base) * e > MAX_EXPONENT:
+        e = sign * int(val)
+        if abs(e) > MAX_EXPONENT or _t_degree(base) * abs(e // period) > MAX_EXPONENT:
             raise ParseError(
                 f"exponent {val} too large: |e| and t-degree * |e| must not exceed {MAX_EXPONENT}", pos)
-        return sign * e
+        return e
 
     def atom(self):
         kind, val, pos = self.peek()
@@ -181,39 +176,10 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}", pos, expected="atom")
 
     def _resolve_name(self, name: str, pos: int):
-        context = self.context
-        if name == "w":
-            return context.coerce(_cyclo_of(context).omega())
-        if name == "t":
-            f = _ratfunc_of(context)
-            if f is None:
-                raise ParseError("symbol 't' undefined in this context", pos)
-            return context.coerce(f.gen())
-        # monomial variable x<int>
-        if isinstance(context, PolyDiffField) and name in context.names:
-            return context.gen(context.names.index(name))
-        # Kummer generator by name, anywhere in the tower
-        f = context
-        while f is not None:
-            if isinstance(f, KummerField) and f.gen_name == name:
-                return context.coerce(f.gen())
-            f = getattr(f, "base", None)
-        raise ParseError(f"undefined symbol {name!r} for this context", pos)
-
-
-def _cyclo_of(field) -> CycloField:
-    if isinstance(field, CycloField):
-        return field
-    return field.cyclo
-
-
-def _ratfunc_of(field):
-    f = field
-    while f is not None:
-        if isinstance(f, RatFuncField):
-            return f
-        f = getattr(f, "base", None)
-    return None
+        value = self.context.generators().get(name)
+        if value is None:
+            raise ParseError(f"undefined symbol {name!r} for this context", pos)
+        return value
 
 
 def parse_scalar(src: str, context):
@@ -250,8 +216,9 @@ class _SymbolParser(_Parser):
         if kind == "name" and name in ("u", "v"):
             # u^i and v^j in closed form, with no symbol product
             self.advance()
-            power = self.algebra.u if name == "u" else self.algebra.v
-            return power(self.exponent(self.context.one()))
+            alg = self.algebra
+            power, radicand = (alg.u, alg.alpha) if name == "u" else (alg.v, alg.beta)
+            return power(self.exponent(radicand, alg.m))
         return super().factor()
 
 

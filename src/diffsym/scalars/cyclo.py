@@ -72,6 +72,7 @@ class CycloField:
         self._zero = _elem(self, (0,) + self._zeros, 1)
         self._one = _elem(self, (1,) + self._zeros, 1)
         self._omega = _elem(self, powers[1], 1)
+        self._generators = {"w": self._omega}
 
     def zero(self) -> "CycloElem":
         return self._zero
@@ -89,6 +90,10 @@ class CycloField:
     def omega(self) -> "CycloElem":
         """The class of x, a primitive m-th root of unity."""
         return self._omega
+
+    def generators(self) -> dict:
+        """Name to element for the parser: w."""
+        return self._generators
 
     def coerce(self, x) -> "CycloElem":
         if isinstance(x, CycloElem):

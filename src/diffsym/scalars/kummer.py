@@ -7,9 +7,6 @@ together with an irreducibility certificate for z^m - alpha.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .cyclo import CycloElem
 from .elem import FieldElem
 from .polys import Poly, poly_extended_gcd
 from .powers import (
@@ -17,7 +14,7 @@ from .powers import (
     certify_power_free_over_kummer,
     kummer_vahlen_certify,
 )
-from .ratfunc import RatFunc, RatFuncField
+from .ratfunc import RatFuncField
 
 
 class KummerField:
@@ -37,6 +34,9 @@ class KummerField:
         # delta_E(xi) = delta(alpha)/(m*alpha) * xi
         self.gen_rate = alpha.derive() / (alpha * m)
         self._check_derivation_consistency()
+        self._generators = {gen_name: self.gen()}
+        for name, g in base.generators().items():
+            self._generators.setdefault(name, self.coerce(g))
 
     # -- construction checks -------------------------------------------
 
@@ -86,26 +86,16 @@ class KummerField:
         coeffs[1] = self.base.one()
         return KummerElem(self, coeffs)
 
-    def omega(self) -> "KummerElem":
-        return self.coerce(self.cyclo.omega())
+    def generators(self) -> dict:
+        """Name to element: this field's generator, then the base's generators."""
+        return self._generators
 
     def coerce(self, x) -> "KummerElem":
-        if isinstance(x, KummerElem):
-            if x.parent is self or x.parent == self:
-                return x
-            # element of a lower tier wrapped in another tower: re-coerce coeffs
-            try:
-                base_val = self.base.coerce(x)
-                coeffs = [self.base.zero()] * self.m
-                coeffs[0] = base_val
-                return KummerElem(self, coeffs)
-            except TypeError:
-                raise TypeError("Kummer element from an incompatible tower")
-        if isinstance(x, (int, Fraction, CycloElem, RatFunc, Poly)):
-            coeffs = [self.base.zero()] * self.m
-            coeffs[0] = self.base.coerce(x)
-            return KummerElem(self, coeffs)
-        raise TypeError(f"cannot coerce {x!r} into {self!r}")
+        if isinstance(x, KummerElem) and (x.parent is self or x.parent == self):
+            return x
+        coeffs = [self.base.zero()] * self.m
+        coeffs[0] = self.base.coerce(x)
+        return KummerElem(self, coeffs)
 
     def __eq__(self, other):
         return (

@@ -14,12 +14,7 @@ may be negative (Laurent monomials), but general division is not provided.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .cyclo import CycloElem
 from .elem import FieldElem
-from .kummer import KummerElem
-from .ratfunc import RatFunc
 
 
 class PolyDiffField:
@@ -30,6 +25,9 @@ class PolyDiffField:
         self.names = tuple(names)
         self.n = len(self.names)
         self._gen_derivs = [None] * self.n
+        self._generators = {name: self.gen(i) for i, name in enumerate(self.names)}
+        for name, g in base.generators().items():
+            self._generators.setdefault(name, self.coerce(g))
 
     def set_gen_derivative(self, i: int, value: "PolyDiffElem"):
         self._gen_derivs[i] = self.coerce(value)
@@ -59,20 +57,17 @@ class PolyDiffField:
         exps[i] = 1
         return PolyDiffElem(self, {tuple(exps): self.base.one()})
 
-    def omega(self) -> "PolyDiffElem":
-        return self.coerce(self.cyclo.omega())
+    def generators(self) -> dict:
+        """Name to element for the parser: x0, x1, ..., then the base's generators."""
+        return self._generators
 
     def coerce(self, x) -> "PolyDiffElem":
-        if isinstance(x, PolyDiffElem):
-            if x.parent is self:
-                return x
-            raise TypeError("element of a different polynomial differential ring")
-        if isinstance(x, (int, Fraction, CycloElem, RatFunc, KummerElem)):
-            c = self.base.coerce(x)
-            if c.is_zero():
-                return self.zero()
-            return PolyDiffElem(self, {(0,) * self.n: c})
-        raise TypeError(f"cannot coerce {x!r} into {self!r}")
+        if isinstance(x, PolyDiffElem) and x.parent is self:
+            return x
+        c = self.base.coerce(x)
+        if c.is_zero():
+            return self.zero()
+        return PolyDiffElem(self, {(0,) * self.n: c})
 
     def __repr__(self):
         return f"{self.base!r}[{', '.join(self.names)}]"

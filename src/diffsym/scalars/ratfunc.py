@@ -13,8 +13,6 @@ than the gcd of the unreduced result, and none when a denominator is 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cyclo import CycloElem, CycloField
 from .elem import FieldElem
 from .polys import Poly, _poly, poly_gcd
@@ -32,6 +30,9 @@ class RatFuncField:
         self._one_poly = one = Poly.one(cyclo)
         self._zero = _ratfunc(self, Poly.zero(cyclo), one)
         self._one = _ratfunc(self, one, one)
+        self._generators = {var: self.gen()}
+        for name, g in cyclo.generators().items():
+            self._generators.setdefault(name, self.coerce(g))
 
     @property
     def is_zero_derivation(self) -> bool:
@@ -57,19 +58,17 @@ class RatFuncField:
             den = self._one_poly
         return RatFunc(self, num, den)
 
+    def generators(self) -> dict:
+        """Name to element for the parser: the variable, then w."""
+        return self._generators
+
     def coerce(self, x) -> "RatFunc":
-        if isinstance(x, RatFunc):
-            # RatFunc is immutable, so an element of this field is returned as is
-            if x.parent is self or x.parent == self:
-                return x
-            raise TypeError("rational function from another field or with another derivation")
-        if isinstance(x, CycloElem):
-            return self._constant(self.cyclo.coerce(x))
-        if isinstance(x, (int, Fraction)):
-            return self._constant(self.cyclo.from_rational(x))
+        # RatFunc is immutable, so an element of this field is returned as is
+        if isinstance(x, RatFunc) and (x.parent is self or x.parent == self):
+            return x
         if isinstance(x, Poly) and x.field == self.cyclo:
             return self.from_poly(x)
-        raise TypeError(f"cannot coerce {x!r} into {self!r}")
+        return self._constant(self.cyclo.coerce(x))
 
     def __eq__(self, other):
         return (

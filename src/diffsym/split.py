@@ -153,17 +153,6 @@ class IsoVerdict:
         return {"ok": self.ok, "failing_basis": list(self.failing_basis) if self.failing_basis else None}
 
 
-def _scalar_generators(field):
-    """(name, generator) for each layer of a Kummer tower over Q(w)(t), top layer first."""
-    gens = []
-    while isinstance(field, KummerField):
-        gens.append((field.gen_name, field.gen()))
-        field = field.base
-    if isinstance(field, RatFuncField):
-        gens.append((field.var, field.gen()))
-    return gens
-
-
 def verify_diff_isomorphism(phi: PhiMap, d: Derivation, p: DiffMatrix) -> IsoVerdict:
     """Check Phi(d*(x)) = d_P(Phi(x)) for x = v, u and the scalar generators xi, t.
 
@@ -183,7 +172,7 @@ def verify_diff_isomorphism(phi: PhiMap, d: Derivation, p: DiffMatrix) -> IsoVer
 
     On a scalar x, Phi(x) = xI commutes with P, so d_P(xI) = delta(x) I, and
     Phi is injective: the check is d*(x) = delta(x) in A tensor k(xi), with
-    no matrix built. It runs on each generator of the coefficient tower, xi
+    no matrix built. It runs on each of the field's ``generators()`` but w, xi
     first and the variable t last; every derivation kills Q(w), so these
     decide agreement on all coefficients.
     """
@@ -197,9 +186,8 @@ def verify_diff_isomorphism(phi: PhiMap, d: Derivation, p: DiffMatrix) -> IsoVer
     ):
         if not phi.apply(image) == apply_dP(p, phi.apply(x)):
             return IsoVerdict(False, label)
-    for name, gen in _scalar_generators(phi.ext_field):
-        x = phi.ext_field.coerce(gen)
-        if not d_ext.apply(alg.scalar(x)) == alg.scalar(x.derive()):
+    for name, x in phi.ext_field.generators().items():
+        if name != "w" and not d_ext.apply(alg.scalar(x)) == alg.scalar(x.derive()):
             return IsoVerdict(False, (name,))
     return IsoVerdict(True, None)
 
@@ -295,7 +283,7 @@ def find_twist_partner(rho1: SymbolElem):
 
 
 def _require_zero_base(algebra: SymbolAlgebra):
-    if not getattr(algebra.field, "is_zero_derivation", False):
+    if not algebra.field.is_zero_derivation:
         raise ValueError("this construction requires the zero base derivation")
 
 

@@ -4,8 +4,9 @@ The draws and their order are part of every seeded test's contract: the same
 rng state gives the same elements, derivations and case counts.
 """
 
-from diffsym import Poly, SymbolElem, inner_derivation, standard_derivation
-from diffsym.scalars import RatFuncField
+from diffsym import inner_derivation, standard_derivation
+from diffsym.scalars import Poly, RatFuncField
+from diffsym.symalg import SymbolElem
 
 
 def random_element(algebra, rng, entries: int = 3, coeff_range: int = 5, max_deg: int = 1) -> SymbolElem:

@@ -14,10 +14,13 @@ unreduced result in place of Henrici's gcds of the operands' parts.
 
 from fractions import Fraction
 
-from diffsym import DiffMatrix, IsoVerdict, Poly, RatFunc, SymbolElem, apply_dP
 from diffsym.linalg import invert_matrix, solve_affine
+from diffsym.matdiff import DiffMatrix, apply_dP
+from diffsym.scalars import Poly, RatFunc
 from diffsym.scalars.ode import OdeSolution, _homogeneous_basis, _proportional
 from diffsym.scalars.polys import QQ, poly_extended_gcd
+from diffsym.split import IsoVerdict
+from diffsym.symalg import SymbolElem
 
 
 def matrix_powers(phi):

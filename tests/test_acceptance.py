@@ -9,29 +9,10 @@ from fractions import Fraction
 
 import pytest
 
-from diffsym import (
-    Derivation,
-    DiffMatrix,
-    PhiMap,
-    SymbolAlgebra,
-    compute_P,
-    constants_inner,
-    constants_standard,
-    decompose,
-    inner_derivation,
-    maximal_subfield_necessary,
-    prop44_constants,
-    prop44_matrix,
-    split_generic,
-    split_inner_cyclic,
-    split_inner_even_half,
-    split_standard,
-    standard_derivation,
-    t_r_value,
-    validate,
-    verify_diff_isomorphism,
-)
+from diffsym import SymbolAlgebra, decompose, inner_derivation, split_standard, standard_derivation
 from diffsym.cli import main as cli_main
+from diffsym.deriv import Derivation, constants_inner, constants_standard, validate
+from diffsym.matdiff import DiffMatrix, prop44_constants, prop44_matrix
 from diffsym.scalars import (
     CycloField,
     KummerField,
@@ -39,7 +20,17 @@ from diffsym.scalars import (
     rational_ode_solve,
 )
 from diffsym.scalars.ode import _proportional
-from diffsym.split import compute_P_with_diagnostics
+from diffsym.split import (
+    PhiMap,
+    compute_P,
+    compute_P_with_diagnostics,
+    maximal_subfield_necessary,
+    split_generic,
+    split_inner_cyclic,
+    split_inner_even_half,
+    t_r_value,
+    verify_diff_isomorphism,
+)
 from generators import random_element, random_trace_zero, random_valid_derivation
 from oracles import brute_force_ode_oracle, compute_w, dense_phi, entrywise_P, full_basis_verdict
 

@@ -7,7 +7,12 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+from diffsym import SymbolAlgebra, inner_derivation, standard_derivation
 from diffsym.cli import main
+from diffsym.matdiff import DiffMatrix
+from diffsym.parser import parse_scalar, parse_symbol
+from diffsym.scalars import CycloField, KummerField, RatFuncField
+from diffsym.split import PhiMap, compute_P
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "diffsym" / "schemas"
 
@@ -66,11 +71,29 @@ def test_decompose_roundtrip_via_cli(capsys, registry):
     validate(report["theta"], "grid_element.json", registry)
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, monkeypatch):
     assert main(["deriv", "validate", "--m", "2", "--alpha", "t", "--beta", "t+1",
                  "--du", "u +", "--dv", "v"]) == 2
     assert main(["split", "standard", "--m", "2", "--alpha", "t^2", "--beta", "t+1"]) == 2
     assert main(["algebra", "check", "--m", "2", "--alpha", "0", "--beta", "t"]) == 2
+    # an --m past its bound is refused before any field is built
+    import diffsym.cli
+
+    def no_field(*args):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(diffsym.cli, "RatFuncField", no_field)
+    for argv, bound in (
+        (["algebra", "check", "--m", "150", "--alpha", "t", "--beta", "t+1"], 16),
+        (["power-detect", "--m", "20000", "--f", "t"], 16),
+        (["ode", "solve", "--m", "17", "--mu", "1", "--g", "t"], 16),
+        (["matdiff", "constants", "--m", "17", "--f", "1/t"], 16),
+        (["split", "generic", "--m", "8", "--alpha", "t", "--beta", "t+1"], 7),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert f"must not exceed {bound}" in capsys.readouterr().err
+    assert (diffsym.cli.MAX_M, diffsym.cli.MAX_GENERIC_M) == (16, 7)
 
 
 def test_split_standard_json(capsys, registry):
@@ -225,3 +248,55 @@ def test_a_zero_divisor_power_is_an_input_error(capsys):
     code = main(["deriv", "validate", "--m", "2", "--alpha", "1", "--beta", "t", "--du", "(1 + u)^-1", "--dv", "v"])
     assert code == 2
     assert "error: element is a zero divisor" in capsys.readouterr().err
+
+
+def test_generator_powers_past_the_degree_bound_are_usage_errors(capsys):
+    # u^400 is alpha^200 = t^4000 over alpha = t^20 at m = 2
+    for alpha, beta, du, dv in (("t^20", "t+1", "u^400", "v"), ("t+1", "t^20", "u", "v^400")):
+        code = main(["deriv", "validate", "--m", "2", "--alpha", alpha, "--beta", beta, "--du", du, "--dv", dv])
+        assert code == 2
+        assert "exponent 400 too large" in capsys.readouterr().err
+
+
+def test_deriv_constants_standard(capsys):
+    args = ("deriv", "constants", "--m", "3", "--standard")
+    code, report = run_json(capsys, *args, "--alpha", "t", "--beta", "t+1")
+    assert code == 0 and report == {"ok": True, "witnesses": []}
+    code, out = run(capsys, *args, "--alpha", "t", "--beta", "t+1")
+    assert code == 0 and out == "no monomial constants beyond the base field\n"
+    code, report = run_json(capsys, *args, "--alpha", "2*t", "--beta", "t")
+    assert code == 0
+    (witness,) = [w for w in report["witnesses"] if (w["i"], w["j"]) == (1, 2)]
+    k = RatFuncField(CycloField(3), "t")
+    t = k.gen()
+    c, h = parse_scalar(witness["c"], k), parse_scalar(witness["h"], k)
+    assert c * h**3 == (t * 2) ** -1 * t**-2
+
+
+def test_deriv_constants_of_an_inner_derivation(capsys, registry):
+    code, report = run_json(capsys, "deriv", "constants", "--m", "2", "--alpha", "t", "--beta", "t+1", "--theta", "u")
+    assert code == 0 and report["dimension"] == 2 == len(report["basis"])
+    for element in report["basis"]:
+        validate(element, "grid_element.json", registry)
+
+
+def test_matdiff_constants(capsys):
+    for m, dimension in ((3, 2), (2, 1)):
+        code, report = run_json(capsys, "matdiff", "constants", "--m", str(m), "--f", "1/t")
+        assert code == 0 and report["dimension"] == dimension == len(report["basis"])
+    assert main(["matdiff", "constants", "--m", "3", "--f", "1/t", "--lambdas", "0,0,1"]) == 2
+
+
+def test_split_verify_reports_the_P_it_checked(capsys):
+    code, report = run_json(capsys, "split", "verify", "--m", "3", "--alpha", "t", "--beta", "t+1", "--theta", "u*v")
+    assert code == 0 and report["ok"] and report["isomorphism"]["ok"]
+    k = RatFuncField(CycloField(3), "t")
+    t = k.gen()
+    alg = SymbolAlgebra(k, t, t + k.one(), 3)
+    phi = PhiMap(alg, KummerField(k, t, 3, "xi"))
+    p = compute_P(standard_derivation(alg) + inner_derivation(parse_symbol("u*v", alg)), phi)
+    e = phi.ext_field
+    rows = [[e.zero()] * 3 for _ in range(3)]
+    for r, s, entry in report["P"]["entries"]:
+        rows[r][s] = parse_scalar(entry, e)
+    assert report["P"]["m"] == 3 and DiffMatrix(e, rows) == p

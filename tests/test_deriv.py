@@ -2,17 +2,8 @@
 
 import pytest
 
-from diffsym import (
-    Derivation,
-    SymbolAlgebra,
-    constants_inner,
-    constants_standard,
-    decompose,
-    inner_derivation,
-    standard_derivation,
-    subfield_stable,
-    validate,
-)
+from diffsym import SymbolAlgebra, decompose, inner_derivation, standard_derivation
+from diffsym.deriv import Derivation, constants_inner, constants_standard, subfield_stable, validate
 from diffsym.linalg import solve_affine
 from diffsym.scalars import CycloField, RatFuncField
 from generators import random_element, random_trace_zero, random_valid_derivation

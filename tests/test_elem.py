@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from diffsym import DiffMatrix, SymbolAlgebra
+from diffsym import SymbolAlgebra
+from diffsym.matdiff import DiffMatrix
 from diffsym.scalars import CycloField, KummerField, MonomialDiffField, Poly, RatFuncField
 from diffsym.scalars.elem import FieldElem
 

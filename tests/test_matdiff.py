@@ -2,7 +2,7 @@
 
 import pytest
 
-from diffsym import (
+from diffsym.matdiff import (
     DiffMatrix,
     apply_dP,
     no_cyclic_subfield_witness,
@@ -96,6 +96,9 @@ def test_refutation_chain(k):
     x = DiffMatrix(k, [[t, k.zero()], [k.zero(), t]])
     rep = no_cyclic_subfield_witness(p, x, nu)
     assert rep.applies and rep.refuted
+    assert rep.to_json() == {
+        "applies": True, "refuted": True, "reason": "candidate rejected: X^m != nu*I", "details": [],
+    }
     # nu an m-th power up to constant: hypothesis fails
     rep = no_cyclic_subfield_witness(p, x, t * t * 4)
     assert not rep.applies

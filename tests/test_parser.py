@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from diffsym import ParseError, parse_scalar, parse_symbol, scalar_to_str
+from diffsym.parser import ParseError, parse_scalar, parse_symbol, scalar_to_str
 from diffsym.scalars import (
     CycloField,
     KummerField,
     MonomialDiffField,
+    PolyDiffField,
     RatFuncField,
 )
 from diffsym.symalg import SymbolAlgebra
@@ -40,6 +41,14 @@ def test_roundtrip_ratfunc(rng):
     for _ in range(100):
         x = random_ratfunc(k, rng)
         assert parse_scalar(scalar_to_str(x), k) == x
+    # a field names its own variable, and only that one
+    k = RatFuncField(CycloField(3), "s")
+    assert scalar_to_str(k.gen() + k.one()) == "s + 1"
+    for _ in range(30):
+        x = random_ratfunc(k, rng)
+        assert parse_scalar(scalar_to_str(x), k) == x
+    with pytest.raises(ParseError, match="undefined symbol 't'"):
+        parse_scalar("t + 1", k)
 
 
 def test_roundtrip_kummer(rng):
@@ -49,6 +58,16 @@ def test_roundtrip_kummer(rng):
     for _ in range(30):
         x = e.coerce(random_ratfunc(k, rng)) + xi * random_ratfunc(k, rng) + xi**2 * rng.randint(-3, 3)
         assert parse_scalar(scalar_to_str(x), e) == x
+    # two levels: eta^3 = t + 1 over k(xi)
+    top = KummerField(e, k.gen() + k.one(), 3, "eta")
+    gens = top.generators()
+    assert list(gens) == ["eta", "xi", "t", "w"]
+    for name, value in (("eta", top.gen()), ("xi", xi), ("t", k.gen()), ("w", k.cyclo.omega())):
+        assert parse_scalar(name, top) == top.coerce(value) == gens[name]
+    eta = top.gen()
+    for _ in range(10):
+        x = top.coerce(random_ratfunc(k, rng)) + eta * xi * random_ratfunc(k, rng) + eta**2 * (xi + rng.randint(-3, 3))
+        assert parse_scalar(scalar_to_str(x), top) == x
 
 
 def test_roundtrip_monomial(rng):
@@ -58,6 +77,15 @@ def test_roundtrip_monomial(rng):
         x = (
             e.gen(0) ** rng.randint(-2, 2) * e.gen(1) ** rng.randint(0, 2)
         ).scale(random_ratfunc(k, rng)) + e.coerce(rng.randint(-3, 3))
+        assert parse_scalar(scalar_to_str(x), e) == x
+    # generic-splitting variables over k(xi)
+    xi_field = KummerField(k, k.gen(), 2, "xi")
+    e = PolyDiffField(xi_field, ["x00", "x01"])
+    assert list(e.generators()) == ["x00", "x01", "xi", "t", "w"]
+    xi = xi_field.gen()
+    for _ in range(20):
+        c = xi_field.coerce(random_ratfunc(k, rng)) + xi * rng.randint(-3, 3)
+        x = (e.gen(0) ** rng.randint(0, 2) * e.gen(1) ** rng.randint(0, 2)).scale(c) + e.coerce(xi * k.gen())
         assert parse_scalar(scalar_to_str(x), e) == x
 
 
@@ -82,6 +110,20 @@ def test_parse_symbol_elements():
     assert x.grid[0][0] == k.coerce(-3)
     # u^m wraps into alpha
     assert parse_symbol("u^3", alg) == alg.scalar(alg.alpha)
+
+
+def test_generator_powers_are_bounded_by_the_radicand_degree():
+    k = RatFuncField(CycloField(2), "t")
+    t = k.gen()
+    for name, alpha, beta in (("u", t**20, t + k.one()), ("v", t + k.one(), t**20)):
+        alg = SymbolAlgebra(k, alpha, beta, 2)
+        radicand = alpha if name == "u" else beta
+        # name^400 is radicand^200, of t-degree 4000, as (t^20)^200 is
+        for src in (f"{name}^400", f"{name}^-101", "(t^20)^200"):
+            with pytest.raises(ParseError, match="too large"):
+                parse_symbol(src, alg)
+        assert parse_symbol(f"{name}^100", alg) == alg.scalar(radicand**50)
+        assert parse_symbol(f"{name}^-99", alg) == parse_symbol(name, alg) * alg.scalar(radicand**-50)
 
 
 def test_parse_errors_carry_position():

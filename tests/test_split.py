@@ -2,29 +2,26 @@
 
 import pytest
 
-from diffsym import (
-    DiffMatrix,
+from diffsym import SymbolAlgebra, decompose, inner_derivation, split_standard, standard_derivation
+from diffsym.matdiff import DiffMatrix, apply_dP
+from diffsym.parser import parse_scalar
+from diffsym.scalars import CycloField, KummerField, RatFuncField
+from diffsym.split import (
     IsoVerdict,
     PhiMap,
-    SymbolAlgebra,
-    apply_dP,
+    closed_form_P,
     compute_P,
+    compute_P_with_diagnostics,
     compute_Ps,
-    decompose,
     find_twist_partner,
-    inner_derivation,
     maximal_subfield_necessary,
     norm_split_check,
     split_generic,
     split_inner_cyclic,
     split_inner_even_half,
-    split_standard,
-    standard_derivation,
     t_r_value,
     verify_diff_isomorphism,
 )
-from diffsym.scalars import CycloField, KummerField, RatFuncField
-from diffsym.split import closed_form_P, compute_P_with_diagnostics
 from generators import random_element, random_valid_derivation
 from oracles import compute_w, dense_phi, entrywise_P, full_basis_verdict
 
@@ -262,6 +259,9 @@ def test_norm_split_check():
     assert rep.ok
     assert rep.p == 2
     assert rep.c.derive().is_zero()
+    report = rep.to_json()
+    assert report == {"p": 2, "c": report["c"], "ok": True}
+    assert parse_scalar(report["c"], k) == rep.c
 
 
 def test_norm_split_check_rejects_non_constant():

@@ -2,10 +2,10 @@
 
 import pytest
 
-from diffsym import (
-    SymbolAlgebra,
+from diffsym import SymbolAlgebra
+from diffsym.split import find_twist_partner
+from diffsym.symalg import (
     centralizer,
-    find_twist_partner,
     in_generated_subfield,
     inverse_via_minimal_polynomial,
     minimal_polynomial,
@@ -164,7 +164,7 @@ def test_extend_preserves_relations():
 
 
 def test_mismatched_algebras_rejected():
-    from diffsym import AlgebraMismatchError
+    from diffsym.symalg import AlgebraMismatchError
 
     a2 = make_algebra(2)
     k = a2.field
