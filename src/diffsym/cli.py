@@ -48,18 +48,11 @@ from .symalg import SymbolAlgebra
 # The largest --m any subcommand accepts: every subcommand answers within
 # seconds at m = 16, while `algebra check --m 150` runs for minutes.
 MAX_M = 16
-# split generic expands det F over all m! permutations, so each step past
-# m = 7 multiplies a run of tens of seconds by m.
-MAX_GENERIC_M = 7
-
-
-def _check_m(m: int, bound: int, what: str) -> None:
-    if m > bound:
-        raise ValueError(f"--m {m} is too large for {what}: m must not exceed {bound}")
 
 
 def _field(m: int, zero: bool = False) -> RatFuncField:
-    _check_m(m, MAX_M, "the CLI")
+    if m > MAX_M:
+        raise ValueError(f"--m {m} is too large for the CLI: m must not exceed {MAX_M}")
     return RatFuncField(CycloField(m), "t", "zero" if zero else "dt")
 
 
@@ -179,11 +172,19 @@ def cmd_power_detect(args) -> int:
     return 0
 
 
+def _det_text(gauge) -> str:
+    verdict = {True: "nonzero", False: "zero", None: "undecided"}[gauge.det_nonzero]
+    if gauge.det_point is None:
+        return f"{verdict} by {gauge.det_method}"
+    return f"{verdict} by {gauge.det_method} at point {gauge.det_point}"
+
+
 def _emit_split(args, report) -> int:
     lines = [
         f"P = {report.p!r}",
         f"F = {report.f!r}",
         f"gauge: {'ok' if report.gauge.ok else 'FAIL'}",
+        f"det F: {_det_text(report.gauge)}",
     ]
     if report.isomorphism is not None:
         lines.append(f"isomorphism: {'ok' if report.isomorphism.ok else 'FAIL'}")
@@ -213,14 +214,16 @@ def _derivation_from_args(args, alg):
     return d
 
 
-def cmd_split_generic(args) -> int:
-    _check_m(args.m, MAX_GENERIC_M, "split generic, which expands det F over m! permutations")
-    alg = _algebra(args)
+def _generic_report(alg, d):
+    """split_generic on the P of d, with the isomorphism verdict for that P."""
     phi = PhiMap(alg, KummerField(alg.field, alg.alpha, alg.m, "xi"))
-    d = _derivation_from_args(args, alg)
     p = compute_P(d, phi)
-    report = replace(split_generic(p), isomorphism=verify_diff_isomorphism(phi, d, p))
-    return _emit_split(args, report)
+    return replace(split_generic(p), isomorphism=verify_diff_isomorphism(phi, d, p))
+
+
+def cmd_split_generic(args) -> int:
+    alg = _algebra(args)
+    return _emit_split(args, _generic_report(alg, _derivation_from_args(args, alg)))
 
 
 def cmd_split_verify(args) -> int:
@@ -306,6 +309,14 @@ def _case_split_inner_half(m):
     return ok, f"m={m}: trdeg {report.transcendence_degree}, gauge {'ok' if report.gauge.ok else 'FAIL'}"
 
 
+def _case_split_generic(m):
+    field = _field(m)
+    alg = SymbolAlgebra(field, field.gen(), field.gen() + field.one(), m)
+    report = _generic_report(alg, standard_derivation(alg) + inner_derivation(alg.u() + alg.v()))
+    ok = report.passed and report.transcendence_degree == m * m
+    return ok, f"m={m}: trdeg {report.transcendence_degree}, det F {_det_text(report.gauge)}"
+
+
 def _case_maximal():
     field = _field(3)
     t = field.gen()
@@ -322,6 +333,7 @@ _REPLAY_CASES = {
     "split-standard-m2": lambda: _case_split_standard(2),
     "split-standard-m3": lambda: _case_split_standard(3),
     "split-standard-m7": lambda: _case_split_standard(7),
+    "split-generic-m8": lambda: _case_split_generic(8),
     "split-inner-m2": lambda: _case_split_inner(2),
     "split-inner-m3": lambda: _case_split_inner(3),
     "split-inner-half-m2": lambda: _case_split_inner_half(2),

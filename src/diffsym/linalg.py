@@ -87,35 +87,3 @@ def invert_matrix(matrix, field):
         raise ZeroDivisionError("singular matrix")
     return [row[n:] for row in rows]
 
-
-def det_expansion(matrix, ring):
-    """Determinant by permutation expansion; works over rings without division.
-
-    The permutations are walked depth-first over the rows, so each prefix
-    product is formed once and shared by every permutation that extends it;
-    a zero entry prunes its whole subtree.  Placing column c after the
-    columns already used adds one inversion per used column greater than c,
-    which gives the sign as the walk goes.
-    """
-    n = len(matrix)
-    if n == 0:
-        return ring.one()
-    total = ring.zero()
-
-    def expand(row, used, prefix, negative):
-        nonlocal total
-        for col in range(n):
-            if col in used:
-                continue
-            entry = matrix[row][col]
-            if entry.is_zero():
-                continue
-            product = entry if prefix is None else prefix * entry
-            flip = sum(1 for c in used if c > col) % 2 == 1
-            if row == n - 1:
-                total = total - product if negative != flip else total + product
-            else:
-                expand(row + 1, used + (col,), product, negative != flip)
-
-    expand(0, (), None, False)
-    return total

@@ -1,16 +1,19 @@
 """Matrix differential algebra (M_m(E), d_P), d_P(X) = delta^c(X) + XP - PX.
 
-Includes the gauge verification delta^c(F) = PF with det F != 0, and the
-constants computation for the diagonal-plus-corner matrices
-P = diag(lambda_0..lambda_{m-1}) + f E_{0,m-1} with distinct constant lambdas.
+Includes the gauge verification delta^c(F) = PF with an exact certificate
+for det F != 0, and the constants computation for the diagonal-plus-corner
+matrices P = diag(lambda_0..lambda_{m-1}) + f E_{0,m-1} with distinct
+constant lambdas.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .linalg import det_expansion
-from .scalars import RatFunc, RatFuncField, rational_ode_solve
+from .linalg import kernel_basis
+from .scalars import PolyDiffField, RatFunc, RatFuncField, rational_ode_solve
 from .scalars.elem import FieldElem
 
 
@@ -110,9 +113,6 @@ class DiffMatrix(FieldElem):
             acc = acc + self.rows[i][i]
         return acc
 
-    def det(self):
-        return det_expansion(self.rows, self.field)
-
     def is_zero(self) -> bool:
         return all(a.is_zero() for r in self.rows for a in r)
 
@@ -145,10 +145,83 @@ def apply_dP(p: DiffMatrix, x: DiffMatrix) -> DiffMatrix:
     return x.derive() + x * p - p * x
 
 
+# The specialisation points tried after the first: a fixed, seeded list with
+# positive 16-bit coordinates, so the same F always gets the same verdict.
+_EXTRA_POINTS = 4
+_POINT_SEED = "diffsym.matdiff.det_certificate"
+
+
+def _specialise(x, point, base):
+    """The value of a Laurent polynomial at a point with no zero on a negative exponent."""
+    acc = base.zero()
+    for exps, c in x.terms.items():
+        value = Fraction(1)
+        for v, e in zip(point, exps):
+            if e:
+                value *= Fraction(v) ** e
+        if value:
+            acc = acc + (c if value == 1 else c * base.coerce(value))
+    return acc
+
+
+def _specialisation_points(f: DiffMatrix):
+    """Points for the indeterminates of F, skipping any that sends a negative exponent to 0.
+
+    The first sends each indeterminate of a diagonal entry to 1 and the others
+    to 0, which maps the generic X to I; the rest come from a fixed seed.
+    """
+    n = f.field.n
+    on_diagonal = set()
+    negative = set()
+    for r, row in enumerate(f.rows):
+        for c, x in enumerate(row):
+            for exps in x.terms:
+                for i, e in enumerate(exps):
+                    if e < 0:
+                        negative.add(i)
+                    if e and r == c:
+                        on_diagonal.add(i)
+    if not negative - on_diagonal:
+        yield 0, [1 if i in on_diagonal else 0 for i in range(n)]
+    rng = random.Random(_POINT_SEED)
+    for index in range(1, _EXTRA_POINTS + 1):
+        yield index, [rng.randrange(1, 1 << 16) for _ in range(n)]
+
+
+def det_certificate(f: DiffMatrix):
+    """Decide det F != 0 exactly: (verdict, method, index of the deciding point).
+
+    * ``diagonal``: det F is the product of the diagonal entries.
+    * ``elimination``: F lies over a field, so det F != 0 iff its kernel is 0.
+    * ``specialisation``: F lies over a polynomial ring. Evaluation at a point
+      is a ring homomorphism, so F(point) with kernel 0 proves det F != 0.
+      A singular F(point) proves nothing, so if every point gives one the
+      verdict is None (undecided). A nonzero det F of degree d vanishes at a
+      uniformly random point with 16-bit coordinates with probability at
+      most d / 2^16 (Schwartz 1980; Zippel 1979).
+    """
+    n = f.size
+    rows = f.rows
+    if all(rows[r][c].is_zero() for r in range(n) for c in range(n) if r != c):
+        product = f.field.one()
+        for r in range(n):
+            product = product * rows[r][r]
+        return not product.is_zero(), "diagonal", None
+    if not isinstance(f.field, PolyDiffField):
+        return not kernel_basis(rows, f.field), "elimination", None
+    base = f.field.base
+    for index, point in _specialisation_points(f):
+        if not kernel_basis([[_specialise(x, point, base) for x in row] for row in rows], base):
+            return True, "specialisation", index
+    return None, "specialisation", None
+
+
 @dataclass
 class GaugeVerdict:
     ok: bool
-    det_nonzero: bool
+    det_nonzero: bool | None
+    det_method: str
+    det_point: int | None
     failing_entry: tuple | None
     lhs: str | None
     rhs: str | None
@@ -157,6 +230,8 @@ class GaugeVerdict:
         return {
             "ok": self.ok,
             "det_nonzero": self.det_nonzero,
+            "det_method": self.det_method,
+            "det_point": self.det_point,
             "failing_entry": list(self.failing_entry) if self.failing_entry else None,
             "lhs": self.lhs,
             "rhs": self.rhs,
@@ -164,7 +239,7 @@ class GaugeVerdict:
 
 
 def verify_gauge(p: DiffMatrix, f: DiffMatrix) -> GaugeVerdict:
-    """Check delta^c(F) = PF exactly and det F != 0."""
+    """Check delta^c(F) = PF exactly and certify det F != 0; undecided never passes."""
     from .parser import scalar_to_str
 
     p._coerce_other(f)
@@ -178,11 +253,13 @@ def verify_gauge(p: DiffMatrix, f: DiffMatrix) -> GaugeVerdict:
                 break
         if failing:
             break
-    det_nonzero = not f.det().is_zero()
+    det_nonzero, method, point = det_certificate(f)
     if failing is None:
-        return GaugeVerdict(det_nonzero, det_nonzero, None, None, None)
+        return GaugeVerdict(det_nonzero is True, det_nonzero, method, point, None, None, None)
     r, c = failing
-    return GaugeVerdict(False, det_nonzero, failing, scalar_to_str(lhs.rows[r][c]), scalar_to_str(rhs.rows[r][c]))
+    return GaugeVerdict(
+        False, det_nonzero, method, point, failing, scalar_to_str(lhs.rows[r][c]), scalar_to_str(rhs.rows[r][c])
+    )
 
 
 def prop44_matrix(field: RatFuncField, lambdas, f) -> DiffMatrix:

@@ -314,9 +314,8 @@ def _ratfunc_str(f: RatFunc) -> str:
     num = _poly_str(f.num, var)
     if f.den.degree == 0:
         return num
-    if not _is_group(num):
-        num = f"({num})"
-    return f"{num}/({_poly_str(f.den, var)})"
+    # numerator and denominator go bare when each is one unsigned atom or a group
+    return f"{_wrap(num)}/{_wrap(_poly_str(f.den, var))}"
 
 
 def _is_group(s: str) -> bool:

@@ -369,10 +369,15 @@ def split_inner_even_half(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitRepor
 
 
 def split_generic(p: DiffMatrix) -> SplitReport:
-    """Generic splitting field: adjoin m^2 indeterminates with delta(X) = PX."""
+    """Generic splitting field: adjoin m^2 indeterminates with delta(X) = PX.
+
+    x_rs is named x{r}{s} with both indices padded to the width of m - 1, so
+    the names stay distinct past m = 10 (x0110 is x_{1,10}, x1100 is x_{11,0}).
+    """
     m = p.size
     base = p.field
-    names = [f"x{r}{s}" for r in range(m) for s in range(m)]
+    width = len(str(m - 1))
+    names = [f"x{r:0{width}}{s:0{width}}" for r in range(m) for s in range(m)]
     e = PolyDiffField(base, names)
     gens = [[e.gen(r * m + s) for s in range(m)] for r in range(m)]
     for r in range(m):

@@ -8,8 +8,10 @@ multiplication, a bounded-ansatz linear system for the ODE solver, and the
 minor identity T_alpha^-1 B' T_beta = -A' for the relations of a derivation,
 Q(w) arithmetic on ``Fraction`` coefficient vectors with the inverse by
 the extended Euclidean algorithm in place of the integer vectors and the
-Galois conjugates, and Q(w)(t) arithmetic that cancels one gcd of the
-unreduced result in place of Henrici's gcds of the operands' parts.
+Galois conjugates, Q(w)(t) arithmetic that cancels one gcd of the
+unreduced result in place of Henrici's gcds of the operands' parts, and the
+determinant as the sum over all permutations in place of the diagonal,
+elimination and specialisation certificate of ``verify_gauge``.
 """
 
 from fractions import Fraction
@@ -110,6 +112,39 @@ def entrywise_P(theta, phi):
             row.append(acc)
         rows.append(row)
     return DiffMatrix(e, rows)
+
+
+def det_expansion(matrix, ring):
+    """Determinant by permutation expansion; works over rings without division.
+
+    The permutations are walked depth-first over the rows, so each prefix
+    product is formed once and shared by every permutation that extends it;
+    a zero entry prunes its whole subtree.  Placing column c after the
+    columns already used adds one inversion per used column greater than c,
+    which gives the sign as the walk goes.
+    """
+    n = len(matrix)
+    if n == 0:
+        return ring.one()
+    total = ring.zero()
+
+    def expand(row, used, prefix, negative):
+        nonlocal total
+        for col in range(n):
+            if col in used:
+                continue
+            entry = matrix[row][col]
+            if entry.is_zero():
+                continue
+            product = entry if prefix is None else prefix * entry
+            flip = sum(1 for c in used if c > col) % 2 == 1
+            if row == n - 1:
+                total = total - product if negative != flip else total + product
+            else:
+                expand(row + 1, used + (col,), product, negative != flip)
+
+    expand(0, (), None, False)
+    return total
 
 
 def left_multiplication_matrix(a):

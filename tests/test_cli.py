@@ -88,12 +88,38 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
         (["power-detect", "--m", "20000", "--f", "t"], 16),
         (["ode", "solve", "--m", "17", "--mu", "1", "--g", "t"], 16),
         (["matdiff", "constants", "--m", "17", "--f", "1/t"], 16),
-        (["split", "generic", "--m", "8", "--alpha", "t", "--beta", "t+1"], 7),
+        (["split", "generic", "--m", "17", "--alpha", "t", "--beta", "t+1"], 16),
     ):
         capsys.readouterr()
         assert main(argv) == 2
         assert f"must not exceed {bound}" in capsys.readouterr().err
-    assert (diffsym.cli.MAX_M, diffsym.cli.MAX_GENERIC_M) == (16, 7)
+    assert diffsym.cli.MAX_M == 16
+    assert not hasattr(diffsym.cli, "MAX_GENERIC_M")
+
+
+def test_split_generic_runs_past_the_old_m7_bound(capsys, registry):
+    code, report = run_json(
+        capsys, "split", "generic", "--m", "8", "--alpha", "t", "--beta", "t+1", "--theta=u + t*v + w*u^2*v^3",
+    )
+    assert code == 0
+    validate(report, "split_report.json", registry)
+    assert report["verdicts"]["gauge"] == {
+        "ok": True,
+        "det_nonzero": True,
+        "det_method": "specialisation",
+        "det_point": 0,
+        "failing_entry": None,
+        "lhs": None,
+        "rhs": None,
+    }
+    assert report["verdicts"]["isomorphism"]["ok"] and report["transcendence_degree"] == 64
+
+
+def test_split_text_reports_how_det_f_was_decided(capsys):
+    assert main(["split", "standard", "--m", "3", "--alpha", "t", "--beta", "t+1"]) == 0
+    assert "det F: nonzero by diagonal\n" in capsys.readouterr().out
+    assert main(["split", "generic", "--m", "2", "--alpha", "t", "--beta", "t+1"]) == 0
+    assert "det F: nonzero by specialisation at point 0\n" in capsys.readouterr().out
 
 
 def test_split_standard_json(capsys, registry):
@@ -192,6 +218,14 @@ def test_replay_has_an_m7_standard_splitting(capsys):
     code, report = run_json(capsys, "replay", "--case", "split-standard-m7")
     assert code == 0
     assert report["cases"] == [{"case": "split-standard-m7", "ok": True, "detail": "m=7: degree 49, gauge ok"}]
+
+
+def test_replay_has_an_m8_generic_splitting(capsys):
+    code, report = run_json(capsys, "replay", "--case", "split-generic-m8")
+    assert code == 0
+    assert report["cases"] == [
+        {"case": "split-generic-m8", "ok": True, "detail": "m=8: trdeg 64, det F nonzero by specialisation at point 0"}
+    ]
 
 
 def test_split_standard_prints_a_constant_numerator_once_parenthesised(capsys):
@@ -300,3 +334,9 @@ def test_split_verify_reports_the_P_it_checked(capsys):
     for r, s, entry in report["P"]["entries"]:
         rows[r][s] = parse_scalar(entry, e)
     assert report["P"]["m"] == 3 and DiffMatrix(e, rows) == p
+
+
+def test_constants_witness_prints_a_bare_reciprocal(capsys):
+    code, report = run_json(capsys, "deriv", "constants", "--m", "3", "--alpha", "2*t", "--beta", "t", "--standard")
+    assert code == 0
+    assert [wit["h"] for wit in report["witnesses"]] == ["1/t", "1/t"]

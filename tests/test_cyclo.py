@@ -188,7 +188,7 @@ def test_integer_core_agrees_with_the_fraction_oracle(m, rng):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16])
 def test_norm_is_the_determinant_of_multiplication(m, rng):
-    from diffsym.linalg import det_expansion
+    from oracles import det_expansion
 
     f = CycloField(m)
     rationals = CycloField(1)

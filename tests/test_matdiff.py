@@ -5,12 +5,14 @@ import pytest
 from diffsym.matdiff import (
     DiffMatrix,
     apply_dP,
+    det_certificate,
     no_cyclic_subfield_witness,
     prop44_constants,
     prop44_matrix,
     verify_gauge,
 )
-from diffsym.scalars import CycloField, RatFuncField
+from diffsym.scalars import CycloField, KummerField, PolyDiffField, RatFuncField
+from oracles import det_expansion
 
 
 @pytest.fixture
@@ -25,7 +27,7 @@ def test_matrix_arithmetic(k):
     assert (a * b) + (a * b.scale(-1)) == DiffMatrix.zero(k, 2)
     assert a * DiffMatrix.identity(k, 2) == a
     assert (a**3) == a * a * a
-    assert a.det() == t * t
+    assert det_expansion(a.rows, k) == t * t
     assert a.trace() == t + t
 
 
@@ -62,6 +64,8 @@ def test_verify_gauge_pass_and_fail(k):
     assert bad.failing_entry == (1, 1)
     singular = verify_gauge(p, DiffMatrix(k, [[t, t], [t, t]]))
     assert not singular.det_nonzero and not singular.ok
+    assert singular.det_nonzero is False and singular.det_method == "elimination"
+    assert (v.det_method, v.det_point) == ("diagonal", None)
 
 
 def test_prop44_requires_distinct_constants(k):
@@ -116,3 +120,84 @@ def test_refutation_rejects_unstable_root(k):
     rep = no_cyclic_subfield_witness(p, x, t)
     assert rep.applies and rep.refuted
     assert "derivation" in rep.reason or rep.details
+
+
+def _certificate_rings():
+    k = RatFuncField(CycloField(3), "t")
+    xi_field = KummerField(k, k.gen(), 3, "xi")
+    return {"Q(w)(t)": k, "Q(w)(t)(xi)": xi_field, "Q(w)(t)[x0, x1, x2]": PolyDiffField(k, ["x0", "x1", "x2"])}
+
+
+def _certificate_entry(ring, rng):
+    """A small random element: over the polynomial ring, up to two Laurent terms."""
+    if not isinstance(ring, PolyDiffField):
+        return ring.coerce(rng.randint(-3, 3)) + ring.gen() * rng.randint(-2, 2)
+    x = ring.zero()
+    for _ in range(rng.randint(0, 2)):
+        exps = tuple(rng.choice((0, 0, 1, 1, 2, -1)) for _ in range(ring.n))
+        c = ring.base.coerce(rng.randint(-3, 3)) + ring.base.gen() * rng.randint(-1, 1)
+        x = x + ring.coerce(c) * _monomial(ring, exps)
+    return x
+
+
+def _monomial(ring, exps):
+    x = ring.one()
+    for i, e in enumerate(exps):
+        x = x * ring.gen(i) ** e
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("ring_name", ["Q(w)(t)", "Q(w)(t)(xi)", "Q(w)(t)[x0, x1, x2]"])
+def test_det_certificate_agrees_with_the_expansion(ring_name, n, rng):
+    ring = _certificate_rings()[ring_name]
+    over_field = not isinstance(ring, PolyDiffField)
+    singular = 0
+    for trial in range(6):
+        rows = [[_certificate_entry(ring, rng) for _ in range(n)] for _ in range(n)]
+        if trial % 2 == 1:
+            # the last row is c * (first row) plus the middle row, or zero at n = 1
+            c = ring.coerce(rng.randint(1, 3))
+            rows[-1] = [ring.zero()] if n == 1 else [c * a + b for a, b in zip(rows[0], rows[(n - 1) // 2])]
+        f = DiffMatrix(ring, rows)
+        nonzero = not det_expansion(f.rows, ring).is_zero()
+        verdict, method, point = det_certificate(f)
+        diagonal = all(rows[r][c].is_zero() for r in range(n) for c in range(n) if r != c)
+        if diagonal:
+            assert (verdict, method, point) == (nonzero, "diagonal", None)
+        elif over_field:
+            assert (verdict, method, point) == (nonzero, "elimination", None)
+        else:
+            # a zero specialisation proves nothing: a singular F is undecided, never False
+            assert method == "specialisation"
+            assert verdict is (True if nonzero else None)
+            assert (point is None) == (verdict is None)
+        singular += not nonzero
+    assert singular >= 3
+
+
+def test_equal_indeterminate_columns_are_undecided_and_fail_the_gauge():
+    k = RatFuncField(CycloField(2), "t")
+    e = PolyDiffField(k, ["x0", "x1"])
+    for i in range(2):
+        e.set_gen_derivative(i, e.zero())
+    x0, x1 = e.gen(0), e.gen(1)
+    f = DiffMatrix(e, [[x0, x0], [x1, x1]])
+    v = verify_gauge(DiffMatrix.zero(e, 2), f)
+    # delta(F) = 0 = PF holds; only the determinant is in doubt
+    assert v.failing_entry is None
+    assert v.det_nonzero is None and v.ok is False
+    assert (v.det_method, v.det_point) == ("specialisation", None)
+    assert v.to_json()["det_nonzero"] is None
+
+
+def test_specialisation_moves_past_a_vanishing_first_point():
+    k = RatFuncField(CycloField(2), "t")
+    e = PolyDiffField(k, ["x0", "x1"])
+    x0, x1 = e.gen(0), e.gen(1)
+    # det = x0 (x1 - x0): the first point sends both to 1, where it vanishes
+    assert det_certificate(DiffMatrix(e, [[x0, x0], [x0, x1]]))[::2] == (True, 1)
+    # x1^-1 off the diagonal: the first point would send x1 to 0, so it is skipped
+    assert det_certificate(DiffMatrix(e, [[x0, x1 ** -1], [x1 ** -1, x0]]))[::2] == (True, 1)
+    # on the diagonal, x1^-1 goes to 1 and the first point decides
+    assert det_certificate(DiffMatrix(e, [[x1 ** -1, x0], [x0, x1]]))[::2] == (True, 0)

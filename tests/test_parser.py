@@ -253,3 +253,40 @@ def test_constant_numerators_print_without_doubled_parentheses(rng):
             assert parse_symbol(text, alg) == x
     k3 = RatFuncField(CycloField(3), "t")
     assert scalar_to_str(parse_scalar("((-w - 1))/(t + (-w - 1))", k3)) == "(-w - 1)/(t + (-w - 1))"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1/t",
+        "w/t",
+        "2/t^2",
+        "t^3/(t + 1)",
+        "(t + 1)/t",
+        "(-t)/(t + 1)",
+        "(-1)/t",
+        "(1/2)/t",
+        "(2*t)/(t + 1)",
+        "1/(t^2 + 1)",
+        "(-w - 1)/(t + (-w - 1))",
+    ],
+)
+def test_quotients_parenthesise_only_compound_parts(text):
+    # a numerator or denominator goes bare when it is one unsigned atom:
+    # a non-negative integer, a generator name, or a name with ^n
+    k3 = RatFuncField(CycloField(3), "t")
+    x = parse_scalar(text, k3)
+    assert scalar_to_str(x) == text
+    assert parse_scalar(scalar_to_str(x), k3) == x
+
+
+def test_quotient_atoms_inside_products_round_trip():
+    from diffsym.parser import symbol_to_str
+
+    k = RatFuncField(CycloField(3), "t")
+    t = k.gen()
+    alg = SymbolAlgebra(k, t, t + k.one(), 3)
+    x = alg.monomial(1, 2, k.one() / t) + alg.monomial(0, 1, k.coerce(k.cyclo.omega()) / (t * t))
+    text = symbol_to_str(x)
+    assert text == "(w/t^2)*v + (1/t)*u*v^2"
+    assert parse_symbol(text, alg) == x

@@ -240,6 +240,24 @@ def test_split_generic(rng):
     assert rep.transcendence_degree == 4
 
 
+@pytest.mark.parametrize("m", [8, 16])
+def test_split_generic_at_large_m(m, rng):
+    alg = make_algebra(m)
+    phi = make_phi(alg)
+    theta = random_element(alg, rng, entries=6)
+    assert not theta.is_zero()
+    d = standard_derivation(alg) + inner_derivation(theta)
+    p = compute_P(d, phi)
+    rep = split_generic(p)
+    assert rep.passed and rep.transcendence_degree == m * m
+    assert (rep.gauge.det_nonzero, rep.gauge.det_method, rep.gauge.det_point) == (True, "specialisation", 0)
+    assert verify_diff_isomorphism(phi, d, p).ok
+    # m > 10 pads the indices, so the m^2 names stay distinct
+    names = rep.f.field.names
+    assert len(set(names)) == m * m
+    assert names[1] == ("x01" if m < 11 else "x0001")
+
+
 def test_find_twist_partner():
     alg = make_algebra(3, derivation="zero")
     x = find_twist_partner(alg.u())
