@@ -105,7 +105,8 @@ class DiffMatrix(FieldElem):
         raise ValueError("negative powers of a matrix are not supported")
 
     def derive(self) -> "DiffMatrix":
-        return DiffMatrix(self.field, [[a.derive() for a in r] for r in self.rows])
+        # a zero entry derives to itself
+        return DiffMatrix(self.field, [[a if a.is_zero() else a.derive() for a in r] for r in self.rows])
 
     def trace(self):
         acc = self.field.zero()

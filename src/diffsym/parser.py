@@ -59,7 +59,7 @@ def _t_degree(x) -> int:
     if isinstance(x, RatFunc):
         return max(x.num.degree, x.den.degree)
     if isinstance(x, KummerElem):
-        parts = x.coeffs
+        parts = x.terms.values()
     elif isinstance(x, PolyDiffElem):
         parts = x.terms.values()
     elif isinstance(x, SymbolElem):
@@ -350,7 +350,7 @@ def _term_str(c, names, exps) -> str:
 
 def _kummer_str(x: KummerElem) -> str:
     name = x.parent.gen_name
-    parts = [_term_str(c, [name], [i]) for i, c in enumerate(x.coeffs) if not c.is_zero()]
+    parts = [_term_str(x.terms[i], [name], [i]) for i in sorted(x.terms)]
     return " + ".join(parts) if parts else "0"
 
 

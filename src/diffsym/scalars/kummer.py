@@ -74,17 +74,13 @@ class KummerField:
         return self.base.is_zero_derivation
 
     def zero(self) -> "KummerElem":
-        return KummerElem(self, [self.base.zero()] * self.m)
+        return _kummer(self, {})
 
     def one(self) -> "KummerElem":
-        coeffs = [self.base.zero()] * self.m
-        coeffs[0] = self.base.one()
-        return KummerElem(self, coeffs)
+        return _kummer(self, {0: self.base.one()})
 
     def gen(self) -> "KummerElem":
-        coeffs = [self.base.zero()] * self.m
-        coeffs[1] = self.base.one()
-        return KummerElem(self, coeffs)
+        return _kummer(self, {1: self.base.one()})
 
     def generators(self) -> dict:
         """Name to element: this field's generator, then the base's generators."""
@@ -93,9 +89,8 @@ class KummerField:
     def coerce(self, x) -> "KummerElem":
         if isinstance(x, KummerElem) and (x.parent is self or x.parent == self):
             return x
-        coeffs = [self.base.zero()] * self.m
-        coeffs[0] = self.base.coerce(x)
-        return KummerElem(self, coeffs)
+        c = self.base.coerce(x)
+        return _kummer(self, {} if c.is_zero() else {0: c})
 
     def __eq__(self, other):
         return (
@@ -114,55 +109,83 @@ class KummerField:
 
 
 class KummerElem(FieldElem):
-    """Element on the basis 1, xi, ..., xi^(m-1) with base-field coefficients."""
+    """Element sum c_i xi^i (0 <= i < m), stored sparsely as ``terms``, {i: c_i}.
 
-    __slots__ = ("parent", "coeffs")
+    Every stored c_i is a nonzero element of the base field, so the dict is
+    canonical: zero is {}, and a zero coefficient costs nothing anywhere in a
+    tower.  ``KummerElem(parent, coeffs)`` takes the dense vector
+    (c_0, ..., c_{m-1}), coerces it and drops the zeros; arithmetic builds
+    through the trusted ``_kummer``.
+    """
+
+    __slots__ = ("parent", "terms")
 
     def __init__(self, parent: KummerField, coeffs):
         coeffs = [parent.base.coerce(c) for c in coeffs]
         if len(coeffs) != parent.m:
             raise ValueError("coefficient vector has the wrong length")
         self.parent = parent
-        self.coeffs = tuple(coeffs)
+        self.terms = {i: c for i, c in enumerate(coeffs) if not c.is_zero()}
+
+    @property
+    def coeffs(self) -> tuple:
+        """The dense vector (c_0, ..., c_{m-1}), zeros included; a read-only view."""
+        zero = self.parent.base.zero()
+        terms = self.terms
+        return tuple(terms.get(i, zero) for i in range(self.parent.m))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not self.terms
 
     def is_base(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs[1:])
+        return self.terms.keys() <= {0}
 
     def base_value(self):
         if not self.is_base():
             raise ValueError("element does not lie in the base field")
-        return self.coeffs[0]
+        c = self.terms.get(0)
+        return self.parent.base.zero() if c is None else c
 
     def __add__(self, other):
         other = self._coerce_other(other)
-        return KummerElem(self.parent, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        out = dict(self.terms)
+        for i, b in other.terms.items():
+            a = out.get(i)
+            if a is None:
+                out[i] = b
+                continue
+            s = a + b
+            if s.is_zero():
+                del out[i]
+            else:
+                out[i] = s
+        return _kummer(self.parent, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return KummerElem(self.parent, [-a for a in self.coeffs])
+        return _kummer(self.parent, {i: -a for i, a in self.terms.items()})
 
     def __mul__(self, other):
         other = self._coerce_other(other)
-        m = self.parent.m
-        alpha = self.parent.alpha
-        out = [self.parent.base.zero()] * m
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
+        parent = self.parent
+        m = parent.m
+        alpha = parent.alpha
+        out = {}
+        for i, a in self.terms.items():
+            for j, b in other.terms.items():
                 k = i + j
                 term = a * b
                 if k >= m:
                     k -= m
                     term = term * alpha
-                out[k] = out[k] + term
-        return KummerElem(self.parent, out)
+                c = out.get(k)
+                out[k] = term if c is None else c + term
+        return _kummer(parent, {k: c for k, c in out.items() if not c.is_zero()})
 
     __rmul__ = __mul__
 
@@ -172,19 +195,16 @@ class KummerElem(FieldElem):
         (c xi^k)^-1 is c^-1 for k = 0 and (c alpha)^-1 xi^(m-k) for k > 0,
         since xi^m = alpha.
         """
-        support = [k for k, c in enumerate(self.coeffs) if not c.is_zero()]
-        if not support:
+        terms = self.terms
+        if not terms:
             raise ZeroDivisionError("inverse of zero in a Kummer extension")
-        if len(support) > 1:
+        if len(terms) > 1:
             return self._inv_euclid()
-        k = support[0]
+        ((k, c),) = terms.items()
         parent = self.parent
-        coeffs = [parent.base.zero()] * parent.m
         if k == 0:
-            coeffs[0] = self.coeffs[0].inv()
-        else:
-            coeffs[parent.m - k] = (self.coeffs[k] * parent.alpha).inv()
-        return KummerElem(parent, coeffs)
+            return _kummer(parent, {0: c.inv()})
+        return _kummer(parent, {parent.m - k: (c * parent.alpha).inv()})
 
     def _inv_euclid(self) -> "KummerElem":
         """The inverse mod z^m - alpha by the extended Euclidean algorithm."""
@@ -194,33 +214,43 @@ class KummerElem(FieldElem):
         g, s, _ = poly_extended_gcd(me, modulus)
         if g.degree != 0:
             raise ZeroDivisionError("element is a zero divisor; radicand not irreducible?")
-        coeffs = [s.coeff(i) for i in range(self.parent.m)]
-        return KummerElem(self.parent, coeffs)
+        return KummerElem(self.parent, [s.coeff(i) for i in range(self.parent.m)])
 
     def derive(self) -> "KummerElem":
         """Leibniz-compatible derivation: xi^i picks up i * gen_rate."""
         rate = self.parent.gen_rate
-        out = []
-        for i, c in enumerate(self.coeffs):
+        out = {}
+        for i, c in self.terms.items():
             term = c.derive()
-            if i and not c.is_zero():
+            if i:
                 term = term + c * rate * i
-            out.append(term)
-        return KummerElem(self.parent, out)
+            if not term.is_zero():
+                out[i] = term
+        return _kummer(self.parent, out)
 
     def conjugate(self, j: int) -> "KummerElem":
         """The Galois twist xi -> w^j xi (coefficient-wise scaling)."""
-        w = self.parent.cyclo.omega()
-        out = []
-        for i, c in enumerate(self.coeffs):
-            out.append(c * self.parent.base.coerce(w ** ((i * j) % self.parent.cyclo.m)))
-        return KummerElem(self.parent, out)
+        parent = self.parent
+        w = parent.cyclo.omega()
+        n = parent.cyclo.m
+        return _kummer(parent, {i: c * parent.base.coerce(w ** ((i * j) % n)) for i, c in self.terms.items()})
 
     def _key(self):
-        return self.coeffs
+        return self.terms
 
     def __hash__(self):
         # an element of the base field equals its base value
         if self.is_base():
-            return hash(self.coeffs[0])
-        return hash(("KummerElem", self.coeffs))
+            return hash(self.base_value())
+        return hash(("KummerElem", tuple(sorted(self.terms.items()))))
+
+
+_new = object.__new__
+
+
+def _kummer(parent: KummerField, terms: dict) -> KummerElem:
+    """The trusted constructor: terms maps exponents in [0, m) to nonzero elements of the base."""
+    x = _new(KummerElem)
+    x.parent = parent
+    x.terms = terms
+    return x

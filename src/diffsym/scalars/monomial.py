@@ -142,20 +142,39 @@ class PolyDiffElem(FieldElem):
         return PolyDiffElem(self.parent, {tuple(-e for e in exps): self.parent.base.one() / c})
 
     def derive(self) -> "PolyDiffElem":
-        """Leibniz extension of the base derivation and the generator images."""
+        """Leibniz extension of the base derivation and the generator images.
+
+        d(c x^e) = d(c) x^e + sum_i e_i c x^(e - 1_i) d(x_i), collected term by
+        term; a coefficient with d(c) = 0 contributes no first term.
+        """
         parent = self.parent
-        total = parent.zero()
+        out = {}
         for exps, c in self.terms.items():
-            mono = PolyDiffElem(parent, {exps: parent.base.one()})
-            total = total + mono.scale(c.derive())
+            dc = c.derive()
+            if not dc.is_zero():
+                out[exps] = out[exps] + dc if exps in out else dc
             for i, e in enumerate(exps):
                 if e == 0:
                     continue
+                ce = c * e
                 lowered = list(exps)
                 lowered[i] -= 1
-                partial = PolyDiffElem(parent, {tuple(lowered): c * e})
-                total = total + partial * parent.gen_derivative(i)
-        return total
+                for gexps, g in parent.gen_derivative(i).terms.items():
+                    mono = tuple(a + b for a, b in zip(lowered, gexps))
+                    v = ce * g
+                    out[mono] = out[mono] + v if mono in out else v
+        return _polydiff(parent, {e: c for e, c in out.items() if not c.is_zero()})
 
     def _key(self):
         return self.terms
+
+
+_new = object.__new__
+
+
+def _polydiff(parent: PolyDiffField, terms: dict) -> PolyDiffElem:
+    """The trusted constructor: terms maps exponent tuples to nonzero elements of the base."""
+    x = _new(PolyDiffElem)
+    x.parent = parent
+    x.terms = terms
+    return x

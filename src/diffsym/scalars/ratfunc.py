@@ -200,11 +200,14 @@ class RatFunc(FieldElem):
 
     def derive(self) -> "RatFunc":
         """Quotient-rule derivative; zero if the field carries the zero derivation."""
-        if self.parent.is_zero_derivation:
-            return self.parent.zero()
-        dn = self.num.derivative()
-        dd = self.den.derivative()
-        return RatFunc(self.parent, dn * self.den - self.num * dd, self.den * self.den)
+        parent = self.parent
+        num, den = self.num, self.den
+        if parent.is_zero_derivation or not num.coeffs:
+            return parent._zero
+        if len(den.coeffs) == 1:
+            # den = 1, so num'/1 is canonical, and 0/1 when num is a constant
+            return _ratfunc(parent, num.derivative(), den)
+        return RatFunc(parent, num.derivative() * den - num * den.derivative(), den * den)
 
     def _key(self):
         return self.num.coeffs, self.den.coeffs

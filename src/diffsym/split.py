@@ -103,17 +103,33 @@ class PhiMap:
         return DiffMatrix(self.ext_field, rows)
 
 
-def t_r_value(m: int, r: int) -> Fraction:
-    """t_r as the cyclotomic sum, asserted equal to (m-1)/2 - r."""
+def t_r_values(m: int) -> list[Fraction]:
+    """[t_0, ..., t_{m-1}] as the cyclotomic sums, each asserted equal to (m-1)/2 - r.
+
+    t_r = sum_{i=1}^{m-1} (w^(ri) (1 - w^i))^-1 = sum_i w^(-ri) (1 - w^i)^-1,
+    and the m - 1 inverses (1 - w^i)^-1 do not depend on r, so they are
+    computed once per call; every one of the m sums is still computed and
+    checked.
+    """
     cyclo = CycloField(m)
     w = cyclo.omega()
-    total = cyclo.zero()
-    for i in range(1, m):
-        total = total + (w ** (r * i) * (cyclo.one() - w**i)).inv()
-    closed = Fraction(m - 1, 2) - r
-    if not total == cyclo.from_rational(closed):
-        raise AssertionError(f"t_r sum disagrees with the closed form at m={m}, r={r}")
-    return closed
+    w_pows = [w**k for k in range(m)]
+    inv_gaps = [(cyclo.one() - w_pows[i]).inv() for i in range(1, m)]
+    values = []
+    for r in range(m):
+        total = cyclo.zero()
+        for i, g in enumerate(inv_gaps, start=1):
+            total = total + w_pows[-(r * i) % m] * g
+        closed = Fraction(m - 1, 2) - r
+        if not total == cyclo.from_rational(closed):
+            raise AssertionError(f"t_r sum disagrees with the closed form at m={m}, r={r}")
+        values.append(closed)
+    return values
+
+
+def t_r_value(m: int, r: int) -> Fraction:
+    """t_r as the cyclotomic sum, asserted equal to (m-1)/2 - r (all m sums are checked)."""
+    return t_r_values(m)[r]
 
 
 def compute_Ps(phi: PhiMap) -> DiffMatrix:
@@ -121,7 +137,7 @@ def compute_Ps(phi: PhiMap) -> DiffMatrix:
     m = phi.algebra.m
     e = phi.ext_field
     rate = e.coerce(phi.algebra.beta.derive()) / (e.coerce(phi.algebra.beta) * m)
-    return DiffMatrix.diagonal(e, [rate * Fraction(t_r_value(m, r)) for r in range(m)])
+    return DiffMatrix.diagonal(e, [rate * t for t in t_r_values(m)])
 
 
 def closed_form_P(theta: SymbolElem, phi: PhiMap) -> DiffMatrix:
@@ -248,7 +264,7 @@ def split_standard(algebra: SymbolAlgebra) -> SplitReport:
     elif m % 2 == 1:
         e = KummerField(xi_field, algebra.beta, m, "eta")
         eta = e.gen()
-        f_mat = DiffMatrix.diagonal(e, [eta ** int(t_r_value(m, r)) for r in range(m)])
+        f_mat = DiffMatrix.diagonal(e, [eta ** int(t) for t in t_r_values(m)])
         tower.append(_tower_entry(e))
         rules.append(f"delta(eta) = delta(beta)/({m} beta) eta")
         degree = m * m

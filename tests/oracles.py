@@ -9,9 +9,15 @@ minor identity T_alpha^-1 B' T_beta = -A' for the relations of a derivation,
 Q(w) arithmetic on ``Fraction`` coefficient vectors with the inverse by
 the extended Euclidean algorithm in place of the integer vectors and the
 Galois conjugates, Q(w)(t) arithmetic that cancels one gcd of the
-unreduced result in place of Henrici's gcds of the operands' parts, and the
+unreduced result, the quotient rule included, in place of Henrici's gcds of
+the operands' parts and the polynomial shortcut of ``derive``, the
 determinant as the sum over all permutations in place of the diagonal,
-elimination and specialisation certificate of ``verify_gauge``.
+elimination and specialisation certificate of ``verify_gauge``, Kummer
+arithmetic on the dense vector of all m coefficients, zeros included, with
+every inverse by the extended Euclidean algorithm in place of the sparse
+terms and the closed form for a monomial, and the derivative of a
+differential polynomial summed one partial product at a time through the
+coercing constructor in place of one pass over the support.
 """
 
 from fractions import Fraction
@@ -19,6 +25,7 @@ from fractions import Fraction
 from diffsym.linalg import invert_matrix, solve_affine
 from diffsym.matdiff import DiffMatrix, apply_dP
 from diffsym.scalars import Poly, RatFunc
+from diffsym.scalars.monomial import PolyDiffElem
 from diffsym.scalars.ode import OdeSolution, _homogeneous_basis, _proportional
 from diffsym.scalars.polys import QQ, poly_extended_gcd
 from diffsym.split import IsoVerdict
@@ -297,3 +304,75 @@ def canonical_neg(x):
 
 def canonical_inv(x):
     return RatFunc(x.parent, x.den, x.num)
+
+
+def canonical_derive(x):
+    """(a/b)' = (a' b - a b')/b^2, reduced by the canonicalising constructor; 0 under the zero derivation."""
+    if x.parent.is_zero_derivation:
+        return x.parent.zero()
+    return RatFunc(x.parent, x.num.derivative() * x.den - x.num * x.den.derivative(), x.den * x.den)
+
+
+def dense_kummer_add(x, y):
+    """x + y on the dense coefficient vectors, as a tuple of m base elements."""
+    return tuple(a + b for a, b in zip(x.coeffs, y.coeffs))
+
+
+def dense_kummer_neg(x):
+    return tuple(-a for a in x.coeffs)
+
+
+def dense_kummer_mul(x, y):
+    """x * y by the m^2 schoolbook products, each wrapped term times alpha on its own."""
+    field = x.parent
+    m = field.m
+    out = [field.base.zero()] * m
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            k = i + j
+            term = a * b
+            if k >= m:
+                k -= m
+                term = term * field.alpha
+            out[k] = out[k] + term
+    return tuple(out)
+
+
+def dense_kummer_inv(x):
+    """x^-1 mod z^m - alpha by the extended Euclidean algorithm, monomials included."""
+    field = x.parent
+    base = field.base
+    modulus = Poly(base, [-field.alpha] + [base.zero()] * (field.m - 1) + [base.one()])
+    g, s, _ = poly_extended_gcd(Poly(base, list(x.coeffs)), modulus)
+    if g.degree != 0:
+        raise ZeroDivisionError("not invertible mod z^m - alpha")
+    return tuple(s.coeff(i) for i in range(field.m))
+
+
+def dense_kummer_derive(x):
+    """delta(sum c_i xi^i) = sum (delta(c_i) + i c_i rate) xi^i over all m slots."""
+    rate = x.parent.gen_rate
+    return tuple(c.derive() + c * rate * i for i, c in enumerate(x.coeffs))
+
+
+def dense_kummer_conjugate(x, j):
+    field = x.parent
+    w = field.cyclo.omega()
+    return tuple(c * field.base.coerce(w ** ((i * j) % field.cyclo.m)) for i, c in enumerate(x.coeffs))
+
+
+def polydiff_derive(x):
+    """d(x) as the sum of d(c) x^e and every partial e_i c x^(e - 1_i) times d(x_i)."""
+    parent = x.parent
+    total = parent.zero()
+    for exps, c in x.terms.items():
+        mono = PolyDiffElem(parent, {exps: parent.base.one()})
+        total = total + mono.scale(c.derive())
+        for i, e in enumerate(exps):
+            if e == 0:
+                continue
+            lowered = list(exps)
+            lowered[i] -= 1
+            partial = PolyDiffElem(parent, {tuple(lowered): c * e})
+            total = total + partial * parent.gen_derivative(i)
+    return total

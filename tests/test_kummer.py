@@ -2,6 +2,7 @@
 
 import pytest
 
+from diffsym import inner_derivation, standard_derivation
 from diffsym.scalars import (
     CycloField,
     KummerField,
@@ -9,6 +10,20 @@ from diffsym.scalars import (
     PolyDiffField,
     RatFuncField,
     ReducibleRadicandError,
+)
+from diffsym.scalars.kummer import KummerElem
+from diffsym.scalars.monomial import PolyDiffElem
+from diffsym.split import PhiMap, compute_P, split_generic
+from diffsym.symalg import SymbolAlgebra
+from generators import random_trace_zero
+from oracles import (
+    dense_kummer_add,
+    dense_kummer_conjugate,
+    dense_kummer_derive,
+    dense_kummer_inv,
+    dense_kummer_mul,
+    dense_kummer_neg,
+    polydiff_derive,
 )
 
 
@@ -168,3 +183,116 @@ def test_negative_powers_of_the_generator():
         assert gen ** (-field.m) == field.coerce(field.alpha).inv()
     with pytest.raises(ZeroDivisionError):
         xi_field.zero().inv()
+
+
+def _random_scalar(field, rng, density):
+    """A seeded element of ``field``: each Kummer coefficient is nonzero with probability ``density``."""
+    if isinstance(field, KummerField):
+        base = field.base
+        return KummerElem(
+            field, [_random_scalar(base, rng, density) if rng.random() < density else base.zero() for _ in range(field.m)]
+        )
+    t, w = field.gen(), field.omega()
+    num = t * rng.randint(-3, 3) + w * rng.randint(-2, 2) + rng.randint(1, 3)
+    return num / (t + rng.randint(1, 4)) if rng.random() < 0.5 else num
+
+
+def _random_nonzero(field, rng, density):
+    while True:
+        x = _random_scalar(field, rng, density)
+        if not x.is_zero():
+            return x
+
+
+def _samples(field, rng, n_random, density):
+    """Zero, one, a base element, two monomials c gen^k and n_random seeded elements, all but zero nonzero."""
+    samples = [field.zero(), field.one(), field.coerce(_random_nonzero(field.base, rng, density))]
+    for k in (1, field.m - 1):
+        samples.append(field.gen() ** k * field.coerce(_random_nonzero(field.base, rng, density)))
+    samples += [_random_nonzero(field, rng, density) for _ in range(n_random)]
+    return samples
+
+
+def _support(x):
+    """The number of Q(w)(t) coefficients stored in x, down the whole tower."""
+    return sum(_support(c) for c in x.terms.values()) if isinstance(x, KummerElem) else 1
+
+
+def _assert_canonical(x):
+    """The stored terms: exponents in [0, m), no zero coefficient, each in the base field."""
+    assert all(0 <= i < x.parent.m for i in x.terms)
+    assert all(not c.is_zero() for c in x.terms.values())
+    assert all(c == x.parent.base.coerce(c) for c in x.terms.values())
+
+
+def _agrees(got, dense):
+    _assert_canonical(got)
+    assert got.coeffs == dense
+    assert got == KummerElem(got.parent, dense)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_sparse_kummer_matches_the_dense_oracle(m, rng):
+    """+, -, *, inv, derive, conjugate, == and hash against dense arithmetic, up the tower."""
+    xi_field, eta_field, zeta_field = _towers(m)
+    top = eta_field if m % 2 else zeta_field
+    for field, n_random, density in ((xi_field, 4, 0.6), (top, 2, 0.35)):
+        samples = _samples(field, rng, n_random, density)
+        for x in samples:
+            _assert_canonical(x)
+            assert hash(x) == hash(KummerElem(field, x.coeffs))
+            if x.is_base():
+                assert hash(x) == hash(x.base_value())
+                assert x == x.base_value()
+            _agrees(-x, dense_kummer_neg(x))
+            _agrees(x.derive(), dense_kummer_derive(x))
+            for j in (1, m - 1):
+                _agrees(x.conjugate(j), dense_kummer_conjugate(x, j))
+            # Euclid's coefficients swell with the support, so only small supports are inverted
+            if 0 < _support(x) <= 2:
+                _agrees(x.inv(), dense_kummer_inv(x))
+        for x in samples:
+            for y in samples:
+                _agrees(x + y, dense_kummer_add(x, y))
+                _agrees(x - y, dense_kummer_add(x, -y))
+                _agrees(x * y, dense_kummer_mul(x, y))
+                assert (x == y) == (x.coeffs == y.coeffs)
+                assert hash(x * y) == hash(y * x)
+                assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+
+
+def _random_laurent(field, rng, n_terms):
+    """A seeded sum of n_terms monomials with exponents in [-2, 2]; constant coefficients are among them."""
+    base = field.base
+    t = base.gen()
+    x = field.zero()
+    for _ in range(n_terms):
+        exps = tuple(rng.randint(-2, 2) for _ in range(field.n))
+        c = base.coerce(rng.randint(1, 4)) if rng.random() < 0.5 else t * rng.randint(1, 3) + rng.randint(-2, 2)
+        x = x + PolyDiffElem(field, {exps: c})
+    return x
+
+
+@pytest.mark.parametrize("derivation", ["dt", "zero"])
+def test_polydiff_derive_matches_the_term_by_term_oracle(derivation, rng):
+    k = RatFuncField(CycloField(3), "t", derivation)
+    e = PolyDiffField(k, ["x0", "x1", "x2"])
+    for i in range(e.n):
+        e.set_gen_derivative(i, _random_laurent(e, rng, 3))
+    rates = MonomialDiffField(k, ["y0", "y1"], [k.gen(), k.one() * 2])
+    for field in (e, rates):
+        for n_terms in (0, 1, 2, 5):
+            x = _random_laurent(field, rng, n_terms)
+            got = x.derive()
+            assert got == polydiff_derive(x)
+            assert all(not c.is_zero() for c in got.terms.values())
+
+
+def test_generic_gauge_derivative_matches_the_oracle(rng):
+    k = RatFuncField(CycloField(3), "t")
+    t = k.gen()
+    alg = SymbolAlgebra(k, t, t + k.one(), 3)
+    phi = PhiMap(alg, KummerField(k, t, 3, "xi"))
+    d = standard_derivation(alg) + inner_derivation(random_trace_zero(alg, rng))
+    f = split_generic(compute_P(d, phi)).f
+    assert all(a.derive() == polydiff_derive(a) for row in f.rows for a in row)

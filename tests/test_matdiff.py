@@ -44,6 +44,23 @@ def test_derive_is_leibniz_on_products(k):
     assert (a * b).derive() == a.derive() * b + a * b.derive()
 
 
+def test_derive_passes_zero_entries_through():
+    """Entry-wise derive, on matrices whose zero entries are skipped, over k, k(xi) and a polynomial ring."""
+    k = RatFuncField(CycloField(3), "t")
+    t = k.gen()
+    xi_field = KummerField(k, t, 3, "xi")
+    xi = xi_field.gen()
+    ring = PolyDiffField(k, ["x0", "x1"])
+    x0, x1 = ring.gen(0), ring.gen(1)
+    ring.set_gen_derivative(0, x1.scale(t))
+    ring.set_gen_derivative(1, x0 + x1)
+    for field, a, b in ((k, t, 1 / (t + 1)), (xi_field, xi, xi * xi + t), (ring, x0 * x1, x1.scale(t))):
+        z = field.zero()
+        for rows in ([[z, z], [z, z]], [[a, z], [z, b]], [[z, a, z], [b, z, field.one()], [z, z, a * b]]):
+            mat = DiffMatrix(field, rows)
+            assert mat.derive().rows == tuple(tuple(x.derive() for x in r) for r in mat.rows)
+
+
 def test_apply_dP_is_a_derivation(k):
     t = k.gen()
     p = DiffMatrix(k, [[k.zero(), t], [k.one(), k.zero()]])

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from diffsym.scalars import CycloElem, CycloField, Poly, RatFunc, RatFuncField, poly_gcd, ratfunc
-from oracles import canonical_add, canonical_inv, canonical_mul, canonical_neg
+from oracles import canonical_add, canonical_derive, canonical_inv, canonical_mul, canonical_neg
 
 
 @pytest.fixture
@@ -165,6 +165,25 @@ def test_henrici_arithmetic_agrees_with_the_canonicalising_oracle(m, derivation,
         if not x.is_zero():
             _same(x.inv(), canonical_inv(x))
             _same(y / x, canonical_mul(y, canonical_inv(x)))
+
+
+@pytest.mark.parametrize("derivation", ["dt", "zero"])
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_derive_agrees_with_the_quotient_rule(m, derivation, rng):
+    """0, constants, polynomials and proper fractions: the quotient rule, in canonical form."""
+    k = RatFuncField(CycloField(m), "t", derivation)
+    pairs, _ = _henrici_pairs(k, rng)
+    t = k.gen()
+    samples = [k.zero(), k.coerce(3), k.omega(), t, t**3 * 2 - t + k.omega(), 1 / t, (t + 1) / (t * t - 2)]
+    samples += [x for pair in pairs for x in pair]
+    kinds = {"polynomial": 0, "fraction": 0}
+    for x in samples:
+        got = x.derive()
+        _same(got, canonical_derive(x))
+        if not got.is_zero():
+            assert poly_gcd(got.num, got.den).degree == 0
+        kinds["polynomial" if x.den.degree == 0 else "fraction"] += 1
+    assert min(kinds.values()) >= 5
 
 
 def test_henrici_gcd_counts(monkeypatch):
