@@ -239,31 +239,32 @@ def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _cyclo_str(c: CycloElem) -> str:
-    parts = []
-    for i in range(len(c.coeffs) - 1, -1, -1):
-        q = c.coeffs[i]
-        if q == 0:
-            continue
-        if i == 0:
-            mono = None
-        elif i == 1:
-            mono = "w"
-        else:
-            mono = f"w^{i}"
-        if mono is None:
-            body = _frac_str(abs(q))
-        elif abs(q) == 1:
-            body = mono
-        else:
-            body = f"{_frac_str(abs(q))}*{mono}"
-        if not parts:
-            parts.append(body if q > 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if q > 0 else f" - {body}")
-    if not parts:
+def _mono(var: str, i: int) -> str | None:
+    """var^i; var^1 prints as var, and var^0 as None (no monomial)."""
+    if i == 0:
+        return None
+    return var if i == 1 else f"{var}^{i}"
+
+
+def _rational_term(q: Fraction, mono: str | None) -> tuple:
+    """(q < 0, |q|*mono), with a unit magnitude dropped before a monomial."""
+    mag = abs(q)
+    if mono is None:
+        return q < 0, _frac_str(mag)
+    return q < 0, mono if mag == 1 else f"{_frac_str(mag)}*{mono}"
+
+
+def _signed_sum(terms) -> str:
+    """(negative, body) pairs, highest power first, joined as -a + b - c; 0 for no terms."""
+    s = "".join(f" - {body}" if negative else f" + {body}" for negative, body in terms)
+    if not s:
         return "0"
-    return "".join(parts)
+    return f"-{s[3:]}" if s[1] == "-" else s[3:]
+
+
+def _cyclo_str(c: CycloElem) -> str:
+    q = c.coeffs
+    return _signed_sum(_rational_term(q[i], _mono("w", i)) for i in range(len(q) - 1, -1, -1) if q[i])
 
 
 def _cyclo_factor_str(c: CycloElem) -> str:
@@ -275,38 +276,18 @@ def _cyclo_factor_str(c: CycloElem) -> str:
 
 
 def _poly_str(p: Poly, var: str) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
+    terms = []
     for i in range(p.degree, -1, -1):
-        c = p.coeff(i)
+        c = p.coeffs[i]
         if c.is_zero():
             continue
-        if i == 0:
-            mono = None
-        elif i == 1:
-            mono = var
-        else:
-            mono = f"{var}^{i}"
+        mono = _mono(var, i)
         if c.is_rational():
-            q = c.rational_value()
-            sign = "-" if q < 0 else "+"
-            mag = abs(q)
-            if mono is None:
-                body = _frac_str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{_frac_str(mag)}*{mono}"
+            terms.append(_rational_term(c.rational_value(), mono))
         else:
-            sign = "+"
             cs = _cyclo_factor_str(c)
-            body = cs if mono is None else f"{cs}*{mono}"
-        if not parts:
-            parts.append(body if sign == "+" else f"-{body}")
-        else:
-            parts.append(f" + {body}" if sign == "+" else f" - {body}")
-    return "".join(parts)
+            terms.append((False, cs if mono is None else f"{cs}*{mono}"))
+    return _signed_sum(terms)
 
 
 def _ratfunc_str(f: RatFunc) -> str:

@@ -10,6 +10,7 @@ or a fully generic polynomial field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -210,14 +211,25 @@ def verify_diff_isomorphism(phi: PhiMap, d: Derivation, p: DiffMatrix) -> IsoVer
 
 @dataclass
 class SplitReport:
+    """``extension["tower"]`` lists the adjoined generators, each with its certified Kummer power or None."""
+
     extension: dict
     p: DiffMatrix
     f: DiffMatrix
     gauge: GaugeVerdict
     isomorphism: IsoVerdict | None
-    degree: int | None
-    transcendence_degree: int
     diagnostics: list
+
+    @property
+    def degree(self) -> int | None:
+        """The product of the Kummer powers, or None once a generator is transcendental."""
+        powers = [g["power"] for g in self.extension["tower"]]
+        return None if None in powers else math.prod(powers)
+
+    @property
+    def transcendence_degree(self) -> int:
+        """The number of transcendental generators."""
+        return sum(g["power"] is None for g in self.extension["tower"])
 
     @property
     def passed(self) -> bool:
@@ -244,48 +256,43 @@ def _tower_entry(field: KummerField) -> dict:
     return {"gen": field.gen_name, "power": field.m, "radicand": scalar_to_str(field.alpha)}
 
 
+def _diagonal_split(phi, d, p, e, gens, exponents, extension, diagnostics) -> SplitReport:
+    """The report for the diagonal gauge F = diag(prod_i gens[i]^exponents[r][i]) over E.
+
+    With delta(g_i) = c_i g_i, delta(F[r][r]) = (sum_i exponents[r][i] c_i) F[r][r]:
+    F is a gauge for a diagonal P when each row of exponents weights the rates to P[r][r].
+    """
+    iso = verify_diff_isomorphism(phi, d, p)
+    entries = [math.prod((g**n for g, n in zip(gens, row) if n), start=e.one()) for row in exponents]
+    f_mat = DiffMatrix.diagonal(e, entries)
+    return SplitReport(extension, p, f_mat, verify_gauge(p.coerce_to(e), f_mat), iso, diagnostics)
+
+
 def split_standard(algebra: SymbolAlgebra) -> SplitReport:
-    """Finite splitting field for d_s: degree m^2 (m odd) or 2m^2 (m even)."""
+    """Finite splitting field for d_s: adjoin xi and g with g^(nm) = beta, and F = diag(g^(n t_r)).
+
+    n is the denominator of the t_r = (m-1)/2 - r: for odd m, n = 1 and
+    g = eta, of degree m^2; for even m, n = 2 and g = zeta, of degree 2m^2.
+    A constant beta adjoins no g: P_s = 0 and F = I over k(xi), of degree m.
+    """
     k = algebra.field
     if not isinstance(k, RatFuncField):
         raise ValueError("standard splitting is built over the rational function field")
     m = algebra.m
     xi_field = KummerField(k, algebra.alpha, m, "xi")
     phi = PhiMap(algebra, xi_field)
-    ps = compute_Ps(phi)
-    iso = verify_diff_isomorphism(phi, standard_derivation(algebra), ps)
-    dbeta = algebra.beta.derive()
-    tower = [_tower_entry(xi_field)]
-    rules = [f"delta(xi) = delta(alpha)/({m} alpha) xi"]
-    if dbeta.is_zero():
-        e = xi_field
-        f_mat = DiffMatrix.identity(e, m)
-        degree = m
-    elif m % 2 == 1:
-        e = KummerField(xi_field, algebra.beta, m, "eta")
-        eta = e.gen()
-        f_mat = DiffMatrix.diagonal(e, [eta ** int(t) for t in t_r_values(m)])
-        tower.append(_tower_entry(e))
-        rules.append(f"delta(eta) = delta(beta)/({m} beta) eta")
-        degree = m * m
-    else:
-        e = KummerField(xi_field, algebra.beta, 2 * m, "zeta")
-        zeta = e.gen()
-        f_mat = DiffMatrix.diagonal(e, [zeta ** (m - 1 - 2 * r) for r in range(m)])
-        tower.append(_tower_entry(e))
-        rules.append(f"delta(zeta) = delta(beta)/({2 * m} beta) zeta")
-        degree = 2 * m * m
-    gauge = verify_gauge(ps.coerce_to(e), f_mat)
-    return SplitReport(
-        extension={"tower": tower, "derivation_rules": rules},
-        p=ps,
-        f=f_mat,
-        gauge=gauge,
-        isomorphism=iso,
-        degree=degree,
-        transcendence_degree=0,
-        diagnostics=[],
-    )
+    ext = {"tower": [_tower_entry(xi_field)], "derivation_rules": [f"delta(xi) = delta(alpha)/({m} alpha) xi"]}
+    t0 = Fraction(m - 1, 2)  # t_r = t0 - r, which compute_Ps checks against the cyclotomic sums
+    n = t0.denominator
+    e, gens = xi_field, []
+    if not algebra.beta.derive().is_zero():
+        name = "eta" if n == 1 else "zeta"
+        e = KummerField(xi_field, algebra.beta, n * m, name)
+        gens = [e.gen()]
+        ext["tower"].append(_tower_entry(e))
+        ext["derivation_rules"].append(f"delta({name}) = delta(beta)/({n * m} beta) {name}")
+    exponents = [[int(n * (t0 - r))] * len(gens) for r in range(m)]
+    return _diagonal_split(phi, standard_derivation(algebra), compute_Ps(phi), e, gens, exponents, ext, [])
 
 
 def find_twist_partner(rho1: SymbolElem):
@@ -314,50 +321,39 @@ def _require_u_polynomial(rho: SymbolElem):
                 )
 
 
-def _exponential_split(phi: PhiMap, rho: SymbolElem, p: DiffMatrix, trdeg: int, diagnostics: list) -> SplitReport:
-    """Report for inner(rho), P = Phi(rho) diagonal: adjoin x_r with delta(x_r) = P[r][r] x_r, r < trdeg.
+def _exponential_split(phi: PhiMap, rho: SymbolElem, p: DiffMatrix, rates, exponents, diagnostics: list) -> SplitReport:
+    """Report for inner(rho), P = Phi(rho) diagonal: adjoin x_i with delta(x_i) = rates[i] x_i.
 
-    F = diag(x_0, ..., x_{trdeg-1}) followed by x_0^{-1}, x_1^{-1}, ... on
-    the remaining m - trdeg rows, whose rates must be the negated first ones.
+    Row r of the integer matrix exponents makes F[r][r] = prod_i x_i^exponents[r][i].
     """
-    m = phi.algebra.m
-    iso = verify_diff_isomorphism(phi, inner_derivation(rho), p)
-    names = [f"x{r}" for r in range(trdeg)]
-    rates = [p.rows[r][r] for r in range(trdeg)]
-    e = MonomialDiffField(phi.ext_field, names, rates)
-    entries = [e.gen(r) for r in range(trdeg)] + [e.gen(r) ** (-1) for r in range(m - trdeg)]
-    f_mat = DiffMatrix.diagonal(e, entries)
-    gauge = verify_gauge(p.coerce_to(e), f_mat)
     from .parser import scalar_to_str
 
-    return SplitReport(
-        extension={
-            "tower": [_tower_entry(phi.ext_field)] + [{"gen": n, "power": None, "radicand": None} for n in names],
-            "derivation_rules": [f"delta({n}) = ({scalar_to_str(r)}) {n}" for n, r in zip(names, rates)],
-        },
-        p=p,
-        f=f_mat,
-        gauge=gauge,
-        isomorphism=iso,
-        degree=None,
-        transcendence_degree=trdeg,
-        diagnostics=diagnostics,
-    )
+    names = [f"x{i}" for i in range(len(rates))]
+    e = MonomialDiffField(phi.ext_field, names, rates)
+    extension = {
+        "tower": [_tower_entry(phi.ext_field)] + [{"gen": n, "power": None, "radicand": None} for n in names],
+        "derivation_rules": [f"delta({n}) = ({scalar_to_str(r)}) {n}" for n, r in zip(names, rates)],
+    }
+    gens = [e.gen(i) for i in range(len(names))]
+    return _diagonal_split(phi, inner_derivation(rho), p, e, gens, exponents, extension, diagnostics)
 
 
 def split_inner_cyclic(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitReport:
-    """Transcendence-degree-m splitting field for inner(rho), zero base derivation."""
+    """Transcendence-degree-m splitting field for inner(rho), zero base derivation: exponents I."""
     _require_zero_base(algebra)
     rho = algebra.coerce_elem(rho)
-    if minimal_polynomial(rho).degree != algebra.m:
+    m = algebra.m
+    if minimal_polynomial(rho).degree != m:
         raise ValueError("rho does not generate a degree-m subfield")
     _require_u_polynomial(rho)
-    phi = PhiMap(algebra, KummerField(algebra.field, algebra.alpha, algebra.m, "xi"))
-    return _exponential_split(phi, rho, phi.apply(rho), algebra.m, [])
+    phi = PhiMap(algebra, KummerField(algebra.field, algebra.alpha, m, "xi"))
+    p = phi.apply(rho)
+    eye = [[int(r == i) for i in range(m)] for r in range(m)]
+    return _exponential_split(phi, rho, p, [p.rows[r][r] for r in range(m)], eye, [])
 
 
 def split_inner_even_half(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitReport:
-    """Transcendence degree m/2 for even m and rho a scalar multiple of u.
+    """Transcendence degree m/2 for even m and rho a scalar multiple of u: exponents [I; -I].
 
     The gauge matrix is diag(F0, F0^{-1}) with F0 = diag(x_0..x_{m/2-1}):
     the lower block must carry the inverse variables for delta^c(F) = PF
@@ -381,7 +377,9 @@ def split_inner_even_half(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitRepor
     for r in range(half):
         if not (p.rows[r][r] + p.rows[half + r][half + r]).is_zero():
             diagnostics.append(f"block antisymmetry fails at row {r}")
-    return _exponential_split(phi, rho, p, half, diagnostics)
+    eye = [[int(r == i) for i in range(half)] for r in range(half)]
+    exponents = eye + [[-n for n in row] for row in eye]
+    return _exponential_split(phi, rho, p, [p.rows[r][r] for r in range(half)], exponents, diagnostics)
 
 
 def split_generic(p: DiffMatrix) -> SplitReport:
@@ -414,8 +412,6 @@ def split_generic(p: DiffMatrix) -> SplitReport:
         f=f_mat,
         gauge=gauge,
         isomorphism=None,
-        degree=None,
-        transcendence_degree=m * m,
         diagnostics=[],
     )
 

@@ -1,0 +1,38 @@
+"""CLI reports pinned byte for byte.
+
+Each file under ``data/cli_golden`` is the exact ``--json`` stdout of the
+command listed for it below, written by the release before the explicit
+splitting constructions were folded into one diagonal gauge. A refactor of
+the splitting layer or of the printer must reproduce every byte, and exit 0.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from diffsym.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "cli_golden"
+_AB = ("--alpha", "t", "--beta", "t+1")
+
+CASES = {
+    **{f"split-standard-m{m}": ("split", "standard", "--m", str(m), *_AB) for m in range(2, 10)},
+    "split-standard-constant-beta-m3": ("split", "standard", "--m", "3", "--alpha", "t", "--beta", "3"),
+    "split-standard-w-radicands-m4": ("split", "standard", "--m", "4", "--alpha", "w*t", "--beta", "t+w"),
+    **{f"split-inner-m{m}": ("split", "inner", "--m", str(m), *_AB, "--rho", "u") for m in range(2, 6)},
+    **{f"split-inner-half-m{m}": ("split", "inner", "--m", str(m), *_AB, "--rho", "u", "--half") for m in (2, 4)},
+    **{f"split-generic-theta-m{m}": ("split", "generic", "--m", str(m), *_AB, "--theta", "u+v") for m in (2, 3, 4)},
+    "replay": ("replay",),
+}
+
+
+def test_every_golden_file_has_a_command():
+    assert sorted(p.stem for p in GOLDEN_DIR.glob("*.json")) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_json_report_is_byte_identical(name, capsys):
+    code = main([*CASES[name], "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode() == (GOLDEN_DIR / f"{name}.json").read_bytes()

@@ -14,12 +14,14 @@ from diffsym.split import (
     compute_P_with_diagnostics,
     compute_Ps,
     find_twist_partner,
+    _diagonal_split,
     maximal_subfield_necessary,
     norm_split_check,
     split_generic,
     split_inner_cyclic,
     split_inner_even_half,
     t_r_value,
+    t_r_values,
     verify_diff_isomorphism,
 )
 from generators import random_element, random_valid_derivation
@@ -316,3 +318,38 @@ def test_maximal_subfield_hypothesis_guard():
     alg = SymbolAlgebra(k, t**3, t + k.one(), 3)
     with pytest.raises(ValueError):
         maximal_subfield_necessary(alg, t)
+
+
+def _diagonal_inputs(kind, m):
+    """(phi, d, report, gens, exponents) of one explicit construction, as it calls _diagonal_split."""
+    if kind in ("eta", "zeta"):
+        alg = make_algebra(m)
+        rep = split_standard(alg)
+        n = 1 if kind == "eta" else 2
+        assert rep.f.field.gen_name == kind and rep.f.field.m == n * m
+        exponents = [[int(n * t)] for t in t_r_values(m)]
+        return PhiMap(alg, rep.f.field.base), standard_derivation(alg), rep, [rep.f.field.gen()], exponents
+    alg = make_algebra(m, derivation="zero")
+    rho = alg.coerce_elem(alg.u())
+    rep = split_inner_cyclic(alg, rho) if kind == "cyclic" else split_inner_even_half(alg, rho)
+    e = rep.f.field
+    eye = [[int(r == i) for i in range(e.n)] for r in range(e.n)]
+    exponents = eye if kind == "cyclic" else eye + [[-x for x in row] for row in eye]
+    return PhiMap(alg, e.base), inner_derivation(rho), rep, [e.gen(i) for i in range(e.n)], exponents
+
+
+@pytest.mark.parametrize("kind,m", [("eta", 3), ("eta", 5), ("zeta", 2), ("zeta", 4), ("cyclic", 3), ("half", 4)])
+def test_diagonal_split_fails_at_the_row_whose_exponent_is_off_by_one(kind, m):
+    phi, d, rep, gens, exponents = _diagonal_inputs(kind, m)
+    e = rep.f.field
+    same = _diagonal_split(phi, d, rep.p, e, gens, exponents, rep.extension, [])
+    assert same.passed and same.f == rep.f and same.to_json() == rep.to_json()
+    for r in range(m):
+        wrong = [list(row) for row in exponents]
+        wrong[r][r % len(gens)] += 1
+        bad = _diagonal_split(phi, d, rep.p, e, gens, wrong, rep.extension, [])
+        assert not bad.passed and not bad.gauge.ok
+        assert bad.gauge.failing_entry == (r, r)
+        assert (bad.gauge.det_nonzero, bad.gauge.det_method) == (True, "diagonal")
+        assert bad.isomorphism.ok
+        assert [bad.f.rows[s][s] == rep.f.rows[s][s] for s in range(m)] == [s != r for s in range(m)]
