@@ -18,7 +18,12 @@ from .scalars.elem import FieldElem
 
 
 class DiffMatrix(FieldElem):
-    """Square matrix over a differential field/ring descriptor."""
+    """Square matrix over a differential field/ring descriptor.
+
+    ``DiffMatrix(field, rows)`` checks the shape and coerces every entry;
+    arithmetic, whose entries already lie in the field, builds through the
+    trusted ``_matrix``.
+    """
 
     __slots__ = ("field", "rows")
 
@@ -35,26 +40,26 @@ class DiffMatrix(FieldElem):
 
     @classmethod
     def zero(cls, field, n: int) -> "DiffMatrix":
-        z = field.zero()
-        return cls(field, [[z] * n for _ in range(n)])
+        return _matrix(field, [[field.zero()] * n] * n)
 
     @classmethod
     def identity(cls, field, n: int) -> "DiffMatrix":
         z = field.zero()
         one = field.one()
-        return cls(field, [[one if i == j else z for j in range(n)] for i in range(n)])
+        return _matrix(field, [[one if i == j else z for j in range(n)] for i in range(n)])
 
     @classmethod
     def diagonal(cls, field, entries) -> "DiffMatrix":
         n = len(entries)
         z = field.zero()
-        return cls(field, [[field.coerce(entries[i]) if i == j else z for j in range(n)] for i in range(n)])
+        entries = [field.coerce(x) for x in entries]
+        return _matrix(field, [[entries[i] if i == j else z for j in range(n)] for i in range(n)])
 
     @classmethod
     def unit(cls, field, n: int, r: int, c: int, value=None) -> "DiffMatrix":
         rows = [[field.zero()] * n for _ in range(n)]
         rows[r][c] = field.one() if value is None else field.coerce(value)
-        return cls(field, rows)
+        return _matrix(field, rows)
 
     def entry(self, r: int, c: int):
         return self.rows[r][c]
@@ -71,42 +76,41 @@ class DiffMatrix(FieldElem):
 
     def __add__(self, other):
         self._coerce_other(other)
-        return DiffMatrix(self.field, [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        return _matrix(self.field, [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
 
     def __neg__(self):
-        return DiffMatrix(self.field, [[-a for a in r] for r in self.rows])
+        return _matrix(self.field, [[-a for a in r] for r in self.rows])
 
     def __mul__(self, other):
         if not isinstance(other, DiffMatrix):
             return self.scale(other)
         self._coerce_other(other)
-        n = self.size
         z = self.field.zero()
+        cols = list(zip(*other.rows))
         out = []
-        for i in range(n):
+        for r in self.rows:
             row = []
-            for j in range(n):
-                acc = z
-                for l in range(n):
-                    a = self.rows[i][l]
-                    b = other.rows[l][j]
+            for col in cols:
+                acc = None
+                for a, b in zip(r, col):
                     if a.is_zero() or b.is_zero():
                         continue
-                    acc = acc + a * b
-                row.append(acc)
+                    ab = a * b
+                    acc = ab if acc is None else acc + ab
+                row.append(z if acc is None else acc)
             out.append(row)
-        return DiffMatrix(self.field, out)
+        return _matrix(self.field, out)
 
     def scale(self, c) -> "DiffMatrix":
         c = self.field.coerce(c)
-        return DiffMatrix(self.field, [[a * c for a in r] for r in self.rows])
+        return _matrix(self.field, [[a * c for a in r] for r in self.rows])
 
     def inv(self):
         raise ValueError("negative powers of a matrix are not supported")
 
     def derive(self) -> "DiffMatrix":
         # a zero entry derives to itself
-        return DiffMatrix(self.field, [[a if a.is_zero() else a.derive() for a in r] for r in self.rows])
+        return _matrix(self.field, [[a if a.is_zero() else a.derive() for a in r] for r in self.rows])
 
     def trace(self):
         acc = self.field.zero()
@@ -124,7 +128,7 @@ class DiffMatrix(FieldElem):
         return self.rows == other.rows
 
     def coerce_to(self, new_field) -> "DiffMatrix":
-        return DiffMatrix(new_field, [[new_field.coerce(a) for a in r] for r in self.rows])
+        return _matrix(new_field, [[new_field.coerce(a) for a in r] for r in self.rows])
 
     def to_json(self):
         from .parser import scalar_to_str
@@ -138,6 +142,17 @@ class DiffMatrix(FieldElem):
 
     def __repr__(self):
         return "[" + "; ".join(", ".join(repr(a) for a in r) for r in self.rows) + "]"
+
+
+_new = object.__new__
+
+
+def _matrix(field, rows) -> DiffMatrix:
+    """The trusted constructor: rows is square and every entry lies in field."""
+    x = _new(DiffMatrix)
+    x.field = field
+    x.rows = tuple(map(tuple, rows))
+    return x
 
 
 def apply_dP(p: DiffMatrix, x: DiffMatrix) -> DiffMatrix:

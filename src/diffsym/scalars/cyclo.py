@@ -81,11 +81,17 @@ class CycloField:
         return self._one
 
     def from_rational(self, q) -> "CycloElem":
-        if type(q) is int:
-            return _elem(self, (q,) + self._zeros, 1)
-        if type(q) is not Fraction:
+        """q as an element; 0 and 1 are the field's interned zero() and one()."""
+        if type(q) is not int:
             q = Fraction(q)
-        return _elem(self, (q.numerator,) + self._zeros, q.denominator)
+            if q.denominator != 1:
+                return _elem(self, (q.numerator,) + self._zeros, q.denominator)
+            q = q.numerator
+        if q == 0:
+            return self._zero
+        if q == 1:
+            return self._one
+        return _elem(self, (q,) + self._zeros, 1)
 
     def omega(self) -> "CycloElem":
         """The class of x, a primitive m-th root of unity."""

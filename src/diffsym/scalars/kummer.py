@@ -30,6 +30,9 @@ class KummerField:
         self.alpha = alpha
         self.m = m
         self.gen_name = gen_name
+        self._base_one = base.one()
+        self._zero = _kummer(self, {})
+        self._one = _kummer(self, {0: self._base_one})
         self._certify_irreducible()
         # delta_E(xi) = delta(alpha)/(m*alpha) * xi
         self.gen_rate = alpha.derive() / (alpha * m)
@@ -74,13 +77,13 @@ class KummerField:
         return self.base.is_zero_derivation
 
     def zero(self) -> "KummerElem":
-        return _kummer(self, {})
+        return self._zero
 
     def one(self) -> "KummerElem":
-        return _kummer(self, {0: self.base.one()})
+        return self._one
 
     def gen(self) -> "KummerElem":
-        return _kummer(self, {1: self.base.one()})
+        return _kummer(self, {1: self._base_one})
 
     def generators(self) -> dict:
         """Name to element: this field's generator, then the base's generators."""
@@ -90,7 +93,11 @@ class KummerField:
         if isinstance(x, KummerElem) and (x.parent is self or x.parent == self):
             return x
         c = self.base.coerce(x)
-        return _kummer(self, {} if c.is_zero() else {0: c})
+        if c is self._base_one:
+            return self._one
+        if c.is_zero():
+            return self._zero
+        return _kummer(self, {0: c})
 
     def __eq__(self, other):
         return (
@@ -147,7 +154,8 @@ class KummerElem(FieldElem):
         return self.parent.base.zero() if c is None else c
 
     def __add__(self, other):
-        other = self._coerce_other(other)
+        if type(other) is not KummerElem or other.parent is not self.parent:
+            other = self.parent.coerce(other)
         if not other.terms:
             return self
         if not self.terms:
@@ -171,13 +179,27 @@ class KummerElem(FieldElem):
         return _kummer(self.parent, {i: -a for i, a in self.terms.items()})
 
     def __mul__(self, other):
-        other = self._coerce_other(other)
         parent = self.parent
+        if type(other) is not KummerElem or other.parent is not parent:
+            other = parent.coerce(other)
+        x, y = self.terms, other.terms
+        one = parent._base_one
+        if not x or len(y) == 1 and y.get(0) is one:
+            return self
+        if not y or len(x) == 1 and x.get(0) is one:
+            return other
+        # a factor in the base multiplies coefficient by coefficient, with no
+        # reduction by xi^m = alpha; the base is a field, so no product is zero
+        if len(x) == 1 and 0 in x:
+            x, y = y, x
+        if len(y) == 1 and 0 in y:
+            c = y[0]
+            return _kummer(parent, {i: a * c for i, a in x.items()})
         m = parent.m
         alpha = parent.alpha
         out = {}
-        for i, a in self.terms.items():
-            for j, b in other.terms.items():
+        for i, a in x.items():
+            for j, b in y.items():
                 k = i + j
                 term = a * b
                 if k >= m:

@@ -47,15 +47,15 @@ class PolyDiffField:
         return False
 
     def zero(self) -> "PolyDiffElem":
-        return PolyDiffElem(self, {})
+        return _polydiff(self, {})
 
     def one(self) -> "PolyDiffElem":
-        return PolyDiffElem(self, {(0,) * self.n: self.base.one()})
+        return _polydiff(self, {(0,) * self.n: self.base.one()})
 
     def gen(self, i: int) -> "PolyDiffElem":
         exps = [0] * self.n
         exps[i] = 1
-        return PolyDiffElem(self, {tuple(exps): self.base.one()})
+        return _polydiff(self, {tuple(exps): self.base.one()})
 
     def generators(self) -> dict:
         """Name to element for the parser: x0, x1, ..., then the base's generators."""
@@ -67,7 +67,7 @@ class PolyDiffField:
         c = self.base.coerce(x)
         if c.is_zero():
             return self.zero()
-        return PolyDiffElem(self, {(0,) * self.n: c})
+        return _polydiff(self, {(0,) * self.n: c})
 
     def __repr__(self):
         return f"{self.base!r}[{', '.join(self.names)}]"
@@ -86,7 +86,12 @@ class MonomialDiffField(PolyDiffField):
 
 
 class PolyDiffElem(FieldElem):
-    """Finite sum of monomials Prod x_i^{e_i} with base-field coefficients."""
+    """Finite sum of monomials Prod x_i^{e_i} with base-field coefficients.
+
+    ``PolyDiffElem(parent, terms)`` coerces each coefficient and drops the
+    zeros; arithmetic builds through the trusted ``_polydiff``, and a
+    coefficient product with the base's one is skipped.
+    """
 
     __slots__ = ("parent", "terms")
 
@@ -103,34 +108,45 @@ class PolyDiffElem(FieldElem):
         return not self.terms
 
     def scale(self, c) -> "PolyDiffElem":
-        c = self.parent.base.coerce(c)
-        return PolyDiffElem(self.parent, {e: v * c for e, v in self.terms.items()})
+        base = self.parent.base
+        c = base.coerce(c)
+        one = base.one()
+        if c is one:
+            return self
+        if c.is_zero():
+            return self.parent.zero()
+        # the base is a field, so a product of nonzero coefficients is nonzero
+        return _polydiff(self.parent, {e: c if v is one else v * c for e, v in self.terms.items()})
 
     def __add__(self, other):
-        other = self._coerce_other(other)
+        parent = self.parent
+        if type(other) is not PolyDiffElem or other.parent is not parent:
+            other = parent.coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out[e] + c if e in out else c
-        return PolyDiffElem(self.parent, out)
+        return _polydiff(parent, {e: c for e, c in out.items() if not c.is_zero()})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyDiffElem(self.parent, {e: -c for e, c in self.terms.items()})
+        return _polydiff(self.parent, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if not isinstance(other, PolyDiffElem):
+        parent = self.parent
+        if type(other) is not PolyDiffElem or other.parent is not parent:
             try:
-                other = self._coerce_other(other)
+                other = parent.coerce(other)
             except TypeError:
                 return NotImplemented
+        one = parent.base.one()
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
+                c = c2 if c1 is one else c1 if c2 is one else c1 * c2
                 out[e] = out[e] + c if e in out else c
-        return PolyDiffElem(self.parent, out)
+        return _polydiff(parent, {e: c for e, c in out.items() if not c.is_zero()})
 
     __rmul__ = __mul__
 
@@ -139,7 +155,7 @@ class PolyDiffElem(FieldElem):
         if len(self.terms) != 1:
             raise ValueError("negative powers are only available for single monomials")
         ((exps, c),) = self.terms.items()
-        return PolyDiffElem(self.parent, {tuple(-e for e in exps): self.parent.base.one() / c})
+        return _polydiff(self.parent, {tuple(-e for e in exps): c.inv()})
 
     def derive(self) -> "PolyDiffElem":
         """Leibniz extension of the base derivation and the generator images.
@@ -156,7 +172,7 @@ class PolyDiffElem(FieldElem):
             for i, e in enumerate(exps):
                 if e == 0:
                     continue
-                ce = c * e
+                ce = c if e == 1 else c * e
                 lowered = list(exps)
                 lowered[i] -= 1
                 for gexps, g in parent.gen_derivative(i).terms.items():

@@ -51,6 +51,11 @@ class RatFuncField:
         return self._constant(self.cyclo.omega())
 
     def _constant(self, c: CycloElem) -> "RatFunc":
+        """c/1; Q(w)'s interned one and zero give this field's one() and zero()."""
+        if c is self.cyclo._one:
+            return self._one
+        if c is self.cyclo._zero:
+            return self._zero
         return _ratfunc(self, _poly(self.cyclo, [c]), self._one_poly)
 
     def from_poly(self, num: Poly, den: Poly | None = None) -> "RatFunc":
@@ -135,13 +140,14 @@ class RatFunc(FieldElem):
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce_other(other)
+        parent = self.parent
+        if type(other) is not RatFunc or other.parent is not parent:
+            other = parent.coerce(other)
         a, b, c, d = self.num, self.den, other.num, other.den
         if not c.coeffs:
             return self
         if not a.coeffs:
             return other
-        parent = self.parent
         if len(b.coeffs) == 1 and len(d.coeffs) == 1:
             return _ratfunc(parent, a + c, b)
         if len(b.coeffs) == 1:
@@ -169,7 +175,15 @@ class RatFunc(FieldElem):
         return _ratfunc(self.parent, -self.num, self.den)
 
     def __mul__(self, other):
-        other = self._coerce_other(other)
+        parent = self.parent
+        if type(other) is not RatFunc or other.parent is not parent:
+            other = parent.coerce(other)
+        # a zero or the field's one takes no polynomial product
+        one = parent._one
+        if self is one:
+            return other
+        if other is one:
+            return self
         a, b, c, d = self.num, self.den, other.num, other.den
         if not a.coeffs:
             return self
@@ -184,7 +198,7 @@ class RatFunc(FieldElem):
             g2 = poly_gcd(c, b)
             if g2.degree > 0:
                 c, b = c.exact_div(g2), b.exact_div(g2)
-        return _ratfunc(self.parent, a * c, b * d)
+        return _ratfunc(parent, a * c, b * d)
 
     __rmul__ = __mul__
 

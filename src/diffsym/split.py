@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .deriv import Derivation, decompose, inner_derivation, standard_derivation
-from .matdiff import DiffMatrix, GaugeVerdict, apply_dP, verify_gauge
+from .matdiff import DiffMatrix, GaugeVerdict, _matrix, apply_dP, verify_gauge
 from .scalars import (
     CycloField,
     KummerField,
@@ -53,7 +53,7 @@ class PhiMap:
         rows[0][m - 1] = xi_field.coerce(algebra.beta)
         for r in range(1, m):
             rows[r][r - 1] = xi_field.one()
-        self.b_mat = DiffMatrix(xi_field, rows)
+        self.b_mat = _matrix(xi_field, rows)
         # _a_diag[i][r] = A^i[r][r] = xi^i w^((m-r)i mod m)
         self._a_diag = [[xi_field.one()] * m]
         for _ in range(1, m):
@@ -101,7 +101,7 @@ class PhiMap:
                     acc = acc * self._beta
                 row.append(acc)
             rows.append(row)
-        return DiffMatrix(self.ext_field, rows)
+        return _matrix(self.ext_field, rows)
 
 
 def t_r_values(m: int) -> list[Fraction]:
@@ -401,7 +401,7 @@ def split_generic(p: DiffMatrix) -> SplitReport:
                 if not p.rows[r][l].is_zero():
                     image = image + gens[l][s].scale(p.rows[r][l])
             e.set_gen_derivative(r * m + s, image)
-    f_mat = DiffMatrix(e, gens)
+    f_mat = _matrix(e, gens)
     gauge = verify_gauge(p.coerce_to(e), f_mat)
     return SplitReport(
         extension={

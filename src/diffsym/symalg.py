@@ -1,7 +1,10 @@
 """The symbol algebra A = (alpha, beta)_{k,w}: u^m = alpha, v^m = beta, vu = w uv.
 
 Elements are m x m coefficient grids over a pluggable coefficient field, so
-the same type serves A and A tensor E for any extension E of k.
+the same type serves A and A tensor E for any extension E of k.  The public
+``SymbolElem(algebra, grid)`` checks the shape and coerces every entry;
+arithmetic, whose entries already lie in the field, builds through the
+trusted ``_symbol``.
 """
 
 from __future__ import annotations
@@ -44,8 +47,7 @@ class SymbolAlgebra:
     # -- element constructors --------------------------------------------
 
     def zero_elem(self) -> "SymbolElem":
-        z = self.field.zero()
-        return SymbolElem(self, [[z] * self.m for _ in range(self.m)])
+        return _symbol(self, [[self.field.zero()] * self.m] * self.m)
 
     def one(self) -> "SymbolElem":
         return self.monomial(0, 0, self.field.one())
@@ -64,12 +66,12 @@ class SymbolAlgebra:
     def monomial(self, i: int, j: int, c) -> "SymbolElem":
         if not (0 <= i < self.m and 0 <= j < self.m):
             raise ValueError("exponents out of range")
-        out = self.zero_elem().grid_copy()
-        out[i][j] = self.field.coerce(c)
-        return SymbolElem(self, out)
+        grid = [[self.field.zero()] * self.m for _ in range(self.m)]
+        grid[i][j] = self.field.coerce(c)
+        return _symbol(self, grid)
 
     def from_grid(self, grid) -> "SymbolElem":
-        return SymbolElem(self, [[self.field.coerce(c) for c in row] for row in grid])
+        return SymbolElem(self, grid)
 
     def basis(self):
         return [self.monomial(i, j, self.field.one()) for i in range(self.m) for j in range(self.m)]
@@ -79,7 +81,10 @@ class SymbolAlgebra:
         return SymbolAlgebra(new_field, new_field.coerce(self.alpha), new_field.coerce(self.beta), self.m)
 
     def coerce_elem(self, x: "SymbolElem") -> "SymbolElem":
-        return self.from_grid([[self.field.coerce(c) for c in row] for row in x.grid])
+        """x itself when it belongs to this algebra, else its grid coerced once."""
+        if x.algebra is self:
+            return x
+        return SymbolElem(self, x.grid)
 
     def __eq__(self, other):
         return (
@@ -102,8 +107,9 @@ class SymbolElem(FieldElem):
     def __init__(self, algebra: SymbolAlgebra, grid):
         if len(grid) != algebra.m or any(len(r) != algebra.m for r in grid):
             raise ValueError("grid has the wrong shape")
+        coerce = algebra.field.coerce
         self.algebra = algebra
-        self.grid = tuple(tuple(row) for row in grid)
+        self.grid = tuple(tuple(coerce(c) for c in row) for row in grid)
 
     def grid_copy(self):
         return [list(row) for row in self.grid]
@@ -136,17 +142,14 @@ class SymbolElem(FieldElem):
 
     def __add__(self, other):
         other = self._coerce_other(other)
-        return SymbolElem(
-            self.algebra,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.grid, other.grid)],
-        )
+        return _symbol(self.algebra, [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.grid, other.grid)])
 
     def __neg__(self):
-        return SymbolElem(self.algebra, [[-c for c in row] for row in self.grid])
+        return _symbol(self.algebra, [[-c for c in row] for row in self.grid])
 
     def scale(self, c) -> "SymbolElem":
         c = self.algebra.field.coerce(c)
-        return SymbolElem(self.algebra, [[a * c for a in row] for row in self.grid])
+        return _symbol(self.algebra, [[a * c for a in row] for row in self.grid])
 
     def __mul__(self, other):
         if not isinstance(other, SymbolElem):
@@ -154,28 +157,28 @@ class SymbolElem(FieldElem):
         self._coerce_other(other)
         alg = self.algebra
         m = alg.m
+        w, alpha, beta = alg._omega_pow, alg.alpha, alg.beta
+        right = [(r, s, b) for r, row in enumerate(other.grid) for s, b in enumerate(row) if not b.is_zero()]
         out = [[alg.field.zero()] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(m):
-                a = self.grid[i][j]
+        for i, row in enumerate(self.grid):
+            for j, a in enumerate(row):
                 if a.is_zero():
                     continue
-                for r in range(m):
-                    for s in range(m):
-                        b = other.grid[r][s]
-                        if b.is_zero():
-                            continue
-                        # v^j u^r = w^(jr) u^r v^j
-                        c = a * b * alg._omega_pow[(j * r) % m]
-                        ii, jj = i + r, j + s
-                        if ii >= m:
-                            ii -= m
-                            c = c * alg.alpha
-                        if jj >= m:
-                            jj -= m
-                            c = c * alg.beta
-                        out[ii][jj] = out[ii][jj] + c
-        return SymbolElem(alg, out)
+                for r, s, b in right:
+                    c = a * b
+                    # v^j u^r = w^(jr) u^r v^j, and w^0 = 1 needs no product
+                    jr = j * r % m
+                    if jr:
+                        c = c * w[jr]
+                    ii, jj = i + r, j + s
+                    if ii >= m:
+                        ii -= m
+                        c = c * alpha
+                    if jj >= m:
+                        jj -= m
+                        c = c * beta
+                    out[ii][jj] = out[ii][jj] + c
+        return _symbol(alg, out)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -216,6 +219,17 @@ class SymbolElem(FieldElem):
         from .parser import symbol_to_str
 
         return symbol_to_str(self)
+
+
+_new = object.__new__
+
+
+def _symbol(algebra: SymbolAlgebra, grid) -> SymbolElem:
+    """The trusted constructor: grid is m x m and every entry lies in algebra.field."""
+    x = _new(SymbolElem)
+    x.algebra = algebra
+    x.grid = tuple(map(tuple, grid))
+    return x
 
 
 def twisted_centralizer(a: SymbolElem, c):

@@ -15,9 +15,13 @@ determinant as the sum over all permutations in place of the diagonal,
 elimination and specialisation certificate of ``verify_gauge``, Kummer
 arithmetic on the dense vector of all m coefficients, zeros included, with
 every inverse by the extended Euclidean algorithm in place of the sparse
-terms and the closed form for a monomial, and the derivative of a
+terms and the closed form for a monomial, the derivative of a
 differential polynomial summed one partial product at a time through the
-coercing constructor in place of one pass over the support.
+coercing constructor in place of one pass over the support, and symbol
+algebra and matrix arithmetic over every pair of entries, each product by
+w^(jr) taken even when it is w^0 = 1, built through the coercing
+constructors in place of the support of the right factor and the trusted
+constructors.
 """
 
 from fractions import Fraction
@@ -376,3 +380,72 @@ def polydiff_derive(x):
             partial = PolyDiffElem(parent, {tuple(lowered): c * e})
             total = total + partial * parent.gen_derivative(i)
     return total
+
+
+def dense_symbol_mul(x, y):
+    """x * y by the m^4 entry products, each times w^(jr), built through the coercing constructor."""
+    alg = x.algebra
+    m = alg.m
+    out = [[alg.field.zero()] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            a = x.grid[i][j]
+            if a.is_zero():
+                continue
+            for r in range(m):
+                for s in range(m):
+                    b = y.grid[r][s]
+                    if b.is_zero():
+                        continue
+                    # v^j u^r = w^(jr) u^r v^j
+                    c = a * b * alg._omega_pow[(j * r) % m]
+                    ii, jj = i + r, j + s
+                    if ii >= m:
+                        ii -= m
+                        c = c * alg.alpha
+                    if jj >= m:
+                        jj -= m
+                        c = c * alg.beta
+                    out[ii][jj] = out[ii][jj] + c
+    return SymbolElem(alg, out)
+
+
+def coercing_symbol_add(x, y):
+    return SymbolElem(x.algebra, [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(x.grid, y.grid)])
+
+
+def coercing_symbol_scale(x, c):
+    c = x.algebra.field.coerce(c)
+    return SymbolElem(x.algebra, [[a * c for a in row] for row in x.grid])
+
+
+def coercing_matrix_mul(x, y):
+    """x * y as the n^3 entry products summed from zero, built through the coercing constructor."""
+    n = x.size
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = x.field.zero()
+            for l in range(n):
+                a = x.rows[i][l]
+                b = y.rows[l][j]
+                if a.is_zero() or b.is_zero():
+                    continue
+                acc = acc + a * b
+            row.append(acc)
+        out.append(row)
+    return DiffMatrix(x.field, out)
+
+
+def coercing_matrix_add(x, y):
+    return DiffMatrix(x.field, [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(x.rows, y.rows)])
+
+
+def coercing_matrix_scale(x, c):
+    c = x.field.coerce(c)
+    return DiffMatrix(x.field, [[a * c for a in r] for r in x.rows])
+
+
+def coercing_matrix_derive(x):
+    return DiffMatrix(x.field, [[a.derive() for a in r] for r in x.rows])

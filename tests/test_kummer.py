@@ -296,3 +296,17 @@ def test_generic_gauge_derivative_matches_the_oracle(rng):
     d = standard_derivation(alg) + inner_derivation(random_trace_zero(alg, rng))
     f = split_generic(compute_P(d, phi)).f
     assert all(a.derive() == polydiff_derive(a) for row in f.rows for a in row)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_base_scalar_product_matches_the_dense_oracle(m, rng):
+    """A factor in the base, the field's one included, multiplies coefficient by coefficient."""
+    xi_field, eta_field, zeta_field = _towers(m)
+    for field in (xi_field, eta_field if m % 2 else zeta_field):
+        scalars = [field.one(), field.coerce(1)] + [field.coerce(c) for c in _base_samples(field)]
+        elements = _samples(field, rng, 2, 0.5)
+        for c in scalars:
+            assert c.is_base()
+            for x in elements:
+                for got in (x * c, c * x):
+                    _agrees(got, dense_kummer_mul(x, c))
