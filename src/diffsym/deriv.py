@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .symalg import SymbolAlgebra, SymbolElem, centralizer, in_generated_subfield
+from .symalg import SymbolAlgebra, SymbolElem, _symbol, centralizer, in_generated_subfield
 
 
 @dataclass
@@ -90,10 +90,13 @@ class Derivation:
             includes_base=self.includes_base or other.includes_base,
         )
 
-    def extend(self, new_field) -> "Derivation":
-        """The induced derivation on A tensor E for an extension field E."""
-        ext = self.algebra.extend(new_field)
-        return Derivation(ext, ext.coerce_elem(self.du), ext.coerce_elem(self.dv), self.includes_base)
+    def extend(self, ext: SymbolAlgebra) -> "Derivation":
+        """The induced derivation on A tensor E, where ext is ``algebra.extend(E)`` or an equal algebra."""
+        alg = self.algebra
+        coerce = ext.field.coerce
+        if not (ext.m == alg.m and ext.alpha == coerce(alg.alpha) and ext.beta == coerce(alg.beta)):
+            raise ValueError("ext is not the algebra extended to a larger field")
+        return Derivation(ext, self.du, self.dv, self.includes_base)
 
     def verdict(self) -> DerivationVerdict:
         return validate(self.algebra, self.du, self.dv)
@@ -101,9 +104,7 @@ class Derivation:
 
 def standard_derivation(algebra: SymbolAlgebra) -> Derivation:
     """d_s(u) = delta(alpha)/(m alpha) u, d_s(v) = delta(beta)/(m beta) v."""
-    m = algebra.m
-    ru = algebra.alpha.derive() / (algebra.alpha * m)
-    rv = algebra.beta.derive() / (algebra.beta * m)
+    ru, rv = algebra.standard_rates
     return Derivation(algebra, algebra.monomial(1, 0, ru), algebra.monomial(0, 1, rv))
 
 
@@ -127,31 +128,32 @@ def validate(algebra: SymbolAlgebra, du: SymbolElem, dv: SymbolElem) -> Derivati
     m = alg.m
     a = alg.coerce_elem(du).grid
     b = alg.coerce_elem(dv).grid
-    w = alg._omega_pow
-    one = alg.field.one()
     failing = []
 
-    ru = alg.alpha.derive() / (alg.alpha * m)
-    rv = alg.beta.derive() / (alg.beta * m)
+    ru, rv = alg.standard_rates
     if not a[1][0] == ru or any(not a[i][0].is_zero() for i in range(m) if i != 1):
         failing.append("A")
     if not b[0][1] == rv or any(not b[0][j].is_zero() for j in range(m) if j != 1):
         failing.append("B")
 
+    # 1 - w and the w^j - w enter O(m^2) terms, so each is computed once per call
+    w = alg._omega_pow
+    one_minus_w = alg.field.one() - w[1]
+    off = [wj - w[1] for wj in w]
     if not (a[0][m - 1] * alg.beta + b[m - 1][0] * alg.alpha).is_zero():
         failing.append("REL1")
     if any(
-        not (a[0][j - 1] * (one - w[1]) + b[m - 1][j] * (w[j] - w[1]) * alg.alpha).is_zero()
+        not (a[0][j - 1] * one_minus_w + b[m - 1][j] * off[j] * alg.alpha).is_zero()
         for j in range(1, m)
     ):
         failing.append("REL2")
     if any(
-        not (a[i][m - 1] * (w[i] - w[1]) * alg.beta + b[i - 1][0] * (one - w[1])).is_zero()
+        not (a[i][m - 1] * off[i] * alg.beta + b[i - 1][0] * one_minus_w).is_zero()
         for i in range(1, m)
     ):
         failing.append("REL3")
     if any(
-        not (a[i][j - 1] * (w[i] - w[1]) + b[i - 1][j] * (w[j] - w[1])).is_zero()
+        not (a[i][j - 1] * off[i] + b[i - 1][j] * off[j]).is_zero()
         for i in range(1, m)
         for j in range(1, m)
     ):
@@ -169,16 +171,16 @@ def decompose(d: Derivation) -> SymbolElem:
         raise ValueError(f"not a derivation: conditions {verdict.failing} fail")
     a = d.du.grid
     b = d.dv.grid
-    w = alg._omega_pow
-    one = alg.field.one()
+    # g[j] = (1 - w^j)^-1, so 1/(w^i - 1) = -g[i] and 1/((1 - w^j) alpha) = g[j] alpha^-1
+    g, alpha_inv = alg.inverse_gaps
     grid = [[alg.field.zero()] * m for _ in range(m)]
     for i in range(1, m):
-        grid[i][0] = b[i][1] / (w[i] - one)
+        grid[i][0] = -(b[i][1] * g[i])
     for j in range(1, m):
         for i in range(m - 1):
-            grid[i][j] = a[i + 1][j] / (one - w[j])
-        grid[m - 1][j] = a[0][j] / ((one - w[j]) * alg.alpha)
-    theta = SymbolElem(alg, grid)
+            grid[i][j] = a[i + 1][j] * g[j]
+        grid[m - 1][j] = a[0][j] * g[j] * alpha_inv
+    theta = _symbol(alg, grid)
     recomposed = standard_derivation(alg) + inner_derivation(theta)
     if not (recomposed.du == d.du and recomposed.dv == d.dv):
         raise AssertionError("decomposition failed to reproduce d(u), d(v)")

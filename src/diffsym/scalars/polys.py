@@ -159,12 +159,17 @@ class Poly(FieldElem):
             raise ZeroDivisionError("polynomial division by zero")
         q = [self.field.zero()] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
         rem = list(self.coeffs)
-        dlead_inv = self.field.one() / other.leading_coeff()
+        one = self.field.one()
+        lead = other.leading_coeff()
+        # a monic divisor, the common case, takes no inverse and no product by it
+        dlead_inv = None if lead == one else one / lead
         dd = other.degree
         low = other.coeffs[:dd]
         while len(rem) > dd:
             # the leading term cancels exactly, so it is dropped, not computed
-            c = rem.pop() * dlead_inv
+            c = rem.pop()
+            if dlead_inv is not None:
+                c = c * dlead_inv
             k = len(rem) - dd
             q[k] = c
             c = -c

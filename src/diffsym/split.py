@@ -10,6 +10,7 @@ or a fully generic polynomial field.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,10 +108,18 @@ class PhiMap:
 def t_r_values(m: int) -> list[Fraction]:
     """[t_0, ..., t_{m-1}] as the cyclotomic sums, each asserted equal to (m-1)/2 - r.
 
-    t_r = sum_{i=1}^{m-1} (w^(ri) (1 - w^i))^-1 = sum_i w^(-ri) (1 - w^i)^-1,
-    and the m - 1 inverses (1 - w^i)^-1 do not depend on r, so they are
-    computed once per call; every one of the m sums is still computed and
-    checked.
+    The sums are computed and checked on the first call for each m; later
+    calls read the checked values, each time as a new list.
+    """
+    return list(_checked_t_r(m))
+
+
+@functools.cache
+def _checked_t_r(m: int) -> tuple[Fraction, ...]:
+    """t_r = sum_{i=1}^{m-1} (w^(ri) (1 - w^i))^-1 = sum_i w^(-ri) (1 - w^i)^-1.
+
+    The m - 1 inverses (1 - w^i)^-1 do not depend on r, so they are computed
+    once; every one of the m sums is still computed and checked.
     """
     cyclo = CycloField(m)
     w = cyclo.omega()
@@ -125,20 +134,19 @@ def t_r_values(m: int) -> list[Fraction]:
         if not total == cyclo.from_rational(closed):
             raise AssertionError(f"t_r sum disagrees with the closed form at m={m}, r={r}")
         values.append(closed)
-    return values
+    return tuple(values)
 
 
 def t_r_value(m: int, r: int) -> Fraction:
     """t_r as the cyclotomic sum, asserted equal to (m-1)/2 - r (all m sums are checked)."""
-    return t_r_values(m)[r]
+    return _checked_t_r(m)[r]
 
 
 def compute_Ps(phi: PhiMap) -> DiffMatrix:
     """P for the standard derivation: (delta(beta)/(m beta)) diag(t_0..t_{m-1})."""
-    m = phi.algebra.m
     e = phi.ext_field
-    rate = e.coerce(phi.algebra.beta.derive()) / (e.coerce(phi.algebra.beta) * m)
-    return DiffMatrix.diagonal(e, [rate * t for t in t_r_values(m)])
+    rate = e.coerce(phi.algebra.standard_rates[1])
+    return DiffMatrix.diagonal(e, [rate * t for t in t_r_values(phi.algebra.m)])
 
 
 def closed_form_P(theta: SymbolElem, phi: PhiMap) -> DiffMatrix:
@@ -193,8 +201,8 @@ def verify_diff_isomorphism(phi: PhiMap, d: Derivation, p: DiffMatrix) -> IsoVer
     first and the variable t last; every derivation kills Q(w), so these
     decide agreement on all coefficients.
     """
-    d_ext = d.extend(phi.ext_field)
     alg = phi.ext_algebra
+    d_ext = d.extend(alg)
     one = phi.ext_field.one()
     # d_ext.dv and d_ext.du are d*(v) and d*(u); no basis images are built
     for label, x, image in (

@@ -9,6 +9,8 @@ trusted ``_symbol``.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .linalg import kernel_basis, solve_affine
 from .scalars import Poly
 from .scalars.elem import FieldElem
@@ -34,6 +36,28 @@ class SymbolAlgebra:
         self._check_primitive_root()
         # cache of omega powers as coefficient-field elements
         self._omega_pow = [field.coerce(self.omega**i) for i in range(m)]
+
+    # -- constants of the algebra, computed on first use ---------------------
+    #
+    # Not in __init__: many algebras are built and never decomposed, and the
+    # two groups are apart so that reading the rates costs none of the norms.
+
+    @cached_property
+    def standard_rates(self):
+        """(delta(alpha)/(m alpha), delta(beta)/(m beta)): d_s(u) = ru u and d_s(v) = rv v."""
+        m = self.m
+        return self.alpha.derive() / (self.alpha * m), self.beta.derive() / (self.beta * m)
+
+    @cached_property
+    def inverse_gaps(self):
+        """(g, alpha^-1) with g[j] = (1 - w^j)^-1 for j = 1..m-1 (g[0] is None).
+
+        Each g[j] is one inverse in Q(w), a norm, coerced into the field.
+        """
+        cyclo = self.field.cyclo
+        one = cyclo.one()
+        gaps = [None] + [self.field.coerce((one - self.omega**j).inv()) for j in range(1, self.m)]
+        return gaps, self.alpha.inv()
 
     def _check_primitive_root(self):
         w = self.omega

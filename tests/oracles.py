@@ -21,7 +21,9 @@ coercing constructor in place of one pass over the support, and symbol
 algebra and matrix arithmetic over every pair of entries, each product by
 w^(jr) taken even when it is w^0 = 1, built through the coercing
 constructors in place of the support of the right factor and the trusted
-constructors.
+constructors, and the decomposition d = d_s + inner(theta) dividing by
+w^i - 1, 1 - w^j and (1 - w^j) alpha on every call in place of the inverses
+cached on the algebra.
 """
 
 from fractions import Fraction
@@ -59,7 +61,7 @@ def dense_phi(phi, x, powers=None):
 def full_basis_verdict(phi, d, p):
     """Reference isomorphism check on all m^2 basis elements, on xi and on t, via dense Phi."""
     powers = matrix_powers(phi)
-    d_ext = d.extend(phi.ext_field)
+    d_ext = d.extend(phi.ext_algebra)
     alg = phi.ext_algebra
     for i in range(alg.m):
         for j in range(alg.m):
@@ -449,3 +451,24 @@ def coercing_matrix_scale(x, c):
 
 def coercing_matrix_derive(x):
     return DiffMatrix(x.field, [[a.derive() for a in r] for r in x.rows])
+
+
+def dividing_decompose(d):
+    """theta with d = d_s + inner(theta), each entry divided by its w-gap (and alpha) on the spot."""
+    alg = d.algebra
+    m = alg.m
+    verdict = d.verdict()
+    if not verdict.ok:
+        raise ValueError(f"not a derivation: conditions {verdict.failing} fail")
+    a = d.du.grid
+    b = d.dv.grid
+    w = alg._omega_pow
+    one = alg.field.one()
+    grid = [[alg.field.zero()] * m for _ in range(m)]
+    for i in range(1, m):
+        grid[i][0] = b[i][1] / (w[i] - one)
+    for j in range(1, m):
+        for i in range(m - 1):
+            grid[i][j] = a[i + 1][j] / (one - w[j])
+        grid[m - 1][j] = a[0][j] / ((one - w[j]) * alg.alpha)
+    return SymbolElem(alg, grid)

@@ -10,10 +10,19 @@ from fractions import Fraction
 
 import pytest
 
-from diffsym import SymbolAlgebra, inner_derivation, split_standard, standard_derivation
+from diffsym import SymbolAlgebra, decompose, inner_derivation, split_standard, standard_derivation
 from diffsym.matdiff import DiffMatrix
-from diffsym.scalars import CycloField, KummerField, Poly, RatFunc, RatFuncField
-from diffsym.split import PhiMap, compute_P, split_generic, split_inner_cyclic, split_inner_even_half
+from diffsym.scalars import CycloElem, CycloField, KummerField, Poly, RatFunc, RatFuncField
+from diffsym.split import (
+    PhiMap,
+    _checked_t_r,
+    compute_P,
+    split_generic,
+    split_inner_cyclic,
+    split_inner_even_half,
+    t_r_values,
+    verify_diff_isomorphism,
+)
 from generators import random_element, random_valid_derivation
 from oracles import (
     coercing_matrix_add,
@@ -71,6 +80,66 @@ def test_split_standard_at_m5_coerces_few_kummer_elements(monkeypatch):
     rep = split_standard(alg)
     assert rep.passed and rep.degree == 25
     assert len(coercions) <= 1400
+
+
+def _theta(alg):
+    k = alg.field
+    t = k.gen()
+    return alg.monomial(1, 0, k.one()) + alg.monomial(0, 1, t) + alg.monomial(alg.m - 1, 1, t + 3)
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_a_second_decompose_inverts_nothing(monkeypatch, m):
+    alg = make_algebra(m)
+    d = standard_derivation(alg) + inner_derivation(_theta(alg))
+    inverses = _counter(monkeypatch, CycloElem, "inv")
+    theta = decompose(d)
+    first = len(inverses)
+    assert first <= m
+    assert decompose(d) == theta and len(inverses) == first
+
+
+def test_split_standard_leaves_the_inverse_gaps_uncomputed(monkeypatch):
+    """A fresh algebra at m = 5 takes at most the 122 Q(w) inverses of the dividing release."""
+    _checked_t_r.cache_clear()
+    alg = make_algebra(5)
+    inverses = _counter(monkeypatch, CycloElem, "inv")
+    assert split_standard(alg).passed
+    assert len(inverses) <= 122
+    assert "inverse_gaps" not in vars(alg)
+
+
+def test_a_second_t_r_values_inverts_nothing(monkeypatch):
+    _checked_t_r.cache_clear()
+    inverses = _counter(monkeypatch, CycloElem, "inv")
+    for m in range(2, 8):
+        before = len(inverses)
+        t_r_values(m)
+        assert len(inverses) - before == m - 1
+        t_r_values(m)
+        assert len(inverses) - before == m - 1
+
+
+def test_verify_diff_isomorphism_builds_no_symbol_algebra(monkeypatch):
+    alg = make_algebra(5)
+    phi = make_phi(alg)
+    d = standard_derivation(alg) + inner_derivation(_theta(alg))
+    p = compute_P(d, phi)
+    inits = _counter(monkeypatch, SymbolAlgebra, "__init__")
+    assert verify_diff_isomorphism(phi, d, p).ok
+    assert not inits
+
+
+def test_extend_takes_the_extended_algebra():
+    alg = make_algebra(3)
+    phi = make_phi(alg)
+    d = standard_derivation(alg)
+    d_ext = d.extend(phi.ext_algebra)
+    assert d_ext.algebra is phi.ext_algebra and d_ext.du.algebra is phi.ext_algebra
+    assert d_ext.du == phi.ext_algebra.coerce_elem(d.du) and d_ext.dv == phi.ext_algebra.coerce_elem(d.dv)
+    e = phi.ext_field
+    with pytest.raises(ValueError):
+        d.extend(SymbolAlgebra(e, e.coerce(alg.alpha), e.coerce(alg.beta) * 2, 3))
 
 
 def test_a_unit_factor_takes_no_product_in_the_layer_below(monkeypatch):

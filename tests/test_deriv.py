@@ -7,7 +7,7 @@ from diffsym.deriv import Derivation, constants_inner, constants_standard, subfi
 from diffsym.linalg import solve_affine
 from diffsym.scalars import CycloField, RatFuncField
 from generators import random_element, random_trace_zero, random_valid_derivation
-from oracles import minor_identity_holds
+from oracles import dividing_decompose, minor_identity_holds
 
 
 def make_algebra(m, derivation="dt", alpha=None, beta=None):
@@ -82,21 +82,26 @@ def test_minor_identity_holds_on_valid_derivations(m, rng):
         assert minor_identity_holds(alg, d.du, d.dv)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", range(2, 10))
 def test_single_condition_perturbations_against_the_minor_identity(m, rng):
-    """Each bump breaks exactly one condition; the REL tags fail exactly when the minor identity does."""
-    alg = make_algebra(m)
-    d = random_valid_derivation(alg, rng)
-    # (image, i, j, tag): the entry bumped by one and the only condition it enters
-    cases = [("du", 1, 0, "A"), ("dv", 0, 1, "B"), ("dv", m - 1, 0, "REL1")]
-    if m >= 3:
-        cases += [("dv", m - 1, 2, "REL2"), ("dv", 1, 0, "REL3"), ("dv", 1, 2, "REL4")]
-    for which, i, j, tag in cases:
-        du = _bump(d.du, i, j) if which == "du" else d.du
-        dv = _bump(d.dv, i, j) if which == "dv" else d.dv
-        verdict = validate(alg, du, dv)
-        assert verdict.failing == [tag]
-        assert minor_identity_holds(alg, du, dv) == (tag in ("A", "B"))
+    """Each bump breaks exactly one condition; the REL tags fail exactly when the minor identity does.
+
+    Over d/dt and over the zero derivation, whose standard rates are zero.
+    """
+    for derivation in ("dt", "zero"):
+        alg = make_algebra(m, derivation)
+        d = random_valid_derivation(alg, rng)
+        assert validate(alg, d.du, d.dv).failing == []
+        # (image, i, j, tag): the entry bumped by one and the only condition it enters
+        cases = [("du", 1, 0, "A"), ("dv", 0, 1, "B"), ("dv", m - 1, 0, "REL1")]
+        if m >= 3:
+            cases += [("dv", m - 1, 2, "REL2"), ("dv", 1, 0, "REL3"), ("dv", 1, 2, "REL4")]
+        for which, i, j, tag in cases:
+            du = _bump(d.du, i, j) if which == "du" else d.du
+            dv = _bump(d.dv, i, j) if which == "dv" else d.dv
+            verdict = validate(alg, du, dv)
+            assert verdict.failing == [tag]
+            assert minor_identity_holds(alg, du, dv) == (tag in ("A", "B"))
 
 
 def _oracle_theta(d):
@@ -129,6 +134,32 @@ def test_decompose_against_linear_oracle(m, rng):
         theta = decompose(d)
         assert theta.is_trace_zero()
         assert theta == _oracle_theta(d)
+
+
+def _oracle_thetas(alg, rng):
+    """Zero, seeded trace-zero thetas, and one with w and a pole in its coefficients, row m - 1 included."""
+    k = alg.field
+    t, w = k.gen(), k.omega()
+    m = alg.m
+    wide = alg.monomial(m - 1, 1, w * t / (t + 2)) + alg.monomial(1, m - 1, (t - w) / (t * t + 3))
+    return [alg.zero_elem(), wide] + [random_trace_zero(alg, rng, entries=4) for _ in range(2)]
+
+
+@pytest.mark.parametrize("derivation", ["dt", "zero"])
+@pytest.mark.parametrize("m", range(2, 10))
+def test_decompose_matches_the_dividing_oracle(m, derivation, rng):
+    """The cached inverses give the theta that dividing on every call gives, with and without a monic alpha."""
+    k = RatFuncField(CycloField(m), "t", derivation)
+    t = k.gen()
+    for alpha in (t, t * 3 + k.omega()):
+        alg = SymbolAlgebra(k, alpha, t + k.one(), m)
+        for theta in _oracle_thetas(alg, rng):
+            d = standard_derivation(alg) + inner_derivation(theta)
+            got = decompose(d)
+            assert got == dividing_decompose(d)
+            assert got == theta
+        # a second decompose reads the same cached inverses
+        assert decompose(d) == theta
 
 
 def test_decompose_rejects_invalid():

@@ -51,6 +51,22 @@ def test_divmod_roundtrip(a, b):
     assert r.is_zero() or r.degree < pb.degree
 
 
+def test_divmod_over_q_w_by_monic_and_non_monic_divisors(monkeypatch):
+    from diffsym.scalars import CycloElem, CycloField
+
+    c = CycloField(5)
+    w = c.omega()
+    a = Poly(c, [w, c.coerce(3), w * w, c.coerce(2), w + 1])
+    inverses = []
+    original = CycloElem.inv
+    monkeypatch.setattr(CycloElem, "inv", lambda x: inverses.append(x) or original(x))
+    for b, n_inv in ((Poly(c, [w, c.one()]), 0), (Poly(c, [c.one(), w + 2]), 1), (Poly(c, [w, c.zero(), w * 3]), 1)):
+        del inverses[:]
+        q, r = divmod(a, b)
+        assert len(inverses) == n_inv
+        assert q * b + r == a and r.degree < b.degree
+
+
 @given(coeffs, coeffs)
 @settings(max_examples=60)
 def test_extended_gcd_bezout(a, b):

@@ -79,7 +79,7 @@ def test_isomorphism_check_covers_the_variable_t():
     d = inner_derivation(alg.v())
     p = phi.apply(alg.v())
     t = phi.ext_algebra.scalar(k.gen())
-    assert not phi.apply(d.extend(phi.ext_field).apply(t)) == apply_dP(p, phi.apply(t))
+    assert not phi.apply(d.extend(phi.ext_algebra).apply(t)) == apply_dP(p, phi.apply(t))
     verdict = verify_diff_isomorphism(phi, d, p)
     assert verdict == IsoVerdict(False, ("t",))
     assert verdict == full_basis_verdict(phi, d, p)
@@ -107,6 +107,33 @@ def test_t_r_closed_form(m):
         assert t_r_value(m, r) == Fraction(m - 1, 2) - r
 
 
+def test_t_r_values_returns_a_fresh_list():
+    from fractions import Fraction
+
+    from diffsym.cli import _case_tr_identity
+
+    first = t_r_values(5)
+    first[0] = Fraction(99)
+    first.append(Fraction(7))
+    assert t_r_values(5) == [Fraction(2 - r) for r in range(5)]
+    assert t_r_values(5) is not t_r_values(5)
+    assert t_r_value(5, 0) == 2
+    assert _case_tr_identity() == (True, "closed form matches the cyclotomic sum for m in {2,3,4,5,7}")
+
+
+def test_t_r_values_checks_the_sums_on_the_first_call(monkeypatch):
+    from fractions import Fraction
+
+    import diffsym.split as split_module
+
+    split_module._checked_t_r.cache_clear()
+    monkeypatch.setattr(split_module, "Fraction", lambda a, b: Fraction(a, b) + 1)
+    with pytest.raises(AssertionError, match="t_r sum disagrees"):
+        t_r_values(5)
+    monkeypatch.undo()
+    assert t_r_values(5) == [Fraction(2 - r) for r in range(5)]
+
+
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_phi_relations(m):
     # constructor asserts A^m = alpha I, B^m = beta I, BA = w AB
@@ -129,7 +156,7 @@ def test_w_conjugates_the_standard_derivation(m):
     alg = make_algebra(m)
     phi = make_phi(alg)
     w = compute_w(phi)
-    ds_ext = standard_derivation(alg).extend(phi.ext_field)
+    ds_ext = standard_derivation(alg).extend(phi.ext_algebra)
     d_phi = ds_ext + inner_derivation(w)
     for x in phi.ext_algebra.basis():
         assert phi.apply(d_phi.apply(x)) == phi.apply(x).derive()
