@@ -25,7 +25,6 @@ from .matdiff import prop44_constants, prop44_matrix
 from .parser import ParseError, parse_scalar, parse_symbol, scalar_to_str
 from .scalars import (
     CycloField,
-    KummerField,
     RatFuncField,
     ReducibleRadicandError,
     mth_power_up_to_constant,
@@ -41,6 +40,7 @@ from .split import (
     split_standard,
     t_r_values,
     verify_diff_isomorphism,
+    xi_extension,
 )
 from .symalg import SymbolAlgebra
 
@@ -216,7 +216,7 @@ def _derivation_from_args(args, alg):
 
 def _generic_report(alg, d):
     """split_generic on the P of d, with the isomorphism verdict for that P."""
-    phi = PhiMap(alg, KummerField(alg.field, alg.alpha, alg.m, "xi"))
+    phi = PhiMap(alg, xi_extension(alg))
     p = compute_P(d, phi)
     return replace(split_generic(p), isomorphism=verify_diff_isomorphism(phi, d, p))
 
@@ -228,7 +228,7 @@ def cmd_split_generic(args) -> int:
 
 def cmd_split_verify(args) -> int:
     alg = _algebra(args)
-    phi = PhiMap(alg, KummerField(alg.field, alg.alpha, alg.m, "xi"))
+    phi = PhiMap(alg, xi_extension(alg))
     d = _derivation_from_args(args, alg)
     p = compute_P(d, phi)
     iso = verify_diff_isomorphism(phi, d, p)

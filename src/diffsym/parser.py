@@ -7,7 +7,10 @@
 
 A name is one of the generators of the field being parsed (its
 ``generators()``: w, t, xi, x0, ...).  Whitespace is insignificant.
-Printing produces strings that parse back to the same canonical element.
+Evaluation keeps each subexpression in the smallest ring that holds it
+(``_Parser``, ``_SymbolParser``) and returns the same canonical element as
+evaluating everything in the context itself.  Printing produces strings
+that parse back to the same canonical element.
 """
 
 from __future__ import annotations
@@ -15,9 +18,12 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from itertools import chain
 
-from .scalars import CycloElem, KummerElem, Poly, PolyDiffElem, RatFunc
-from .symalg import SymbolElem
+from .scalars import CycloElem, KummerElem, Poly, PolyDiffElem, RatFunc, RatFuncField
+from .scalars.polys import _poly
+from .scalars.ratfunc import _ratfunc
+from .symalg import SymbolElem, _symbol, _term_products
 
 
 class ParseError(ValueError):
@@ -30,20 +36,17 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
-_TOKEN_RE = re.compile(r"(\d+)|([a-zA-Z][a-zA-Z0-9]*)|([-+*/^()])")
-_SPACE_RE = re.compile(r"\s*")
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([a-zA-Z][a-zA-Z0-9]*)|([-+*/^()])|(\S))")
 _TOKEN_KINDS = (None, "int", "name", "op")
 
 
 def _tokenize(src: str):
     tokens = []
-    pos = _SPACE_RE.match(src).end()
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", pos)
-        tokens.append((_TOKEN_KINDS[m.lastindex], m.group(), pos))
-        pos = _SPACE_RE.match(src, m.end()).end()
+    for m in _TOKEN_RE.finditer(src):
+        group = m.lastindex
+        if group == 4:
+            raise ParseError(f"unexpected character {m.group(4)!r}", m.start(4))
+        tokens.append((_TOKEN_KINDS[group], m.group(group), m.start(group)))
     tokens.append(("end", "", len(src)))
     return tokens
 
@@ -54,13 +57,16 @@ MAX_EXPONENT = 1000
 
 
 def _t_degree(x) -> int:
-    """max(deg num, deg den) of a rational function; the largest over the coefficients of a
-    tower or symbol element; 0 for constants."""
+    """max(deg num, deg den) of a rational function, the degree of a polynomial; the largest
+    over the coefficients of a tower element, a symbol element or a sparse symbol sum; 0 for
+    constants."""
     if isinstance(x, RatFunc):
         return max(x.num.degree, x.den.degree)
-    if isinstance(x, KummerElem):
-        parts = x.terms.values()
-    elif isinstance(x, PolyDiffElem):
+    if isinstance(x, Poly):
+        return max(x.degree, 0)
+    if isinstance(x, dict):
+        parts = x.values()
+    elif isinstance(x, (KummerElem, PolyDiffElem)):
         parts = x.terms.values()
     elif isinstance(x, SymbolElem):
         parts = (c for row in x.grid for c in row)
@@ -69,15 +75,37 @@ def _t_degree(x) -> int:
     return max((_t_degree(c) for c in parts), default=0)
 
 
-_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+# The rung of a value: Q(w), Q(w)[t], the context field, a sparse symbol sum
+# {(i, j): c}, a SymbolElem.  An element of any other context field is on rung 2.
+_RANKS = {CycloElem: 0, Poly: 1, dict: 3, SymbolElem: 4}
+
+
+def _rank(x) -> int:
+    return _RANKS.get(type(x), 2)
 
 
 class _Parser:
+    """Recursive descent over the tokens, evaluating as it goes.
+
+    Over k = Q(w)(t) a value lives on the lowest rung of Q(w) < Q(w)[t] < k
+    that holds it: integers and w are in Q(w), and t is a polynomial.  It is
+    lifted when an operation needs a larger ring, or once at the end.  Over
+    any other context the ladder has one rung, the context itself.
+    """
+
     def __init__(self, src: str, context):
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
         self.context = context
+        self.ladder = isinstance(context, RatFuncField)
+        if self.ladder:
+            self.literals = cyclo = context.cyclo
+            self.names = {**cyclo.generators(), context.var: Poly.gen(cyclo)}
+        else:
+            self.literals, self.names = context, context.generators()
 
     def peek(self):
         return self.tokens[self.i]
@@ -108,7 +136,7 @@ class _Parser:
             negate = True
         value = self.term()
         if negate:
-            value = -value
+            value = self._neg(value)
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
@@ -127,13 +155,46 @@ class _Parser:
             else:
                 return value
 
+    # -- the scalar ladder ---------------------------------------------------
+
+    def _neg(self, x):
+        return -x
+
     def _binop(self, op: str, a, b):
-        return _BINOPS[op](a, b)
+        """a op b on the higher rung of the two; a / b is a times the inverse of b."""
+        if op == "/":
+            op, b = "*", self._inv(b)
+        rank = max(_rank(a), _rank(b))
+        return _BINOPS[op](self._lift(a, rank), self._lift(b, rank))
+
+    def _lift(self, x, rank: int = 2):
+        """x on the scalar rung rank, if it is on a lower one (by default in k itself)."""
+        r = _rank(x)
+        if r >= rank or not self.ladder:
+            return x
+        k = self.context
+        if r == 0:
+            return _poly(x.parent, [x]) if rank == 1 else k._constant(x)
+        return _ratfunc(k, x, k._one_poly)
+
+    def _inv(self, x):
+        """x^-1 as RatFunc.inv computes it: a constant in Q(w), a non-constant polynomial in k."""
+        if type(x) is Poly:
+            x = self._lift(x) if x.degree > 0 else x.coeff(0)
+        if self.ladder and type(x) is CycloElem:
+            if x.is_zero():
+                raise ZeroDivisionError("inverse of zero")
+            if x == x.parent.one():
+                return x
+        return x.inv()
+
+    def _power(self, x, e: int):
+        return self._inv(x) ** -e if e < 0 else x**e
 
     def factor(self):
         value = self.atom()
         e = self.exponent(value)
-        return value if e == 1 else value ** e
+        return value if e == 1 else self._power(value, e)
 
     def exponent(self, base, period: int = 1) -> int:
         """The integer e after an optional '^' (1 without one).
@@ -164,7 +225,7 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "int":
             self.advance()
-            return self.context.coerce(Fraction(int(val)))
+            return self.literals.coerce(int(val))
         if kind == "name":
             self.advance()
             return self._resolve_name(val, pos)
@@ -176,7 +237,7 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}", pos, expected="atom")
 
     def _resolve_name(self, name: str, pos: int):
-        value = self.context.generators().get(name)
+        value = self.names.get(name)
         if value is None:
             raise ParseError(f"undefined symbol {name!r} for this context", pos)
         return value
@@ -184,48 +245,92 @@ class _Parser:
 
 def parse_scalar(src: str, context):
     """Parse an expression in the scalar grammar into an element of context."""
-    return _Parser(src, context).parse()
+    parser = _Parser(src, context)
+    return parser._lift(parser.parse())
+
+
+def _collect(terms) -> dict:
+    """The sparse symbol sum of ((i, j), c) terms, like terms added and zeros dropped."""
+    out = {}
+    for key, c in terms:
+        out[key] = out[key] + c if key in out else c
+    return {key: c for key, c in out.items() if not c.is_zero()}
 
 
 class _SymbolParser(_Parser):
     """The scalar grammar over the coefficient field, plus the generators u and v.
 
-    Scalar subexpressions stay elements of the coefficient field; a scalar is
-    lifted into the algebra only where it meets a symbol element, and a
-    product of the two is a scaling rather than a symbol product.  Powers of
-    u and v are built in closed form.
+    A symbol expression is a sparse sum {(i, j): c} of terms c u^i v^j, c != 0:
+    u^e and v^e are single terms, a scalar scales each c, sums merge, and
+    products take ``symalg._term_products``.  Only a division by a symbol
+    expression and a power of one lift to SymbolElem.
     """
 
     def __init__(self, src: str, algebra):
         super().__init__(src, algebra.field)
         self.algebra = algebra
 
-    def _binop(self, op, a, b):
-        a_symbol, b_symbol = isinstance(a, SymbolElem), isinstance(b, SymbolElem)
-        if a_symbol != b_symbol:
-            if op == "*":
-                return a.scale(b) if a_symbol else b.scale(a)
-            if a_symbol:
-                b = self.algebra.scalar(b)
-            else:
-                a = self.algebra.scalar(a)
-        return super()._binop(op, a, b)
-
     def factor(self):
         kind, name, _ = self.peek()
         if kind == "name" and name in ("u", "v"):
-            # u^i and v^j in closed form, with no symbol product
+            # u^e = alpha^(e // m) u^(e mod m), and likewise v^e
             self.advance()
             alg = self.algebra
-            power, radicand = (alg.u, alg.alpha) if name == "u" else (alg.v, alg.beta)
-            return power(self.exponent(radicand, alg.m))
+            m = alg.m
+            radicand = alg.alpha if name == "u" else alg.beta
+            e = self.exponent(radicand, m)
+            return {(e % m, 0) if name == "u" else (0, e % m): radicand ** (e // m)}
         return super().factor()
+
+    def _neg(self, x):
+        return {key: -c for key, c in x.items()} if type(x) is dict else -x
+
+    def _terms(self, x) -> dict:
+        """A scalar or a sparse sum as a sparse sum."""
+        if type(x) is dict:
+            return x
+        return {} if x.is_zero() else {(0, 0): self._lift(x)}
+
+    def _element(self, x) -> SymbolElem:
+        """Any value as a SymbolElem: one grid, built through the trusted constructor."""
+        if type(x) is SymbolElem:
+            return x
+        alg = self.algebra
+        zero = alg.field.zero()
+        grid = [[zero] * alg.m for _ in range(alg.m)]
+        for (i, j), c in self._terms(x).items():
+            grid[i][j] = c
+        return _symbol(alg, grid)
+
+    def _binop(self, op, a, b):
+        ra, rb = _rank(a), _rank(b)
+        if ra < 3 and rb < 3:
+            return super()._binop(op, a, b)
+        if op == "/":
+            if rb >= 3:
+                return self._element(a) / self._element(b)
+            op, b = "*", self._inv(b)
+        if op == "*" and min(ra, rb) < 3:
+            # a scalar multiple; a scalar is central, so no commutation
+            c, x = (self._lift(a), b) if ra < 3 else (self._lift(b), a)
+            if type(x) is SymbolElem:
+                return x.scale(c)
+            return {} if c.is_zero() else {key: d * c for key, d in x.items()}
+        if ra == 4 or rb == 4:
+            return _BINOPS[op](self._element(a), self._element(b))
+        a, b = self._terms(a), self._terms(b)
+        if op == "*":
+            return _collect(_term_products(self.algebra, a.items(), list(b.items())))
+        return _collect(chain(a.items(), (self._neg(b) if op == "-" else b).items()))
+
+    def _power(self, x, e: int):
+        return super()._power(self._element(x) if type(x) is dict else x, e)
 
 
 def parse_symbol(src: str, algebra):
     """Parse the scalar grammar extended by the generators u and v."""
-    value = _SymbolParser(src, algebra).parse()
-    return value if isinstance(value, SymbolElem) else algebra.scalar(value)
+    parser = _SymbolParser(src, algebra)
+    return parser._element(parser.parse())
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .ratfunc import RatFuncField
 class KummerField:
     """F(xi) with xi^m = alpha; base F is Q(w)(t) or another Kummer field."""
 
-    def __init__(self, base, alpha, m: int, gen_name: str = "xi"):
+    def __init__(self, base, alpha, m: int, gen_name: str = "xi", gen_rate=None):
         alpha = base.coerce(alpha)
         if alpha.is_zero():
             raise ReducibleRadicandError("radicand must be nonzero")
@@ -34,8 +34,9 @@ class KummerField:
         self._zero = _kummer(self, {})
         self._one = _kummer(self, {0: self._base_one})
         self._certify_irreducible()
-        # delta_E(xi) = delta(alpha)/(m*alpha) * xi
-        self.gen_rate = alpha.derive() / (alpha * m)
+        # delta_E(xi) = delta(alpha)/(m*alpha) * xi; a caller that holds this rate
+        # passes it, and the consistency check below verifies it either way
+        self.gen_rate = alpha.derive() / (alpha * m) if gen_rate is None else base.coerce(gen_rate)
         self._check_derivation_consistency()
         self._generators = {gen_name: self.gen()}
         for name, g in base.generators().items():

@@ -29,6 +29,11 @@ from .scalars import (
 from .symalg import SymbolAlgebra, SymbolElem, minimal_polynomial, twisted_centralizer
 
 
+def xi_extension(algebra: SymbolAlgebra) -> KummerField:
+    """k(xi), xi^m = alpha, with the rate delta(alpha)/(m alpha) the algebra holds."""
+    return KummerField(algebra.field, algebra.alpha, algebra.m, "xi", algebra.standard_rates[0])
+
+
 class PhiMap:
     """The splitting isomorphism A tensor k(xi) -> M_m(k(xi)).
 
@@ -287,7 +292,7 @@ def split_standard(algebra: SymbolAlgebra) -> SplitReport:
     if not isinstance(k, RatFuncField):
         raise ValueError("standard splitting is built over the rational function field")
     m = algebra.m
-    xi_field = KummerField(k, algebra.alpha, m, "xi")
+    xi_field = xi_extension(algebra)
     phi = PhiMap(algebra, xi_field)
     ext = {"tower": [_tower_entry(xi_field)], "derivation_rules": [f"delta(xi) = delta(alpha)/({m} alpha) xi"]}
     t0 = Fraction(m - 1, 2)  # t_r = t0 - r, which compute_Ps checks against the cyclotomic sums
@@ -354,7 +359,7 @@ def split_inner_cyclic(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitReport:
     if minimal_polynomial(rho).degree != m:
         raise ValueError("rho does not generate a degree-m subfield")
     _require_u_polynomial(rho)
-    phi = PhiMap(algebra, KummerField(algebra.field, algebra.alpha, m, "xi"))
+    phi = PhiMap(algebra, xi_extension(algebra))
     p = phi.apply(rho)
     eye = [[int(r == i) for i in range(m)] for r in range(m)]
     return _exponential_split(phi, rho, p, [p.rows[r][r] for r in range(m)], eye, [])
@@ -378,7 +383,7 @@ def split_inner_even_half(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitRepor
     ):
         raise ValueError("rho must be a nonzero scalar multiple of u")
     half = m // 2
-    phi = PhiMap(algebra, KummerField(algebra.field, algebra.alpha, m, "xi"))
+    phi = PhiMap(algebra, xi_extension(algebra))
     p = phi.apply(rho)
     diagnostics = []
     # cross-check the block form diag(P0, -P0)
@@ -457,7 +462,7 @@ def norm_split_check(algebra: SymbolAlgebra, d: Derivation, theta: SymbolElem) -
             break
     if p is None:
         raise ValueError("theta lies in k(u); no invertible v-component")
-    xi_field = KummerField(algebra.field, algebra.alpha, m, "xi")
+    xi_field = xi_extension(algebra)
     theta_p = xi_field.zero()
     xi = xi_field.gen()
     for i in range(m):

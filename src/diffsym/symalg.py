@@ -44,9 +44,15 @@ class SymbolAlgebra:
 
     @cached_property
     def standard_rates(self):
-        """(delta(alpha)/(m alpha), delta(beta)/(m beta)): d_s(u) = ru u and d_s(v) = rv v."""
-        m = self.m
-        return self.alpha.derive() / (self.alpha * m), self.beta.derive() / (self.beta * m)
+        """(delta(alpha)/(m alpha), delta(beta)/(m beta)): d_s(u) = ru u and d_s(v) = rv v.
+
+        A constant radicand, or the zero derivation, gives a zero rate with no inverse.
+        """
+        rates = []
+        for x in (self.alpha, self.beta):
+            dx = x.derive()
+            rates.append(dx if dx.is_zero() else dx / (x * self.m))
+        return tuple(rates)
 
     @cached_property
     def inverse_gaps(self):
@@ -180,28 +186,11 @@ class SymbolElem(FieldElem):
             return self.scale(other)
         self._coerce_other(other)
         alg = self.algebra
-        m = alg.m
-        w, alpha, beta = alg._omega_pow, alg.alpha, alg.beta
-        right = [(r, s, b) for r, row in enumerate(other.grid) for s, b in enumerate(row) if not b.is_zero()]
-        out = [[alg.field.zero()] * m for _ in range(m)]
-        for i, row in enumerate(self.grid):
-            for j, a in enumerate(row):
-                if a.is_zero():
-                    continue
-                for r, s, b in right:
-                    c = a * b
-                    # v^j u^r = w^(jr) u^r v^j, and w^0 = 1 needs no product
-                    jr = j * r % m
-                    if jr:
-                        c = c * w[jr]
-                    ii, jj = i + r, j + s
-                    if ii >= m:
-                        ii -= m
-                        c = c * alpha
-                    if jj >= m:
-                        jj -= m
-                        c = c * beta
-                    out[ii][jj] = out[ii][jj] + c
+        left = (((i, j), a) for i, row in enumerate(self.grid) for j, a in enumerate(row) if not a.is_zero())
+        right = [((r, s), b) for r, row in enumerate(other.grid) for s, b in enumerate(row) if not b.is_zero()]
+        out = [[alg.field.zero()] * alg.m for _ in range(alg.m)]
+        for (i, j), c in _term_products(alg, left, right):
+            out[i][j] = out[i][j] + c
         return _symbol(alg, out)
 
     def __rmul__(self, other):
@@ -254,6 +243,32 @@ def _symbol(algebra: SymbolAlgebra, grid) -> SymbolElem:
     x.algebra = algebra
     x.grid = tuple(map(tuple, grid))
     return x
+
+
+def _term_products(algebra: SymbolAlgebra, left, right):
+    """Each product of a term of left with a term of right, in that order, as ((i, j), c).
+
+    left and right hold ((i, j), c) for the terms c u^i v^j, 0 <= i, j < m;
+    right is iterated once per term of left.  v^j u^r = w^(jr) u^r v^j, and
+    u^m = alpha and v^m = beta bring the exponents of the product below m.
+    """
+    m = algebra.m
+    w, alpha, beta = algebra._omega_pow, algebra.alpha, algebra.beta
+    for (i, j), a in left:
+        for (r, s), b in right:
+            c = a * b
+            # w^0 = 1 needs no product
+            jr = j * r % m
+            if jr:
+                c = c * w[jr]
+            i2, j2 = i + r, j + s
+            if i2 >= m:
+                i2 -= m
+                c = c * alpha
+            if j2 >= m:
+                j2 -= m
+                c = c * beta
+            yield (i2, j2), c
 
 
 def twisted_centralizer(a: SymbolElem, c):

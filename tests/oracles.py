@@ -21,16 +21,22 @@ coercing constructor in place of one pass over the support, and symbol
 algebra and matrix arithmetic over every pair of entries, each product by
 w^(jr) taken even when it is w^0 = 1, built through the coercing
 constructors in place of the support of the right factor and the trusted
-constructors, and the decomposition d = d_s + inner(theta) dividing by
+constructors, the decomposition d = d_s + inner(theta) dividing by
 w^i - 1, 1 - w^j and (1 - w^j) alpha on every call in place of the inverses
-cached on the algebra.
+cached on the algebra, and an expression evaluator that tokenizes one match
+at a time and computes every subexpression in Q(w)(t) and every symbol
+subexpression as a SymbolElem in place of the ladder Q(w) < Q(w)[t] < Q(w)(t)
+and the sparse symbol sums of ``parser.py``.
 """
 
+import operator
+import re
 from fractions import Fraction
 
 from diffsym.linalg import invert_matrix, solve_affine
 from diffsym.matdiff import DiffMatrix, apply_dP
-from diffsym.scalars import Poly, RatFunc
+from diffsym.parser import MAX_EXPONENT, ParseError
+from diffsym.scalars import KummerElem, Poly, RatFunc
 from diffsym.scalars.monomial import PolyDiffElem
 from diffsym.scalars.ode import OdeSolution, _homogeneous_basis, _proportional
 from diffsym.scalars.polys import QQ, poly_extended_gcd
@@ -472,3 +478,169 @@ def dividing_decompose(d):
             grid[i][j] = a[i + 1][j] / (one - w[j])
         grid[m - 1][j] = a[0][j] / ((one - w[j]) * alg.alpha)
     return SymbolElem(alg, grid)
+
+
+# -- the expression evaluator over the whole field ----------------------------
+
+_ORACLE_TOKEN_RE = re.compile(r"(\d+)|([a-zA-Z][a-zA-Z0-9]*)|([-+*/^()])")
+_ORACLE_SPACE_RE = re.compile(r"\s*")
+_ORACLE_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _oracle_tokenize(src):
+    """Tokens matched one at a time from the position after the whitespace."""
+    tokens = []
+    pos = _ORACLE_SPACE_RE.match(src).end()
+    while pos < len(src):
+        m = _ORACLE_TOKEN_RE.match(src, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {src[pos]!r}", pos)
+        tokens.append(((None, "int", "name", "op")[m.lastindex], m.group(), pos))
+        pos = _ORACLE_SPACE_RE.match(src, m.end()).end()
+    tokens.append(("end", "", len(src)))
+    return tokens
+
+
+def _oracle_t_degree(x):
+    if isinstance(x, RatFunc):
+        return max(x.num.degree, x.den.degree)
+    if isinstance(x, (KummerElem, PolyDiffElem)):
+        parts = x.terms.values()
+    elif isinstance(x, SymbolElem):
+        parts = (c for row in x.grid for c in row)
+    else:
+        return 0
+    return max((_oracle_t_degree(c) for c in parts), default=0)
+
+
+class _OracleParser:
+    """Every subexpression in the context field itself: integers and names are
+    coerced into it, and each operation is the field's own operator."""
+
+    def __init__(self, src, context):
+        self.tokens = _oracle_tokenize(src)
+        self.i = 0
+        self.context = context
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        self.i += 1
+        return self.tokens[self.i - 1]
+
+    def parse(self):
+        value = self.expr()
+        kind, val, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"trailing input {val!r}", pos, expected="end of input")
+        return value
+
+    def expr(self):
+        kind, val, _ = self.peek()
+        negate = kind == "op" and val == "-"
+        if negate:
+            self.advance()
+        value = self.term()
+        if negate:
+            value = -value
+        while self.peek()[0] == "op" and self.peek()[1] in "+-":
+            op = self.advance()[1]
+            value = self.binop(op, value, self.term())
+        return value
+
+    def term(self):
+        value = self.factor()
+        while self.peek()[0] == "op" and self.peek()[1] in "*/":
+            op = self.advance()[1]
+            value = self.binop(op, value, self.factor())
+        return value
+
+    def binop(self, op, a, b):
+        return _ORACLE_BINOPS[op](a, b)
+
+    def factor(self):
+        value = self.atom()
+        e = self.exponent(value)
+        return value if e == 1 else value**e
+
+    def exponent(self, base, period=1):
+        kind, val, pos = self.peek()
+        if kind != "op" or val != "^":
+            return 1
+        self.advance()
+        sign = 1
+        kind, val, pos = self.peek()
+        if kind == "op" and val == "-":
+            self.advance()
+            sign = -1
+        kind, val, pos = self.peek()
+        if kind != "int":
+            raise ParseError(f"unexpected token {val!r}", pos, expected="integer exponent")
+        self.advance()
+        e = sign * int(val)
+        if abs(e) > MAX_EXPONENT or _oracle_t_degree(base) * abs(e // period) > MAX_EXPONENT:
+            raise ParseError(
+                f"exponent {val} too large: |e| and t-degree * |e| must not exceed {MAX_EXPONENT}", pos)
+        return e
+
+    def atom(self):
+        kind, val, pos = self.peek()
+        if kind == "int":
+            self.advance()
+            return self.context.coerce(Fraction(int(val)))
+        if kind == "name":
+            self.advance()
+            value = self.context.generators().get(val)
+            if value is None:
+                raise ParseError(f"undefined symbol {val!r} for this context", pos)
+            return value
+        if kind == "op" and val == "(":
+            self.advance()
+            value = self.expr()
+            kind, val, pos = self.peek()
+            if kind != "op" or val != ")":
+                raise ParseError(f"unexpected token {val!r}", pos, expected="')'")
+            self.advance()
+            return value
+        raise ParseError(f"unexpected token {val!r}", pos, expected="atom")
+
+
+class _OracleSymbolParser(_OracleParser):
+    """Scalars in the coefficient field, lifted into the algebra where they meet
+    a SymbolElem; every symbol operation is SymbolElem's own."""
+
+    def __init__(self, src, algebra):
+        super().__init__(src, algebra.field)
+        self.algebra = algebra
+
+    def binop(self, op, a, b):
+        a_symbol, b_symbol = isinstance(a, SymbolElem), isinstance(b, SymbolElem)
+        if a_symbol != b_symbol:
+            if op == "*":
+                return a.scale(b) if a_symbol else b.scale(a)
+            if a_symbol:
+                b = self.algebra.scalar(b)
+            else:
+                a = self.algebra.scalar(a)
+        return super().binop(op, a, b)
+
+    def factor(self):
+        kind, name, _ = self.peek()
+        if kind == "name" and name in ("u", "v"):
+            self.advance()
+            alg = self.algebra
+            power, radicand = (alg.u, alg.alpha) if name == "u" else (alg.v, alg.beta)
+            return power(self.exponent(radicand, alg.m))
+        return super().factor()
+
+
+def field_parse_scalar(src, context):
+    """parse_scalar with every subexpression evaluated in the context field."""
+    return _OracleParser(src, context).parse()
+
+
+def symbol_elem_parse_symbol(src, algebra):
+    """parse_symbol with every symbol subexpression a SymbolElem."""
+    value = _OracleSymbolParser(src, algebra).parse()
+    return value if isinstance(value, SymbolElem) else algebra.scalar(value)

@@ -340,3 +340,26 @@ def test_constants_witness_prints_a_bare_reciprocal(capsys):
     code, report = run_json(capsys, "deriv", "constants", "--m", "3", "--alpha", "2*t", "--beta", "t", "--standard")
     assert code == 0
     assert [wit["h"] for wit in report["witnesses"]] == ["1/t", "1/t"]
+
+
+_SCALAR = ["power-detect", "--m", "3", "--f"]
+_IMAGES = ["deriv", "validate", "--m", "2", "--alpha", "t", "--beta", "t+1", "--dv", "v", "--du"]
+_BOUND = "too large: |e| and t-degree * |e| must not exceed 1000 at position"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (_SCALAR + ["1/0"], "error: inverse of zero\n"),
+    (_SCALAR + ["t/(t-t)"], "error: inverse of zero\n"),
+    (_SCALAR + ["(w-w)^-1"], "error: inverse of zero\n"),
+    (["deriv", "validate", "--m", "2", "--alpha", "1", "--beta", "t", "--du", "(1+u)^-1", "--dv", "v"],
+     "error: element is a zero divisor\n"),
+    (_IMAGES + ["u/(t-t)"], "error: inverse of zero\n"),
+    (_IMAGES + ["x + 1"], "error: undefined symbol 'x' for this context at position 0\n"),
+    (_SCALAR + ["(t^40)^40"], f"error: exponent 40 {_BOUND} 7\n"),
+    (_SCALAR + ["2^-1001"], f"error: exponent 1001 {_BOUND} 3\n"),
+])
+def test_input_errors_on_every_rung_of_the_parser(capsys, argv, err):
+    # division by zero reads the same whether the divisor is in Q(w), Q(w)[t] or Q(w)(t)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == err and captured.out == ""

@@ -22,6 +22,7 @@ from diffsym.split import (
     split_inner_even_half,
     t_r_values,
     verify_diff_isomorphism,
+    xi_extension,
 )
 from generators import random_element, random_valid_derivation
 from oracles import (
@@ -118,6 +119,23 @@ def test_a_second_t_r_values_inverts_nothing(monkeypatch):
         assert len(inverses) - before == m - 1
         t_r_values(m)
         assert len(inverses) - before == m - 1
+
+
+def test_the_xi_field_takes_the_rate_the_algebra_holds(monkeypatch):
+    """k(xi) built with delta(alpha)/(m alpha) from the algebra takes one Q(w) inverse fewer."""
+    for m in (2, 3, 5):
+        alg = make_algebra(m)
+        rate = alg.standard_rates[0]
+        inverses = _counter(monkeypatch, CycloElem, "inv")
+        computed = KummerField(alg.field, alg.alpha, m, "xi")
+        without = len(inverses)
+        passed = xi_extension(alg)
+        assert len(inverses) - without == without - 1
+        monkeypatch.undo()
+        assert passed.gen_rate == computed.gen_rate == rate
+        # the consistency check still verifies a rate that is passed in
+        with pytest.raises(AssertionError, match="inconsistent"):
+            KummerField(alg.field, alg.alpha, m, "xi", rate * 2)
 
 
 def test_verify_diff_isomorphism_builds_no_symbol_algebra(monkeypatch):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from oracles import field_parse_scalar, symbol_elem_parse_symbol
 
 from diffsym.parser import ParseError, parse_scalar, parse_symbol, scalar_to_str
 from diffsym.scalars import (
@@ -10,6 +11,7 @@ from diffsym.scalars import (
     KummerField,
     MonomialDiffField,
     PolyDiffField,
+    RatFunc,
     RatFuncField,
 )
 from diffsym.symalg import SymbolAlgebra
@@ -186,13 +188,60 @@ def test_symbol_products_while_parsing(monkeypatch):
     t = k.gen()
     alg = SymbolAlgebra(k, t, t + k.one(), 5)
     x = parse_symbol("(2*t + 1)*u^4*v^2", alg)
-    assert len(calls) <= 1
-    calls.clear()
+    assert len(calls) == 0
     assert x == alg.monomial(4, 2, t * 2 + 1)
     assert parse_symbol("u*u*u*u*v*v*(2*t + 1)", alg) == x
 
 
-def test_large_powers_are_rejected_before_any_arithmetic():
+def test_sums_of_monomials_take_no_symbol_arithmetic_and_polynomials_no_gcd(monkeypatch, rng):
+    import diffsym.scalars.polys
+    import diffsym.scalars.ratfunc
+    from diffsym.parser import symbol_to_str
+    from diffsym.symalg import SymbolElem
+
+    calls = []
+
+    def counting(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(*args):
+            calls.append(f"{cls.__name__}.{name}")
+            return original(*args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for cls, name in ((SymbolElem, "__mul__"), (SymbolElem, "__add__"), (RatFunc, "__mul__"), (RatFunc, "__add__")):
+        counting(cls, name)
+    gcd = diffsym.scalars.polys.poly_gcd
+
+    def counting_gcd(a, b):
+        calls.append("poly_gcd")
+        return gcd(a, b)
+
+    monkeypatch.setattr(diffsym.scalars.ratfunc, "poly_gcd", counting_gcd)
+    monkeypatch.setattr(diffsym.scalars.polys, "poly_gcd", counting_gcd)
+    m = 4
+    k = RatFuncField(CycloField(m), "t")
+    t, w = k.gen(), k.coerce(k.cyclo.omega())
+    alg = SymbolAlgebra(k, t, t + k.one(), m)
+    for terms in range(1, m * m + 1):
+        x = alg.zero_elem()
+        for i, j in rng.sample([(i, j) for i in range(m) for j in range(m)], terms):
+            x = x + alg.monomial(i, j, t ** rng.randint(0, 3) * rng.randint(1, 5) + w * rng.randint(-2, 2))
+        text = symbol_to_str(x)
+        calls.clear()
+        y = parse_symbol(text, alg)
+        assert calls.count("SymbolElem.__mul__") == calls.count("SymbolElem.__add__") == 0, text
+        assert y == x
+    # a polynomial without '/' stays in Q(w)[t]: no gcd and no rational function arithmetic
+    for text in ("(w^2 + 3)*t^3 - 2*t*(t + w)^2 + 5", "-(t - 1)^4*(2*w*t + 3)", "t^7 - w^3*t"):
+        calls.clear()
+        f = parse_scalar(text, k)
+        assert calls == [], text
+        assert f == field_parse_scalar(text, k)
+
+
+def test_large_powers_are_rejected_before_any_arithmetic(monkeypatch):
     k = RatFuncField(CycloField(3), "t")
     with pytest.raises(ParseError) as info:
         parse_scalar("t^1000000000000", k)
@@ -206,6 +255,18 @@ def test_large_powers_are_rejected_before_any_arithmetic():
     alg = SymbolAlgebra(k, k.gen(), k.gen() + k.one(), 3)
     with pytest.raises(ParseError):
         parse_symbol("(u^999)^999", alg)  # u^999 = t^333 u^0
+    # a sparse symbol sum is bounded by its coefficients' t-degree, 40 times 30,
+    # before any product of symbol sums or elements
+    import diffsym.parser
+    from diffsym.symalg import SymbolElem
+
+    products = []
+    monkeypatch.setattr(diffsym.parser, "_term_products", lambda *args: products.append(args))
+    monkeypatch.setattr(SymbolElem, "__mul__", lambda *args: products.append(args))
+    with pytest.raises(ParseError) as info:
+        parse_symbol("((t^40)*u)^30", alg)
+    assert info.value.position == 11 and "exponent 30 too large" in str(info.value)
+    assert not products
 
 
 def test_constant_coefficients_print_without_doubled_parentheses(rng):
@@ -290,3 +351,99 @@ def test_quotient_atoms_inside_products_round_trip():
     text = symbol_to_str(x)
     assert text == "(w/t^2)*v + (1/t)*u*v^2"
     assert parse_symbol(text, alg) == x
+
+
+# -- the evaluation ladder against the whole-field oracle ----------------------
+
+
+def _random_expr(rng, depth, atom, divisor, powers):
+    """A signed sum of 1-3 terms, each a product or quotient of 1-3 factors; a
+    factor after '/' comes from divisor, and a parenthesised one may take a power."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = []
+        for n in range(rng.randint(1, 3)):
+            op = rng.choice("**/") if n else ""
+            if op == "/":
+                factor = divisor(rng)
+            elif depth and rng.random() < 0.3:
+                factor = f"({_random_expr(rng, depth - 1, atom, divisor, powers)})"
+                if rng.random() < 0.4:
+                    factor += f"^{rng.choice(powers)}"
+            else:
+                factor = atom(rng)
+            factors.append(op + factor)
+        terms.append("".join(factors))
+    text = terms[0] + "".join(rng.choice((" + ", " - ")) + term for term in terms[1:])
+    return "-" + text if rng.random() < 0.2 else text
+
+
+def _scalar_atom(rng):
+    """An integer 0..9 (0 makes divisions by zero), w or t, possibly to a power in -3..3."""
+    r = rng.random()
+    if r < 0.4:
+        return str(rng.randint(0, 9))
+    name = rng.choice(("w", "t"))
+    return name if r < 0.7 else f"{name}^{rng.randint(-3, 3)}"
+
+
+def _corrupt(rng, src):
+    """src with a stray character, an unknown name or an exponent past the bound inserted."""
+    at = rng.randrange(len(src) + 1)
+    return src[:at] + rng.choice(("$", ")", "(", "^", "+", " x", "^1001", "^-2000", "2t")) + src[at:]
+
+
+def _outcome(parse, src, context):
+    try:
+        return "value", parse(src, context)
+    except Exception as exc:  # the oracle's exception is the expected one
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_the_ladder_agrees_with_the_whole_field_oracle(m):
+    from random import Random
+
+    from diffsym.symalg import SymbolElem
+
+    k = RatFuncField(CycloField(m), "t")
+    alg = SymbolAlgebra(k, k.gen() * 2, k.gen() + k.one(), m)
+    rng = Random(f"ladder-oracle:{m}")
+
+    def generator(rng):
+        return f"{rng.choice('uv')}^{rng.randint(-m - 1, 2 * m + 1)}"
+
+    def symbol_atom(rng):
+        return _scalar_atom(rng) if rng.random() < 0.5 else generator(rng)
+
+    def scalar_divisor(rng):
+        return _scalar_atom(rng) if rng.random() < 0.7 else f"({_random_expr(rng, 0, _scalar_atom, _scalar_atom, ())})"
+
+    if m <= 3:
+        # any symbol expression may divide, and parenthesised sums take negative powers
+        symbol_divisor, powers, depth = symbol_atom, (-1, 0, 2, 3), 2
+    else:
+        # a minimal-polynomial inverse, or a square of nested sums, is costly here:
+        # divide by monomials, and square only sums of atoms from m = 5 on
+        def symbol_divisor(rng):
+            return f"({_scalar_atom(rng)}*{generator(rng)})" if rng.random() < 0.5 else scalar_divisor(rng)
+
+        powers, depth = (0, 2), 2 if m == 4 else 1
+    kinds = set()
+    for n in range(40):
+        for parse, oracle, context, src in (
+            (parse_scalar, field_parse_scalar, k,
+             _random_expr(rng, 2, _scalar_atom, scalar_divisor, (-2, -1, 0, 2, 3))),
+            (parse_scalar, field_parse_scalar, k.cyclo,
+             _random_expr(rng, 1, lambda rng: rng.choice((str(rng.randint(0, 9)), "w")), lambda rng: "w", (-1, 2))),
+            (parse_symbol, symbol_elem_parse_symbol, alg, _random_expr(rng, depth, symbol_atom, symbol_divisor, powers)),
+        ):
+            if n % 4 == 3:
+                src = _corrupt(rng, src)
+            got, want = _outcome(parse, src, context), _outcome(oracle, src, context)
+            assert got == want, src
+            kinds.add(want[0] if want[0] != "value" else type(want[1]))
+            if want[0] == "value" and isinstance(want[1], SymbolElem):
+                # one canonical grid over the coefficient field
+                assert all(type(c) is RatFunc for row in got[1].grid for c in row)
+    assert {RatFunc, SymbolElem, ParseError, ZeroDivisionError} <= kinds
