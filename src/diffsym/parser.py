@@ -18,12 +18,11 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from itertools import chain
 
 from .scalars import CycloElem, KummerElem, Poly, PolyDiffElem, RatFunc, RatFuncField
 from .scalars.polys import _poly
 from .scalars.ratfunc import _ratfunc
-from .symalg import SymbolElem, _symbol, _term_products
+from .symalg import SymbolElem, _add_products, _symbol
 
 
 class ParseError(ValueError):
@@ -249,20 +248,12 @@ def parse_scalar(src: str, context):
     return parser._lift(parser.parse())
 
 
-def _collect(terms) -> dict:
-    """The sparse symbol sum of ((i, j), c) terms, like terms added and zeros dropped."""
-    out = {}
-    for key, c in terms:
-        out[key] = out[key] + c if key in out else c
-    return {key: c for key, c in out.items() if not c.is_zero()}
-
-
 class _SymbolParser(_Parser):
     """The scalar grammar over the coefficient field, plus the generators u and v.
 
     A symbol expression is a sparse sum {(i, j): c} of terms c u^i v^j, c != 0:
     u^e and v^e are single terms, a scalar scales each c, sums merge, and
-    products take ``symalg._term_products``.  Only a division by a symbol
+    products take ``symalg._add_products``.  Only a division by a symbol
     expression and a power of one lift to SymbolElem.
     """
 
@@ -291,16 +282,18 @@ class _SymbolParser(_Parser):
             return x
         return {} if x.is_zero() else {(0, 0): self._lift(x)}
 
+    def _grid(self):
+        alg = self.algebra
+        return [[alg.field.zero()] * alg.m for _ in range(alg.m)]
+
     def _element(self, x) -> SymbolElem:
         """Any value as a SymbolElem: one grid, built through the trusted constructor."""
         if type(x) is SymbolElem:
             return x
-        alg = self.algebra
-        zero = alg.field.zero()
-        grid = [[zero] * alg.m for _ in range(alg.m)]
+        grid = self._grid()
         for (i, j), c in self._terms(x).items():
             grid[i][j] = c
-        return _symbol(alg, grid)
+        return _symbol(self.algebra, grid)
 
     def _binop(self, op, a, b):
         ra, rb = _rank(a), _rank(b)
@@ -320,8 +313,13 @@ class _SymbolParser(_Parser):
             return _BINOPS[op](self._element(a), self._element(b))
         a, b = self._terms(a), self._terms(b)
         if op == "*":
-            return _collect(_term_products(self.algebra, a.items(), list(b.items())))
-        return _collect(chain(a.items(), (self._neg(b) if op == "-" else b).items()))
+            grid = self._grid()
+            _add_products(self.algebra, [(*key, c) for key, c in a.items()], [(*key, c) for key, c in b.items()], grid)
+            return {(i, j): c for i, row in enumerate(grid) for j, c in enumerate(row) if not c.is_zero()}
+        out = dict(a)
+        for key, c in (self._neg(b) if op == "-" else b).items():
+            out[key] = out[key] + c if key in out else c
+        return {key: c for key, c in out.items() if not c.is_zero()}
 
     def _power(self, x, e: int):
         return super()._power(self._element(x) if type(x) is dict else x, e)

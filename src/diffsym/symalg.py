@@ -186,11 +186,10 @@ class SymbolElem(FieldElem):
             return self.scale(other)
         self._coerce_other(other)
         alg = self.algebra
-        left = (((i, j), a) for i, row in enumerate(self.grid) for j, a in enumerate(row) if not a.is_zero())
-        right = [((r, s), b) for r, row in enumerate(other.grid) for s, b in enumerate(row) if not b.is_zero()]
+        left = ((i, j, a) for i, row in enumerate(self.grid) for j, a in enumerate(row) if not a.is_zero())
+        right = [(r, s, b) for r, row in enumerate(other.grid) for s, b in enumerate(row) if not b.is_zero()]
         out = [[alg.field.zero()] * alg.m for _ in range(alg.m)]
-        for (i, j), c in _term_products(alg, left, right):
-            out[i][j] = out[i][j] + c
+        _add_products(alg, left, right, out)
         return _symbol(alg, out)
 
     def __rmul__(self, other):
@@ -245,30 +244,30 @@ def _symbol(algebra: SymbolAlgebra, grid) -> SymbolElem:
     return x
 
 
-def _term_products(algebra: SymbolAlgebra, left, right):
-    """Each product of a term of left with a term of right, in that order, as ((i, j), c).
+def _add_products(algebra: SymbolAlgebra, left, right, out) -> None:
+    """Add (sum a u^i v^j)(sum b u^r v^s) into the m x m grid out.
 
-    left and right hold ((i, j), c) for the terms c u^i v^j, 0 <= i, j < m;
+    left and right hold (i, j, a) for the terms a u^i v^j, 0 <= i, j < m;
     right is iterated once per term of left.  v^j u^r = w^(jr) u^r v^j, and
-    u^m = alpha and v^m = beta bring the exponents of the product below m.
+    u^m = alpha and v^m = beta bring the exponents of a product below m.
     """
     m = algebra.m
     w, alpha, beta = algebra._omega_pow, algebra.alpha, algebra.beta
-    for (i, j), a in left:
-        for (r, s), b in right:
+    for i, j, a in left:
+        for r, s, b in right:
             c = a * b
             # w^0 = 1 needs no product
             jr = j * r % m
             if jr:
                 c = c * w[jr]
-            i2, j2 = i + r, j + s
-            if i2 >= m:
-                i2 -= m
+            ii, jj = i + r, j + s
+            if ii >= m:
+                ii -= m
                 c = c * alpha
-            if j2 >= m:
-                j2 -= m
+            if jj >= m:
+                jj -= m
                 c = c * beta
-            yield (i2, j2), c
+            out[ii][jj] = out[ii][jj] + c
 
 
 def twisted_centralizer(a: SymbolElem, c):

@@ -261,7 +261,7 @@ def test_large_powers_are_rejected_before_any_arithmetic(monkeypatch):
     from diffsym.symalg import SymbolElem
 
     products = []
-    monkeypatch.setattr(diffsym.parser, "_term_products", lambda *args: products.append(args))
+    monkeypatch.setattr(diffsym.parser, "_add_products", lambda *args: products.append(args))
     monkeypatch.setattr(SymbolElem, "__mul__", lambda *args: products.append(args))
     with pytest.raises(ParseError) as info:
         parse_symbol("((t^40)*u)^30", alg)
