@@ -314,7 +314,7 @@ class _SymbolParser(_Parser):
         a, b = self._terms(a), self._terms(b)
         if op == "*":
             grid = self._grid()
-            _add_products(self.algebra, [(*key, c) for key, c in a.items()], [(*key, c) for key, c in b.items()], grid)
+            _add_products(self.algebra, a.items(), list(b.items()), grid)
             return {(i, j): c for i, row in enumerate(grid) for j, c in enumerate(row) if not c.is_zero()}
         out = dict(a)
         for key, c in (self._neg(b) if op == "-" else b).items():

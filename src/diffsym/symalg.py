@@ -186,8 +186,8 @@ class SymbolElem(FieldElem):
             return self.scale(other)
         self._coerce_other(other)
         alg = self.algebra
-        left = ((i, j, a) for i, row in enumerate(self.grid) for j, a in enumerate(row) if not a.is_zero())
-        right = [(r, s, b) for r, row in enumerate(other.grid) for s, b in enumerate(row) if not b.is_zero()]
+        left = (((i, j), a) for i, row in enumerate(self.grid) for j, a in enumerate(row) if not a.is_zero())
+        right = [((r, s), b) for r, row in enumerate(other.grid) for s, b in enumerate(row) if not b.is_zero()]
         out = [[alg.field.zero()] * alg.m for _ in range(alg.m)]
         _add_products(alg, left, right, out)
         return _symbol(alg, out)
@@ -247,14 +247,14 @@ def _symbol(algebra: SymbolAlgebra, grid) -> SymbolElem:
 def _add_products(algebra: SymbolAlgebra, left, right, out) -> None:
     """Add (sum a u^i v^j)(sum b u^r v^s) into the m x m grid out.
 
-    left and right hold (i, j, a) for the terms a u^i v^j, 0 <= i, j < m;
+    left and right hold ((i, j), a) for the terms a u^i v^j, 0 <= i, j < m;
     right is iterated once per term of left.  v^j u^r = w^(jr) u^r v^j, and
     u^m = alpha and v^m = beta bring the exponents of a product below m.
     """
     m = algebra.m
     w, alpha, beta = algebra._omega_pow, algebra.alpha, algebra.beta
-    for i, j, a in left:
-        for r, s, b in right:
+    for (i, j), a in left:
+        for (r, s), b in right:
             c = a * b
             # w^0 = 1 needs no product
             jr = j * r % m
