@@ -1,9 +1,12 @@
 """CLI reports pinned byte for byte.
 
 Each file under ``data/cli_golden`` is the exact ``--json`` stdout of the
-command listed for it below, written by the release before the explicit
-splitting constructions were folded into one diagonal gauge. A refactor of
-the splitting layer or of the printer must reproduce every byte, and exit 0.
+command listed for it below. The splitting reports were written by the
+release before the explicit splitting constructions were folded into one
+diagonal gauge; the ``deriv``, ``split verify`` and ``algebra check`` reports
+by the release before symbol elements stored only their nonzero terms. A
+refactor of the splitting layer, of the symbol algebra or of the printer
+must reproduce every byte, and exit 0.
 """
 
 from pathlib import Path
@@ -23,6 +26,20 @@ CASES = {
     **{f"split-inner-half-m{m}": ("split", "inner", "--m", str(m), *_AB, "--rho", "u", "--half") for m in (2, 4)},
     **{f"split-generic-theta-m{m}": ("split", "generic", "--m", str(m), *_AB, "--theta", "u+v") for m in (2, 3, 4)},
     "replay": ("replay",),
+    "deriv-decompose-m3": (
+        "deriv", "decompose", "--m", "3", *_AB,
+        "--du=((1/3)/t)*u+((-w+1)*t)*u*v", "--dv=((1/3)/(t+1))*v+(w-1)*u*v",
+    ),
+    # d_s + inner(u*v^2 + (t+w)*v)
+    "deriv-decompose-m5": (
+        "deriv", "decompose", "--m", "5", *_AB,
+        "--du=((1/5)/t)*u + ((-w + 1)*t + (-w^2 + w))*u*v + (-w^2 + 1)*u^2*v^2",
+        "--dv=((1/5)/(t + 1))*v + (w - 1)*u*v^3",
+    ),
+    "deriv-constants-inner-m3": ("deriv", "constants", "--m", "3", *_AB, "--theta", "u+v"),
+    "deriv-constants-standard-m3": ("deriv", "constants", "--m", "3", "--alpha", "2*t", "--beta", "t", "--standard"),
+    "split-verify-theta-m3": ("split", "verify", "--m", "3", *_AB, "--theta", "u*v"),
+    "algebra-check-m4": ("algebra", "check", "--m", "4", *_AB),
 }
 
 
