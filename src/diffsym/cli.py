@@ -191,7 +191,6 @@ def _emit_split(args, report) -> int:
     if report.degree is not None:
         lines.append(f"extension degree {report.degree}")
     lines.append(f"transcendence degree {report.transcendence_degree}")
-    lines.extend(f"diagnostic: {d}" for d in report.diagnostics)
     _emit(args, report.to_json(), lines)
     return 0 if report.passed else 1
 

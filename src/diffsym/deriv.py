@@ -66,18 +66,14 @@ class Derivation:
         alg = self.algebra
         x = alg.coerce_elem(x)
         total = alg.zero_elem()
-        for i in range(alg.m):
-            for j in range(alg.m):
-                c = x.grid[i][j]
-                if c.is_zero():
-                    continue
-                if self.includes_base:
-                    dc = c.derive()
-                    if not dc.is_zero():
-                        total = total + alg.monomial(i, j, dc)
-                # d(1) = 0, so a scalar needs none of the m^2 basis images
-                if i or j:
-                    total = total + self._basis_images()[i][j].scale(c)
+        for (i, j), c in x.terms.items():
+            if self.includes_base:
+                dc = c.derive()
+                if not dc.is_zero():
+                    total = total + alg.monomial(i, j, dc)
+            # d(1) = 0, so a scalar needs none of the m^2 basis images
+            if i or j:
+                total = total + self._basis_images()[i][j].scale(c)
         return total
 
     def __add__(self, other: "Derivation") -> "Derivation":
@@ -169,18 +165,18 @@ def decompose(d: Derivation) -> SymbolElem:
     verdict = d.verdict()
     if not verdict.ok:
         raise ValueError(f"not a derivation: conditions {verdict.failing} fail")
-    a = d.du.grid
-    b = d.dv.grid
     # g[j] = (1 - w^j)^-1, so 1/(w^i - 1) = -g[i] and 1/((1 - w^j) alpha) = g[j] alpha^-1
     g, alpha_inv = alg.inverse_gaps
-    grid = [[alg.field.zero()] * m for _ in range(m)]
-    for i in range(1, m):
-        grid[i][0] = -(b[i][1] * g[i])
-    for j in range(1, m):
-        for i in range(m - 1):
-            grid[i][j] = a[i + 1][j] * g[j]
-        grid[m - 1][j] = a[0][j] * g[j] * alpha_inv
-    theta = _symbol(alg, grid)
+    # theta[i][0] = -dv[i][1] g[i] for i >= 1, theta[i-1][j] = du[i][j] g[j] for j >= 1,
+    # wrapping to theta[m-1][j] = du[0][j] g[j] alpha^-1; a product of nonzeros is nonzero
+    terms = {}
+    for (i, j), c in d.dv.terms.items():
+        if i and j == 1:
+            terms[i, 0] = -(c * g[i])
+    for (i, j), c in d.du.terms.items():
+        if j:
+            terms[(i - 1) % m, j] = c * g[j] if i else c * g[j] * alpha_inv
+    theta = _symbol(alg, terms)
     recomposed = standard_derivation(alg) + inner_derivation(theta)
     if not (recomposed.du == d.du and recomposed.dv == d.dv):
         raise AssertionError("decomposition failed to reproduce d(u), d(v)")

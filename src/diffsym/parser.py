@@ -7,9 +7,9 @@
 
 A name is one of the generators of the field being parsed (its
 ``generators()``: w, t, xi, x0, ...).  Whitespace is insignificant.
-Evaluation keeps each subexpression in the smallest ring that holds it
-(``_Parser``, ``_SymbolParser``) and returns the same canonical element as
-evaluating everything in the context itself.  Printing produces strings
+Evaluation keeps each scalar subexpression in the smallest ring that holds
+it (``_Parser``) and returns the same canonical element as evaluating
+everything in the context itself.  Printing produces strings
 that parse back to the same canonical element.
 """
 
@@ -22,7 +22,7 @@ from fractions import Fraction
 from .scalars import CycloElem, KummerElem, Poly, PolyDiffElem, RatFunc, RatFuncField
 from .scalars.polys import _poly
 from .scalars.ratfunc import _ratfunc
-from .symalg import SymbolElem, _add_products, _symbol
+from .symalg import SymbolElem
 
 
 class ParseError(ValueError):
@@ -57,28 +57,21 @@ MAX_EXPONENT = 1000
 
 def _t_degree(x) -> int:
     """max(deg num, deg den) of a rational function, the degree of a polynomial; the largest
-    over the coefficients of a tower element, a symbol element or a sparse symbol sum; 0 for
-    constants."""
+    over the coefficients of a tower element or a symbol element; 0 for constants."""
     if isinstance(x, RatFunc):
         return max(x.num.degree, x.den.degree)
     if isinstance(x, Poly):
         return max(x.degree, 0)
-    if isinstance(x, dict):
-        parts = x.values()
-    elif isinstance(x, (KummerElem, PolyDiffElem)):
-        parts = x.terms.values()
-    elif isinstance(x, SymbolElem):
-        parts = (c for row in x.grid for c in row)
-    else:
-        return 0
-    return max((_t_degree(c) for c in parts), default=0)
+    if isinstance(x, (KummerElem, PolyDiffElem, SymbolElem)):
+        return max((_t_degree(c) for c in x.terms.values()), default=0)
+    return 0
 
 
-_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
-# The rung of a value: Q(w), Q(w)[t], the context field, a sparse symbol sum
-# {(i, j): c}, a SymbolElem.  An element of any other context field is on rung 2.
-_RANKS = {CycloElem: 0, Poly: 1, dict: 3, SymbolElem: 4}
+# The rung of a value: Q(w), Q(w)[t], the context field.  An element of any
+# other context field is on rung 2.
+_RANKS = {CycloElem: 0, Poly: 1}
 
 
 def _rank(x) -> int:
@@ -135,7 +128,7 @@ class _Parser:
             negate = True
         value = self.term()
         if negate:
-            value = self._neg(value)
+            value = -value
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
@@ -155,9 +148,6 @@ class _Parser:
                 return value
 
     # -- the scalar ladder ---------------------------------------------------
-
-    def _neg(self, x):
-        return -x
 
     def _binop(self, op: str, a, b):
         """a op b on the higher rung of the two; a / b is a times the inverse of b."""
@@ -251,10 +241,9 @@ def parse_scalar(src: str, context):
 class _SymbolParser(_Parser):
     """The scalar grammar over the coefficient field, plus the generators u and v.
 
-    A symbol expression is a sparse sum {(i, j): c} of terms c u^i v^j, c != 0:
-    u^e and v^e are single terms, a scalar scales each c, sums merge, and
-    products take ``symalg._add_products``.  Only a division by a symbol
-    expression and a power of one lift to SymbolElem.
+    u^e and v^e are one-term SymbolElems.  A scalar stays on the ladder until
+    it meets a symbol element: there ``*`` scales the element, and every other
+    operation lifts the scalar with ``algebra.scalar``.
     """
 
     def __init__(self, src: str, algebra):
@@ -267,62 +256,25 @@ class _SymbolParser(_Parser):
             # u^e = alpha^(e // m) u^(e mod m), and likewise v^e
             self.advance()
             alg = self.algebra
-            m = alg.m
-            radicand = alg.alpha if name == "u" else alg.beta
-            e = self.exponent(radicand, m)
-            return {(e % m, 0) if name == "u" else (0, e % m): radicand ** (e // m)}
+            if name == "u":
+                return alg.u(self.exponent(alg.alpha, alg.m))
+            return alg.v(self.exponent(alg.beta, alg.m))
         return super().factor()
 
-    def _neg(self, x):
-        return {key: -c for key, c in x.items()} if type(x) is dict else -x
-
-    def _terms(self, x) -> dict:
-        """A scalar or a sparse sum as a sparse sum."""
-        if type(x) is dict:
-            return x
-        return {} if x.is_zero() else {(0, 0): self._lift(x)}
-
-    def _grid(self):
-        alg = self.algebra
-        return [[alg.field.zero()] * alg.m for _ in range(alg.m)]
-
     def _element(self, x) -> SymbolElem:
-        """Any value as a SymbolElem: one grid, built through the trusted constructor."""
-        if type(x) is SymbolElem:
-            return x
-        grid = self._grid()
-        for (i, j), c in self._terms(x).items():
-            grid[i][j] = c
-        return _symbol(self.algebra, grid)
+        """x itself if it is a symbol element, else the scalar x lifted into the algebra."""
+        return x if type(x) is SymbolElem else self.algebra.scalar(self._lift(x))
 
     def _binop(self, op, a, b):
-        ra, rb = _rank(a), _rank(b)
-        if ra < 3 and rb < 3:
+        a_symbol, b_symbol = type(a) is SymbolElem, type(b) is SymbolElem
+        if not (a_symbol or b_symbol):
             return super()._binop(op, a, b)
-        if op == "/":
-            if rb >= 3:
-                return self._element(a) / self._element(b)
+        if op == "/" and not b_symbol:
             op, b = "*", self._inv(b)
-        if op == "*" and min(ra, rb) < 3:
-            # a scalar multiple; a scalar is central, so no commutation
-            c, x = (self._lift(a), b) if ra < 3 else (self._lift(b), a)
-            if type(x) is SymbolElem:
-                return x.scale(c)
-            return {} if c.is_zero() else {key: d * c for key, d in x.items()}
-        if ra == 4 or rb == 4:
-            return _BINOPS[op](self._element(a), self._element(b))
-        a, b = self._terms(a), self._terms(b)
-        if op == "*":
-            grid = self._grid()
-            _add_products(self.algebra, a.items(), list(b.items()), grid)
-            return {(i, j): c for i, row in enumerate(grid) for j, c in enumerate(row) if not c.is_zero()}
-        out = dict(a)
-        for key, c in (self._neg(b) if op == "-" else b).items():
-            out[key] = out[key] + c if key in out else c
-        return {key: c for key, c in out.items() if not c.is_zero()}
-
-    def _power(self, x, e: int):
-        return super()._power(self._element(x) if type(x) is dict else x, e)
+        if op == "*" and a_symbol != b_symbol:
+            # a scalar is central, so no commutation
+            return a.scale(self._lift(b)) if a_symbol else b.scale(self._lift(a))
+        return _BINOPS[op](self._element(a), self._element(b))
 
 
 def parse_symbol(src: str, algebra):
@@ -460,7 +412,5 @@ def scalar_to_str(x) -> str:
 
 def symbol_to_str(x) -> str:
     """Print a symbol algebra element as a sum of c*u^i*v^j; parse_symbol round-trips it."""
-    parts = [
-        _term_str(c, "uv", (i, j)) for i, row in enumerate(x.grid) for j, c in enumerate(row) if not c.is_zero()
-    ]
+    parts = [_term_str(x.terms[i, j], "uv", (i, j)) for i, j in sorted(x.terms)]
     return " + ".join(parts) if parts else "0"

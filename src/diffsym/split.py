@@ -88,25 +88,23 @@ class PhiMap:
 
             Phi(x)[r][s] = (beta if r < s else 1) * sum_i x[i][(r-s) mod m] A^i[r][r],
 
-        m^3 scalar products in place of m^2 matrix products.
+        m scalar products per term of x in place of m^2 matrix products.
         """
         x = self.ext_algebra.coerce_elem(x)
         m = self.algebra.m
         zero = self.ext_field.zero()
-        rows = []
+        rows = [[zero] * m for _ in range(m)]
+        for (i, j), c in x.terms.items():
+            a_i = self._a_diag[i]
+            for r in range(m):
+                row, s = rows[r], (r - j) % m
+                term = c * a_i[r]
+                row[s] = term if row[s].is_zero() else row[s] + term
         for r in range(m):
-            row = []
-            for s in range(m):
-                j = (r - s) % m
-                acc = zero
-                for i in range(m):
-                    c = x.grid[i][j]
-                    if not c.is_zero():
-                        acc = acc + c * self._a_diag[i][r]
-                if r < s and not acc.is_zero():
-                    acc = acc * self._beta
-                row.append(acc)
-            rows.append(row)
+            row = rows[r]
+            for s in range(r + 1, m):
+                if not row[s].is_zero():
+                    row[s] = row[s] * self._beta
         return _matrix(self.ext_field, rows)
 
 
@@ -140,11 +138,6 @@ def _checked_t_r(m: int) -> tuple[Fraction, ...]:
             raise AssertionError(f"t_r sum disagrees with the closed form at m={m}, r={r}")
         values.append(closed)
     return tuple(values)
-
-
-def t_r_value(m: int, r: int) -> Fraction:
-    """t_r as the cyclotomic sum, asserted equal to (m-1)/2 - r (all m sums are checked)."""
-    return _checked_t_r(m)[r]
 
 
 def compute_Ps(phi: PhiMap) -> DiffMatrix:
@@ -231,7 +224,6 @@ class SplitReport:
     f: DiffMatrix
     gauge: GaugeVerdict
     isomorphism: IsoVerdict | None
-    diagnostics: list
 
     @property
     def degree(self) -> int | None:
@@ -259,7 +251,8 @@ class SplitReport:
             },
             "degree": self.degree,
             "transcendence_degree": self.transcendence_degree,
-            "diagnostics": list(self.diagnostics),
+            # "diagnostics" stays in the report schema; every construction self-checks instead
+            "diagnostics": [],
         }
 
 
@@ -269,7 +262,7 @@ def _tower_entry(field: KummerField) -> dict:
     return {"gen": field.gen_name, "power": field.m, "radicand": scalar_to_str(field.alpha)}
 
 
-def _diagonal_split(phi, d, p, e, gens, exponents, extension, diagnostics) -> SplitReport:
+def _diagonal_split(phi, d, p, e, gens, exponents, extension) -> SplitReport:
     """The report for the diagonal gauge F = diag(prod_i gens[i]^exponents[r][i]) over E.
 
     With delta(g_i) = c_i g_i, delta(F[r][r]) = (sum_i exponents[r][i] c_i) F[r][r]:
@@ -278,7 +271,7 @@ def _diagonal_split(phi, d, p, e, gens, exponents, extension, diagnostics) -> Sp
     iso = verify_diff_isomorphism(phi, d, p)
     entries = [math.prod((g**n for g, n in zip(gens, row) if n), start=e.one()) for row in exponents]
     f_mat = DiffMatrix.diagonal(e, entries)
-    return SplitReport(extension, p, f_mat, verify_gauge(p.coerce_to(e), f_mat), iso, diagnostics)
+    return SplitReport(extension, p, f_mat, verify_gauge(p.coerce_to(e), f_mat), iso)
 
 
 def split_standard(algebra: SymbolAlgebra) -> SplitReport:
@@ -305,7 +298,7 @@ def split_standard(algebra: SymbolAlgebra) -> SplitReport:
         ext["tower"].append(_tower_entry(e))
         ext["derivation_rules"].append(f"delta({name}) = delta(beta)/({n * m} beta) {name}")
     exponents = [[int(n * (t0 - r))] * len(gens) for r in range(m)]
-    return _diagonal_split(phi, standard_derivation(algebra), compute_Ps(phi), e, gens, exponents, ext, [])
+    return _diagonal_split(phi, standard_derivation(algebra), compute_Ps(phi), e, gens, exponents, ext)
 
 
 def find_twist_partner(rho1: SymbolElem):
@@ -324,17 +317,14 @@ def _require_zero_base(algebra: SymbolAlgebra):
 
 
 def _require_u_polynomial(rho: SymbolElem):
-    alg = rho.algebra
-    for i in range(alg.m):
-        for j in range(1, alg.m):
-            if not rho.grid[i][j].is_zero():
-                raise ValueError(
-                    "rho must be written as a polynomial in u; "
-                    "rewrite it over a Kummer generator first (see find_twist_partner)"
-                )
+    if any(j for _, j in rho.terms):
+        raise ValueError(
+            "rho must be written as a polynomial in u; "
+            "rewrite it over a Kummer generator first (see find_twist_partner)"
+        )
 
 
-def _exponential_split(phi: PhiMap, rho: SymbolElem, p: DiffMatrix, rates, exponents, diagnostics: list) -> SplitReport:
+def _exponential_split(phi: PhiMap, rho: SymbolElem, p: DiffMatrix, rates, exponents) -> SplitReport:
     """Report for inner(rho), P = Phi(rho) diagonal: adjoin x_i with delta(x_i) = rates[i] x_i.
 
     Row r of the integer matrix exponents makes F[r][r] = prod_i x_i^exponents[r][i].
@@ -348,7 +338,7 @@ def _exponential_split(phi: PhiMap, rho: SymbolElem, p: DiffMatrix, rates, expon
         "derivation_rules": [f"delta({n}) = ({scalar_to_str(r)}) {n}" for n, r in zip(names, rates)],
     }
     gens = [e.gen(i) for i in range(len(names))]
-    return _diagonal_split(phi, inner_derivation(rho), p, e, gens, exponents, extension, diagnostics)
+    return _diagonal_split(phi, inner_derivation(rho), p, e, gens, exponents, extension)
 
 
 def split_inner_cyclic(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitReport:
@@ -362,7 +352,7 @@ def split_inner_cyclic(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitReport:
     phi = PhiMap(algebra, xi_extension(algebra))
     p = phi.apply(rho)
     eye = [[int(r == i) for i in range(m)] for r in range(m)]
-    return _exponential_split(phi, rho, p, [p.rows[r][r] for r in range(m)], eye, [])
+    return _exponential_split(phi, rho, p, [p.rows[r][r] for r in range(m)], eye)
 
 
 def split_inner_even_half(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitReport:
@@ -377,22 +367,19 @@ def split_inner_even_half(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitRepor
     if m % 2 != 0:
         raise ValueError("the half construction needs even m")
     rho = algebra.coerce_elem(rho)
-    scale = rho.grid[1][0]
-    if scale.is_zero() or any(
-        not rho.grid[i][j].is_zero() for i in range(m) for j in range(m) if (i, j) != (1, 0)
-    ):
+    if rho.terms.keys() != {(1, 0)}:
         raise ValueError("rho must be a nonzero scalar multiple of u")
     half = m // 2
     phi = PhiMap(algebra, xi_extension(algebra))
     p = phi.apply(rho)
-    diagnostics = []
-    # cross-check the block form diag(P0, -P0)
+    # P = Phi(c u) has c xi w^(m-r) at row r and its negative at row r + m/2,
+    # since w^(m/2) = -1: the block form diag(P0, -P0) holds by construction
     for r in range(half):
         if not (p.rows[r][r] + p.rows[half + r][half + r]).is_zero():
-            diagnostics.append(f"block antisymmetry fails at row {r}")
+            raise AssertionError(f"block antisymmetry of P fails at row {r}")
     eye = [[int(r == i) for i in range(half)] for r in range(half)]
     exponents = eye + [[-n for n in row] for row in eye]
-    return _exponential_split(phi, rho, p, [p.rows[r][r] for r in range(half)], exponents, diagnostics)
+    return _exponential_split(phi, rho, p, [p.rows[r][r] for r in range(half)], exponents)
 
 
 def split_generic(p: DiffMatrix) -> SplitReport:
@@ -425,7 +412,6 @@ def split_generic(p: DiffMatrix) -> SplitReport:
         f=f_mat,
         gauge=gauge,
         isomorphism=None,
-        diagnostics=[],
     )
 
 
@@ -455,19 +441,14 @@ def norm_split_check(algebra: SymbolAlgebra, d: Derivation, theta: SymbolElem) -
     if not subfield_stable(d, algebra.u()):
         raise ValueError("d must preserve k(u)")
     m = algebra.m
-    p = None
-    for j in range(1, m):
-        if any(not theta.grid[i][j].is_zero() for i in range(m)):
-            p = j
-            break
+    p = min((j for _, j in theta.terms if j), default=None)
     if p is None:
         raise ValueError("theta lies in k(u); no invertible v-component")
     xi_field = xi_extension(algebra)
     theta_p = xi_field.zero()
     xi = xi_field.gen()
-    for i in range(m):
-        c = theta.grid[i][p]
-        if not c.is_zero():
+    for (i, j), c in theta.terms.items():
+        if j == p:
             theta_p = theta_p + xi**i * xi_field.coerce(c)
     gamma = theta_p.inv()
     norm = xi_field.one()

@@ -1,10 +1,10 @@
 """The symbol algebra A = (alpha, beta)_{k,w}: u^m = alpha, v^m = beta, vu = w uv.
 
-Elements are m x m coefficient grids over a pluggable coefficient field, so
+Elements are sums of terms c u^i v^j over a pluggable coefficient field, so
 the same type serves A and A tensor E for any extension E of k.  The public
-``SymbolElem(algebra, grid)`` checks the shape and coerces every entry;
-arithmetic, whose entries already lie in the field, builds through the
-trusted ``_symbol``.
+``SymbolElem(algebra, grid)`` takes a dense m x m grid, checks the shape,
+coerces every entry and keeps the nonzero ones; arithmetic, whose terms
+already lie in the field, builds through the trusted ``_symbol``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ class AlgebraMismatchError(ValueError):
 
 class SymbolAlgebra:
     def __init__(self, field, alpha, beta, m: int):
+        if m < 2:
+            raise ValueError(f"a symbol algebra needs degree m >= 2, got m = {m}")
         alpha = field.coerce(alpha)
         beta = field.coerce(beta)
         if alpha.is_zero() or beta.is_zero():
@@ -77,7 +79,7 @@ class SymbolAlgebra:
     # -- element constructors --------------------------------------------
 
     def zero_elem(self) -> "SymbolElem":
-        return _symbol(self, [[self.field.zero()] * self.m] * self.m)
+        return _symbol(self, {})
 
     def one(self) -> "SymbolElem":
         return self.monomial(0, 0, self.field.one())
@@ -96,9 +98,8 @@ class SymbolAlgebra:
     def monomial(self, i: int, j: int, c) -> "SymbolElem":
         if not (0 <= i < self.m and 0 <= j < self.m):
             raise ValueError("exponents out of range")
-        grid = [[self.field.zero()] * self.m for _ in range(self.m)]
-        grid[i][j] = self.field.coerce(c)
-        return _symbol(self, grid)
+        c = self.field.coerce(c)
+        return _symbol(self, {} if c.is_zero() else {(i, j): c})
 
     def from_grid(self, grid) -> "SymbolElem":
         return SymbolElem(self, grid)
@@ -111,10 +112,11 @@ class SymbolAlgebra:
         return SymbolAlgebra(new_field, new_field.coerce(self.alpha), new_field.coerce(self.beta), self.m)
 
     def coerce_elem(self, x: "SymbolElem") -> "SymbolElem":
-        """x itself when it belongs to this algebra, else its grid coerced once."""
+        """x itself when it belongs to this algebra, else each of its terms coerced once."""
         if x.algebra is self:
             return x
-        return SymbolElem(self, x.grid)
+        coerce = self.field.coerce
+        return _symbol(self, {key: coerce(c) for key, c in x.terms.items()})
 
     def __eq__(self, other):
         return (
@@ -130,32 +132,45 @@ class SymbolAlgebra:
 
 
 class SymbolElem(FieldElem):
-    """Coefficient grid: coeffs[i][j] multiplies u^i v^j."""
+    """Element sum c_ij u^i v^j (0 <= i, j < m), stored sparsely as ``terms``, {(i, j): c_ij}.
 
-    __slots__ = ("algebra", "grid")
+    Every stored c_ij is a nonzero element of the coefficient field, so the
+    dict is canonical: zero is {}.  ``SymbolElem(algebra, grid)`` takes the
+    dense m x m grid, coerces it and drops the zeros; arithmetic builds
+    through the trusted ``_symbol``.
+    """
+
+    __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: SymbolAlgebra, grid):
         if len(grid) != algebra.m or any(len(r) != algebra.m for r in grid):
             raise ValueError("grid has the wrong shape")
         coerce = algebra.field.coerce
         self.algebra = algebra
-        self.grid = tuple(tuple(coerce(c) for c in row) for row in grid)
+        self.terms = {}
+        for i, row in enumerate(grid):
+            for j, c in enumerate(row):
+                c = coerce(c)
+                if not c.is_zero():
+                    self.terms[i, j] = c
 
-    def grid_copy(self):
-        return [list(row) for row in self.grid]
+    @property
+    def grid(self) -> tuple:
+        """The dense m x m grid, grid[i][j] multiplying u^i v^j, zeros included; a read-only view."""
+        m, terms = self.algebra.m, self.terms
+        zero = self.algebra.field.zero()
+        return tuple(tuple(terms.get((i, j), zero) for j in range(m)) for i in range(m))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for row in self.grid for c in row)
+        return not self.terms
 
     def is_scalar(self) -> bool:
-        return all(
-            self.grid[i][j].is_zero() for i in range(self.algebra.m) for j in range(self.algebra.m) if i or j
-        )
+        return self.terms.keys() <= {(0, 0)}
 
     def scalar_value(self):
         if not self.is_scalar():
             raise ValueError("element is not a scalar")
-        return self.grid[0][0]
+        return self.terms.get((0, 0), self.algebra.field.zero())
 
     def _coerce_other(self, other) -> "SymbolElem":
         if not isinstance(other, SymbolElem):
@@ -168,29 +183,60 @@ class SymbolElem(FieldElem):
         return self.algebra.one()
 
     def _key(self):
-        return self.grid
+        return self.terms
 
     def __add__(self, other):
         other = self._coerce_other(other)
-        return _symbol(self.algebra, [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.grid, other.grid)])
+        out = dict(self.terms)
+        for key, b in other.terms.items():
+            a = out.get(key)
+            if a is None:
+                out[key] = b
+                continue
+            s = a + b
+            if s.is_zero():
+                del out[key]
+            else:
+                out[key] = s
+        return _symbol(self.algebra, out)
 
     def __neg__(self):
-        return _symbol(self.algebra, [[-c for c in row] for row in self.grid])
+        return _symbol(self.algebra, {key: -c for key, c in self.terms.items()})
 
     def scale(self, c) -> "SymbolElem":
         c = self.algebra.field.coerce(c)
-        return _symbol(self.algebra, [[a * c for a in row] for row in self.grid])
+        if c.is_zero():
+            return _symbol(self.algebra, {})
+        return _symbol(self.algebra, {key: a * c for key, a in self.terms.items()})
 
     def __mul__(self, other):
+        """Term by term: v^j u^r = w^(jr) u^r v^j, and u^m = alpha and v^m = beta
+        bring the exponents of a product below m."""
         if not isinstance(other, SymbolElem):
             return self.scale(other)
         self._coerce_other(other)
         alg = self.algebra
-        left = (((i, j), a) for i, row in enumerate(self.grid) for j, a in enumerate(row) if not a.is_zero())
-        right = [((r, s), b) for r, row in enumerate(other.grid) for s, b in enumerate(row) if not b.is_zero()]
-        out = [[alg.field.zero()] * alg.m for _ in range(alg.m)]
-        _add_products(alg, left, right, out)
-        return _symbol(alg, out)
+        m = alg.m
+        w, alpha, beta = alg._omega_pow, alg.alpha, alg.beta
+        right = other.terms.items()
+        out = {}
+        for (i, j), a in self.terms.items():
+            for (r, s), b in right:
+                c = a * b
+                # w^0 = 1 needs no product
+                jr = j * r % m
+                if jr:
+                    c = c * w[jr]
+                ii, jj = i + r, j + s
+                if ii >= m:
+                    ii -= m
+                    c = c * alpha
+                if jj >= m:
+                    jj -= m
+                    c = c * beta
+                prev = out.get((ii, jj))
+                out[ii, jj] = c if prev is None else prev + c
+        return _symbol(alg, {key: c for key, c in out.items() if not c.is_zero()})
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -209,22 +255,16 @@ class SymbolElem(FieldElem):
 
     def trace(self):
         """m^2 times the u^0 v^0 coefficient."""
-        return self.grid[0][0] * (self.algebra.m**2)
-
-    def is_trace_zero(self) -> bool:
-        return self.grid[0][0].is_zero()
+        return self.terms.get((0, 0), self.algebra.field.zero()) * (self.algebra.m**2)
 
     def to_vector(self):
+        """The m^2 coefficients in row-major order, zeros included."""
         return [c for row in self.grid for c in row]
 
     def to_json(self):
         from .parser import scalar_to_str
 
-        entries = []
-        for i in range(self.algebra.m):
-            for j in range(self.algebra.m):
-                if not self.grid[i][j].is_zero():
-                    entries.append([i, j, scalar_to_str(self.grid[i][j])])
+        entries = [[i, j, scalar_to_str(self.terms[i, j])] for i, j in sorted(self.terms)]
         return {"m": self.algebra.m, "entries": entries}
 
     def __repr__(self):
@@ -236,38 +276,12 @@ class SymbolElem(FieldElem):
 _new = object.__new__
 
 
-def _symbol(algebra: SymbolAlgebra, grid) -> SymbolElem:
-    """The trusted constructor: grid is m x m and every entry lies in algebra.field."""
+def _symbol(algebra: SymbolAlgebra, terms: dict) -> SymbolElem:
+    """The trusted constructor: terms maps (i, j), 0 <= i, j < m, to nonzero elements of algebra.field."""
     x = _new(SymbolElem)
     x.algebra = algebra
-    x.grid = tuple(map(tuple, grid))
+    x.terms = terms
     return x
-
-
-def _add_products(algebra: SymbolAlgebra, left, right, out) -> None:
-    """Add (sum a u^i v^j)(sum b u^r v^s) into the m x m grid out.
-
-    left and right hold ((i, j), a) for the terms a u^i v^j, 0 <= i, j < m;
-    right is iterated once per term of left.  v^j u^r = w^(jr) u^r v^j, and
-    u^m = alpha and v^m = beta bring the exponents of a product below m.
-    """
-    m = algebra.m
-    w, alpha, beta = algebra._omega_pow, algebra.alpha, algebra.beta
-    for (i, j), a in left:
-        for (r, s), b in right:
-            c = a * b
-            # w^0 = 1 needs no product
-            jr = j * r % m
-            if jr:
-                c = c * w[jr]
-            ii, jj = i + r, j + s
-            if ii >= m:
-                ii -= m
-                c = c * alpha
-            if jj >= m:
-                jj -= m
-                c = c * beta
-            out[ii][jj] = out[ii][jj] + c
 
 
 def twisted_centralizer(a: SymbolElem, c):

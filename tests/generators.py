@@ -11,7 +11,7 @@ from diffsym.symalg import SymbolElem
 
 def random_element(algebra, rng, entries: int = 3, coeff_range: int = 5, max_deg: int = 1) -> SymbolElem:
     """Sparse random element with small integer-polynomial coefficients."""
-    grid = algebra.zero_elem().grid_copy()
+    grid = [list(r) for r in algebra.zero_elem().grid]
     for _ in range(entries):
         i = rng.randrange(algebra.m)
         j = rng.randrange(algebra.m)
@@ -29,7 +29,7 @@ def _small_scalar(algebra, int_coeffs):
 
 def random_trace_zero(algebra, rng, entries: int = 3) -> SymbolElem:
     theta = random_element(algebra, rng, entries=entries)
-    grid = theta.grid_copy()
+    grid = [list(r) for r in theta.grid]
     grid[0][0] = algebra.field.zero()
     theta = SymbolElem(algebra, grid)
     if theta.is_zero():

@@ -97,6 +97,19 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
     assert not hasattr(diffsym.cli, "MAX_GENERIC_M")
 
 
+@pytest.mark.parametrize("argv", [
+    ["algebra", "check", "--m", "1", "--alpha", "t", "--beta", "t+1"],
+    ["deriv", "constants", "--m", "1", "--alpha", "t", "--beta", "t+1", "--standard"],
+])
+def test_a_symbol_algebra_of_degree_one_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: a symbol algebra needs degree m >= 2, got m = 1\n" and captured.out == ""
+    # subcommands that build no algebra still take m = 1
+    assert main(["ode", "solve", "--m", "1", "--mu", "1", "--g", "t"]) == 0
+    assert main(["power-detect", "--m", "1", "--f", "t"]) == 0
+
+
 def test_split_generic_runs_past_the_old_m7_bound(capsys, registry):
     code, report = run_json(
         capsys, "split", "generic", "--m", "8", "--alpha", "t", "--beta", "t+1", "--theta=u + t*v + w*u^2*v^3",

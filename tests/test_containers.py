@@ -198,8 +198,9 @@ def test_coerce_elem_coerces_a_foreign_grid_once(monkeypatch):
     assert alg.coerce_elem(x) is x
     coercions = _counter(monkeypatch, KummerField, "coerce")
     y = ext.coerce_elem(x)
-    assert len(coercions) == 9
-    assert ext.coerce_elem(y) is y and len(coercions) == 9
+    # one coercion per stored term, none for the m^2 - 2 zero coefficients
+    assert len(coercions) == len(x.terms) == 2
+    assert ext.coerce_elem(y) is y and len(coercions) == 2
 
 
 # -- oracles for the fast paths -------------------------------------------
@@ -249,6 +250,45 @@ def test_symbol_arithmetic_matches_the_dense_oracle(m, rng):
             for y in samples:
                 for got, want in ((x * y, dense_symbol_mul(x, y)), (x + y, coercing_symbol_add(x, y))):
                     assert _in_field(got, field) and got == want
+
+
+def _assert_canonical(x, want=None):
+    """x stores no zero coefficient and, given an element equal to it, the same terms."""
+    assert not any(c.is_zero() for c in x.terms.values()), x.terms
+    assert want is None or x.terms == want.terms
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_symbol_elements_store_only_nonzero_terms(m, rng):
+    alg = make_algebra(m)
+    phi = make_phi(alg)
+    ext = phi.ext_algebra
+    d = random_valid_derivation(alg, rng)
+    for algebra, samples in ((alg, _symbol_samples(alg, rng, 0)), (ext, _extended_samples(alg, phi, rng, 0))):
+        zero, one, u = algebra.zero_elem(), algebra.one(), algebra.u()
+        d_here = d.extend(algebra)
+        # (1 + u)(1 - u) = 1 - u^2 cancels inside the product
+        _assert_canonical((one + u) * (one - u), one - u * u)
+        inverse = (one + u).inv()
+        _assert_canonical(inverse)
+        _assert_canonical((one + u) * inverse, one)
+        for x in samples:
+            _assert_canonical(x + (-x), zero)
+            _assert_canonical(x - x, zero)
+            _assert_canonical(x.scale(algebra.field.zero()), zero)
+            _assert_canonical(x.scale(algebra.field.gen()), coercing_symbol_scale(x, algebra.field.gen()))
+            _assert_canonical(d_here.apply(x), algebra.from_grid(d_here.apply(x).grid))
+            if algebra is ext:
+                continue
+            y = ext.coerce_elem(x)
+            _assert_canonical(y, ext.from_grid(x.grid))
+            _assert_canonical(d.extend(ext).apply(y), ext.coerce_elem(d.apply(x)))
+        for x in samples:
+            for y in samples:
+                _assert_canonical(x * y, dense_symbol_mul(x, y))
+                _assert_canonical(x + y, coercing_symbol_add(x, y))
+                _assert_canonical((x + y) - y, x)
+                _assert_canonical(x * y - y * x)
 
 
 def _matrix_samples(field, rng, m, entries):

@@ -174,7 +174,7 @@ def test_symbol_products_while_parsing(monkeypatch):
     mul = SymbolElem.__mul__
 
     def counting(self, other):
-        calls.append(other)
+        calls.append((self, other))
         return mul(self, other)
 
     monkeypatch.setattr(SymbolElem, "__mul__", counting)
@@ -188,7 +188,8 @@ def test_symbol_products_while_parsing(monkeypatch):
     t = k.gen()
     alg = SymbolAlgebra(k, t, t + k.one(), 5)
     x = parse_symbol("(2*t + 1)*u^4*v^2", alg)
-    assert len(calls) == 0
+    # the scalar scales u^4, and one product of two one-term elements takes v^2
+    assert len(calls) == 1 and [len(x.terms) for x in calls[0]] == [1, 1]
     assert x == alg.monomial(4, 2, t * 2 + 1)
     assert parse_symbol("u*u*u*u*v*v*(2*t + 1)", alg) == x
 
@@ -200,12 +201,15 @@ def test_sums_of_monomials_take_no_symbol_arithmetic_and_polynomials_no_gcd(monk
     from diffsym.symalg import SymbolElem
 
     calls = []
+    right_terms = []
 
     def counting(cls, name):
         original = getattr(cls, name)
 
         def wrapper(*args):
             calls.append(f"{cls.__name__}.{name}")
+            if cls is SymbolElem:
+                right_terms.append(len(args[1].terms))
             return original(*args)
 
         monkeypatch.setattr(cls, name, wrapper)
@@ -230,8 +234,12 @@ def test_sums_of_monomials_take_no_symbol_arithmetic_and_polynomials_no_gcd(monk
             x = x + alg.monomial(i, j, t ** rng.randint(0, 3) * rng.randint(1, 5) + w * rng.randint(-2, 2))
         text = symbol_to_str(x)
         calls.clear()
+        right_terms.clear()
         y = parse_symbol(text, alg)
-        assert calls.count("SymbolElem.__mul__") == calls.count("SymbolElem.__add__") == 0, text
+        # each monomial takes one-term products, and each sum adds one term:
+        # no coefficient is ever added and no gcd taken
+        assert set(right_terms) <= {1}, text
+        assert "RatFunc.__add__" not in calls and "poly_gcd" not in calls, text
         assert y == x
     # a polynomial without '/' stays in Q(w)[t]: no gcd and no rational function arithmetic
     for text in ("(w^2 + 3)*t^3 - 2*t*(t + w)^2 + 5", "-(t - 1)^4*(2*w*t + 3)", "t^7 - w^3*t"):
@@ -255,13 +263,11 @@ def test_large_powers_are_rejected_before_any_arithmetic(monkeypatch):
     alg = SymbolAlgebra(k, k.gen(), k.gen() + k.one(), 3)
     with pytest.raises(ParseError):
         parse_symbol("(u^999)^999", alg)  # u^999 = t^333 u^0
-    # a sparse symbol sum is bounded by its coefficients' t-degree, 40 times 30,
-    # before any product of symbol sums or elements
-    import diffsym.parser
+    # a symbol element is bounded by its coefficients' t-degree, 40 times 30,
+    # before any product of symbol elements
     from diffsym.symalg import SymbolElem
 
     products = []
-    monkeypatch.setattr(diffsym.parser, "_add_products", lambda *args: products.append(args))
     monkeypatch.setattr(SymbolElem, "__mul__", lambda *args: products.append(args))
     with pytest.raises(ParseError) as info:
         parse_symbol("((t^40)*u)^30", alg)

@@ -20,7 +20,6 @@ from diffsym.split import (
     split_generic,
     split_inner_cyclic,
     split_inner_even_half,
-    t_r_value,
     t_r_values,
     verify_diff_isomorphism,
 )
@@ -104,7 +103,7 @@ def test_t_r_closed_form(m):
     from fractions import Fraction
 
     for r in range(m):
-        assert t_r_value(m, r) == Fraction(m - 1, 2) - r
+        assert t_r_values(m)[r] == Fraction(m - 1, 2) - r
 
 
 def test_t_r_values_returns_a_fresh_list():
@@ -117,7 +116,7 @@ def test_t_r_values_returns_a_fresh_list():
     first.append(Fraction(7))
     assert t_r_values(5) == [Fraction(2 - r) for r in range(5)]
     assert t_r_values(5) is not t_r_values(5)
-    assert t_r_value(5, 0) == 2
+    assert t_r_values(5)[0] == 2
     assert _case_tr_identity() == (True, "closed form matches the cyclotomic sum for m in {2,3,4,5,7}")
 
 
@@ -246,10 +245,28 @@ def test_split_inner_even_half(m):
     rep = split_inner_even_half(alg, alg.u())
     assert rep.passed
     assert rep.transcendence_degree == m // 2
-    assert rep.diagnostics == []
+    assert rep.to_json()["diagnostics"] == []
     # P agrees with the image of u
     phi = make_phi(alg)
     assert rep.p == phi.apply(alg.coerce_elem(alg.u()))
+
+
+def test_block_antisymmetry_of_the_half_construction_is_a_self_check(monkeypatch, capsys):
+    from diffsym.cli import main
+
+    apply = PhiMap.apply
+
+    def broken(self, x):
+        rows = [list(row) for row in apply(self, x).rows]
+        rows[1][1] = rows[1][1] + self.ext_field.one()
+        return DiffMatrix(self.ext_field, rows)
+
+    monkeypatch.setattr(PhiMap, "apply", broken)
+    alg = make_algebra(4, derivation="zero")
+    with pytest.raises(AssertionError, match="block antisymmetry of P fails at row 1"):
+        split_inner_even_half(alg, alg.u())
+    assert main(["split", "inner", "--m", "4", "--alpha", "t", "--beta", "t+1", "--rho", "u", "--half"]) == 3
+    assert capsys.readouterr().err == "internal self-check failed: block antisymmetry of P fails at row 1\n"
 
 
 def test_split_inner_even_half_rejects_odd():
@@ -369,12 +386,12 @@ def _diagonal_inputs(kind, m):
 def test_diagonal_split_fails_at_the_row_whose_exponent_is_off_by_one(kind, m):
     phi, d, rep, gens, exponents = _diagonal_inputs(kind, m)
     e = rep.f.field
-    same = _diagonal_split(phi, d, rep.p, e, gens, exponents, rep.extension, [])
+    same = _diagonal_split(phi, d, rep.p, e, gens, exponents, rep.extension)
     assert same.passed and same.f == rep.f and same.to_json() == rep.to_json()
     for r in range(m):
         wrong = [list(row) for row in exponents]
         wrong[r][r % len(gens)] += 1
-        bad = _diagonal_split(phi, d, rep.p, e, gens, wrong, rep.extension, [])
+        bad = _diagonal_split(phi, d, rep.p, e, gens, wrong, rep.extension)
         assert not bad.passed and not bad.gauge.ok
         assert bad.gauge.failing_entry == (r, r)
         assert (bad.gauge.det_nonzero, bad.gauge.det_method) == (True, "diagonal")
