@@ -189,7 +189,7 @@ def test_symbol_products_while_parsing(monkeypatch):
     alg = SymbolAlgebra(k, t, t + k.one(), 5)
     x = parse_symbol("(2*t + 1)*u^4*v^2", alg)
     # the scalar scales u^4, and one product of two one-term elements takes v^2
-    assert len(calls) == 1 and [len(x.terms) for x in calls[0]] == [1, 1]
+    assert len(calls) == 1 and [len(e.terms) for e in calls[0]] == [1, 1]
     assert x == alg.monomial(4, 2, t * 2 + 1)
     assert parse_symbol("u*u*u*u*v*v*(2*t + 1)", alg) == x
 
