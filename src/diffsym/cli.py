@@ -14,6 +14,7 @@ import sys
 from dataclasses import replace
 
 from .deriv import (
+    Derivation,
     constants_inner,
     constants_standard,
     decompose,
@@ -100,8 +101,6 @@ def cmd_deriv_validate(args) -> int:
 
 
 def cmd_deriv_decompose(args) -> int:
-    from .deriv import Derivation
-
     alg = _algebra(args)
     du = parse_symbol(args.du, alg)
     dv = parse_symbol(args.dv, alg)
@@ -128,8 +127,11 @@ def cmd_deriv_constants(args) -> int:
 
 def cmd_matdiff_constants(args) -> int:
     field = _field(args.m)
-    if args.lambdas:
-        lambdas = [parse_scalar(s, field.cyclo) for s in args.lambdas.split(",")]
+    if args.lambdas is not None:
+        entries = args.lambdas.split(",")
+        if len(entries) != args.m:
+            raise ValueError(f"--lambdas needs --m = {args.m} comma-separated values, got {len(entries)}")
+        lambdas = [parse_scalar(s, field.cyclo) for s in entries]
     else:
         lambdas = [field.cyclo.from_rational(i) for i in range(args.m)]
     f = parse_scalar(args.f, field)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from .parser import scalar_to_str
+from .scalars import mth_power_up_to_constant
 from .symalg import SymbolAlgebra, SymbolElem, _symbol, centralizer, in_generated_subfield
 
 
@@ -204,15 +206,11 @@ class ConstantWitness:
     h: object
 
     def to_json(self):
-        from .parser import scalar_to_str
-
         return {"i": self.i, "j": self.j, "c": scalar_to_str(self.c), "h": scalar_to_str(self.h)}
 
 
 def constants_standard(algebra: SymbolAlgebra):
     """New constants of (A, d_s) beyond the base constants, as monomial witnesses."""
-    from .scalars import mth_power_up_to_constant
-
     m = algebra.m
     ds = standard_derivation(algebra)
     witnesses = []

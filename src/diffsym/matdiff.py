@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import kernel_basis
-from .scalars import PolyDiffField, RatFunc, RatFuncField, rational_ode_solve
+from .parser import scalar_to_str
+from .scalars import PolyDiffField, RatFunc, RatFuncField, mth_power_up_to_constant, rational_ode_solve
 from .scalars.elem import FieldElem
 
 
@@ -131,8 +132,6 @@ class DiffMatrix(FieldElem):
         return _matrix(new_field, [[new_field.coerce(a) for a in r] for r in self.rows])
 
     def to_json(self):
-        from .parser import scalar_to_str
-
         entries = []
         for r in range(self.size):
             for c in range(self.size):
@@ -256,8 +255,6 @@ class GaugeVerdict:
 
 def verify_gauge(p: DiffMatrix, f: DiffMatrix) -> GaugeVerdict:
     """Check delta^c(F) = PF exactly and certify det F != 0; undecided never passes."""
-    from .parser import scalar_to_str
-
     p._coerce_other(f)
     lhs = f.derive()
     rhs = p * f
@@ -368,8 +365,6 @@ def no_cyclic_subfield_witness(p: DiffMatrix, x: DiffMatrix, nu: RatFunc) -> Ref
     A test harness over caller-supplied candidates, not a decision procedure
     over all cyclic subfields.
     """
-    from .scalars import mth_power_up_to_constant
-
     field = p.field
     details = []
     try:

@@ -20,6 +20,7 @@ import re
 from fractions import Fraction
 
 from .scalars import CycloElem, KummerElem, Poly, PolyDiffElem, RatFunc, RatFuncField
+from .scalars.elem import SparseElem
 from .scalars.polys import _poly
 from .scalars.ratfunc import _ratfunc
 from .symalg import SymbolElem
@@ -62,7 +63,7 @@ def _t_degree(x) -> int:
         return max(x.num.degree, x.den.degree)
     if isinstance(x, Poly):
         return max(x.degree, 0)
-    if isinstance(x, (KummerElem, PolyDiffElem, SymbolElem)):
+    if isinstance(x, SparseElem):
         return max((_t_degree(c) for c in x.terms.values()), default=0)
     return 0
 
@@ -375,23 +376,13 @@ def _wrap(s: str) -> str:
     return f"({s})"
 
 
-def _term_str(c, names, exps) -> str:
-    """c * name_0^e_0 * ... in the grammar, dropping a unit coefficient."""
-    cs = _wrap(scalar_to_str(c))
-    monos = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
-    if monos and cs == "1":
-        return "*".join(monos)
-    return "*".join([cs] + monos)
-
-
-def _kummer_str(x: KummerElem) -> str:
-    name = x.parent.gen_name
-    parts = [_term_str(x.terms[i], [name], [i]) for i in sorted(x.terms)]
-    return " + ".join(parts) if parts else "0"
-
-
-def _polydiff_str(x: PolyDiffElem) -> str:
-    parts = [_term_str(x.terms[exps], x.parent.names, exps) for exps in sorted(x.terms)]
+def _terms_str(x: SparseElem, names, exps) -> str:
+    """x as c * name_0^e_0 * ... + ... in key order, with e = exps(key); a unit coefficient is dropped."""
+    parts = []
+    for key in sorted(x.terms):
+        cs = _wrap(scalar_to_str(x.terms[key]))
+        monos = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps(key)) if e]
+        parts.append("*".join(monos if monos and cs == "1" else [cs] + monos))
     return " + ".join(parts) if parts else "0"
 
 
@@ -404,13 +395,12 @@ def scalar_to_str(x) -> str:
     if isinstance(x, RatFunc):
         return _ratfunc_str(x)
     if isinstance(x, KummerElem):
-        return _kummer_str(x)
+        return _terms_str(x, (x.parent.gen_name,), lambda i: (i,))
     if isinstance(x, PolyDiffElem):
-        return _polydiff_str(x)
+        return _terms_str(x, x.parent.names, tuple)
     raise TypeError(f"cannot print {x!r}")
 
 
 def symbol_to_str(x) -> str:
     """Print a symbol algebra element as a sum of c*u^i*v^j; parse_symbol round-trips it."""
-    parts = [_term_str(x.terms[i, j], "uv", (i, j)) for i, j in sorted(x.terms)]
-    return " + ".join(parts) if parts else "0"
+    return _terms_str(x, "uv", tuple)

@@ -4,7 +4,9 @@ Each subclass defines ``__add__``, ``__mul__``, ``__neg__`` and ``inv`` in
 its own body; subtraction, division, integer powers, equality and printing are
 derived here from those.  The hot operations stay in the subclass bodies so
 that ``perfbench/tracing.py`` can wrap them per class through
-``Class.__dict__``.
+``Class.__dict__``.  ``SparseElem`` holds the canonical form shared by the
+element types stored as sparse sums of monomials: the zero test, the equality
+key, negation and the merging sum that their ``__add__`` calls.
 """
 
 from __future__ import annotations
@@ -71,9 +73,61 @@ class FieldElem:
         return self._key() == other._key()
 
     def __repr__(self):
+        # parser imports this package at module level
         from ..parser import scalar_to_str
 
         try:
             return scalar_to_str(self)
         except Exception:
             return f"{type(self).__name__}({self._key()!r})"
+
+
+class SparseElem(FieldElem):
+    """Base of the element types stored as a finite sum of monomials, ``terms``: {key: c}.
+
+    Invariant: no stored coefficient is zero.  The dict is therefore
+    canonical: zero is {}, and ``==`` compares the dicts.  A subclass keeps
+    its parent and ``terms`` in slots and defines ``_with(terms)``, its
+    trusted constructor in the same parent; ``__add__`` stays in the subclass
+    body, its coercion followed by ``self._plus(other)``.
+    """
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _key(self):
+        return self.terms
+
+    def __neg__(self):
+        return self._with({key: -c for key, c in self.terms.items()})
+
+    def _plus(self, other):
+        """self + other for an other in self's parent or an equal one; the sum lies in self's parent."""
+        if not other.terms:
+            return self
+        if not self.terms:
+            return self._with(other.terms)
+        out = dict(self.terms)
+        for key, b in other.terms.items():
+            a = out.get(key)
+            if a is None:
+                out[key] = b
+                continue
+            s = a + b
+            if s.is_zero():
+                del out[key]
+            else:
+                out[key] = s
+        return self._with(out)
+
+
+def nonzero_terms(pairs, coerce) -> dict:
+    """{key: coerce(c)} over the (key, c) pairs, without the zero coefficients."""
+    out = {}
+    for key, c in pairs:
+        c = coerce(c)
+        if not c.is_zero():
+            out[key] = c
+    return out

@@ -7,7 +7,7 @@ together with an irreducibility certificate for z^m - alpha.
 
 from __future__ import annotations
 
-from .elem import FieldElem
+from .elem import SparseElem, nonzero_terms
 from .polys import Poly, poly_extended_gcd
 from .powers import (
     ReducibleRadicandError,
@@ -116,24 +116,27 @@ class KummerField:
         return f"{self.base!r}({self.gen_name}; {self.gen_name}^{self.m}=...)"
 
 
-class KummerElem(FieldElem):
+class KummerElem(SparseElem):
     """Element sum c_i xi^i (0 <= i < m), stored sparsely as ``terms``, {i: c_i}.
 
-    Every stored c_i is a nonzero element of the base field, so the dict is
-    canonical: zero is {}, and a zero coefficient costs nothing anywhere in a
-    tower.  ``KummerElem(parent, coeffs)`` takes the dense vector
-    (c_0, ..., c_{m-1}), coerces it and drops the zeros; arithmetic builds
-    through the trusted ``_kummer``.
+    The c_i are nonzero elements of the base field (see ``SparseElem``), so a
+    zero coefficient costs nothing anywhere in a tower.
+    ``KummerElem(parent, coeffs)`` takes the dense vector (c_0, ..., c_{m-1}),
+    coerces it and drops the zeros; arithmetic builds through the trusted
+    ``_kummer``.
     """
 
     __slots__ = ("parent", "terms")
 
     def __init__(self, parent: KummerField, coeffs):
-        coeffs = [parent.base.coerce(c) for c in coeffs]
+        coeffs = list(coeffs)
         if len(coeffs) != parent.m:
             raise ValueError("coefficient vector has the wrong length")
         self.parent = parent
-        self.terms = {i: c for i, c in enumerate(coeffs) if not c.is_zero()}
+        self.terms = nonzero_terms(enumerate(coeffs), parent.base.coerce)
+
+    def _with(self, terms: dict) -> "KummerElem":
+        return _kummer(self.parent, terms)
 
     @property
     def coeffs(self) -> tuple:
@@ -141,9 +144,6 @@ class KummerElem(FieldElem):
         zero = self.parent.base.zero()
         terms = self.terms
         return tuple(terms.get(i, zero) for i in range(self.parent.m))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_base(self) -> bool:
         return self.terms.keys() <= {0}
@@ -157,27 +157,9 @@ class KummerElem(FieldElem):
     def __add__(self, other):
         if type(other) is not KummerElem or other.parent is not self.parent:
             other = self.parent.coerce(other)
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        out = dict(self.terms)
-        for i, b in other.terms.items():
-            a = out.get(i)
-            if a is None:
-                out[i] = b
-                continue
-            s = a + b
-            if s.is_zero():
-                del out[i]
-            else:
-                out[i] = s
-        return _kummer(self.parent, out)
+        return self._plus(other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return _kummer(self.parent, {i: -a for i, a in self.terms.items()})
 
     def __mul__(self, other):
         parent = self.parent
@@ -257,9 +239,6 @@ class KummerElem(FieldElem):
         w = parent.cyclo.omega()
         n = parent.cyclo.m
         return _kummer(parent, {i: c * parent.base.coerce(w ** ((i * j) % n)) for i, c in self.terms.items()})
-
-    def _key(self):
-        return self.terms
 
     def __hash__(self):
         # an element of the base field equals its base value

@@ -14,7 +14,7 @@ may be negative (Laurent monomials), but general division is not provided.
 
 from __future__ import annotations
 
-from .elem import FieldElem
+from .elem import SparseElem, nonzero_terms
 
 
 class PolyDiffField:
@@ -85,27 +85,22 @@ class MonomialDiffField(PolyDiffField):
             self.set_gen_derivative(i, self.gen(i).scale(self.rates[i]))
 
 
-class PolyDiffElem(FieldElem):
-    """Finite sum of monomials Prod x_i^{e_i} with base-field coefficients.
+class PolyDiffElem(SparseElem):
+    """Finite sum of monomials Prod x_i^{e_i} with base-field coefficients, ``terms``: {e: c}.
 
     ``PolyDiffElem(parent, terms)`` coerces each coefficient and drops the
-    zeros; arithmetic builds through the trusted ``_polydiff``, and a
-    coefficient product with the base's one is skipped.
+    zeros (see ``SparseElem``); arithmetic builds through the trusted
+    ``_polydiff``, and a coefficient product with the base's one is skipped.
     """
 
     __slots__ = ("parent", "terms")
 
     def __init__(self, parent: PolyDiffField, terms: dict):
-        clean = {}
-        for exps, c in terms.items():
-            c = parent.base.coerce(c)
-            if not c.is_zero():
-                clean[tuple(exps)] = c
         self.parent = parent
-        self.terms = clean
+        self.terms = nonzero_terms(((tuple(exps), c) for exps, c in terms.items()), parent.base.coerce)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _with(self, terms: dict) -> "PolyDiffElem":
+        return _polydiff(self.parent, terms)
 
     def scale(self, c) -> "PolyDiffElem":
         base = self.parent.base
@@ -114,23 +109,17 @@ class PolyDiffElem(FieldElem):
         if c is one:
             return self
         if c.is_zero():
-            return self.parent.zero()
+            return self._with({})
         # the base is a field, so a product of nonzero coefficients is nonzero
-        return _polydiff(self.parent, {e: c if v is one else v * c for e, v in self.terms.items()})
+        return self._with({e: c if v is one else v * c for e, v in self.terms.items()})
 
     def __add__(self, other):
         parent = self.parent
         if type(other) is not PolyDiffElem or other.parent is not parent:
             other = parent.coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out[e] + c if e in out else c
-        return _polydiff(parent, {e: c for e, c in out.items() if not c.is_zero()})
+        return self._plus(other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return _polydiff(self.parent, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         parent = self.parent
@@ -180,9 +169,6 @@ class PolyDiffElem(FieldElem):
                     v = ce * g
                     out[mono] = out[mono] + v if mono in out else v
         return _polydiff(parent, {e: c for e, c in out.items() if not c.is_zero()})
-
-    def _key(self):
-        return self.terms
 
 
 _new = object.__new__

@@ -15,8 +15,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .deriv import Derivation, decompose, inner_derivation, standard_derivation
+from .deriv import Derivation, decompose, inner_derivation, standard_derivation, subfield_stable
 from .matdiff import DiffMatrix, GaugeVerdict, _matrix, apply_dP, verify_gauge
+from .parser import scalar_to_str
 from .scalars import (
     CycloField,
     KummerField,
@@ -257,8 +258,6 @@ class SplitReport:
 
 
 def _tower_entry(field: KummerField) -> dict:
-    from .parser import scalar_to_str
-
     return {"gen": field.gen_name, "power": field.m, "radicand": scalar_to_str(field.alpha)}
 
 
@@ -329,8 +328,6 @@ def _exponential_split(phi: PhiMap, rho: SymbolElem, p: DiffMatrix, rates, expon
 
     Row r of the integer matrix exponents makes F[r][r] = prod_i x_i^exponents[r][i].
     """
-    from .parser import scalar_to_str
-
     names = [f"x{i}" for i in range(len(rates))]
     e = MonomialDiffField(phi.ext_field, names, rates)
     extension = {
@@ -422,8 +419,6 @@ class NormSplitReport:
     ok: bool
 
     def to_json(self):
-        from .parser import scalar_to_str
-
         return {"p": self.p, "c": scalar_to_str(self.c), "ok": self.ok}
 
 
@@ -433,8 +428,6 @@ def norm_split_check(algebra: SymbolAlgebra, d: Derivation, theta: SymbolElem) -
     Requires x^m - alpha irreducible, so the norm is the full product of the
     m conjugates xi -> w^j xi.
     """
-    from .deriv import subfield_stable
-
     theta = algebra.coerce_elem(theta)
     if not d.apply(theta).is_zero():
         raise ValueError("theta must be a constant of d")
@@ -471,8 +464,6 @@ class MaxSubfieldReport:
         return self.alpha_witness is None or self.beta_witness is None
 
     def to_json(self):
-        from .parser import scalar_to_str
-
         def enc(wit):
             if wit is None:
                 return None

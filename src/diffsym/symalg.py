@@ -13,7 +13,7 @@ from functools import cached_property
 
 from .linalg import kernel_basis, solve_affine
 from .scalars import Poly
-from .scalars.elem import FieldElem
+from .scalars.elem import SparseElem, nonzero_terms
 
 
 class AlgebraMismatchError(ValueError):
@@ -131,13 +131,13 @@ class SymbolAlgebra:
         return f"({self.alpha!r},{self.beta!r})_{{k,w_{self.m}}}"
 
 
-class SymbolElem(FieldElem):
+class SymbolElem(SparseElem):
     """Element sum c_ij u^i v^j (0 <= i, j < m), stored sparsely as ``terms``, {(i, j): c_ij}.
 
-    Every stored c_ij is a nonzero element of the coefficient field, so the
-    dict is canonical: zero is {}.  ``SymbolElem(algebra, grid)`` takes the
-    dense m x m grid, coerces it and drops the zeros; arithmetic builds
-    through the trusted ``_symbol``.
+    The c_ij are nonzero elements of the coefficient field (see
+    ``SparseElem``).  ``SymbolElem(algebra, grid)`` takes the dense m x m
+    grid, coerces it and drops the zeros; arithmetic builds through the
+    trusted ``_symbol``.
     """
 
     __slots__ = ("algebra", "terms")
@@ -145,14 +145,12 @@ class SymbolElem(FieldElem):
     def __init__(self, algebra: SymbolAlgebra, grid):
         if len(grid) != algebra.m or any(len(r) != algebra.m for r in grid):
             raise ValueError("grid has the wrong shape")
-        coerce = algebra.field.coerce
         self.algebra = algebra
-        self.terms = {}
-        for i, row in enumerate(grid):
-            for j, c in enumerate(row):
-                c = coerce(c)
-                if not c.is_zero():
-                    self.terms[i, j] = c
+        pairs = (((i, j), c) for i, row in enumerate(grid) for j, c in enumerate(row))
+        self.terms = nonzero_terms(pairs, algebra.field.coerce)
+
+    def _with(self, terms: dict) -> "SymbolElem":
+        return _symbol(self.algebra, terms)
 
     @property
     def grid(self) -> tuple:
@@ -160,9 +158,6 @@ class SymbolElem(FieldElem):
         m, terms = self.algebra.m, self.terms
         zero = self.algebra.field.zero()
         return tuple(tuple(terms.get((i, j), zero) for j in range(m)) for i in range(m))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_scalar(self) -> bool:
         return self.terms.keys() <= {(0, 0)}
@@ -175,39 +170,21 @@ class SymbolElem(FieldElem):
     def _coerce_other(self, other) -> "SymbolElem":
         if not isinstance(other, SymbolElem):
             raise TypeError(f"cannot combine a symbol algebra element with {type(other).__name__}")
-        if other.algebra != self.algebra:
+        if other.algebra is not self.algebra and other.algebra != self.algebra:
             raise AlgebraMismatchError("elements of different symbol algebras")
         return other
 
     def _one(self) -> "SymbolElem":
         return self.algebra.one()
 
-    def _key(self):
-        return self.terms
-
     def __add__(self, other):
-        other = self._coerce_other(other)
-        out = dict(self.terms)
-        for key, b in other.terms.items():
-            a = out.get(key)
-            if a is None:
-                out[key] = b
-                continue
-            s = a + b
-            if s.is_zero():
-                del out[key]
-            else:
-                out[key] = s
-        return _symbol(self.algebra, out)
-
-    def __neg__(self):
-        return _symbol(self.algebra, {key: -c for key, c in self.terms.items()})
+        return self._plus(self._coerce_other(other))
 
     def scale(self, c) -> "SymbolElem":
         c = self.algebra.field.coerce(c)
         if c.is_zero():
-            return _symbol(self.algebra, {})
-        return _symbol(self.algebra, {key: a * c for key, a in self.terms.items()})
+            return self._with({})
+        return self._with({key: a * c for key, a in self.terms.items()})
 
     def __mul__(self, other):
         """Term by term: v^j u^r = w^(jr) u^r v^j, and u^m = alpha and v^m = beta
@@ -262,12 +239,14 @@ class SymbolElem(FieldElem):
         return [c for row in self.grid for c in row]
 
     def to_json(self):
+        # parser imports this module at module level
         from .parser import scalar_to_str
 
         entries = [[i, j, scalar_to_str(self.terms[i, j])] for i, j in sorted(self.terms)]
         return {"m": self.algebra.m, "entries": entries}
 
     def __repr__(self):
+        # parser imports this module at module level
         from .parser import symbol_to_str
 
         return symbol_to_str(self)

@@ -334,6 +334,14 @@ def test_matdiff_constants(capsys):
     assert main(["matdiff", "constants", "--m", "3", "--f", "1/t", "--lambdas", "0,0,1"]) == 2
 
 
+@pytest.mark.parametrize("lambdas, count", [("0,1", 2), ("0,1,2,3", 4), ("", 1)])
+def test_matdiff_constants_takes_m_lambdas(capsys, lambdas, count):
+    assert main(["matdiff", "constants", "--m", "3", "--f", "t", "--lambdas", lambdas]) == 2
+    assert capsys.readouterr().err == f"error: --lambdas needs --m = 3 comma-separated values, got {count}\n"
+    code, out = run(capsys, "matdiff", "constants", "--m", "2", "--f", "t", "--lambdas", "0,1")
+    assert code == 0 and out == "constants dimension 2\n  [1, -t + 1; 0, 0]\n  [0, t - 1; 0, 1]\n"
+
+
 def test_split_verify_reports_the_P_it_checked(capsys):
     code, report = run_json(capsys, "split", "verify", "--m", "3", "--alpha", "t", "--beta", "t+1", "--theta", "u*v")
     assert code == 0 and report["ok"] and report["isomorphism"]["ok"]

@@ -7,7 +7,10 @@ import pytest
 from diffsym import SymbolAlgebra
 from diffsym.matdiff import DiffMatrix
 from diffsym.scalars import CycloField, KummerField, MonomialDiffField, Poly, RatFuncField
+from diffsym.scalars.kummer import KummerElem
+from diffsym.scalars.monomial import PolyDiffElem
 from diffsym.scalars.elem import FieldElem
+from diffsym.symalg import SymbolElem
 
 
 class Counted(FieldElem):
@@ -84,3 +87,58 @@ def test_power_matches_repeated_product(x):
     for n in range(1, 6):
         acc = acc * x
         assert x**n == acc
+
+
+
+# -- the canonical form of the sparse element types ----------------------------
+#
+# Each case gives the parent, the public constructor of the element
+# c + x0 * g + x1 * g' (g the first generator, g' a second monomial) and the
+# first generator of an equal but distinct parent, None where parents compare
+# by identity.
+
+
+def _kummer_case(k):
+    e = KummerField(k, k.gen(), 3, "xi")
+    return e, lambda c, x0, x1: KummerElem(e, [c, x0, x1]), KummerField(k, k.gen(), 3, "xi").gen()
+
+
+def _polydiff_case(k):
+    f = MonomialDiffField(k, ["x0", "x1"], [k.one(), k.gen()])
+    return f, lambda c, x0, x1: PolyDiffElem(f, {(0, 0): c, (1, 0): x0, (-1, 2): x1}), None
+
+
+def _symbol_case(k):
+    t = k.gen()
+    alg = SymbolAlgebra(k, t, t + k.one(), 3)
+    twin = SymbolAlgebra(k, t, t + k.one(), 3)
+    zero = k.zero()
+    return alg, lambda c, x0, x1: SymbolElem(alg, [[c, zero, x1], [x0, zero, zero], [zero] * 3]), twin.u()
+
+
+def _parent(x):
+    return x.algebra if isinstance(x, SymbolElem) else x.parent
+
+
+@pytest.mark.parametrize("case, text", [
+    (_kummer_case, "(-3) + xi + (t/(t + 1))*xi^2"),
+    (_polydiff_case, "(t/(t + 1))*x0^-1*x1^2 + (-3) + x0"),
+    (_symbol_case, "(-3) + (t/(t + 1))*v^2 + u"),
+], ids=["KummerElem", "PolyDiffElem", "SymbolElem"])
+def test_sparse_elements_keep_the_canonical_form(case, text):
+    """No zero is stored: not by a sum that cancels, a zero operand or the public constructor."""
+    k = RatFuncField(CycloField(3), "t")
+    t, w, zero = k.gen(), k.omega(), k.zero()
+    parent, build, twin_gen = case(k)
+    x = build(w + 2, t, zero)
+    assert len(x.terms) == 2 and build(zero, zero, zero).terms == {}
+    assert repr(build(k.coerce(-3), k.one(), t / (t + 1))) == text
+    assert (x + (-x)).terms == {} and (x - x).terms == {}
+    empty = x - x
+    for got in (x + empty, empty + x):
+        assert got == x and got.terms == x.terms and _parent(got) is parent
+    if twin_gen is None:
+        return
+    assert _parent(twin_gen) == parent and _parent(twin_gen) is not parent
+    for got in (x + twin_gen, empty + twin_gen):
+        assert _parent(got) is parent

@@ -1,0 +1,33 @@
+"""Imports sit at module level, except where an import cycle forces a local one."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "diffsym"
+
+# parser imports scalars and symalg at module level, so these printers import it
+# when they are called: (file, function, module, name)
+FORCED = {
+    ("symalg.py", "to_json", ".parser", "scalar_to_str"),
+    ("symalg.py", "__repr__", ".parser", "symbol_to_str"),
+    ("scalars/elem.py", "__repr__", "..parser", "scalar_to_str"),
+}
+
+
+def _local_imports(path: Path):
+    """(file, function, module, name) for each name imported inside a function body."""
+    rel = path.relative_to(SRC).as_posix()
+    for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                yield from ((rel, fn.name, module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Import):
+                yield from ((rel, fn.name, alias.name, None) for alias in node.names)
+
+
+def test_no_function_imports_beyond_the_forced_printers():
+    found = [imp for path in sorted(SRC.rglob("*.py")) for imp in _local_imports(path)]
+    assert [imp for imp in found if imp not in FORCED] == []

@@ -171,3 +171,29 @@ def test_mismatched_algebras_rejected():
     other = SymbolAlgebra(k, k.gen(), k.gen(), 2)
     with pytest.raises(AlgebraMismatchError):
         a2.u() + other.u()
+
+
+def test_one_algebra_takes_no_algebra_comparison(monkeypatch):
+    from diffsym.symalg import AlgebraMismatchError
+
+    calls = []
+    original = SymbolAlgebra.__eq__
+
+    def counting(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(SymbolAlgebra, "__eq__", counting)
+    alg = make_algebra(3)
+    x, y = alg.u() + alg.scalar(2), alg.v()
+    for got in (x + y, x * y, x - y):
+        assert got.algebra is alg
+    assert calls == []
+    twin = make_algebra(3)
+    assert (x + twin.v()).algebra is alg and x * twin.v() == x * y
+    assert calls
+    k = alg.field
+    other = SymbolAlgebra(k, k.gen(), k.gen(), 3)
+    for op in (lambda a, b: a + b, lambda a, b: a * b):
+        with pytest.raises(AlgebraMismatchError):
+            op(x, other.v())
