@@ -169,11 +169,10 @@ _POINT_SEED = "diffsym.matdiff.det_certificate"
 def _specialise(x, point, base):
     """The value of a Laurent polynomial at a point with no zero on a negative exponent."""
     acc = base.zero()
-    for exps, c in x.terms.items():
+    for key, c in x.terms.items():
         value = Fraction(1)
-        for v, e in zip(point, exps):
-            if e:
-                value *= Fraction(v) ** e
+        for i, e in key:
+            value *= Fraction(point[i]) ** e
         if value:
             acc = acc + (c if value == 1 else c * base.coerce(value))
     return acc
@@ -190,11 +189,11 @@ def _specialisation_points(f: DiffMatrix):
     negative = set()
     for r, row in enumerate(f.rows):
         for c, x in enumerate(row):
-            for exps in x.terms:
-                for i, e in enumerate(exps):
+            for key in x.terms:
+                for i, e in key:
                     if e < 0:
                         negative.add(i)
-                    if e and r == c:
+                    if r == c:
                         on_diagonal.add(i)
     if not negative - on_diagonal:
         yield 0, [1 if i in on_diagonal else 0 for i in range(n)]

@@ -377,11 +377,11 @@ def _wrap(s: str) -> str:
 
 
 def _terms_str(x: SparseElem, names, exps) -> str:
-    """x as c * name_0^e_0 * ... + ... in key order, with e = exps(key); a unit coefficient is dropped."""
+    """x as c * name_0^e_0 * ... + ... in the order of e = exps(key); a unit coefficient is dropped."""
     parts = []
-    for key in sorted(x.terms):
-        cs = _wrap(scalar_to_str(x.terms[key]))
-        monos = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps(key)) if e]
+    for dense, c in sorted(((exps(key), c) for key, c in x.terms.items()), key=operator.itemgetter(0)):
+        cs = _wrap(scalar_to_str(c))
+        monos = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, dense) if e]
         parts.append("*".join(monos if monos and cs == "1" else [cs] + monos))
     return " + ".join(parts) if parts else "0"
 
@@ -397,7 +397,7 @@ def scalar_to_str(x) -> str:
     if isinstance(x, KummerElem):
         return _terms_str(x, (x.parent.gen_name,), lambda i: (i,))
     if isinstance(x, PolyDiffElem):
-        return _terms_str(x, x.parent.names, tuple)
+        return _terms_str(x, x.parent.names, x.parent.exponents)
     raise TypeError(f"cannot print {x!r}")
 
 

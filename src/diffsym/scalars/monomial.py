@@ -50,12 +50,19 @@ class PolyDiffField:
         return _polydiff(self, {})
 
     def one(self) -> "PolyDiffElem":
-        return _polydiff(self, {(0,) * self.n: self.base.one()})
+        return _polydiff(self, {(): self.base.one()})
 
     def gen(self, i: int) -> "PolyDiffElem":
+        if not 0 <= i < self.n:
+            raise ValueError(f"generator index {i} is out of range for n = {self.n} variables")
+        return _polydiff(self, {((i, 1),): self.base.one()})
+
+    def exponents(self, key: tuple) -> tuple:
+        """The dense exponent tuple (e_0, ..., e_{n-1}) of the monomial with this key."""
         exps = [0] * self.n
-        exps[i] = 1
-        return _polydiff(self, {tuple(exps): self.base.one()})
+        for i, e in key:
+            exps[i] = e
+        return tuple(exps)
 
     def generators(self) -> dict:
         """Name to element for the parser: x0, x1, ..., then the base's generators."""
@@ -67,7 +74,7 @@ class PolyDiffField:
         c = self.base.coerce(x)
         if c.is_zero():
             return self.zero()
-        return _polydiff(self, {(0,) * self.n: c})
+        return _polydiff(self, {(): c})
 
     def __repr__(self):
         return f"{self.base!r}[{', '.join(self.names)}]"
@@ -86,18 +93,24 @@ class MonomialDiffField(PolyDiffField):
 
 
 class PolyDiffElem(SparseElem):
-    """Finite sum of monomials Prod x_i^{e_i} with base-field coefficients, ``terms``: {e: c}.
+    """Finite sum of monomials Prod x_i^{e_i} with base-field coefficients, ``terms``: {key: c}.
 
-    ``PolyDiffElem(parent, terms)`` coerces each coefficient and drops the
-    zeros (see ``SparseElem``); arithmetic builds through the trusted
-    ``_polydiff``, and a coefficient product with the base's one is skipped.
+    The key of a monomial is the tuple of its ``(i, e_i)`` pairs with
+    e_i != 0, in ascending i: ``()`` is the constant monomial and x_i is
+    ``((i, 1),)``.  ``PolyDiffField.exponents(key)`` gives the dense tuple.
+
+    ``PolyDiffElem(parent, terms)`` takes dense exponent tuples of length n as
+    the keys of ``terms``, coerces each coefficient and drops the zeros (see
+    ``SparseElem``); arithmetic builds through the trusted ``_polydiff``, and
+    a coefficient product with the base's one is skipped.
     """
 
     __slots__ = ("parent", "terms")
 
     def __init__(self, parent: PolyDiffField, terms: dict):
         self.parent = parent
-        self.terms = nonzero_terms(((tuple(exps), c) for exps, c in terms.items()), parent.base.coerce)
+        n = parent.n
+        self.terms = nonzero_terms(((_dense_to_key(exps, n), c) for exps, c in terms.items()), parent.base.coerce)
 
     def _with(self, terms: dict) -> "PolyDiffElem":
         return _polydiff(self.parent, terms)
@@ -130,21 +143,23 @@ class PolyDiffElem(SparseElem):
                 return NotImplemented
         one = parent.base.one()
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = _mul_keys(k1, k2)
                 c = c2 if c1 is one else c1 if c2 is one else c1 * c2
-                out[e] = out[e] + c if e in out else c
+                out[key] = out[key] + c if key in out else c
         return _polydiff(parent, {e: c for e, c in out.items() if not c.is_zero()})
 
     __rmul__ = __mul__
 
     def inv(self) -> "PolyDiffElem":
         # Laurent monomials only: a single term can be inverted exactly
+        if not self.terms:
+            raise ZeroDivisionError("inverse of zero")
         if len(self.terms) != 1:
             raise ValueError("negative powers are only available for single monomials")
-        ((exps, c),) = self.terms.items()
-        return _polydiff(self.parent, {tuple(-e for e in exps): c.inv()})
+        ((key, c),) = self.terms.items()
+        return _polydiff(self.parent, {tuple((i, -e) for i, e in key): c.inv()})
 
     def derive(self) -> "PolyDiffElem":
         """Leibniz extension of the base derivation and the generator images.
@@ -154,18 +169,15 @@ class PolyDiffElem(SparseElem):
         """
         parent = self.parent
         out = {}
-        for exps, c in self.terms.items():
+        for key, c in self.terms.items():
             dc = c.derive()
             if not dc.is_zero():
-                out[exps] = out[exps] + dc if exps in out else dc
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
+                out[key] = out[key] + dc if key in out else dc
+            for i, e in key:
                 ce = c if e == 1 else c * e
-                lowered = list(exps)
-                lowered[i] -= 1
-                for gexps, g in parent.gen_derivative(i).terms.items():
-                    mono = tuple(a + b for a, b in zip(lowered, gexps))
+                lowered = _mul_keys(key, ((i, -1),))
+                for gkey, g in parent.gen_derivative(i).terms.items():
+                    mono = _mul_keys(lowered, gkey)
                     v = ce * g
                     out[mono] = out[mono] + v if mono in out else v
         return _polydiff(parent, {e: c for e, c in out.items() if not c.is_zero()})
@@ -174,8 +186,45 @@ class PolyDiffElem(SparseElem):
 _new = object.__new__
 
 
+def _dense_to_key(exps, n: int) -> tuple:
+    """The key of the monomial with the dense exponent tuple exps, which must have length n."""
+    exps = tuple(exps)
+    if len(exps) != n:
+        raise ValueError(f"exponent tuple of length {len(exps)} for n = {n} variables")
+    return tuple((i, e) for i, e in enumerate(exps) if e)
+
+
+def _mul_keys(a: tuple, b: tuple) -> tuple:
+    """The key of the product of the monomials keyed a and b: a merge that drops each exponent summing to 0."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        ia, ea = a[i]
+        ib, eb = b[j]
+        if ia < ib:
+            out.append(a[i])
+            i += 1
+        elif ib < ia:
+            out.append(b[j])
+            j += 1
+        else:
+            s = ea + eb
+            if s:
+                out.append((ia, s))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
 def _polydiff(parent: PolyDiffField, terms: dict) -> PolyDiffElem:
-    """The trusted constructor: terms maps exponent tuples to nonzero elements of the base."""
+    """The trusted constructor: terms maps monomial keys to nonzero elements of the base."""
     x = _new(PolyDiffElem)
     x.parent = parent
     x.terms = terms

@@ -17,7 +17,9 @@ arithmetic on the dense vector of all m coefficients, zeros included, with
 every inverse by the extended Euclidean algorithm in place of the sparse
 terms and the closed form for a monomial, the derivative of a
 differential polynomial summed one partial product at a time through the
-coercing constructor in place of one pass over the support, and symbol
+coercing constructor in place of one pass over the support, the product of
+differential polynomials on dense exponent tuples of length n in place of
+the merged keys of their nonzero exponents, and symbol
 algebra and matrix arithmetic over every pair of entries, each product by
 w^(jr) taken even when it is w^0 = 1, built through the coercing
 constructors in place of the support of the right factor and the trusted
@@ -377,7 +379,8 @@ def polydiff_derive(x):
     """d(x) as the sum of d(c) x^e and every partial e_i c x^(e - 1_i) times d(x_i)."""
     parent = x.parent
     total = parent.zero()
-    for exps, c in x.terms.items():
+    for key, c in x.terms.items():
+        exps = parent.exponents(key)
         mono = PolyDiffElem(parent, {exps: parent.base.one()})
         total = total + mono.scale(c.derive())
         for i, e in enumerate(exps):
@@ -388,6 +391,18 @@ def polydiff_derive(x):
             partial = PolyDiffElem(parent, {tuple(lowered): c * e})
             total = total + partial * parent.gen_derivative(i)
     return total
+
+
+def dense_polydiff_mul(x, y):
+    """x * y by adding the dense exponent tuples of every pair of terms, built through the coercing constructor."""
+    parent = x.parent
+    out = {}
+    for k1, c1 in x.terms.items():
+        e1 = parent.exponents(k1)
+        for k2, c2 in y.terms.items():
+            e = tuple(a + b for a, b in zip(e1, parent.exponents(k2)))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return PolyDiffElem(parent, out)
 
 
 def dense_symbol_mul(x, y):

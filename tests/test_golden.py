@@ -4,9 +4,11 @@ Each file under ``data/cli_golden`` is the exact ``--json`` stdout of the
 command listed for it below. The splitting reports were written by the
 release before the explicit splitting constructions were folded into one
 diagonal gauge; the ``deriv``, ``split verify`` and ``algebra check`` reports
-by the release before symbol elements stored only their nonzero terms. A
-refactor of the splitting layer, of the symbol algebra or of the printer
-must reproduce every byte, and exit 0.
+by the release before symbol elements stored only their nonzero terms; and
+``split-generic-theta-m11`` (121 indeterminates, padded names x0000..x1010)
+by the release before differential monomials were keyed by their nonzero
+exponents. A refactor of the splitting layer, of the symbol algebra, of the
+monomial keys or of the printer must reproduce every byte, and exit 0.
 """
 
 from pathlib import Path
@@ -24,7 +26,7 @@ CASES = {
     "split-standard-w-radicands-m4": ("split", "standard", "--m", "4", "--alpha", "w*t", "--beta", "t+w"),
     **{f"split-inner-m{m}": ("split", "inner", "--m", str(m), *_AB, "--rho", "u") for m in range(2, 6)},
     **{f"split-inner-half-m{m}": ("split", "inner", "--m", str(m), *_AB, "--rho", "u", "--half") for m in (2, 4)},
-    **{f"split-generic-theta-m{m}": ("split", "generic", "--m", str(m), *_AB, "--theta", "u+v") for m in (2, 3, 4)},
+    **{f"split-generic-theta-m{m}": ("split", "generic", "--m", str(m), *_AB, "--theta", "u+v") for m in (2, 3, 4, 11)},
     "replay": ("replay",),
     "deriv-decompose-m3": (
         "deriv", "decompose", "--m", "3", *_AB,

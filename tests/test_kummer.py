@@ -3,6 +3,7 @@
 import pytest
 
 from diffsym import inner_derivation, standard_derivation
+from diffsym.parser import parse_scalar
 from diffsym.scalars import (
     CycloField,
     KummerField,
@@ -23,6 +24,7 @@ from oracles import (
     dense_kummer_inv,
     dense_kummer_mul,
     dense_kummer_neg,
+    dense_polydiff_mul,
     polydiff_derive,
 )
 
@@ -273,19 +275,67 @@ def _random_laurent(field, rng, n_terms):
     return x
 
 
-@pytest.mark.parametrize("derivation", ["dt", "zero"])
-def test_polydiff_derive_matches_the_term_by_term_oracle(derivation, rng):
+def _assert_sparse_keys(x):
+    """Every key holds (index, exponent) pairs with ascending indices in [0, n) and no zero exponent."""
+    n = x.parent.n
+    for key, c in x.terms.items():
+        assert isinstance(key, tuple) and not c.is_zero()
+        assert all(0 <= i < n and e != 0 for i, e in key), key
+        assert all(i < j for (i, _), (j, _) in zip(key, key[1:])), key
+
+
+@pytest.mark.parametrize(
+    "derivation, n",
+    [("dt", 3), ("zero", 3), ("dt", 25), ("zero", 25), ("dt", 121), ("zero", 121)],
+    ids=["dt", "zero", "dt-n25", "zero-n25", "dt-n121", "zero-n121"],
+)
+def test_polydiff_derive_matches_the_term_by_term_oracle(derivation, n, rng):
     k = RatFuncField(CycloField(3), "t", derivation)
-    e = PolyDiffField(k, ["x0", "x1", "x2"])
+    e = PolyDiffField(k, [f"x{i}" for i in range(n)])
     for i in range(e.n):
         e.set_gen_derivative(i, _random_laurent(e, rng, 3))
-    rates = MonomialDiffField(k, ["y0", "y1"], [k.gen(), k.one() * 2])
+    rates = [k.gen() if i % 2 == 0 else k.one() * 2 for i in range(n - 1)]
+    rates = MonomialDiffField(k, [f"y{i}" for i in range(n - 1)], rates)
     for field in (e, rates):
-        for n_terms in (0, 1, 2, 5):
-            x = _random_laurent(field, rng, n_terms)
+        xs = [_random_laurent(field, rng, n_terms) for n_terms in (0, 1, 2, 5)]
+        for x in xs:
+            _assert_sparse_keys(x)
             got = x.derive()
             assert got == polydiff_derive(x)
-            assert all(not c.is_zero() for c in got.terms.values())
+            _assert_sparse_keys(got)
+            for y in xs:
+                got = x * y
+                assert got == dense_polydiff_mul(x, y)
+                _assert_sparse_keys(got)
+            for key, c in x.terms.items():
+                mono = PolyDiffElem(field, {field.exponents(key): c})
+                inv = mono.inv()
+                assert dense_polydiff_mul(mono, inv) == field.one()
+                _assert_sparse_keys(inv)
+
+
+def test_polydiff_rejects_exponent_tuples_and_generator_indices_of_the_wrong_shape(k):
+    e = PolyDiffField(k, ["x0", "x1"])
+    one = k.one()
+    with pytest.raises(ValueError, match="length 1 for n = 2"):
+        PolyDiffElem(e, {(1,): one})
+    with pytest.raises(ValueError, match="length 3 for n = 2"):
+        PolyDiffElem(e, {(1, 0, 5): one})
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match=f"index {i} is out of range for n = 2"):
+            e.gen(i)
+    assert PolyDiffElem(e, {(1, 1): one}) == e.gen(0) * e.gen(1)
+
+
+def test_polydiff_inverse_of_zero_raises_zero_division(k):
+    e = PolyDiffField(k, ["x0", "x1"])
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        e.zero().inv()
+    for src in ("x0/0", "0^-1"):
+        with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+            parse_scalar(src, e)
+    with pytest.raises(ValueError, match="single monomials"):
+        (e.gen(0) + e.gen(1)).inv()
 
 
 def test_generic_gauge_derivative_matches_the_oracle(rng):
