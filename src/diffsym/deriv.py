@@ -1,15 +1,15 @@
 """Derivations on the symbol algebra extending the base derivation.
 
-A derivation d is determined by its images d(u), d(v) together with the base
-derivation on coefficients.  Validity is characterized by two coefficient
-conditions on d(u), d(v) plus four bilinear relations coming from d(vu) =
-d(w uv); every valid d splits uniquely as d = d_s + inner(theta) with theta
-trace-zero.
+Every valid d splits uniquely as d = d_s + inner(theta) with theta trace-zero,
+and a ``Derivation`` holds d in that form.  Images d(u), d(v) from outside are
+validated by two coefficient conditions plus four bilinear relations coming
+from d(vu) = d(w uv), then solved for theta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .parser import scalar_to_str
 from .scalars import mth_power_up_to_constant
@@ -27,66 +27,70 @@ class DerivationVerdict:
 
 
 class Derivation:
-    """Additive map on A given by images of u and v, extended by Leibniz.
+    """d_s + inner(theta) on A, or inner(theta) alone, held as theta with no u^0 v^0 term and ``includes_ds``.
 
-    includes_base controls whether coefficients are differentiated; inner
-    derivations are k-linear and set it to False.
+    ``Derivation(algebra, du, dv)`` takes images from outside; they must pass
+    ``validate``, and d_s + inner(theta) must reproduce them.  Everything
+    else builds through the trusted ``_derivation``.
     """
 
-    def __init__(self, algebra: SymbolAlgebra, du: SymbolElem, dv: SymbolElem, includes_base: bool = True):
-        self.algebra = algebra
-        self.du = algebra.coerce_elem(du)
-        self.dv = algebra.coerce_elem(dv)
-        self.includes_base = includes_base
-        self._images = None
+    def __init__(self, algebra: SymbolAlgebra, du: SymbolElem, dv: SymbolElem):
+        du = algebra.coerce_elem(du)
+        dv = algebra.coerce_elem(dv)
+        verdict = validate(algebra, du, dv)
+        if not verdict.ok:
+            raise ValueError(f"not a derivation: conditions {verdict.failing} fail")
+        m = algebra.m
+        # g[j] = (1 - w^j)^-1, so 1/(w^i - 1) = -g[i] and 1/((1 - w^j) alpha) = g[j] alpha^-1
+        g, alpha_inv = algebra.inverse_gaps
+        # theta[i][0] = -dv[i][1] g[i] for i >= 1, theta[i-1][j] = du[i][j] g[j] for j >= 1,
+        # wrapping to theta[m-1][j] = du[0][j] g[j] alpha^-1; a product of nonzeros is nonzero
+        terms = {}
+        for (i, j), c in dv.terms.items():
+            if i and j == 1:
+                terms[i, 0] = -(c * g[i])
+        for (i, j), c in du.terms.items():
+            if j:
+                terms[(i - 1) % m, j] = c * g[j] if i else c * g[j] * alpha_inv
+        self.algebra, self.theta, self.includes_ds = algebra, _symbol(algebra, terms), True
+        if not (self.du == du and self.dv == dv):
+            raise AssertionError("decomposition failed to reproduce d(u), d(v)")
 
-    def _basis_images(self):
-        if self._images is not None:
-            return self._images
-        alg = self.algebra
-        m = alg.m
-        u1 = alg.u()
-        v1 = alg.v()
-        # d(u^i) = d(u^(i-1)) u + u^(i-1) d(u), likewise for v
-        dus = [alg.zero_elem()]
-        for i in range(1, m):
-            dus.append(dus[i - 1] * u1 + alg.u(i - 1) * self.du)
-        dvs = [alg.zero_elem()]
-        for j in range(1, m):
-            dvs.append(dvs[j - 1] * v1 + alg.v(j - 1) * self.dv)
-        images = []
-        for i in range(m):
-            row = []
-            ui = alg.u(i)
-            for j in range(m):
-                row.append(dus[i] * alg.v(j) + ui * dvs[j])
-            images.append(row)
-        self._images = images
-        return images
+    @cached_property
+    def du(self) -> SymbolElem:
+        return self.apply(self.algebra.u())
+
+    @cached_property
+    def dv(self) -> SymbolElem:
+        return self.apply(self.algebra.v())
 
     def apply(self, x: SymbolElem) -> SymbolElem:
+        """d_s(x) + x theta - theta x, with d_s(c u^i v^j) = (delta(c) + c (i ru + j rv)) u^i v^j."""
         alg = self.algebra
         x = alg.coerce_elem(x)
-        total = alg.zero_elem()
-        for (i, j), c in x.terms.items():
-            if self.includes_base:
+        terms = {}
+        if self.includes_ds:
+            for (i, j), c in x.terms.items():
                 dc = c.derive()
+                # a scalar needs no rates, which over a larger field cost a division
+                if i or j:
+                    ru, rv = alg.standard_rates
+                    dc = dc + c * (ru * i + rv * j)
                 if not dc.is_zero():
-                    total = total + alg.monomial(i, j, dc)
-            # d(1) = 0, so a scalar needs none of the m^2 basis images
-            if i or j:
-                total = total + self._basis_images()[i][j].scale(c)
-        return total
+                    terms[i, j] = dc
+        total = _symbol(alg, terms)
+        # a scalar commutes with theta, and inner(0) = 0: neither takes a product
+        if x.is_scalar() or self.theta.is_zero():
+            return total
+        return total + x * self.theta - self.theta * x
 
     def __add__(self, other: "Derivation") -> "Derivation":
-        if other.algebra != self.algebra:
+        alg = self.algebra
+        if other.algebra != alg:
             raise ValueError("derivations on different algebras")
-        return Derivation(
-            self.algebra,
-            self.du + other.du,
-            self.dv + other.dv,
-            includes_base=self.includes_base or other.includes_base,
-        )
+        if self.includes_ds and other.includes_ds and not alg.field.is_zero_derivation:
+            raise ValueError("d_s + d_s does not extend the base derivation: it differentiates the coefficients twice")
+        return _derivation(alg, self.theta + other.theta, self.includes_ds or other.includes_ds)
 
     def extend(self, ext: SymbolAlgebra) -> "Derivation":
         """The induced derivation on A tensor E, where ext is ``algebra.extend(E)`` or an equal algebra."""
@@ -94,24 +98,33 @@ class Derivation:
         coerce = ext.field.coerce
         if not (ext.m == alg.m and ext.alpha == coerce(alg.alpha) and ext.beta == coerce(alg.beta)):
             raise ValueError("ext is not the algebra extended to a larger field")
-        return Derivation(ext, self.du, self.dv, self.includes_base)
+        d = _derivation(ext, ext.coerce_elem(self.theta), self.includes_ds)
+        # d(u), d(v) computed over k and coerced; computing them over E reads slower
+        d.du, d.dv = ext.coerce_elem(self.du), ext.coerce_elem(self.dv)
+        return d
 
     def verdict(self) -> DerivationVerdict:
         return validate(self.algebra, self.du, self.dv)
 
 
+_new = object.__new__
+
+
+def _derivation(algebra: SymbolAlgebra, theta: SymbolElem, includes_ds: bool) -> Derivation:
+    """The trusted constructor: theta in algebra with no u^0 v^0 term."""
+    d = _new(Derivation)
+    d.algebra, d.theta, d.includes_ds = algebra, theta, includes_ds
+    return d
+
+
 def standard_derivation(algebra: SymbolAlgebra) -> Derivation:
     """d_s(u) = delta(alpha)/(m alpha) u, d_s(v) = delta(beta)/(m beta) v."""
-    ru, rv = algebra.standard_rates
-    return Derivation(algebra, algebra.monomial(1, 0, ru), algebra.monomial(0, 1, rv))
+    return _derivation(algebra, algebra.zero_elem(), True)
 
 
 def inner_derivation(theta: SymbolElem) -> Derivation:
     """x -> x theta - theta x; k-linear, vanishes on the center."""
-    alg = theta.algebra
-    u1 = alg.u()
-    v1 = alg.v()
-    return Derivation(alg, u1 * theta - theta * u1, v1 * theta - theta * v1, includes_base=False)
+    return _derivation(theta.algebra, theta._with({k: c for k, c in theta.terms.items() if k != (0, 0)}), False)
 
 
 def validate(algebra: SymbolAlgebra, du: SymbolElem, dv: SymbolElem) -> DerivationVerdict:
@@ -161,28 +174,13 @@ def validate(algebra: SymbolAlgebra, du: SymbolElem, dv: SymbolElem) -> Derivati
 
 
 def decompose(d: Derivation) -> SymbolElem:
-    """The unique trace-zero theta with d = d_s + inner(theta)."""
-    alg = d.algebra
-    m = alg.m
-    verdict = d.verdict()
-    if not verdict.ok:
-        raise ValueError(f"not a derivation: conditions {verdict.failing} fail")
-    # g[j] = (1 - w^j)^-1, so 1/(w^i - 1) = -g[i] and 1/((1 - w^j) alpha) = g[j] alpha^-1
-    g, alpha_inv = alg.inverse_gaps
-    # theta[i][0] = -dv[i][1] g[i] for i >= 1, theta[i-1][j] = du[i][j] g[j] for j >= 1,
-    # wrapping to theta[m-1][j] = du[0][j] g[j] alpha^-1; a product of nonzeros is nonzero
-    terms = {}
-    for (i, j), c in d.dv.terms.items():
-        if i and j == 1:
-            terms[i, 0] = -(c * g[i])
-    for (i, j), c in d.du.terms.items():
-        if j:
-            terms[(i - 1) % m, j] = c * g[j] if i else c * g[j] * alpha_inv
-    theta = _symbol(alg, terms)
-    recomposed = standard_derivation(alg) + inner_derivation(theta)
-    if not (recomposed.du == d.du and recomposed.dv == d.dv):
-        raise AssertionError("decomposition failed to reproduce d(u), d(v)")
-    return theta
+    """The unique trace-zero theta with d = d_s + inner(theta).
+
+    inner(theta) alone is k-linear, so it extends only the zero base derivation.
+    """
+    if not d.includes_ds and not d.algebra.field.is_zero_derivation:
+        raise ValueError("not a derivation: inner(theta) alone does not differentiate the coefficients")
+    return d.theta
 
 
 def constants_inner(theta: SymbolElem):

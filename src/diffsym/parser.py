@@ -376,14 +376,32 @@ def _wrap(s: str) -> str:
     return f"({s})"
 
 
-def _terms_str(x: SparseElem, names, exps) -> str:
-    """x as c * name_0^e_0 * ... + ... in the order of e = exps(key); a unit coefficient is dropped."""
+def _terms_str(x: SparseElem, names, pairs, order=None) -> str:
+    """x as c * name_i^e_i * ... + ... over the (i, e_i != 0) of pairs(key), sorted by order(key).
+
+    A unit coefficient is dropped.
+    """
     parts = []
-    for dense, c in sorted(((exps(key), c) for key, c in x.terms.items()), key=operator.itemgetter(0)):
-        cs = _wrap(scalar_to_str(c))
-        monos = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, dense) if e]
+    for key in sorted(x.terms, key=order):
+        cs = _wrap(scalar_to_str(x.terms[key]))
+        monos = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in pairs(key)]
         parts.append("*".join(monos if monos and cs == "1" else [cs] + monos))
     return " + ".join(parts) if parts else "0"
+
+
+def _dense_order(key: tuple) -> tuple:
+    """A sort key on PolyDiffElem keys in the order of their dense exponent tuples.
+
+    The tuples first differ where the keys first differ or one ends.  There,
+    against a 0 (a later index, or the end), the key with e_i sorts after iff
+    e_i > 0: hence (0, i, e) < (1,), the end, < (2, -i, e).
+    """
+    return tuple((0, i, e) if e < 0 else (2, -i, e) for i, e in key) + ((1,),)
+
+
+def _nonzero_pairs(key: tuple) -> tuple:
+    """The (i, e_i) with e_i != 0 of a dense exponent tuple."""
+    return tuple((i, e) for i, e in enumerate(key) if e)
 
 
 def scalar_to_str(x) -> str:
@@ -395,12 +413,12 @@ def scalar_to_str(x) -> str:
     if isinstance(x, RatFunc):
         return _ratfunc_str(x)
     if isinstance(x, KummerElem):
-        return _terms_str(x, (x.parent.gen_name,), lambda i: (i,))
+        return _terms_str(x, (x.parent.gen_name,), lambda i: ((0, i),) if i else ())
     if isinstance(x, PolyDiffElem):
-        return _terms_str(x, x.parent.names, x.parent.exponents)
+        return _terms_str(x, x.parent.names, tuple, _dense_order)
     raise TypeError(f"cannot print {x!r}")
 
 
 def symbol_to_str(x) -> str:
     """Print a symbol algebra element as a sum of c*u^i*v^j; parse_symbol round-trips it."""
-    return _terms_str(x, "uv", tuple)
+    return _terms_str(x, "uv", _nonzero_pairs)

@@ -29,10 +29,16 @@ class PolyDiffField:
         for name, g in base.generators().items():
             self._generators.setdefault(name, self.coerce(g))
 
+    def _check_index(self, i: int):
+        if not 0 <= i < self.n:
+            raise ValueError(f"generator index {i} is out of range for n = {self.n} variables")
+
     def set_gen_derivative(self, i: int, value: "PolyDiffElem"):
+        self._check_index(i)
         self._gen_derivs[i] = self.coerce(value)
 
     def gen_derivative(self, i: int) -> "PolyDiffElem":
+        self._check_index(i)
         v = self._gen_derivs[i]
         if v is None:
             raise ValueError(f"derivation of {self.names[i]} was never set")
@@ -53,16 +59,8 @@ class PolyDiffField:
         return _polydiff(self, {(): self.base.one()})
 
     def gen(self, i: int) -> "PolyDiffElem":
-        if not 0 <= i < self.n:
-            raise ValueError(f"generator index {i} is out of range for n = {self.n} variables")
+        self._check_index(i)
         return _polydiff(self, {((i, 1),): self.base.one()})
-
-    def exponents(self, key: tuple) -> tuple:
-        """The dense exponent tuple (e_0, ..., e_{n-1}) of the monomial with this key."""
-        exps = [0] * self.n
-        for i, e in key:
-            exps[i] = e
-        return tuple(exps)
 
     def generators(self) -> dict:
         """Name to element for the parser: x0, x1, ..., then the base's generators."""
@@ -97,7 +95,8 @@ class PolyDiffElem(SparseElem):
 
     The key of a monomial is the tuple of its ``(i, e_i)`` pairs with
     e_i != 0, in ascending i: ``()`` is the constant monomial and x_i is
-    ``((i, 1),)``.  ``PolyDiffField.exponents(key)`` gives the dense tuple.
+    ``((i, 1),)``.  The printer sorts terms by key in the order of the dense
+    exponent tuples.
 
     ``PolyDiffElem(parent, terms)`` takes dense exponent tuples of length n as
     the keys of ``terms``, coerces each coefficient and drops the zeros (see

@@ -182,7 +182,8 @@ def verify_diff_isomorphism(phi: PhiMap, d: Derivation, p: DiffMatrix) -> IsoVer
 
     Agreement on v and u is agreement on every basis element u^i v^j:
 
-    * ``Derivation`` builds d*(u^i v^j) from d(u) and d(v) by the Leibniz rule;
+    * d* = d_s + inner(theta), or inner(theta) alone, is a derivation:
+      ``Derivation`` holds theta, and takes images only once validated;
     * Phi is multiplicative, because ``PhiMap`` validated A^m = alpha I,
       B^m = beta I and BA = w AB at construction; this is the precondition;
     * d_P is a derivation on matrices.
@@ -203,7 +204,7 @@ def verify_diff_isomorphism(phi: PhiMap, d: Derivation, p: DiffMatrix) -> IsoVer
     alg = phi.ext_algebra
     d_ext = d.extend(alg)
     one = phi.ext_field.one()
-    # d_ext.dv and d_ext.du are d*(v) and d*(u); no basis images are built
+    # d_ext.dv and d_ext.du are d*(v) and d*(u), computed over k and coerced by extend
     for label, x, image in (
         ((0, 1), alg.monomial(0, 1, one), d_ext.dv),
         ((1, 0), alg.monomial(1, 0, one), d_ext.du),

@@ -19,7 +19,9 @@ terms and the closed form for a monomial, the derivative of a
 differential polynomial summed one partial product at a time through the
 coercing constructor in place of one pass over the support, the product of
 differential polynomials on dense exponent tuples of length n in place of
-the merged keys of their nonzero exponents, and symbol
+the merged keys of their nonzero exponents, a differential polynomial
+printed by zipping all n names with each dense exponent tuple in place of
+printing each key's pairs, and symbol
 algebra and matrix arithmetic over every pair of entries, each product by
 w^(jr) taken even when it is w^0 = 1, built through the coercing
 constructors in place of the support of the right factor and the trusted
@@ -37,7 +39,7 @@ from fractions import Fraction
 
 from diffsym.linalg import invert_matrix, solve_affine
 from diffsym.matdiff import DiffMatrix, apply_dP
-from diffsym.parser import MAX_EXPONENT, ParseError
+from diffsym.parser import MAX_EXPONENT, ParseError, _wrap, scalar_to_str
 from diffsym.scalars import KummerElem, Poly, RatFunc
 from diffsym.scalars.monomial import PolyDiffElem
 from diffsym.scalars.ode import OdeSolution, _homogeneous_basis, _proportional
@@ -375,12 +377,35 @@ def dense_kummer_conjugate(x, j):
     return tuple(c * field.base.coerce(w ** ((i * j) % field.cyclo.m)) for i, c in enumerate(x.coeffs))
 
 
+def dense_exponents(field, key):
+    """The dense exponent tuple (e_0, ..., e_{n-1}) of the PolyDiffElem monomial with this key."""
+    exps = [0] * field.n
+    for i, e in key:
+        exps[i] = e
+    return tuple(exps)
+
+
+def dense_polydiff_str(x):
+    """A PolyDiffElem printed term by term from its dense exponent tuple, zipped with all n names.
+
+    Terms sorted by their dense exponent tuples; a unit coefficient is dropped.
+    """
+    field = x.parent
+    parts = []
+    terms = ((dense_exponents(field, key), c) for key, c in x.terms.items())
+    for dense, c in sorted(terms, key=operator.itemgetter(0)):
+        cs = _wrap(scalar_to_str(c))
+        monos = [name if e == 1 else f"{name}^{e}" for name, e in zip(field.names, dense) if e]
+        parts.append("*".join(monos if monos and cs == "1" else [cs] + monos))
+    return " + ".join(parts) if parts else "0"
+
+
 def polydiff_derive(x):
     """d(x) as the sum of d(c) x^e and every partial e_i c x^(e - 1_i) times d(x_i)."""
     parent = x.parent
     total = parent.zero()
     for key, c in x.terms.items():
-        exps = parent.exponents(key)
+        exps = dense_exponents(parent, key)
         mono = PolyDiffElem(parent, {exps: parent.base.one()})
         total = total + mono.scale(c.derive())
         for i, e in enumerate(exps):
@@ -398,9 +423,9 @@ def dense_polydiff_mul(x, y):
     parent = x.parent
     out = {}
     for k1, c1 in x.terms.items():
-        e1 = parent.exponents(k1)
+        e1 = dense_exponents(parent, k1)
         for k2, c2 in y.terms.items():
-            e = tuple(a + b for a, b in zip(e1, parent.exponents(k2)))
+            e = tuple(a + b for a, b in zip(e1, dense_exponents(parent, k2)))
             out[e] = out[e] + c1 * c2 if e in out else c1 * c2
     return PolyDiffElem(parent, out)
 

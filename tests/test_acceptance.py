@@ -118,6 +118,7 @@ def test_criterion_03_derivation_characterization():
             d = standard_derivation(alg) + inner_derivation(theta)
             assert d.verdict().ok
             assert decompose(d) == theta
+            assert decompose(Derivation(alg, d.du, d.dv)) == theta
             for _ in range(100):
                 a = random_element(alg, rng, entries=1)
                 b = random_element(alg, rng, entries=1)
@@ -313,6 +314,7 @@ def test_criterion_14_quaternion_regression():
     d = ds + inner_derivation(theta)
     assert d.verdict().ok
     assert decompose(d) == theta
+    assert decompose(Derivation(alg, d.du, d.dv)) == theta
     assert decompose(Derivation(alg, ds.du, ds.dv)).is_zero()
     # the standard splitting field has degree 2 m^2 = 8 with gauge diag(z, 1/z)
     rep = split_standard(alg)

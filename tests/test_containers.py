@@ -10,12 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from diffsym import SymbolAlgebra, decompose, inner_derivation, split_standard, standard_derivation
+from diffsym import SymbolAlgebra, decompose, deriv, inner_derivation, split_standard, standard_derivation
+from diffsym.deriv import Derivation
 from diffsym.matdiff import DiffMatrix
 from diffsym.scalars import CycloElem, CycloField, KummerField, Poly, RatFunc, RatFuncField
 from diffsym.split import (
     PhiMap,
     _checked_t_r,
+    closed_form_P,
     compute_P,
     split_generic,
     split_inner_cyclic,
@@ -24,6 +26,7 @@ from diffsym.split import (
     verify_diff_isomorphism,
     xi_extension,
 )
+from diffsym.symalg import SymbolElem
 from generators import random_element, random_valid_derivation
 from oracles import (
     coercing_matrix_add,
@@ -93,11 +96,38 @@ def _theta(alg):
 def test_a_second_decompose_inverts_nothing(monkeypatch, m):
     alg = make_algebra(m)
     d = standard_derivation(alg) + inner_derivation(_theta(alg))
+    du, dv = d.du, d.dv
     inverses = _counter(monkeypatch, CycloElem, "inv")
-    theta = decompose(d)
+    theta = decompose(Derivation(alg, du, dv))
     first = len(inverses)
     assert first <= m
+    assert decompose(Derivation(alg, du, dv)) == theta and len(inverses) == first
+    # a derivation built from theta holds it, so it takes no inverse at all
     assert decompose(d) == theta and len(inverses) == first
+
+
+def test_derivation_apply_on_a_scalar_takes_no_product(monkeypatch, rng):
+    alg = make_algebra(3)
+    d = random_valid_derivation(alg, rng)
+    t = alg.field.gen()
+    c = t * t / (t + alg.field.one())
+    products = _counter(monkeypatch, SymbolElem, "__mul__")
+    assert d.apply(alg.scalar(c)) == alg.monomial(0, 0, c.derive())
+    assert not products
+
+
+def test_compute_P_from_theta_takes_no_product_and_no_validation(monkeypatch):
+    alg = make_algebra(3)
+    phi = make_phi(alg)
+    d = standard_derivation(alg) + inner_derivation(_theta(alg))
+    products = _counter(monkeypatch, SymbolElem, "__mul__")
+    validations = []
+    validate = deriv.validate
+    monkeypatch.setattr(deriv, "validate", lambda *args: validations.append(args) or validate(*args))
+    p = compute_P(d, phi)
+    assert not products and not validations
+    monkeypatch.undo()
+    assert p == closed_form_P(_theta(alg), phi)
 
 
 def test_split_standard_leaves_the_inverse_gaps_uncomputed(monkeypatch):

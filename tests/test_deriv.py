@@ -134,6 +134,7 @@ def test_decompose_against_linear_oracle(m, rng):
         theta = decompose(d)
         assert (0, 0) not in theta.terms
         assert theta == _oracle_theta(d)
+        assert decompose(Derivation(alg, d.du, d.dv)) == theta
 
 
 def _oracle_thetas(alg, rng):
@@ -158,6 +159,7 @@ def test_decompose_matches_the_dividing_oracle(m, derivation, rng):
             got = decompose(d)
             assert got == dividing_decompose(d)
             assert got == theta
+            assert decompose(Derivation(alg, d.du, d.dv)) == theta
         # a second decompose reads the same cached inverses
         assert decompose(d) == theta
 
@@ -166,6 +168,20 @@ def test_decompose_rejects_invalid():
     alg = make_algebra(2)
     with pytest.raises(ValueError):
         decompose(Derivation(alg, alg.u() * alg.v(), alg.v()))
+
+
+def test_standard_plus_standard_is_rejected_over_a_nonzero_base_derivation():
+    alg = make_algebra(2)
+    ds = standard_derivation(alg)
+    # d_s + d_s differentiates t twice, so it fails conditions A and B
+    assert validate(alg, ds.du + ds.du, ds.dv + ds.dv).failing == ["A", "B"]
+    with pytest.raises(ValueError, match="twice"):
+        ds + ds
+    with pytest.raises(ValueError, match="twice"):
+        (ds + inner_derivation(alg.v())) + ds
+    # over the zero base derivation d_s = 0, so d_s + d_s = d_s
+    alg0 = make_algebra(2, "zero")
+    assert decompose(standard_derivation(alg0) + standard_derivation(alg0)).is_zero()
 
 
 @pytest.mark.parametrize("m", [2, 3])

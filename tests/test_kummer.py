@@ -3,7 +3,7 @@
 import pytest
 
 from diffsym import inner_derivation, standard_derivation
-from diffsym.parser import parse_scalar
+from diffsym.parser import parse_scalar, scalar_to_str
 from diffsym.scalars import (
     CycloField,
     KummerField,
@@ -24,7 +24,9 @@ from oracles import (
     dense_kummer_inv,
     dense_kummer_mul,
     dense_kummer_neg,
+    dense_exponents,
     dense_polydiff_mul,
+    dense_polydiff_str,
     polydiff_derive,
 )
 
@@ -308,7 +310,7 @@ def test_polydiff_derive_matches_the_term_by_term_oracle(derivation, n, rng):
                 assert got == dense_polydiff_mul(x, y)
                 _assert_sparse_keys(got)
             for key, c in x.terms.items():
-                mono = PolyDiffElem(field, {field.exponents(key): c})
+                mono = PolyDiffElem(field, {dense_exponents(field, key): c})
                 inv = mono.inv()
                 assert dense_polydiff_mul(mono, inv) == field.one()
                 _assert_sparse_keys(inv)
@@ -325,6 +327,46 @@ def test_polydiff_rejects_exponent_tuples_and_generator_indices_of_the_wrong_sha
         with pytest.raises(ValueError, match=f"index {i} is out of range for n = 2"):
             e.gen(i)
     assert PolyDiffElem(e, {(1, 1): one}) == e.gen(0) * e.gen(1)
+
+
+def test_polydiff_generator_derivatives_reject_indices_out_of_range(k):
+    e = PolyDiffField(k, ["x0", "x1"])
+    x0 = e.gen(0)
+    # a negative index once named another generator: d(x1) read back as x0
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match=f"index {i} is out of range for n = 2"):
+            e.set_gen_derivative(i, x0)
+        with pytest.raises(ValueError, match=f"index {i} is out of range for n = 2"):
+            e.gen_derivative(i)
+    with pytest.raises(ValueError, match="derivation of x1 was never set"):
+        e.gen_derivative(1)
+    e.set_gen_derivative(1, x0)
+    assert e.gen_derivative(1) == x0
+
+
+def _sparse_laurent(field, rng, n_terms):
+    """A seeded sum of n_terms monomials in at most 3 of the n variables, nonzero exponents in [-2, 2]."""
+    x = field.zero()
+    for _ in range(n_terms):
+        exps = [0] * field.n
+        for i in rng.sample(range(field.n), rng.randint(0, min(3, field.n))):
+            exps[i] = rng.choice((-2, -1, 1, 2))
+        x = x + PolyDiffElem(field, {tuple(exps): field.base.coerce(rng.randint(-3, 3) or 1)})
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 3, 25, 256])
+def test_polydiff_prints_as_the_dense_printer(n, rng):
+    """Terms in the order of their dense exponent tuples, negative exponents and unit coefficients included."""
+    k = RatFuncField(CycloField(3), "t")
+    e = PolyDiffField(k, [f"x{i}" for i in range(n)])
+    xs = [e.gen(i) for i in range(0, n, max(1, n // 8))]
+    for n_terms in (0, 1, 2, 5, 9):
+        xs += [_sparse_laurent(e, rng, n_terms) for _ in range(4)]
+        if n <= 25:
+            xs.append(_random_laurent(e, rng, n_terms))
+    for x in xs:
+        assert scalar_to_str(x) == dense_polydiff_str(x)
 
 
 def test_polydiff_inverse_of_zero_raises_zero_division(k):

@@ -89,13 +89,21 @@ def test_isomorphism_check_covers_the_variable_t():
     assert verify_diff_isomorphism(phi0, inner_derivation(alg0.v()), phi0.apply(alg0.v())).ok
 
 
-def test_derivation_apply_on_a_scalar_builds_no_basis_images(rng):
-    alg = make_algebra(3)
-    d = random_valid_derivation(alg, rng)
-    t = alg.field.gen()
-    c = t * t / (t + alg.field.one())
-    assert d.apply(alg.scalar(c)) == alg.monomial(0, 0, c.derive())
-    assert d._images is None
+def test_inner_alone_decomposes_only_over_the_zero_base_derivation():
+    """inner(v) passes validate over d/dt with constant alpha, beta, but it is no d_s + inner(theta)."""
+    k = RatFuncField(CycloField(2), "t")
+    alg = SymbolAlgebra(k, 2, 3, 2)
+    d = inner_derivation(alg.v())
+    assert d.verdict().ok
+    with pytest.raises(ValueError, match="does not differentiate"):
+        decompose(d)
+    with pytest.raises(ValueError, match="does not differentiate"):
+        compute_P(d, make_phi(alg))
+    k0 = RatFuncField(CycloField(2), "t", "zero")
+    alg0 = SymbolAlgebra(k0, 2, 3, 2)
+    phi0 = make_phi(alg0)
+    assert decompose(inner_derivation(alg0.v())) == alg0.v()
+    assert compute_P(inner_derivation(alg0.v()), phi0) == phi0.apply(alg0.v())
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 7])
