@@ -23,11 +23,10 @@ from .deriv import (
     validate,
 )
 from .matdiff import prop44_constants, prop44_matrix
-from .parser import ParseError, parse_scalar, parse_symbol, scalar_to_str
+from .parser import parse_scalar, parse_symbol, scalar_to_str
 from .scalars import (
     CycloField,
     RatFuncField,
-    ReducibleRadicandError,
     mth_power_up_to_constant,
     rational_ode_solve,
 )
@@ -451,7 +450,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ReducibleRadicandError, ValueError, ZeroDivisionError) as exc:
+    # ParseError and ReducibleRadicandError are ValueErrors
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -2,8 +2,9 @@
 
 Every valid d splits uniquely as d = d_s + inner(theta) with theta trace-zero,
 and a ``Derivation`` holds d in that form.  Images d(u), d(v) from outside are
-validated by two coefficient conditions plus four bilinear relations coming
-from d(vu) = d(w uv), then solved for theta.
+solved for theta and must come back from d_s + inner(theta); ``validate``
+checks them by two coefficient conditions plus four bilinear relations coming
+from d(vu) = d(w uv).
 """
 
 from __future__ import annotations
@@ -29,17 +30,14 @@ class DerivationVerdict:
 class Derivation:
     """d_s + inner(theta) on A, or inner(theta) alone, held as theta with no u^0 v^0 term and ``includes_ds``.
 
-    ``Derivation(algebra, du, dv)`` takes images from outside; they must pass
-    ``validate``, and d_s + inner(theta) must reproduce them.  Everything
-    else builds through the trusted ``_derivation``.
+    ``Derivation(algebra, du, dv)`` takes images from outside; d_s + inner(theta),
+    with theta solved from them, must reproduce them.  Everything else builds
+    through the trusted ``_derivation``.
     """
 
     def __init__(self, algebra: SymbolAlgebra, du: SymbolElem, dv: SymbolElem):
         du = algebra.coerce_elem(du)
         dv = algebra.coerce_elem(dv)
-        verdict = validate(algebra, du, dv)
-        if not verdict.ok:
-            raise ValueError(f"not a derivation: conditions {verdict.failing} fail")
         m = algebra.m
         # g[j] = (1 - w^j)^-1, so 1/(w^i - 1) = -g[i] and 1/((1 - w^j) alpha) = g[j] alpha^-1
         g, alpha_inv = algebra.inverse_gaps
@@ -53,7 +51,12 @@ class Derivation:
             if j:
                 terms[(i - 1) % m, j] = c * g[j] if i else c * g[j] * alpha_inv
         self.algebra, self.theta, self.includes_ds = algebra, _symbol(algebra, terms), True
+        # d_s + inner(theta) is a derivation, so it gives the images back iff they
+        # are valid; validate runs only to name the failing conditions
         if not (self.du == du and self.dv == dv):
+            verdict = validate(algebra, du, dv)
+            if not verdict.ok:
+                raise ValueError(f"not a derivation: conditions {verdict.failing} fail")
             raise AssertionError("decomposition failed to reproduce d(u), d(v)")
 
     @cached_property
@@ -102,9 +105,6 @@ class Derivation:
         # d(u), d(v) computed over k and coerced; computing them over E reads slower
         d.du, d.dv = ext.coerce_elem(self.du), ext.coerce_elem(self.dv)
         return d
-
-    def verdict(self) -> DerivationVerdict:
-        return validate(self.algebra, self.du, self.dv)
 
 
 _new = object.__new__

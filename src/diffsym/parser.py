@@ -54,6 +54,9 @@ def _tokenize(src: str):
 # Largest |exponent|, and largest t-degree a power may reach: the cost of a
 # power grows quadratically with its t-degree, so larger ones are usage errors.
 MAX_EXPONENT = 1000
+# Deepest nesting of parentheses: each level takes a few Python frames, so a
+# deeper one would exhaust the interpreter's recursion limit.
+MAX_DEPTH = 100
 
 
 def _t_degree(x) -> int:
@@ -92,6 +95,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
         self.context = context
         self.ladder = isinstance(context, RatFuncField)
         if self.ladder:
@@ -220,8 +224,12 @@ class _Parser:
             self.advance()
             return self._resolve_name(val, pos)
         if kind == "op" and val == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
             self.advance()
+            self.depth += 1
             value = self.expr()
+            self.depth -= 1
             self.expect_op(")")
             return value
         raise ParseError(f"unexpected token {val!r}", pos, expected="atom")

@@ -34,14 +34,8 @@ def _prime_factors(n: int):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
+    # n < 2 has no prime factors
+    return _prime_factors(n) == [n]
 
 
 def _int_nth_root(n: int, k: int):
@@ -264,8 +258,7 @@ def certify_power_free_over_kummer(alpha: RatFunc, w_alpha_m: int, beta: RatFunc
     va = _finite_valuations(alpha, basis)
     vb = _finite_valuations(beta, basis)
     ram = [m // gcd(m, v) for v in va]
-    checks = [p for p in _prime_factors(big_m)]
-    moduli = checks + ([4] if big_m % 4 == 0 else [])
+    moduli = _prime_factors(big_m) + ([4] if big_m % 4 == 0 else [])
     for p in moduli:
         if not any((e * v) % p != 0 for e, v in zip(ram, vb)):
             raise ReducibleRadicandError(

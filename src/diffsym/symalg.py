@@ -263,18 +263,27 @@ def _symbol(algebra: SymbolAlgebra, terms: dict) -> SymbolElem:
     return x
 
 
+def _columns(elems) -> list:
+    """The matrix whose columns are the coordinate vectors of elems."""
+    return list(zip(*(x.to_vector() for x in elems)))
+
+
+def _powers(a: SymbolElem) -> list:
+    """[1, a, ..., a^m], which span k[a]: A has degree m, and a satisfies its
+    reduced characteristic polynomial, of degree m."""
+    powers = [a.algebra.one()]
+    for _ in range(a.algebra.m):
+        powers.append(powers[-1] * a)
+    return powers
+
+
 def twisted_centralizer(a: SymbolElem, c):
     """Basis of {x : xa = c ax} for a scalar c, via an exact m^2 x m^2 kernel computation."""
-    alg = a.algebra
+    alg, m = a.algebra, a.algebra.m
     # c is central, so c(ax) = (ca)x
     ca = a.scale(c)
-    cols = [(b * a - ca * b).to_vector() for b in alg.basis()]
-    n = alg.m**2
-    matrix = [[cols[col][r] for col in range(n)] for r in range(n)]
-    return [
-        SymbolElem(alg, [[vec[i * alg.m + j] for j in range(alg.m)] for i in range(alg.m)])
-        for vec in kernel_basis(matrix, alg.field)
-    ]
+    kernel = kernel_basis(_columns(b * a - ca * b for b in alg.basis()), alg.field)
+    return [SymbolElem(alg, [vec[i * m : (i + 1) * m] for i in range(m)]) for vec in kernel]
 
 
 def centralizer(a: SymbolElem):
@@ -282,54 +291,42 @@ def centralizer(a: SymbolElem):
     return twisted_centralizer(a, a.algebra.field.one())
 
 
+def _minimal_polynomial(powers: list) -> Poly:
+    """The minimal polynomial of a from powers = [1, a, ..., a^m], by one kernel computation.
+
+    The first free column is a^d, the first power in the span of the lower
+    ones, and its kernel vector holds the coefficients of p, monic of degree d.
+    """
+    field = powers[0].algebra.field
+    kernel = kernel_basis(_columns(powers), field)
+    if not kernel:
+        raise AssertionError("no linear dependence found below the degree bound")
+    return Poly(field, kernel[0])
+
+
 def minimal_polynomial(a: SymbolElem) -> Poly:
     """Monic least-degree p with p(a) = 0, via linear dependence of powers."""
-    alg = a.algebra
-    field = alg.field
-    powers = [alg.one()]
-    while True:
-        vecs = [p.to_vector() for p in powers]
-        target = (powers[-1] * a).to_vector()
-        n = len(target)
-        matrix = [[vecs[c][r] for c in range(len(vecs))] for r in range(n)]
-        sol, _ = solve_affine(matrix, target, field)
-        if sol is not None:
-            # a^d = sum sol_i a^i  =>  p = z^d - sum sol_i z^i
-            coeffs = [-c for c in sol] + [field.one()]
-            return Poly(field, coeffs)
-        powers.append(powers[-1] * a)
-        if len(powers) > alg.m**2 + 1:
-            raise AssertionError("no linear dependence found below the dimension bound")
+    return _minimal_polynomial(_powers(a))
 
 
 def in_generated_subfield(x: SymbolElem, gamma: SymbolElem) -> bool:
-    """True iff x lies in span{1, gamma, ..., gamma^(d-1)}, d = deg minpoly."""
-    alg = x.algebra
-    d = minimal_polynomial(gamma).degree
-    powers = [alg.one()]
-    for _ in range(d - 1):
-        powers.append(powers[-1] * gamma)
-    vecs = [p.to_vector() for p in powers]
-    target = x.to_vector()
-    n = len(target)
-    matrix = [[vecs[c][r] for c in range(len(vecs))] for r in range(n)]
-    sol, _ = solve_affine(matrix, target, alg.field)
+    """True iff x lies in k[gamma] = span{1, gamma, ..., gamma^m}."""
+    sol, _ = solve_affine(_columns(_powers(gamma)), x.to_vector(), x.algebra.field)
     return sol is not None
 
 
 def inverse_via_minimal_polynomial(gamma: SymbolElem) -> SymbolElem:
     """gamma^{-1} from the constant term of its minimal polynomial."""
-    p = minimal_polynomial(gamma)
+    powers = _powers(gamma)
+    p = _minimal_polynomial(powers)
     c0 = p.coeff(0)
     if c0.is_zero():
         raise ZeroDivisionError("element is a zero divisor")
     alg = gamma.algebra
     # gamma * (gamma^{d-1} + ... ) = -c0  =>  invert by the cofactor polynomial
     acc = alg.zero_elem()
-    power = alg.one()
     for i in range(1, p.degree + 1):
-        acc = acc + power.scale(p.coeff(i))
-        power = power * gamma
+        acc = acc + powers[i - 1].scale(p.coeff(i))
     inv = acc.scale(-(alg.field.one() / c0))
     if not inv * gamma == alg.one():
         raise AssertionError("minimal-polynomial inverse failed verification")

@@ -27,7 +27,9 @@ w^(jr) taken even when it is w^0 = 1, built through the coercing
 constructors in place of the support of the right factor and the trusted
 constructors, the decomposition d = d_s + inner(theta) dividing by
 w^i - 1, 1 - w^j and (1 - w^j) alpha on every call in place of the inverses
-cached on the algebra, and an expression evaluator that tokenizes one match
+cached on the algebra, the minimal polynomial of a symbol element by one
+solve per candidate degree in place of one kernel of 1, a, ..., a^m, and an
+expression evaluator that tokenizes one match
 at a time and computes every subexpression in Q(w)(t) and every symbol
 subexpression as a SymbolElem in place of the ladder Q(w) < Q(w)[t] < Q(w)(t)
 and the sparse symbol sums of ``parser.py``.
@@ -37,6 +39,7 @@ import operator
 import re
 from fractions import Fraction
 
+from diffsym.deriv import validate
 from diffsym.linalg import invert_matrix, solve_affine
 from diffsym.matdiff import DiffMatrix, apply_dP
 from diffsym.parser import MAX_EXPONENT, ParseError, _wrap, scalar_to_str
@@ -503,7 +506,7 @@ def dividing_decompose(d):
     """theta with d = d_s + inner(theta), each entry divided by its w-gap (and alpha) on the spot."""
     alg = d.algebra
     m = alg.m
-    verdict = d.verdict()
+    verdict = validate(alg, d.du, d.dv)
     if not verdict.ok:
         raise ValueError(f"not a derivation: conditions {verdict.failing} fail")
     a = d.du.grid
@@ -519,6 +522,38 @@ def dividing_decompose(d):
         grid[m - 1][j] = a[0][j] / ((one - w[j]) * alg.alpha)
     return SymbolElem(alg, grid)
 
+
+
+def growing_minimal_polynomial(a):
+    """Monic least-degree p with p(a) = 0: one solve per candidate degree d, a^d against 1, ..., a^(d-1)."""
+    alg = a.algebra
+    field = alg.field
+    powers = [alg.one()]
+    while True:
+        vecs = [p.to_vector() for p in powers]
+        target = (powers[-1] * a).to_vector()
+        n = len(target)
+        matrix = [[vecs[c][r] for c in range(len(vecs))] for r in range(n)]
+        sol, _ = solve_affine(matrix, target, field)
+        if sol is not None:
+            # a^d = sum sol_i a^i  =>  p = z^d - sum sol_i z^i
+            coeffs = [-c for c in sol] + [field.one()]
+            return Poly(field, coeffs)
+        powers.append(powers[-1] * a)
+        if len(powers) > alg.m**2 + 1:
+            raise AssertionError("no linear dependence found below the dimension bound")
+
+
+def span_of_powers_contains(x, gamma, d):
+    """True iff x lies in span{1, gamma, ..., gamma^(d-1)}, by one solve against those d powers."""
+    alg = x.algebra
+    powers = [alg.one()]
+    for _ in range(d - 1):
+        powers.append(powers[-1] * gamma)
+    vecs = [p.to_vector() for p in powers]
+    matrix = [[v[r] for v in vecs] for r in range(alg.m**2)]
+    sol, _ = solve_affine(matrix, x.to_vector(), alg.field)
+    return sol is not None
 
 # -- the expression evaluator over the whole field ----------------------------
 

@@ -189,6 +189,19 @@ def test_huge_exponent_is_a_usage_error(capsys):
     assert "exponent 1000000000000 too large" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["power-detect", "--m", "2", "--f", "(" * 3000 + "t" + ")" * 3000],
+        ["algebra", "check", "--m", "2", "--alpha", "t", "--beta", "(" * 2000 + "t + 1" + ")" * 2000],
+    ],
+    ids=["power-detect-3000", "algebra-check-2000"],
+)
+def test_deep_nesting_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: parentheses nested deeper than 100 at position 100\n"
+
 def test_replay_all_cases(capsys, registry):
     code, report = run_json(capsys, "replay")
     assert code == 0

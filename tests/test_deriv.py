@@ -2,8 +2,16 @@
 
 import pytest
 
+import diffsym.deriv as deriv_module
 from diffsym import SymbolAlgebra, decompose, inner_derivation, standard_derivation
-from diffsym.deriv import Derivation, constants_inner, constants_standard, subfield_stable, validate
+from diffsym.deriv import (
+    Derivation,
+    DerivationVerdict,
+    constants_inner,
+    constants_standard,
+    subfield_stable,
+    validate,
+)
 from diffsym.linalg import solve_affine
 from diffsym.scalars import CycloField, RatFuncField
 from generators import random_element, random_trace_zero, random_valid_derivation
@@ -20,7 +28,7 @@ def make_algebra(m, derivation="dt", alpha=None, beta=None):
 def test_standard_derivation_validates(m):
     alg = make_algebra(m)
     ds = standard_derivation(alg)
-    v = ds.verdict()
+    v = validate(alg, ds.du, ds.dv)
     assert v.ok and not v.failing
     assert minor_identity_holds(alg, ds.du, ds.dv)
 
@@ -169,6 +177,26 @@ def test_decompose_rejects_invalid():
     with pytest.raises(ValueError):
         decompose(Derivation(alg, alg.u() * alg.v(), alg.v()))
 
+
+
+def test_images_are_validated_only_when_they_do_not_come_back(monkeypatch, rng):
+    """d_s + inner(theta) is a derivation, so giving the images back decides validity;
+    validate runs only to name the failing conditions in the same ValueError."""
+    alg = make_algebra(3)
+    d = random_valid_derivation(alg, rng)
+    bad_du = d.du + alg.monomial(2, 0, 1)
+    expected = f"not a derivation: conditions {validate(alg, bad_du, d.dv).failing} fail"
+    calls = []
+    monkeypatch.setattr(deriv_module, "validate", lambda *args: calls.append(args) or validate(*args))
+    assert decompose(Derivation(alg, d.du, d.dv)) == d.theta
+    assert calls == []
+    with pytest.raises(ValueError) as info:
+        Derivation(alg, bad_du, d.dv)
+    assert str(info.value) == expected and len(calls) == 1
+    # invalid images that validate passed would be a fault of the solve: a self-check
+    monkeypatch.setattr(deriv_module, "validate", lambda *args: DerivationVerdict(ok=True))
+    with pytest.raises(AssertionError, match="failed to reproduce"):
+        Derivation(alg, bad_du, d.dv)
 
 def test_standard_plus_standard_is_rejected_over_a_nonzero_base_derivation():
     alg = make_algebra(2)

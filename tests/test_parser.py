@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from oracles import field_parse_scalar, symbol_elem_parse_symbol
 
-from diffsym.parser import ParseError, parse_scalar, parse_symbol, scalar_to_str
+from diffsym.parser import MAX_DEPTH, ParseError, parse_scalar, parse_symbol, scalar_to_str
 from diffsym.scalars import (
     CycloField,
     KummerField,
@@ -151,6 +151,26 @@ def test_tokenizer_errors_name_the_offending_character():
     assert info.value.position == 3
     assert parse_scalar("  ( t + 1 ) ^ 2  ", k) == (k.gen() + k.one()) ** 2
 
+
+
+def test_nesting_is_bounded_before_the_recursion_limit():
+    """MAX_DEPTH parentheses parse; one more, or thousands, are a ParseError, not a RecursionError."""
+    k = RatFuncField(CycloField(3), "t")
+    alg = SymbolAlgebra(k, k.gen(), k.gen() + k.one(), 3)
+
+    def nested(depth, core):
+        return "(" * depth + core + ")" * depth
+
+    assert parse_scalar(nested(MAX_DEPTH, "t"), k) == k.gen()
+    assert parse_symbol(nested(MAX_DEPTH, "u + t"), alg) == alg.u() + alg.scalar(k.gen())
+    # depth counts open parentheses, not parentheses seen: siblings do not add up
+    assert parse_scalar("+".join([nested(MAX_DEPTH, "1")] * 3), k) == k.coerce(3)
+    for depth in (MAX_DEPTH + 1, 3000):
+        for parse, context in ((parse_scalar, k), (parse_symbol, alg)):
+            with pytest.raises(ParseError) as info:
+                parse(nested(depth, "t"), context)
+            assert info.value.position == MAX_DEPTH
+            assert str(info.value) == f"parentheses nested deeper than {MAX_DEPTH} at position {MAX_DEPTH}"
 
 def test_negative_powers_in_symbol_expressions():
     k = RatFuncField(CycloField(2), "t")

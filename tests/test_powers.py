@@ -10,11 +10,12 @@ from diffsym.scalars import (
     RatFuncField,
     ReducibleRadicandError,
     cyclo_nth_root,
+    is_prime,
     kummer_vahlen_certify,
     mth_power_up_to_constant,
     rational_nth_root,
 )
-from diffsym.scalars.powers import certify_power_free_over_kummer
+from diffsym.scalars.powers import _prime_factors, certify_power_free_over_kummer
 
 
 @pytest.fixture
@@ -211,3 +212,13 @@ def test_kummer_vahlen_cannot_certify_when_the_norm_is_a_power():
     assert c.constant_value().norm() == 121
     with pytest.raises(ReducibleRadicandError, match="cannot certify"):
         kummer_vahlen_certify(c * t**2, 2)
+
+
+def test_is_prime_and_prime_factors_agree_with_trial_division():
+    def divisors(n):
+        return [d for d in range(2, n + 1) if n % d == 0]
+
+    for n in range(-5, 400):
+        primes = [d for d in divisors(n) if divisors(d) == [d]]
+        assert _prime_factors(n) == primes
+        assert is_prime(n) == (n >= 2 and divisors(n) == [n])

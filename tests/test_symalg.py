@@ -2,6 +2,7 @@
 
 import pytest
 
+import diffsym.symalg as symalg
 from diffsym import SymbolAlgebra
 from diffsym.split import find_twist_partner
 from diffsym.symalg import (
@@ -11,9 +12,9 @@ from diffsym.symalg import (
     minimal_polynomial,
 )
 from diffsym.parser import symbol_to_str
-from diffsym.scalars import CycloField, RatFuncField
+from diffsym.scalars import CycloField, KummerField, RatFuncField
 from generators import random_element
-from oracles import left_multiplication_matrix
+from oracles import growing_minimal_polynomial, left_multiplication_matrix, span_of_powers_contains
 
 
 def make_algebra(m, derivation="dt"):
@@ -127,6 +128,66 @@ def test_inverse_via_minimal_polynomial(rng):
         except ZeroDivisionError:
             continue
         assert inv * gamma == alg.one()
+
+
+def sweep_elements(m, rng):
+    """The seeded elements of the minimal-polynomial sweep at degree m."""
+    k = RatFuncField(CycloField(m), "t")
+    t = k.gen()
+    alg = SymbolAlgebra(k, t, t + k.one(), m)
+    elems = [alg.zero_elem(), alg.scalar(3), alg.scalar(t), alg.u(), alg.v(), alg.u() + alg.v()]
+    elems += [random_element(alg, rng, entries=n) for n in (1, 2)]
+    # with m terms of t-degree 1, the elimination over Q(w)(t) runs for minutes at m = 7;
+    # constant coefficients, and constant radicands for dense elements, keep it small
+    elems.append(random_element(alg, rng, entries=m, max_deg=0))
+    const = SymbolAlgebra(k, 2, 3, m)
+    elems.append(random_element(const, rng, entries=m * m, coeff_range=2, max_deg=0))
+    if m <= 5:
+        full = [[rng.choice((-2, -1, 1, 2)) for _ in range(m)] for _ in range(m)]
+        elems.append(const.from_grid(full))
+    # (1, t) is split: 1 - u, its multiples and 1 + u + ... + u^(m-1) are zero divisors
+    split = SymbolAlgebra(k, 1, t, m)
+    one_minus_u = split.one() - split.u()
+    elems += [one_minus_u, one_minus_u * split.v(), sum((split.u(i) for i in range(m)), split.zero_elem())]
+    elems.append(random_element(split, rng, entries=2, max_deg=0))
+    if m <= 4:
+        # over k(xi), xi^m = alpha, u - xi is a zero divisor
+        e = KummerField(k, alg.alpha, m, "xi")
+        ext = alg.extend(e)
+        xi = ext.scalar(e.gen())
+        elems += [ext.u() - xi, ext.u() * xi + ext.v()]
+        elems.append(ext.coerce_elem(random_element(alg, rng, entries=m, max_deg=0)) + xi)
+    return elems
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_one_elimination_agrees_with_the_growing_solve(m, rng):
+    for x in sweep_elements(m, rng):
+        alg = x.algebra
+        p = growing_minimal_polynomial(x)
+        assert minimal_polynomial(x) == p
+        if p.coeff(0).is_zero():
+            with pytest.raises(ZeroDivisionError, match="zero divisor"):
+                inverse_via_minimal_polynomial(x)
+        else:
+            assert x * inverse_via_minimal_polynomial(x) == alg.one()
+        for y in (x * x - x, alg.v()):
+            assert in_generated_subfield(y, x) == span_of_powers_contains(y, x, p.degree)
+
+
+@pytest.mark.parametrize("name", ["minimal_polynomial", "in_generated_subfield", "inverse_via_minimal_polynomial"])
+def test_each_answer_takes_one_elimination(name, monkeypatch):
+    """One kernel or one affine solve over 1, x, ..., x^m, where a solve per degree took d or d + 1."""
+    alg = make_algebra(4)
+    x = alg.u() + alg.v()
+    assert minimal_polynomial(x).degree == 4
+    calls = []
+    for solver in ("kernel_basis", "solve_affine"):
+        original = getattr(symalg, solver)
+        monkeypatch.setattr(symalg, solver, lambda *args, _f=original: calls.append(_f) or _f(*args))
+    args = (alg.u(), x) if name == "in_generated_subfield" else (x,)
+    getattr(symalg, name)(*args)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
