@@ -155,9 +155,47 @@ def _matrix(field, rows) -> DiffMatrix:
 
 
 def apply_dP(p: DiffMatrix, x: DiffMatrix) -> DiffMatrix:
-    """d_P(X) = delta^c(X) + XP - PX."""
+    """d_P(X) = delta^c(X) + XP - PX, one entry at a time:
+
+        d_P(X)[r][s] = delta(X[r][s]) + X[r][s] (P[s][s] - P[r][r])
+                       + sum_{k != s} X[r][k] P[k][s] - sum_{k != r} P[r][k] X[k][s].
+
+    Zero factors are skipped, and the nonzero off-diagonal entries of each
+    column and row of P are listed once. A diagonal P costs one product per
+    nonzero off-diagonal entry of X; a dense P costs 2m - 1 per entry, where
+    XP - PX takes 2m.
+    """
     p._coerce_other(x)
-    return x.derive() + x * p - p * x
+    n = p.size
+    prows, xrows = p.rows, x.rows
+    diag = [prows[r][r] for r in range(n)]
+    cols = [[(k, prows[k][s]) for k in range(n) if k != s and not prows[k][s].is_zero()] for s in range(n)]
+    neg_rows = [[(k, -a) for k, a in enumerate(prows[r]) if k != r and not a.is_zero()] for r in range(n)]
+    zero = x.field.zero()
+    out = []
+    for r in range(n):
+        xr = xrows[r]
+        row = []
+        for s in range(n):
+            acc = None
+            a = xr[s]
+            if not a.is_zero():
+                acc = a.derive()
+                if r != s:
+                    gap = diag[s] - diag[r]
+                    if not gap.is_zero():
+                        acc = acc + a * gap
+            for k, b in cols[s]:
+                c = xr[k]
+                if not c.is_zero():
+                    acc = c * b if acc is None else acc + c * b
+            for k, b in neg_rows[r]:
+                c = xrows[k][s]
+                if not c.is_zero():
+                    acc = b * c if acc is None else acc + b * c
+            row.append(zero if acc is None else acc)
+        out.append(row)
+    return _matrix(x.field, out)
 
 
 # The specialisation points tried after the first: a fixed, seeded list with

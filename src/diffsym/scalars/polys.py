@@ -231,10 +231,12 @@ def _poly(field, coeffs: list) -> Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via the Euclidean algorithm."""
-    while not b.is_zero():
+    """Monic gcd via the Euclidean algorithm, 1 at the first nonzero constant remainder."""
+    while b.coeffs:
+        if len(b.coeffs) == 1:
+            return Poly.one(b.field)
         a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    return a.monic() if a.coeffs else a
 
 
 def poly_extended_gcd(a: Poly, b: Poly):

@@ -8,7 +8,8 @@ Arithmetic builds its results through ``_ratfunc``, which stores a pair that
 is already canonical; only the public ``RatFunc(parent, num, den)`` cancels a
 gcd and makes the denominator monic.  Sums and products are Henrici's (Knuth,
 TAOCP vol. 2, 4.5.1): they take gcds of the operands' parts, which are smaller
-than the gcd of the unreduced result, and none when a denominator is 1.
+than the gcd of the unreduced result, and none when a denominator is 1.  A
+sum over one shared denominator b is (a + c)/b, and only gcd(a + c, b) is taken.
 """
 
 from __future__ import annotations
@@ -155,6 +156,15 @@ class RatFunc(FieldElem):
             return _ratfunc(parent, a * d + c, d)
         if len(d.coeffs) == 1:
             return _ratfunc(parent, a + c * b, b)
+        if b.coeffs == d.coeffs:
+            # a/b + c/b = (a + c)/b, and only gcd(a + c, b) can cancel
+            num = a + c
+            if not num.coeffs:
+                return parent._zero
+            h = poly_gcd(num, b)
+            if h.degree > 0:
+                return _ratfunc(parent, num.exact_div(h), b.exact_div(h))
+            return _ratfunc(parent, num, b)
         g = poly_gcd(b, d)
         if g.degree == 0:
             return _ratfunc(parent, a * d + c * b, b * d)

@@ -219,15 +219,18 @@ class SymbolElem(SparseElem):
         return self.scale(other)
 
     def __truediv__(self, other):
-        field = self.algebra.field
         if isinstance(other, SymbolElem):
-            if other.is_scalar():
-                return self.scale(field.one() / other.scalar_value())
-            return self * inverse_via_minimal_polynomial(other)
+            return self * other.inv()
+        field = self.algebra.field
         return self.scale(field.one() / field.coerce(other))
 
     def inv(self):
-        """The inverse from the minimal polynomial; ZeroDivisionError for a zero divisor."""
+        """A scalar's inverse in the field, else the inverse from the minimal polynomial.
+
+        ZeroDivisionError for zero or a zero divisor.
+        """
+        if self.is_scalar():
+            return self._with({(0, 0): self.scalar_value().inv()})
         return inverse_via_minimal_polynomial(self)
 
     def trace(self):

@@ -28,11 +28,14 @@ constructors in place of the support of the right factor and the trusted
 constructors, the decomposition d = d_s + inner(theta) dividing by
 w^i - 1, 1 - w^j and (1 - w^j) alpha on every call in place of the inverses
 cached on the algebra, the minimal polynomial of a symbol element by one
-solve per candidate degree in place of one kernel of 1, a, ..., a^m, and an
+solve per candidate degree in place of one kernel of 1, a, ..., a^m, an
 expression evaluator that tokenizes one match
 at a time and computes every subexpression in Q(w)(t) and every symbol
 subexpression as a SymbolElem in place of the ladder Q(w) < Q(w)[t] < Q(w)(t)
-and the sparse symbol sums of ``parser.py``.
+and the sparse symbol sums of ``parser.py``, d_P(X) as delta^c(X) + XP - PX over
+two matrix products in place of one pass over the entries, and the polynomial
+gcd by Euclid's loop run to a zero remainder in place of the exit at the first
+nonzero constant one.
 """
 
 import operator
@@ -41,7 +44,7 @@ from fractions import Fraction
 
 from diffsym.deriv import validate
 from diffsym.linalg import invert_matrix, solve_affine
-from diffsym.matdiff import DiffMatrix, apply_dP
+from diffsym.matdiff import DiffMatrix
 from diffsym.parser import MAX_EXPONENT, ParseError, _wrap, scalar_to_str
 from diffsym.scalars import KummerElem, Poly, RatFunc
 from diffsym.scalars.monomial import PolyDiffElem
@@ -79,13 +82,18 @@ def full_basis_verdict(phi, d, p):
     for i in range(alg.m):
         for j in range(alg.m):
             x = alg.monomial(i, j, phi.ext_field.one())
-            if not dense_phi(phi, d_ext.apply(x), powers) == apply_dP(p, dense_phi(phi, x, powers)):
+            if not dense_phi(phi, d_ext.apply(x), powers) == dense_apply_dP(p, dense_phi(phi, x, powers)):
                 return IsoVerdict(False, (i, j))
     for name, c in (("xi", phi.ext_field.gen()), ("t", phi.algebra.field.gen())):
         x = alg.scalar(c)
-        if not dense_phi(phi, d_ext.apply(x), powers) == apply_dP(p, dense_phi(phi, x, powers)):
+        if not dense_phi(phi, d_ext.apply(x), powers) == dense_apply_dP(p, dense_phi(phi, x, powers)):
             return IsoVerdict(False, (name,))
     return IsoVerdict(True, None)
+
+
+def dense_apply_dP(p, x):
+    """d_P(X) = delta^c(X) + XP - PX over whole matrices: two products and two sums."""
+    return x.derive() + x * p - p * x
 
 
 def compute_w(phi):
@@ -296,6 +304,13 @@ def fraction_mul(field, a, b):
         for i, f in enumerate(row):
             out[i] += c * f
     return tuple(out)
+
+
+def euclid_gcd(a, b):
+    """Monic gcd by Euclid's loop, run until the remainder is zero; zero for two zeros."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic() if not a.is_zero() else a
 
 
 def euclid_inverse(field, a):

@@ -391,6 +391,8 @@ _BOUND = "too large: |e| and t-degree * |e| must not exceed 1000 at position"
     (_IMAGES + ["x + 1"], "error: undefined symbol 'x' for this context at position 0\n"),
     (_SCALAR + ["(t^40)^40"], f"error: exponent 40 {_BOUND} 7\n"),
     (_SCALAR + ["2^-1001"], f"error: exponent 1001 {_BOUND} 3\n"),
+    (_IMAGES + ["u/(u-u)"], "error: inverse of zero\n"),
+    (_IMAGES + ["(u-u)^-1"], "error: inverse of zero\n"),
 ])
 def test_input_errors_on_every_rung_of_the_parser(capsys, argv, err):
     # division by zero reads the same whether the divisor is in Q(w), Q(w)[t] or Q(w)(t)

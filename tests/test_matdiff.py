@@ -12,7 +12,9 @@ from diffsym.matdiff import (
     verify_gauge,
 )
 from diffsym.scalars import CycloField, KummerField, PolyDiffField, RatFuncField
-from oracles import det_expansion
+from diffsym.split import PhiMap, compute_Ps, xi_extension
+from diffsym.symalg import SymbolAlgebra
+from oracles import dense_apply_dP, det_expansion
 
 
 @pytest.fixture
@@ -67,6 +69,91 @@ def test_apply_dP_is_a_derivation(k):
     a = DiffMatrix(k, [[t, k.one()], [t * t, k.zero()]])
     b = DiffMatrix(k, [[k.one(), t], [k.zero(), t]])
     assert apply_dP(p, a * b) == a * apply_dP(p, b) + apply_dP(p, a) * b
+
+
+def _restrict(x, k):
+    """An element of k(xi) without xi terms, as the element of k it is."""
+    assert x.terms.keys() <= {0}
+    return x.terms.get(0, k.zero())
+
+
+def _dp_entry(field, rng):
+    """A small nonzero random entry: a polynomial in t, plus xi or a monomial in the generators above k."""
+    k = field if isinstance(field, RatFuncField) else field.base if isinstance(field, KummerField) else field.base.base
+    c = k.coerce(rng.choice((-3, -2, -1, 1, 2, 3))) + k.gen() * rng.randint(-2, 2)
+    if field is k:
+        return c
+    x = field.coerce(c)
+    if isinstance(field, KummerField):
+        return x + field.gen() * rng.randint(-1, 1)
+    return x + field.gen(rng.randrange(field.n)) * field.coerce(field.base.gen() * rng.randint(-1, 1))
+
+
+def _dp_fields(m, rng):
+    """k = Q(w)(t), k(xi) with xi^m = t, and a differential polynomial ring over k(xi), with Phi."""
+    k = RatFuncField(CycloField(m), "t")
+    t = k.gen()
+    alg = SymbolAlgebra(k, t, t + 1, m)
+    e = xi_extension(alg)
+    ring = PolyDiffField(e, ["x0", "x1"])
+    ring.set_gen_derivative(0, ring.gen(1) * ring.coerce(t))
+    ring.set_gen_derivative(1, ring.gen(0) + ring.gen(1) * ring.coerce(e.gen()))
+    return alg, PhiMap(alg, e), {"k": k, "k(xi)": e, "ring": ring}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_apply_dP_agrees_with_the_dense_oracle(m, rng):
+    """P = 0, P_s, a random diagonal, diagonal plus corner and dense Phi(theta) + P_s,
+    against X = Phi(u), Phi(v), 0 and random matrices, over k, k(xi) and a polynomial ring."""
+    alg, phi, fields = _dp_fields(m, rng)
+    k, e = fields["k"], fields["k(xi)"]
+    p_s = compute_Ps(phi)
+    # theta in k[v] with every v^j has a dense Phi(theta) over k; with u terms too, over k(xi)
+    theta_v = sum((alg.v(j).scale(rng.randint(1, 3)) for j in range(m)), alg.zero_elem())
+    theta = theta_v + alg.u().scale(k.gen()) + alg.monomial(m - 1, 1, rng.randint(1, 3))
+    corner = prop44_matrix(k, list(range(m)), k.gen() + rng.randint(1, 3))
+    over_xi = {
+        "P": [p_s, phi.apply(theta) + p_s],
+        "X": [phi.apply(alg.u()), phi.apply(alg.v())],
+    }
+    over_k = {
+        "P": [DiffMatrix(k, [[_restrict(a, k) for a in r] for r in mat.rows]) for mat in (p_s, phi.apply(theta_v) + p_s)],
+        "X": [DiffMatrix(k, [[_restrict(a, k) for a in r] for r in phi.apply(alg.v()).rows])],
+    }
+    shapes = {"dense P": 0, "dense X": 0}
+    for name, field in fields.items():
+        given = over_k if name == "k" else {key: [mat.coerce_to(field) for mat in mats] for key, mats in over_xi.items()}
+        assert all(given["P"][0].rows[r][c].is_zero() for r in range(m) for c in range(m) if r != c)
+        ps = [DiffMatrix.zero(field, m), DiffMatrix.diagonal(field, [_dp_entry(field, rng) for _ in range(m)])]
+        ps += given["P"] + [corner.coerce_to(field)]
+        xs = given["X"] + [DiffMatrix.zero(field, m)]
+        xs += [DiffMatrix(field, [[_dp_entry(field, rng) for _ in range(m)] for _ in range(m)])]
+        sparse = [[field.zero()] * m for _ in range(m)]
+        for _ in range(m):
+            sparse[rng.randrange(m)][rng.randrange(m)] = _dp_entry(field, rng)
+        xs.append(DiffMatrix(field, sparse))
+        for p in ps:
+            shapes["dense P"] += all(not a.is_zero() for r in p.rows for a in r)
+            for x in xs:
+                assert apply_dP(p, x) == dense_apply_dP(p, x), (name, p, x)
+        shapes["dense X"] += sum(all(not a.is_zero() for r in x.rows for a in r) for x in xs)
+    assert min(shapes.values()) >= 3
+
+
+def test_apply_dP_of_a_diagonal_P_takes_no_matrix_product(monkeypatch):
+    """d_{P_s}(Phi(v)) at m = 16: one product per off-diagonal entry of Phi(v), where XP - PX took two matrix products."""
+    m = 16
+    k = RatFuncField(CycloField(m), "t")
+    t = k.gen()
+    alg = SymbolAlgebra(k, t, t + 1, m)
+    phi = PhiMap(alg, xi_extension(alg))
+    p, x = compute_Ps(phi), phi.apply(alg.v())
+    want = dense_apply_dP(p, x)
+    calls = []
+    product = DiffMatrix.__mul__
+    monkeypatch.setattr(DiffMatrix, "__mul__", lambda *args: calls.append(args) or product(*args))
+    assert apply_dP(p, x) == want
+    assert calls == []
 
 
 def test_verify_gauge_pass_and_fail(k):

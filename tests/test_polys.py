@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffsym.scalars import (
+    CycloElem,
+    CycloField,
     Poly,
     QQ,
     coprime_basis,
@@ -14,6 +16,7 @@ from diffsym.scalars import (
     poly_gcd,
     squarefree_decompose,
 )
+from oracles import euclid_gcd
 
 coeffs = st.lists(st.integers(min_value=-6, max_value=6), min_size=0, max_size=5)
 
@@ -202,3 +205,51 @@ def test_interned_constants_hash_and_compare_as_before():
     assert hash(k.coerce(Fraction(1, 2))) == hash(Fraction(1, 2))
     assert k.one() != k.zero() and k.zero() + k.one() == k.one() and k.one() * k.zero() == k.zero()
     assert RatFuncField(c).zero() == k.zero() and RatFuncField(c, "t", "zero").one() == k.one().constant_value()
+
+
+def _random_poly(field, rng, deg):
+    """A random polynomial of degree at most deg over QQ or Q(w); zero for deg < 0."""
+    def coeff():
+        if field is QQ:
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        return CycloElem(field, [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(field.degree)])
+
+    return Poly(field, [coeff() for _ in range(deg + 1)])
+
+
+@pytest.mark.parametrize("field", [QQ, CycloField(5)], ids=["QQ", "Q(w_5)"])
+def test_gcd_agrees_with_euclids_loop(field, rng):
+    """Common factors, coprime pairs, constants and zeros, in either order."""
+    one = Poly.one(field)
+    pairs = [(Poly.zero(field), Poly.zero(field)), (Poly.zero(field), one), (one, Poly.zero(field))]
+    trivial = 0
+    for _ in range(30):
+        g = _random_poly(field, rng, rng.randint(0, 2))
+        a = g * _random_poly(field, rng, rng.randint(-1, 3))
+        b = g * _random_poly(field, rng, rng.randint(-1, 3))
+        const = _random_poly(field, rng, 0)
+        pairs += [(a, b), (b, a), (a, const), (const, a), (a, Poly.zero(field)), (Poly.zero(field), b)]
+    for a, b in pairs:
+        got, want = poly_gcd(a, b), euclid_gcd(a, b)
+        assert got == want and got.coeffs == want.coeffs, (a, b)
+        trivial += got.degree == 0
+    assert 0 < trivial < len(pairs)
+
+
+def test_gcd_stops_at_the_first_constant_remainder(monkeypatch):
+    t = P([0, 1])
+    calls = []
+    original = Poly.__divmod__
+    monkeypatch.setattr(Poly, "__divmod__", lambda *args: calls.append(args) or original(*args))
+    # (t^2 + 1) mod t = 1 ends the loop; Euclid's loop divides t by 1 as well
+    assert poly_gcd(t * t + 1, t) == P([1])
+    assert len(calls) == 1
+    calls.clear()
+    assert euclid_gcd(t * t + 1, t) == P([1])
+    assert len(calls) == 2
+    calls.clear()
+    # a nonzero constant b takes no division, and a constant a one: a mod b = a
+    assert poly_gcd(t * t + 1, P([3])) == P([1])
+    assert len(calls) == 0
+    assert poly_gcd(P([3]), t) == P([1])
+    assert len(calls) == 1

@@ -211,3 +211,45 @@ def test_henrici_gcd_counts(monkeypatch):
     assert not calls
     assert (x + y).den == (t - w) * (t * t - 2)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("derivation", ["dt", "zero"])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_a_shared_denominator_sum_takes_one_gcd(m, derivation, rng, monkeypatch):
+    """a/b + c/b is (a + c)/b with only gcd(a + c, b) taken, equal to RatFunc(parent, a d + c b, b d).
+
+    Covers sums prime to b, x + (-x), and a + c sharing the factor p of b = p q.
+    """
+    k = RatFuncField(CycloField(m), "t", derivation)
+    c = k.cyclo
+    t = Poly.gen(c)
+    calls = []
+    gcd = ratfunc.poly_gcd
+    monkeypatch.setattr(ratfunc, "poly_gcd", lambda *args: calls.append(args) or gcd(*args))
+    kinds = {"prime to b": 0, "cancels p": 0, "zero": 0}
+    for _ in range(12):
+        p = t - Poly.constant(c, _cyclo(c, rng))
+        b = p * _poly(c, rng, rng.randint(0, 2))
+        a = _poly(c, rng, rng.randint(0, 2))
+        x = RatFunc(k, a, b)
+        if not x.den == b.monic():
+            continue
+        three = Poly.constant(c, c.from_rational(3))
+        sums = [
+            ("prime to b", RatFunc(k, _poly(c, rng, rng.randint(0, 3)), b)),
+            ("cancels p", RatFunc(k, p * _poly(c, rng, rng.randint(0, 1)) - a, b)),
+            ("zero", RatFunc(k, -a * three, b * three)),
+        ]
+        for kind, y in sums:
+            if not y.den == x.den:
+                continue
+            calls.clear()
+            got = x + y
+            assert len(calls) == (0 if kind == "zero" else 1)
+            _same(got, canonical_add(x, y))
+            if kind == "cancels p":
+                assert got.den.degree < b.degree
+            elif kind == "zero":
+                assert got.is_zero()
+            kinds[kind] += 1
+    assert min(kinds.values()) >= 5, kinds

@@ -213,6 +213,29 @@ def test_inv_is_the_minimal_polynomial_inverse():
         (alg.one() + alg.u()).inv()  # (1 + u)(1 - u) = 1 - alpha = 0
 
 
+def test_a_scalar_inverse_takes_no_elimination(monkeypatch):
+    """c^-1 for a scalar c is its inverse in the field, at m = 16 and over k(xi) too."""
+    calls = []
+    original = symalg.kernel_basis
+    monkeypatch.setattr(symalg, "kernel_basis", lambda *args: calls.append(args) or original(*args))
+    k = RatFuncField(CycloField(16), "t")
+    t = k.gen()
+    alg = SymbolAlgebra(k, t, t + 1, 16)
+    e = KummerField(k, t, 16, "xi")
+    ext = alg.extend(e)
+    for a, c in ((alg, t + 1), (alg, k.coerce(3)), (ext, e.gen() + e.coerce(t))):
+        x = a.scalar(c)
+        assert x.inv() == a.scalar(c.inv())
+        assert x**-2 * x * x == a.one()
+        assert a.u() / x == a.u().scale(c.inv())
+    assert calls == []
+    for x in (alg.zero_elem(), ext.zero_elem(), alg.u() - alg.u()):
+        with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+            x.inv()
+        with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+            alg.u() / alg.coerce_elem(x)
+
+
 def test_extend_preserves_relations():
     from diffsym.scalars import KummerField
 
