@@ -454,6 +454,7 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # SelfCheckError, the exception of every self-check, is an AssertionError
     except AssertionError as exc:
         print(f"internal self-check failed: {exc}", file=sys.stderr)
         return 3

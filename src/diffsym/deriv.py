@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
+from .errors import SelfCheckError
 from .parser import scalar_to_str
 from .scalars import mth_power_up_to_constant
 from .symalg import SymbolAlgebra, SymbolElem, _symbol, centralizer, in_generated_subfield
@@ -57,7 +58,7 @@ class Derivation:
             verdict = validate(algebra, du, dv)
             if not verdict.ok:
                 raise ValueError(f"not a derivation: conditions {verdict.failing} fail")
-            raise AssertionError("decomposition failed to reproduce d(u), d(v)")
+            raise SelfCheckError("decomposition failed to reproduce d(u), d(v)")
 
     @cached_property
     def du(self) -> SymbolElem:
@@ -190,7 +191,7 @@ def constants_inner(theta: SymbolElem):
         raise ValueError("constants of an inner derivation require the zero base derivation")
     basis = centralizer(theta)
     if len(basis) < alg.m:
-        raise AssertionError("centralizer dimension below m contradicts the double centralizer bound")
+        raise SelfCheckError("centralizer dimension below m contradicts the double centralizer bound")
     return basis
 
 
@@ -223,7 +224,7 @@ def constants_standard(algebra: SymbolAlgebra):
             c, h = res
             candidate = algebra.monomial(i, j, h)
             if not ds.apply(candidate).is_zero():
-                raise AssertionError("power witness failed the d_s constant check")
+                raise SelfCheckError("power witness failed the d_s constant check")
             witnesses.append(ConstantWitness(i, j, c, h))
     return witnesses
 

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import SelfCheckError
 from .linalg import kernel_basis
 from .parser import scalar_to_str
 from .scalars import PolyDiffField, RatFunc, RatFuncField, mth_power_up_to_constant, rational_ode_solve
@@ -376,7 +377,7 @@ def prop44_constants(p: DiffMatrix):
         basis.append(DiffMatrix.unit(field, m, 0, 0) + DiffMatrix.unit(field, m, m - 1, m - 1))
     for x in basis:
         if not apply_dP(p, x).is_zero():
-            raise AssertionError("constants basis element failed d_P(X) = 0")
+            raise SelfCheckError("constants basis element failed d_P(X) = 0")
     return basis
 
 

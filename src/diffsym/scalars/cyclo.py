@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from ..errors import SelfCheckError
 from .elem import FieldElem
 from .polys import Poly, QQ
 
@@ -62,7 +63,7 @@ class CycloField:
         # construction-time sanity: Phi_m divides x^m - 1
         xm1 = Poly(QQ, [-1] + [0] * (m - 1) + [1])
         if not (xm1 % self.modulus).is_zero():
-            raise AssertionError("cyclotomic modulus does not divide x^m - 1")
+            raise SelfCheckError("cyclotomic modulus does not divide x^m - 1")
         powers = _power_table(m)
         self._fold = powers[d : 2 * d - 1]  # x^(d+k) for k = 0..d-2
         self._wpow = powers[:m]  # w^j for j = 0..m-1
@@ -283,5 +284,5 @@ def _conjugate_product(parent: CycloField, a: tuple):
         q = [1] + [0] * (d - 1)
     n = _convolve(parent, a, q)
     if not n[0] or any(n[1:]):
-        raise AssertionError("the norm of a nonzero cyclotomic element is not a nonzero rational")
+        raise SelfCheckError("the norm of a nonzero cyclotomic element is not a nonzero rational")
     return q, n[0]

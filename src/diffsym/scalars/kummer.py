@@ -7,6 +7,7 @@ together with an irreducibility certificate for z^m - alpha.
 
 from __future__ import annotations
 
+from ..errors import SelfCheckError
 from .elem import SparseElem, nonzero_terms
 from .polys import Poly, poly_extended_gcd
 from .powers import (
@@ -65,7 +66,7 @@ class KummerField:
         lhs = (xi ** (self.m - 1) * xi.derive()) * self.m
         rhs = self.coerce(self.alpha.derive())
         if not lhs == rhs:
-            raise AssertionError("Kummer derivation rule is inconsistent")
+            raise SelfCheckError("Kummer derivation rule is inconsistent")
 
     # -- descriptor protocol ---------------------------------------------
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from ..errors import SelfCheckError
 from ..linalg import solve_affine
 from .cyclo import CycloElem
 from .polys import Poly, squarefree_decompose
@@ -81,7 +82,7 @@ def rational_ode_solve(mu, g: RatFunc) -> OdeSolution:
     if particular_vec is not None:
         particular = to_ratfunc(particular_vec)
         if not particular.derive() + particular * field.coerce(mu) == g:
-            raise AssertionError("ODE particular solution failed verification")
+            raise SelfCheckError("ODE particular solution failed verification")
 
     hom = list(homogeneous)
     for vec in kernel:
@@ -90,7 +91,7 @@ def rational_ode_solve(mu, g: RatFunc) -> OdeSolution:
             continue
         check = x.derive() + x * field.coerce(mu)
         if not check.is_zero():
-            raise AssertionError("ODE homogeneous solution failed verification")
+            raise SelfCheckError("ODE homogeneous solution failed verification")
         if not any((x - h).is_zero() or _proportional(x, h) for h in hom):
             hom.append(x)
     return OdeSolution(particular, hom)

@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+from ..errors import SelfCheckError
 from .cyclo import CycloElem
 from .polys import Poly, coprime_basis, multiplicity, squarefree_decompose
 from .ratfunc import RatFunc
@@ -130,7 +131,7 @@ def mth_power_up_to_constant(f: RatFunc, m: int):
     h = field.from_poly(hnum, hden)
     c_rf = f / h**m
     if not c_rf.is_constant():
-        raise AssertionError("power detection produced a non-constant cofactor")
+        raise SelfCheckError("power detection produced a non-constant cofactor")
     c = c_rf.constant_value()
     return c, h
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .deriv import Derivation, decompose, inner_derivation, standard_derivation, subfield_stable
+from .errors import SelfCheckError
 from .matdiff import DiffMatrix, GaugeVerdict, _matrix, apply_dP, verify_gauge
 from .parser import scalar_to_str
 from .scalars import (
@@ -61,25 +62,48 @@ class PhiMap:
         for r in range(1, m):
             rows[r][r - 1] = xi_field.one()
         self.b_mat = _matrix(xi_field, rows)
-        # _a_diag[i][r] = A^i[r][r] = xi^i w^((m-r)i mod m)
-        self._a_diag = [[xi_field.one()] * m]
-        for _ in range(1, m):
-            self._a_diag.append([a * b for a, b in zip(self._a_diag[-1], diag)])
+        # _a_diag[i][r] = A^i[r][r] = xi^i w^((m-r)i mod m), a row appended when apply first needs it
+        self._a_diag = [[xi_field.one()] * m, diag]
         self._beta = xi_field.coerce(algebra.beta)
         self._validate_relations()
 
     def _validate_relations(self):
+        """A^m = alpha I, B^m = beta I and BA = w AB, checked on the support of A and B.
+
+        A must be diagonal and B a weighted cyclic shift, nonzero only at
+        (r, r - 1 mod m). Then B^m is the product of B's m shift entries
+        times I, and row r of BA = w AB is
+        B[r][r-1] A[r-1][r-1] = w A[r][r] B[r][r-1]: one identity per row,
+        and no matrix product. A^m is diag(A[r][r]^m), and one row decides
+        it: the shift entries multiply to beta, so none is zero, and the rows
+        of BA = w AB give A[r-1][r-1] = w A[r][r], so every A[r][r]^m equals
+        A[0][0]^m, since w^m = 1.
+        """
         m = self.algebra.m
         e = self.ext_field
-        alpha_i = DiffMatrix.identity(e, m).scale(e.coerce(self.algebra.alpha))
-        beta_i = DiffMatrix.identity(e, m).scale(e.coerce(self.algebra.beta))
-        if not self.a_mat**m == alpha_i:
-            raise AssertionError("A^m != alpha I")
-        if not self.b_mat**m == beta_i:
-            raise AssertionError("B^m != beta I")
+        a, b = self.a_mat.rows, self.b_mat.rows
+        for r in range(m):
+            for s in range(m):
+                if s != r and not a[r][s].is_zero():
+                    raise SelfCheckError(f"A is not diagonal: entry ({r}, {s}) is nonzero")
+                if s != (r - 1) % m and not b[r][s].is_zero():
+                    raise SelfCheckError(f"B is not a weighted cyclic shift: entry ({r}, {s}) is nonzero")
+        if not math.prod((b[r][r - 1] for r in range(m)), start=e.one()) == e.coerce(self.algebra.beta):
+            raise SelfCheckError("B^m != beta I: the shift entries do not multiply to beta")
         omega = e.coerce(e.cyclo.omega())
-        if not self.b_mat * self.a_mat == (self.a_mat * self.b_mat).scale(omega):
-            raise AssertionError("BA != omega AB")
+        for r in range(m):
+            shift = b[r][r - 1]
+            if not shift * a[r - 1][r - 1] == omega * a[r][r] * shift:
+                raise SelfCheckError(f"BA != omega AB: row {r}")
+        if not a[0][0] ** m == e.coerce(self.algebra.alpha):
+            raise SelfCheckError("A^m != alpha I: A[0][0]^m is not alpha")
+
+    def _a_powers(self, top: int) -> list:
+        """The rows A^0, ..., A^top of _a_diag, each new row the one before times A's diagonal."""
+        table = self._a_diag
+        while len(table) <= top:
+            table.append([a * b for a, b in zip(table[-1], table[1])])
+        return table
 
     def apply(self, x: SymbolElem) -> DiffMatrix:
         """Phi(x) = sum_ij x_ij A^i B^j, built entry by entry.
@@ -95,8 +119,9 @@ class PhiMap:
         m = self.algebra.m
         zero = self.ext_field.zero()
         rows = [[zero] * m for _ in range(m)]
+        a_pows = self._a_powers(max((i for i, _ in x.terms), default=0))
         for (i, j), c in x.terms.items():
-            a_i = self._a_diag[i]
+            a_i = a_pows[i]
             for r in range(m):
                 row, s = rows[r], (r - j) % m
                 term = c * a_i[r]
@@ -136,7 +161,7 @@ def _checked_t_r(m: int) -> tuple[Fraction, ...]:
             total = total + w_pows[-(r * i) % m] * g
         closed = Fraction(m - 1, 2) - r
         if not total == cyclo.from_rational(closed):
-            raise AssertionError(f"t_r sum disagrees with the closed form at m={m}, r={r}")
+            raise SelfCheckError(f"t_r sum disagrees with the closed form at m={m}, r={r}")
         values.append(closed)
     return tuple(values)
 
@@ -262,6 +287,23 @@ def _tower_entry(field: KummerField) -> dict:
     return {"gen": field.gen_name, "power": field.m, "radicand": scalar_to_str(field.alpha)}
 
 
+def _power_ladder(g, exponents) -> dict:
+    """{n: g^n} for every n from min(exponents, 0) to max(exponents, 0).
+
+    Each rung is the one before times g, or times g^-1 below zero: one
+    product per rung and at most one inverse for all the entries of F.
+    """
+    ladder = {0: g._one()}
+    for n in range(1, max(exponents, default=0) + 1):
+        ladder[n] = ladder[n - 1] * g
+    low = min(exponents, default=0)
+    if low < 0:
+        g_inv = g.inv()
+        for n in range(-1, low - 1, -1):
+            ladder[n] = ladder[n + 1] * g_inv
+    return ladder
+
+
 def _diagonal_split(phi, d, p, e, gens, exponents, extension) -> SplitReport:
     """The report for the diagonal gauge F = diag(prod_i gens[i]^exponents[r][i]) over E.
 
@@ -269,7 +311,8 @@ def _diagonal_split(phi, d, p, e, gens, exponents, extension) -> SplitReport:
     F is a gauge for a diagonal P when each row of exponents weights the rates to P[r][r].
     """
     iso = verify_diff_isomorphism(phi, d, p)
-    entries = [math.prod((g**n for g, n in zip(gens, row) if n), start=e.one()) for row in exponents]
+    ladders = [_power_ladder(g, [row[i] for row in exponents]) for i, g in enumerate(gens)]
+    entries = [math.prod((lad[n] for lad, n in zip(ladders, row) if n), start=e.one()) for row in exponents]
     f_mat = DiffMatrix.diagonal(e, entries)
     return SplitReport(extension, p, f_mat, verify_gauge(p.coerce_to(e), f_mat), iso)
 
@@ -293,7 +336,8 @@ def split_standard(algebra: SymbolAlgebra) -> SplitReport:
     e, gens = xi_field, []
     if not algebra.beta.derive().is_zero():
         name = "eta" if n == 1 else "zeta"
-        e = KummerField(xi_field, algebra.beta, n * m, name)
+        # delta(g) = delta(beta)/(n m beta) g: the algebra's rate of v over n, as xi_extension reads its own
+        e = KummerField(xi_field, algebra.beta, n * m, name, algebra.standard_rates[1] / n)
         gens = [e.gen()]
         ext["tower"].append(_tower_entry(e))
         ext["derivation_rules"].append(f"delta({name}) = delta(beta)/({n * m} beta) {name}")
@@ -374,7 +418,7 @@ def split_inner_even_half(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitRepor
     # since w^(m/2) = -1: the block form diag(P0, -P0) holds by construction
     for r in range(half):
         if not (p.rows[r][r] + p.rows[half + r][half + r]).is_zero():
-            raise AssertionError(f"block antisymmetry of P fails at row {r}")
+            raise SelfCheckError(f"block antisymmetry of P fails at row {r}")
     eye = [[int(r == i) for i in range(half)] for r in range(half)]
     exponents = eye + [[-n for n in row] for row in eye]
     return _exponential_split(phi, rho, p, [p.rows[r][r] for r in range(half)], exponents)
@@ -449,7 +493,7 @@ def norm_split_check(algebra: SymbolAlgebra, d: Derivation, theta: SymbolElem) -
     for j in range(m):
         norm = norm * gamma.conjugate(j)
     if not norm.is_base():
-        raise AssertionError("norm did not land in the base field")
+        raise SelfCheckError("norm did not land in the base field")
     c = norm.base_value() / algebra.beta**p
     ok = c.derive().is_zero()
     return NormSplitReport(p=p, c=c, ok=ok)

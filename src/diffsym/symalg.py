@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from .errors import SelfCheckError
 from .linalg import kernel_basis, solve_affine
 from .scalars import Poly
 from .scalars.elem import SparseElem, nonzero_terms
@@ -303,7 +304,7 @@ def _minimal_polynomial(powers: list) -> Poly:
     field = powers[0].algebra.field
     kernel = kernel_basis(_columns(powers), field)
     if not kernel:
-        raise AssertionError("no linear dependence found below the degree bound")
+        raise SelfCheckError("no linear dependence found below the degree bound")
     return Poly(field, kernel[0])
 
 
@@ -332,5 +333,5 @@ def inverse_via_minimal_polynomial(gamma: SymbolElem) -> SymbolElem:
         acc = acc + powers[i - 1].scale(p.coeff(i))
     inv = acc.scale(-(alg.field.one() / c0))
     if not inv * gamma == alg.one():
-        raise AssertionError("minimal-polynomial inverse failed verification")
+        raise SelfCheckError("minimal-polynomial inverse failed verification")
     return inv

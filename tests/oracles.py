@@ -35,7 +35,9 @@ subexpression as a SymbolElem in place of the ladder Q(w) < Q(w)[t] < Q(w)(t)
 and the sparse symbol sums of ``parser.py``, d_P(X) as delta^c(X) + XP - PX over
 two matrix products in place of one pass over the entries, and the polynomial
 gcd by Euclid's loop run to a zero remainder in place of the exit at the first
-nonzero constant one.
+nonzero constant one, and the relations of Phi as A^m, B^m, BA and w AB over
+square-and-multiply matrix products in place of one identity per row on the
+support of A and B.
 """
 
 import operator
@@ -58,6 +60,21 @@ def matrix_powers(phi):
     """([A^0, ..., A^{m-1}], [B^0, ..., B^{m-1}]) from phi.a_mat and phi.b_mat."""
     m = phi.algebra.m
     return [phi.a_mat**i for i in range(m)], [phi.b_mat**j for j in range(m)]
+
+
+def dense_phimap_relations(phi):
+    """Raise AssertionError unless A^m = alpha I, B^m = beta I and BA = w AB, over whole matrices."""
+    m = phi.algebra.m
+    e = phi.ext_field
+    alpha_i = DiffMatrix.identity(e, m).scale(e.coerce(phi.algebra.alpha))
+    beta_i = DiffMatrix.identity(e, m).scale(e.coerce(phi.algebra.beta))
+    if not phi.a_mat**m == alpha_i:
+        raise AssertionError("A^m != alpha I")
+    if not phi.b_mat**m == beta_i:
+        raise AssertionError("B^m != beta I")
+    omega = e.coerce(e.cyclo.omega())
+    if not phi.b_mat * phi.a_mat == (phi.a_mat * phi.b_mat).scale(omega):
+        raise AssertionError("BA != omega AB")
 
 
 def dense_phi(phi, x, powers=None):

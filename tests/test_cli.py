@@ -7,8 +7,9 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from diffsym import SymbolAlgebra, inner_derivation, standard_derivation
+from diffsym import SymbolAlgebra, inner_derivation, split_standard, standard_derivation
 from diffsym.cli import main
+from diffsym.errors import SelfCheckError
 from diffsym.matdiff import DiffMatrix
 from diffsym.parser import parse_scalar, parse_symbol
 from diffsym.scalars import CycloField, KummerField, RatFuncField
@@ -238,6 +239,23 @@ def test_failed_self_check_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(diffsym.cli, "split_standard", broken)
     assert main(["split", "standard", "--m", "3", "--alpha", "t", "--beta", "t+1"]) == 3
     assert "internal self-check failed: gauge matrix lost its determinant" in capsys.readouterr().err
+
+
+def test_a_failed_relation_of_phi_exits_3(capsys, monkeypatch):
+    validate_relations = PhiMap._validate_relations
+
+    def corrupted(phi):
+        # B^m = 2^m beta I
+        phi.b_mat = phi.b_mat.scale(2)
+        validate_relations(phi)
+
+    monkeypatch.setattr(PhiMap, "_validate_relations", corrupted)
+    k = RatFuncField(CycloField(3), "t")
+    with pytest.raises(SelfCheckError):
+        split_standard(SymbolAlgebra(k, k.gen(), k.gen() + 1, 3))
+    assert main(["split", "standard", "--m", "3", "--alpha", "t", "--beta", "t+1"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal self-check failed: B^m != beta I: the shift entries do not multiply to beta\n"
 
 
 def test_replay_has_an_m7_standard_splitting(capsys):

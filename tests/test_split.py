@@ -1,12 +1,15 @@
 """Splitting constructions: Phi, transported P, gauges, and refutations."""
 
+import copy
+
 import pytest
 
 from diffsym import SymbolAlgebra, decompose, inner_derivation, split_standard, standard_derivation
 from diffsym.deriv import validate
+from diffsym.errors import SelfCheckError
 from diffsym.matdiff import DiffMatrix, apply_dP
 from diffsym.parser import parse_scalar
-from diffsym.scalars import CycloField, KummerField, RatFuncField
+from diffsym.scalars import CycloField, KummerElem, KummerField, RatFuncField
 from diffsym.split import (
     IsoVerdict,
     PhiMap,
@@ -23,9 +26,10 @@ from diffsym.split import (
     split_inner_even_half,
     t_r_values,
     verify_diff_isomorphism,
+    xi_extension,
 )
 from generators import random_element, random_valid_derivation
-from oracles import compute_w, dense_phi, entrywise_P, full_basis_verdict
+from oracles import compute_w, dense_phi, dense_phimap_relations, entrywise_P, full_basis_verdict
 
 
 def make_algebra(m, derivation="dt"):
@@ -44,6 +48,11 @@ def test_sparse_apply_matches_dense(m, rng):
     phi = make_phi(alg)
     ext = phi.ext_algebra
     xi = phi.ext_field.gen()
+    # u^i for i >= 2 first, the highest first, so that the first apply builds
+    # every row of the A^i table at once and the later ones build none
+    for i in range(m - 1, 1, -1):
+        x = ext.monomial(i, rng.randrange(m), xi ** rng.randrange(m)) + ext.u()
+        assert phi.apply(x) == dense_phi(phi, x)
     for _ in range(3):
         a = ext.coerce_elem(random_element(alg, rng))
         b = ext.coerce_elem(random_element(alg, rng))
@@ -149,13 +158,82 @@ def test_phi_relations(m):
     assert phi.apply(phi.algebra.one()) == phi.a_mat * 0 + phi.b_mat**0
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_phi_is_multiplicative(m, rng):
     alg = make_algebra(m)
     phi = make_phi(alg)
     for _ in range(6):
         a, b = random_element(alg, rng), random_element(alg, rng)
         assert phi.apply(a * b) == phi.apply(a) * phi.apply(b)
+
+
+def _relation_algebras(m):
+    """(t, t+1), a pair with w in its coefficients and a pair of degree 2, at degree m."""
+    k = RatFuncField(CycloField(m), "t")
+    t, w = k.gen(), k.coerce(k.cyclo.omega())
+    return [SymbolAlgebra(k, a, b, m) for a, b in ((t, t + 1), (w * t, t + w), (t * t + 1, t * (t + 2)))]
+
+
+def _corruptions(phi):
+    """(A, B, the relation the check names): one entry of A or B changed, or all of A doubled."""
+    e, m = phi.ext_field, phi.algebra.m
+    a, b = phi.a_mat, phi.b_mat
+    last = m - 1
+
+    def changed(mat, r, s, value):
+        rows = [list(row) for row in mat.rows]
+        rows[r][s] = value
+        return DiffMatrix(e, rows)
+
+    omega = e.coerce(e.cyclo.omega())
+    return [
+        # row r of BA = w AB reads A[r-1][r-1] and A[r][r], row 0 A[m-1][m-1]
+        (changed(a, 0, 0, a.rows[0][0] + e.one()), b, r"BA != omega AB: row 0"),
+        # (w A[r][r])^m = alpha still
+        (changed(a, last, last, a.rows[last][last] * omega), b, r"BA != omega AB: row 0"),
+        # 2A keeps BA = w AB, and (2A)^m = 2^m alpha I
+        (a.scale(2), b, r"A\^m != alpha I"),
+        (a, changed(b, 0, last, b.rows[0][last] + e.one()), r"B\^m != beta I"),
+        (a, changed(b, last, last - 1, e.coerce(2)), r"B\^m != beta I"),
+        (changed(a, 0, last, e.one()), b, rf"A is not diagonal: entry \(0, {last}\)"),
+        (changed(a, last, 0, e.gen()), b, rf"A is not diagonal: entry \({last}, 0\)"),
+        (a, changed(b, 0, 0, e.one()), r"B is not a weighted cyclic shift: entry \(0, 0\)"),
+        (a, changed(b, last, last, e.gen()), rf"B is not a weighted cyclic shift: entry \({last}, {last}\)"),
+    ]
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_relation_check_agrees_with_the_dense_oracle(m):
+    """Both pass on Phi, and each corruption of A or B makes both raise."""
+    for alg in _relation_algebras(m):
+        phi = make_phi(alg)
+        phi._validate_relations()
+        dense_phimap_relations(phi)
+        for a_mat, b_mat, relation in _corruptions(phi):
+            bad = copy.copy(phi)
+            bad.a_mat, bad.b_mat = a_mat, b_mat
+            with pytest.raises(SelfCheckError, match=relation):
+                bad._validate_relations()
+            with pytest.raises(AssertionError):
+                dense_phimap_relations(bad)
+
+
+def test_phimap_takes_no_matrix_product(monkeypatch):
+    """At m = 16, building A and checking the relations take 84 Kummer products; the dense check took 10 matrix products."""
+    alg = make_algebra(16)
+    xi_field = xi_extension(alg)
+    calls = {DiffMatrix: 0, KummerElem: 0}
+    for cls in calls:
+        product = cls.__mul__
+
+        def counted(x, y, cls=cls, product=product):
+            calls[cls] += 1
+            return product(x, y)
+
+        monkeypatch.setattr(cls, "__mul__", counted)
+    PhiMap(alg, xi_field)
+    assert calls[DiffMatrix] == 0
+    assert calls[KummerElem] <= 200
 
 
 @pytest.mark.parametrize("m", [2, 3])
