@@ -87,20 +87,21 @@ class DiffMatrix(FieldElem):
         if not isinstance(other, DiffMatrix):
             return self.scale(other)
         self._coerce_other(other)
+        # row r of the product sums a * (row k of other) over the nonzero a = self[r][k],
+        # each row of other taken on its support: a diagonal factor costs m products
         z = self.field.zero()
-        cols = list(zip(*other.rows))
+        supports = [[(s, b) for s, b in enumerate(row) if not b.is_zero()] for row in other.rows]
         out = []
         for r in self.rows:
-            row = []
-            for col in cols:
-                acc = None
-                for a, b in zip(r, col):
-                    if a.is_zero() or b.is_zero():
-                        continue
+            acc = {}
+            for k, a in enumerate(r):
+                if a.is_zero():
+                    continue
+                for s, b in supports[k]:
                     ab = a * b
-                    acc = ab if acc is None else acc + ab
-                row.append(z if acc is None else acc)
-            out.append(row)
+                    c = acc.get(s)
+                    acc[s] = ab if c is None else c + ab
+            out.append([acc.get(s, z) for s in range(len(r))])
         return _matrix(self.field, out)
 
     def scale(self, c) -> "DiffMatrix":
@@ -244,29 +245,41 @@ def _specialisation_points(f: DiffMatrix):
 def det_certificate(f: DiffMatrix):
     """Decide det F != 0 exactly: (verdict, method, index of the deciding point).
 
-    * ``diagonal``: det F is the product of the diagonal entries.
+    * ``diagonal``: det F is the product of the diagonal entries, nonzero iff
+      each of them is, since every ring here is a domain (a Kummer field is
+      a field because its irreducibility is certified).
     * ``elimination``: F lies over a field, so det F != 0 iff its kernel is 0.
     * ``specialisation``: F lies over a polynomial ring. Evaluation at a point
-      is a ring homomorphism, so F(point) with kernel 0 proves det F != 0.
+      is a ring homomorphism, so F(point) with kernel 0 proves det F != 0;
+      a diagonal F(point) is decided as above, without elimination.
       A singular F(point) proves nothing, so if every point gives one the
       verdict is None (undecided). A nonzero det F of degree d vanishes at a
       uniformly random point with 16-bit coordinates with probability at
       most d / 2^16 (Schwartz 1980; Zippel 1979).
     """
-    n = f.size
     rows = f.rows
-    if all(rows[r][c].is_zero() for r in range(n) for c in range(n) if r != c):
-        product = f.field.one()
-        for r in range(n):
-            product = product * rows[r][r]
-        return not product.is_zero(), "diagonal", None
+    nonzero = _diagonal_det_nonzero(rows)
+    if nonzero is not None:
+        return nonzero, "diagonal", None
     if not isinstance(f.field, PolyDiffField):
         return not kernel_basis(rows, f.field), "elimination", None
     base = f.field.base
     for index, point in _specialisation_points(f):
-        if not kernel_basis([[_specialise(x, point, base) for x in row] for row in rows], base):
+        values = [[_specialise(x, point, base) for x in row] for row in rows]
+        nonzero = _diagonal_det_nonzero(values)
+        if nonzero is None:
+            nonzero = not kernel_basis(values, base)
+        if nonzero:
             return True, "specialisation", index
     return None, "specialisation", None
+
+
+def _diagonal_det_nonzero(rows):
+    """For a diagonal matrix over a domain, whether det != 0, i.e. no diagonal entry is 0; None if not diagonal."""
+    n = len(rows)
+    if any(not rows[r][c].is_zero() for r in range(n) for c in range(n) if r != c):
+        return None
+    return all(not rows[r][r].is_zero() for r in range(n))
 
 
 @dataclass

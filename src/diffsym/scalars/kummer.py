@@ -39,6 +39,8 @@ class KummerField:
         # passes it, and the consistency check below verifies it either way
         self.gen_rate = alpha.derive() / (alpha * m) if gen_rate is None else base.coerce(gen_rate)
         self._check_derivation_consistency()
+        # {i: i * gen_rate}, the rate of xi^i, each filled by the first derive that needs it
+        self._rate_multiples = {}
         self._generators = {gen_name: self.gen()}
         for name, g in base.generators().items():
             self._generators.setdefault(name, self.coerce(g))
@@ -61,11 +63,9 @@ class KummerField:
         raise ReducibleRadicandError("unsupported tower shape for irreducibility check")
 
     def _check_derivation_consistency(self):
-        # m * xi^(m-1) * delta_E(xi) must equal delta(alpha)
-        xi = self.gen()
-        lhs = (xi ** (self.m - 1) * xi.derive()) * self.m
-        rhs = self.coerce(self.alpha.derive())
-        if not lhs == rhs:
+        # delta(xi^m) = m xi^(m-1) delta_E(xi) = m rate xi^m must equal delta(alpha);
+        # with xi^m = alpha that is m rate alpha = delta(alpha), one identity in the base
+        if not self.gen_rate * self.alpha * self.m == self.alpha.derive():
             raise SelfCheckError("Kummer derivation rule is inconsistent")
 
     # -- descriptor protocol ---------------------------------------------
@@ -224,12 +224,16 @@ class KummerElem(SparseElem):
 
     def derive(self) -> "KummerElem":
         """Leibniz-compatible derivation: xi^i picks up i * gen_rate."""
-        rate = self.parent.gen_rate
+        parent = self.parent
+        rates = parent._rate_multiples
         out = {}
         for i, c in self.terms.items():
             term = c.derive()
             if i:
-                term = term + c * rate * i
+                rate = rates.get(i)
+                if rate is None:
+                    rate = rates[i] = parent.gen_rate * i
+                term = term + c * rate
             if not term.is_zero():
                 out[i] = term
         return _kummer(self.parent, out)

@@ -261,6 +261,8 @@ def squarefree_decompose(p: Poly):
     """Yun's algorithm: p = lc * prod q_j^j with q_j monic squarefree coprime.
 
     Returns the list of (q_j, j) with deg q_j >= 1; characteristic 0 only.
+    A squarefree p, gcd(p, p') = 1, is [(p, 1)] with no loop, and a step
+    whose q_j is 1 divides nothing.
     """
     if p.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
@@ -270,6 +272,8 @@ def squarefree_decompose(p: Poly):
         return out
     dp = p.derivative()
     g = poly_gcd(p, dp)
+    if g.degree == 0:
+        return [(p, 1)]
     c = p.exact_div(g)
     d = dp.exact_div(g) - c.derivative()
     i = 1
@@ -277,8 +281,9 @@ def squarefree_decompose(p: Poly):
         q = poly_gcd(c, d)
         if q.degree > 0:
             out.append((q, i))
-        c = c.exact_div(q)
-        d = d.exact_div(q) - c.derivative()
+            c = c.exact_div(q)
+            d = d.exact_div(q)
+        d = d - c.derivative()
         i += 1
     return out
 

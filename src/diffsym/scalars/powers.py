@@ -13,7 +13,7 @@ from math import gcd
 from ..errors import SelfCheckError
 from .cyclo import CycloElem
 from .polys import Poly, coprime_basis, multiplicity, squarefree_decompose
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, _ratfunc
 
 
 class ReducibleRadicandError(ValueError):
@@ -108,7 +108,10 @@ def mth_power_up_to_constant(f: RatFunc, m: int):
 
     Succeeds iff every multiplicity in the squarefree decompositions of the
     numerator and denominator is divisible by m.  h is normalized with monic
-    numerator and denominator so the answer is deterministic.
+    numerator and denominator so the answer is deterministic.  The answer is
+    checked as f.num * hden^m = c * hnum^m * f.den with c = lc(f.num): the
+    factors of hnum divide f.num and those of hden divide f.den, which are
+    coprime, so hnum/hden is already in canonical form.
     """
     if f.is_zero():
         raise ValueError("power detection needs a nonzero input")
@@ -128,12 +131,14 @@ def mth_power_up_to_constant(f: RatFunc, m: int):
                 hnum = hnum * part
             else:
                 hden = hden * part
-    h = field.from_poly(hnum, hden)
-    c_rf = f / h**m
-    if not c_rf.is_constant():
+    c = f.num.leading_coeff()
+    lhs = f.num * hden**m if hden.degree > 0 else f.num
+    rhs = hnum**m * c
+    if f.den.degree > 0:
+        rhs = rhs * f.den
+    if not lhs == rhs:
         raise SelfCheckError("power detection produced a non-constant cofactor")
-    c = c_rf.constant_value()
-    return c, h
+    return c, _ratfunc(field, hnum, hden)
 
 
 def rational_is_power_in_cyclotomic(q: Fraction, p: int, n: int) -> bool:

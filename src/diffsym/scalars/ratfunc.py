@@ -10,6 +10,8 @@ gcd and makes the denominator monic.  Sums and products are Henrici's (Knuth,
 TAOCP vol. 2, 4.5.1): they take gcds of the operands' parts, which are smaller
 than the gcd of the unreduced result, and none when a denominator is 1.  A
 sum over one shared denominator b is (a + c)/b, and only gcd(a + c, b) is taken.
+The derivative takes one gcd, g = gcd(b, b'), and its quotient rule over
+b (b/g) is already reduced.
 """
 
 from __future__ import annotations
@@ -231,7 +233,15 @@ class RatFunc(FieldElem):
         if len(den.coeffs) == 1:
             # den = 1, so num'/1 is canonical, and 0/1 when num is a constant
             return _ratfunc(parent, num.derivative(), den)
-        return RatFunc(parent, num.derivative() * den - num * den.derivative(), den * den)
+        # with g = gcd(b, b'), (a/b)' = (a' (b/g) - a (b'/g)) / (b (b/g)); in characteristic 0
+        # a factor p^e of b gives exactly p^(e+1) in the denominator, so this is reduced
+        dden = den.derivative()
+        g = poly_gcd(den, dden)
+        if g.degree > 0:
+            rad, dden = den.exact_div(g), dden.exact_div(g)
+        else:
+            rad = den
+        return _ratfunc(parent, num.derivative() * rad - num * dden, den * rad)
 
     def _key(self):
         return self.num.coeffs, self.den.coeffs

@@ -67,6 +67,13 @@ class PhiMap:
         self._beta = xi_field.coerce(algebra.beta)
         self._validate_relations()
 
+    @functools.cached_property
+    def p_s(self) -> DiffMatrix:
+        """P_s = (delta(beta)/(m beta)) diag(t_0..t_{m-1}), the matrix of d_s, built on first use."""
+        e = self.ext_field
+        rate = e.coerce(self.algebra.standard_rates[1])
+        return DiffMatrix.diagonal(e, [rate * t for t in t_r_values(self.algebra.m)])
+
     def _validate_relations(self):
         """A^m = alpha I, B^m = beta I and BA = w AB, checked on the support of A and B.
 
@@ -167,10 +174,8 @@ def _checked_t_r(m: int) -> tuple[Fraction, ...]:
 
 
 def compute_Ps(phi: PhiMap) -> DiffMatrix:
-    """P for the standard derivation: (delta(beta)/(m beta)) diag(t_0..t_{m-1})."""
-    e = phi.ext_field
-    rate = e.coerce(phi.algebra.standard_rates[1])
-    return DiffMatrix.diagonal(e, [rate * t for t in t_r_values(phi.algebra.m)])
+    """P for the standard derivation, ``phi.p_s``: one matrix per PhiMap."""
+    return phi.p_s
 
 
 def closed_form_P(theta: SymbolElem, phi: PhiMap) -> DiffMatrix:
@@ -228,13 +233,10 @@ def verify_diff_isomorphism(phi: PhiMap, d: Derivation, p: DiffMatrix) -> IsoVer
     """
     alg = phi.ext_algebra
     d_ext = d.extend(alg)
-    one = phi.ext_field.one()
-    # d_ext.dv and d_ext.du are d*(v) and d*(u), computed over k and coerced by extend
-    for label, x, image in (
-        ((0, 1), alg.monomial(0, 1, one), d_ext.dv),
-        ((1, 0), alg.monomial(1, 0, one), d_ext.du),
-    ):
-        if not phi.apply(image) == apply_dP(p, phi.apply(x)):
+    # d_ext.dv and d_ext.du are d*(v) and d*(u), computed over k and coerced by extend;
+    # Phi(v) = B and Phi(u) = A are the matrices PhiMap validated
+    for label, x, image in (((0, 1), phi.b_mat, d_ext.dv), ((1, 0), phi.a_mat, d_ext.du)):
+        if not phi.apply(image) == apply_dP(p, x):
             return IsoVerdict(False, label)
     for name, x in phi.ext_field.generators().items():
         if name != "w" and not d_ext.apply(alg.scalar(x)) == alg.scalar(x.derive()):

@@ -37,7 +37,13 @@ two matrix products in place of one pass over the entries, and the polynomial
 gcd by Euclid's loop run to a zero remainder in place of the exit at the first
 nonzero constant one, and the relations of Phi as A^m, B^m, BA and w AB over
 square-and-multiply matrix products in place of one identity per row on the
-support of A and B.
+support of A and B, Yun's loop run in full on every input, with both exact
+divisions at every step, in place of the squarefree shortcut, power detection
+checked by the quotient f / h^m in place of one polynomial identity, the
+Kummer derivation rule on m xi^(m-1) delta(xi) in place of m rate alpha =
+delta(alpha), and the determinant certificate that multiplies out the
+diagonal and eliminates every specialised matrix in place of testing each
+diagonal entry.
 """
 
 import operator
@@ -45,13 +51,14 @@ import re
 from fractions import Fraction
 
 from diffsym.deriv import validate
-from diffsym.linalg import invert_matrix, solve_affine
-from diffsym.matdiff import DiffMatrix
+from diffsym.errors import SelfCheckError
+from diffsym.linalg import invert_matrix, kernel_basis, solve_affine
+from diffsym.matdiff import DiffMatrix, _specialisation_points, _specialise
 from diffsym.parser import MAX_EXPONENT, ParseError, _wrap, scalar_to_str
-from diffsym.scalars import KummerElem, Poly, RatFunc
+from diffsym.scalars import KummerElem, PolyDiffField, Poly, RatFunc
 from diffsym.scalars.monomial import PolyDiffElem
 from diffsym.scalars.ode import OdeSolution, _homogeneous_basis, _proportional
-from diffsym.scalars.polys import QQ, poly_extended_gcd
+from diffsym.scalars.polys import QQ, poly_extended_gcd, poly_gcd
 from diffsym.split import IsoVerdict
 from diffsym.symalg import SymbolElem
 
@@ -751,3 +758,70 @@ def symbol_elem_parse_symbol(src, algebra):
     """parse_symbol with every symbol subexpression a SymbolElem."""
     value = _OracleSymbolParser(src, algebra).parse()
     return value if isinstance(value, SymbolElem) else algebra.scalar(value)
+
+
+def yun_full_loop(p):
+    """Yun's squarefree decomposition, the loop run on every input with both exact divisions at every step."""
+    if p.is_zero():
+        raise ValueError("cannot decompose the zero polynomial")
+    p = p.monic()
+    out = []
+    if p.degree == 0:
+        return out
+    dp = p.derivative()
+    g = poly_gcd(p, dp)
+    c = p.exact_div(g)
+    d = dp.exact_div(g) - c.derivative()
+    i = 1
+    while c.degree > 0:
+        q = poly_gcd(c, d)
+        if q.degree > 0:
+            out.append((q, i))
+        c = c.exact_div(q)
+        d = d.exact_div(q) - c.derivative()
+        i += 1
+    return out
+
+
+def quotient_mth_power(f, m):
+    """(c, h) with f = c h^m, h with monic numerator and denominator, or None; c read off the quotient f / h^m."""
+    field = f.parent
+    one = Poly.one(field.cyclo)
+    parts = {"num": one, "den": one}
+    for target, poly in (("num", f.num), ("den", f.den)):
+        if poly.degree == 0:
+            continue
+        for q, j in yun_full_loop(poly):
+            if j % m != 0:
+                return None
+            parts[target] = parts[target] * q ** (j // m)
+    h = field.from_poly(parts["num"], parts["den"])
+    c = f / h**m
+    if not c.is_constant():
+        raise SelfCheckError("power detection produced a non-constant cofactor")
+    return c.constant_value(), h
+
+
+def kummer_rule_by_power(field, rate):
+    """Whether m xi^(m-1) delta(xi) = delta(alpha) in the field, with delta(xi) = rate xi, xi^(m-1) built in the tower."""
+    xi = field.gen()
+    lhs = xi ** (field.m - 1) * (xi * field.coerce(rate)) * field.m
+    return lhs == field.coerce(field.alpha.derive())
+
+
+def multiplied_det_certificate(f):
+    """det_certificate with a diagonal det multiplied out and every specialised matrix eliminated."""
+    n = f.size
+    rows = f.rows
+    if all(rows[r][c].is_zero() for r in range(n) for c in range(n) if r != c):
+        product = f.field.one()
+        for r in range(n):
+            product = product * rows[r][r]
+        return not product.is_zero(), "diagonal", None
+    if not isinstance(f.field, PolyDiffField):
+        return not kernel_basis(rows, f.field), "elimination", None
+    base = f.field.base
+    for index, point in _specialisation_points(f):
+        if not kernel_basis([[_specialise(x, point, base) for x in row] for row in rows], base):
+            return True, "specialisation", index
+    return None, "specialisation", None

@@ -3,6 +3,7 @@
 import pytest
 
 from diffsym import inner_derivation, standard_derivation
+from diffsym.errors import SelfCheckError
 from diffsym.parser import parse_scalar, scalar_to_str
 from diffsym.scalars import (
     CycloField,
@@ -27,6 +28,7 @@ from oracles import (
     dense_exponents,
     dense_polydiff_mul,
     dense_polydiff_str,
+    kummer_rule_by_power,
     polydiff_derive,
 )
 
@@ -65,6 +67,22 @@ def test_derivation_rule(k):
     assert xi.derive() == xi * e.coerce(k.one() / (k.gen() * 3))
     # Leibniz on xi^2
     assert (xi * xi).derive() == xi.derive() * xi + xi * xi.derive()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_derivation_rule_agrees_with_the_power_oracle(m, rng):
+    """m rate alpha = delta(alpha) decides what m xi^(m-1) delta(xi) = delta(alpha) does, down a two-step tower."""
+    k = RatFuncField(CycloField(m), "t")
+    t = k.gen()
+    r1, r2 = rng.sample(range(-4, 5), 2)
+    xi_field = KummerField(k, (t - r1) * rng.choice([1, 2, -3]), m, "xi")
+    eta_field = KummerField(xi_field, t - r2, m, "eta")
+    for field in (xi_field, eta_field):
+        assert kummer_rule_by_power(field, field.gen_rate)
+        for wrong in (field.gen_rate * 2, field.gen_rate + field.base.one()):
+            assert not kummer_rule_by_power(field, wrong)
+            with pytest.raises(SelfCheckError, match="Kummer derivation rule"):
+                KummerField(field.base, field.alpha, m, field.gen_name, wrong)
 
 
 def test_conjugate_is_homomorphism(k, rng):

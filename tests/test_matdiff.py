@@ -14,7 +14,7 @@ from diffsym.matdiff import (
 from diffsym.scalars import CycloField, KummerField, PolyDiffField, RatFuncField
 from diffsym.split import PhiMap, compute_Ps, xi_extension
 from diffsym.symalg import SymbolAlgebra
-from oracles import dense_apply_dP, det_expansion
+from oracles import coercing_matrix_mul, dense_apply_dP, det_expansion, multiplied_det_certificate
 
 
 @pytest.fixture
@@ -305,3 +305,45 @@ def test_specialisation_moves_past_a_vanishing_first_point():
     assert det_certificate(DiffMatrix(e, [[x0, x1 ** -1], [x1 ** -1, x0]]))[::2] == (True, 1)
     # on the diagonal, x1^-1 goes to 1 and the first point decides
     assert det_certificate(DiffMatrix(e, [[x1 ** -1, x0], [x0, x1]]))[::2] == (True, 0)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_sparse_product_agrees_with_the_dense_oracle(m, rng):
+    """Zero, identity, diagonal (one zero entry), sparse and dense factors over Q(w)(t) and Q(w)(t)(xi)."""
+    k = RatFuncField(CycloField(m), "t")
+    for field in (k, KummerField(k, k.gen(), m, "xi")):
+        x = field.gen()
+        entries = [field.one(), x, x + 3, field.coerce(k.gen() - 1) / (x + 2), field.coerce(k.omega())]
+        diagonal = [rng.choice(entries) for _ in range(m)]
+        diagonal[rng.randrange(m)] = field.zero()
+        samples = [DiffMatrix.zero(field, m), DiffMatrix.identity(field, m), DiffMatrix.diagonal(field, diagonal)]
+        for density in (0.2, 0.9):
+            rows = [[rng.choice(entries) if rng.random() < density else field.zero() for _ in range(m)] for _ in range(m)]
+            samples.append(DiffMatrix(field, rows))
+        for a in samples:
+            for b in samples:
+                assert a * b == coercing_matrix_mul(a, b)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_diagonal_det_agrees_with_the_multiplied_out_product(m, rng):
+    """A diagonal F, with and without one zero entry, over a field, a Kummer field and a polynomial ring;
+    over the ring also the generic X, whose first specialisation is I, and X with x00 - 1 on the diagonal,
+    whose first specialisation is diagonal with a zero."""
+    k = RatFuncField(CycloField(m), "t")
+    poly = PolyDiffField(k, [f"x{i}" for i in range(m * m)])
+    for ring in (k, KummerField(k, k.gen(), m, "xi"), poly):
+        entries = [ring.gen() if ring is not poly else ring.gen(i) for i in range(m)]
+        entries = [e * rng.randint(1, 3) + rng.randint(-2, 2) for e in entries]
+        for zero_at in (None, rng.randrange(m)):
+            diagonal = list(entries)
+            if zero_at is not None:
+                diagonal[zero_at] = ring.zero()
+            f = DiffMatrix.diagonal(ring, diagonal)
+            assert det_certificate(f) == multiplied_det_certificate(f) == (zero_at is None, "diagonal", None)
+    gens = [[poly.gen(r * m + s) for s in range(m)] for r in range(m)]
+    shifted = [list(row) for row in gens]
+    shifted[0][0] = shifted[0][0] - 1
+    for rows, want in ((gens, (True, "specialisation", 0)), (shifted, (True, "specialisation", 1))):
+        f = DiffMatrix(poly, rows)
+        assert det_certificate(f) == multiplied_det_certificate(f) == want

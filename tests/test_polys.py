@@ -16,7 +16,8 @@ from diffsym.scalars import (
     poly_gcd,
     squarefree_decompose,
 )
-from oracles import euclid_gcd
+from diffsym.scalars import polys
+from oracles import euclid_gcd, yun_full_loop
 
 coeffs = st.lists(st.integers(min_value=-6, max_value=6), min_size=0, max_size=5)
 
@@ -107,6 +108,36 @@ def test_yun_recombines(css):
         assert poly_gcd(q, q.derivative()).degree == 0
         recombined = recombined * q**j
     assert recombined == p.monic()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_yun_shortcuts_agree_with_the_full_loop(m, rng):
+    """Squarefree inputs and products of linear factors over Q(w_m) with multiplicities up to m."""
+    field = CycloField(m)
+    t = Poly.gen(field)
+    w = field.omega()
+    kinds = {"squarefree": 0, "repeated": 0}
+    for trial in range(10):
+        p = Poly.constant(field, field.from_rational(rng.choice([1, 2, -3, Fraction(1, 2)])))
+        for root in rng.sample(range(-4, 5), rng.randint(1, 3)):
+            factor = t - Poly.constant(field, field.from_rational(root) + w * rng.randint(0, 1))
+            p = p * factor ** (1 if trial % 2 else rng.randint(1, m))
+        got = squarefree_decompose(p)
+        assert got == yun_full_loop(p)
+        kinds["squarefree" if got == [(p.monic(), 1)] else "repeated"] += 1
+    assert min(kinds.values()) >= 3, kinds
+
+
+def test_a_squarefree_input_takes_one_gcd(monkeypatch):
+    field = CycloField(5)
+    t = Poly.gen(field)
+    w = Poly.constant(field, field.omega())
+    calls = []
+    gcd = polys.poly_gcd
+    monkeypatch.setattr(polys, "poly_gcd", lambda *args: calls.append(args) or gcd(*args))
+    p = (t * 3 - 1) * (t + w) * (t * t + 2)
+    assert squarefree_decompose(p) == [(p.monic(), 1)]
+    assert len(calls) == 1
 
 
 def test_coprime_basis_pairwise_coprime():

@@ -15,7 +15,11 @@ from diffsym.scalars import (
     mth_power_up_to_constant,
     rational_nth_root,
 )
+from diffsym.cli import main
+from diffsym.errors import SelfCheckError
+from diffsym.scalars import powers
 from diffsym.scalars.powers import _prime_factors, certify_power_free_over_kummer
+from oracles import quotient_mth_power
 
 
 @pytest.fixture
@@ -69,6 +73,37 @@ def test_power_detection_rejects(k):
     assert mth_power_up_to_constant(t, 2) is None
     with pytest.raises(ValueError):
         mth_power_up_to_constant(k.zero(), 2)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_power_detection_agrees_with_the_quotient_check(m, rng):
+    """f = c prod (t - r)^e / (t - s)^e' with multiplicities up to m, tested for n-th powers at n = 2, 3 and m."""
+    k = RatFuncField(CycloField(m), "t")
+    t = k.gen()
+    kinds = {"power": 0, "not a power": 0}
+    for _ in range(4):
+        roots = rng.sample(range(-4, 5), 3)
+        f = k.coerce(rng.choice([1, 2, -3, 5])) * k.omega() ** rng.randint(0, m - 1)
+        for r in roots[:2]:
+            f = f * (t - r) ** rng.randint(1, m)
+        f = f / (t - roots[2]) ** rng.choice([0, 1, m])
+        for n in sorted({2, 3, m}):
+            for g in (f, f**n):
+                got = mth_power_up_to_constant(g, n)
+                assert got == quotient_mth_power(g, n)
+                kinds["not a power" if got is None else "power"] += 1
+    assert min(kinds.values()) >= 3, kinds
+
+
+def test_a_corrupted_decomposition_is_a_self_check_failure(monkeypatch, capsys):
+    decompose = powers.squarefree_decompose
+    # every multiplicity doubled: t + 1 reads as (t + 1)^2, a square it is not
+    monkeypatch.setattr(powers, "squarefree_decompose", lambda p: [(q, 2 * j) for q, j in decompose(p)])
+    k = RatFuncField(CycloField(2), "t")
+    with pytest.raises(SelfCheckError):
+        mth_power_up_to_constant(k.gen() + 1, 2)
+    assert main(["power-detect", "--m", "2", "--f", "t+1"]) == 3
+    assert capsys.readouterr().err == "internal self-check failed: power detection produced a non-constant cofactor\n"
 
 
 def test_kummer_vahlen_accepts(k):

@@ -170,20 +170,29 @@ def test_henrici_arithmetic_agrees_with_the_canonicalising_oracle(m, derivation,
 @pytest.mark.parametrize("derivation", ["dt", "zero"])
 @pytest.mark.parametrize("m", [1, 3, 5])
 def test_derive_agrees_with_the_quotient_rule(m, derivation, rng):
-    """0, constants, polynomials and proper fractions: the quotient rule, in canonical form."""
+    """0, constants, polynomials and proper fractions: the quotient rule, in canonical form.
+
+    Denominators q1 q2^2 q3^3 have gcd(b, b') != 1, so the derivative divides by it.
+    """
     k = RatFuncField(CycloField(m), "t", derivation)
     pairs, _ = _henrici_pairs(k, rng)
     t = k.gen()
     samples = [k.zero(), k.coerce(3), k.omega(), t, t**3 * 2 - t + k.omega(), 1 / t, (t + 1) / (t * t - 2)]
     samples += [x for pair in pairs for x in pair]
-    kinds = {"polynomial": 0, "fraction": 0}
+    c = k.cyclo
+    tp = Poly.gen(c)
+    for _ in range(6):
+        q1, q2, q3 = (tp - Poly.constant(c, _cyclo(c, rng)) for _ in range(3))
+        samples.append(RatFunc(k, _poly(c, rng, rng.randint(0, 4)), q1 * q2**2 * q3**3))
+    kinds = {"polynomial": 0, "fraction": 0, "repeated factor": 0}
     for x in samples:
         got = x.derive()
         _same(got, canonical_derive(x))
         if not got.is_zero():
             assert poly_gcd(got.num, got.den).degree == 0
         kinds["polynomial" if x.den.degree == 0 else "fraction"] += 1
-    assert min(kinds.values()) >= 5
+        kinds["repeated factor"] += poly_gcd(x.den, x.den.derivative()).degree > 0
+    assert min(kinds.values()) >= 5, kinds
 
 
 def test_henrici_gcd_counts(monkeypatch):

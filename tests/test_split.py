@@ -4,6 +4,7 @@ import copy
 
 import pytest
 
+import diffsym.matdiff
 from diffsym import SymbolAlgebra, decompose, inner_derivation, split_standard, standard_derivation
 from diffsym.deriv import validate
 from diffsym.errors import SelfCheckError
@@ -234,6 +235,52 @@ def test_phimap_takes_no_matrix_product(monkeypatch):
     PhiMap(alg, xi_field)
     assert calls[DiffMatrix] == 0
     assert calls[KummerElem] <= 200
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so each call appends its arguments to the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_the_isomorphism_check_applies_phi_twice(m, rng, monkeypatch):
+    """Phi(u) = A and Phi(v) = B are read from the PhiMap; only Phi(d*(u)) and Phi(d*(v)) are built."""
+    alg = make_algebra(m)
+    phi = make_phi(alg)
+    d = random_valid_derivation(alg, rng)
+    p = compute_P(d, phi)
+    calls = _count_calls(monkeypatch, PhiMap, "apply")
+    assert verify_diff_isomorphism(phi, d, p) == IsoVerdict(True, None)
+    assert len(calls) == 2
+
+
+def test_ps_is_built_once_per_phimap():
+    alg = make_algebra(3)
+    phi = make_phi(alg)
+    assert compute_Ps(phi) is compute_Ps(phi)
+    assert compute_Ps(make_phi(alg)) is not compute_Ps(phi)
+    assert compute_Ps(make_phi(alg)) == compute_Ps(phi)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_the_generic_gauge_is_decided_at_the_identity_with_no_solve(m, rng, monkeypatch):
+    """split_generic's F = X specialises to I at the first point, which decides det F != 0 with no elimination."""
+    alg = make_algebra(m)
+    p = compute_P(random_valid_derivation(alg, rng), make_phi(alg))
+    solves = _count_calls(monkeypatch, diffsym.matdiff, "kernel_basis")
+    applies = _count_calls(monkeypatch, PhiMap, "apply")
+    rep = split_generic(p)
+    assert rep.passed
+    assert (rep.gauge.det_method, rep.gauge.det_point) == ("specialisation", 0)
+    assert solves == [] and applies == []
 
 
 @pytest.mark.parametrize("m", [2, 3])
