@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .errors import SelfCheckError
 from .parser import scalar_to_str
-from .scalars import mth_power_up_to_constant
+from .scalars import mth_root, valuations
 from .symalg import SymbolAlgebra, SymbolElem, _symbol, centralizer, in_generated_subfield
 
 
@@ -209,19 +209,20 @@ class ConstantWitness:
 
 
 def constants_standard(algebra: SymbolAlgebra):
-    """New constants of (A, d_s) beyond the base constants, as monomial witnesses."""
+    """New constants of (A, d_s) beyond the base constants, as monomial witnesses.
+
+    alpha^-i beta^-j is built only where m divides its vector -i v_alpha - j v_beta.
+    """
     m = algebra.m
     ds = standard_derivation(algebra)
+    basis, (va, vb) = valuations(algebra.alpha, algebra.beta)
     witnesses = []
     for i in range(m):
         for j in range(m):
-            if i == 0 and j == 0:
+            v = [-i * a - j * b for a, b in zip(va, vb)]
+            if (i, j) == (0, 0) or any(e % m for e in v):
                 continue
-            f = algebra.alpha ** (-i) * algebra.beta ** (-j)
-            res = mth_power_up_to_constant(f, m)
-            if res is None:
-                continue
-            c, h = res
+            c, h = mth_root(algebra.alpha ** (-i) * algebra.beta ** (-j), basis, v, m)
             candidate = algebra.monomial(i, j, h)
             if not ds.apply(candidate).is_zero():
                 raise SelfCheckError("power witness failed the d_s constant check")

@@ -9,7 +9,6 @@ from .polys import (
     QQ,
     coprime_basis,
     is_zero_elem,
-    multiplicity,
     poly_extended_gcd,
     poly_gcd,
     squarefree_decompose,
@@ -20,7 +19,9 @@ from .powers import (
     is_prime,
     kummer_vahlen_certify,
     mth_power_up_to_constant,
+    mth_root,
     rational_nth_root,
+    valuations,
 )
 from .ratfunc import RatFunc, RatFuncField
 
@@ -45,10 +46,11 @@ __all__ = [
     "is_zero_elem",
     "kummer_vahlen_certify",
     "mth_power_up_to_constant",
-    "multiplicity",
+    "mth_root",
     "poly_extended_gcd",
     "poly_gcd",
     "rational_nth_root",
     "rational_ode_solve",
     "squarefree_decompose",
+    "valuations",
 ]

@@ -309,16 +309,3 @@ def coprime_basis(polys):
         else:
             basis.append(p)
     return basis
-
-
-def multiplicity(p: Poly, q: Poly) -> int:
-    """Largest e with q^e | p (p nonzero, deg q >= 1)."""
-    if p.is_zero():
-        raise ValueError("multiplicity in the zero polynomial")
-    e = 0
-    while True:
-        quo, rem = divmod(p, q)
-        if not rem.is_zero():
-            return e
-        p = quo
-        e += 1

@@ -1,6 +1,13 @@
 """Power detection in Q(w)(t) and irreducibility certificates for z^m - a.
 
-The m-th-power test rests on squarefree multiplicities only; no irreducible
+Every m-th-power decision reads the valuation vectors of ``valuations``: one
+squarefree decomposition per radicand and one coprime basis for them all.  A
+product of powers of radicands has the same combination of their vectors, and
+is c h^m iff m divides it; ``mth_root`` checks each such verdict before it is
+acted on.  The readers: ``mth_power_up_to_constant``, ``kummer_vahlen_certify``
+(p | gcd v_alpha), ``certify_power_free_over_kummer`` (ramification),
+``deriv.constants_standard`` (-i v_alpha - j v_beta) and
+``split.maximal_subfield_necessary`` (v - r v_nu).  No irreducible
 factorization is ever computed.
 """
 
@@ -12,7 +19,7 @@ from math import gcd
 
 from ..errors import SelfCheckError
 from .cyclo import CycloElem
-from .polys import Poly, coprime_basis, multiplicity, squarefree_decompose
+from .polys import Poly, coprime_basis, squarefree_decompose
 from .ratfunc import RatFunc, _ratfunc
 
 
@@ -103,34 +110,45 @@ def cyclo_nth_root(c: CycloElem, k: int, height: int = 3):
     return None
 
 
-def mth_power_up_to_constant(f: RatFunc, m: int):
-    """Decide f = c * h^m with c in Q(w); return (c, h) or None.
+def valuations(*fs):
+    """(basis, vectors): one coprime basis for the nonzero f and each f's valuation vector on it.
 
-    Succeeds iff every multiplicity in the squarefree decompositions of the
-    numerator and denominator is divisible by m.  h is normalized with monic
-    numerator and denominator so the answer is deterministic.  The answer is
-    checked as f.num * hden^m = c * hnum^m * f.den with c = lc(f.num): the
-    factors of hnum divide f.num and those of hden divide f.den, which are
-    coprime, so hnum/hden is already in canonical form.
+    Each non-constant numerator and denominator is decomposed once and
+    ``coprime_basis`` is built over all the squarefree parts, so f = lc(f.num)
+    prod b^v_b.  The parts of one f are pairwise coprime, f.num and f.den
+    included, so v_b is the signed multiplicity of the one part that b divides,
+    and a single f's parts are its basis.
     """
-    if f.is_zero():
-        raise ValueError("power detection needs a nonzero input")
-    if m < 1:
-        raise ValueError("m must be positive")
-    field = f.parent
-    one = Poly.one(field.cyclo)
+    parts = []
+    for f in fs:
+        if f.is_zero():
+            raise ValueError("power detection needs a nonzero input")
+        parts.append([(q, sign * j) for poly, sign in ((f.num, 1), (f.den, -1)) if poly.degree > 0
+                      for q, j in squarefree_decompose(poly)])
+    if len(parts) == 1:  # one f's parts are a coprime basis already
+        return [q for q, _ in parts[0]], [[j for _, j in parts[0]]]
+    basis = coprime_basis([q for f_parts in parts for q, _ in f_parts])
+    vectors = [[next((j for q, j in f_parts if (q % b).is_zero()), 0) for b in basis] for f_parts in parts]
+    return basis, vectors
+
+
+def mth_root(f: RatFunc, basis, v, m: int):
+    """(c, h) with f = c h^m, from f's valuation vector v on basis, every entry divisible by m.
+
+    h = hnum/hden with hnum the product of b^(v_b/m) over v_b > 0 and hden
+    over v_b < 0, both monic and coprime, so h is canonical as built and the
+    answer is deterministic.  It is checked as f.num hden^m = c hnum^m f.den
+    with c = lc(f.num).
+    """
+    if any(e % m for e in v):
+        raise ValueError("the valuation vector is not divisible by m")
+    one = Poly.one(f.parent.cyclo)
     hnum, hden = one, one
-    for poly, target in ((f.num, "num"), (f.den, "den")):
-        if poly.degree == 0:
-            continue
-        for q, j in squarefree_decompose(poly):
-            if j % m != 0:
-                return None
-            part = q ** (j // m)
-            if target == "num":
-                hnum = hnum * part
-            else:
-                hden = hden * part
+    for b, e in zip(basis, v):
+        if e > 0:
+            hnum = hnum * b ** (e // m)
+        elif e < 0:
+            hden = hden * b ** (-e // m)
     c = f.num.leading_coeff()
     lhs = f.num * hden**m if hden.degree > 0 else f.num
     rhs = hnum**m * c
@@ -138,7 +156,15 @@ def mth_power_up_to_constant(f: RatFunc, m: int):
         rhs = rhs * f.den
     if not lhs == rhs:
         raise SelfCheckError("power detection produced a non-constant cofactor")
-    return c, _ratfunc(field, hnum, hden)
+    return c, _ratfunc(f.parent, hnum, hden)
+
+
+def mth_power_up_to_constant(f: RatFunc, m: int):
+    """Decide f = c * h^m with c in Q(w): (c, h) from ``mth_root``, or None when m does not divide f's vector."""
+    basis, (v,) = valuations(f)
+    if m < 1:
+        raise ValueError("m must be positive")
+    return None if any(e % m for e in v) else mth_root(f, basis, v, m)
 
 
 def rational_is_power_in_cyclotomic(q: Fraction, p: int, n: int) -> bool:
@@ -209,42 +235,27 @@ def kummer_vahlen_certify(alpha: RatFunc, m: int) -> None:
     """Certify z^m - alpha irreducible over Q(w)(t); raise otherwise.
 
     Classical criterion: alpha not in k^p for every prime p | m and, when
-    4 | m, alpha not in -4 k^4.  The constant cofactor c of alpha = c h^p is
-    decided by ``_constant_is_power``.  For 4 | m the p = 2 test has already
-    shown that alpha is no square.  When also 4 | n, i lies in Q(w_n) and
+    4 | m, alpha not in -4 k^4.  alpha = c h^p exactly when p divides the gcd
+    g of alpha's valuation vector, with c = lc(alpha.num), and c is decided by
+    ``_constant_is_power``.  For 4 | m the p = 2 test has already shown that
+    alpha is no square.  When also 4 | n, i lies in Q(w_n) and
     -4 = (1 + i)^4, so alpha in -4 k^4 would make alpha a 4th power, hence
-    a square: nothing is left to test.  Otherwise c/(-4) is tested for a 4th
-    power in the same way.
+    a square: nothing is left to test.  Otherwise, when 4 | g, c/(-4) is
+    tested for a 4th power in the same way.
     """
     if alpha.is_zero():
         raise ReducibleRadicandError("radicand must be nonzero")
+    basis, (v,) = valuations(alpha)
+    g = gcd(*v)
     for p in _prime_factors(m):
-        res = mth_power_up_to_constant(alpha, p)
-        if res is None:
-            continue
-        c, _h = res
-        if _constant_is_power(c, p):
-            raise ReducibleRadicandError(
-                f"radicand is a {p}-th power in the base field (z^{m} - a reducible)"
-            )
-    if m % 4 == 0 and alpha.parent.cyclo.m % 4 != 0:
-        res = mth_power_up_to_constant(alpha, 4)
-        if res is not None:
-            c, _h = res
-            if _constant_is_power(c / (-4), 4):
-                raise ReducibleRadicandError(
-                    "radicand lies in -4 k^4 (z^m - a reducible for 4 | m)"
-                )
-
-
-def _finite_valuations(f: RatFunc, basis):
-    """Valuations of f at the coprime-basis blocks plus the place at infinity."""
-    vals = []
-    for b in basis:
-        v = multiplicity(f.num, b) - multiplicity(f.den, b)
-        vals.append(v)
-    vals.append(f.den.degree - f.num.degree)  # place at infinity
-    return vals
+        if g % p == 0:
+            c, _h = mth_root(alpha, basis, v, p)
+            if _constant_is_power(c, p):
+                raise ReducibleRadicandError(f"radicand is a {p}-th power in the base field (z^{m} - a reducible)")
+    if m % 4 == 0 and alpha.parent.cyclo.m % 4 != 0 and g % 4 == 0:
+        c, _h = mth_root(alpha, basis, v, 4)
+        if _constant_is_power(c / (-4), 4):
+            raise ReducibleRadicandError("radicand lies in -4 k^4 (z^m - a reducible for 4 | m)")
 
 
 def certify_power_free_over_kummer(alpha: RatFunc, w_alpha_m: int, beta: RatFunc, big_m: int) -> None:
@@ -252,17 +263,15 @@ def certify_power_free_over_kummer(alpha: RatFunc, w_alpha_m: int, beta: RatFunc
 
     For a place q of k = Q(w)(t), the ramification index in k(xi) is
     e_q = m / gcd(m, v_q(alpha)); if e_q * v_q(beta) is not divisible by a
-    prime p | M at some place, beta is not a p-th power in k(xi).  This is a
-    sufficient certificate; inconclusive cases raise honestly.
+    prime p | M at some place, beta is not a p-th power in k(xi).  The places
+    are the blocks of the joint basis of ``valuations`` and the place at
+    infinity, v = deg den - deg num.  This is a sufficient certificate;
+    inconclusive cases raise honestly.
     """
     m = w_alpha_m
-    parts = []
-    for f in (alpha, beta):
-        parts.extend(q for q, _ in squarefree_decompose(f.num))
-        parts.extend(q for q, _ in squarefree_decompose(f.den))
-    basis = coprime_basis(parts)
-    va = _finite_valuations(alpha, basis)
-    vb = _finite_valuations(beta, basis)
+    _basis, (va, vb) = valuations(alpha, beta)
+    va.append(alpha.den.degree - alpha.num.degree)
+    vb.append(beta.den.degree - beta.num.degree)
     ram = [m // gcd(m, v) for v in va]
     moduli = _prime_factors(big_m) + ([4] if big_m % 4 == 0 else [])
     for p in moduli:

@@ -26,7 +26,8 @@ from .scalars import (
     PolyDiffField,
     RatFuncField,
     is_prime,
-    mth_power_up_to_constant,
+    mth_root,
+    valuations,
 )
 from .symalg import SymbolAlgebra, SymbolElem, minimal_polynomial, twisted_centralizer
 
@@ -173,19 +174,14 @@ def _checked_t_r(m: int) -> tuple[Fraction, ...]:
     return tuple(values)
 
 
-def compute_Ps(phi: PhiMap) -> DiffMatrix:
-    """P for the standard derivation, ``phi.p_s``: one matrix per PhiMap."""
-    return phi.p_s
-
-
 def closed_form_P(theta: SymbolElem, phi: PhiMap) -> DiffMatrix:
     """P = Phi(theta) + P_s, the matrix of d_s + inner(theta) transported by Phi.
 
-    Phi carries d_s to d_{P_s} (``compute_Ps``; P_s = -Phi(w) for the w with
+    Phi carries d_s to d_{P_s} (``phi.p_s``; P_s = -Phi(w) for the w with
     d_Phi = d_s + inner(w)), and inner(theta) to the commutator with
     Phi(theta).
     """
-    return phi.apply(theta) + compute_Ps(phi)
+    return phi.apply(theta) + phi.p_s
 
 
 def compute_P(d: Derivation, phi: PhiMap) -> DiffMatrix:
@@ -333,7 +329,7 @@ def split_standard(algebra: SymbolAlgebra) -> SplitReport:
     xi_field = xi_extension(algebra)
     phi = PhiMap(algebra, xi_field)
     ext = {"tower": [_tower_entry(xi_field)], "derivation_rules": [f"delta(xi) = delta(alpha)/({m} alpha) xi"]}
-    t0 = Fraction(m - 1, 2)  # t_r = t0 - r, which compute_Ps checks against the cyclotomic sums
+    t0 = Fraction(m - 1, 2)  # t_r = t0 - r, which t_r_values checks against the cyclotomic sums
     n = t0.denominator
     e, gens = xi_field, []
     if not algebra.beta.derive().is_zero():
@@ -344,7 +340,7 @@ def split_standard(algebra: SymbolAlgebra) -> SplitReport:
         ext["tower"].append(_tower_entry(e))
         ext["derivation_rules"].append(f"delta({name}) = delta(beta)/({n * m} beta) {name}")
     exponents = [[int(n * (t0 - r))] * len(gens) for r in range(m)]
-    return _diagonal_split(phi, standard_derivation(algebra), compute_Ps(phi), e, gens, exponents, ext)
+    return _diagonal_split(phi, standard_derivation(algebra), phi.p_s, e, gens, exponents, ext)
 
 
 def find_twist_partner(rho1: SymbolElem):
@@ -537,16 +533,17 @@ def maximal_subfield_necessary(algebra: SymbolAlgebra, nu) -> MaxSubfieldReport:
     nu = algebra.field.coerce(nu)
     if nu.is_zero():
         raise ValueError("nu must be nonzero")
-    for name, value in (("alpha", algebra.alpha), ("beta", algebra.beta)):
-        if mth_power_up_to_constant(value, m) is not None:
+    basis, (va, vb, vn) = valuations(algebra.alpha, algebra.beta, nu)
+    for name, value, v in (("alpha", algebra.alpha, va), ("beta", algebra.beta, vb)):
+        if not any(e % m for e in v):
+            mth_root(value, basis, v, m)  # checks the verdict before refusing on it
             raise ValueError(f"hypothesis violation: {name} is an m-th power up to constant")
 
-    def search(value):
+    def search(value, v):
         for r in range(1, m):
-            res = mth_power_up_to_constant(value / nu**r, m)
-            if res is not None:
-                c, h = res
-                return (r, c, h)
+            quotient = [a - r * b for a, b in zip(v, vn)]  # the vector of value / nu^r
+            if not any(e % m for e in quotient):
+                return (r, *mth_root(value / nu**r, basis, quotient, m))
         return None
 
-    return MaxSubfieldReport(alpha_witness=search(algebra.alpha), beta_witness=search(algebra.beta))
+    return MaxSubfieldReport(alpha_witness=search(algebra.alpha, va), beta_witness=search(algebra.beta, vb))

@@ -41,3 +41,34 @@ def random_valid_derivation(algebra, rng, entries: int = 3):
     """d_s plus a random inner part; always satisfies the validity conditions."""
     theta = random_trace_zero(algebra, rng, entries=entries)
     return standard_derivation(algebra) + inner_derivation(theta)
+
+
+def sharing_radicands(field, m: int, rng):
+    """(alpha, beta, nu) over field, built from overlapping blocks and often related by powers.
+
+    The blocks t - r, t + r, t, t^2 - r^2 and t^2 + 1 share factors, so a joint
+    coprime basis splits t^2 - r^2 against t - r and t + r.  beta, and nu, are
+    each with probability 1/2 a constant times the first or (at m > 2) second power of an
+    earlier radicand times the m-th power of a linear block, so that power
+    witnesses occur.  Degrees stay small: the quotient oracles take up to m^2
+    powers of them.
+    """
+    t = field.gen()
+    r = rng.randint(1, 3)
+    lines = [t - r, t + r, t]
+    blocks = lines + [t * t - r * r, t * t + 1]
+
+    def product():
+        f = field.coerce(rng.choice([1, 2, -3, 5])) * field.omega() ** rng.randrange(m)
+        for b in rng.sample(blocks, 2):
+            f = f * b ** rng.choice([-1, 1, 2])
+        return f
+
+    def related(*earlier):
+        f = field.coerce(rng.choice([1, -2, 3])) * rng.choice(earlier) ** rng.randint(1, min(m - 1, 2))
+        return f * rng.choice(lines) ** (m * rng.choice([-1, 1]))
+
+    alpha = product()
+    beta = product() if rng.random() < 0.5 else related(alpha)
+    nu = product() if rng.random() < 0.5 else related(alpha, beta)
+    return alpha, beta, nu

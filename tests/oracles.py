@@ -40,6 +40,10 @@ square-and-multiply matrix products in place of one identity per row on the
 support of A and B, Yun's loop run in full on every input, with both exact
 divisions at every step, in place of the squarefree shortcut, power detection
 checked by the quotient f / h^m in place of one polynomial identity, the
+constants of d_s and the maximal-subfield witnesses by one quotient
+alpha^-i beta^-j or value / nu^r decomposed per exponent in place of the
+valuation vectors of one joint decomposition, the tower certificate on
+multiplicities counted by repeated division, the
 Kummer derivation rule on m xi^(m-1) delta(xi) in place of m rate alpha =
 delta(alpha), and the determinant certificate that multiplies out the
 diagonal and eliminates every specialised matrix in place of testing each
@@ -49,6 +53,7 @@ diagonal entry.
 import operator
 import re
 from fractions import Fraction
+from math import gcd
 
 from diffsym.deriv import validate
 from diffsym.errors import SelfCheckError
@@ -58,7 +63,8 @@ from diffsym.parser import MAX_EXPONENT, ParseError, _wrap, scalar_to_str
 from diffsym.scalars import KummerElem, PolyDiffField, Poly, RatFunc
 from diffsym.scalars.monomial import PolyDiffElem
 from diffsym.scalars.ode import OdeSolution, _homogeneous_basis, _proportional
-from diffsym.scalars.polys import QQ, poly_extended_gcd, poly_gcd
+from diffsym.scalars.polys import QQ, coprime_basis, poly_extended_gcd, poly_gcd
+from diffsym.scalars.powers import _prime_factors
 from diffsym.split import IsoVerdict
 from diffsym.symalg import SymbolElem
 
@@ -800,6 +806,61 @@ def quotient_mth_power(f, m):
     if not c.is_constant():
         raise SelfCheckError("power detection produced a non-constant cofactor")
     return c.constant_value(), h
+
+
+def quotient_constants_standard(algebra):
+    """[(i, j, c, h)] for every (i, j) != (0, 0) with alpha^-i beta^-j = c h^m, one quotient decomposed per pair."""
+    m = algebra.m
+    out = []
+    for i in range(m):
+        for j in range(m):
+            if (i, j) != (0, 0):
+                res = quotient_mth_power(algebra.alpha ** (-i) * algebra.beta ** (-j), m)
+                if res is not None:
+                    out.append((i, j, *res))
+    return out
+
+
+def quotient_maximal_witnesses(algebra, nu):
+    """(alpha witness, beta witness), each the first (r, c, h) with value / nu^r = c h^m, or ValueError."""
+    m = algebra.m
+    for name, value in (("alpha", algebra.alpha), ("beta", algebra.beta)):
+        if quotient_mth_power(value, m) is not None:
+            raise ValueError(f"hypothesis violation: {name} is an m-th power up to constant")
+
+    def search(value):
+        for r in range(1, m):
+            res = quotient_mth_power(value / nu**r, m)
+            if res is not None:
+                return (r, *res)
+        return None
+
+    return search(algebra.alpha), search(algebra.beta)
+
+
+def multiplicity(p, q):
+    """Largest e with q^e | p, by repeated division (p nonzero, deg q >= 1)."""
+    e = 0
+    while True:
+        quo, rem = divmod(p, q)
+        if not rem.is_zero():
+            return e
+        p = quo
+        e += 1
+
+
+def dividing_power_free_over_kummer(alpha, m, beta, big_m):
+    """The tower certificate with v_b(f) = multiplicity(f.num, b) - multiplicity(f.den, b); True iff certified."""
+    parts = [q for f in (alpha, beta) for poly in (f.num, f.den) for q, _ in yun_full_loop(poly)]
+    basis = coprime_basis(parts)
+
+    def vals(f):
+        return [multiplicity(f.num, b) - multiplicity(f.den, b) for b in basis] + [f.den.degree - f.num.degree]
+
+    ram = [m // gcd(m, v) for v in vals(alpha)]
+    vb = vals(beta)
+    moduli = _prime_factors(big_m) + ([4] if big_m % 4 == 0 else [])
+    return all(any((e * v) % p for e, v in zip(ram, vb)) for p in moduli)
 
 
 def kummer_rule_by_power(field, rate):

@@ -14,8 +14,8 @@ from diffsym.deriv import (
 )
 from diffsym.linalg import solve_affine
 from diffsym.scalars import CycloField, RatFuncField
-from generators import random_element, random_trace_zero, random_valid_derivation
-from oracles import dividing_decompose, minor_identity_holds
+from generators import random_element, random_trace_zero, random_valid_derivation, sharing_radicands
+from oracles import dividing_decompose, minor_identity_holds, quotient_constants_standard
 
 
 def make_algebra(m, derivation="dt", alpha=None, beta=None):
@@ -251,6 +251,21 @@ def test_constants_standard_witnesses():
     assert (1, 2) in pairs
     alg2 = make_algebra(3)
     assert constants_standard(alg2) == []
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_constants_standard_agrees_with_the_quotient_loop(m, rng):
+    """Witnesses read off -i v_alpha - j v_beta equal those of one decomposed quotient alpha^-i beta^-j per (i, j)."""
+    k = RatFuncField(CycloField(m), "t")
+    kinds = {"power": 0, "not a power": 0}
+    for _ in range(6):
+        alpha, beta, _nu = sharing_radicands(k, m, rng)
+        alg = SymbolAlgebra(k, alpha, beta, m)
+        got = [(w.i, w.j, w.c, w.h) for w in constants_standard(alg)]
+        assert got == quotient_constants_standard(alg), (alpha, beta)
+        kinds["power"] += len(got)
+        kinds["not a power"] += m * m - 1 - len(got)
+    assert min(kinds.values()) >= 2, kinds
 
 
 def test_subfield_stability():

@@ -1,4 +1,4 @@
-"""Imports sit at module level, except where an import cycle forces a local one."""
+"""Imports sit at module level, except where an import cycle forces a local one; decompositions sit in powers."""
 
 import ast
 from pathlib import Path
@@ -31,3 +31,27 @@ def _local_imports(path: Path):
 def test_no_function_imports_beyond_the_forced_printers():
     found = [imp for path in sorted(SRC.rglob("*.py")) for imp in _local_imports(path)]
     assert [imp for imp in found if imp not in FORCED] == []
+
+
+# every m-th-power decision reads the valuation vectors of scalars/powers.py;
+# ode.py decomposes a denominator for its degree bound, which decides no power
+DECOMPOSERS = {
+    ("scalars/powers.py", "squarefree_decompose"),
+    ("scalars/powers.py", "coprime_basis"),
+    ("scalars/ode.py", "squarefree_decompose"),
+}
+
+
+def _decomposition_calls(path: Path):
+    """(file, function) for each call of squarefree_decompose or coprime_basis, by name or attribute."""
+    rel = path.relative_to(SRC).as_posix()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in ("squarefree_decompose", "coprime_basis"):
+                yield rel, name
+
+
+def test_decompositions_are_called_only_from_powers():
+    found = {call for path in sorted(SRC.rglob("*.py")) for call in _decomposition_calls(path)}
+    assert found == DECOMPOSERS

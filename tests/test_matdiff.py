@@ -12,7 +12,7 @@ from diffsym.matdiff import (
     verify_gauge,
 )
 from diffsym.scalars import CycloField, KummerField, PolyDiffField, RatFuncField
-from diffsym.split import PhiMap, compute_Ps, xi_extension
+from diffsym.split import PhiMap, xi_extension
 from diffsym.symalg import SymbolAlgebra
 from oracles import coercing_matrix_mul, dense_apply_dP, det_expansion, multiplied_det_certificate
 
@@ -107,7 +107,7 @@ def test_apply_dP_agrees_with_the_dense_oracle(m, rng):
     against X = Phi(u), Phi(v), 0 and random matrices, over k, k(xi) and a polynomial ring."""
     alg, phi, fields = _dp_fields(m, rng)
     k, e = fields["k"], fields["k(xi)"]
-    p_s = compute_Ps(phi)
+    p_s = phi.p_s
     # theta in k[v] with every v^j has a dense Phi(theta) over k; with u terms too, over k(xi)
     theta_v = sum((alg.v(j).scale(rng.randint(1, 3)) for j in range(m)), alg.zero_elem())
     theta = theta_v + alg.u().scale(k.gen()) + alg.monomial(m - 1, 1, rng.randint(1, 3))
@@ -147,7 +147,7 @@ def test_apply_dP_of_a_diagonal_P_takes_no_matrix_product(monkeypatch):
     t = k.gen()
     alg = SymbolAlgebra(k, t, t + 1, m)
     phi = PhiMap(alg, xi_extension(alg))
-    p, x = compute_Ps(phi), phi.apply(alg.v())
+    p, x = phi.p_s, phi.apply(alg.v())
     want = dense_apply_dP(p, x)
     calls = []
     product = DiffMatrix.__mul__

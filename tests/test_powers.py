@@ -15,11 +15,14 @@ from diffsym.scalars import (
     mth_power_up_to_constant,
     rational_nth_root,
 )
+from diffsym import SymbolAlgebra, split_standard
 from diffsym.cli import main
+from diffsym.deriv import constants_standard
 from diffsym.errors import SelfCheckError
-from diffsym.scalars import powers
+from diffsym.scalars import powers, valuations
 from diffsym.scalars.powers import _prime_factors, certify_power_free_over_kummer
-from oracles import quotient_mth_power
+from generators import sharing_radicands
+from oracles import dividing_power_free_over_kummer, quotient_mth_power
 
 
 @pytest.fixture
@@ -102,8 +105,67 @@ def test_a_corrupted_decomposition_is_a_self_check_failure(monkeypatch, capsys):
     k = RatFuncField(CycloField(2), "t")
     with pytest.raises(SelfCheckError):
         mth_power_up_to_constant(k.gen() + 1, 2)
-    assert main(["power-detect", "--m", "2", "--f", "t+1"]) == 3
-    assert capsys.readouterr().err == "internal self-check failed: power detection produced a non-constant cofactor\n"
+    # the reducible branch checks its verdict before deciding the constant
+    with pytest.raises(SelfCheckError):
+        kummer_vahlen_certify(k.gen() ** 2 * 4, 2)
+    for argv in (
+        ["power-detect", "--m", "2", "--f", "t+1"],
+        ["deriv", "constants", "--standard", "--m", "2", "--alpha", "t", "--beta", "t+1"],
+        # the hypothesis refusal reads alpha = t as a square: checked, not trusted
+        ["split", "maximal", "--m", "2", "--alpha", "t", "--beta", "t+1", "--nu", "t"],
+    ):
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().err == "internal self-check failed: power detection produced a non-constant cofactor\n"
+
+
+def test_valuations_count_multiplicities(k):
+    t = k.gen()
+    basis, (v,) = valuations((t + 1) ** 4 * t / (t + 2))
+    assert dict(zip(basis, v)) == {(t + 1).num: 4, t.num: 1, (t + 2).num: -1}
+    # one basis for all the inputs: t^2 - 1 splits against t + 1
+    basis, vectors = valuations(t + 2, t + 3, (t * t - 1) * 5, 1 / (t + 1))
+    assert set(basis) == {x.num for x in (t + 2, t + 3, t - 1, t + 1)}
+    want = [{t + 2: 1}, {t + 3: 1}, {t - 1: 1, t + 1: 1}, {t + 1: -1}]
+    assert [{b: e for b, e in zip(basis, v) if e} for v in vectors] == [{x.num: e for x, e in w.items()} for w in want]
+    assert valuations(k.coerce(7)) == ([], [[]])
+    with pytest.raises(ValueError):
+        valuations(t, k.zero())
+
+
+def _decompositions(monkeypatch):
+    """Record every non-constant polynomial that power detection decomposes."""
+    seen = []
+    decompose = powers.squarefree_decompose
+
+    def counted(p):
+        if p.degree > 0:
+            seen.append(p)
+        return decompose(p)
+
+    monkeypatch.setattr(powers, "squarefree_decompose", counted)
+    return seen
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 6, 12])
+def test_constants_standard_decomposes_each_radicand_once(m, monkeypatch):
+    """One decomposition of alpha's and of beta's numerator at every m, where a quotient per (i, j) took 3 to 143."""
+    k = RatFuncField(CycloField(m), "t")
+    t = k.gen()
+    alg = SymbolAlgebra(k, t**2 * (t + 1), t + 1, m)
+    seen = _decompositions(monkeypatch)
+    constants_standard(alg)
+    assert seen == [alg.alpha.num, alg.beta.num]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 12])
+def test_split_standard_decomposes_alpha_twice(m, monkeypatch):
+    """Once for z^m - alpha and once for the tower over k(xi), also at m = 6 and 12 with two primes p | m."""
+    k = RatFuncField(CycloField(m), "t")
+    t = k.gen()
+    alg = SymbolAlgebra(k, t * (t + 3), t + 5, m)
+    seen = _decompositions(monkeypatch)
+    split_standard(alg)
+    assert sum(p == alg.alpha.num for p in seen) == 2
 
 
 def test_kummer_vahlen_accepts(k):
@@ -131,6 +193,24 @@ def test_tower_certificate(k):
     with pytest.raises(ReducibleRadicandError):
         # valuations of alpha at every place of beta's support: inconclusive
         certify_power_free_over_kummer(t, 2, t**2, 2)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_tower_certificate_agrees_with_the_division_oracle(m, rng):
+    """Valuations on the joint basis give the certificate of multiplicities counted by repeated division."""
+    k = RatFuncField(CycloField(m), "t")
+    kinds = {True: 0, False: 0}
+    for _ in range(12):
+        alpha, beta, _nu = sharing_radicands(k, m, rng)
+        for big_m in sorted({2, 3, 4, m}):
+            if dividing_power_free_over_kummer(alpha, m, beta, big_m):
+                certify_power_free_over_kummer(alpha, m, beta, big_m)
+                kinds[True] += 1
+            else:
+                with pytest.raises(ReducibleRadicandError, match="inconclusive"):
+                    certify_power_free_over_kummer(alpha, m, beta, big_m)
+                kinds[False] += 1
+    assert min(kinds.values()) >= 2, kinds
 
 
 def test_int_nth_root_is_exact_for_large_integers():

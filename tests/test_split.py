@@ -17,7 +17,6 @@ from diffsym.split import (
     closed_form_P,
     compute_P,
     compute_P_with_diagnostics,
-    compute_Ps,
     find_twist_partner,
     _diagonal_split,
     maximal_subfield_necessary,
@@ -29,8 +28,15 @@ from diffsym.split import (
     verify_diff_isomorphism,
     xi_extension,
 )
-from generators import random_element, random_valid_derivation
-from oracles import compute_w, dense_phi, dense_phimap_relations, entrywise_P, full_basis_verdict
+from generators import random_element, random_valid_derivation, sharing_radicands
+from oracles import (
+    compute_w,
+    dense_phi,
+    dense_phimap_relations,
+    entrywise_P,
+    full_basis_verdict,
+    quotient_maximal_witnesses,
+)
 
 
 def make_algebra(m, derivation="dt"):
@@ -265,9 +271,9 @@ def test_the_isomorphism_check_applies_phi_twice(m, rng, monkeypatch):
 def test_ps_is_built_once_per_phimap():
     alg = make_algebra(3)
     phi = make_phi(alg)
-    assert compute_Ps(phi) is compute_Ps(phi)
-    assert compute_Ps(make_phi(alg)) is not compute_Ps(phi)
-    assert compute_Ps(make_phi(alg)) == compute_Ps(phi)
+    assert phi.p_s is phi.p_s
+    assert make_phi(alg).p_s is not phi.p_s
+    assert make_phi(alg).p_s == phi.p_s
 
 
 @pytest.mark.parametrize("m", [2, 4])
@@ -310,7 +316,7 @@ def test_transported_P_closed_form_and_iso(m, rng):
 def test_minus_phi_of_w_is_Ps(m):
     # the w-correction of Phi(theta - w) is the diagonal P_s that compute_P adds
     phi = make_phi(make_algebra(m))
-    assert phi.apply(-compute_w(phi)) == compute_Ps(phi)
+    assert phi.apply(-compute_w(phi)) == phi.p_s
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -329,7 +335,7 @@ def test_closed_form_matches_for_standard(rng):
     alg = make_algebra(3)
     phi = make_phi(alg)
     d = standard_derivation(alg)
-    assert closed_form_P(decompose(d), phi) == compute_Ps(phi)
+    assert closed_form_P(decompose(d), phi) == phi.p_s
 
 
 @pytest.mark.parametrize("m,deg", [(3, 9), (5, 25), (7, 49)])
@@ -488,6 +494,28 @@ def test_maximal_subfield_accepts_alpha_root():
     rep = maximal_subfield_necessary(alg, alg.alpha)
     assert rep.alpha_witness is not None
     assert rep.beta_witness is None
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 7])
+def test_maximal_subfield_agrees_with_the_quotient_loop(m, rng):
+    """Witnesses read off v - r v_nu equal those of one decomposed quotient value / nu^r per r, refusals included."""
+    k = RatFuncField(CycloField(m), "t")
+    kinds = {"witness": 0, "no witness": 0, "refused": 0}
+    for _ in range(10):
+        alpha, beta, nu = sharing_radicands(k, m, rng)
+        alg = SymbolAlgebra(k, alpha, beta, m)
+        try:
+            want = quotient_maximal_witnesses(alg, nu)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                maximal_subfield_necessary(alg, nu)
+            kinds["refused"] += 1
+            continue
+        rep = maximal_subfield_necessary(alg, nu)
+        assert (rep.alpha_witness, rep.beta_witness) == want, (alpha, beta, nu)
+        for wit in want:
+            kinds["no witness" if wit is None else "witness"] += 1
+    assert min(kinds["witness"], kinds["no witness"]) >= 2, kinds
 
 
 def test_maximal_subfield_hypothesis_guard():
