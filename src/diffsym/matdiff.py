@@ -379,13 +379,12 @@ def prop44_constants(p: DiffMatrix):
     basis = [DiffMatrix.unit(field, m, i, i) for i in range(1, m - 1)]
     gap = lambdas[m - 1] - lambdas[0]
     # x_00 = 1, x_{m-1,m-1} = 0 requires delta(x) + gap*x = -f
+    # gap != 0 (distinct lambdas), so the ODE has no homogeneous solution besides 0
     sol = rational_ode_solve(gap, -f)
     if sol.has_solution:
         xp = sol.particular
         basis.append(DiffMatrix.unit(field, m, 0, 0) + DiffMatrix.unit(field, m, 0, m - 1, xp))
         basis.append(DiffMatrix.unit(field, m, m - 1, m - 1) + DiffMatrix.unit(field, m, 0, m - 1, -xp))
-        for h in sol.homogeneous:
-            basis.append(DiffMatrix.unit(field, m, 0, m - 1, h))
     else:
         basis.append(DiffMatrix.unit(field, m, 0, 0) + DiffMatrix.unit(field, m, m - 1, m - 1))
     for x in basis:

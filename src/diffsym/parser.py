@@ -1,9 +1,12 @@
 """Text grammar for scalars, shared by the CLI and the JSON interfaces.
 
-    expr   := ['-'] term (('+'|'-') term)*
-    term   := factor (('*'|'/') factor)*
+    expr   := term (('+'|'-') term)*
+    term   := ['-'] factor (('*'|'/') ['-'] factor)*
     factor := atom ('^' ['-'] int)?
-    atom   := rational | name | '(' expr ')'
+    atom   := int | name | '(' expr ')'
+
+A '-' negates the factor after it: ``t*-3`` is ``-3*t``, ``t - -3`` is
+``t + 3`` and ``-t^2`` is -(t^2).
 
 A name is one of the generators of the field being parsed (its
 ``generators()``: w, t, xi, x0, ...).  Whitespace is insignificant.
@@ -54,21 +57,32 @@ def _tokenize(src: str):
 # Largest |exponent|, and largest t-degree a power may reach: the cost of a
 # power grows quadratically with its t-degree, so larger ones are usage errors.
 MAX_EXPONENT = 1000
+# Largest |e| times the bit length of the largest integer in the base, bounding
+# the integers of base^e below Python's 4,300-digit limit on printing an int.
+MAX_POWER_BITS = 10_000
 # Deepest nesting of parentheses: each level takes a few Python frames, so a
 # deeper one would exhaust the interpreter's recursion limit.
 MAX_DEPTH = 100
 
 
-def _t_degree(x) -> int:
-    """max(deg num, deg den) of a rational function, the degree of a polynomial; the largest
-    over the coefficients of a tower element or a symbol element; 0 for constants."""
-    if isinstance(x, RatFunc):
-        return max(x.num.degree, x.den.degree)
+def _size(x) -> tuple:
+    """(t-degree, bit length of the largest integer) of x's canonical form.
+
+    The t-degree of a rational function is max(deg num, deg den), and of a
+    constant 0; a tower or symbol element takes the largest over its coefficients.
+    """
+    if isinstance(x, CycloElem):
+        return 0, max(map(int.bit_length, (x.den, *x.num)))
     if isinstance(x, Poly):
-        return max(x.degree, 0)
-    if isinstance(x, SparseElem):
-        return max((_t_degree(c) for c in x.terms.values()), default=0)
-    return 0
+        return max(x.degree, 0), max((_size(c)[1] for c in x.coeffs), default=0)
+    if isinstance(x, RatFunc):
+        parts = (x.num, x.den)
+    elif isinstance(x, SparseElem):
+        parts = x.terms.values()
+    else:
+        return 0, 0
+    sizes = [_size(c) for c in parts]
+    return max((d for d, _ in sizes), default=0), max((b for _, b in sizes), default=0)
 
 
 _BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -126,14 +140,7 @@ class _Parser:
         return value
 
     def expr(self):
-        negate = False
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.advance()
-            negate = True
         value = self.term()
-        if negate:
-            value = -value
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
@@ -143,14 +150,21 @@ class _Parser:
                 return value
 
     def term(self):
-        value = self.factor()
+        value = self.signed_factor()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "*/":
                 self.advance()
-                value = self._binop(val, value, self.factor())
+                value = self._binop(val, value, self.signed_factor())
             else:
                 return value
+
+    def signed_factor(self):
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "-":
+            self.advance()
+            return -self.factor()
+        return self.factor()
 
     # -- the scalar ladder ---------------------------------------------------
 
@@ -193,8 +207,9 @@ class _Parser:
     def exponent(self, base, period: int = 1) -> int:
         """The integer e after an optional '^' (1 without one).
 
-        |e| and the t-degree of base^(e // period) are bounded; the period is m
-        for u^e = alpha^(e // m) u^(e mod m), and 1 for a plain power.
+        |e|, the t-degree of base^(e // period) and its integers' bit length
+        are bounded; the period is m for u^e = alpha^(e // m) u^(e mod m), and 1
+        for a plain power.
         """
         kind, val, pos = self.peek()
         if kind != "op" or val != "^":
@@ -210,9 +225,14 @@ class _Parser:
             raise ParseError(f"unexpected token {val!r}", pos, expected="integer exponent")
         self.advance()
         e = sign * int(val)
-        if abs(e) > MAX_EXPONENT or _t_degree(base) * abs(e // period) > MAX_EXPONENT:
+        n = abs(e // period)
+        degree, bits = _size(base) if n else (0, 0)
+        if abs(e) > MAX_EXPONENT or degree * n > MAX_EXPONENT:
             raise ParseError(
                 f"exponent {val} too large: |e| and t-degree * |e| must not exceed {MAX_EXPONENT}", pos)
+        if bits * n > MAX_POWER_BITS:
+            raise ParseError(
+                f"exponent {val} too large: coefficient bits * |e| must not exceed {MAX_POWER_BITS}", pos)
         return e
 
     def atom(self):

@@ -30,7 +30,9 @@ class OdeSolution:
 
 
 def _homogeneous_basis(field: RatFuncField, mu: CycloElem):
-    """Kernel of x -> delta(x) + mu x on k: {0} for mu != 0, constants for mu = 0."""
+    """Kernel of x -> delta(x) + mu x on k: constants for mu = 0, else {0}.
+
+    No nonzero rational x has x'/x = -mu != 0: x'/x is a sum of n/(t - a)."""
     if mu.is_zero():
         return [field.one()]
     return []
@@ -47,58 +49,31 @@ def rational_ode_solve(mu, g: RatFunc) -> OdeSolution:
         return OdeSolution(field.zero(), homogeneous)
 
     cyclo = field.cyclo
-    den_candidate = Poly.one(cyclo)
+    d_poly = Poly.one(cyclo)
     for q, j in squarefree_decompose(g.den):
         if j > 1:
-            den_candidate = den_candidate * q ** (j - 1)
-    rel_deg = g.degree() if g.degree() is not None else 0
-    bound = den_candidate.degree + max(rel_deg, 0) + 1
+            d_poly = d_poly * q ** (j - 1)
+    bound = d_poly.degree + max(g.degree(), 0) + 1
 
-    rhs_rf = g * field.from_poly(den_candidate) ** 2
-    if rhs_rf.den.degree != 0:
+    rhs = g * field.from_poly(d_poly) ** 2
+    if rhs.den.degree != 0:
         # a pole of g survives D^2: no rational solution (simple-pole obstruction)
         return OdeSolution(None, homogeneous)
-    rhs_poly = rhs_rf.num
 
-    d_poly = den_candidate
     d_deriv = d_poly.derivative()
     n_rows = bound + d_poly.degree + 2
-
     columns = []
     for i in range(bound + 1):
         basis = Poly(cyclo, [cyclo.zero()] * i + [cyclo.one()])
         img = basis.derivative() * d_poly - basis * d_deriv + basis * d_poly * mu
         columns.append([img.coeff(r) for r in range(n_rows)])
     matrix = [[columns[c][r] for c in range(bound + 1)] for r in range(n_rows)]
-    target = [rhs_poly.coeff(r) for r in range(n_rows)]
+    target = [rhs.num.coeff(r) for r in range(n_rows)]
 
-    particular_vec, kernel = solve_affine(matrix, target, cyclo)
-
-    def to_ratfunc(vec):
-        num = Poly(cyclo, vec)
-        return field.from_poly(num, d_poly)
-
-    particular = None
-    if particular_vec is not None:
-        particular = to_ratfunc(particular_vec)
-        if not particular.derive() + particular * field.coerce(mu) == g:
-            raise SelfCheckError("ODE particular solution failed verification")
-
-    hom = list(homogeneous)
-    for vec in kernel:
-        x = to_ratfunc(vec)
-        if x.is_zero():
-            continue
-        check = x.derive() + x * field.coerce(mu)
-        if not check.is_zero():
-            raise SelfCheckError("ODE homogeneous solution failed verification")
-        if not any((x - h).is_zero() or _proportional(x, h) for h in hom):
-            hom.append(x)
-    return OdeSolution(particular, hom)
-
-
-def _proportional(a: RatFunc, b: RatFunc) -> bool:
-    if a.is_zero() or b.is_zero():
-        return a.is_zero() and b.is_zero()
-    q = a / b
-    return q.is_constant()
+    particular_vec, _ = solve_affine(matrix, target, cyclo)
+    if particular_vec is None:
+        return OdeSolution(None, homogeneous)
+    particular = field.from_poly(Poly(cyclo, particular_vec), d_poly)
+    if not particular.derive() + particular * field.coerce(mu) == g:
+        raise SelfCheckError("ODE particular solution failed verification")
+    return OdeSolution(particular, homogeneous)

@@ -29,7 +29,7 @@ from .scalars import (
     mth_root,
     valuations,
 )
-from .symalg import SymbolAlgebra, SymbolElem, minimal_polynomial, twisted_centralizer
+from .symalg import SymbolAlgebra, SymbolElem, twisted_centralizer
 
 
 def xi_extension(algebra: SymbolAlgebra) -> KummerField:
@@ -344,7 +344,9 @@ def split_standard(algebra: SymbolAlgebra) -> SplitReport:
 
 
 def find_twist_partner(rho1: SymbolElem):
-    """Search for x with x rho1 = omega rho1 x and x^m scalar; None if absent."""
+    """The first twisted-centralizer basis vector x (x rho1 = omega rho1 x) with x^m a nonzero scalar.
+
+    None means that no basis vector works, not that no such x exists."""
     alg = rho1.algebra
     for x in twisted_centralizer(rho1, alg.omega):
         xm = x**alg.m
@@ -386,13 +388,16 @@ def split_inner_cyclic(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitReport:
     _require_zero_base(algebra)
     rho = algebra.coerce_elem(rho)
     m = algebra.m
-    if minimal_polynomial(rho).degree != m:
-        raise ValueError("rho does not generate a degree-m subfield")
     _require_u_polynomial(rho)
     phi = PhiMap(algebra, xi_extension(algebra))
     p = phi.apply(rho)
+    # k[u] = k(xi) is a field (its Kummer certificate) and Galois over k, as w is in k, so
+    # the diagonal rho(w^j xi) of P lists rho's conjugates: k(rho) has degree m iff they differ
+    rates = [p.rows[r][r] for r in range(m)]
+    if any(rates[r] == rates[s] for r in range(m) for s in range(r)):
+        raise ValueError("rho does not generate a degree-m subfield")
     eye = [[int(r == i) for i in range(m)] for r in range(m)]
-    return _exponential_split(phi, rho, p, [p.rows[r][r] for r in range(m)], eye)
+    return _exponential_split(phi, rho, p, rates, eye)
 
 
 def split_inner_even_half(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitReport:

@@ -72,3 +72,22 @@ def sharing_radicands(field, m: int, rng):
     beta = product() if rng.random() < 0.5 else related(alpha)
     nu = product() if rng.random() < 0.5 else related(alpha, beta)
     return alpha, beta, nu
+
+
+def random_u_polynomial(algebra, rng):
+    """A sum of 1-3 terms c u^(d j) with c a small nonzero integer, t added to the first.
+
+    Half the draws take d = 1; the rest a random divisor d of m, so rho lies in
+    k[u^d] and generates a subfield of degree at most m / d (a scalar at d = m).
+    The terms stay few because the minimal-polynomial oracle's elimination
+    swells with them at m = 7.
+    """
+    m = algebra.m
+    d = 1 if rng.random() < 0.5 else rng.choice([d for d in range(1, m + 1) if m % d == 0])
+    rho = algebra.zero_elem()
+    for n, i in enumerate(rng.sample(range(0, m, d), min(rng.randint(1, 3), m // d))):
+        c = algebra.field.coerce(rng.choice([-3, -2, -1, 1, 2, 3]))
+        if n == 0:
+            c = c + algebra.field.gen() * rng.randint(-1, 1)
+        rho = rho + algebra.u(i).scale(c)
+    return rho

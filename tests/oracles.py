@@ -53,16 +53,16 @@ diagonal entry.
 import operator
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from diffsym.deriv import validate
 from diffsym.errors import SelfCheckError
 from diffsym.linalg import invert_matrix, kernel_basis, solve_affine
 from diffsym.matdiff import DiffMatrix, _specialisation_points, _specialise
-from diffsym.parser import MAX_EXPONENT, ParseError, _wrap, scalar_to_str
-from diffsym.scalars import KummerElem, PolyDiffField, Poly, RatFunc
+from diffsym.parser import MAX_EXPONENT, MAX_POWER_BITS, ParseError, _wrap, scalar_to_str
+from diffsym.scalars import CycloElem, KummerElem, PolyDiffField, Poly, RatFunc
 from diffsym.scalars.monomial import PolyDiffElem
-from diffsym.scalars.ode import OdeSolution, _homogeneous_basis, _proportional
+from diffsym.scalars.ode import OdeSolution
 from diffsym.scalars.polys import QQ, coprime_basis, poly_extended_gcd, poly_gcd
 from diffsym.scalars.powers import _prime_factors
 from diffsym.split import IsoVerdict
@@ -226,7 +226,9 @@ def brute_force_ode_oracle(mu, g, degree_bound: int = 8) -> OdeSolution:
 
     Cross-checks rational_ode_solve on small instances; the ansatz
     denominator and degree bound are deliberately generous and independent of
-    the production solver's pole analysis.
+    the production solver's pole analysis.  The homogeneous part is the
+    ansatz kernel, each solution with a monic numerator and one per line, in
+    place of the solver's closed form.
     """
     field = g.parent
     mu = field.cyclo.coerce(mu)
@@ -235,29 +237,34 @@ def brute_force_ode_oracle(mu, g, degree_bound: int = 8) -> OdeSolution:
     max_deg = den.degree + degree_bound
     lhs_of = []
     n_rows = max_deg + den.degree + 2
-    rhs_rf = g * field.from_poly(den) ** 2
-    if rhs_rf.den.degree != 0:
-        return OdeSolution(None, _homogeneous_basis(field, mu))
-    rhs_poly = rhs_rf.num
     d_deriv = den.derivative()
     for i in range(max_deg + 1):
         basis = Poly(cyclo, [cyclo.zero()] * i + [cyclo.one()])
         img = basis.derivative() * den - basis * d_deriv + basis * den * mu
         lhs_of.append([img.coeff(r) for r in range(n_rows)])
     matrix = [[lhs_of[c][r] for c in range(max_deg + 1)] for r in range(n_rows)]
-    target = [rhs_poly.coeff(r) for r in range(n_rows)]
-    vec, kernel = solve_affine(matrix, target, cyclo)
-    particular = None
-    if vec is not None:
-        particular = field.from_poly(Poly(cyclo, vec), den)
-    hom = list(_homogeneous_basis(field, mu))
-    for v in kernel:
+    hom = []
+    for v in kernel_basis(matrix, cyclo):
         x = field.from_poly(Poly(cyclo, v), den)
-        if x.is_zero():
-            continue
-        if not any(_proportional(x, h) for h in hom):
-            hom.append(x)
+        if not x.is_zero():
+            x = field.from_poly(x.num.monic(), x.den)
+            if not any(_proportional(x, h) for h in hom):
+                hom.append(x)
+    rhs_rf = g * field.from_poly(den) ** 2
+    particular = None
+    if rhs_rf.den.degree == 0:
+        target = [rhs_rf.num.coeff(r) for r in range(n_rows)]
+        vec, _ = solve_affine(matrix, target, cyclo)
+        if vec is not None:
+            particular = field.from_poly(Poly(cyclo, vec), den)
     return OdeSolution(particular, hom)
+
+
+def _proportional(a: RatFunc, b: RatFunc) -> bool:
+    """True when a = c b for a constant c, or both are zero."""
+    if a.is_zero() or b.is_zero():
+        return a.is_zero() and b.is_zero()
+    return (a / b).is_constant()
 
 
 def _t_gamma(algebra, gamma):
@@ -633,6 +640,22 @@ def _oracle_t_degree(x):
     return max((_oracle_t_degree(c) for c in parts), default=0)
 
 
+def _oracle_bit_length(x):
+    """Largest bit length among the integers of x's Q(w) coefficients over their common denominators."""
+    if isinstance(x, CycloElem):
+        den = lcm(*(q.denominator for q in x.coeffs))
+        return max(abs(n).bit_length() for n in [den] + [q.numerator * (den // q.denominator) for q in x.coeffs])
+    if isinstance(x, RatFunc):
+        parts = list(x.num.coeffs) + list(x.den.coeffs)
+    elif isinstance(x, (KummerElem, PolyDiffElem)):
+        parts = x.terms.values()
+    elif isinstance(x, SymbolElem):
+        parts = (c for row in x.grid for c in row)
+    else:
+        return 0
+    return max((_oracle_bit_length(c) for c in parts), default=0)
+
+
 class _OracleParser:
     """Every subexpression in the context field itself: integers and names are
     coerced into it, and each operation is the field's own operator."""
@@ -657,24 +680,25 @@ class _OracleParser:
         return value
 
     def expr(self):
-        kind, val, _ = self.peek()
-        negate = kind == "op" and val == "-"
-        if negate:
-            self.advance()
         value = self.term()
-        if negate:
-            value = -value
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
             op = self.advance()[1]
             value = self.binop(op, value, self.term())
         return value
 
     def term(self):
-        value = self.factor()
+        value = self.signed_factor()
         while self.peek()[0] == "op" and self.peek()[1] in "*/":
             op = self.advance()[1]
-            value = self.binop(op, value, self.factor())
+            value = self.binop(op, value, self.signed_factor())
         return value
+
+    def signed_factor(self):
+        negate = self.peek()[:2] == ("op", "-")
+        if negate:
+            self.advance()
+        value = self.factor()
+        return -value if negate else value
 
     def binop(self, op, a, b):
         return _ORACLE_BINOPS[op](a, b)
@@ -702,6 +726,9 @@ class _OracleParser:
         if abs(e) > MAX_EXPONENT or _oracle_t_degree(base) * abs(e // period) > MAX_EXPONENT:
             raise ParseError(
                 f"exponent {val} too large: |e| and t-degree * |e| must not exceed {MAX_EXPONENT}", pos)
+        if _oracle_bit_length(base) * abs(e // period) > MAX_POWER_BITS:
+            raise ParseError(
+                f"exponent {val} too large: coefficient bits * |e| must not exceed {MAX_POWER_BITS}", pos)
         return e
 
     def atom(self):

@@ -19,7 +19,6 @@ from diffsym.scalars import (
     RatFuncField,
     rational_ode_solve,
 )
-from diffsym.scalars.ode import _proportional
 from diffsym.split import (
     PhiMap,
     compute_P,
@@ -32,7 +31,7 @@ from diffsym.split import (
     verify_diff_isomorphism,
 )
 from generators import random_element, random_trace_zero, random_valid_derivation
-from oracles import brute_force_ode_oracle, compute_w, dense_phi, entrywise_P, full_basis_verdict
+from oracles import _proportional, brute_force_ode_oracle, compute_w, dense_phi, entrywise_P, full_basis_verdict
 
 SEED = 20260823
 
@@ -285,6 +284,7 @@ def test_criterion_13_ode_oracle_agreement():
     rng = random.Random(SEED)
     k = RatFuncField(CycloField(2), "t")
     checked = 0
+    zero_mu = 0
     for _ in range(50):
         mu = k.cyclo.from_rational(rng.randint(0, 4))
         if rng.randrange(3) == 0:
@@ -295,12 +295,16 @@ def test_criterion_13_ode_oracle_agreement():
         sol = rational_ode_solve(mu, g)
         oracle = brute_force_ode_oracle(mu, g, degree_bound=8)
         assert sol.has_solution == oracle.has_solution
+        # the ansatz kernel holds no solution beyond the closed form
+        assert oracle.homogeneous == sol.homogeneous
         if sol.has_solution:
             assert sol.particular.derive() + sol.particular * k.coerce(mu) == g
             diff = sol.particular - oracle.particular
             assert diff.is_zero() or any(_proportional(diff, h) for h in sol.homogeneous)
         checked += 1
+        zero_mu += mu.is_zero()
     assert checked == 50
+    assert 0 < zero_mu < 50
 
 
 def test_criterion_14_quaternion_regression():

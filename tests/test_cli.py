@@ -77,6 +77,9 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
                  "--du", "u +", "--dv", "v"]) == 2
     assert main(["split", "standard", "--m", "2", "--alpha", "t^2", "--beta", "t+1"]) == 2
     assert main(["algebra", "check", "--m", "2", "--alpha", "0", "--beta", "t"]) == 2
+    capsys.readouterr()
+    assert main(["matdiff", "constants", "--m", "1", "--f", "1/t"]) == 2
+    assert capsys.readouterr().err == "error: need size at least 2\n"
     # an --m past its bound is refused before any field is built
     import diffsym.cli
 
@@ -183,6 +186,36 @@ def test_ode_solve_json(capsys, registry):
 def test_power_detect_exit_codes(capsys):
     assert main(["power-detect", "--m", "3", "--f", "t^2*(t+1)^3"]) == 1
     assert main(["power-detect", "--m", "3", "--f", "8*t^3/(t+1)^3"]) == 0
+
+
+@pytest.mark.parametrize("signed, plain", [
+    (["power-detect", "--m", "2", "--f", "t*-3"], ["power-detect", "--m", "2", "--f=-3*t"]),
+    (["power-detect", "--m", "2", "--f", "t/-2"], ["power-detect", "--m", "2", "--f=-t/2"]),
+    (["power-detect", "--m", "2", "--f", "(t^2-1)*-4"], ["power-detect", "--m", "2", "--f", "4-4*t^2"]),
+    (["split", "inner", "--m", "2", "--alpha", "t", "--beta", "t+1", "--rho", "u*-3"],
+     ["split", "inner", "--m", "2", "--alpha", "t", "--beta", "t+1", "--rho=-3*u"]),
+])
+def test_a_signed_factor_reads_as_its_negation(capsys, signed, plain):
+    first = main(signed), capsys.readouterr()
+    assert first == (main(plain), capsys.readouterr())
+    assert first[0] in (0, 1) and first[1].err == ""
+
+
+@pytest.mark.parametrize("argv, err", [
+    # v^2 generates a degree-2 subfield, but the u-polynomial test comes first
+    (["--m", "4", "--alpha", "t", "--beta", "t+1", "--rho", "v^2"],
+     "error: rho must be written as a polynomial in u; "
+     "rewrite it over a Kummer generator first (see find_twist_partner)\n"),
+    # a scalar generates no degree-m subfield, but the radicand's certificate comes first
+    (["--m", "2", "--alpha", "t^2", "--beta", "t+1", "--rho", "3"],
+     "error: radicand is a 2-th power in the base field (z^2 - a reducible)\n"),
+    (["--m", "4", "--alpha", "t", "--beta", "t+1", "--rho", "u^2 + 1"],
+     "error: rho does not generate a degree-m subfield\n"),
+])
+def test_split_inner_refusals(capsys, argv, err):
+    assert main(["split", "inner", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == err and captured.out == ""
 
 
 def test_huge_exponent_is_a_usage_error(capsys):
@@ -411,6 +444,9 @@ _BOUND = "too large: |e| and t-degree * |e| must not exceed 1000 at position"
     (_SCALAR + ["2^-1001"], f"error: exponent 1001 {_BOUND} 3\n"),
     (_IMAGES + ["u/(u-u)"], "error: inverse of zero\n"),
     (_IMAGES + ["(u-u)^-1"], "error: inverse of zero\n"),
+    (["power-detect", "--m", "2", "--f", "((2^1000)^1000)^100"],
+     "error: exponent 1000 too large: coefficient bits * |e| must not exceed 10000 at position 10\n"),
+    (["power-detect", "--m", "2", "--f", "t*--3"], "error: unexpected token '-' at position 3 (expected atom)\n"),
 ])
 def test_input_errors_on_every_rung_of_the_parser(capsys, argv, err):
     # division by zero reads the same whether the divisor is in Q(w), Q(w)[t] or Q(w)(t)

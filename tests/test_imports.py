@@ -55,3 +55,39 @@ def _decomposition_calls(path: Path):
 def test_decompositions_are_called_only_from_powers():
     found = {call for path in sorted(SRC.rglob("*.py")) for call in _decomposition_calls(path)}
     assert found == DECOMPOSERS
+
+
+# a generic elimination runs only in symalg's kernels of powers and
+# commutators, the determinant certificate and the ODE's linear system:
+# (file, calling function, eliminator)
+ELIMINATORS = {
+    ("symalg.py", "twisted_centralizer", "kernel_basis"),
+    ("symalg.py", "_minimal_polynomial", "kernel_basis"),
+    ("symalg.py", "minimal_polynomial", "_minimal_polynomial"),
+    ("symalg.py", "in_generated_subfield", "solve_affine"),
+    ("symalg.py", "inverse_via_minimal_polynomial", "_minimal_polynomial"),
+    ("matdiff.py", "det_certificate", "kernel_basis"),
+    ("scalars/ode.py", "rational_ode_solve", "solve_affine"),
+}
+_ELIMINATIONS = ("kernel_basis", "solve_affine", "minimal_polynomial", "_minimal_polynomial")
+
+
+def _elimination_calls(node, rel: str, fn=None):
+    """(file, innermost enclosing function, callee) for each call of an eliminator, by name or attribute."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        fn = node.name
+    elif isinstance(node, ast.Call):
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name in _ELIMINATIONS:
+            yield rel, fn, name
+    for child in ast.iter_child_nodes(node):
+        yield from _elimination_calls(child, rel, fn)
+
+
+def test_generic_eliminations_are_called_only_from_symalg_det_and_ode():
+    found = {
+        call
+        for path in sorted(SRC.rglob("*.py"))
+        for call in _elimination_calls(ast.parse(path.read_text(), str(path)), path.relative_to(SRC).as_posix())
+    }
+    assert found == ELIMINATORS

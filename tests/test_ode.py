@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 
 from diffsym.scalars import CycloField, RatFuncField, rational_ode_solve
-from diffsym.scalars.ode import _proportional
-from oracles import brute_force_ode_oracle
+from oracles import _proportional, brute_force_ode_oracle
 
 
 @pytest.fixture
@@ -65,6 +64,7 @@ def test_homogeneous_space(k):
 
 def test_oracle_agreement_seeded(k, rng):
     agree = 0
+    zero_mu = 0
     for _ in range(50):
         mode = rng.randrange(3)
         mu = k.cyclo.from_rational(Fraction(rng.randint(0, 4)))
@@ -76,9 +76,13 @@ def test_oracle_agreement_seeded(k, rng):
         sol = rational_ode_solve(mu, g)
         oracle = brute_force_ode_oracle(mu, g, degree_bound=8)
         assert sol.has_solution == oracle.has_solution
+        # the ansatz kernel holds no solution beyond the closed form
+        assert oracle.homogeneous == sol.homogeneous
         if sol.has_solution:
             diff = sol.particular - oracle.particular
             hom = sol.homogeneous
             assert diff.is_zero() or any(_proportional(diff, h) for h in hom)
         agree += 1
+        zero_mu += mu.is_zero()
     assert agree == 50
+    assert 0 < zero_mu < 50

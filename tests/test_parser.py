@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from oracles import field_parse_scalar, symbol_elem_parse_symbol
 
-from diffsym.parser import MAX_DEPTH, ParseError, parse_scalar, parse_symbol, scalar_to_str
+from diffsym.parser import MAX_DEPTH, MAX_POWER_BITS, ParseError, _Parser, parse_scalar, parse_symbol, scalar_to_str
 from diffsym.scalars import (
     CycloField,
     KummerField,
@@ -295,6 +295,55 @@ def test_large_powers_are_rejected_before_any_arithmetic(monkeypatch):
     assert not products
 
 
+def test_powers_with_large_integers_are_rejected_before_the_power(monkeypatch):
+    k = RatFuncField(CycloField(3), "t")
+    with pytest.raises(ParseError) as info:
+        parse_scalar("((2^1000)^1000)^100", k)  # 1001 bits times 1000
+    assert info.value.position == 10
+    assert str(info.value) == (
+        f"exponent 1000 too large: coefficient bits * |e| must not exceed {MAX_POWER_BITS} at position 10")
+    assert MAX_POWER_BITS == 10_000
+    assert parse_scalar("10^401*t^2", k) == k.coerce(10**401) * k.gen() ** 2  # 4 bits times 401
+    assert parse_scalar("(2^1000)^9", k) == k.coerce(2**9000)
+    assert parse_scalar("(1/3 + w/5)^-1000", k) == (k.coerce(Fraction(1, 3)) + k.coerce(k.cyclo.omega()) / 5) ** -1000
+    # u^e is alpha^(e // m): 333 bits of 10^100 times 31
+    alg = SymbolAlgebra(k, k.gen() * 10**100, k.gen() + k.one(), 3)
+    assert parse_symbol("u^90", alg) == alg.scalar(alg.alpha**30)
+    with pytest.raises(ParseError, match="coefficient bits"):
+        parse_symbol("u^93", alg)
+    # the bound is checked before base^e is computed
+    powers = []
+    monkeypatch.setattr(_Parser, "_power", lambda self, x, e: powers.append(e))
+    with pytest.raises(ParseError, match="coefficient bits"):
+        parse_scalar("(" + "9" * 400 + "*t)^100", k)
+    assert not powers
+
+
+def test_a_minus_sign_may_precede_any_factor():
+    k = RatFuncField(CycloField(3), "t")
+    t = k.gen()
+    for src, want in (
+        ("t*-3", -3 * t),
+        ("t/-2", t / -2),
+        ("t - -3", t + 3),
+        ("t + -3", t - 3),
+        ("-t^2", -(t**2)),
+        ("-2^2", k.coerce(-4)),
+        ("2^-1*-t", -t / 2),
+        ("(t+1)*-(t-1)", 1 - t**2),
+    ):
+        assert parse_scalar(src, k) == want, src
+    alg = SymbolAlgebra(k, t, t + k.one(), 3)
+    assert parse_symbol("u*-v", alg) == -(alg.u() * alg.v())
+    assert parse_symbol("-v*u", alg) == -(alg.v() * alg.u())
+    assert parse_symbol("u - -v^2", alg) == alg.u() + alg.v(2)
+    # one sign per factor
+    for src, position in (("--3", 1), ("t*--3", 3), ("t - - -3", 6)):
+        with pytest.raises(ParseError) as info:
+            parse_scalar(src, k)
+        assert str(info.value) == f"unexpected token '-' at position {position} (expected atom)"
+
+
 def test_constant_coefficients_print_without_doubled_parentheses(rng):
     from diffsym.parser import _wrap, symbol_to_str
 
@@ -384,7 +433,8 @@ def test_quotient_atoms_inside_products_round_trip():
 
 def _random_expr(rng, depth, atom, divisor, powers):
     """A signed sum of 1-3 terms, each a product or quotient of 1-3 factors; a
-    factor after '/' comes from divisor, and a parenthesised one may take a power."""
+    factor after '/' comes from divisor, a parenthesised one may take a power,
+    and any one may carry a '-'."""
     terms = []
     for _ in range(rng.randint(1, 3)):
         factors = []
@@ -398,7 +448,7 @@ def _random_expr(rng, depth, atom, divisor, powers):
                     factor += f"^{rng.choice(powers)}"
             else:
                 factor = atom(rng)
-            factors.append(op + factor)
+            factors.append(op + ("-" if rng.random() < 0.15 else "") + factor)
         terms.append("".join(factors))
     text = terms[0] + "".join(rng.choice((" + ", " - ")) + term for term in terms[1:])
     return "-" + text if rng.random() < 0.2 else text
@@ -414,9 +464,9 @@ def _scalar_atom(rng):
 
 
 def _corrupt(rng, src):
-    """src with a stray character, an unknown name or an exponent past the bound inserted."""
+    """src with a stray character, an unknown name, a doubled sign or a power past a bound inserted."""
     at = rng.randrange(len(src) + 1)
-    return src[:at] + rng.choice(("$", ")", "(", "^", "+", " x", "^1001", "^-2000", "2t")) + src[at:]
+    return src[:at] + rng.choice(("$", ")", "(", "^", "+", " x", "^1001", "^-2000", "2t", "--", "(7^999)^9")) + src[at:]
 
 
 def _outcome(parse, src, context):

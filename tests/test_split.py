@@ -4,6 +4,7 @@ import copy
 
 import pytest
 
+import diffsym.linalg
 import diffsym.matdiff
 from diffsym import SymbolAlgebra, decompose, inner_derivation, split_standard, standard_derivation
 from diffsym.deriv import validate
@@ -11,6 +12,7 @@ from diffsym.errors import SelfCheckError
 from diffsym.matdiff import DiffMatrix, apply_dP
 from diffsym.parser import parse_scalar
 from diffsym.scalars import CycloField, KummerElem, KummerField, RatFuncField
+from diffsym.symalg import minimal_polynomial
 from diffsym.split import (
     IsoVerdict,
     PhiMap,
@@ -28,7 +30,7 @@ from diffsym.split import (
     verify_diff_isomorphism,
     xi_extension,
 )
-from generators import random_element, random_valid_derivation, sharing_radicands
+from generators import random_element, random_u_polynomial, random_valid_derivation, sharing_radicands
 from oracles import (
     compute_w,
     dense_phi,
@@ -377,6 +379,42 @@ def test_split_inner_rejects_degenerate():
         split_inner_cyclic(alg, alg.v())    # not a polynomial in u
     with pytest.raises(ValueError):
         split_inner_cyclic(make_algebra(2), alg.u())  # nonzero base derivation
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_split_inner_degree_test_agrees_with_the_minimal_polynomial(m, rng):
+    # accepted exactly when rho's minimal polynomial has degree m: 42 rho per m
+    alg = make_algebra(m, derivation="zero")
+    rhos = [alg.zero_elem(), alg.scalar(3), alg.scalar(alg.field.gen())]
+    rhos += [alg.u(d) for d in range(1, m + 1) if m % d == 0]
+    rhos += [random_u_polynomial(alg, rng) for _ in range(42 - len(rhos))]
+    accepted = []
+    for rho in rhos:
+        try:
+            rep = split_inner_cyclic(alg, rho)
+        except ValueError as exc:
+            assert str(exc) == "rho does not generate a degree-m subfield"
+            accepted.append(False)
+        else:
+            assert rep.passed and rep.transcendence_degree == m
+            accepted.append(True)
+        assert accepted[-1] == (minimal_polynomial(rho).degree == m), rho
+    assert len(accepted) == 42 and True in accepted and False in accepted
+
+
+def test_split_inner_performs_no_elimination(monkeypatch):
+    def no_elimination(*args):
+        raise AssertionError("an elimination ran")
+
+    monkeypatch.setattr(diffsym.linalg, "_rref", no_elimination)
+    alg = make_algebra(7, derivation="zero")
+    t = alg.field.gen()
+    rho = sum((alg.u(i).scale(c) for i, c in enumerate([t + 1, 2 * t - 1, t + 3, t - 2, 5, t], 1)), alg.zero_elem())
+    assert split_inner_cyclic(alg, rho).passed
+    with pytest.raises(ValueError, match="degree-m subfield"):
+        split_inner_cyclic(alg, alg.scalar(t))
+    with pytest.raises(AssertionError, match="an elimination ran"):
+        minimal_polynomial(rho)  # the oracle eliminates, so the patch is live
 
 
 @pytest.mark.parametrize("m", [2, 4])
