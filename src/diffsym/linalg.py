@@ -57,25 +57,20 @@ def kernel_basis(matrix, field):
 
 
 def solve_affine(matrix, rhs, field):
-    """All solutions of M x = b: (particular or None, kernel basis).
-
-    One elimination serves both: the left block of the reduced augmented
-    matrix is the reduced M, with the same pivots.
-    """
+    """One solution of M x = b, or None when the system is inconsistent."""
     if not matrix:
-        return [], []
+        return []
     ncols = len(matrix[0])
     rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
     pivots = _rref(rows, field, ncols)
-    kernel = _kernel_from_rref(rows, pivots, field, ncols)
     # inconsistent iff a row is (0 ... 0 | nonzero)
     for row in rows:
         if all(x.is_zero() for x in row[:-1]) and not row[-1].is_zero():
-            return None, kernel
+            return None
     particular = [field.zero()] * ncols
     for r, pc in enumerate(pivots):
         particular[pc] = rows[r][-1]
-    return particular, kernel
+    return particular
 
 
 def invert_matrix(matrix, field):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import SelfCheckError
 from .linalg import kernel_basis
 from .parser import scalar_to_str
-from .scalars import PolyDiffField, RatFunc, RatFuncField, mth_power_up_to_constant, rational_ode_solve
+from .scalars import PolyDiffField, RatFuncField, rational_ode_solve
 from .scalars.elem import FieldElem
 
 
@@ -391,66 +391,3 @@ def prop44_constants(p: DiffMatrix):
         if not apply_dP(p, x).is_zero():
             raise SelfCheckError("constants basis element failed d_P(X) = 0")
     return basis
-
-
-@dataclass
-class RefutationReport:
-    applies: bool
-    refuted: bool
-    reason: str
-    details: list
-
-    def to_json(self):
-        return {
-            "applies": self.applies,
-            "refuted": self.refuted,
-            "reason": self.reason,
-            "details": list(self.details),
-        }
-
-
-def no_cyclic_subfield_witness(p: DiffMatrix, x: DiffMatrix, nu: RatFunc) -> RefutationReport:
-    """Run the contradiction chain showing k(X), X^m = nu, is not d_P-stable.
-
-    A test harness over caller-supplied candidates, not a decision procedure
-    over all cyclic subfields.
-    """
-    field = p.field
-    details = []
-    try:
-        lambdas, f = _prop44_shape(p)
-    except ValueError as exc:
-        return RefutationReport(False, False, f"hypothesis failure: {exc}", details)
-    if f.is_zero():
-        return RefutationReport(False, False, "hypothesis failure: corner entry f is zero", details)
-    m = p.size
-    nu = field.coerce(nu)
-    power = mth_power_up_to_constant(nu, m)
-    if power is not None:
-        return RefutationReport(False, False, "precondition violation: nu is an m-th power up to constant", details)
-    xm = x**m
-    nu_identity = DiffMatrix.identity(field, m).scale(nu)
-    if not xm == nu_identity:
-        return RefutationReport(True, True, "candidate rejected: X^m != nu*I", details)
-    mu = nu.derive() / (nu * m)
-    residual = apply_dP(p, x) - x.scale(mu)
-    if not residual.is_zero():
-        for r in range(m):
-            for c in range(m):
-                if not residual.rows[r][c].is_zero():
-                    details.append(f"d_P(X) != (delta(nu)/(m nu)) X at entry ({r},{c})")
-                    break
-        return RefutationReport(True, True, "d_P does not restrict to the derivation of k(X)", details)
-    # stability holds, so the degree argument forces the off-diagonal to
-    # vanish and the diagonal entries to be m-th roots of nu
-    for r in range(m):
-        for c in range(m):
-            if r != c and (r, c) != (0, m - 1) and not x.rows[r][c].is_zero():
-                details.append(f"degree argument violated at entry ({r},{c})")
-                return RefutationReport(True, True, "stable candidate contradicts the degree argument", details)
-    for r in range(m):
-        if not x.rows[r][r] ** m == nu:
-            details.append(f"diagonal entry ({r},{r}) is not an m-th root of nu")
-            return RefutationReport(True, True, "stable candidate fails the diagonal power identity", details)
-    details.append("diagonal entries exhibit nu as an m-th power in k, contradicting the precondition")
-    return RefutationReport(True, True, "nu would be an m-th power", details)

@@ -54,15 +54,29 @@ def _tokenize(src: str):
     return tokens
 
 
-# Largest |exponent|, and largest t-degree a power may reach: the cost of a
-# power grows quadratically with its t-degree, so larger ones are usage errors.
+# Largest |exponent|, and largest t-degree a power, a product in Q(w)[t] or a
+# whole expression may reach: the cost of a power grows quadratically with its
+# t-degree, so larger ones are usage errors.
 MAX_EXPONENT = 1000
-# Largest |e| times the bit length of the largest integer in the base, bounding
-# the integers of base^e below Python's 4,300-digit limit on printing an int.
+# Largest |e| times the bit length of the largest integer in the base, and the
+# largest bit length in a product in Q(w)[t] or a whole expression: no value
+# that parses holds an integer past Python's 4,300-digit limit on printing one.
 MAX_POWER_BITS = 10_000
 # Deepest nesting of parentheses: each level takes a few Python frames, so a
 # deeper one would exhaust the interpreter's recursion limit.
 MAX_DEPTH = 100
+
+
+def _bits(coeffs) -> int:
+    """Bit length of the largest integer among the numerators and denominators of Q(w) elements."""
+    top = 0
+    for c in coeffs:
+        num, den = max(map(int.bit_length, c.num)), c.den.bit_length()
+        if num > top:
+            top = num
+        if den > top:
+            top = den
+    return top
 
 
 def _size(x) -> tuple:
@@ -71,18 +85,35 @@ def _size(x) -> tuple:
     The t-degree of a rational function is max(deg num, deg den), and of a
     constant 0; a tower or symbol element takes the largest over its coefficients.
     """
-    if isinstance(x, CycloElem):
-        return 0, max(map(int.bit_length, (x.den, *x.num)))
     if isinstance(x, Poly):
-        return max(x.degree, 0), max((_size(c)[1] for c in x.coeffs), default=0)
+        return max(x.degree, 0), _bits(x.coeffs)
+    if isinstance(x, CycloElem):
+        return 0, _bits((x,))
     if isinstance(x, RatFunc):
-        parts = (x.num, x.den)
-    elif isinstance(x, SparseElem):
-        parts = x.terms.values()
-    else:
-        return 0, 0
-    sizes = [_size(c) for c in parts]
-    return max((d for d, _ in sizes), default=0), max((b for _, b in sizes), default=0)
+        num, den = x.num, x.den
+        return max(num.degree, den.degree), _bits(num.coeffs + den.coeffs)
+    degree = bits = 0
+    if isinstance(x, SparseElem):
+        for c in x.terms.values():
+            d, b = _size(c)
+            degree, bits = max(degree, d), max(bits, b)
+    return degree, bits
+
+
+def _check_size(x, position: int, op: str | None = None):
+    """Refuse x, the result of op or (op None) a whole expression, past the bounds a power obeys."""
+    degree, bits = _size(x)
+    if degree > MAX_EXPONENT or bits > MAX_POWER_BITS:
+        what = "expression" if op is None else f"result of {op!r}"
+        if degree > MAX_EXPONENT:
+            raise ParseError(f"{what} too large: t-degree must not exceed {MAX_EXPONENT}", position)
+        raise ParseError(f"{what} too large: coefficient bits must not exceed {MAX_POWER_BITS}", position)
+
+
+def _is_polynomial(x) -> bool:
+    """x lies in Q(w)[t]: on rung 0 or 1 of the ladder, or a rational function with constant denominator."""
+    kind = type(x)
+    return kind is CycloElem or kind is Poly or (kind is RatFunc and x.den.degree == 0)
 
 
 _BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -137,6 +168,7 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {val!r}", pos, expected="end of input")
+        _check_size(value, 0)
         return value
 
     def expr(self):
@@ -152,10 +184,14 @@ class _Parser:
     def term(self):
         value = self.signed_factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "*/":
                 self.advance()
                 value = self._binop(val, value, self.signed_factor())
+                # a polynomial product is bounded as a power is: sizing every
+                # product, symbol products included, would cost far more
+                if _is_polynomial(value):
+                    _check_size(value, pos, val)
             else:
                 return value
 

@@ -70,7 +70,7 @@ def rational_ode_solve(mu, g: RatFunc) -> OdeSolution:
     matrix = [[columns[c][r] for c in range(bound + 1)] for r in range(n_rows)]
     target = [rhs.num.coeff(r) for r in range(n_rows)]
 
-    particular_vec, _ = solve_affine(matrix, target, cyclo)
+    particular_vec = solve_affine(matrix, target, cyclo)
     if particular_vec is None:
         return OdeSolution(None, homogeneous)
     particular = field.from_poly(Poly(cyclo, particular_vec), d_poly)

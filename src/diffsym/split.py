@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .deriv import Derivation, decompose, inner_derivation, standard_derivation, subfield_stable
+from .deriv import Derivation, decompose, inner_derivation, standard_derivation
 from .errors import SelfCheckError
 from .matdiff import DiffMatrix, GaugeVerdict, _matrix, apply_dP, verify_gauge
 from .parser import scalar_to_str
@@ -190,7 +190,7 @@ def compute_P(d: Derivation, phi: PhiMap) -> DiffMatrix:
 
 
 def compute_P_with_diagnostics(d: Derivation, phi: PhiMap):
-    """(P, diagnostics) for callers that take a pair; P has one path, so the list is empty."""
+    """(compute_P(d, phi), []): kept only for the split-generic benchmark workload and its tracer, which take a pair."""
     return compute_P(d, phi), []
 
 
@@ -458,48 +458,6 @@ def split_generic(p: DiffMatrix) -> SplitReport:
         gauge=gauge,
         isomorphism=None,
     )
-
-
-@dataclass
-class NormSplitReport:
-    p: int
-    c: object
-    ok: bool
-
-    def to_json(self):
-        return {"p": self.p, "c": scalar_to_str(self.c), "ok": self.ok}
-
-
-def norm_split_check(algebra: SymbolAlgebra, d: Derivation, theta: SymbolElem) -> NormSplitReport:
-    """From a constant theta outside k(u), produce c with (alpha, c beta^p) split.
-
-    Requires x^m - alpha irreducible, so the norm is the full product of the
-    m conjugates xi -> w^j xi.
-    """
-    theta = algebra.coerce_elem(theta)
-    if not d.apply(theta).is_zero():
-        raise ValueError("theta must be a constant of d")
-    if not subfield_stable(d, algebra.u()):
-        raise ValueError("d must preserve k(u)")
-    m = algebra.m
-    p = min((j for _, j in theta.terms if j), default=None)
-    if p is None:
-        raise ValueError("theta lies in k(u); no invertible v-component")
-    xi_field = xi_extension(algebra)
-    theta_p = xi_field.zero()
-    xi = xi_field.gen()
-    for (i, j), c in theta.terms.items():
-        if j == p:
-            theta_p = theta_p + xi**i * xi_field.coerce(c)
-    gamma = theta_p.inv()
-    norm = xi_field.one()
-    for j in range(m):
-        norm = norm * gamma.conjugate(j)
-    if not norm.is_base():
-        raise SelfCheckError("norm did not land in the base field")
-    c = norm.base_value() / algebra.beta**p
-    ok = c.derive().is_zero()
-    return NormSplitReport(p=p, c=c, ok=ok)
 
 
 @dataclass

@@ -315,8 +315,7 @@ def minimal_polynomial(a: SymbolElem) -> Poly:
 
 def in_generated_subfield(x: SymbolElem, gamma: SymbolElem) -> bool:
     """True iff x lies in k[gamma] = span{1, gamma, ..., gamma^m}."""
-    sol, _ = solve_affine(_columns(_powers(gamma)), x.to_vector(), x.algebra.field)
-    return sol is not None
+    return solve_affine(_columns(_powers(gamma)), x.to_vector(), x.algebra.field) is not None
 
 
 def inverse_via_minimal_polynomial(gamma: SymbolElem) -> SymbolElem:

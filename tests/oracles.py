@@ -254,7 +254,7 @@ def brute_force_ode_oracle(mu, g, degree_bound: int = 8) -> OdeSolution:
     particular = None
     if rhs_rf.den.degree == 0:
         target = [rhs_rf.num.coeff(r) for r in range(n_rows)]
-        vec, _ = solve_affine(matrix, target, cyclo)
+        vec = solve_affine(matrix, target, cyclo)
         if vec is not None:
             particular = field.from_poly(Poly(cyclo, vec), den)
     return OdeSolution(particular, hom)
@@ -586,7 +586,7 @@ def growing_minimal_polynomial(a):
         target = (powers[-1] * a).to_vector()
         n = len(target)
         matrix = [[vecs[c][r] for c in range(len(vecs))] for r in range(n)]
-        sol, _ = solve_affine(matrix, target, field)
+        sol = solve_affine(matrix, target, field)
         if sol is not None:
             # a^d = sum sol_i a^i  =>  p = z^d - sum sol_i z^i
             coeffs = [-c for c in sol] + [field.one()]
@@ -604,7 +604,7 @@ def span_of_powers_contains(x, gamma, d):
         powers.append(powers[-1] * gamma)
     vecs = [p.to_vector() for p in powers]
     matrix = [[v[r] for v in vecs] for r in range(alg.m**2)]
-    sol, _ = solve_affine(matrix, x.to_vector(), alg.field)
+    sol = solve_affine(matrix, x.to_vector(), alg.field)
     return sol is not None
 
 # -- the expression evaluator over the whole field ----------------------------
@@ -656,6 +656,14 @@ def _oracle_bit_length(x):
     return max((_oracle_bit_length(c) for c in parts), default=0)
 
 
+def _oracle_check_size(x, what, pos):
+    """The parser's size bounds, read off x in the whole field."""
+    if _oracle_t_degree(x) > MAX_EXPONENT:
+        raise ParseError(f"{what} too large: t-degree must not exceed {MAX_EXPONENT}", pos)
+    if _oracle_bit_length(x) > MAX_POWER_BITS:
+        raise ParseError(f"{what} too large: coefficient bits must not exceed {MAX_POWER_BITS}", pos)
+
+
 class _OracleParser:
     """Every subexpression in the context field itself: integers and names are
     coerced into it, and each operation is the field's own operator."""
@@ -677,6 +685,7 @@ class _OracleParser:
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {val!r}", pos, expected="end of input")
+        _oracle_check_size(value, "expression", 0)
         return value
 
     def expr(self):
@@ -689,8 +698,11 @@ class _OracleParser:
     def term(self):
         value = self.signed_factor()
         while self.peek()[0] == "op" and self.peek()[1] in "*/":
-            op = self.advance()[1]
+            _, op, pos = self.advance()
             value = self.binop(op, value, self.signed_factor())
+            # a product or quotient that lies in Q(w)[t] is bounded as a power is
+            if isinstance(value, CycloElem) or (isinstance(value, RatFunc) and value.den.degree == 0):
+                _oracle_check_size(value, f"result of {op!r}", pos)
         return value
 
     def signed_factor(self):

@@ -22,7 +22,6 @@ from diffsym.scalars import (
 from diffsym.split import (
     PhiMap,
     compute_P,
-    compute_P_with_diagnostics,
     maximal_subfield_necessary,
     split_generic,
     split_inner_cyclic,
@@ -211,7 +210,7 @@ def test_criterion_10_generic_splitting():
     alg = make_algebra(2)
     phi = make_phi(alg)
     d = random_valid_derivation(alg, rng)
-    p, _ = compute_P_with_diagnostics(d, phi)
+    p = compute_P(d, phi)
     rep = split_generic(p)
     assert rep.passed
     assert rep.gauge.det_nonzero

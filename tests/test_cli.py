@@ -447,6 +447,10 @@ _BOUND = "too large: |e| and t-degree * |e| must not exceed 1000 at position"
     (["power-detect", "--m", "2", "--f", "((2^1000)^1000)^100"],
      "error: exponent 1000 too large: coefficient bits * |e| must not exceed 10000 at position 10\n"),
     (["power-detect", "--m", "2", "--f", "t*--3"], "error: unexpected token '-' at position 3 (expected atom)\n"),
+    (["power-detect", "--m", "2", "--f", "(2^1000)^9*(2^1000)^9*t^2"],
+     "error: result of '*' too large: coefficient bits must not exceed 10000 at position 10\n"),
+    (["power-detect", "--m", "2", "--f", "*".join(["(2^1000)^9"] * 200) + "*t^2"],
+     "error: result of '*' too large: coefficient bits must not exceed 10000 at position 10\n"),
 ])
 def test_input_errors_on_every_rung_of_the_parser(capsys, argv, err):
     # division by zero reads the same whether the divisor is in Q(w), Q(w)[t] or Q(w)(t)

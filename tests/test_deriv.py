@@ -124,7 +124,7 @@ def _oracle_theta(d):
         cols.append((u1 * b - b * u1).to_vector() + (v1 * b - b * v1).to_vector())
     n = len(target)
     matrix = [[cols[c][r] for c in range(len(cols))] for r in range(n)]
-    sol, _ = solve_affine(matrix, target, alg.field)
+    sol = solve_affine(matrix, target, alg.field)
     assert sol is not None
     grid = [[sol[i * alg.m + j] for j in range(alg.m)] for i in range(alg.m)]
     theta = alg.from_grid(grid)

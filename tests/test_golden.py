@@ -7,8 +7,12 @@ diagonal gauge; the ``deriv``, ``split verify`` and ``algebra check`` reports
 by the release before symbol elements stored only their nonzero terms; and
 ``split-generic-theta-m11`` (121 indeterminates, padded names x0000..x1010)
 by the release before differential monomials were keyed by their nonzero
-exponents. A refactor of the splitting layer, of the symbol algebra, of the
-monomial keys or of the printer must reproduce every byte, and exit 0.
+exponents. The ``split maximal``, ``matdiff constants``, ``ode solve`` and
+``power-detect`` reports were written by the release before the
+maximal-subfield test harnesses moved out of the package and the linear
+solver stopped building a kernel. A refactor of the splitting layer, of the
+symbol algebra, of the monomial keys, of the solver or of the printer must
+reproduce every byte, and exit 0.
 """
 
 from pathlib import Path
@@ -42,6 +46,10 @@ CASES = {
     "deriv-constants-standard-m3": ("deriv", "constants", "--m", "3", "--alpha", "2*t", "--beta", "t", "--standard"),
     "split-verify-theta-m3": ("split", "verify", "--m", "3", *_AB, "--theta", "u*v"),
     "algebra-check-m4": ("algebra", "check", "--m", "4", *_AB),
+    "split-maximal-m3": ("split", "maximal", "--m", "3", "--alpha", "t", "--beta", "t^2*(t+1)^3", "--nu", "t"),
+    "matdiff-constants-m3": ("matdiff", "constants", "--m", "3", "--f", "t"),
+    "ode-solve-m3": ("ode", "solve", "--m", "3", "--mu", "1", "--g", "t"),
+    "power-detect-m3": ("power-detect", "--m", "3", "--f", "8*t^3/(t+1)^3"),
 }
 
 

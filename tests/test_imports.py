@@ -1,6 +1,9 @@
-"""Imports sit at module level, except where an import cycle forces a local one; decompositions sit in powers."""
+"""Imports sit at module level, except where an import cycle forces a local one; decompositions sit in powers;
+every function and class of the package has a caller outside its own body, or a stated reason to stay."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "diffsym"
@@ -91,3 +94,51 @@ def test_generic_eliminations_are_called_only_from_symalg_det_and_ode():
         for call in _elimination_calls(ast.parse(path.read_text(), str(path)), path.relative_to(SRC).as_posix())
     }
     assert found == ELIMINATORS
+
+
+# module-level functions and classes that no code in the package or in
+# perfbench/ refers to, each with the reason it stays; a test harness
+# belongs in tests/, next to the tests that run it
+BENCH = SRC.parents[1] / "perfbench"
+UNREFERENCED = {
+    "minimal_polynomial": "the oracle of split inner's degree test, and the start of ROADMAP direction 1's z",
+    "subfield_stable": "stage 2 of ROADMAP direction 4's maximal-subfield decision",
+}
+
+
+def _docstrings(tree):
+    """The docstring nodes of a module and of its functions and classes."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                yield body[0].value
+
+
+def _references(tree):
+    """Names, attributes and identifiers in strings other than docstrings.
+
+    A string counts because perfbench/tracing.py wraps functions by name and
+    a refusal may name a function to its reader.
+    """
+    docs = set(_docstrings(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node not in docs:
+            yield from re.findall(r"\w+", node.value)
+
+
+def test_every_package_function_and_class_has_a_caller_or_a_reason():
+    everywhere = Counter()
+    for path in [*SRC.rglob("*.py"), *BENCH.rglob("*.py")]:
+        tree = ast.parse(path.read_text(), str(path))
+        everywhere.update(_references(tree))
+        if SRC in path.parents:
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    # the references inside its own body do not count
+                    everywhere[node.name] -= Counter(_references(node))[node.name]
+    assert {name for name, n in everywhere.items() if n == 0} == set(UNREFERENCED)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from oracles import field_parse_scalar, symbol_elem_parse_symbol
 
-from diffsym.parser import MAX_DEPTH, MAX_POWER_BITS, ParseError, _Parser, parse_scalar, parse_symbol, scalar_to_str
+from diffsym.parser import MAX_DEPTH, MAX_EXPONENT, MAX_POWER_BITS, ParseError, _Parser, parse_scalar, parse_symbol, scalar_to_str
 from diffsym.scalars import (
     CycloField,
     KummerField,
@@ -319,6 +319,58 @@ def test_powers_with_large_integers_are_rejected_before_the_power(monkeypatch):
     assert not powers
 
 
+def test_products_in_q_w_t_are_bounded_as_powers_are(monkeypatch):
+    k = RatFuncField(CycloField(3), "t")
+    t = k.gen()
+    # each factor is 9,001 bits, under the bound; their product is refused at its '*'
+    big = "(2^1000)^9"
+    for src, position in ((f"{big}*{big}*t^2", 10), ("*".join([big] * 200) + "*t^2", 10), (f"-{big}*{big}", 11)):
+        with pytest.raises(ParseError) as info:
+            parse_scalar(src, k)
+        assert str(info.value) == (
+            f"result of '*' too large: coefficient bits must not exceed {MAX_POWER_BITS} at position {position}")
+    with pytest.raises(ParseError) as info:
+        parse_scalar("t^600*t^600", k)
+    assert str(info.value) == f"result of '*' too large: t-degree must not exceed {MAX_EXPONENT} at position 5"
+    # a quotient that lands in Q(w)[t] is bounded too, whatever its rung
+    with pytest.raises(ParseError) as info:
+        parse_scalar("t^600/t*t^600", k)
+    assert info.value.position == 7 and "t-degree" in str(info.value)
+    with pytest.raises(ParseError) as info:
+        parse_scalar(f"2/{big}/{big}", k)
+    assert info.value.position == 12 and "coefficient bits" in str(info.value)
+    # the refusal comes at the first product past the bound: no larger integer is built
+    products = []
+    binop = _Parser._binop
+    monkeypatch.setattr(_Parser, "_binop", lambda self, *args: products.append(binop(self, *args)) or products[-1])
+    with pytest.raises(ParseError):
+        parse_scalar("*".join([big] * 200), k)
+    assert products == [k.cyclo.coerce(2**18000)]
+    monkeypatch.undo()
+    assert parse_scalar(f"{big}*t^2", k) == k.coerce(2**9000) * t**2
+    assert parse_scalar("t^500*t^500", k) == t**1000
+
+
+def test_the_whole_expression_is_bounded_once():
+    k = RatFuncField(CycloField(3), "t")
+    t = k.gen()
+    big = "(2^1000)^9"
+    # a sum and a product off Q(w)[t] are not sized as they are built, but their value is
+    assert parse_scalar(f"{big} + {big}", k) == k.coerce(2**9001)  # 9,002 bits
+    for src, bound in ((f"{big}/t*{big}", "coefficient bits"), ("t^999/(t+1) + t^999*t", "t-degree")):
+        with pytest.raises(ParseError) as info:
+            parse_scalar(src, k)
+        assert info.value.position == 0 and str(info.value).startswith(f"expression too large: {bound}")
+    alg = SymbolAlgebra(k, t, t + k.one(), 3)
+    with pytest.raises(ParseError) as info:
+        parse_symbol(f"{big}*u*{big}", alg)
+    assert str(info.value) == f"expression too large: coefficient bits must not exceed {MAX_POWER_BITS} at position 0"
+    with pytest.raises(ParseError) as info:
+        parse_symbol("t^600*u*t^600", alg)
+    assert str(info.value) == f"expression too large: t-degree must not exceed {MAX_EXPONENT} at position 0"
+    assert parse_symbol(f"{big}*u", alg) == alg.u().scale(k.coerce(2**9000))
+
+
 def test_a_minus_sign_may_precede_any_factor():
     k = RatFuncField(CycloField(3), "t")
     t = k.gen()
@@ -523,3 +575,23 @@ def test_the_ladder_agrees_with_the_whole_field_oracle(m):
                 # one canonical grid over the coefficient field
                 assert all(type(c) is RatFunc for row in got[1].grid for c in row)
     assert {RatFunc, SymbolElem, ParseError, ZeroDivisionError} <= kinds
+
+
+def test_the_size_bounds_agree_with_the_whole_field_oracle():
+    k = RatFuncField(CycloField(3), "t")
+    alg = SymbolAlgebra(k, k.gen(), k.gen() + k.one(), 3)
+    big = "(2^1000)^9"
+    cases = [(parse_scalar, field_parse_scalar, k, src) for src in (
+        f"{big}*{big}*t^2", f"-{big}*{big}", f"{big}*t^2", "t^600*t^600", "t^500*t^500", "t^600/t*t^600",
+        f"2/{big}/{big}", f"{big}/t*{big}", "t^999/(t+1) + t^999*t", f"{big} + {big}", f"({big} + 1)*(t + 1)",
+    )]
+    cases += [(parse_scalar, field_parse_scalar, k.cyclo, src) for src in (f"{big}*{big}", f"w*{big}", f"{big}/{big}*{big}")]
+    cases += [(parse_symbol, symbol_elem_parse_symbol, alg, src) for src in (
+        f"{big}*u*{big}", "t^600*u*t^600", f"{big}*u", f"u*{big}*{big}", f"u + {big}*{big}",
+    )]
+    refused = 0
+    for parse, oracle, context, src in cases:
+        got = _outcome(parse, src, context)
+        assert got == _outcome(oracle, src, context), src
+        refused += got[0] is ParseError
+    assert refused == 12

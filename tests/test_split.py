@@ -1,16 +1,17 @@
 """Splitting constructions: Phi, transported P, gauges, and refutations."""
 
 import copy
+from dataclasses import dataclass
 
 import pytest
 
 import diffsym.linalg
 import diffsym.matdiff
 from diffsym import SymbolAlgebra, decompose, inner_derivation, split_standard, standard_derivation
-from diffsym.deriv import validate
+from diffsym.deriv import subfield_stable, validate
 from diffsym.errors import SelfCheckError
 from diffsym.matdiff import DiffMatrix, apply_dP
-from diffsym.parser import parse_scalar
+from diffsym.parser import parse_scalar, scalar_to_str
 from diffsym.scalars import CycloField, KummerElem, KummerField, RatFuncField
 from diffsym.symalg import minimal_polynomial
 from diffsym.split import (
@@ -18,11 +19,9 @@ from diffsym.split import (
     PhiMap,
     closed_form_P,
     compute_P,
-    compute_P_with_diagnostics,
     find_twist_partner,
     _diagonal_split,
     maximal_subfield_necessary,
-    norm_split_check,
     split_generic,
     split_inner_cyclic,
     split_inner_even_half,
@@ -77,7 +76,7 @@ def test_generator_check_matches_full_basis(m, rng):
     labels = set()
     for _ in range(2):
         d = random_valid_derivation(alg, rng)
-        p, _ = compute_P_with_diagnostics(d, phi)
+        p = compute_P(d, phi)
         # xi on one entry; a diagonal entry commutes with A, so only v fails,
         # and xi B commutes with B, so only u fails
         perturbed = [p + DiffMatrix.unit(e, m, r, s, e.gen()) for r in range(m) for s in range(m)]
@@ -309,8 +308,7 @@ def test_transported_P_closed_form_and_iso(m, rng):
     phi = make_phi(alg)
     for _ in range(4):
         d = random_valid_derivation(alg, rng)
-        p, diags = compute_P_with_diagnostics(d, phi)
-        assert diags == []
+        p = compute_P(d, phi)
         assert verify_diff_isomorphism(phi, d, p).ok
 
 
@@ -457,7 +455,7 @@ def test_split_generic(rng):
     alg = make_algebra(2)
     phi = make_phi(alg)
     d = random_valid_derivation(alg, rng)
-    p, _ = compute_P_with_diagnostics(d, phi)
+    p = compute_P(d, phi)
     rep = split_generic(p)
     assert rep.passed
     assert rep.gauge.det_nonzero
@@ -489,6 +487,53 @@ def test_find_twist_partner():
     w = alg.field.coerce(alg.omega)
     assert x * alg.u() == (alg.u() * x).scale(w)
     assert (x**3).is_scalar()
+
+
+# The norm criterion runs as a test harness: from a constant theta outside
+# k(u) it produces c with (alpha, c beta^p) split. `split maximal`
+# (maximal_subfield_necessary) is the package's maximal-subfield check.
+
+
+@dataclass
+class NormSplitReport:
+    p: int
+    c: object
+    ok: bool
+
+    def to_json(self):
+        return {"p": self.p, "c": scalar_to_str(self.c), "ok": self.ok}
+
+
+def norm_split_check(algebra, d, theta):
+    """From a constant theta outside k(u), produce c with (alpha, c beta^p) split.
+
+    Requires x^m - alpha irreducible, so the norm is the full product of the
+    m conjugates xi -> w^j xi.
+    """
+    theta = algebra.coerce_elem(theta)
+    if not d.apply(theta).is_zero():
+        raise ValueError("theta must be a constant of d")
+    if not subfield_stable(d, algebra.u()):
+        raise ValueError("d must preserve k(u)")
+    m = algebra.m
+    p = min((j for _, j in theta.terms if j), default=None)
+    if p is None:
+        raise ValueError("theta lies in k(u); no invertible v-component")
+    xi_field = xi_extension(algebra)
+    theta_p = xi_field.zero()
+    xi = xi_field.gen()
+    for (i, j), c in theta.terms.items():
+        if j == p:
+            theta_p = theta_p + xi**i * xi_field.coerce(c)
+    gamma = theta_p.inv()
+    norm = xi_field.one()
+    for j in range(m):
+        norm = norm * gamma.conjugate(j)
+    if not norm.is_base():
+        raise SelfCheckError("norm did not land in the base field")
+    c = norm.base_value() / algebra.beta**p
+    ok = c.derive().is_zero()
+    return NormSplitReport(p=p, c=c, ok=ok)
 
 
 def test_norm_split_check():
