@@ -69,10 +69,16 @@ class Derivation:
         return self.apply(self.algebra.v())
 
     def apply(self, x: SymbolElem) -> SymbolElem:
-        """d_s(x) + x theta - theta x, with d_s(c u^i v^j) = (delta(c) + c (i ru + j rv)) u^i v^j."""
+        """d_s(x) + x theta - theta x, with d_s(c u^i v^j) = (delta(c) + c (i ru + j rv)) u^i v^j.
+
+        The commutator is one pass over the pairs of terms: a u^i v^j and b u^r v^s
+        give ab (w^(jr) - w^(si)) u^(i+r) v^(j+s), with u^m = alpha and v^m = beta
+        as in ``SymbolElem.__mul__``.  A pair with jr = si (mod m) cancels, the
+        scalar term of x among them.
+        """
         alg = self.algebra
         x = alg.coerce_elem(x)
-        terms = {}
+        out = {}
         if self.includes_ds:
             for (i, j), c in x.terms.items():
                 dc = c.derive()
@@ -81,12 +87,26 @@ class Derivation:
                     ru, rv = alg.standard_rates
                     dc = dc + c * (ru * i + rv * j)
                 if not dc.is_zero():
-                    terms[i, j] = dc
-        total = _symbol(alg, terms)
-        # a scalar commutes with theta, and inner(0) = 0: neither takes a product
-        if x.is_scalar() or self.theta.is_zero():
-            return total
-        return total + x * self.theta - self.theta * x
+                    out[i, j] = dc
+        m = alg.m
+        w, alpha, beta = alg._omega_pow, alg.alpha, alg.beta
+        right = self.theta.terms.items()
+        for (i, j), a in x.terms.items():
+            for (r, s), b in right:
+                jr, si = j * r % m, s * i % m
+                if jr == si:
+                    continue
+                c = a * b * (w[jr] - w[si])
+                ii, jj = i + r, j + s
+                if ii >= m:
+                    ii -= m
+                    c = c * alpha
+                if jj >= m:
+                    jj -= m
+                    c = c * beta
+                prev = out.get((ii, jj))
+                out[ii, jj] = c if prev is None else prev + c
+        return _symbol(alg, {key: c for key, c in out.items() if not c.is_zero()})
 
     def __add__(self, other: "Derivation") -> "Derivation":
         alg = self.algebra

@@ -2,6 +2,8 @@
 
 Plain Gaussian elimination with first-nonzero pivoting; matrix sizes stay
 small (at most m^2 x m^2 at desk scale), so no fraction-free tricks needed.
+A row update runs over the support of the pivot row, in place on the
+private row lists that each caller builds.
 """
 
 from __future__ import annotations
@@ -21,11 +23,14 @@ def _rref(rows, field, width):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = field.one() / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r] = [x * inv for x in rows[r]]
+        # f * 0 changes nothing, so each row is updated in place on the pivot row's support
+        support = [j for j, b in enumerate(prow) if not b.is_zero()]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and not f.is_zero():
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
         if r == len(rows):

@@ -7,10 +7,16 @@ pair is canonical and zero is ((0, ..., 0), 1).
 
 Arithmetic builds its results through ``_elem``, which stores the pair as
 given; only the public ``CycloElem(parent, coeffs)`` converts and checks its
-input.  A product of two non-rational elements is a schoolbook convolution
-whose high coefficients are folded back through the field's table of
-x^(d+k) mod Phi_m, which has integer entries since Phi_m is monic in Z[x].
-An inverse is the product of the other Galois conjugates over the norm.
+input.  Each field interns its zero() and one(), and ``_reduced`` returns
+them for a result of 0 or 1, so computed constants are interned too.
+Elements are immutable, so a sum with a
+zero operand returns the other operand, and a product with the interned one
+(or zero), tested by identity, returns the other operand (or zero).
+
+A product of two non-rational elements is a schoolbook convolution whose
+high coefficients are folded back through the field's table of x^(d+k) mod
+Phi_m, which has integer entries since Phi_m is monic in Z[x].  An inverse
+is the product of the other Galois conjugates over the norm.
 """
 
 from __future__ import annotations
@@ -165,6 +171,11 @@ class CycloElem(FieldElem):
         parent = self.parent
         if type(other) is not CycloElem or other.parent is not parent:
             other = parent.coerce(other)
+        # x + 0 = x: the operand is returned, since elements are immutable
+        if not any(other.num):
+            return self
+        if not any(self.num):
+            return other
         da, db = self.den, other.den
         if da == db:
             return _reduced(parent, [x + y for x, y in zip(self.num, other.num)], da)
@@ -179,11 +190,16 @@ class CycloElem(FieldElem):
         parent = self.parent
         if type(other) is not CycloElem or other.parent is not parent:
             other = parent.coerce(other)
+        # the interned 1 and 0 by identity: a test that costs no comparison of vectors
+        if other is parent._one or self is parent._zero:
+            return self
+        if self is parent._one or other is parent._zero:
+            return other
         a, b = self.num, other.num
         if not any(b[1:]):
-            return _scaled(parent, a, self.den, b[0], other.den)
+            return _scaled(self, b[0], other.den)
         if not any(a[1:]):
-            return _scaled(parent, b, other.den, a[0], self.den)
+            return _scaled(other, a[0], self.den)
         return _reduced(parent, _convolve(parent, a, b), self.den * other.den)
 
     __rmul__ = __mul__
@@ -195,6 +211,8 @@ class CycloElem(FieldElem):
         parent = self.parent
         if not any(num[1:]):
             n = num[0]
+            if n == den:
+                return parent._one
             return _elem(parent, (den if n > 0 else -den,) + parent._zeros, abs(n))
         # a = A/den and A * Q = N with N in Z, so 1/a = den * Q / N
         q, n = _conjugate_product(parent, num)
@@ -232,21 +250,25 @@ def _elem(parent: CycloField, num: tuple, den: int) -> CycloElem:
 
 
 def _reduced(parent: CycloField, num: list, den: int) -> CycloElem:
-    """num/den for den > 0, divided by gcd(den, num...)."""
+    """num/den for den > 0, divided by gcd(den, num...); a 0 or 1 is the interned zero() or one()."""
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
-            return _elem(parent, tuple([x // g for x in num]), den // g)
+            num = [x // g for x in num]
+            den //= g
+    # a zero reduces to den 1, so both constants have den 1
+    if den == 1 and num[0] in (0, 1) and not any(num[1:]):
+        return parent._one if num[0] else parent._zero
     return _elem(parent, tuple(num), den)
 
 
-def _scaled(parent: CycloField, num: tuple, den: int, qn: int, qd: int) -> CycloElem:
-    """(num/den) * (qn/qd) for a rational qn/qd."""
+def _scaled(x: CycloElem, qn: int, qd: int) -> CycloElem:
+    """x * (qn/qd) for a rational qn/qd."""
     if not qn:
-        return parent._zero
+        return x.parent._zero
     if qn == qd:
-        return _elem(parent, num, den)
-    return _reduced(parent, [x * qn for x in num], den * qd)
+        return x
+    return _reduced(x.parent, [c * qn for c in x.num], x.den * qd)
 
 
 def _convolve(parent: CycloField, a: tuple, b: tuple) -> list:

@@ -6,7 +6,9 @@ usual arithmetic operators.  Everything here is exact: no floats, ever.
 
 Arithmetic builds its results through ``_poly``, which only trims trailing
 zeros, since sums and products of field elements are already field elements;
-only the public ``Poly(field, coeffs)`` coerces each coefficient.
+only the public ``Poly(field, coeffs)`` coerces each coefficient.  A product
+runs over the supports of its factors: no product or sum is taken for a zero
+coefficient.
 """
 
 from __future__ import annotations
@@ -137,13 +139,17 @@ class Poly(FieldElem):
             a, b = b, a
         if len(b) <= 1:
             return _poly(field, [x * b[0] for x in a] if b else [])
-        out = [field.zero()] * (len(a) + len(b) - 1)
+        # the shorter factor's support, listed once; a slot starts from its first product
+        right = [(j, y) for j, y in enumerate(b) if not is_zero_elem(y)]
+        out = [None] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if is_zero_elem(x):
                 continue
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-        return _poly(field, out)
+            for j, y in right:
+                prev = out[i + j]
+                out[i + j] = x * y if prev is None else prev + x * y
+        zero = field.zero()
+        return _poly(field, [zero if c is None else c for c in out])
 
     __rmul__ = __mul__
 

@@ -47,7 +47,11 @@ multiplicities counted by repeated division, the
 Kummer derivation rule on m xi^(m-1) delta(xi) in place of m rate alpha =
 delta(alpha), and the determinant certificate that multiplies out the
 diagonal and eliminates every specialised matrix in place of testing each
-diagonal entry.
+diagonal entry, the commutator of a derivation as two symbol products in
+place of one pass over the pairs of terms, the product of polynomials summed
+into a list of zeros over every coefficient of the shorter factor in place of
+its support, and the row update of the elimination over the whole row in
+place of the pivot row's support.
 """
 
 import operator
@@ -63,7 +67,7 @@ from diffsym.parser import MAX_EXPONENT, MAX_POWER_BITS, ParseError, _wrap, scal
 from diffsym.scalars import CycloElem, KummerElem, PolyDiffField, Poly, RatFunc
 from diffsym.scalars.monomial import PolyDiffElem
 from diffsym.scalars.ode import OdeSolution
-from diffsym.scalars.polys import QQ, coprime_basis, poly_extended_gcd, poly_gcd
+from diffsym.scalars.polys import QQ, coprime_basis, is_zero_elem, poly_extended_gcd, poly_gcd
 from diffsym.scalars.powers import _prime_factors
 from diffsym.split import IsoVerdict
 from diffsym.symalg import SymbolElem
@@ -925,3 +929,58 @@ def multiplied_det_certificate(f):
         if not kernel_basis([[_specialise(x, point, base) for x in row] for row in rows], base):
             return True, "specialisation", index
     return None, "specialisation", None
+
+
+def two_product_apply(d, x):
+    """d(x) as d_s(x) + x theta - theta x, the commutator by two symbol products."""
+    alg = d.algebra
+    x = alg.coerce_elem(x)
+    grid = [list(row) for row in alg.zero_elem().grid]
+    if d.includes_ds:
+        ru, rv = alg.standard_rates
+        for (i, j), c in x.terms.items():
+            grid[i][j] = c.derive() + c * (ru * i + rv * j)
+    return SymbolElem(alg, grid) + x * d.theta - d.theta * x
+
+
+def dense_poly_mul(p, q):
+    """p * q summed into a list of zeros, every product of a nonzero coefficient of the longer factor taken."""
+    field = p.field
+    a, b = p.coeffs, q.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) <= 1:
+        return Poly(field, [x * b[0] for x in a] if b else [])
+    out = [field.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if is_zero_elem(x):
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return Poly(field, out)
+
+
+def dense_rref(rows, field, width):
+    """Reduced row echelon form in place, each row update a - f * b over the whole row; the pivot columns."""
+    pivots = []
+    r = 0
+    for c in range(width):
+        pivot = None
+        for i in range(r, len(rows)):
+            if not rows[i][c].is_zero():
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = field.one() / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots

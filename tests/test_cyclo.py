@@ -127,6 +127,28 @@ def test_interned_constants_compare_and_hash_as_values():
     assert len({f.zero(), CycloField(4).zero(), 0}) == 1
 
 
+@pytest.mark.parametrize("m", [2, 3, 5, 12])
+def test_a_zero_or_one_operand_gives_back_an_element(m, rng):
+    """x * 1, 1 * x, x + 0 and 0 + x return x itself, x * 0 the interned zero, and a computed 0 or 1 is interned."""
+    from fractions import Fraction
+
+    f = CycloField(m)
+    zero, one = f.zero(), f.one()
+    samples = [f.omega(), f.from_rational(Fraction(-3, 7)), one, zero]
+    samples += [_random_elem(f, rng, density) for density in (0.5, 1.0)]
+    # a zero from the public constructor is equal to, but not, the interned zero
+    for a in [a for a in samples if a is zero or not a.is_zero()]:
+        assert a * one is a and one * a is a
+        assert zero + a is a and a + zero is a
+        assert a * zero is zero and zero * a is zero
+        assert a - a is zero and a + (-a) is zero
+        if not a.is_zero():
+            assert a * a.inv() is one and a.inv() * a is one and a / a is one
+    assert f.from_rational(Fraction(1, 2)) + f.from_rational(Fraction(1, 2)) is one
+    assert f.from_rational(2) * f.from_rational(Fraction(1, 2)) is one
+    assert one.inv() is one
+
+
 def test_public_constructor_still_validates():
     from fractions import Fraction
 

@@ -13,9 +13,10 @@ from diffsym.deriv import (
     validate,
 )
 from diffsym.linalg import solve_affine
-from diffsym.scalars import CycloField, RatFuncField
+from diffsym.scalars import CycloField, KummerField, RatFuncField
+from diffsym.symalg import SymbolElem
 from generators import random_element, random_trace_zero, random_valid_derivation, sharing_radicands
-from oracles import dividing_decompose, minor_identity_holds, quotient_constants_standard
+from oracles import dividing_decompose, minor_identity_holds, quotient_constants_standard, two_product_apply
 
 
 def make_algebra(m, derivation="dt", alpha=None, beta=None):
@@ -275,3 +276,57 @@ def test_subfield_stability():
     assert subfield_stable(ds, alg.v())
     d = ds + inner_derivation(alg.v())
     assert not subfield_stable(d, alg.u())
+
+
+def _apply_inputs(alg, rng, coeff):
+    """(name, element) pairs: a scalar, a monomial and a dense element, each coefficient from coeff(rng)."""
+    m = alg.m
+    dense = [[coeff(rng) if rng.random() < 0.6 else alg.field.zero() for _ in range(m)] for _ in range(m)]
+    return [
+        ("scalar", alg.scalar(coeff(rng))),
+        ("monomial", alg.monomial(rng.randrange(m), rng.randrange(1, m), coeff(rng))),
+        ("dense", SymbolElem(alg, dense)),
+    ]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_apply_agrees_with_the_two_product_commutator(m, rng):
+    """One pass over the pairs of terms gives d_s(x) + x theta - theta x, over k and over k(xi) through extend."""
+    alg = make_algebra(m)
+    k = alg.field
+    t = k.gen()
+    ext = alg.extend(KummerField(k, alg.alpha, m, "xi"))
+    xi = ext.field.gen()
+
+    def k_coeff(rng):
+        return t * rng.randint(-3, 3) + rng.randint(1, 4)
+
+    def ext_coeff(rng):
+        return ext.field.coerce(k_coeff(rng)) + xi ** rng.randrange(m) * rng.randint(-2, 2)
+
+    thetas = {
+        "zero": alg.zero_elem(),
+        "one term": alg.monomial(rng.randrange(m), rng.randrange(1, m), k_coeff(rng)),
+        "dense": random_trace_zero(alg, rng, entries=m * m // 2),
+    }
+    for includes_ds in (True, False):
+        for name, theta in thetas.items():
+            d = deriv_module._derivation(alg, theta, includes_ds)
+            d_ext = d.extend(ext)
+            for kind, x in _apply_inputs(alg, rng, k_coeff):
+                assert d.apply(x) == two_product_apply(d, x), (includes_ds, name, kind)
+            for kind, x in _apply_inputs(ext, rng, ext_coeff):
+                assert d_ext.apply(x) == two_product_apply(d_ext, x), (includes_ds, name, kind, "k(xi)")
+
+
+def test_apply_on_a_monomial_takes_no_symbol_product(monkeypatch, rng):
+    alg = make_algebra(5)
+    d = random_valid_derivation(alg, rng)
+    x = alg.monomial(2, 3, alg.field.gen())
+    expected = two_product_apply(d, x)
+
+    def refuse(*args):
+        raise AssertionError("SymbolElem.__mul__ called")
+
+    monkeypatch.setattr(SymbolElem, "__mul__", refuse)
+    assert d.apply(x) == expected

@@ -5,9 +5,9 @@ from itertools import combinations, permutations
 import pytest
 
 import diffsym.linalg
-from diffsym.linalg import kernel_basis, solve_affine
+from diffsym.linalg import invert_matrix, kernel_basis, solve_affine
 from diffsym.scalars import CycloField, KummerField, RatFuncField
-from oracles import det_expansion
+from oracles import dense_rref, det_expansion
 
 
 def det_permutations(matrix, ring):
@@ -146,3 +146,30 @@ def test_solve_affine_runs_one_elimination(monkeypatch):
         calls.clear()
         solve_affine(matrix, rhs, field)
         assert len(calls) == 1
+
+
+def _eliminations(matrix, rhs, field):
+    """(kernel basis, one solution of M x = rhs, inverse or None when singular)."""
+    try:
+        inverse = invert_matrix(matrix, field)
+    except ZeroDivisionError:
+        inverse = None
+    return kernel_basis(matrix, field), solve_affine(matrix, rhs, field), inverse
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_eliminations_on_the_pivot_support_agree_with_the_dense_row_update(n, rng, monkeypatch):
+    """kernel_basis, solve_affine and invert_matrix give the same elements as whole-row updates."""
+    inverted = 0
+    for field in _fields()[:3]:
+        for kind, matrix in _matrices(field, n, rng).items():
+            if kind == "dense":
+                continue
+            rhs = [_entry(field, rng) for _ in range(n)]
+            got = _eliminations(matrix, rhs, field)
+            with monkeypatch.context() as patch:
+                patch.setattr(diffsym.linalg, "_rref", dense_rref)
+                want = _eliminations(matrix, rhs, field)
+            assert got == want, (field, kind)
+            inverted += got[2] is not None
+    assert inverted > 0

@@ -16,7 +16,7 @@ from diffsym.scalars import (
     squarefree_decompose,
 )
 from diffsym.scalars import polys
-from oracles import euclid_gcd, multiplicity, yun_full_loop
+from oracles import dense_poly_mul, euclid_gcd, multiplicity, yun_full_loop
 
 coeffs = st.lists(st.integers(min_value=-6, max_value=6), min_size=0, max_size=5)
 
@@ -275,4 +275,60 @@ def test_gcd_stops_at_the_first_constant_remainder(monkeypatch):
     assert poly_gcd(t * t + 1, P([3])) == P([1])
     assert len(calls) == 0
     assert poly_gcd(P([3]), t) == P([1])
+    assert len(calls) == 1
+
+
+def _poly_fields():
+    """One param (field, coefficient sampler) each for QQ, Q(w_m) at m = 2..7, Q(w)(t) and k(xi)."""
+    from diffsym.scalars import KummerField, RatFuncField
+
+    out = [pytest.param(QQ, lambda rng: Fraction(rng.randint(-5, 5), rng.randint(1, 3)), id="QQ")]
+    for m in range(2, 8):
+        c = CycloField(m)
+        sampler = lambda rng, w=c.omega(), m=m: w ** rng.randrange(m) * rng.randint(-3, 3)
+        out.append(pytest.param(c, sampler, id=f"Q(w_{m})"))
+    k = RatFuncField(CycloField(3), "t")
+    t = k.gen()
+
+    def fraction(rng):
+        return (t * rng.randint(-2, 2) + rng.randint(-2, 2)) / (t + rng.randint(1, 3))
+
+    e = KummerField(k, t, 3, "xi")
+    xi = e.gen()
+    out.append(pytest.param(k, fraction, id="Q(w)(t)"))
+    out.append(pytest.param(e, lambda rng: xi ** rng.randrange(3) * (t + rng.randint(-2, 2)), id="k(xi)"))
+    return out
+
+
+@pytest.mark.parametrize("field, coeff", _poly_fields())
+def test_product_on_the_support_agrees_with_the_dense_loop(field, coeff, rng):
+    """Sparse factors with zero coefficients drawn on purpose, constants, zero and t^a * t^b."""
+    zero = field.zero()
+
+    def sparse(deg):
+        return Poly(field, [coeff(rng) if rng.random() < 0.4 else zero for _ in range(deg + 1)])
+
+    t = Poly.gen(field)
+    samples = [Poly.zero(field), Poly.one(field), Poly.constant(field, coeff(rng)), t**3, t**5 * coeff(rng)]
+    samples += [sparse(rng.randint(0, 6)) for _ in range(6)]
+    for a in samples:
+        for b in samples:
+            got, want = a * b, dense_poly_mul(a, b)
+            assert got == want and got.coeffs == want.coeffs, (field, a, b)
+
+
+def test_a_monomial_product_takes_one_coefficient_product(monkeypatch):
+    """t^a * t^b multiplies the one nonzero coefficient of each factor, once."""
+    c = CycloField(5)
+    t = Poly.gen(c)
+    a, b, expected = t**4, t**3, t**7
+    calls = []
+    mul = CycloElem.__mul__
+
+    def counted(x, y):
+        calls.append((x, y))
+        return mul(x, y)
+
+    monkeypatch.setattr(CycloElem, "__mul__", counted)
+    assert a * b == expected
     assert len(calls) == 1
