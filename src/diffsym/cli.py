@@ -3,6 +3,11 @@
 Exit codes: 0 for a passing check, 1 for a refuted or failed check, 2 for
 usage and input errors, 3 when an internal self-check fails.  Every
 subcommand accepts --json for a structured report on stdout.
+
+The argument tree is built once per process (``_build_parser``), and so is
+the base field Q(w_m)(t) for each m and derivation (``_field``), with the
+constants of Q(w_m) that every symbol algebra reads: a second query at the
+same m builds neither again.
 """
 
 from __future__ import annotations
@@ -51,9 +56,15 @@ MAX_M = 16
 
 
 def _field(m: int, zero: bool = False) -> RatFuncField:
+    """Q(w_m)(t) with d/dt, or with the zero derivation: one field per (m, derivation) per process."""
     if m > MAX_M:
         raise ValueError(f"--m {m} is too large for the CLI: m must not exceed {MAX_M}")
-    return RatFuncField(CycloField(m), "t", "zero" if zero else "dt")
+    return _rational_function_field(m, "zero" if zero else "dt")
+
+
+@functools.cache
+def _rational_function_field(m: int, derivation: str) -> RatFuncField:
+    return RatFuncField(CycloField(m), "t", derivation)
 
 
 def _algebra(args, zero: bool = False) -> SymbolAlgebra:

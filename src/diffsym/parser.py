@@ -9,11 +9,17 @@ A '-' negates the factor after it: ``t*-3`` is ``-3*t``, ``t - -3`` is
 ``t + 3`` and ``-t^2`` is -(t^2).
 
 A name is one of the generators of the field being parsed (its
-``generators()``: w, t, xi, x0, ...).  Whitespace is insignificant.
+``generators()``: w, t, xi, x0, ...).  Whitespace is insignificant.  The
+source is split by one ``findall`` into plain string tokens, ending in the
+sentinel ``""``, which the parser reads by index; a token's position in the
+source is computed only when an error reports it.
+
 Evaluation keeps each scalar subexpression in the smallest ring that holds
 it (``_Parser``) and returns the same canonical element as evaluating
-everything in the context itself.  Printing produces strings
-that parse back to the same canonical element.
+everything in the context itself.  A power of a generator of Q(w)(t) is
+read off, not multiplied out: w^e from the field's ``omega_powers``, t^e as
+a monomial.  Printing produces strings that parse back to the same
+canonical element.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from itertools import islice
 
 from .scalars import CycloElem, KummerElem, Poly, PolyDiffElem, RatFunc, RatFuncField
 from .scalars.elem import SparseElem
@@ -39,28 +46,28 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([a-zA-Z][a-zA-Z0-9]*)|([-+*/^()])|(\S))")
-_TOKEN_KINDS = (None, "int", "name", "op")
+_TOKEN_RE = re.compile(r"\d+|[a-zA-Z][a-zA-Z0-9]*|[-+*/^()]")
+# a character that is neither whitespace nor part of a token
+_BAD_CHAR_RE = re.compile(r"[^\s\da-zA-Z()^*/+-]")
 
 
-def _tokenize(src: str):
-    tokens = []
-    for m in _TOKEN_RE.finditer(src):
-        group = m.lastindex
-        if group == 4:
-            raise ParseError(f"unexpected character {m.group(4)!r}", m.start(4))
-        tokens.append((_TOKEN_KINDS[group], m.group(group), m.start(group)))
-    tokens.append(("end", "", len(src)))
+def _tokenize(src: str) -> list:
+    """The tokens of src as strings, then the end sentinel ""."""
+    bad = _BAD_CHAR_RE.search(src)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
+    tokens = _TOKEN_RE.findall(src)
+    tokens.append("")
     return tokens
 
 
-# Largest |exponent|, and largest t-degree a power, a product in Q(w)[t] or a
-# whole expression may reach: the cost of a power grows quadratically with its
+# Largest |exponent|, and largest t-degree a power, a product or a whole
+# expression may reach: the cost of a power grows quadratically with its
 # t-degree, so larger ones are usage errors.
 MAX_EXPONENT = 1000
 # Largest |e| times the bit length of the largest integer in the base, and the
-# largest bit length in a product in Q(w)[t] or a whole expression: no value
-# that parses holds an integer past Python's 4,300-digit limit on printing one.
+# largest bit length in a product or a whole expression: no value that parses
+# holds an integer past Python's 4,300-digit limit on printing one.
 MAX_POWER_BITS = 10_000
 # Deepest nesting of parentheses: each level takes a few Python frames, so a
 # deeper one would exhaust the interpreter's recursion limit.
@@ -71,12 +78,14 @@ def _bits(coeffs) -> int:
     """Bit length of the largest integer among the numerators and denominators of Q(w) elements."""
     top = 0
     for c in coeffs:
-        num, den = max(map(int.bit_length, c.num)), c.den.bit_length()
-        if num > top:
-            top = num
-        if den > top:
-            top = den
-    return top
+        for n in c.num:
+            if n > top:
+                top = n
+            elif -n > top:
+                top = -n
+        if c.den > top:
+            top = c.den
+    return top.bit_length()
 
 
 def _size(x) -> tuple:
@@ -85,38 +94,28 @@ def _size(x) -> tuple:
     The t-degree of a rational function is max(deg num, deg den), and of a
     constant 0; a tower or symbol element takes the largest over its coefficients.
     """
-    if isinstance(x, Poly):
-        return max(x.degree, 0), _bits(x.coeffs)
-    if isinstance(x, CycloElem):
+    kind = type(x)
+    if kind is RatFunc:
+        num, den = x.num.coeffs, x.den.coeffs
+        return max(len(num), len(den)) - 1, _bits(num + den)
+    if kind is Poly:
+        return max(len(x.coeffs) - 1, 0), _bits(x.coeffs)
+    if kind is CycloElem:
         return 0, _bits((x,))
-    if isinstance(x, RatFunc):
-        num, den = x.num, x.den
-        return max(num.degree, den.degree), _bits(num.coeffs + den.coeffs)
     degree = bits = 0
     if isinstance(x, SparseElem):
         for c in x.terms.values():
             d, b = _size(c)
-            degree, bits = max(degree, d), max(bits, b)
+            if d > degree:
+                degree = d
+            if b > bits:
+                bits = b
     return degree, bits
 
 
-def _check_size(x, position: int, op: str | None = None):
-    """Refuse x, the result of op or (op None) a whole expression, past the bounds a power obeys."""
-    degree, bits = _size(x)
-    if degree > MAX_EXPONENT or bits > MAX_POWER_BITS:
-        what = "expression" if op is None else f"result of {op!r}"
-        if degree > MAX_EXPONENT:
-            raise ParseError(f"{what} too large: t-degree must not exceed {MAX_EXPONENT}", position)
-        raise ParseError(f"{what} too large: coefficient bits must not exceed {MAX_POWER_BITS}", position)
-
-
-def _is_polynomial(x) -> bool:
-    """x lies in Q(w)[t]: on rung 0 or 1 of the ladder, or a rational function with constant denominator."""
-    kind = type(x)
-    return kind is CycloElem or kind is Poly or (kind is RatFunc and x.den.degree == 0)
-
-
 _BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_SUM_OPS = frozenset("+-")
+_PRODUCT_OPS = frozenset("*/")
 
 # The rung of a value: Q(w), Q(w)[t], the context field.  An element of any
 # other context field is on rung 2.
@@ -143,62 +142,66 @@ class _Parser:
         self.depth = 0
         self.context = context
         self.ladder = isinstance(context, RatFuncField)
+        # the generators whose powers are read off: w and t on the ladder
+        self.w = self.t = None
         if self.ladder:
             self.literals = cyclo = context.cyclo
-            self.names = {**cyclo.generators(), context.var: Poly.gen(cyclo)}
+            self.w, self.t = cyclo.omega(), Poly.gen(cyclo)
+            self.names = {**cyclo.generators(), context.var: self.t}
         else:
             self.literals, self.names = context, context.generators()
 
-    def peek(self):
-        return self.tokens[self.i]
+    def _error(self, message: str, i: int, expected: str | None = None) -> ParseError:
+        """A ParseError at token i: the end sentinel is at len(src), any other token where its match starts."""
+        if i == len(self.tokens) - 1:
+            position = len(self.src)
+        else:
+            position = next(islice(_TOKEN_RE.finditer(self.src), i, None)).start()
+        return ParseError(message, position, expected)
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ParseError(f"unexpected token {val!r}", pos, expected=repr(op))
-        return self.advance()
+    def _check_size(self, x, i: int | None = None):
+        """Refuse x, the result of the operator at token i or (i None) the whole expression,
+        past the bounds a power obeys."""
+        degree, bits = _size(x)
+        if degree > MAX_EXPONENT or bits > MAX_POWER_BITS:
+            if degree > MAX_EXPONENT:
+                bound = f"t-degree must not exceed {MAX_EXPONENT}"
+            else:
+                bound = f"coefficient bits must not exceed {MAX_POWER_BITS}"
+            if i is None:
+                raise ParseError(f"expression too large: {bound}", 0)
+            raise self._error(f"result of {self.tokens[i]!r} too large: {bound}", i)
 
     def parse(self):
         value = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input {val!r}", pos, expected="end of input")
-        _check_size(value, 0)
+        tok = self.tokens[self.i]
+        if tok:
+            raise self._error(f"trailing input {tok!r}", self.i, expected="end of input")
+        self._check_size(value)
         return value
 
     def expr(self):
         value = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                value = self._binop(val, value, self.term())
-            else:
-                return value
+        tokens = self.tokens
+        while (op := tokens[self.i]) in _SUM_OPS:
+            self.i += 1
+            value = self._binop(op, value, self.term())
+        return value
 
     def term(self):
         value = self.signed_factor()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                value = self._binop(val, value, self.signed_factor())
-                # a polynomial product is bounded as a power is: sizing every
-                # product, symbol products included, would cost far more
-                if _is_polynomial(value):
-                    _check_size(value, pos, val)
-            else:
-                return value
+        tokens = self.tokens
+        while (op := tokens[self.i]) in _PRODUCT_OPS:
+            at = self.i
+            self.i += 1
+            value = self._binop(op, value, self.signed_factor())
+            # every product and quotient is bounded as a power is, at its operator
+            self._check_size(value, at)
+        return value
 
     def signed_factor(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.advance()
+        if self.tokens[self.i] == "-":
+            self.i += 1
             return -self.factor()
         return self.factor()
 
@@ -208,8 +211,10 @@ class _Parser:
         """a op b on the higher rung of the two; a / b is a times the inverse of b."""
         if op == "/":
             op, b = "*", self._inv(b)
-        rank = max(_rank(a), _rank(b))
-        return _BINOPS[op](self._lift(a, rank), self._lift(b, rank))
+        if type(a) is not type(b):
+            rank = max(_rank(a), _rank(b))
+            a, b = self._lift(a, rank), self._lift(b, rank)
+        return _BINOPS[op](a, b)
 
     def _lift(self, x, rank: int = 2):
         """x on the scalar rung rank, if it is on a lower one (by default in k itself)."""
@@ -237,7 +242,13 @@ class _Parser:
 
     def factor(self):
         value = self.atom()
+        if self.tokens[self.i] != "^":
+            return value
         e = self.exponent(value)
+        if value is self.w:
+            return self.literals.omega_powers[e % self.literals.m]
+        if value is self.t and e >= 0:
+            return Poly.monomial(self.literals, e)
         return value if e == 1 else self._power(value, e)
 
     def exponent(self, base, period: int = 1) -> int:
@@ -247,54 +258,55 @@ class _Parser:
         are bounded; the period is m for u^e = alpha^(e // m) u^(e mod m), and 1
         for a plain power.
         """
-        kind, val, pos = self.peek()
-        if kind != "op" or val != "^":
+        tokens = self.tokens
+        if tokens[self.i] != "^":
             return 1
-        self.advance()
+        self.i += 1
         sign = 1
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "-":
-            self.advance()
+        if tokens[self.i] == "-":
+            self.i += 1
             sign = -1
-        kind, val, pos = self.peek()
-        if kind != "int":
-            raise ParseError(f"unexpected token {val!r}", pos, expected="integer exponent")
-        self.advance()
+        at = self.i
+        val = tokens[at]
+        if not val.isdigit():
+            raise self._error(f"unexpected token {val!r}", at, expected="integer exponent")
+        self.i += 1
         e = sign * int(val)
         n = abs(e // period)
         degree, bits = _size(base) if n else (0, 0)
         if abs(e) > MAX_EXPONENT or degree * n > MAX_EXPONENT:
-            raise ParseError(
-                f"exponent {val} too large: |e| and t-degree * |e| must not exceed {MAX_EXPONENT}", pos)
+            raise self._error(
+                f"exponent {val} too large: |e| and t-degree * |e| must not exceed {MAX_EXPONENT}", at)
         if bits * n > MAX_POWER_BITS:
-            raise ParseError(
-                f"exponent {val} too large: coefficient bits * |e| must not exceed {MAX_POWER_BITS}", pos)
+            raise self._error(
+                f"exponent {val} too large: coefficient bits * |e| must not exceed {MAX_POWER_BITS}", at)
         return e
 
     def atom(self):
-        kind, val, pos = self.peek()
-        if kind == "int":
-            self.advance()
-            return self.literals.coerce(int(val))
-        if kind == "name":
-            self.advance()
-            return self._resolve_name(val, pos)
-        if kind == "op" and val == "(":
+        tok = self.tokens[self.i]
+        if tok.isdigit():
+            self.i += 1
+            return self.literals.coerce(int(tok))
+        value = self.names.get(tok)
+        if value is not None:
+            self.i += 1
+            return value
+        if tok == "(":
             if self.depth == MAX_DEPTH:
-                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
-            self.advance()
+                raise self._error(f"parentheses nested deeper than {MAX_DEPTH}", self.i)
+            self.i += 1
             self.depth += 1
             value = self.expr()
             self.depth -= 1
-            self.expect_op(")")
+            tok = self.tokens[self.i]
+            if tok != ")":
+                raise self._error(f"unexpected token {tok!r}", self.i, expected="')'")
+            self.i += 1
             return value
-        raise ParseError(f"unexpected token {val!r}", pos, expected="atom")
-
-    def _resolve_name(self, name: str, pos: int):
-        value = self.names.get(name)
-        if value is None:
-            raise ParseError(f"undefined symbol {name!r} for this context", pos)
-        return value
+        # a name starts with a letter, and no other token does
+        if tok[:1].isalpha():
+            raise self._error(f"undefined symbol {tok!r} for this context", self.i)
+        raise self._error(f"unexpected token {tok!r}", self.i, expected="atom")
 
 
 def parse_scalar(src: str, context):
@@ -316,10 +328,10 @@ class _SymbolParser(_Parser):
         self.algebra = algebra
 
     def factor(self):
-        kind, name, _ = self.peek()
-        if kind == "name" and name in ("u", "v"):
+        name = self.tokens[self.i]
+        if name == "u" or name == "v":
             # u^e = alpha^(e // m) u^(e mod m), and likewise v^e
-            self.advance()
+            self.i += 1
             alg = self.algebra
             if name == "u":
                 return alg.u(self.exponent(alg.alpha, alg.m))

@@ -10,8 +10,15 @@ given; only the public ``CycloElem(parent, coeffs)`` converts and checks its
 input.  Each field interns its zero() and one(), and ``_reduced`` returns
 them for a result of 0 or 1, so computed constants are interned too.
 Elements are immutable, so a sum with a
-zero operand returns the other operand, and a product with the interned one
-(or zero), tested by identity, returns the other operand (or zero).
+zero operand returns the other operand, a product with the interned one
+(or zero), tested by identity, returns the other operand (or zero), and the
+negative of a zero is the interned zero.
+
+The constants that depend on m alone are built once per field:
+``omega_powers``, w^0..w^(m-1) read off the table of x^j mod Phi_m (its
+first entry is ``one()`` and its second ``omega()``), and ``inverse_gaps``,
+the m - 1 inverses (1 - w^j)^-1, computed on first use.  Every other module
+reads w^k and (1 - w^j)^-1 from these.
 
 A product of two non-rational elements is a schoolbook convolution whose
 high coefficients are folded back through the field's table of x^(d+k) mod
@@ -22,7 +29,7 @@ is the product of the other Galois conjugates over the norm.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from ..errors import SelfCheckError
@@ -78,8 +85,15 @@ class CycloField:
         self._zeros = (0,) * (d - 1)
         self._zero = _elem(self, (0,) + self._zeros, 1)
         self._one = _elem(self, (1,) + self._zeros, 1)
-        self._omega = _elem(self, powers[1], 1)
+        self.omega_powers = (self._one,) + tuple(_elem(self, row, 1) for row in powers[1:m])
+        self._omega = self.omega_powers[1 % m]
         self._generators = {"w": self._omega}
+
+    @cached_property
+    def inverse_gaps(self) -> tuple:
+        """(None, (1 - w)^-1, ..., (1 - w^(m-1))^-1): entry j is (1 - w^j)^-1, one norm each."""
+        one = self._one
+        return (None,) + tuple((one - w).inv() for w in self.omega_powers[1:])
 
     def zero(self) -> "CycloElem":
         return self._zero
@@ -184,7 +198,10 @@ class CycloElem(FieldElem):
     __radd__ = __add__
 
     def __neg__(self):
-        return _elem(self.parent, tuple([-x for x in self.num]), self.den)
+        num = self.num
+        if not any(num):
+            return self.parent._zero
+        return _elem(self.parent, tuple([-x for x in num]), self.den)
 
     def __mul__(self, other):
         parent = self.parent

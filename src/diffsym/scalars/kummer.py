@@ -241,9 +241,9 @@ class KummerElem(SparseElem):
     def conjugate(self, j: int) -> "KummerElem":
         """The Galois twist xi -> w^j xi (coefficient-wise scaling)."""
         parent = self.parent
-        w = parent.cyclo.omega()
+        w_pows = parent.cyclo.omega_powers
         n = parent.cyclo.m
-        return _kummer(parent, {i: c * parent.base.coerce(w ** ((i * j) % n)) for i, c in self.terms.items()})
+        return _kummer(parent, {i: c * parent.base.coerce(w_pows[i * j % n]) for i, c in self.terms.items()})
 
     def __hash__(self):
         # an element of the base field equals its base value

@@ -64,7 +64,7 @@ def rational_ode_solve(mu, g: RatFunc) -> OdeSolution:
     n_rows = bound + d_poly.degree + 2
     columns = []
     for i in range(bound + 1):
-        basis = Poly(cyclo, [cyclo.zero()] * i + [cyclo.one()])
+        basis = Poly.monomial(cyclo, i)
         img = basis.derivative() * d_poly - basis * d_deriv + basis * d_poly * mu
         columns.append([img.coeff(r) for r in range(n_rows)])
     matrix = [[columns[c][r] for c in range(bound + 1)] for r in range(n_rows)]

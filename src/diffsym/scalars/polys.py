@@ -8,7 +8,8 @@ Arithmetic builds its results through ``_poly``, which only trims trailing
 zeros, since sums and products of field elements are already field elements;
 only the public ``Poly(field, coeffs)`` coerces each coefficient.  A product
 runs over the supports of its factors: no product or sum is taken for a zero
-coefficient.
+coefficient, and a product with the one polynomial (its coefficient the
+field's interned one) returns the other factor.
 """
 
 from __future__ import annotations
@@ -83,7 +84,12 @@ class Poly(FieldElem):
 
     @classmethod
     def gen(cls, field):
-        return cls(field, [field.zero(), field.one()])
+        return cls.monomial(field, 1)
+
+    @classmethod
+    def monomial(cls, field, i: int):
+        """t^i for an integer i >= 0."""
+        return _poly(field, [field.zero()] * i + [field.one()])
 
     @classmethod
     def constant(cls, field, c):
@@ -134,11 +140,20 @@ class Poly(FieldElem):
 
     def __mul__(self, other):
         field = self.field
-        a, b = self.coeffs, self._coerce_other(other).coeffs
+        other = self._coerce_other(other)
+        longer, a, b = self, self.coeffs, other.coeffs
         if len(a) < len(b):
-            a, b = b, a
+            longer, a, b = other, b, a
         if len(b) <= 1:
-            return _poly(field, [x * b[0] for x in a] if b else [])
+            if not b:
+                return _poly(field, [])
+            c, one = b[0], field.one()
+            # the one polynomial, by identity with the field's interned one (QQ interns none)
+            if c is one:
+                return longer
+            if len(a) == 1 and a[0] is one:
+                return other
+            return _poly(field, [x * c for x in a])
         # the shorter factor's support, listed once; a slot starts from its first product
         right = [(j, y) for j, y in enumerate(b) if not is_zero_elem(y)]
         out = [None] * (len(a) + len(b) - 1)

@@ -196,7 +196,7 @@ def _rational_part(c: CycloElem, k: int):
     w^j = (w^(j k^-1 mod n))^k.  So c is a k-th power in Q(w) iff q is.
     """
     n = c.parent.m
-    w_inv = c.parent.omega() ** (n - 1)
+    w_inv = c.parent.omega_powers[n - 1]
     for _ in range(n if gcd(n, k) == 1 else 1):
         if c.is_rational():
             return c.rational_value()

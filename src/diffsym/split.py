@@ -55,8 +55,8 @@ class PhiMap:
         self.ext_field = xi_field
         self.ext_algebra = algebra.extend(xi_field)
         xi = xi_field.gen()
-        w = xi_field.cyclo.omega()
-        diag = [xi * xi_field.coerce(w ** ((m - r) % m)) for r in range(m)]
+        w_pows = xi_field.cyclo.omega_powers
+        diag = [xi * xi_field.coerce(w_pows[(m - r) % m]) for r in range(m)]
         self.a_mat = DiffMatrix.diagonal(xi_field, diag)
         rows = [[xi_field.zero()] * m for _ in range(m)]
         rows[0][m - 1] = xi_field.coerce(algebra.beta)
@@ -155,17 +155,15 @@ def t_r_values(m: int) -> list[Fraction]:
 def _checked_t_r(m: int) -> tuple[Fraction, ...]:
     """t_r = sum_{i=1}^{m-1} (w^(ri) (1 - w^i))^-1 = sum_i w^(-ri) (1 - w^i)^-1.
 
-    The m - 1 inverses (1 - w^i)^-1 do not depend on r, so they are computed
-    once; every one of the m sums is still computed and checked.
+    The m - 1 inverses (1 - w^i)^-1 do not depend on r: they are the field's
+    ``inverse_gaps``.  Every one of the m sums is still computed and checked.
     """
     cyclo = CycloField(m)
-    w = cyclo.omega()
-    w_pows = [w**k for k in range(m)]
-    inv_gaps = [(cyclo.one() - w_pows[i]).inv() for i in range(1, m)]
+    w_pows = cyclo.omega_powers
     values = []
     for r in range(m):
         total = cyclo.zero()
-        for i, g in enumerate(inv_gaps, start=1):
+        for i, g in enumerate(cyclo.inverse_gaps[1:], start=1):
             total = total + w_pows[-(r * i) % m] * g
         closed = Fraction(m - 1, 2) - r
         if not total == cyclo.from_rational(closed):

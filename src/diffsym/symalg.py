@@ -37,8 +37,10 @@ class SymbolAlgebra:
         self.m = m
         self.omega = field.cyclo.omega()
         self._check_primitive_root()
-        # cache of omega powers as coefficient-field elements
-        self._omega_pow = [field.coerce(self.omega**i) for i in range(m)]
+        # the field's omega powers as coefficient-field elements
+        self._omega_pow = [field.coerce(w) for w in field.cyclo.omega_powers]
+        # (i, j) -> i ru + j rv, the d_s rate of u^i v^j, filled on first use
+        self._rate_multiples = {}
 
     # -- constants of the algebra, computed on first use ---------------------
     #
@@ -61,20 +63,19 @@ class SymbolAlgebra:
     def inverse_gaps(self):
         """(g, alpha^-1) with g[j] = (1 - w^j)^-1 for j = 1..m-1 (g[0] is None).
 
-        Each g[j] is one inverse in Q(w), a norm, coerced into the field.
+        Each g[j] is the Q(w) field's ``inverse_gaps[j]`` coerced into the field.
         """
-        cyclo = self.field.cyclo
-        one = cyclo.one()
-        gaps = [None] + [self.field.coerce((one - self.omega**j).inv()) for j in range(1, self.m)]
+        coerce = self.field.coerce
+        gaps = [None] + [coerce(g) for g in self.field.cyclo.inverse_gaps[1:]]
         return gaps, self.alpha.inv()
 
     def _check_primitive_root(self):
-        w = self.omega
-        one = self.omega.parent.one()
-        if not w**self.m == one:
+        w_pows = self.field.cyclo.omega_powers
+        one = w_pows[0]
+        if not w_pows[-1] * self.omega == one:
             raise ValueError("omega^m != 1")
         for d in range(1, self.m):
-            if self.m % d == 0 and w**d == one:
+            if self.m % d == 0 and w_pows[d] == one:
                 raise ValueError("omega is not a primitive m-th root of unity")
 
     # -- element constructors --------------------------------------------

@@ -63,7 +63,7 @@ from diffsym.deriv import validate
 from diffsym.errors import SelfCheckError
 from diffsym.linalg import invert_matrix, kernel_basis, solve_affine
 from diffsym.matdiff import DiffMatrix, _specialisation_points, _specialise
-from diffsym.parser import MAX_EXPONENT, MAX_POWER_BITS, ParseError, _wrap, scalar_to_str
+from diffsym.parser import MAX_DEPTH, MAX_EXPONENT, MAX_POWER_BITS, ParseError, _wrap, scalar_to_str
 from diffsym.scalars import CycloElem, KummerElem, PolyDiffField, Poly, RatFunc
 from diffsym.scalars.monomial import PolyDiffElem
 from diffsym.scalars.ode import OdeSolution
@@ -675,6 +675,7 @@ class _OracleParser:
     def __init__(self, src, context):
         self.tokens = _oracle_tokenize(src)
         self.i = 0
+        self.depth = 0
         self.context = context
 
     def peek(self):
@@ -704,9 +705,8 @@ class _OracleParser:
         while self.peek()[0] == "op" and self.peek()[1] in "*/":
             _, op, pos = self.advance()
             value = self.binop(op, value, self.signed_factor())
-            # a product or quotient that lies in Q(w)[t] is bounded as a power is
-            if isinstance(value, CycloElem) or (isinstance(value, RatFunc) and value.den.degree == 0):
-                _oracle_check_size(value, f"result of {op!r}", pos)
+            # every product and quotient is bounded as a power is
+            _oracle_check_size(value, f"result of {op!r}", pos)
         return value
 
     def signed_factor(self):
@@ -759,8 +759,12 @@ class _OracleParser:
                 raise ParseError(f"undefined symbol {val!r} for this context", pos)
             return value
         if kind == "op" and val == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
             self.advance()
+            self.depth += 1
             value = self.expr()
+            self.depth -= 1
             kind, val, pos = self.peek()
             if kind != "op" or val != ")":
                 raise ParseError(f"unexpected token {val!r}", pos, expected="')'")

@@ -11,7 +11,7 @@ from diffsym import SymbolAlgebra, inner_derivation, split_standard, standard_de
 from diffsym.cli import main
 from diffsym.errors import SelfCheckError
 from diffsym.matdiff import DiffMatrix
-from diffsym.parser import parse_scalar, parse_symbol
+from diffsym.parser import MAX_POWER_BITS, parse_scalar, parse_symbol
 from diffsym.scalars import CycloField, KummerField, RatFuncField
 from diffsym.split import PhiMap, compute_P
 
@@ -457,3 +457,41 @@ def test_input_errors_on_every_rung_of_the_parser(capsys, argv, err):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == err and captured.out == ""
+
+
+def test_one_field_per_m_and_derivation_per_process():
+    from diffsym import cli
+
+    assert cli._field(5) is cli._field(5) is cli._field(5, False)
+    assert cli._field(5, True) is cli._field(5, zero=True)
+    assert cli._field(5, True) is not cli._field(5) and cli._field(5, True).is_zero_derivation
+    with pytest.raises(ValueError, match="must not exceed 16"):
+        cli._field(17)
+
+
+def test_a_product_is_sized_at_its_operator_on_every_rung(monkeypatch, capsys):
+    """A chain of quotients over t, and of symbol products, exits 2 at its first oversized '*',
+    before any integer past 18,001 bits is built."""
+    from diffsym.parser import _Parser, _size, _SymbolParser
+
+    big = "(2^1000)^9"
+    bits = []
+    for cls in (_Parser, _SymbolParser):
+        binop = cls.__dict__["_binop"]
+
+        def sized(self, *args, _binop=binop):
+            value = _binop(self, *args)
+            bits.append(_size(value)[1])
+            return value
+
+        monkeypatch.setattr(cls, "_binop", sized)
+    refusal = f"error: result of '*' too large: coefficient bits must not exceed {MAX_POWER_BITS} at position 12\n"
+    for argv in (
+        ["power-detect", "--m=2", "--f=" + "*".join([f"{big}/t"] * 200)],
+        ["deriv", "validate", "--m=2", "--alpha=t", "--beta=t+1", "--du=u*" + "*".join([big] * 200), "--dv=0"],
+    ):
+        bits.clear()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == refusal
+        # the refused product is the one value past the bound
+        assert max(bits) <= 18_001 and sum(b > MAX_POWER_BITS for b in bits) == 1

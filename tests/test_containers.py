@@ -106,6 +106,34 @@ def test_a_second_decompose_inverts_nothing(monkeypatch, m):
     assert decompose(d) == theta and len(inverses) == first
 
 
+@pytest.mark.parametrize("m", [2, 3, 5, 7])
+def test_algebras_over_one_field_share_its_gap_inverses(monkeypatch, m):
+    """The m - 1 inverses (1 - w^j)^-1 are the field's, taken once for every algebra over it."""
+    k = RatFuncField(CycloField(m), "t")
+    t = k.gen()
+    inverses = _counter(monkeypatch, CycloElem, "inv")
+    # monic radicands: alpha^-1 takes no inverse in Q(w)
+    first, second = SymbolAlgebra(k, t, t + k.one(), m), SymbolAlgebra(k, t * t + 2, t - 3, m)
+    assert first.inverse_gaps[0] == second.inverse_gaps[0]
+    assert len(inverses) == m - 1
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_apply_computes_each_rate_once_per_algebra(monkeypatch, m):
+    """d_s's i ru + j rv is read from the algebra after the first call: two fewer products per (i, j)."""
+    alg = make_algebra(m)
+    k = alg.field
+    t = k.gen()
+    d = standard_derivation(alg) + inner_derivation(_theta(alg))
+    x = alg.monomial(1, 0, t + 2) + alg.monomial(0, 1, k.coerce(3)) + alg.monomial(1, 1, t - 1) + alg.scalar(t)
+    alg.standard_rates
+    products = _counter(monkeypatch, RatFunc, "__mul__")
+    first = d.apply(x)
+    n = len(products)
+    assert d.apply(x) == first
+    assert n - (len(products) - n) == 2 * 3
+
+
 def test_derivation_apply_on_a_scalar_takes_no_product(monkeypatch, rng):
     alg = make_algebra(3)
     d = random_valid_derivation(alg, rng)

@@ -240,3 +240,30 @@ def test_rationals_hash_as_fractions_across_conductors():
             _assert_canonical(x)
             assert hash(x) == hash(q) and x == q and x.rational_value() == q
             assert hash(x * x.parent.one()) == hash(q) and hash(x + 0) == hash(q)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 12])
+def test_the_negative_of_a_zero_is_the_interned_zero(m, rng):
+    """-0 is the field's interned zero, whether the zero was computed or built by the public constructor."""
+    from diffsym.scalars import CycloElem
+
+    f = CycloField(m)
+    a = _random_elem(f, rng, 1.0)
+    assert -(a - a) is f.zero()
+    assert -f.zero() is f.zero()
+    assert -CycloElem(f, [0] * f.degree) is f.zero()
+    assert -(-a) == a and not (-a).is_zero()
+
+
+@pytest.mark.parametrize("m", range(1, 25))
+def test_the_per_m_constants_are_the_powers_and_the_gap_inverses(m):
+    """omega_powers[k] = w^k with [0] the interned one and [1] omega(); inverse_gaps[j] (1 - w^j) = 1, built once."""
+    f = CycloField(m)
+    w, one = f.omega(), f.one()
+    powers = f.omega_powers
+    assert len(powers) == m and powers[0] is one and powers[1 % m] is w
+    assert all(wk == w**k for k, wk in enumerate(powers))
+    gaps = f.inverse_gaps
+    assert len(gaps) == m and gaps[0] is None
+    assert all(gaps[j] * (one - powers[j]) == one for j in range(1, m))
+    assert f.inverse_gaps is gaps

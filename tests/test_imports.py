@@ -142,3 +142,72 @@ def test_every_package_function_and_class_has_a_caller_or_a_reason():
                     # the references inside its own body do not count
                     everywhere[node.name] -= Counter(_references(node))[node.name]
     assert {name for name, n in everywhere.items() if n == 0} == set(UNREFERENCED)
+
+
+# w^k and (1 - w^j)^-1 depend on m alone: they are read from CycloField's
+# omega_powers and inverse_gaps, built once per field in scalars/cyclo.py
+_OMEGA = {"omega", "omega_powers", "_omega_pow"}
+
+
+def _mentions(node, local) -> bool:
+    """node mentions a name or attribute of _OMEGA, or a name of local."""
+    return any(
+        (isinstance(n, ast.Name) and (n.id in _OMEGA or n.id in local))
+        or (isinstance(n, ast.Attribute) and n.attr in _OMEGA)
+        for n in ast.walk(node)
+    )
+
+
+def _scope_nodes(scope):
+    """The nodes of a function, or of a module outside its functions."""
+    if not isinstance(scope, ast.Module):
+        yield from ast.walk(scope)
+        return
+    stack = [scope]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(n for n in ast.iter_child_nodes(node) if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def _omega_recomputations(tree, rel: str):
+    """(file, line, kind) for each power of omega and each inverse of a difference that mentions omega.
+
+    A local name bound, directly or in a chain, to an expression that mentions
+    omega counts as omega within its function.
+    """
+    for scope in [tree] + [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]:
+        nodes = list(_scope_nodes(scope))
+        local = set()
+        while True:
+            bound = {
+                target.id
+                for node in nodes
+                if isinstance(node, ast.Assign) and _mentions(node.value, local)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            if bound <= local:
+                break
+            local |= bound
+        for node in nodes:
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and _mentions(node.left, local):
+                yield rel, node.lineno, "power of omega"
+            difference = None
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "inv":
+                difference = node.func.value
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                difference = node.right
+            if (isinstance(difference, ast.BinOp) and isinstance(difference.op, ast.Sub)
+                    and _mentions(difference, local)):
+                yield rel, node.lineno, "inverse of 1 - w^j"
+
+
+def test_omega_powers_and_gap_inverses_are_read_from_the_field():
+    found = {
+        hit
+        for path in sorted(SRC.rglob("*.py"))
+        if path.relative_to(SRC).as_posix() != "scalars/cyclo.py"
+        for hit in _omega_recomputations(ast.parse(path.read_text(), str(path)), path.relative_to(SRC).as_posix())
+    }
+    assert found == set()

@@ -355,19 +355,22 @@ def test_the_whole_expression_is_bounded_once():
     k = RatFuncField(CycloField(3), "t")
     t = k.gen()
     big = "(2^1000)^9"
-    # a sum and a product off Q(w)[t] are not sized as they are built, but their value is
+    # a sum is not sized as it is built, but its value is
     assert parse_scalar(f"{big} + {big}", k) == k.coerce(2**9001)  # 9,002 bits
-    for src, bound in ((f"{big}/t*{big}", "coefficient bits"), ("t^999/(t+1) + t^999*t", "t-degree")):
-        with pytest.raises(ParseError) as info:
-            parse_scalar(src, k)
-        assert info.value.position == 0 and str(info.value).startswith(f"expression too large: {bound}")
+    with pytest.raises(ParseError) as info:
+        parse_scalar("t^999/(t+1) + t^999*t", k)
+    assert str(info.value) == f"expression too large: t-degree must not exceed {MAX_EXPONENT} at position 0"
+    # a product off Q(w)[t] is sized at its operator, on every rung
+    with pytest.raises(ParseError) as info:
+        parse_scalar(f"{big}/t*{big}", k)
+    assert str(info.value) == f"result of '*' too large: coefficient bits must not exceed {MAX_POWER_BITS} at position 12"
     alg = SymbolAlgebra(k, t, t + k.one(), 3)
     with pytest.raises(ParseError) as info:
         parse_symbol(f"{big}*u*{big}", alg)
-    assert str(info.value) == f"expression too large: coefficient bits must not exceed {MAX_POWER_BITS} at position 0"
+    assert str(info.value) == f"result of '*' too large: coefficient bits must not exceed {MAX_POWER_BITS} at position 12"
     with pytest.raises(ParseError) as info:
         parse_symbol("t^600*u*t^600", alg)
-    assert str(info.value) == f"expression too large: t-degree must not exceed {MAX_EXPONENT} at position 0"
+    assert str(info.value) == f"result of '*' too large: t-degree must not exceed {MAX_EXPONENT} at position 7"
     assert parse_symbol(f"{big}*u", alg) == alg.u().scale(k.coerce(2**9000))
 
 
@@ -595,3 +598,107 @@ def test_the_size_bounds_agree_with_the_whole_field_oracle():
         assert got == _outcome(oracle, src, context), src
         refused += got[0] is ParseError
     assert refused == 12
+
+
+def test_generator_powers_are_read_off_without_a_product(monkeypatch):
+    """w^e is the field's omega_powers[e mod m] and t^e a monomial: no product in Q(w) or Q(w)[t]."""
+    from diffsym.scalars import CycloElem, Poly
+
+    k = RatFuncField(CycloField(5), "t")
+    w, t = k.omega(), k.gen()
+    expected = {e: w**e for e in range(-11, 12)}
+    calls = []
+    for cls in (CycloElem, Poly):
+        mul = cls.__mul__
+        monkeypatch.setattr(cls, "__mul__", lambda x, y, _mul=mul: calls.append(x) or _mul(x, y))
+    value = parse_scalar("w^9 + t^7", k)
+    assert calls == []
+    monkeypatch.undo()
+    assert value == w**9 + t**7
+    assert all(parse_scalar(f"w^{e}", k) == expected[e] for e in expected)
+    assert all(parse_scalar(f"t^{e}", k) == t**e for e in range(0, 12))
+    assert parse_scalar("w^-2", k.cyclo) == k.cyclo.omega() ** -2
+
+
+def _cli_queries_argv(monkeypatch, seed, rounds):
+    """The argv of the cli-queries benchmark workload, from its seeded generator under perfbench/."""
+    from pathlib import Path
+    from types import SimpleNamespace
+
+    import diffsym.parser
+    import diffsym.symalg
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import WORKLOADS
+
+    workload = WORKLOADS["cli-queries"]
+    ds = SimpleNamespace(field=lambda m: RatFuncField(CycloField(m), "t"), symalg=diffsym.symalg, parser=diffsym.parser)
+    ctx = workload.setup(ds, seed)
+    return [case.inputs["argv"] for r in range(rounds) for case in workload.cases(ctx, r)]
+
+
+_MUTATIONS = ("(", ")", "+", "-", "*", "/", "^", "^2", "^-1", "^0", "$", "w", "t", "u", "x", "0", " ", "--",
+              "^1001", "(2^1000)^9*", "t^600*", "٣", "é")
+
+
+def _mutate(rng, src):
+    """src with one or two characters deleted, replaced by, or preceded by a token from _MUTATIONS, or swapped."""
+    for _ in range(rng.choice((1, 1, 2))):
+        at = rng.randrange(len(src) + 1)
+        op = rng.randrange(4) if src else 1
+        if op == 0:
+            src = src[:at] + src[at + 1:]
+        elif op == 1:
+            src = src[:at] + rng.choice(_MUTATIONS) + src[at:]
+        elif op == 2:
+            src = src[:at] + rng.choice(_MUTATIONS) + src[at + 1:]
+        else:
+            src = src[:at] + src[at + 1:at + 2] + src[at:at + 1] + src[at + 2:]
+    return src
+
+
+def test_mutated_cli_queries_agree_with_the_whole_field_oracle(monkeypatch):
+    """Seeded mutations of every expression in the cli-queries argv (seed 7, rounds 0-2) parse to the
+    oracle's value, or raise its exception with the same message and position."""
+    from random import Random
+
+    from diffsym.symalg import SymbolElem
+
+    rng = Random("cli-queries-mutations")
+    fields, kinds, n = {}, set(), 0
+    for argv in _cli_queries_argv(monkeypatch, 7, 3):
+        opts = dict(a[2:].split("=", 1) for a in argv if a.startswith("--"))
+        m = int(opts.pop("m"))
+        k = fields.setdefault(m, RatFuncField(CycloField(m), "t"))
+        alg = SymbolAlgebra(k, parse_scalar(opts["alpha"], k), parse_scalar(opts["beta"], k), m) if "alpha" in opts else None
+        for option, src in sorted(opts.items()):
+            if option in ("du", "dv"):
+                parse, oracle, context = parse_symbol, symbol_elem_parse_symbol, alg
+            else:
+                parse, oracle, context = parse_scalar, field_parse_scalar, k.cyclo if option == "mu" else k
+            for _ in range(3):
+                text = _mutate(rng, src)
+                got, want = _outcome(parse, text, context), _outcome(oracle, text, context)
+                assert got == want, (option, text)
+                kinds.add(want[0] if want[0] != "value" else type(want[1]))
+                n += 1
+    assert n > 1000
+    assert {RatFunc, SymbolElem, ParseError} <= kinds
+    deep = "(" * (MAX_DEPTH + 1) + "t" + ")" * (MAX_DEPTH + 1)
+    assert _outcome(parse_scalar, deep, k) == _outcome(field_parse_scalar, deep, k)
+
+
+def test_an_oversized_product_is_refused_though_later_factors_would_shrink_it():
+    """The bound holds at each '*' and '/', so a value past it is never built on, whatever follows."""
+    k = RatFuncField(CycloField(3), "t")
+    t = k.gen()
+    alg = SymbolAlgebra(k, t, t + k.one(), 3)
+    big = "(2^1000)^9"
+    bits = f"coefficient bits must not exceed {MAX_POWER_BITS}"
+    for parse, oracle, context, src, message in (
+        (parse_scalar, field_parse_scalar, k, f"{big}/t*{big}/{big}", f"result of '*' too large: {bits} at position 12"),
+        (parse_symbol, symbol_elem_parse_symbol, alg, f"u*{big}*{big}/{big}", f"result of '*' too large: {bits} at position 12"),
+        (parse_scalar, field_parse_scalar, k, "t^600/(t+1)*t^600/t^600",
+         f"result of '*' too large: t-degree must not exceed {MAX_EXPONENT} at position 11"),
+    ):
+        assert _outcome(parse, src, context) == _outcome(oracle, src, context) == (ParseError, message)

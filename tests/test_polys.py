@@ -332,3 +332,21 @@ def test_a_monomial_product_takes_one_coefficient_product(monkeypatch):
     monkeypatch.setattr(CycloElem, "__mul__", counted)
     assert a * b == expected
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("field, coeff", [p for p in _poly_fields() if p.id in ("Q(w_3)", "Q(w_7)", "Q(w)(t)", "k(xi)")])
+def test_a_product_with_the_one_polynomial_returns_the_other_factor(field, coeff, rng):
+    """p * 1 and 1 * p are p itself when 1's coefficient is the field's interned one."""
+    t = Poly.gen(field)
+    one = Poly.one(field)
+    for p in (t**3 * coeff(rng) + coeff(rng), Poly.constant(field, coeff(rng)), t, one):
+        assert p * one is p
+    for p in (t**3 + coeff(rng), t):
+        assert one * p is p
+
+
+def test_rational_coefficients_keep_the_product_path():
+    """QQ interns no one, so a product with the one polynomial builds a new, equal polynomial."""
+    p = P([1, 2, 3])
+    q = p * Poly.one(QQ)
+    assert q is not p and q == p
