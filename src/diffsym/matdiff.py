@@ -207,14 +207,25 @@ _POINT_SEED = "diffsym.matdiff.det_certificate"
 
 
 def _specialise(x, point, base):
-    """The value of a Laurent polynomial at a point with no zero on a negative exponent."""
+    """The value of a Laurent polynomial at an integer point with no zero on a negative exponent.
+
+    Each monomial is evaluated in integers, its numerator from the positive
+    exponents and its denominator from the negative ones; a value of 0 adds
+    nothing, a value of 1 adds its coefficient, and only another value is
+    coerced into the base.
+    """
     acc = base.zero()
     for key, c in x.terms.items():
-        value = Fraction(1)
+        num = den = 1
         for i, e in key:
-            value *= Fraction(point[i]) ** e
-        if value:
-            acc = acc + (c if value == 1 else c * base.coerce(value))
+            if e > 0:
+                num *= point[i] ** e
+            else:
+                den *= point[i] ** -e
+        if num == den:
+            acc = acc + c
+        elif num:
+            acc = acc + c * base.coerce(num if den == 1 else Fraction(num, den))
     return acc
 
 

@@ -61,12 +61,13 @@ def _tokenize(src: str) -> list:
     return tokens
 
 
-# Largest |exponent|, and largest t-degree a power, a product or a whole
-# expression may reach: the cost of a power grows quadratically with its
-# t-degree, so larger ones are usage errors.
+# Largest |exponent|, and largest t-degree a power, a product, a sum sized at
+# its operator or a whole expression may reach: the cost of a power grows
+# quadratically with its t-degree, so larger ones are usage errors.
 MAX_EXPONENT = 1000
 # Largest |e| times the bit length of the largest integer in the base, and the
-# largest bit length in a product or a whole expression: no value that parses
+# largest bit length in a product, a sum sized at its operator or a whole
+# expression: no value that parses
 # holds an integer past Python's 4,300-digit limit on printing one.
 MAX_POWER_BITS = 10_000
 # Deepest nesting of parentheses: each level takes a few Python frames, so a
@@ -184,8 +185,18 @@ class _Parser:
         value = self.term()
         tokens = self.tokens
         while (op := tokens[self.i]) in _SUM_OPS:
+            at = self.i
             self.i += 1
-            value = self._binop(op, value, self.term())
+            b = self.term()
+            # the denominator of a/b + c/d divides b d: when deg b + deg d, read off
+            # the coefficient tuples' lengths, passes the bound, the sum is sized at
+            # its operator (an operand off k has denominator 1, and every value in k
+            # has a denominator within the bound)
+            oversized = (type(value) is RatFunc and type(b) is RatFunc
+                         and len(value.den.coeffs) + len(b.den.coeffs) - 2 > MAX_EXPONENT)
+            value = self._binop(op, value, b)
+            if oversized:
+                self._check_size(value, at)
         return value
 
     def term(self):

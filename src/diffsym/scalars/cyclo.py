@@ -11,8 +11,9 @@ input.  Each field interns its zero() and one(), and ``_reduced`` returns
 them for a result of 0 or 1, so computed constants are interned too.
 Elements are immutable, so a sum with a
 zero operand returns the other operand, a product with the interned one
-(or zero), tested by identity, returns the other operand (or zero), and the
-negative of a zero is the interned zero.
+(or zero), tested by identity, returns the other operand (or zero), the
+negative of a zero (or of -1) is the interned zero (or one), and a rational
+coerced from another conductor is built through ``from_rational``.
 
 The constants that depend on m alone are built once per field:
 ``omega_powers``, w^0..w^(m-1) read off the table of x^j mod Phi_m (its
@@ -127,7 +128,8 @@ class CycloField:
             if x.parent is self or x.parent == self:
                 return x
             if x.is_rational():
-                return _elem(self, (x.num[0],) + self._zeros, x.den)
+                n = x.num[0]
+                return self.from_rational(n if x.den == 1 else Fraction(n, x.den))
             raise TypeError("cyclotomic element from a different conductor")
         if isinstance(x, (int, Fraction)):
             return self.from_rational(x)
@@ -199,8 +201,9 @@ class CycloElem(FieldElem):
 
     def __neg__(self):
         num = self.num
-        if not any(num):
-            return self.parent._zero
+        if num[0] in (0, -1) and self.den == 1 and not any(num[1:]):
+            parent = self.parent
+            return parent._one if num[0] else parent._zero
         return _elem(self.parent, tuple([-x for x in num]), self.den)
 
     def __mul__(self, other):

@@ -236,7 +236,7 @@ class KummerElem(SparseElem):
                 term = term + c * rate
             if not term.is_zero():
                 out[i] = term
-        return _kummer(self.parent, out)
+        return _kummer(parent, out) if out else parent._zero
 
     def conjugate(self, j: int) -> "KummerElem":
         """The Galois twist xi -> w^j xi (coefficient-wise scaling)."""

@@ -25,7 +25,10 @@ class PolyDiffField:
         self.names = tuple(names)
         self.n = len(self.names)
         self._gen_derivs = [None] * self.n
-        self._generators = {name: self.gen(i) for i, name in enumerate(self.names)}
+        self._zero = _polydiff(self, {})
+        one = base.one()
+        self._gens = tuple(_polydiff(self, {((i, 1),): one}) for i in range(self.n))
+        self._generators = dict(zip(self.names, self._gens))
         for name, g in base.generators().items():
             self._generators.setdefault(name, self.coerce(g))
 
@@ -53,14 +56,14 @@ class PolyDiffField:
         return False
 
     def zero(self) -> "PolyDiffElem":
-        return _polydiff(self, {})
+        return self._zero
 
     def one(self) -> "PolyDiffElem":
         return _polydiff(self, {(): self.base.one()})
 
     def gen(self, i: int) -> "PolyDiffElem":
         self._check_index(i)
-        return _polydiff(self, {((i, 1),): self.base.one()})
+        return self._gens[i]
 
     def generators(self) -> dict:
         """Name to element for the parser: x0, x1, ..., then the base's generators."""
@@ -71,7 +74,7 @@ class PolyDiffField:
             return x
         c = self.base.coerce(x)
         if c.is_zero():
-            return self.zero()
+            return self._zero
         return _polydiff(self, {(): c})
 
     def __repr__(self):
@@ -101,7 +104,9 @@ class PolyDiffElem(SparseElem):
     ``PolyDiffElem(parent, terms)`` takes dense exponent tuples of length n as
     the keys of ``terms``, coerces each coefficient and drops the zeros (see
     ``SparseElem``); arithmetic builds through the trusted ``_polydiff``, and
-    a coefficient product with the base's one is skipped.
+    a coefficient product with the base's one is skipped.  A product with a
+    constant, the single term ``{(): c}``, scales the other factor's
+    coefficients by c and merges no keys.
     """
 
     __slots__ = ("parent", "terms")
@@ -115,15 +120,10 @@ class PolyDiffElem(SparseElem):
         return _polydiff(self.parent, terms)
 
     def scale(self, c) -> "PolyDiffElem":
-        base = self.parent.base
-        c = base.coerce(c)
-        one = base.one()
-        if c is one:
-            return self
+        c = self.parent.base.coerce(c)
         if c.is_zero():
-            return self._with({})
-        # the base is a field, so a product of nonzero coefficients is nonzero
-        return self._with({e: c if v is one else v * c for e, v in self.terms.items()})
+            return self.parent._zero
+        return _scaled(self, c)
 
     def __add__(self, other):
         parent = self.parent
@@ -140,10 +140,15 @@ class PolyDiffElem(SparseElem):
                 other = parent.coerce(other)
             except TypeError:
                 return NotImplemented
+        x, y = self.terms, other.terms
+        if len(y) == 1 and () in y:
+            return _scaled(self, y[()])
+        if len(x) == 1 and () in x:
+            return _scaled(other, x[()])
         one = parent.base.one()
         out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
+        for k1, c1 in x.items():
+            for k2, c2 in y.items():
                 key = _mul_keys(k1, k2)
                 c = c2 if c1 is one else c1 if c2 is one else c1 * c2
                 out[key] = out[key] + c if key in out else c
@@ -164,20 +169,23 @@ class PolyDiffElem(SparseElem):
         """Leibniz extension of the base derivation and the generator images.
 
         d(c x^e) = d(c) x^e + sum_i e_i c x^(e - 1_i) d(x_i), collected term by
-        term; a coefficient with d(c) = 0 contributes no first term.
+        term; a coefficient with d(c) = 0 contributes no first term, and the
+        base's one is not derived at all.
         """
         parent = self.parent
+        one = parent.base.one()
         out = {}
         for key, c in self.terms.items():
-            dc = c.derive()
-            if not dc.is_zero():
-                out[key] = out[key] + dc if key in out else dc
+            if c is not one:
+                dc = c.derive()
+                if not dc.is_zero():
+                    out[key] = out[key] + dc if key in out else dc
             for i, e in key:
                 ce = c if e == 1 else c * e
                 lowered = _mul_keys(key, ((i, -1),))
                 for gkey, g in parent.gen_derivative(i).terms.items():
                     mono = _mul_keys(lowered, gkey)
-                    v = ce * g
+                    v = g if ce is one else ce * g
                     out[mono] = out[mono] + v if mono in out else v
         return _polydiff(parent, {e: c for e, c in out.items() if not c.is_zero()})
 
@@ -220,6 +228,14 @@ def _mul_keys(a: tuple, b: tuple) -> tuple:
     out.extend(a[i:])
     out.extend(b[j:])
     return tuple(out)
+
+
+def _scaled(x: PolyDiffElem, c) -> PolyDiffElem:
+    """x * c for a nonzero c in the base; the base is a field, so no coefficient product is zero."""
+    one = x.parent.base.one()
+    if c is one:
+        return x
+    return _polydiff(x.parent, {e: c if v is one else v * c for e, v in x.terms.items()})
 
 
 def _polydiff(parent: PolyDiffField, terms: dict) -> PolyDiffElem:

@@ -231,7 +231,9 @@ class RatFunc(FieldElem):
         if parent.is_zero_derivation or not num.coeffs:
             return parent._zero
         if len(den.coeffs) == 1:
-            # den = 1, so num'/1 is canonical, and 0/1 when num is a constant
+            # den = 1, so num'/1 is canonical; a constant derives to the interned 0
+            if len(num.coeffs) == 1:
+                return parent._zero
             return _ratfunc(parent, num.derivative(), den)
         # with g = gcd(b, b'), (a/b)' = (a' (b/g) - a (b'/g)) / (b (b/g)); in characteristic 0
         # a factor p^e of b gives exactly p^(e+1) in the denominator, so this is reduced

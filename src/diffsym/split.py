@@ -29,6 +29,7 @@ from .scalars import (
     mth_root,
     valuations,
 )
+from .scalars.monomial import _polydiff
 from .symalg import SymbolAlgebra, SymbolElem, twisted_centralizer
 
 
@@ -430,21 +431,21 @@ def split_generic(p: DiffMatrix) -> SplitReport:
 
     x_rs is named x{r}{s} with both indices padded to the width of m - 1, so
     the names stay distinct past m = 10 (x0110 is x_{1,10}, x1100 is x_{11,0}).
+    delta(x_rs) = sum_l P[r][l] x_ls is built in one pass over the support of
+    row r of P: its monomials x_ls are distinct, so no two terms merge.  F is
+    the matrix of the field's own generators.
     """
     m = p.size
     base = p.field
     width = len(str(m - 1))
     names = [f"x{r:0{width}}{s:0{width}}" for r in range(m) for s in range(m)]
     e = PolyDiffField(base, names)
-    gens = [[e.gen(r * m + s) for s in range(m)] for r in range(m)]
-    for r in range(m):
+    for r, row in enumerate(p.rows):
+        # (index of x_l0, P[r][l]) for each nonzero P[r][l]
+        support = [(l * m, c) for l, c in enumerate(row) if not c.is_zero()]
         for s in range(m):
-            image = e.zero()
-            for l in range(m):
-                if not p.rows[r][l].is_zero():
-                    image = image + gens[l][s].scale(p.rows[r][l])
-            e.set_gen_derivative(r * m + s, image)
-    f_mat = _matrix(e, gens)
+            e.set_gen_derivative(r * m + s, _polydiff(e, {((i + s, 1),): c for i, c in support}))
+    f_mat = _matrix(e, [[e.gen(r * m + s) for s in range(m)] for r in range(m)])
     gauge = verify_gauge(p.coerce_to(e), f_mat)
     return SplitReport(
         extension={

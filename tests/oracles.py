@@ -50,8 +50,12 @@ diagonal and eliminates every specialised matrix in place of testing each
 diagonal entry, the commutator of a derivation as two symbol products in
 place of one pass over the pairs of terms, the product of polynomials summed
 into a list of zeros over every coefficient of the shorter factor in place of
-its support, and the row update of the elimination over the whole row in
-place of the pivot row's support.
+its support, the row update of the elimination over the whole row in
+place of the pivot row's support, the images delta(x_rs) = sum_l P[r][l] x_ls
+of the generic splitting field summed one scaled generator at a time in place
+of one pass over the support of row r of P, and the value of a Laurent
+monomial at a point as a product of ``Fraction`` powers in place of an
+integer numerator and denominator.
 """
 
 import operator
@@ -62,7 +66,7 @@ from math import gcd, lcm
 from diffsym.deriv import validate
 from diffsym.errors import SelfCheckError
 from diffsym.linalg import invert_matrix, kernel_basis, solve_affine
-from diffsym.matdiff import DiffMatrix, _specialisation_points, _specialise
+from diffsym.matdiff import DiffMatrix, _specialisation_points
 from diffsym.parser import MAX_DEPTH, MAX_EXPONENT, MAX_POWER_BITS, ParseError, _wrap, scalar_to_str
 from diffsym.scalars import CycloElem, KummerElem, PolyDiffField, Poly, RatFunc
 from diffsym.scalars.monomial import PolyDiffElem
@@ -696,8 +700,15 @@ class _OracleParser:
     def expr(self):
         value = self.term()
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            op = self.advance()[1]
-            value = self.binop(op, value, self.term())
+            _, op, pos = self.advance()
+            b = self.term()
+            # a sum of rational functions whose denominators' degrees add up past
+            # the bound is bounded as a power is
+            oversized = (isinstance(value, RatFunc) and isinstance(b, RatFunc)
+                         and value.den.degree + b.den.degree > MAX_EXPONENT)
+            value = self.binop(op, value, b)
+            if oversized:
+                _oracle_check_size(value, f"result of {op!r}", pos)
         return value
 
     def term(self):
@@ -917,8 +928,21 @@ def kummer_rule_by_power(field, rate):
     return lhs == field.coerce(field.alpha.derive())
 
 
+def fraction_specialise(x, point, base):
+    """The value of a Laurent polynomial at a point, each monomial a product of ``Fraction`` powers."""
+    acc = base.zero()
+    for key, c in x.terms.items():
+        value = Fraction(1)
+        for i, e in key:
+            value *= Fraction(point[i]) ** e
+        if value:
+            acc = acc + (c if value == 1 else c * base.coerce(value))
+    return acc
+
+
 def multiplied_det_certificate(f):
-    """det_certificate with a diagonal det multiplied out and every specialised matrix eliminated."""
+    """det_certificate with a diagonal det multiplied out, the points specialised through ``Fraction``
+    powers and every specialised matrix eliminated."""
     n = f.size
     rows = f.rows
     if all(rows[r][c].is_zero() for r in range(n) for c in range(n) if r != c):
@@ -930,7 +954,7 @@ def multiplied_det_certificate(f):
         return not kernel_basis(rows, f.field), "elimination", None
     base = f.field.base
     for index, point in _specialisation_points(f):
-        if not kernel_basis([[_specialise(x, point, base) for x in row] for row in rows], base):
+        if not kernel_basis([[fraction_specialise(x, point, base) for x in row] for row in rows], base):
             return True, "specialisation", index
     return None, "specialisation", None
 
@@ -988,3 +1012,18 @@ def dense_rref(rows, field, width):
         if r == len(rows):
             break
     return pivots
+
+
+def summed_generic_images(p, e):
+    """delta(x_rs) = sum_l P[r][l] x_ls in split_generic's ring e, in the order of x_rs: each image
+    summed one scaled generator at a time."""
+    m = p.size
+    images = []
+    for r in range(m):
+        for s in range(m):
+            image = e.zero()
+            for l in range(m):
+                if not p.rows[r][l].is_zero():
+                    image = image + e.gen(l * m + s).scale(p.rows[r][l])
+            images.append(image)
+    return images

@@ -469,6 +469,14 @@ def test_one_field_per_m_and_derivation_per_process():
         cli._field(17)
 
 
+def test_a_long_sum_of_reciprocals_is_refused_at_the_sum_past_the_degree_bound(capsys):
+    """1/(t+1) + ... + 1/(t+1001) over Q(w_2)(t): the last '+' would give a denominator of degree 1001."""
+    src = " + ".join(f"1/(t+{i})" for i in range(1, 1002))
+    assert main(["power-detect", "--m=2", "--f=" + src]) == 2
+    last = src.rindex(" + ") + 1
+    assert capsys.readouterr().err == f"error: result of '+' too large: t-degree must not exceed 1000 at position {last}\n"
+
+
 def test_a_product_is_sized_at_its_operator_on_every_rung(monkeypatch, capsys):
     """A chain of quotients over t, and of symbol products, exits 2 at its first oversized '*',
     before any integer past 18,001 bits is built."""

@@ -267,3 +267,25 @@ def test_the_per_m_constants_are_the_powers_and_the_gap_inverses(m):
     assert len(gaps) == m and gaps[0] is None
     assert all(gaps[j] * (one - powers[j]) == one for j in range(1, m))
     assert f.inverse_gaps is gaps
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 12])
+def test_a_rational_from_another_conductor_is_built_through_from_rational(m):
+    """0 and 1 from another Q(w) are the interned zero() and one(); other rationals keep their value."""
+    from fractions import Fraction
+
+    f, other = CycloField(m), CycloField(m + 1)
+    assert f.coerce(other.zero()) is f.zero()
+    assert f.coerce(other.one()) is f.one()
+    for q in (Fraction(-1), Fraction(2, 3), Fraction(-7, 4), Fraction(5)):
+        assert f.coerce(other.from_rational(q)) == f.from_rational(q)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 12])
+def test_the_negative_of_minus_one_is_the_interned_one(m):
+    f = CycloField(m)
+    minus_one = -f.one()
+    assert -minus_one is f.one()
+    assert -(f.zero() - f.one()) is f.one()
+    assert -f.from_rational(-1) is f.one()
+    assert (-f.from_rational(-2)).rational_value() == 2

@@ -420,3 +420,61 @@ def test_base_scalar_product_matches_the_dense_oracle(m, rng):
             for x in elements:
                 for got in (x * c, c * x):
                     _agrees(got, dense_kummer_mul(x, c))
+
+
+def test_constants_with_no_term_left_are_the_interned_zeros(k):
+    """A Kummer element whose derivative has no term, and the zero of a polynomial ring, are interned."""
+    xi = KummerField(k, k.gen(), 3, "xi")
+    assert xi.one().derive() is xi.zero()
+    assert xi.coerce(5).derive() is xi.zero()
+    e = PolyDiffField(k, ["x0", "x1"])
+    assert e.zero() is e.zero()
+    assert e.coerce(0) is e.zero() and e.gen(0).scale(0) is e.zero()
+    assert e.gen(1) is e.gen(1) and e.generators()["x1"] is e.gen(1)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_a_constant_factor_product_agrees_with_the_general_product(m, rng, monkeypatch):
+    """A factor {(): c} scales the other factor, on either side and with no key merged; c = 1 gives it back."""
+    from diffsym.scalars import monomial
+
+    merges = []
+    merge = monomial._mul_keys
+    monkeypatch.setattr(monomial, "_mul_keys", lambda a, b: merges.append((a, b)) or merge(a, b))
+    k = RatFuncField(CycloField(m), "t")
+    t = k.gen()
+    for base in (k, KummerField(k, t, m, "xi")):
+        e = PolyDiffField(base, [f"x{i}" for i in range(m)])
+        constants = [e.one(), e.coerce(base.one()), e.coerce(3), e.coerce(base.gen() + 1), e.coerce(k.omega() / (t + 2))]
+        xs = [_random_laurent(e, rng, n) for n in (0, 1, 2, 5)] + constants
+        for c in constants:
+            for x in xs:
+                want = dense_polydiff_mul(c, x)
+                for got in (c * x, x * c):
+                    assert got == want
+                    _assert_sparse_keys(got)
+        one = e.one()
+        for x in xs:
+            assert x * one is x and one * x == x
+        assert one * e.gen(0) is e.gen(0)
+    assert merges == []
+
+
+def test_derive_takes_no_derivative_of_a_unit_coefficient(k, monkeypatch):
+    """d(x_0 + x_1 x_2) sums the generators' images with no derivative of the base's one."""
+    from diffsym.scalars import RatFunc
+
+    e = PolyDiffField(k, ["x0", "x1", "x2"])
+    t = k.gen()
+    for i in range(3):
+        e.set_gen_derivative(i, e.gen((i + 1) % 3).scale(t + i))
+    x, y = e.gen(0) + e.gen(1) * e.gen(2), e.gen(0).scale(t)
+    want = [polydiff_derive(x), polydiff_derive(y)]
+    derivatives = []
+    derive = RatFunc.derive
+    monkeypatch.setattr(RatFunc, "derive", lambda c: derivatives.append(c) or derive(c))
+    assert x.derive() == want[0]
+    assert derivatives == []
+    # any other coefficient is derived
+    assert y.derive() == want[1]
+    assert derivatives == [t]

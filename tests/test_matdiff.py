@@ -4,19 +4,43 @@ from dataclasses import dataclass
 
 import pytest
 
+import diffsym.matdiff
 from diffsym.matdiff import (
     DiffMatrix,
     _prop44_shape,
+    _specialise,
     apply_dP,
-    det_certificate,
     prop44_constants,
     prop44_matrix,
     verify_gauge,
 )
 from diffsym.scalars import CycloField, KummerField, PolyDiffField, RatFuncField, mth_power_up_to_constant
+from diffsym.scalars.monomial import PolyDiffElem
 from diffsym.split import PhiMap, xi_extension
 from diffsym.symalg import SymbolAlgebra
-from oracles import coercing_matrix_mul, dense_apply_dP, det_expansion, multiplied_det_certificate
+from oracles import (
+    coercing_matrix_mul,
+    dense_apply_dP,
+    det_expansion,
+    fraction_specialise,
+    multiplied_det_certificate,
+)
+
+_det_certificate = diffsym.matdiff.det_certificate
+
+
+def det_certificate(f):
+    """The package's certificate, required to give the (verdict, method, point) of the oracle
+    that specialises through Fraction powers and eliminates every specialised matrix."""
+    got = _det_certificate(f)
+    assert got == multiplied_det_certificate(f)
+    return got
+
+
+@pytest.fixture(autouse=True)
+def every_certificate_agrees_with_the_fraction_route(monkeypatch):
+    """verify_gauge's certificates are checked too, so every matrix of this module is."""
+    monkeypatch.setattr(diffsym.matdiff, "det_certificate", det_certificate)
 
 
 @pytest.fixture
@@ -417,3 +441,39 @@ def test_diagonal_det_agrees_with_the_multiplied_out_product(m, rng):
     for rows, want in ((gens, (True, "specialisation", 0)), (shifted, (True, "specialisation", 1))):
         f = DiffMatrix(poly, rows)
         assert det_certificate(f) == multiplied_det_certificate(f) == want
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_integer_specialisation_agrees_with_the_fraction_route(m, rng):
+    """Laurent polynomials with negative exponents, over Q(w)(t) and Q(w)(t)(xi), at points with 16-bit
+    coordinates, at 0/1 points, and at points where a monomial takes the value 1."""
+    k = RatFuncField(CycloField(m), "t")
+    for base in (k, KummerField(k, k.gen(), m, "xi")):
+        e = PolyDiffField(base, [f"x{i}" for i in range(m)])
+        x = base.gen()
+        for _ in range(12):
+            p = e.zero()
+            for _ in range(rng.randint(0, 4)):
+                exps = tuple(rng.randint(-3, 3) for _ in range(m))
+                p = p + PolyDiffElem(e, {exps: base.coerce(rng.choice((1, 1, -2, 3))) + x * rng.randint(-1, 1)})
+            negative = {i for key in p.terms for i, d in key if d < 0}
+            points = [
+                [rng.randrange(1, 1 << 16) for _ in range(m)],
+                [1 if i in negative else rng.choice((0, 1)) for i in range(m)],
+                [rng.choice((1, 2, 4)) for _ in range(m)],
+            ]
+            for point in points:
+                assert _specialise(p, point, base) == fraction_specialise(p, point, base)
+
+
+def test_the_identity_point_builds_no_fraction(monkeypatch):
+    """The first point sends the generic X to I: every monomial takes the value 0 or 1, so no Fraction is built."""
+    from fractions import Fraction
+
+    k = RatFuncField(CycloField(3), "t")
+    poly = PolyDiffField(k, [f"x{i}" for i in range(9)])
+    f = DiffMatrix(poly, [[poly.gen(3 * r + s) for s in range(3)] for r in range(3)])
+    fractions = []
+    monkeypatch.setattr(diffsym.matdiff, "Fraction", lambda *args: fractions.append(args) or Fraction(*args))
+    assert _det_certificate(f) == (True, "specialisation", 0)
+    assert fractions == []

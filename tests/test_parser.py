@@ -600,6 +600,34 @@ def test_the_size_bounds_agree_with_the_whole_field_oracle():
     assert refused == 12
 
 
+def test_a_sum_whose_denominators_may_pass_the_bound_is_sized_at_its_operator():
+    """deg b + deg d past the bound sizes a/b + c/d at its '+' or '-': refused there when it is too large,
+    even if a later term would cancel; kept when a shared denominator or a cancellation keeps it small."""
+    k = RatFuncField(CycloField(3), "t")
+    alg = SymbolAlgebra(k, k.gen(), k.gen() + k.one(), 3)
+    refusal = f"result of {{!r}} too large: t-degree must not exceed {MAX_EXPONENT} at position {{}}"
+    pinned = {
+        "1/(t^600+1) + 1/(t^600+2)": ("+", 12),
+        "1/(t^500+1) - 1/(t^501+2)": ("-", 12),
+        "1/(t^600+1) + 1/(t^600+2) - 1/(t^600+2)": ("+", 12),
+        "t + (1/(t^600+1) - 2/(t^600+3))": ("-", 17),
+    }
+    for src, (op, position) in pinned.items():
+        with pytest.raises(ParseError) as info:
+            parse_scalar(src, k)
+        assert str(info.value) == refusal.format(op, position)
+    accepted = ("1/(t^500+1) + 1/(t^500+2)", "1/(t^600+1) - 2/(t^600+1)", "1/(t^600+1) - 1/(t^600+1)",
+                "t^999/(t+1) + t^998")
+    # a sum with an operand off k (here in Q(w)[t] or the algebra) is sized with the whole expression
+    at_the_end = ("t^999/(t+1) + t^999*t", "u + 1/(t^600+1) + 1/(t^600+2)")
+    cases = [(parse_scalar, field_parse_scalar, k, src) for src in (*pinned, *accepted, at_the_end[0])]
+    cases += [(parse_symbol, symbol_elem_parse_symbol, alg, src) for src in ("u/(t^600+1) + 1/(t^600+2)", at_the_end[1])]
+    for parse, oracle, context, src in cases:
+        got = _outcome(parse, src, context)
+        assert got == _outcome(oracle, src, context), src
+        assert (got[0] is ParseError) == (src in pinned or src in at_the_end), src
+
+
 def test_generator_powers_are_read_off_without_a_product(monkeypatch):
     """w^e is the field's omega_powers[e mod m] and t^e a monomial: no product in Q(w) or Q(w)[t]."""
     from diffsym.scalars import CycloElem, Poly

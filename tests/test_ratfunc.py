@@ -262,3 +262,9 @@ def test_a_shared_denominator_sum_takes_one_gcd(m, derivation, rng, monkeypatch)
                 assert got.is_zero()
             kinds[kind] += 1
     assert min(kinds.values()) >= 5, kinds
+
+
+def test_a_constant_derives_to_the_interned_zero(k):
+    assert k.coerce(3).derive() is k.zero()
+    assert k.omega().derive() is k.zero()
+    assert k.one().derive() is k.zero()

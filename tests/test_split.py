@@ -37,6 +37,7 @@ from oracles import (
     entrywise_P,
     full_basis_verdict,
     quotient_maximal_witnesses,
+    summed_generic_images,
 )
 
 
@@ -460,6 +461,32 @@ def test_split_generic(rng):
     assert rep.passed
     assert rep.gauge.det_nonzero
     assert rep.transcendence_degree == 4
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_one_pass_generic_images_agree_with_the_sum_of_scales(m, rng):
+    """delta(x_rs) on P with a zero row, on a dense P, at theta = 0 (P = P_s, diagonal) and on a computed P;
+    F is the field's own generators, and the gauge passes at the identity point."""
+    alg = make_algebra(m)
+    k = alg.field
+    t = k.gen()
+    phi = make_phi(alg)
+    entries = [k.one(), t, t + 3, (t - 1) / (t + 2), k.omega(), -k.one()]
+    sparse = [[rng.choice(entries) if rng.random() < 0.3 else k.zero() for _ in range(m)] for _ in range(m)]
+    sparse[rng.randrange(m)] = [k.zero()] * m
+    samples = [
+        DiffMatrix.zero(k, m),
+        DiffMatrix(k, sparse),
+        DiffMatrix(k, [[rng.choice(entries) for _ in range(m)] for _ in range(m)]),
+        compute_P(standard_derivation(alg), phi),
+        compute_P(random_valid_derivation(alg, rng), phi),
+    ]
+    for p in samples:
+        rep = split_generic(p)
+        e = rep.f.field
+        assert [e.gen_derivative(i) for i in range(m * m)] == summed_generic_images(p, e)
+        assert all(rep.f.rows[r][s] is e.gen(r * m + s) for r in range(m) for s in range(m))
+        assert rep.passed and (rep.gauge.det_method, rep.gauge.det_point) == ("specialisation", 0)
 
 
 @pytest.mark.parametrize("m", [8, 16])
