@@ -6,9 +6,7 @@ from .monomial import MonomialDiffField, PolyDiffElem, PolyDiffField
 from .ode import OdeSolution, rational_ode_solve
 from .polys import (
     Poly,
-    QQ,
     coprime_basis,
-    is_zero_elem,
     poly_extended_gcd,
     poly_gcd,
     squarefree_decompose,
@@ -35,7 +33,6 @@ __all__ = [
     "Poly",
     "PolyDiffElem",
     "PolyDiffField",
-    "QQ",
     "RatFunc",
     "RatFuncField",
     "ReducibleRadicandError",
@@ -43,7 +40,6 @@ __all__ = [
     "cyclo_nth_root",
     "cyclotomic_polynomial",
     "is_prime",
-    "is_zero_elem",
     "kummer_vahlen_certify",
     "mth_power_up_to_constant",
     "mth_root",

@@ -1,9 +1,13 @@
 """Exact arithmetic in the cyclotomic field Q(w), w a primitive m-th root of unity.
 
-Elements are residues of Q[x] mod the m-th cyclotomic polynomial Phi_m.  Each
-is stored as an integer vector over one common denominator: ``num``, a tuple of
-deg(Phi_m) ints, and ``den``, an int > 0 with gcd(den, num...) = 1, so the
-pair is canonical and zero is ((0, ..., 0), 1).
+Elements are residues of Q[x] mod the m-th cyclotomic polynomial Phi_m, whose
+integer coefficients are computed once per m and checked by x^m = 1 on the
+table of powers of x.  Q(w) is the bottom of the tower and imports no
+polynomial layer; a field's ``zero()``, ``one()`` and ``coerce()`` and its
+elements' ``is_zero()`` are the coefficient protocol that ``Poly`` reads, and
+Q is Q(w_1).  Each element is stored as an integer vector over one common
+denominator: ``num``, a tuple of deg(Phi_m) ints, and ``den``, an int > 0 with
+gcd(den, num...) = 1, so the pair is canonical and zero is ((0, ..., 0), 1).
 
 Arithmetic builds its results through ``_elem``, which stores the pair as
 given; only the public ``CycloElem(parent, coeffs)`` converts and checks its
@@ -35,27 +39,36 @@ from math import gcd, lcm
 
 from ..errors import SelfCheckError
 from .elem import FieldElem
-from .polys import Poly, QQ
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(m: int) -> Poly:
-    """Phi_m over Q, computed by exact division of x^m - 1 by the proper Phi_d."""
+def cyclotomic_polynomial(m: int) -> tuple:
+    """Phi_m's integer coefficients, lowest first: x^m - 1 by synthetic division by each Phi_d, d | m, d < m."""
     if m < 1:
         raise ValueError("m must be positive")
-    xm1 = Poly(QQ, [-1] + [0] * (m - 1) + [1])
+    p = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            xm1 = xm1.exact_div(cyclotomic_polynomial(d))
-    return xm1
+            phi = cyclotomic_polynomial(d)
+            k = len(phi) - 1
+            # Phi_d is monic: in place, p[k:] becomes the quotient and p[:k] the remainder
+            for i in reversed(range(len(p) - k)):
+                c = p[i + k]
+                if c:
+                    for j in range(k):
+                        p[i + j] -= c * phi[j]
+            if any(p[:k]):
+                raise SelfCheckError(f"dividing x^{m} - 1 by Phi_{d} left a remainder")
+            p = p[k:]
+    return tuple(p)
 
 
 @lru_cache(maxsize=None)
 def _power_table(m: int) -> tuple:
     """x^j mod Phi_m for j = 0..max(m, 2d - 2) (d = deg Phi_m), each as d ints."""
     phi = cyclotomic_polynomial(m)
-    d = phi.degree
-    xd = tuple(-int(c) for c in phi.coeffs[:d])  # x^d = -(p_0 + ... + p_(d-1) x^(d-1))
+    d = len(phi) - 1
+    xd = tuple(-c for c in phi[:d])  # x^d = -(p_0 + ... + p_(d-1) x^(d-1))
     row = (1,) + (0,) * (d - 1)
     table = []
     for _ in range(max(m + 1, 2 * d - 1)):
@@ -73,12 +86,11 @@ class CycloField:
             raise ValueError("m must be positive")
         self.m = m
         self.modulus = cyclotomic_polynomial(m)
-        self.degree = d = self.modulus.degree
-        # construction-time sanity: Phi_m divides x^m - 1
-        xm1 = Poly(QQ, [-1] + [0] * (m - 1) + [1])
-        if not (xm1 % self.modulus).is_zero():
-            raise SelfCheckError("cyclotomic modulus does not divide x^m - 1")
+        self.degree = d = len(self.modulus) - 1
         powers = _power_table(m)
+        # construction-time sanity: x^m = 1 mod Phi_m, i.e. Phi_m divides x^m - 1
+        if powers[m] != powers[0]:
+            raise SelfCheckError("cyclotomic modulus does not divide x^m - 1")
         self._fold = powers[d : 2 * d - 1]  # x^(d+k) for k = 0..d-2
         self._wpow = powers[:m]  # w^j for j = 0..m-1
         # sigma_k: w -> w^k for the units k of Z/m other than 1
@@ -165,9 +177,6 @@ class CycloElem(FieldElem):
         """The coefficients as Fractions, lowest power of w first."""
         den = self.den
         return tuple(Fraction(n, den) for n in self.num)
-
-    def _poly(self) -> Poly:
-        return Poly(QQ, list(self.coeffs))
 
     def is_zero(self) -> bool:
         return not any(self.num)

@@ -26,7 +26,8 @@ class PolyDiffField:
         self.n = len(self.names)
         self._gen_derivs = [None] * self.n
         self._zero = _polydiff(self, {})
-        one = base.one()
+        self._base_one = one = base.one()
+        self._one = _polydiff(self, {(): one})
         self._gens = tuple(_polydiff(self, {((i, 1),): one}) for i in range(self.n))
         self._generators = dict(zip(self.names, self._gens))
         for name, g in base.generators().items():
@@ -59,7 +60,7 @@ class PolyDiffField:
         return self._zero
 
     def one(self) -> "PolyDiffElem":
-        return _polydiff(self, {(): self.base.one()})
+        return self._one
 
     def gen(self, i: int) -> "PolyDiffElem":
         self._check_index(i)
@@ -73,6 +74,8 @@ class PolyDiffField:
         if isinstance(x, PolyDiffElem) and x.parent is self:
             return x
         c = self.base.coerce(x)
+        if c is self._base_one:
+            return self._one
         if c.is_zero():
             return self._zero
         return _polydiff(self, {(): c})
@@ -187,7 +190,8 @@ class PolyDiffElem(SparseElem):
                     mono = _mul_keys(lowered, gkey)
                     v = g if ce is one else ce * g
                     out[mono] = out[mono] + v if mono in out else v
-        return _polydiff(parent, {e: c for e, c in out.items() if not c.is_zero()})
+        out = {e: c for e, c in out.items() if not c.is_zero()}
+        return _polydiff(parent, out) if out else parent._zero
 
 
 _new = object.__new__

@@ -1,8 +1,9 @@
-"""Dense univariate polynomials over an arbitrary exact coefficient field.
+"""Dense univariate polynomials over a field of the exact scalar tower.
 
-The coefficient field is described by a small descriptor object providing
-``zero()``, ``one()`` and ``coerce()``; coefficients themselves implement the
-usual arithmetic operators.  Everything here is exact: no floats, ever.
+Coefficients follow one protocol: the field descriptor provides ``zero()``,
+``one()`` and ``coerce()``, and each coefficient is an element of the tower
+that implements the usual arithmetic operators and answers ``is_zero()``.
+Q itself is Q(w_1), ``CycloField(1)``.  Everything here is exact: no floats, ever.
 
 Arithmetic builds its results through ``_poly``, which only trims trailing
 zeros, since sums and products of field elements are already field elements;
@@ -14,50 +15,7 @@ field's interned one) returns the other factor.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .elem import FieldElem
-
-
-def is_zero_elem(x) -> bool:
-    """Zero test that works for Fractions, ints and our field elements.
-
-    Field elements are asked first: ``isinstance(x, Fraction)`` would go
-    through the ABC machinery of ``numbers`` on every tower element.
-    """
-    is_zero = getattr(x, "is_zero", None)
-    if is_zero is None:
-        return x == 0
-    return is_zero()
-
-
-class RationalField:
-    """Field descriptor for plain rationals (fractions.Fraction)."""
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        raise TypeError(f"cannot coerce {x!r} into QQ")
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
-
-    def __repr__(self):
-        return "QQ"
-
-
-QQ = RationalField()
 
 
 class Poly(FieldElem):
@@ -67,7 +25,7 @@ class Poly(FieldElem):
 
     def __init__(self, field, coeffs):
         coeffs = [field.coerce(c) for c in coeffs]
-        while coeffs and is_zero_elem(coeffs[-1]):
+        while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         self.field = field
         self.coeffs = tuple(coeffs)
@@ -148,17 +106,17 @@ class Poly(FieldElem):
             if not b:
                 return _poly(field, [])
             c, one = b[0], field.one()
-            # the one polynomial, by identity with the field's interned one (QQ interns none)
+            # the one polynomial, by identity with the field's interned one
             if c is one:
                 return longer
             if len(a) == 1 and a[0] is one:
                 return other
             return _poly(field, [x * c for x in a])
         # the shorter factor's support, listed once; a slot starts from its first product
-        right = [(j, y) for j, y in enumerate(b) if not is_zero_elem(y)]
+        right = [(j, y) for j, y in enumerate(b) if not y.is_zero()]
         out = [None] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if is_zero_elem(x):
+            if x.is_zero():
                 continue
             for j, y in right:
                 prev = out[i + j]
@@ -196,7 +154,7 @@ class Poly(FieldElem):
             c = -c
             for i, b in enumerate(low):
                 rem[k + i] = rem[k + i] + c * b
-            while rem and is_zero_elem(rem[-1]):
+            while rem and rem[-1].is_zero():
                 rem.pop()
         return _poly(self.field, q), _poly(self.field, rem)
 
@@ -243,7 +201,7 @@ _new = object.__new__
 
 def _poly(field, coeffs: list) -> Poly:
     """The trusted constructor: coeffs are elements of field, stored once trailing zeros are trimmed."""
-    while coeffs and is_zero_elem(coeffs[-1]):
+    while coeffs and coeffs[-1].is_zero():
         coeffs.pop()
     p = _new(Poly)
     p.field = field

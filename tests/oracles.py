@@ -7,11 +7,12 @@ w-correction in place of Phi(theta) + P_s, an explicit matrix for left
 multiplication, a bounded-ansatz linear system for the ODE solver, and the
 minor identity T_alpha^-1 B' T_beta = -A' for the relations of a derivation,
 Q(w) arithmetic on ``Fraction`` coefficient vectors with the inverse by
-the extended Euclidean algorithm in place of the integer vectors and the
-Galois conjugates, Q(w)(t) arithmetic that cancels one gcd of the
-unreduced result, the quotient rule included, in place of Henrici's gcds of
-the operands' parts and the polynomial shortcut of ``derive``, the
-determinant as the sum over all permutations in place of the diagonal,
+the extended Euclidean algorithm against the integer Phi_m, on polynomials
+over Q = Q(w_1), in place of the integer vectors and the Galois conjugates,
+Q(w)(t) arithmetic that cancels one gcd of the unreduced result, the
+quotient rule included, in place of Henrici's gcds of the operands' parts
+and the polynomial shortcut of ``derive``, the determinant as the sum over
+all permutations in place of the diagonal,
 elimination and specialisation certificate of ``verify_gauge``, Kummer
 arithmetic on the dense vector of all m coefficients, zeros included, with
 every inverse by the extended Euclidean algorithm in place of the sparse
@@ -68,10 +69,10 @@ from diffsym.errors import SelfCheckError
 from diffsym.linalg import invert_matrix, kernel_basis, solve_affine
 from diffsym.matdiff import DiffMatrix, _specialisation_points
 from diffsym.parser import MAX_DEPTH, MAX_EXPONENT, MAX_POWER_BITS, ParseError, _wrap, scalar_to_str
-from diffsym.scalars import CycloElem, KummerElem, PolyDiffField, Poly, RatFunc
+from diffsym.scalars import CycloElem, CycloField, KummerElem, PolyDiffField, Poly, RatFunc
 from diffsym.scalars.monomial import PolyDiffElem
 from diffsym.scalars.ode import OdeSolution
-from diffsym.scalars.polys import QQ, coprime_basis, is_zero_elem, poly_extended_gcd, poly_gcd
+from diffsym.scalars.polys import coprime_basis, poly_extended_gcd, poly_gcd
 from diffsym.scalars.powers import _prime_factors
 from diffsym.split import IsoVerdict
 from diffsym.symalg import SymbolElem
@@ -318,8 +319,8 @@ def minor_identity_holds(algebra, du, dv):
 def fraction_fold_table(field):
     """x^(d+k) mod Phi_m for k = 0..d-2 (d = deg Phi_m), each as d Fractions."""
     phi = field.modulus
-    d = phi.degree
-    row = tuple(-c for c in phi.coeffs[:d])  # x^d = -(p_0 + ... + p_(d-1) x^(d-1))
+    d = len(phi) - 1
+    row = tuple(Fraction(-c) for c in phi[:d])  # x^d = -(p_0 + ... + p_(d-1) x^(d-1))
     table = []
     for _ in range(d - 1):
         table.append(row)
@@ -359,12 +360,13 @@ def euclid_gcd(a, b):
 
 
 def euclid_inverse(field, a):
-    """Inverse of a nonzero Fraction coefficient vector by the extended Euclidean algorithm."""
-    g, s, _ = poly_extended_gcd(Poly(QQ, list(a)), field.modulus)
+    """Inverse of a nonzero Fraction coefficient vector by the extended Euclidean algorithm over Q = Q(w_1)."""
+    rationals = CycloField(1)
+    g, s, _ = poly_extended_gcd(Poly(rationals, a), Poly(rationals, field.modulus))
     if g.degree != 0:
         raise ZeroDivisionError("not invertible mod Phi_m")
     # deg s < deg Phi_m, so s is already reduced
-    return tuple(s.coeff(i) for i in range(field.degree))
+    return tuple(s.coeff(i).rational_value() for i in range(field.degree))
 
 
 def canonical_add(x, y):
@@ -981,7 +983,7 @@ def dense_poly_mul(p, q):
         return Poly(field, [x * b[0] for x in a] if b else [])
     out = [field.zero()] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if is_zero_elem(x):
+        if x.is_zero():
             continue
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y

@@ -13,7 +13,7 @@ import pytest
 from diffsym import SymbolAlgebra, decompose, deriv, inner_derivation, split_standard, standard_derivation
 from diffsym.deriv import Derivation
 from diffsym.matdiff import DiffMatrix
-from diffsym.scalars import CycloElem, CycloField, KummerField, Poly, RatFunc, RatFuncField
+from diffsym.scalars import CycloElem, CycloField, KummerField, MonomialDiffField, Poly, RatFunc, RatFuncField
 from diffsym.split import (
     PhiMap,
     _checked_t_r,
@@ -247,6 +247,10 @@ def test_units_are_interned():
     assert k.coerce(1) is k.one() and k.coerce(c.one()) is k.one() and k.coerce(0) is k.zero()
     e = KummerField(k, k.gen(), 5, "xi")
     assert e.one() is e.one() and e.coerce(1) is e.one() and e.coerce(k.one()) is e.one()
+    for base in (k, e):
+        x = MonomialDiffField(base, ["x0", "x1"], [0, base.gen()])
+        assert x.one() is x.one() and x.coerce(1) is x.one() and x.coerce(base.one()) is x.one()
+        assert x.coerce(2) == 2 and x.coerce(2) is not x.one()
 
 
 def test_coerce_elem_coerces_a_foreign_grid_once(monkeypatch):

@@ -7,7 +7,35 @@ from diffsym.scalars import CycloField, cyclotomic_polynomial
 
 @pytest.mark.parametrize("m,deg", [(1, 1), (2, 1), (3, 2), (4, 2), (5, 4), (6, 2), (7, 6), (12, 4)])
 def test_phi_degree_is_euler_totient(m, deg):
-    assert cyclotomic_polynomial(m).degree == deg
+    assert len(cyclotomic_polynomial(m)) - 1 == deg
+
+
+def _int_poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_the_product_of_phi_d_over_the_divisors_of_m_is_x_to_the_m_minus_1():
+    """x^m - 1 = prod_{d | m} Phi_d, by integer multiplication with no division, for m = 1..60."""
+    for m in range(1, 61):
+        phi = cyclotomic_polynomial(m)
+        assert all(type(c) is int for c in phi) and phi[-1] == 1
+        product = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                product = _int_poly_mul(product, cyclotomic_polynomial(d))
+        assert product == [-1] + [0] * (m - 1) + [1], m
+
+
+def test_phi_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for m in range(1, 61):
+        want = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(m) == tuple(int(c) for c in want), m
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 7])
@@ -86,18 +114,22 @@ def _random_elem(f, rng, density, max_den=5):
 
 @pytest.mark.parametrize("m", range(1, 17))
 def test_product_matches_poly_product_mod_phi(m, rng):
-    """The table-folded product equals the Poly product reduced mod Phi_m."""
+    """The table-folded product equals the Poly product over Q = Q(w_1) reduced mod Phi_m."""
     from fractions import Fraction
 
+    from diffsym.scalars import Poly
+
+    rationals = CycloField(1)
     f = CycloField(m)
+    phi = Poly(rationals, f.modulus)
     w = f.omega()
     samples = [f.zero(), f.one(), f.from_rational(Fraction(-3, 7)), w, w ** (m - 1)]
     samples += [_random_elem(f, rng, density) for density in (0.3, 0.7, 1.0, 1.0)]
     for a in samples:
         for b in samples:
             product = a * b
-            reduced = (a._poly() * b._poly()) % f.modulus
-            assert product.coeffs == tuple(reduced.coeff(i) for i in range(f.degree))
+            reduced = (Poly(rationals, a.coeffs) * Poly(rationals, b.coeffs)) % phi
+            assert product.coeffs == tuple(reduced.coeff(i).rational_value() for i in range(f.degree))
             assert all(type(c) is Fraction for c in product.coeffs)
             assert len(product.coeffs) == f.degree
 
@@ -289,3 +321,19 @@ def test_the_negative_of_minus_one_is_the_interned_one(m):
     assert -(f.zero() - f.one()) is f.one()
     assert -f.from_rational(-1) is f.one()
     assert (-f.from_rational(-2)).rational_value() == 2
+
+
+def test_the_phi_self_checks_fail_loudly(monkeypatch):
+    """A wrong Phi_d leaves a remainder in x^m - 1, and a table where x^m != 1 fails the construction."""
+    from diffsym.errors import SelfCheckError
+    from diffsym.scalars import cyclo
+
+    table = cyclo._power_table(5)
+    monkeypatch.setattr(cyclo, "_power_table", lambda m: table[:5] + table[4:])
+    with pytest.raises(SelfCheckError, match="does not divide x\\^m - 1"):
+        CycloField(5)
+    monkeypatch.undo()
+    monkeypatch.setattr(cyclo, "cyclotomic_polynomial", lambda d: (2, 1) if d == 2 else cyclotomic_polynomial(d))
+    with pytest.raises(SelfCheckError, match="dividing x\\^4 - 1 by Phi_2 left a remainder"):
+        cyclotomic_polynomial.__wrapped__(4)
+    assert cyclotomic_polynomial.__wrapped__(3) == (1, 1, 1)

@@ -36,6 +36,58 @@ def test_no_function_imports_beyond_the_forced_printers():
     assert [imp for imp in found if imp not in FORCED] == []
 
 
+# the package imports of each scalar layer, at any depth in the file: Q(w)
+# (scalars/cyclo.py) is the bottom of the tower and reads no polynomial layer;
+# (file, package module)
+SCALAR_IMPORTS = {
+    ("scalars/__init__.py", ".cyclo"),
+    ("scalars/__init__.py", ".kummer"),
+    ("scalars/__init__.py", ".monomial"),
+    ("scalars/__init__.py", ".ode"),
+    ("scalars/__init__.py", ".polys"),
+    ("scalars/__init__.py", ".powers"),
+    ("scalars/__init__.py", ".ratfunc"),
+    ("scalars/cyclo.py", "..errors"),
+    ("scalars/cyclo.py", ".elem"),
+    ("scalars/elem.py", "..parser"),
+    ("scalars/kummer.py", "..errors"),
+    ("scalars/kummer.py", ".elem"),
+    ("scalars/kummer.py", ".polys"),
+    ("scalars/kummer.py", ".powers"),
+    ("scalars/kummer.py", ".ratfunc"),
+    ("scalars/monomial.py", ".elem"),
+    ("scalars/ode.py", "..errors"),
+    ("scalars/ode.py", "..linalg"),
+    ("scalars/ode.py", ".cyclo"),
+    ("scalars/ode.py", ".polys"),
+    ("scalars/ode.py", ".ratfunc"),
+    ("scalars/polys.py", ".elem"),
+    ("scalars/powers.py", "..errors"),
+    ("scalars/powers.py", ".cyclo"),
+    ("scalars/powers.py", ".polys"),
+    ("scalars/powers.py", ".ratfunc"),
+    ("scalars/ratfunc.py", ".cyclo"),
+    ("scalars/ratfunc.py", ".elem"),
+    ("scalars/ratfunc.py", ".polys"),
+}
+
+
+def _package_imports(path: Path):
+    """(file, module) for each relative import in the file, and each absolute import of diffsym."""
+    rel = path.relative_to(SRC).as_posix()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "diffsym"):
+            yield rel, "." * node.level + (node.module or "")
+        elif isinstance(node, ast.Import):
+            yield from ((rel, alias.name) for alias in node.names if alias.name.split(".")[0] == "diffsym")
+
+
+def test_the_scalar_modules_import_only_their_pinned_layers():
+    found = {imp for path in sorted((SRC / "scalars").glob("*.py")) for imp in _package_imports(path)}
+    assert found == SCALAR_IMPORTS
+    assert {module for file, module in found if file == "scalars/cyclo.py"} == {".elem", "..errors"}
+
+
 # every m-th-power decision reads the valuation vectors of scalars/powers.py;
 # ode.py decomposes a denominator for its degree bound, which decides no power
 DECOMPOSERS = {

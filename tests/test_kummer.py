@@ -423,7 +423,7 @@ def test_base_scalar_product_matches_the_dense_oracle(m, rng):
 
 
 def test_constants_with_no_term_left_are_the_interned_zeros(k):
-    """A Kummer element whose derivative has no term, and the zero of a polynomial ring, are interned."""
+    """A derivative with no term left, in a Kummer field or a polynomial ring, and a ring's zero are interned."""
     xi = KummerField(k, k.gen(), 3, "xi")
     assert xi.one().derive() is xi.zero()
     assert xi.coerce(5).derive() is xi.zero()
@@ -431,6 +431,10 @@ def test_constants_with_no_term_left_are_the_interned_zeros(k):
     assert e.zero() is e.zero()
     assert e.coerce(0) is e.zero() and e.gen(0).scale(0) is e.zero()
     assert e.gen(1) is e.gen(1) and e.generators()["x1"] is e.gen(1)
+    # a rate 0: x0' = 0, so neither x0 nor a constant leaves a term
+    x = MonomialDiffField(k, ["x0", "x1"], [0, k.gen()])
+    assert x.gen(0).derive() is x.zero() and x.one().derive() is x.zero() and x.coerce(5).derive() is x.zero()
+    assert not x.gen(1).derive().is_zero()
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
