@@ -17,7 +17,8 @@ Elements are immutable, so a sum with a
 zero operand returns the other operand, a product with the interned one
 (or zero), tested by identity, returns the other operand (or zero), the
 negative of a zero (or of -1) is the interned zero (or one), and a rational
-coerced from another conductor is built through ``from_rational``.
+(from ``from_rational``, another conductor or the polynomial layer's integer
+kernel) is built through ``_rational``, which interns 0 and 1 too.
 
 The constants that depend on m alone are built once per field:
 ``omega_powers``, w^0..w^(m-1) read off the table of x^j mod Phi_m (its
@@ -118,14 +119,8 @@ class CycloField:
         """q as an element; 0 and 1 are the field's interned zero() and one()."""
         if type(q) is not int:
             q = Fraction(q)
-            if q.denominator != 1:
-                return _elem(self, (q.numerator,) + self._zeros, q.denominator)
-            q = q.numerator
-        if q == 0:
-            return self._zero
-        if q == 1:
-            return self._one
-        return _elem(self, (q,) + self._zeros, 1)
+            return _rational(self, q.numerator, q.denominator)
+        return _rational(self, q, 1)
 
     def omega(self) -> "CycloElem":
         """The class of x, a primitive m-th root of unity."""
@@ -140,8 +135,7 @@ class CycloField:
             if x.parent is self or x.parent == self:
                 return x
             if x.is_rational():
-                n = x.num[0]
-                return self.from_rational(n if x.den == 1 else Fraction(n, x.den))
+                return _rational(self, x.num[0], x.den)
             raise TypeError("cyclotomic element from a different conductor")
         if isinstance(x, (int, Fraction)):
             return self.from_rational(x)
@@ -289,6 +283,17 @@ def _reduced(parent: CycloField, num: list, den: int) -> CycloElem:
     if den == 1 and num[0] in (0, 1) and not any(num[1:]):
         return parent._one if num[0] else parent._zero
     return _elem(parent, tuple(num), den)
+
+
+def _rational(parent: CycloField, n: int, d: int) -> CycloElem:
+    """n/d for ints n and d > 0, in lowest terms; a 0 or 1 is the interned zero() or one()."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    if d == 1 and n in (0, 1):
+        return parent._one if n else parent._zero
+    return _elem(parent, (n,) + parent._zeros, d)
 
 
 def _scaled(x: CycloElem, qn: int, qd: int) -> CycloElem:

@@ -32,7 +32,9 @@ class KummerField:
         self.m = m
         self.gen_name = gen_name
         self._base_one = base.one()
-        self._zero = _kummer(self, {})
+        # built directly: _kummer returns this zero for empty terms
+        self._zero = zero = _new(KummerElem)
+        zero.parent, zero.terms = self, {}
         self._one = _kummer(self, {0: self._base_one})
         self._certify_irreducible()
         # delta_E(xi) = delta(alpha)/(m*alpha) * xi; a caller that holds this rate
@@ -196,7 +198,8 @@ class KummerElem(SparseElem):
     __rmul__ = __mul__
 
     def inv(self) -> "KummerElem":
-        """The inverse; closed form for a monomial c xi^k, extended Euclid otherwise.
+        """The inverse; closed form for a monomial c xi^k, by the conjugates when the base
+        holds the m-th roots of unity, extended Euclid otherwise.
 
         (c xi^k)^-1 is c^-1 for k = 0 and (c alpha)^-1 xi^(m-k) for k > 0,
         since xi^m = alpha.
@@ -204,13 +207,30 @@ class KummerElem(SparseElem):
         terms = self.terms
         if not terms:
             raise ZeroDivisionError("inverse of zero in a Kummer extension")
+        parent = self.parent
         if len(terms) > 1:
+            if parent.m == parent.cyclo.m:
+                return self._inv_conjugates()
             return self._inv_euclid()
         ((k, c),) = terms.items()
-        parent = self.parent
         if k == 0:
             return _kummer(parent, {0: c.inv()})
         return _kummer(parent, {parent.m - k: (c * parent.alpha).inv()})
+
+    def _inv_conjugates(self) -> "KummerElem":
+        """x^-1 = Q / N(x), Q the product of the conjugates conj_j(x), j = 1..m-1, and
+        N(x) = x Q in the base; for a base that holds w, a primitive m-th root of unity.
+
+        The twists xi -> w^j xi are the m automorphisms of F(xi) over F, so their
+        product over all j, N(x), is fixed by each of them and lies in F.
+        """
+        q = self.conjugate(1)
+        for j in range(2, self.parent.m):
+            q = q * self.conjugate(j)
+        norm = self * q
+        if not norm.is_base():
+            raise SelfCheckError("the norm of a Kummer element does not lie in the base field")
+        return q * norm.base_value().inv()
 
     def _inv_euclid(self) -> "KummerElem":
         """The inverse mod z^m - alpha by the extended Euclidean algorithm."""
@@ -236,7 +256,7 @@ class KummerElem(SparseElem):
                 term = term + c * rate
             if not term.is_zero():
                 out[i] = term
-        return _kummer(parent, out) if out else parent._zero
+        return _kummer(parent, out)
 
     def conjugate(self, j: int) -> "KummerElem":
         """The Galois twist xi -> w^j xi (coefficient-wise scaling)."""
@@ -256,7 +276,10 @@ _new = object.__new__
 
 
 def _kummer(parent: KummerField, terms: dict) -> KummerElem:
-    """The trusted constructor: terms maps exponents in [0, m) to nonzero elements of the base."""
+    """The trusted constructor: terms maps exponents in [0, m) to nonzero elements of the base;
+    empty terms give the parent's interned zero."""
+    if not terms:
+        return parent._zero
     x = _new(KummerElem)
     x.parent = parent
     x.terms = terms

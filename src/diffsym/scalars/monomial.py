@@ -25,7 +25,9 @@ class PolyDiffField:
         self.names = tuple(names)
         self.n = len(self.names)
         self._gen_derivs = [None] * self.n
-        self._zero = _polydiff(self, {})
+        # built directly: _polydiff returns this zero for empty terms
+        self._zero = zero = _new(PolyDiffElem)
+        zero.parent, zero.terms = self, {}
         self._base_one = one = base.one()
         self._one = _polydiff(self, {(): one})
         self._gens = tuple(_polydiff(self, {((i, 1),): one}) for i in range(self.n))
@@ -190,8 +192,7 @@ class PolyDiffElem(SparseElem):
                     mono = _mul_keys(lowered, gkey)
                     v = g if ce is one else ce * g
                     out[mono] = out[mono] + v if mono in out else v
-        out = {e: c for e, c in out.items() if not c.is_zero()}
-        return _polydiff(parent, out) if out else parent._zero
+        return _polydiff(parent, {e: c for e, c in out.items() if not c.is_zero()})
 
 
 _new = object.__new__
@@ -243,7 +244,10 @@ def _scaled(x: PolyDiffElem, c) -> PolyDiffElem:
 
 
 def _polydiff(parent: PolyDiffField, terms: dict) -> PolyDiffElem:
-    """The trusted constructor: terms maps monomial keys to nonzero elements of the base."""
+    """The trusted constructor: terms maps monomial keys to nonzero elements of the base;
+    empty terms give the parent's interned zero."""
+    if not terms:
+        return parent._zero
     x = _new(PolyDiffElem)
     x.parent = parent
     x.terms = terms

@@ -11,10 +11,24 @@ only the public ``Poly(field, coeffs)`` coerces each coefficient.  A product
 runs over the supports of its factors: no product or sum is taken for a zero
 coefficient, and a product with the one polynomial (its coefficient the
 field's interned one) returns the other factor.
+
+``poly_gcd`` and ``squarefree_decompose`` have two routes.  When the field is
+a ``CycloField`` and every coefficient is rational, the inputs lie in Q[t]:
+each is converted once to a vector of Python ints over a common denominator,
+the gcd runs as a primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2,
+4.6.1) and Yun's loop divides exactly by primitive divisors in Z[t] (Gauss's
+lemma); each monic result is converted back once through the trusted
+``CycloElem`` constructor, its leading 1 the field's interned one.  The gcd over Q(w) of polynomials in Q[t] is their gcd over Q,
+and monic gcds and Yun factors are unique, so both routes give the same
+polynomials.  Any other input takes Euclid's loop over the field, and both
+routes return 1 at the first nonzero constant remainder.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
+from .cyclo import CycloField, _rational
 from .elem import FieldElem
 
 
@@ -209,8 +223,147 @@ def _poly(field, coeffs: list) -> Poly:
     return p
 
 
+def _integer_vector(p: Poly):
+    """An integer multiple of p, lowest first ([] for zero); None unless p's field is a
+    CycloField and every coefficient of p is rational."""
+    field = p.field
+    if type(field) is not CycloField:
+        return None
+    zeros = field._zeros
+    den = 1
+    for c in p.coeffs:
+        if c.num[1:] != zeros:
+            return None
+        if c.den != 1:
+            den = lcm(den, c.den)
+    if den == 1:
+        return [c.num[0] for c in p.coeffs]
+    return [c.num[0] * (den // c.den) for c in p.coeffs]
+
+
+def _primitive(v: list) -> list:
+    """The nonzero trimmed integer vector v over its content, signed so that its leading entry is positive."""
+    g = gcd(*v)
+    if v[-1] < 0:
+        g = -g
+    return v if g == 1 else [x // g for x in v]
+
+
+def _monic_from_ints(field: CycloField, v: list) -> Poly:
+    """The monic polynomial over field proportional to the integer vector v, whose leading entry is positive."""
+    lead = v[-1] if v else 1
+    return _poly(field, [_rational(field, x, lead) for x in v])
+
+
+def _derivative_ints(v: list) -> list:
+    return [i * x for i, x in enumerate(v)][1:]
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """A nonzero integer multiple of a mod b, trimmed, for integer vectors a and b with len(a) >= len(b) >= 2.
+
+    Each step scales the remainder by lead(b)/g only, g = gcd(its leading entry, lead(b)).
+    """
+    r = list(a)
+    lead = b[-1]
+    db = len(b) - 1
+    low = b[:db]
+    while len(r) > db:
+        c = r.pop()
+        if not c:
+            continue
+        g = gcd(c, lead)
+        s, c = lead // g, c // g
+        if s != 1:
+            r = [s * x for x in r]
+        k = len(r) - db
+        for i, y in enumerate(low):
+            if y:
+                r[k + i] -= c * y
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _gcd_ints(a: list, b: list) -> list:
+    """The primitive gcd of integer vectors a and b ([] for two zeros): a primitive remainder
+    sequence, [1] at the first nonzero constant remainder."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        if len(b) == 1:
+            return [1]
+        a, b = b, _pseudo_remainder(a, b)
+        if len(b) > 1:
+            b = _primitive(b)
+    return _primitive(a) if a else a
+
+
+def _exact_quotient(a: list, b: list) -> list:
+    """a / b for integer vectors with b nonzero dividing a in Z[t]; ValueError when it does not."""
+    r = list(a)
+    lead = b[-1]
+    db = len(b) - 1
+    low = b[:db]
+    q = [0] * max(len(r) - db, 0)
+    while len(r) > db:
+        c, rem = divmod(r.pop(), lead)
+        if rem:
+            raise ValueError("division is not exact")
+        if c:
+            k = len(r) - db
+            q[k] = c
+            for i, y in enumerate(low):
+                if y:
+                    r[k + i] -= c * y
+    if any(r):
+        raise ValueError("division is not exact")
+    return q
+
+
+def _difference_ints(a: list, b: list) -> list:
+    """a - b for integer vectors, trimmed."""
+    out = [x - y for x, y in zip(a, b)]
+    if len(a) > len(b):
+        out.extend(a[len(b) :])
+    else:
+        out.extend(-y for y in b[len(a) :])
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _yun_ints(p: list) -> list:
+    """Yun's loop on a primitive integer vector p of degree >= 1: the (q_j, j), q_j primitive."""
+    dp = _derivative_ints(p)
+    g = _gcd_ints(p, dp)
+    if len(g) == 1:
+        return [(p, 1)]
+    c = _exact_quotient(p, g)
+    d = _difference_ints(_exact_quotient(dp, g), _derivative_ints(c))
+    out = []
+    i = 1
+    while len(c) > 1:
+        q = _gcd_ints(c, d)
+        if len(q) > 1:
+            out.append((q, i))
+            c = _exact_quotient(c, q)
+            d = _exact_quotient(d, q)
+        d = _difference_ints(d, _derivative_ints(c))
+        i += 1
+    return out
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via the Euclidean algorithm, 1 at the first nonzero constant remainder."""
+    """Monic gcd, 1 at the first nonzero constant remainder: on integer vectors in Q[t], else Euclid's loop."""
+    vb = _integer_vector(b)
+    if vb is not None:
+        if len(vb) == 1:
+            return Poly.one(b.field)
+        va = _integer_vector(a)
+        if va is not None:
+            g = _gcd_ints(va, vb)
+            return Poly.one(b.field) if len(g) == 1 else _monic_from_ints(b.field, g)
     while b.coeffs:
         if len(b.coeffs) == 1:
             return Poly.one(b.field)
@@ -241,10 +394,15 @@ def squarefree_decompose(p: Poly):
 
     Returns the list of (q_j, j) with deg q_j >= 1; characteristic 0 only.
     A squarefree p, gcd(p, p') = 1, is [(p, 1)] with no loop, and a step
-    whose q_j is 1 divides nothing.
+    whose q_j is 1 divides nothing.  A p in Q[t] runs the loop on integer vectors.
     """
     if p.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
+    v = _integer_vector(p)
+    if v is not None:
+        if len(v) == 1:
+            return []
+        return [(_monic_from_ints(p.field, q), j) for q, j in _yun_ints(_primitive(v))]
     p = p.monic()
     out = []
     if p.degree == 0:

@@ -4,8 +4,13 @@ The draws and their order are part of every seeded test's contract: the same
 rng state gives the same elements, derivations and case counts.
 """
 
+from pathlib import Path
+from types import SimpleNamespace
+
+import diffsym.parser
+import diffsym.symalg
 from diffsym import inner_derivation, standard_derivation
-from diffsym.scalars import Poly, RatFuncField
+from diffsym.scalars import CycloField, Poly, RatFuncField
 from diffsym.symalg import SymbolElem
 
 
@@ -91,3 +96,14 @@ def random_u_polynomial(algebra, rng):
             c = c + algebra.field.gen() * rng.randint(-1, 1)
         rho = rho + algebra.u(i).scale(c)
     return rho
+
+
+def cli_queries_argv(monkeypatch, seed, rounds):
+    """The argv of the cli-queries benchmark workload, from its seeded generator under perfbench/."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import WORKLOADS
+
+    workload = WORKLOADS["cli-queries"]
+    ds = SimpleNamespace(field=lambda m: RatFuncField(CycloField(m), "t"), symalg=diffsym.symalg, parser=diffsym.parser)
+    ctx = workload.setup(ds, seed)
+    return [case.inputs["argv"] for r in range(rounds) for case in workload.cases(ctx, r)]

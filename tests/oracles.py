@@ -35,11 +35,13 @@ at a time and computes every subexpression in Q(w)(t) and every symbol
 subexpression as a SymbolElem in place of the ladder Q(w) < Q(w)[t] < Q(w)(t)
 and the sparse symbol sums of ``parser.py``, d_P(X) as delta^c(X) + XP - PX over
 two matrix products in place of one pass over the entries, and the polynomial
-gcd by Euclid's loop run to a zero remainder in place of the exit at the first
-nonzero constant one, and the relations of Phi as A^m, B^m, BA and w AB over
+gcd by Euclid's loop over the coefficient field run to a zero remainder in place
+of the exit at the first nonzero constant one and, on Q[t], of the primitive
+remainder sequence on integer vectors, and the relations of Phi as A^m, B^m, BA and w AB over
 square-and-multiply matrix products in place of one identity per row on the
-support of A and B, Yun's loop run in full on every input, with both exact
-divisions at every step, in place of the squarefree shortcut, power detection
+support of A and B, Yun's loop over the coefficient field run in full on every
+input, with both exact divisions at every step, in place of the squarefree
+shortcut and the integer loop on Q[t], power detection
 checked by the quotient f / h^m in place of one polynomial identity, the
 constants of d_s and the maximal-subfield witnesses by one quotient
 alpha^-i beta^-j or value / nu^r decomposed per exponent in place of the
@@ -72,7 +74,7 @@ from diffsym.parser import MAX_DEPTH, MAX_EXPONENT, MAX_POWER_BITS, ParseError, 
 from diffsym.scalars import CycloElem, CycloField, KummerElem, PolyDiffField, Poly, RatFunc
 from diffsym.scalars.monomial import PolyDiffElem
 from diffsym.scalars.ode import OdeSolution
-from diffsym.scalars.polys import coprime_basis, poly_extended_gcd, poly_gcd
+from diffsym.scalars.polys import coprime_basis, poly_extended_gcd
 from diffsym.scalars.powers import _prime_factors
 from diffsym.split import IsoVerdict
 from diffsym.symalg import SymbolElem
@@ -827,7 +829,8 @@ def symbol_elem_parse_symbol(src, algebra):
 
 
 def yun_full_loop(p):
-    """Yun's squarefree decomposition, the loop run on every input with both exact divisions at every step."""
+    """Yun's squarefree decomposition over the coefficient field, gcds by ``euclid_gcd``, the loop run on
+    every input with both exact divisions at every step."""
     if p.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
     p = p.monic()
@@ -835,12 +838,12 @@ def yun_full_loop(p):
     if p.degree == 0:
         return out
     dp = p.derivative()
-    g = poly_gcd(p, dp)
+    g = euclid_gcd(p, dp)
     c = p.exact_div(g)
     d = dp.exact_div(g) - c.derivative()
     i = 1
     while c.degree > 0:
-        q = poly_gcd(c, d)
+        q = euclid_gcd(c, d)
         if q.degree > 0:
             out.append((q, i))
         c = c.exact_div(q)

@@ -37,7 +37,8 @@ def test_no_function_imports_beyond_the_forced_printers():
 
 
 # the package imports of each scalar layer, at any depth in the file: Q(w)
-# (scalars/cyclo.py) is the bottom of the tower and reads no polynomial layer;
+# (scalars/cyclo.py) is the bottom of the tower and reads no polynomial layer,
+# and polys.py reads Q(w)'s integer vectors for its gcd and Yun kernel on Q[t];
 # (file, package module)
 SCALAR_IMPORTS = {
     ("scalars/__init__.py", ".cyclo"),
@@ -61,6 +62,7 @@ SCALAR_IMPORTS = {
     ("scalars/ode.py", ".cyclo"),
     ("scalars/ode.py", ".polys"),
     ("scalars/ode.py", ".ratfunc"),
+    ("scalars/polys.py", ".cyclo"),
     ("scalars/polys.py", ".elem"),
     ("scalars/powers.py", "..errors"),
     ("scalars/powers.py", ".cyclo"),

@@ -186,6 +186,77 @@ def test_monomial_inverse_matches_extended_euclid(m):
                 assert x * inv == field.one()
 
 
+def _zero_results():
+    """(id, element, parent) for results with no term left: products, differences and negatives of zero."""
+    k = RatFuncField(CycloField(3), "t")
+    e = MonomialDiffField(k, ["x0", "x1"], [k.one(), k.gen()])
+    x = e.gen(0) + e.gen(1)
+    big_k = KummerField(k, k.gen(), 3, "xi")
+    y = big_k.gen() + 1
+    return [
+        pytest.param(lambda: x * e.zero(), e, id="monomial x*0"),
+        pytest.param(lambda: x - x, e, id="monomial x-x"),
+        pytest.param(lambda: -e.zero(), e, id="monomial -0"),
+        pytest.param(lambda: y - y, big_k, id="kummer y-y"),
+        pytest.param(lambda: -big_k.zero(), big_k, id="kummer -0"),
+    ]
+
+
+@pytest.mark.parametrize("result, parent", _zero_results())
+def test_a_result_with_no_term_is_the_interned_zero(result, parent):
+    assert result() is parent.zero()
+
+
+def _small_support(field, rng, n_terms):
+    """A seeded element of field with n_terms nonzero coefficients, each a monomial c gen^j of the base
+    with c = a t + b w + d, so that Euclid's coefficients stay small enough to compare with."""
+    base = bottom = field.base
+    while isinstance(bottom, KummerField):
+        bottom = bottom.base
+    t, w = bottom.gen(), bottom.omega()
+    coeffs = [base.zero()] * field.m
+    for i in rng.sample(range(field.m), n_terms):
+        c = base.coerce(t * rng.randint(-3, 3) + w * rng.randint(-2, 2) + rng.randint(1, 3))
+        coeffs[i] = c * base.gen() ** rng.randrange(base.m) if isinstance(base, KummerField) else c
+    return KummerElem(field, coeffs)
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_inverse_by_conjugates_agrees_with_extended_euclid(m, rng, monkeypatch):
+    """With w_m in the base and degree m, a 2- or 3-term inverse is the conjugate product over the norm."""
+    xi_field, eta_field, _ = _towers(m)
+    routes = []
+    conjugates = KummerElem._inv_conjugates
+    monkeypatch.setattr(KummerElem, "_inv_conjugates", lambda x: routes.append(x) or conjugates(x))
+    # Euclid over k(xi)[z] on three terms takes minutes, so eta's elements have two
+    for field, sizes in ((xi_field, (2, 2, 3, 3)), (eta_field, (2, 2))):
+        for n_terms in sizes:
+            x = _small_support(field, rng, n_terms)
+            del routes[:]
+            inv = x.inv()
+            assert routes[0] is x
+            assert inv == x._inv_euclid()
+            assert x * inv == field.one()
+
+
+def test_inverse_by_conjugates_checks_that_the_norm_lies_in_the_base(monkeypatch):
+    xi_field, _, _ = _towers(3)
+    x = xi_field.gen() + 1
+    monkeypatch.setattr(KummerElem, "conjugate", lambda self, j: self)
+    with pytest.raises(SelfCheckError, match="norm of a Kummer element"):
+        x.inv()
+
+
+def test_a_degree_other_than_the_cyclotomic_level_inverts_by_euclid(monkeypatch):
+    """zeta, of degree 2m over k(xi) at even m, has no 2m-th root of unity in its base."""
+    _, _, zeta_field = _towers(2)
+    calls = []
+    monkeypatch.setattr(KummerElem, "_inv_conjugates", lambda x: calls.append(x))
+    x = zeta_field.gen() + 1
+    assert x * x.inv() == zeta_field.one()
+    assert calls == []
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_inverse_of_non_monomials(m, rng):
     xi_field, eta_field, zeta_field = _towers(m)

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from generators import cli_queries_argv
 from oracles import field_parse_scalar, symbol_elem_parse_symbol
 
 from diffsym.parser import MAX_DEPTH, MAX_EXPONENT, MAX_POWER_BITS, ParseError, _Parser, parse_scalar, parse_symbol, scalar_to_str
@@ -648,23 +649,6 @@ def test_generator_powers_are_read_off_without_a_product(monkeypatch):
     assert parse_scalar("w^-2", k.cyclo) == k.cyclo.omega() ** -2
 
 
-def _cli_queries_argv(monkeypatch, seed, rounds):
-    """The argv of the cli-queries benchmark workload, from its seeded generator under perfbench/."""
-    from pathlib import Path
-    from types import SimpleNamespace
-
-    import diffsym.parser
-    import diffsym.symalg
-
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    from workloads import WORKLOADS
-
-    workload = WORKLOADS["cli-queries"]
-    ds = SimpleNamespace(field=lambda m: RatFuncField(CycloField(m), "t"), symalg=diffsym.symalg, parser=diffsym.parser)
-    ctx = workload.setup(ds, seed)
-    return [case.inputs["argv"] for r in range(rounds) for case in workload.cases(ctx, r)]
-
-
 _MUTATIONS = ("(", ")", "+", "-", "*", "/", "^", "^2", "^-1", "^0", "$", "w", "t", "u", "x", "0", " ", "--",
               "^1001", "(2^1000)^9*", "t^600*", "٣", "é")
 
@@ -694,7 +678,7 @@ def test_mutated_cli_queries_agree_with_the_whole_field_oracle(monkeypatch):
 
     rng = Random("cli-queries-mutations")
     fields, kinds, n = {}, set(), 0
-    for argv in _cli_queries_argv(monkeypatch, 7, 3):
+    for argv in cli_queries_argv(monkeypatch, 7, 3):
         opts = dict(a[2:].split("=", 1) for a in argv if a.startswith("--"))
         m = int(opts.pop("m"))
         k = fields.setdefault(m, RatFuncField(CycloField(m), "t"))

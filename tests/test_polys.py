@@ -15,6 +15,7 @@ from diffsym.scalars import (
     squarefree_decompose,
 )
 from diffsym.scalars import polys
+from generators import cli_queries_argv
 from oracles import dense_poly_mul, euclid_gcd, multiplicity, yun_full_loop
 
 coeffs = st.lists(st.integers(min_value=-6, max_value=6), min_size=0, max_size=5)
@@ -250,22 +251,180 @@ def test_gcd_agrees_with_euclids_loop(field, rng):
 
 
 def test_gcd_stops_at_the_first_constant_remainder(monkeypatch):
-    t = P([0, 1])
-    calls = []
-    original = Poly.__divmod__
-    monkeypatch.setattr(Poly, "__divmod__", lambda *args: calls.append(args) or original(*args))
-    # (t^2 + 1) mod t = 1 ends the loop; Euclid's loop divides t by 1 as well
-    assert poly_gcd(t * t + 1, t) == P([1])
-    assert len(calls) == 1
-    calls.clear()
-    assert euclid_gcd(t * t + 1, t) == P([1])
-    assert len(calls) == 2
-    calls.clear()
-    # a nonzero constant b takes no division, and a constant a one: a mod b = a
-    assert poly_gcd(t * t + 1, P([3])) == P([1])
-    assert len(calls) == 0
-    assert poly_gcd(P([3]), t) == P([1])
-    assert len(calls) == 1
+    """Both routes end at the first nonzero constant remainder, where Euclid's loop takes one step more.
+
+    Over Q the steps are the integer kernel's pseudo-remainders; over Q(w_3), with the coefficient w,
+    they are Euclid's divisions in Q(w)[t].
+    """
+    steps = {"prem": 0, "divmod": 0}
+    prem, divmod_ = polys._pseudo_remainder, Poly.__divmod__
+
+    def counted(name, fn):
+        def wrapper(*args):
+            steps[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(polys, "_pseudo_remainder", counted("prem", prem))
+    monkeypatch.setattr(Poly, "__divmod__", counted("divmod", divmod_))
+
+    def run(fn, *args):
+        steps.update(prem=0, divmod=0)
+        return fn(*args), steps["prem"], steps["divmod"]
+
+    q3 = CycloField(3)
+    for field, c, integer in ((QQ, QQ.one(), True), (q3, q3.omega(), False)):
+        t, one, c = Poly.gen(field), Poly.one(field), Poly.constant(field, c)
+        one_step = (one, 1, 0) if integer else (one, 0, 1)
+        # (t^2 + c) mod t = c ends the loop; Euclid's loop divides t by c as well
+        assert run(poly_gcd, t * t + c, t) == one_step
+        assert run(euclid_gcd, t * t + c, t) == (one, 0, 2)
+        # a nonzero constant b takes no step; a constant a takes one division, a mod b = a, on
+        # Euclid's route and none on the integer route, which orders the pair by degree
+        assert run(poly_gcd, t * t + c, Poly.constant(field, 3)) == (one, 0, 0)
+        assert run(poly_gcd, c, t) == ((one, 0, 0) if integer else one_step)
+
+
+def _rational_factor(field, rng):
+    """A polynomial in Q[t] of degree 1 or 2 with a non-unit denominator in its leading coefficient, of either sign."""
+    coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(rng.randint(1, 2))]
+    return Poly(field, coeffs + [Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(2, 5))])
+
+
+def _rational_product(field, rng, n_factors, max_exponent):
+    """A rational constant times random factors from _rational_factor, each to a power up to max_exponent."""
+    p = Poly.constant(field, Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4)))
+    for _ in range(n_factors):
+        p = p * _rational_factor(field, rng) ** rng.randint(1, max_exponent)
+    return p
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_rational_gcd_and_yun_run_on_integer_vectors_and_agree_with_the_oracles(m, rng, monkeypatch):
+    """Over Q(w_m), inputs in Q[t] take the integer kernel and give Euclid's gcd and Yun's factors over Q(w_m).
+
+    Products of random factors with repeated roots and non-unit denominators, zero, constants, equal,
+    dividing, negated and coprime pairs; each monic result ends in the field's interned one.
+    """
+    field = CycloField(m)
+    kernel = []
+    gcd_ints = polys._gcd_ints
+    monkeypatch.setattr(polys, "_gcd_ints", lambda *args: kernel.append(args) or gcd_ints(*args))
+    zero, one = Poly.zero(field), Poly.one(field)
+    const = Poly.constant(field, Fraction(-5, 3))
+    pairs = [(zero, zero), (zero, one), (one, zero), (const, zero), (zero, const), (const, one)]
+    for _ in range(6):
+        g = _rational_product(field, rng, rng.randint(0, 2), 2)
+        a = g * _rational_product(field, rng, rng.randint(0, 2), 3)
+        b = g * _rational_product(field, rng, rng.randint(0, 2), 3)
+        pairs += [(a, b), (b, a), (a, a), (a, g), (g, a), (-a, b), (a, -a), (a, const), (const, a), (a, zero), (zero, b)]
+    trivial = 0
+    for a, b in pairs:
+        del kernel[:]
+        got = poly_gcd(a, b)
+        assert kernel or min(a.degree, b.degree) <= 0, (a, b)
+        want = euclid_gcd(a, b)
+        assert got == want and got.coeffs == want.coeffs, (a, b)
+        assert got.is_zero() or got.coeffs[-1] is field.one()
+        trivial += got.degree == 0
+    assert 0 < trivial < len(pairs)
+    repeated = 0
+    for p in [const, -const] + [_rational_product(field, rng, rng.randint(1, 3), 4) for _ in range(6)]:
+        del kernel[:]
+        got = squarefree_decompose(p)
+        assert kernel or p.degree <= 0
+        want = yun_full_loop(p)
+        assert got == want and [q.coeffs for q, _ in got] == [q.coeffs for q, _ in want], p
+        assert all(q.coeffs[-1] is field.one() for q, _ in got)
+        repeated += any(j > 1 for _, j in got)
+    assert repeated >= 2
+    with pytest.raises(ValueError):
+        squarefree_decompose(zero)
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_a_non_rational_coefficient_takes_euclids_loop(m, monkeypatch):
+    """One coefficient w among rational ones sends gcd and Yun over Q(w)[t]."""
+    field = CycloField(m)
+    t = Poly.gen(field)
+    w = Poly.constant(field, field.omega())
+    p = (t - 1) ** 2 * (t * 2 + 3) ** 3 * (t + w)
+    q = (t - 1) * (t + 5)
+    kernel, divisions = [], []
+    gcd_ints, divmod_ = polys._gcd_ints, Poly.__divmod__
+    monkeypatch.setattr(polys, "_gcd_ints", lambda *args: kernel.append(args) or gcd_ints(*args))
+    monkeypatch.setattr(Poly, "__divmod__", lambda *args: divisions.append(args) or divmod_(*args))
+    got_gcd = poly_gcd(p, q)
+    assert kernel == [] and len(divisions) > 0
+    del divisions[:]
+    got_yun = squarefree_decompose(p)
+    # Yun's first gcd, gcd(p, p'), is Euclid's; a later one whose inputs lie in Q[t] may take the kernel
+    assert len(divisions) > 0
+    assert got_gcd == euclid_gcd(p, q) == (t - 1)
+    assert got_yun == yun_full_loop(p)
+    assert sorted(j for _, j in got_yun) == [1, 2, 3]
+    # the same pair with w replaced by a rational takes the kernel and no division
+    del divisions[:], kernel[:]
+    assert poly_gcd((t - 1) ** 2 * (t + 2), q) == t - 1
+    assert len(kernel) == 1 and divisions == []
+
+
+def test_cli_queries_divide_in_q_w_only_on_inputs_with_a_non_rational_coefficient(monkeypatch):
+    """Through every diffsym name for poly_gcd and squarefree_decompose, the cli-queries argv (seed 7, one
+    round) takes no Q(w)[t] division and no Q(w) inverse inside a call whose inputs all lie in Q[t]."""
+    import contextlib
+    import io
+    import sys
+    from collections import Counter
+
+    from diffsym import cli
+
+    argvs = cli_queries_argv(monkeypatch, 7, 1)
+    calls, divisions, inside = Counter(), Counter(), []
+
+    def rational(p):
+        return isinstance(p.field, CycloField) and all(c.is_rational() for c in p.coeffs)
+
+    def traced(name, fn):
+        def wrapper(*args):
+            flag = all(rational(p) for p in args)
+            calls[name, flag] += 1
+            inside.append(flag)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return wrapper
+
+    def division(fn):
+        def wrapper(*args):
+            if inside:
+                divisions[inside[-1]] += 1
+            return fn(*args)
+
+        return wrapper
+
+    wrappers = [(polys.poly_gcd, traced("gcd", polys.poly_gcd)),
+                (polys.squarefree_decompose, traced("yun", polys.squarefree_decompose))]
+    for name, module in list(sys.modules.items()):
+        if name == "diffsym" or name.startswith("diffsym."):
+            for attr, value in list(vars(module).items()):
+                for original, wrapper in wrappers:
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapper)
+    monkeypatch.setattr(Poly, "__divmod__", division(Poly.__divmod__))
+    monkeypatch.setattr(CycloElem, "inv", division(CycloElem.inv))
+    codes = Counter()
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes[cli.main(argv + ["--json"])] += 1
+    assert set(codes) <= {0, 1} and sum(codes.values()) == len(argvs) > 40
+    assert calls["gcd", True] > 40 and calls["yun", True] > 20, calls
+    assert divisions[True] == 0, (divisions, calls)
+    # the counters see the divisions of the calls that have a non-rational coefficient
+    assert calls["gcd", False] > 0 and divisions[False] > 0, (divisions, calls)
 
 
 def _poly_fields():
