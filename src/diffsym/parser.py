@@ -28,6 +28,7 @@ import operator
 import re
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 from .scalars import CycloElem, KummerElem, Poly, PolyDiffElem, RatFunc, RatFuncField
 from .scalars.elem import SparseElem
@@ -376,10 +377,9 @@ def parse_symbol(src: str, algebra):
 # ---------------------------------------------------------------------------
 
 
-def _frac_str(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def _frac_str(n: int, d: int) -> str:
+    """The rational n/d, given in lowest terms with d > 0."""
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _mono(var: str, i: int) -> str | None:
@@ -389,12 +389,12 @@ def _mono(var: str, i: int) -> str | None:
     return var if i == 1 else f"{var}^{i}"
 
 
-def _rational_term(q: Fraction, mono: str | None) -> tuple:
-    """(q < 0, |q|*mono), with a unit magnitude dropped before a monomial."""
-    mag = abs(q)
+def _rational_term(n: int, d: int, mono: str | None) -> tuple:
+    """(n < 0, |n/d|*mono) for n/d in lowest terms with d > 0, a unit magnitude dropped before a monomial."""
+    mag = _frac_str(abs(n), d)
     if mono is None:
-        return q < 0, _frac_str(mag)
-    return q < 0, mono if mag == 1 else f"{_frac_str(mag)}*{mono}"
+        return n < 0, mag
+    return n < 0, mono if mag == "1" else f"{mag}*{mono}"
 
 
 def _signed_sum(terms) -> str:
@@ -406,8 +406,15 @@ def _signed_sum(terms) -> str:
 
 
 def _cyclo_str(c: CycloElem) -> str:
-    q = c.coeffs
-    return _signed_sum(_rational_term(q[i], _mono("w", i)) for i in range(len(q) - 1, -1, -1) if q[i])
+    # the coefficient of w^i is num[i]/den, reduced by their gcd
+    num, den = c.num, c.den
+    terms = []
+    for i in range(len(num) - 1, -1, -1):
+        n = num[i]
+        if n:
+            g = gcd(n, den)
+            terms.append(_rational_term(n // g, den // g, _mono("w", i)))
+    return _signed_sum(terms)
 
 
 def _cyclo_factor_str(c: CycloElem) -> str:
@@ -426,7 +433,8 @@ def _poly_str(p: Poly, var: str) -> str:
             continue
         mono = _mono(var, i)
         if c.is_rational():
-            terms.append(_rational_term(c.rational_value(), mono))
+            # num[0]/den is in lowest terms when the other entries of num are 0
+            terms.append(_rational_term(c.num[0], c.den, mono))
         else:
             cs = _cyclo_factor_str(c)
             terms.append((False, cs if mono is None else f"{cs}*{mono}"))
@@ -494,7 +502,8 @@ def _nonzero_pairs(key: tuple) -> tuple:
 def scalar_to_str(x) -> str:
     """Print any scalar element in the grammar; parse_scalar round-trips it."""
     if isinstance(x, (int, Fraction)):
-        return _frac_str(Fraction(x))
+        q = Fraction(x)
+        return _frac_str(q.numerator, q.denominator)
     if isinstance(x, CycloElem):
         return _cyclo_str(x)
     if isinstance(x, RatFunc):

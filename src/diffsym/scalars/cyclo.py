@@ -17,8 +17,9 @@ Elements are immutable, so a sum with a
 zero operand returns the other operand, a product with the interned one
 (or zero), tested by identity, returns the other operand (or zero), the
 negative of a zero (or of -1) is the interned zero (or one), and a rational
-(from ``from_rational``, another conductor or the polynomial layer's integer
-kernel) is built through ``_rational``, which interns 0 and 1 too.
+(from ``from_rational``, another conductor, a product of two rationals or the
+polynomial layer's integer kernel) is built through ``_rational``, which
+interns 0 and 1 too.
 
 The constants that depend on m alone are built once per field:
 ``omega_powers``, w^0..w^(m-1) read off the table of x^j mod Phi_m (its
@@ -220,6 +221,9 @@ class CycloElem(FieldElem):
             return other
         a, b = self.num, other.num
         if not any(b[1:]):
+            if not any(a[1:]):
+                # two rationals, as when a constant in Q scales a polynomial in Q[t]
+                return _rational(parent, a[0] * b[0], self.den * other.den)
             return _scaled(self, b[0], other.den)
         if not any(a[1:]):
             return _scaled(other, a[0], self.den)

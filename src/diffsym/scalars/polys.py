@@ -8,20 +8,31 @@ Q itself is Q(w_1), ``CycloField(1)``.  Everything here is exact: no floats, eve
 Arithmetic builds its results through ``_poly``, which only trims trailing
 zeros, since sums and products of field elements are already field elements;
 only the public ``Poly(field, coeffs)`` coerces each coefficient.  A product
-runs over the supports of its factors: no product or sum is taken for a zero
-coefficient, and a product with the one polynomial (its coefficient the
-field's interned one) returns the other factor.
+with a zero factor is zero, a product with the one polynomial (its
+coefficient the field's interned one) returns the other factor, and any
+other product with a constant factor scales coefficient by coefficient.
 
-``poly_gcd`` and ``squarefree_decompose`` have two routes.  When the field is
-a ``CycloField`` and every coefficient is rational, the inputs lie in Q[t]:
-each is converted once to a vector of Python ints over a common denominator,
-the gcd runs as a primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2,
-4.6.1) and Yun's loop divides exactly by primitive divisors in Z[t] (Gauss's
-lemma); each monic result is converted back once through the trusted
-``CycloElem`` constructor, its leading 1 the field's interned one.  The gcd over Q(w) of polynomials in Q[t] is their gcd over Q,
-and monic gcds and Yun factors are unique, so both routes give the same
-polynomials.  Any other input takes Euclid's loop over the field, and both
-routes return 1 at the first nonzero constant remainder.
+Polynomials in Q[t] -- the field is a ``CycloField`` and every coefficient is
+rational -- run on an integer kernel.  ``_integer_pair`` converts each operand
+once to a vector of Python ints over a common denominator, and each result is
+converted back once through the trusted ``CycloElem`` constructor, so a 0 or 1
+coefficient is the field's interned one:
+
+* any other product is one integer convolution;
+* ``divmod`` pseudo-divides with one running scale, and ``exact_div`` divides
+  exactly in Z[t] by the divisor's primitive part (Gauss's lemma);
+* ``poly_gcd`` is a primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2,
+  4.6.1), and ``squarefree_decompose`` runs Yun's loop on primitive vectors;
+* ``poly_cancel(a, b)`` returns a/g and b/g for g = gcd(a, b), taking g and
+  both cofactors on the same vectors; ``ratfunc.py`` cancels only through it.
+
+The gcd over Q(w) of polynomials in Q[t] is their gcd over Q, and monic gcds,
+Yun factors, quotients and remainders are unique, so the kernel gives the
+polynomials the loops over the field give.  Any input with a non-rational
+coefficient takes those loops: the product on the supports of both factors
+(``_support_product``), long division (``_long_division``) and Euclid's gcd;
+they are also the kernel's oracles.  Both gcd routes return 1 at the first
+nonzero constant remainder.
 """
 
 from __future__ import annotations
@@ -112,10 +123,12 @@ class Poly(FieldElem):
 
     def __mul__(self, other):
         field = self.field
-        other = self._coerce_other(other)
-        longer, a, b = self, self.coeffs, other.coeffs
-        if len(a) < len(b):
-            longer, a, b = other, b, a
+        if type(other) is not Poly or other.field is not field:
+            other = self._coerce_other(other)
+        longer, shorter = self, other
+        if len(self.coeffs) < len(other.coeffs):
+            longer, shorter = other, self
+        a, b = longer.coeffs, shorter.coeffs
         if len(b) <= 1:
             if not b:
                 return _poly(field, [])
@@ -124,19 +137,16 @@ class Poly(FieldElem):
             if c is one:
                 return longer
             if len(a) == 1 and a[0] is one:
-                return other
+                return shorter
+            # a constant factor scales coefficient by coefficient, also in Q[t]: its
+            # products of rationals cost less than a round trip through integer vectors
             return _poly(field, [x * c for x in a])
-        # the shorter factor's support, listed once; a slot starts from its first product
-        right = [(j, y) for j, y in enumerate(b) if not y.is_zero()]
-        out = [None] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x.is_zero():
-                continue
-            for j, y in right:
-                prev = out[i + j]
-                out[i + j] = x * y if prev is None else prev + x * y
-        zero = field.zero()
-        return _poly(field, [zero if c is None else c for c in out])
+        pa = _integer_pair(longer)
+        if pa is not None:
+            pb = _integer_pair(shorter)
+            if pb is not None:
+                return _from_ints(field, _product_ints(pa[0], pb[0]), pa[1] * pb[1])
+        return _support_product(field, a, b)
 
     __rmul__ = __mul__
 
@@ -148,29 +158,20 @@ class Poly(FieldElem):
 
     def __divmod__(self, other):
         other = self._coerce_other(other)
-        if other.is_zero():
+        if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [self.field.zero()] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        one = self.field.one()
-        lead = other.leading_coeff()
-        # a monic divisor, the common case, takes no inverse and no product by it
-        dlead_inv = None if lead == one else one / lead
-        dd = other.degree
-        low = other.coeffs[:dd]
-        while len(rem) > dd:
-            # the leading term cancels exactly, so it is dropped, not computed
-            c = rem.pop()
-            if dlead_inv is not None:
-                c = c * dlead_inv
-            k = len(rem) - dd
-            q[k] = c
-            c = -c
-            for i, b in enumerate(low):
-                rem[k + i] = rem[k + i] + c * b
-            while rem and rem[-1].is_zero():
-                rem.pop()
-        return _poly(self.field, q), _poly(self.field, rem)
+        if len(self.coeffs) < len(other.coeffs):
+            return _poly(self.field, []), self
+        pb = _integer_pair(other)
+        if pb is not None:
+            pa = _integer_pair(self)
+            if pa is not None:
+                (a, da), (b, db) = pa, pb
+                # s a = q b + r over Z, so self = (q db / (s da)) other + r / (s da)
+                q, r, s = _pseudo_divmod(a, b)
+                den = s * da
+                return _from_ints(self.field, [x * db for x in q], den), _from_ints(self.field, r, den)
+        return _long_division(self, other)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -179,8 +180,22 @@ class Poly(FieldElem):
         return divmod(self, other)[1]
 
     def exact_div(self, other):
-        q, r = divmod(self, other)
-        if not r.is_zero():
+        """self / other when other divides self; ValueError when the division leaves a remainder."""
+        other = self._coerce_other(other)
+        if not other.coeffs:
+            raise ZeroDivisionError("polynomial division by zero")
+        pb = _integer_pair(other)
+        if pb is not None:
+            pa = _integer_pair(self)
+            if pa is not None:
+                (a, da), (b, db) = pa, pb
+                # other = content * b' / db with b' primitive, and by Gauss's lemma b' divides a in Z[t]
+                content = gcd(*b)
+                if content != 1:
+                    b = [y // content for y in b]
+                return _from_ints(self.field, [x * db for x in _exact_quotient(a, b)], da * content)
+        q, r = _long_division(self, other)
+        if r.coeffs:
             raise ValueError("division is not exact")
         return q
 
@@ -223,9 +238,52 @@ def _poly(field, coeffs: list) -> Poly:
     return p
 
 
-def _integer_vector(p: Poly):
-    """An integer multiple of p, lowest first ([] for zero); None unless p's field is a
-    CycloField and every coefficient of p is rational."""
+def _support_product(field, a: tuple, b: tuple) -> Poly:
+    """The product of coefficient tuples a and b over field, len(b) >= 2, on the supports of both:
+    Q(w)[t]'s loop for a factor with a non-rational coefficient, and the oracle of the integer one."""
+    # the shorter factor's support, listed once; a slot starts from its first product
+    right = [(j, y) for j, y in enumerate(b) if not y.is_zero()]
+    out = [None] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for j, y in right:
+            prev = out[i + j]
+            out[i + j] = x * y if prev is None else prev + x * y
+    zero = field.zero()
+    return _poly(field, [zero if c is None else c for c in out])
+
+
+def _long_division(a: Poly, b: Poly):
+    """(q, r) with a = q b + r and deg r < deg b, for b nonzero, by long division over the field:
+    Q(w)[t]'s loop for an operand with a non-rational coefficient, and the oracle of the integer one."""
+    field = a.field
+    q = [field.zero()] * max(len(a.coeffs) - len(b.coeffs) + 1, 0)
+    rem = list(a.coeffs)
+    one = field.one()
+    lead = b.leading_coeff()
+    # a monic divisor, the common case, takes no inverse and no product by it
+    dlead_inv = None if lead == one else one / lead
+    dd = b.degree
+    low = b.coeffs[:dd]
+    while len(rem) > dd:
+        # the leading term cancels exactly, so it is dropped, not computed
+        c = rem.pop()
+        if dlead_inv is not None:
+            c = c * dlead_inv
+        k = len(rem) - dd
+        q[k] = c
+        c = -c
+        for i, y in enumerate(low):
+            rem[k + i] = rem[k + i] + c * y
+        while rem and rem[-1].is_zero():
+            rem.pop()
+    return _poly(field, q), _poly(field, rem)
+
+
+def _integer_pair(p: Poly):
+    """(ints, den) with p = ints / den, ints lowest first ([] for zero) and den > 0; None unless
+    p's field is a CycloField and every coefficient of p is rational."""
     field = p.field
     if type(field) is not CycloField:
         return None
@@ -234,11 +292,17 @@ def _integer_vector(p: Poly):
     for c in p.coeffs:
         if c.num[1:] != zeros:
             return None
-        if c.den != 1:
-            den = lcm(den, c.den)
+        d = c.den
+        if d != 1 and den % d:
+            den = lcm(den, d)
     if den == 1:
-        return [c.num[0] for c in p.coeffs]
-    return [c.num[0] * (den // c.den) for c in p.coeffs]
+        return [c.num[0] for c in p.coeffs], 1
+    return [c.num[0] * (den // c.den) for c in p.coeffs], den
+
+
+def _from_ints(field: CycloField, v: list, den: int) -> Poly:
+    """The polynomial v / den over field, for an integer vector v and an int den > 0."""
+    return _poly(field, [_rational(field, x, den) for x in v])
 
 
 def _primitive(v: list) -> list:
@@ -251,8 +315,18 @@ def _primitive(v: list) -> list:
 
 def _monic_from_ints(field: CycloField, v: list) -> Poly:
     """The monic polynomial over field proportional to the integer vector v, whose leading entry is positive."""
-    lead = v[-1] if v else 1
-    return _poly(field, [_rational(field, x, lead) for x in v])
+    return _from_ints(field, v, v[-1] if v else 1)
+
+
+def _product_ints(a: list, b: list) -> list:
+    """a * b for nonempty integer vectors, on the support of b."""
+    right = [(j, y) for j, y in enumerate(b) if y]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in right:
+                out[i + j] += x * y
+    return out
 
 
 def _derivative_ints(v: list) -> list:
@@ -321,6 +395,40 @@ def _exact_quotient(a: list, b: list) -> list:
     return q
 
 
+def _pseudo_divmod(a: list, b: list):
+    """(q, r, s) with s a = q b + r, deg r < deg b and s > 0, for integer vectors a and b, b nonzero.
+
+    One running scale s: each step scales the remainder and the quotient so far by |lead(b)|/g only,
+    g = gcd(the remainder's leading entry, lead(b)), and s with them.
+    """
+    r = list(a)
+    lead = b[-1]
+    db = len(b) - 1
+    low = b[:db]
+    q = [0] * max(len(r) - db, 0)
+    s = 1
+    while len(r) > db:
+        c = r.pop()
+        if not c:
+            continue
+        g = gcd(c, lead)
+        f, c = abs(lead) // g, c // g
+        if lead < 0:
+            c = -c
+        if f != 1:
+            r = [f * x for x in r]
+            q = [f * x for x in q]
+            s *= f
+        k = len(r) - db
+        q[k] = c
+        for i, y in enumerate(low):
+            if y:
+                r[k + i] -= c * y
+    while r and not r[-1]:
+        r.pop()
+    return q, r, s
+
+
 def _difference_ints(a: list, b: list) -> list:
     """a - b for integer vectors, trimmed."""
     out = [x - y for x, y in zip(a, b)]
@@ -356,19 +464,47 @@ def _yun_ints(p: list) -> list:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd, 1 at the first nonzero constant remainder: on integer vectors in Q[t], else Euclid's loop."""
-    vb = _integer_vector(b)
-    if vb is not None:
-        if len(vb) == 1:
+    pb = _integer_pair(b)
+    if pb is not None:
+        if len(pb[0]) == 1:
             return Poly.one(b.field)
-        va = _integer_vector(a)
-        if va is not None:
-            g = _gcd_ints(va, vb)
+        pa = _integer_pair(a)
+        if pa is not None:
+            g = _gcd_ints(pa[0], pb[0])
             return Poly.one(b.field) if len(g) == 1 else _monic_from_ints(b.field, g)
     while b.coeffs:
         if len(b.coeffs) == 1:
             return Poly.one(b.field)
         a, b = b, a % b
     return a.monic() if a.coeffs else a
+
+
+def poly_cancel(a: Poly, b: Poly):
+    """(a / g, b / g) for g = poly_gcd(a, b), a and b not both zero; a and b themselves when g = 1.
+
+    In Q[t], g and both cofactors come from the same integer vectors: g's primitive
+    form divides each in Z[t], and the quotients are converted back once.
+    """
+    pa = _integer_pair(a)
+    if pa is not None:
+        pb = _integer_pair(b)
+        if pb is not None:
+            (va, da), (vb, db) = pa, pb
+            if len(va) == 1 or len(vb) == 1:
+                return a, b
+            g = _gcd_ints(va, vb)
+            if len(g) <= 1:
+                return a, b
+            # g / lead(g) is the monic gcd, so a / gcd = (va / g) lead(g) / da
+            lead, field = g[-1], a.field
+            return (
+                _from_ints(field, [x * lead for x in _exact_quotient(va, g)], da),
+                _from_ints(field, [x * lead for x in _exact_quotient(vb, g)], db),
+            )
+    g = poly_gcd(a, b)
+    if g.degree <= 0:
+        return a, b
+    return a.exact_div(g), b.exact_div(g)
 
 
 def poly_extended_gcd(a: Poly, b: Poly):
@@ -398,8 +534,9 @@ def squarefree_decompose(p: Poly):
     """
     if p.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
-    v = _integer_vector(p)
-    if v is not None:
+    pair = _integer_pair(p)
+    if pair is not None:
+        v = pair[0]
         if len(v) == 1:
             return []
         return [(_monic_from_ints(p.field, q), j) for q, j in _yun_ints(_primitive(v))]

@@ -37,7 +37,9 @@ and the sparse symbol sums of ``parser.py``, d_P(X) as delta^c(X) + XP - PX over
 two matrix products in place of one pass over the entries, and the polynomial
 gcd by Euclid's loop over the coefficient field run to a zero remainder in place
 of the exit at the first nonzero constant one and, on Q[t], of the primitive
-remainder sequence on integer vectors, and the relations of Phi as A^m, B^m, BA and w AB over
+remainder sequence on integer vectors, each of its divisions (and each exact
+division of Yun's oracle loop) by ``Poly``'s long division over the field in
+place of the pseudo-division on integer vectors that Q[t] takes, and the relations of Phi as A^m, B^m, BA and w AB over
 square-and-multiply matrix products in place of one identity per row on the
 support of A and B, Yun's loop over the coefficient field run in full on every
 input, with both exact divisions at every step, in place of the squarefree
@@ -58,7 +60,9 @@ place of the pivot row's support, the images delta(x_rs) = sum_l P[r][l] x_ls
 of the generic splitting field summed one scaled generator at a time in place
 of one pass over the support of row r of P, and the value of a Laurent
 monomial at a point as a product of ``Fraction`` powers in place of an
-integer numerator and denominator.
+integer numerator and denominator, and the printed form of a rational
+coefficient read off its ``Fraction`` in place of its integer numerator and
+denominator.
 """
 
 import operator
@@ -74,7 +78,7 @@ from diffsym.parser import MAX_DEPTH, MAX_EXPONENT, MAX_POWER_BITS, ParseError, 
 from diffsym.scalars import CycloElem, CycloField, KummerElem, PolyDiffField, Poly, RatFunc
 from diffsym.scalars.monomial import PolyDiffElem
 from diffsym.scalars.ode import OdeSolution
-from diffsym.scalars.polys import coprime_basis, poly_extended_gcd
+from diffsym.scalars.polys import _long_division, coprime_basis, poly_extended_gcd
 from diffsym.scalars.powers import _prime_factors
 from diffsym.split import IsoVerdict
 from diffsym.symalg import SymbolElem
@@ -355,10 +359,18 @@ def fraction_mul(field, a, b):
 
 
 def euclid_gcd(a, b):
-    """Monic gcd by Euclid's loop, run until the remainder is zero; zero for two zeros."""
+    """Monic gcd by Euclid's loop over the coefficient field, run until the remainder is zero; zero for two zeros."""
     while not b.is_zero():
-        a, b = b, a % b
+        a, b = b, _long_division(a, b)[1]
     return a.monic() if not a.is_zero() else a
+
+
+def long_exact_div(a, b):
+    """a / b by long division over the coefficient field; ValueError on a nonzero remainder."""
+    q, r = _long_division(a, b)
+    if not r.is_zero():
+        raise ValueError("division is not exact")
+    return q
 
 
 def euclid_inverse(field, a):
@@ -817,6 +829,34 @@ class _OracleSymbolParser(_OracleParser):
         return super().factor()
 
 
+def fraction_scalar_str(x):
+    """An element of Q(w), or of Q(w)(t) with rational coefficients, printed from the ``Fraction`` of
+    each coefficient in place of its integer numerator and denominator."""
+    def term(q, mono):
+        mag = abs(q)
+        body = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+        if mono is not None and mag != 1:
+            body = f"{body}*{mono}"
+        return ("-" if q < 0 else "+", mono if mono is not None and mag == 1 else body)
+
+    def signed(terms):
+        s = "".join(f" {sign} {body}" for sign, body in terms)
+        return "0" if not s else (f"-{s[3:]}" if s[1] == "-" else s[3:])
+
+    def mono(var, i):
+        return None if i == 0 else var if i == 1 else f"{var}^{i}"
+
+    def poly(p, var):
+        return signed(term(p.coeffs[i].rational_value(), mono(var, i))
+                      for i in reversed(range(len(p.coeffs))) if not p.coeffs[i].is_zero())
+
+    if isinstance(x, CycloElem):
+        q = x.coeffs
+        return signed(term(q[i], mono("w", i)) for i in reversed(range(len(q))) if q[i])
+    num = poly(x.num, x.parent.var)
+    return num if x.den.degree == 0 else f"{_wrap(num)}/{_wrap(poly(x.den, x.parent.var))}"
+
+
 def field_parse_scalar(src, context):
     """parse_scalar with every subexpression evaluated in the context field."""
     return _OracleParser(src, context).parse()
@@ -829,8 +869,8 @@ def symbol_elem_parse_symbol(src, algebra):
 
 
 def yun_full_loop(p):
-    """Yun's squarefree decomposition over the coefficient field, gcds by ``euclid_gcd``, the loop run on
-    every input with both exact divisions at every step."""
+    """Yun's squarefree decomposition over the coefficient field, gcds by ``euclid_gcd`` and exact divisions
+    by ``long_exact_div``, the loop run on every input with both exact divisions at every step."""
     if p.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
     p = p.monic()
@@ -839,15 +879,15 @@ def yun_full_loop(p):
         return out
     dp = p.derivative()
     g = euclid_gcd(p, dp)
-    c = p.exact_div(g)
-    d = dp.exact_div(g) - c.derivative()
+    c = long_exact_div(p, g)
+    d = long_exact_div(dp, g) - c.derivative()
     i = 1
     while c.degree > 0:
         q = euclid_gcd(c, d)
         if q.degree > 0:
             out.append((q, i))
-        c = c.exact_div(q)
-        d = d.exact_div(q) - c.derivative()
+        c = long_exact_div(c, q)
+        d = long_exact_div(d, q) - c.derivative()
         i += 1
     return out
 

@@ -38,7 +38,7 @@ def test_no_function_imports_beyond_the_forced_printers():
 
 # the package imports of each scalar layer, at any depth in the file: Q(w)
 # (scalars/cyclo.py) is the bottom of the tower and reads no polynomial layer,
-# and polys.py reads Q(w)'s integer vectors for its gcd and Yun kernel on Q[t];
+# and polys.py reads Q(w)'s integer vectors for its integer kernel on Q[t];
 # (file, package module)
 SCALAR_IMPORTS = {
     ("scalars/__init__.py", ".cyclo"),

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 from generators import cli_queries_argv
-from oracles import field_parse_scalar, symbol_elem_parse_symbol
+from oracles import field_parse_scalar, fraction_scalar_str, symbol_elem_parse_symbol
 
 from diffsym.parser import MAX_DEPTH, MAX_EXPONENT, MAX_POWER_BITS, ParseError, _Parser, parse_scalar, parse_symbol, scalar_to_str
 from diffsym.scalars import (
@@ -37,6 +37,30 @@ def test_roundtrip_cyclo(rng):
         for _ in range(30):
             x = random_cyclo(f, rng)
             assert parse_scalar(scalar_to_str(x), f) == x
+
+
+def test_rationals_print_from_integer_numerators_as_from_fractions(rng, monkeypatch):
+    """Elements of Q(w_m), m = 1..6, whose coefficients num[i]/den reduce differently, and elements of
+    Q(w)(t) with rational coefficients, print as the Fraction printer prints them, building no Fraction."""
+    samples = []
+    for m in range(1, 7):
+        f = CycloField(m)
+        k = RatFuncField(f, "t")
+        t = k.gen()
+        for _ in range(20):
+            samples.append(random_cyclo(f, rng))
+            num = sum((t**i * Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for i in range(4)), k.zero())
+            den = sum((t**i * Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for i in range(3)), k.one())
+            samples += [num, num / den]
+        samples += [f.zero(), f.one(), -f.one(), f.omega() * Fraction(1, 2) + Fraction(1, 2)]
+    want = [fraction_scalar_str(x) for x in samples]
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+    got = [scalar_to_str(x) for x in samples]
+    monkeypatch.undo()
+    assert got == want and built == []
+    assert len({s for s in got if "/" in s}) > 50
 
 
 def test_roundtrip_ratfunc(rng):
@@ -237,14 +261,18 @@ def test_sums_of_monomials_take_no_symbol_arithmetic_and_polynomials_no_gcd(monk
 
     for cls, name in ((SymbolElem, "__mul__"), (SymbolElem, "__add__"), (RatFunc, "__mul__"), (RatFunc, "__add__")):
         counting(cls, name)
-    gcd = diffsym.scalars.polys.poly_gcd
+    def counting_gcd(module, name):
+        original = getattr(module, name)
 
-    def counting_gcd(a, b):
-        calls.append("poly_gcd")
-        return gcd(a, b)
+        def wrapper(a, b):
+            calls.append("poly_gcd")
+            return original(a, b)
 
-    monkeypatch.setattr(diffsym.scalars.ratfunc, "poly_gcd", counting_gcd)
-    monkeypatch.setattr(diffsym.scalars.polys, "poly_gcd", counting_gcd)
+        monkeypatch.setattr(module, name, wrapper)
+
+    # Q(w)(t) takes its gcds inside poly_cancel, and every other layer through poly_gcd
+    counting_gcd(diffsym.scalars.ratfunc, "poly_cancel")
+    counting_gcd(diffsym.scalars.polys, "poly_gcd")
     m = 4
     k = RatFuncField(CycloField(m), "t")
     t, w = k.gen(), k.coerce(k.cyclo.omega())

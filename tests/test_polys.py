@@ -16,7 +16,8 @@ from diffsym.scalars import (
 )
 from diffsym.scalars import polys
 from generators import cli_queries_argv
-from oracles import dense_poly_mul, euclid_gcd, multiplicity, yun_full_loop
+import oracles
+from oracles import dense_poly_mul, euclid_gcd, long_exact_div, multiplicity, yun_full_loop
 
 coeffs = st.lists(st.integers(min_value=-6, max_value=6), min_size=0, max_size=5)
 # the rationals, as the cyclotomic field Q(w_1)
@@ -268,6 +269,8 @@ def test_gcd_stops_at_the_first_constant_remainder(monkeypatch):
 
     monkeypatch.setattr(polys, "_pseudo_remainder", counted("prem", prem))
     monkeypatch.setattr(Poly, "__divmod__", counted("divmod", divmod_))
+    # the oracle divides by the long division over the field directly, not through divmod
+    monkeypatch.setattr(oracles, "_long_division", counted("divmod", oracles._long_division))
 
     def run(fn, *args):
         steps.update(prem=0, divmod=0)
@@ -343,6 +346,108 @@ def test_rational_gcd_and_yun_run_on_integer_vectors_and_agree_with_the_oracles(
         squarefree_decompose(zero)
 
 
+def _kernel_samples(field, rng):
+    """Polynomials in Q[t] over field: zero, constants, and random products whose leading coefficients
+    have non-unit denominators and either sign, with their products by shared factors."""
+    zero, one = Poly.zero(field), Poly.one(field)
+    samples = [zero, one, Poly.constant(field, Fraction(-5, 3)), Poly.gen(field), -Poly.gen(field)]
+    for _ in range(4):
+        g = _rational_product(field, rng, rng.randint(1, 2), 2)
+        samples += [g, g * _rational_product(field, rng, rng.randint(0, 2), 2), -g * Poly.gen(field) ** 3]
+    return samples
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_rational_products_divisions_and_cancellations_agree_with_the_q_w_loops(m, rng, monkeypatch):
+    """Over Q(w_m), products, divmod, exact_div and poly_cancel of polynomials in Q[t] run on integer
+    vectors and give the support walk's products, long division's quotients and remainders, and
+    Euclid's gcd with long division's cofactors, coefficient for coefficient.
+
+    Covers non-unit denominators, divisors with a negative leading coefficient, divisors longer than
+    the dividend, zero and constant operands; exact_div raises ValueError on a remainder.
+    """
+    field = CycloField(m)
+    support, long_division = polys._support_product, polys._long_division
+    q_w = []
+    monkeypatch.setattr(polys, "_support_product", lambda *args: q_w.append(args) or support(*args))
+    monkeypatch.setattr(polys, "_long_division", lambda *args: q_w.append(args) or long_division(*args))
+    samples = _kernel_samples(field, rng)
+    kinds = {"negative lead": 0, "longer divisor": 0, "remainder": 0, "cancels": 0}
+    for a in samples:
+        for b in samples:
+            got = a * b
+            x, y = (a, b) if len(a.coeffs) >= len(b.coeffs) else (b, a)
+            want = support(field, x.coeffs, y.coeffs) if len(y.coeffs) > 1 else dense_poly_mul(a, b)
+            assert got.coeffs == want.coeffs, (a, b)
+            if b.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    divmod(a, b)
+                with pytest.raises(ZeroDivisionError):
+                    a.exact_div(b)
+                continue
+            q, r = divmod(a, b)
+            wq, wr = long_division(a, b)
+            assert q.coeffs == wq.coeffs and r.coeffs == wr.coeffs, (a, b)
+            assert (a % b).coeffs == wr.coeffs and (a // b).coeffs == wq.coeffs
+            kinds["negative lead"] += b.leading_coeff().num[0] < 0 and r.degree >= 0
+            kinds["longer divisor"] += b.degree > a.degree >= 0
+            if r.is_zero():
+                assert a.exact_div(b).coeffs == q.coeffs
+            else:
+                kinds["remainder"] += 1
+                with pytest.raises(ValueError):
+                    a.exact_div(b)
+            assert (a * b).exact_div(b).coeffs == a.coeffs
+            if a.is_zero():
+                continue
+            x, y = polys.poly_cancel(a, b)
+            g = euclid_gcd(a, b)
+            if g.degree > 0:
+                kinds["cancels"] += 1
+                assert x.coeffs == long_exact_div(a, g).coeffs and y.coeffs == long_exact_div(b, g).coeffs, (a, b)
+                if b.leading_coeff() == field.one():
+                    assert y.coeffs[-1] is field.one()
+            else:
+                assert x is a and y is b
+    assert q_w == [] and min(kinds.values()) > 0, kinds
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_a_non_rational_coefficient_takes_the_q_w_loops(m, rng, monkeypatch):
+    """One coefficient w sends products to the support walk, divisions to long division and
+    cancellation to Euclid's gcd over Q(w), which agree with the dense product and the oracles."""
+    field = CycloField(m)
+    t = Poly.gen(field)
+    w = Poly.constant(field, field.omega())
+    g = (t * 3 - 1) * (t + w)
+    a, b = g * (t * t + 2), g * (t - w) ** 2
+    p = _rational_product(field, rng, 2, 2)
+    ap = a * p
+    calls = {"support": 0, "long": 0, "kernel": 0}
+    support, long_division, gcd_ints = polys._support_product, polys._long_division, polys._gcd_ints
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(polys, "_support_product", counted("support", support))
+    monkeypatch.setattr(polys, "_long_division", counted("long", long_division))
+    monkeypatch.setattr(polys, "_gcd_ints", counted("kernel", gcd_ints))
+    assert (a * p).coeffs == ap.coeffs == dense_poly_mul(a, p).coeffs and calls["support"] == 1
+    q, r = divmod(a, b)
+    assert calls["long"] == 1 and r.degree < b.degree
+    assert ap.exact_div(a).coeffs == p.coeffs and calls["long"] == 2
+    with pytest.raises(ValueError):
+        (a + 1).exact_div(b)
+    x, y = polys.poly_cancel(a, b)
+    assert calls["kernel"] == 0
+    assert x.coeffs == long_exact_div(a, g.monic()).coeffs and y.coeffs == long_exact_div(b, g.monic()).coeffs
+    assert q * b + r == a
+
+
 @pytest.mark.parametrize("m", [3, 5])
 def test_a_non_rational_coefficient_takes_euclids_loop(m, monkeypatch):
     """One coefficient w among rational ones sends gcd and Yun over Q(w)[t]."""
@@ -371,8 +476,9 @@ def test_a_non_rational_coefficient_takes_euclids_loop(m, monkeypatch):
 
 
 def test_cli_queries_divide_in_q_w_only_on_inputs_with_a_non_rational_coefficient(monkeypatch):
-    """Through every diffsym name for poly_gcd and squarefree_decompose, the cli-queries argv (seed 7, one
-    round) takes no Q(w)[t] division and no Q(w) inverse inside a call whose inputs all lie in Q[t]."""
+    """Through every diffsym name for poly_gcd, squarefree_decompose and poly_cancel, and through
+    Poly.exact_div and %, the cli-queries argv (seed 7, one round) takes no Q(w)[t] long division and
+    no Q(w) inverse inside a call whose inputs all lie in Q[t]."""
     import contextlib
     import io
     import sys
@@ -384,7 +490,7 @@ def test_cli_queries_divide_in_q_w_only_on_inputs_with_a_non_rational_coefficien
     calls, divisions, inside = Counter(), Counter(), []
 
     def rational(p):
-        return isinstance(p.field, CycloField) and all(c.is_rational() for c in p.coeffs)
+        return type(p) is Poly and type(p.field) is CycloField and all(c.is_rational() for c in p.coeffs)
 
     def traced(name, fn):
         def wrapper(*args):
@@ -407,24 +513,30 @@ def test_cli_queries_divide_in_q_w_only_on_inputs_with_a_non_rational_coefficien
         return wrapper
 
     wrappers = [(polys.poly_gcd, traced("gcd", polys.poly_gcd)),
-                (polys.squarefree_decompose, traced("yun", polys.squarefree_decompose))]
+                (polys.squarefree_decompose, traced("yun", polys.squarefree_decompose)),
+                (polys.poly_cancel, traced("cancel", polys.poly_cancel))]
     for name, module in list(sys.modules.items()):
         if name == "diffsym" or name.startswith("diffsym."):
             for attr, value in list(vars(module).items()):
                 for original, wrapper in wrappers:
                     if value is original:
                         monkeypatch.setattr(module, attr, wrapper)
-    monkeypatch.setattr(Poly, "__divmod__", division(Poly.__divmod__))
+    monkeypatch.setattr(Poly, "exact_div", traced("exact_div", Poly.exact_div))
+    monkeypatch.setattr(Poly, "__mod__", traced("mod", Poly.__mod__))
+    monkeypatch.setattr(polys, "_long_division", division(polys._long_division))
     monkeypatch.setattr(CycloElem, "inv", division(CycloElem.inv))
     codes = Counter()
     for argv in argvs:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             codes[cli.main(argv + ["--json"])] += 1
     assert set(codes) <= {0, 1} and sum(codes.values()) == len(argvs) > 40
-    assert calls["gcd", True] > 40 and calls["yun", True] > 20, calls
+    # Q(w)(t)'s canonical forms take their gcds inside poly_cancel, the other layers through poly_gcd
+    assert calls["gcd", True] + calls["cancel", True] > 40 and calls["yun", True] > 20, calls
+    assert min(calls["gcd", True], calls["cancel", True], calls["exact_div", True]) > 0, calls
+    assert calls["mod", True] > 20, calls
     assert divisions[True] == 0, (divisions, calls)
     # the counters see the divisions of the calls that have a non-rational coefficient
-    assert calls["gcd", False] > 0 and divisions[False] > 0, (divisions, calls)
+    assert calls["cancel", False] > 0 and divisions[False] > 0, (divisions, calls)
 
 
 def _poly_fields():
@@ -467,10 +579,12 @@ def test_product_on_the_support_agrees_with_the_dense_loop(field, coeff, rng):
 
 
 def test_a_monomial_product_takes_one_coefficient_product(monkeypatch):
-    """t^a * t^b multiplies the one nonzero coefficient of each factor, once."""
+    """Over Q(w_5), w t^4 * t^3 multiplies the one nonzero coefficient of each factor, once; in Q[t],
+    t^4 * t^3 runs on integer vectors and takes no coefficient product."""
     c = CycloField(5)
     t = Poly.gen(c)
-    a, b, expected = t**4, t**3, t**7
+    w = Poly.constant(c, c.omega())
+    cases = [(w * t**4, t**3, w * t**7, 1), (t**4, t**3, t**7, 0)]
     calls = []
     mul = CycloElem.__mul__
 
@@ -479,8 +593,12 @@ def test_a_monomial_product_takes_one_coefficient_product(monkeypatch):
         return mul(x, y)
 
     monkeypatch.setattr(CycloElem, "__mul__", counted)
-    assert a * b == expected
-    assert len(calls) == 1
+    for a, b, expected, n_products in cases:
+        del calls[:]
+        got = a * b
+        assert got == expected and got.coeffs == expected.coeffs
+        assert len(calls) == n_products
+    assert (t**4 * t**3).coeffs[-1] is c.one()
 
 
 @pytest.mark.parametrize("field, coeff", [p for p in _poly_fields() if p.id in ("Q(w_3)", "Q(w_7)", "Q(w)(t)", "k(xi)")])

@@ -205,13 +205,14 @@ def test_henrici_gcd_counts(monkeypatch):
     x = RatFunc(k, t * t + 1, t - w)
     y = RatFunc(k, t * w, t * t - 2)
     calls = []
-    gcd = ratfunc.poly_gcd
+    cancel = ratfunc.poly_cancel
 
     def counting(*args):
         calls.append(args)
-        return gcd(*args)
+        return cancel(*args)
 
-    monkeypatch.setattr(ratfunc, "poly_gcd", counting)
+    # each gcd of the canonical forms is taken inside one poly_cancel
+    monkeypatch.setattr(ratfunc, "poly_cancel", counting)
     for result in (f + g, f * g, f - g):
         assert result.den.degree == 0
     assert not calls
@@ -227,14 +228,15 @@ def test_henrici_gcd_counts(monkeypatch):
 def test_a_shared_denominator_sum_takes_one_gcd(m, derivation, rng, monkeypatch):
     """a/b + c/b is (a + c)/b with only gcd(a + c, b) taken, equal to RatFunc(parent, a d + c b, b d).
 
-    Covers sums prime to b, x + (-x), and a + c sharing the factor p of b = p q.
+    Covers sums prime to b, x + (-x), and a + c sharing the factor p of b = p q.  Each gcd of the
+    canonical forms is taken inside one poly_cancel, which is counted.
     """
     k = RatFuncField(CycloField(m), "t", derivation)
     c = k.cyclo
     t = Poly.gen(c)
     calls = []
-    gcd = ratfunc.poly_gcd
-    monkeypatch.setattr(ratfunc, "poly_gcd", lambda *args: calls.append(args) or gcd(*args))
+    cancel = ratfunc.poly_cancel
+    monkeypatch.setattr(ratfunc, "poly_cancel", lambda *args: calls.append(args) or cancel(*args))
     kinds = {"prime to b": 0, "cancels p": 0, "zero": 0}
     for _ in range(12):
         p = t - Poly.constant(c, _cyclo(c, rng))
