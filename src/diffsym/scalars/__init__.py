@@ -7,7 +7,6 @@ from .ode import OdeSolution, rational_ode_solve
 from .polys import (
     Poly,
     coprime_basis,
-    poly_extended_gcd,
     poly_gcd,
     squarefree_decompose,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "kummer_vahlen_certify",
     "mth_power_up_to_constant",
     "mth_root",
-    "poly_extended_gcd",
     "poly_gcd",
     "rational_nth_root",
     "rational_ode_solve",

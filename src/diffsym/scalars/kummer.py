@@ -3,15 +3,21 @@
 The unique derivation extending the base one satisfies
 delta_E(xi) = delta(alpha)/(m*alpha) * xi; this is checked at construction
 together with an irreducibility certificate for z^m - alpha.
+
+A non-monomial is inverted by conjugates (Lang, Algebra, ch. VI 8), one prime
+p of m at a time: the twists xi^s -> z^j xi^s, z a primitive p-th root of
+unity in Q(w), fix F(xi^(sp)), so the product of an element of F(xi^s) and
+its p - 1 twists lies there.  z is w^(n/p) for n the cyclotomic level, or -1
+for p = 2, so every odd prime of m must divide n.
 """
 
 from __future__ import annotations
 
 from ..errors import SelfCheckError
 from .elem import SparseElem, nonzero_terms
-from .polys import Poly, poly_extended_gcd
 from .powers import (
     ReducibleRadicandError,
+    _prime_factors,
     certify_power_free_over_kummer,
     kummer_vahlen_certify,
 )
@@ -27,6 +33,10 @@ class KummerField:
             raise ReducibleRadicandError("radicand must be nonzero")
         if m < 2:
             raise ValueError("extension degree must be at least 2")
+        n = base.cyclo.m
+        for p in _prime_factors(m):
+            if p != 2 and n % p:
+                raise ValueError(f"degree {m} has the odd prime {p}, which does not divide the cyclotomic level {n}")
         self.base = base
         self.alpha = alpha
         self.m = m
@@ -198,8 +208,7 @@ class KummerElem(SparseElem):
     __rmul__ = __mul__
 
     def inv(self) -> "KummerElem":
-        """The inverse; closed form for a monomial c xi^k, by the conjugates when the base
-        holds the m-th roots of unity, extended Euclid otherwise.
+        """The inverse; closed form for a monomial c xi^k, by the conjugates otherwise.
 
         (c xi^k)^-1 is c^-1 for k = 0 and (c alpha)^-1 xi^(m-k) for k > 0,
         since xi^m = alpha.
@@ -207,40 +216,46 @@ class KummerElem(SparseElem):
         terms = self.terms
         if not terms:
             raise ZeroDivisionError("inverse of zero in a Kummer extension")
-        parent = self.parent
         if len(terms) > 1:
-            if parent.m == parent.cyclo.m:
-                return self._inv_conjugates()
-            return self._inv_euclid()
+            return self._inv_conjugates()
+        parent = self.parent
         ((k, c),) = terms.items()
         if k == 0:
             return _kummer(parent, {0: c.inv()})
         return _kummer(parent, {parent.m - k: (c * parent.alpha).inv()})
 
     def _inv_conjugates(self) -> "KummerElem":
-        """x^-1 = Q / N(x), Q the product of the conjugates conj_j(x), j = 1..m-1, and
-        N(x) = x Q in the base; for a base that holds w, a primitive m-th root of unity.
+        """x^-1 = Q / N(x), Q a product of twists of x and of its partial norms, with N(x) = x Q in the base.
 
-        The twists xi -> w^j xi are the m automorphisms of F(xi) over F, so their
-        product over all j, N(x), is fixed by each of them and lies in F.
+        One round per prime p of m, with multiplicity: y in F(xi^s) (at first
+        y = x, s = 1) times its twists xi^s -> z^j xi^s, j = 1..p-1, is fixed
+        by each of them, so it lies in F(xi^(sp)); a y already there skips
+        the round.  After the last round s = m and y = N(x).
         """
-        q = self.conjugate(1)
-        for j in range(2, self.parent.m):
-            q = q * self.conjugate(j)
-        norm = self * q
-        if not norm.is_base():
-            raise SelfCheckError("the norm of a Kummer element does not lie in the base field")
-        return q * norm.base_value().inv()
+        m = self.parent.m
+        y, q, s = self, self.parent.one(), 1
+        for p in _prime_factors(m):
+            while m % (sp := s * p) == 0:
+                if any(i % sp for i in y.terms):
+                    c = y._twist(s, p, 1)
+                    for j in range(2, p):
+                        c = c * y._twist(s, p, j)
+                    y = y * c
+                    q = q * c
+                    if any(i % sp for i in y.terms):
+                        raise SelfCheckError("the norm of a Kummer element does not lie in the twists' fixed field")
+                s = sp
+        return q * y.base_value().inv()
 
-    def _inv_euclid(self) -> "KummerElem":
-        """The inverse mod z^m - alpha by the extended Euclidean algorithm."""
-        base = self.parent.base
-        modulus = Poly(base, [-self.parent.alpha] + [base.zero()] * (self.parent.m - 1) + [base.one()])
-        me = Poly(base, list(self.coeffs))
-        g, s, _ = poly_extended_gcd(me, modulus)
-        if g.degree != 0:
-            raise ZeroDivisionError("element is a zero divisor; radicand not irreducible?")
-        return KummerElem(self.parent, [s.coeff(i) for i in range(self.parent.m)])
+    def _twist(self, s: int, p: int, j: int) -> "KummerElem":
+        """The twist xi^s -> z^j xi^s of an element of F(xi^s), for z = w^(n/p), or -1 for p = 2,
+        a primitive p-th root of unity."""
+        parent = self.parent
+        if p == 2:
+            return _kummer(parent, {i: -c if i // s % 2 else c for i, c in self.terms.items()})
+        w_pows, n = parent.cyclo.omega_powers, parent.cyclo.m
+        coerce, step = parent.base.coerce, n // p * j
+        return _kummer(parent, {i: c * coerce(w_pows[step * (i // s) % n]) for i, c in self.terms.items()})
 
     def derive(self) -> "KummerElem":
         """Leibniz-compatible derivation: xi^i picks up i * gen_rate."""

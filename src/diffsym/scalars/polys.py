@@ -19,10 +19,13 @@ converted back once through the trusted ``CycloElem`` constructor, so a 0 or 1
 coefficient is the field's interned one:
 
 * any other product is one integer convolution;
-* ``divmod`` pseudo-divides with one running scale, and ``exact_div`` divides
-  exactly in Z[t] by the divisor's primitive part (Gauss's lemma);
-* ``poly_gcd`` is a primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2,
-  4.6.1), and ``squarefree_decompose`` runs Yun's loop on primitive vectors;
+* ``divmod`` pseudo-divides with one running scale (``_pseudo_divmod``), the
+  kernel's only division loop, and ``exact_div`` is ``divmod`` with a check
+  that nothing remains;
+* ``poly_gcd`` is a primitive pseudo-remainder sequence on that loop's
+  remainders (Knuth, TAOCP vol. 2, 4.6.1), and ``squarefree_decompose`` runs
+  Yun's loop on primitive vectors, whose exact quotients are that loop's
+  quotients: a divisor that divides in Z[t] never scales it (Gauss's lemma);
 * ``poly_cancel(a, b)`` returns a/g and b/g for g = gcd(a, b), taking g and
   both cofactors on the same vectors; ``ratfunc.py`` cancels only through it.
 
@@ -181,20 +184,7 @@ class Poly(FieldElem):
 
     def exact_div(self, other):
         """self / other when other divides self; ValueError when the division leaves a remainder."""
-        other = self._coerce_other(other)
-        if not other.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        pb = _integer_pair(other)
-        if pb is not None:
-            pa = _integer_pair(self)
-            if pa is not None:
-                (a, da), (b, db) = pa, pb
-                # other = content * b' / db with b' primitive, and by Gauss's lemma b' divides a in Z[t]
-                content = gcd(*b)
-                if content != 1:
-                    b = [y // content for y in b]
-                return _from_ints(self.field, [x * db for x in _exact_quotient(a, b)], da * content)
-        q, r = _long_division(self, other)
+        q, r = divmod(self, other)
         if r.coeffs:
             raise ValueError("division is not exact")
         return q
@@ -333,32 +323,6 @@ def _derivative_ints(v: list) -> list:
     return [i * x for i, x in enumerate(v)][1:]
 
 
-def _pseudo_remainder(a: list, b: list) -> list:
-    """A nonzero integer multiple of a mod b, trimmed, for integer vectors a and b with len(a) >= len(b) >= 2.
-
-    Each step scales the remainder by lead(b)/g only, g = gcd(its leading entry, lead(b)).
-    """
-    r = list(a)
-    lead = b[-1]
-    db = len(b) - 1
-    low = b[:db]
-    while len(r) > db:
-        c = r.pop()
-        if not c:
-            continue
-        g = gcd(c, lead)
-        s, c = lead // g, c // g
-        if s != 1:
-            r = [s * x for x in r]
-        k = len(r) - db
-        for i, y in enumerate(low):
-            if y:
-                r[k + i] -= c * y
-    while r and not r[-1]:
-        r.pop()
-    return r
-
-
 def _gcd_ints(a: list, b: list) -> list:
     """The primitive gcd of integer vectors a and b ([] for two zeros): a primitive remainder
     sequence, [1] at the first nonzero constant remainder."""
@@ -367,32 +331,10 @@ def _gcd_ints(a: list, b: list) -> list:
     while b:
         if len(b) == 1:
             return [1]
-        a, b = b, _pseudo_remainder(a, b)
+        a, b = b, _pseudo_divmod(a, b)[1]
         if len(b) > 1:
             b = _primitive(b)
     return _primitive(a) if a else a
-
-
-def _exact_quotient(a: list, b: list) -> list:
-    """a / b for integer vectors with b nonzero dividing a in Z[t]; ValueError when it does not."""
-    r = list(a)
-    lead = b[-1]
-    db = len(b) - 1
-    low = b[:db]
-    q = [0] * max(len(r) - db, 0)
-    while len(r) > db:
-        c, rem = divmod(r.pop(), lead)
-        if rem:
-            raise ValueError("division is not exact")
-        if c:
-            k = len(r) - db
-            q[k] = c
-            for i, y in enumerate(low):
-                if y:
-                    r[k + i] -= c * y
-    if any(r):
-        raise ValueError("division is not exact")
-    return q
 
 
 def _pseudo_divmod(a: list, b: list):
@@ -427,6 +369,15 @@ def _pseudo_divmod(a: list, b: list):
     while r and not r[-1]:
         r.pop()
     return q, r, s
+
+
+def _exact_quotient(a: list, b: list) -> list:
+    """a / b for integer vectors with b dividing a in Z[t], as a primitive b dividing a over Q does (Gauss's
+    lemma): every leading entry met is then a multiple of lead(b), so s stays 1; ValueError otherwise."""
+    q, r, s = _pseudo_divmod(a, b)
+    if s != 1 or r:
+        raise ValueError("division is not exact")
+    return q
 
 
 def _difference_ints(a: list, b: list) -> list:
@@ -505,24 +456,6 @@ def poly_cancel(a: Poly, b: Poly):
     if g.degree <= 0:
         return a, b
     return a.exact_div(g), b.exact_div(g)
-
-
-def poly_extended_gcd(a: Poly, b: Poly):
-    """Return (g, s, t) with s*a + t*b = g, g monic (or zero)."""
-    field = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.one(field), Poly.zero(field)
-    t0, t1 = Poly.zero(field), Poly.one(field)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lc = r0.leading_coeff()
-    inv = field.one() / lc
-    return r0.monic(), s0 * inv, t0 * inv
 
 
 def squarefree_decompose(p: Poly):

@@ -16,7 +16,8 @@ all permutations in place of the diagonal,
 elimination and specialisation certificate of ``verify_gauge``, Kummer
 arithmetic on the dense vector of all m coefficients, zeros included, with
 every inverse by the extended Euclidean algorithm in place of the sparse
-terms and the closed form for a monomial, the derivative of a
+terms, the closed form for a monomial and the product of twists, one prime
+of the degree at a time, for any other element, the derivative of a
 differential polynomial summed one partial product at a time through the
 coercing constructor in place of one pass over the support, the product of
 differential polynomials on dense exponent tuples of length n in place of
@@ -78,7 +79,7 @@ from diffsym.parser import MAX_DEPTH, MAX_EXPONENT, MAX_POWER_BITS, ParseError, 
 from diffsym.scalars import CycloElem, CycloField, KummerElem, PolyDiffField, Poly, RatFunc
 from diffsym.scalars.monomial import PolyDiffElem
 from diffsym.scalars.ode import OdeSolution
-from diffsym.scalars.polys import _long_division, coprime_basis, poly_extended_gcd
+from diffsym.scalars.polys import _long_division, coprime_basis
 from diffsym.scalars.powers import _prime_factors
 from diffsym.split import IsoVerdict
 from diffsym.symalg import SymbolElem
@@ -371,6 +372,23 @@ def long_exact_div(a, b):
     if not r.is_zero():
         raise ValueError("division is not exact")
     return q
+
+
+def poly_extended_gcd(a, b):
+    """(g, s, t) with s*a + t*b = g, g monic (or zero)."""
+    field = a.field
+    r0, r1 = a, b
+    s0, s1 = Poly.one(field), Poly.zero(field)
+    t0, t1 = Poly.zero(field), Poly.one(field)
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0.is_zero():
+        return r0, s0, t0
+    inv = field.one() / r0.leading_coeff()
+    return r0.monic(), s0 * inv, t0 * inv
 
 
 def euclid_inverse(field, a):

@@ -38,7 +38,8 @@ def test_no_function_imports_beyond_the_forced_printers():
 
 # the package imports of each scalar layer, at any depth in the file: Q(w)
 # (scalars/cyclo.py) is the bottom of the tower and reads no polynomial layer,
-# and polys.py reads Q(w)'s integer vectors for its integer kernel on Q[t];
+# polys.py reads Q(w)'s integer vectors for its integer kernel on Q[t], and
+# kummer.py inverts by twists, with no polynomial division;
 # (file, package module)
 SCALAR_IMPORTS = {
     ("scalars/__init__.py", ".cyclo"),
@@ -53,7 +54,6 @@ SCALAR_IMPORTS = {
     ("scalars/elem.py", "..parser"),
     ("scalars/kummer.py", "..errors"),
     ("scalars/kummer.py", ".elem"),
-    ("scalars/kummer.py", ".polys"),
     ("scalars/kummer.py", ".powers"),
     ("scalars/kummer.py", ".ratfunc"),
     ("scalars/monomial.py", ".elem"),

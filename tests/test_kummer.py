@@ -182,7 +182,7 @@ def test_monomial_inverse_matches_extended_euclid(m):
             for k in range(field.m):
                 x = gen**k * field.coerce(c)
                 inv = x.inv()
-                assert inv == x._inv_euclid()
+                assert inv.coeffs == dense_kummer_inv(x)
                 assert x * inv == field.one()
 
 
@@ -223,7 +223,7 @@ def _small_support(field, rng, n_terms):
 
 @pytest.mark.parametrize("m", [3, 5])
 def test_inverse_by_conjugates_agrees_with_extended_euclid(m, rng, monkeypatch):
-    """With w_m in the base and degree m, a 2- or 3-term inverse is the conjugate product over the norm."""
+    """A 2- or 3-term inverse is the product of twists over the norm, and equals the extended-Euclid inverse."""
     xi_field, eta_field, _ = _towers(m)
     routes = []
     conjugates = KummerElem._inv_conjugates
@@ -235,36 +235,71 @@ def test_inverse_by_conjugates_agrees_with_extended_euclid(m, rng, monkeypatch):
             del routes[:]
             inv = x.inv()
             assert routes[0] is x
-            assert inv == x._inv_euclid()
+            assert inv.coeffs == dense_kummer_inv(x)
             assert x * inv == field.one()
 
 
 def test_inverse_by_conjugates_checks_that_the_norm_lies_in_the_base(monkeypatch):
-    xi_field, _, _ = _towers(3)
-    x = xi_field.gen() + 1
-    monkeypatch.setattr(KummerElem, "conjugate", lambda self, j: self)
-    with pytest.raises(SelfCheckError, match="norm of a Kummer element"):
-        x.inv()
+    """A corrupted twist, here the identity, leaves a product outside the twists' fixed field,
+    in a round of p = 3 (xi at m = 3) and of p = 2 (zeta at m = 2)."""
+    monkeypatch.setattr(KummerElem, "_twist", lambda self, s, p, j: self)
+    for field in (_towers(3)[0], _towers(2)[2]):
+        x = field.gen() + 1
+        with pytest.raises(SelfCheckError, match="norm of a Kummer element"):
+            x.inv()
 
 
 def test_a_degree_other_than_the_cyclotomic_level_inverts_by_euclid(monkeypatch):
-    """zeta, of degree 2m over k(xi) at even m, has no 2m-th root of unity in its base."""
-    _, _, zeta_field = _towers(2)
-    calls = []
-    monkeypatch.setattr(KummerElem, "_inv_conjugates", lambda x: calls.append(x))
-    x = zeta_field.gen() + 1
-    assert x * x.inv() == zeta_field.one()
-    assert calls == []
+    """zeta, of degree 2m over k(xi), inverts by one round of twists (s, p, j) per prime p of 2m.
+
+    At even m its base holds no primitive 2m-th root of unity, so no single round of 2m - 1 twists exists.
+    """
+    rounds = []
+    twist = KummerElem._twist
+    monkeypatch.setattr(KummerElem, "_twist", lambda x, s, p, j: rounds.append((s, p, j)) or twist(x, s, p, j))
+    want = {
+        2: [(1, 2, 1), (2, 2, 1)],
+        3: [(1, 2, 1), (2, 3, 1), (2, 3, 2)],
+        4: [(1, 2, 1), (2, 2, 1), (4, 2, 1)],
+        6: [(1, 2, 1), (2, 2, 1), (4, 3, 1), (4, 3, 2)],
+    }
+    for m, m_rounds in want.items():
+        _, _, zeta_field = _towers(m)
+        x = zeta_field.gen() + 1
+        del rounds[:]
+        inv = x.inv()
+        assert rounds == m_rounds
+        assert x * inv == zeta_field.one()
+        if m <= 4:
+            assert inv.coeffs == dense_kummer_inv(x)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
 def test_inverse_of_non_monomials(m, rng):
+    """x x^-1 = 1 on xi, eta and zeta, x with up to 3 terms and rational coefficients, and at m = 3 on a
+    3-term element of eta whose coefficients c xi^k lie beyond Q(w)(t).
+
+    Such coefficients beyond m = 3, or on zeta, can make the gcds over Q(w) that keep the product's
+    coefficients canonical swell for seconds to minutes.
+    """
     xi_field, eta_field, zeta_field = _towers(m)
-    # Euclid over k(xi)[z] of degree 2m is slow at m = 4, 5 and covers nothing new
-    for field in (xi_field, eta_field) + ((zeta_field,) if m <= 3 else ()):
+    xs = []
+    for field in (xi_field, eta_field, zeta_field):
         gen = field.gen()
-        x = field.coerce(rng.randint(1, 4)) + gen * rng.randint(1, 3) + gen ** (field.m - 1) * rng.randint(-3, 3)
-        assert x * x.inv() == field.one()
+        x = field.coerce(rng.randint(1, 4)) + gen * rng.randint(1, 3)
+        xs.append(x + gen ** (field.m - 1) * rng.randint(-3, 3))
+    if m == 3:
+        xs.append(_small_support(eta_field, rng, 3))
+    for x in xs:
+        assert x * x.inv() == x.parent.one()
+
+
+@pytest.mark.parametrize("n, degree, p", [(2, 3, 3), (3, 5, 5), (2, 6, 3)])
+def test_a_degree_with_an_odd_prime_outside_the_cyclotomic_level_is_refused(n, degree, p):
+    """Q(w_n) holds no primitive p-th root of unity for an odd prime p prime to n, so no twist inverts."""
+    k = RatFuncField(CycloField(n), "t")
+    with pytest.raises(ValueError, match=f"the odd prime {p}, which does not divide the cyclotomic level {n}"):
+        KummerField(k, k.gen(), degree, "xi")
 
 
 def test_negative_powers_of_the_generator():

@@ -50,7 +50,10 @@ def test_rationals_print_from_integer_numerators_as_from_fractions(rng, monkeypa
         for _ in range(20):
             samples.append(random_cyclo(f, rng))
             num = sum((t**i * Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for i in range(4)), k.zero())
-            den = sum((t**i * Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for i in range(3)), k.one())
+            den = k.zero()
+            # 1 + c_0 + c_1 t + c_2 t^2 is zero when c_0 = -1 and c_1 = c_2 = 0; such a den is drawn again
+            while den.is_zero():
+                den = sum((t**i * Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for i in range(3)), k.one())
             samples += [num, num / den]
         samples += [f.zero(), f.one(), -f.one(), f.omega() * Fraction(1, 2) + Fraction(1, 2)]
     want = [fraction_scalar_str(x) for x in samples]

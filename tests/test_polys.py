@@ -10,14 +10,13 @@ from diffsym.scalars import (
     CycloField,
     Poly,
     coprime_basis,
-    poly_extended_gcd,
     poly_gcd,
     squarefree_decompose,
 )
 from diffsym.scalars import polys
 from generators import cli_queries_argv
 import oracles
-from oracles import dense_poly_mul, euclid_gcd, long_exact_div, multiplicity, yun_full_loop
+from oracles import dense_poly_mul, euclid_gcd, long_exact_div, multiplicity, poly_extended_gcd, yun_full_loop
 
 coeffs = st.lists(st.integers(min_value=-6, max_value=6), min_size=0, max_size=5)
 # the rationals, as the cyclotomic field Q(w_1)
@@ -121,9 +120,10 @@ def test_yun_shortcuts_agree_with_the_full_loop(m, rng):
     kinds = {"squarefree": 0, "repeated": 0}
     for trial in range(10):
         p = Poly.constant(field, field.from_rational(rng.choice([1, 2, -3, Fraction(1, 2)])))
-        for root in rng.sample(range(-4, 5), rng.randint(1, 3)):
+        for i, root in enumerate(rng.sample(range(-4, 5), rng.randint(1, 3))):
             factor = t - Poly.constant(field, field.from_rational(root) + w * rng.randint(0, 1))
-            p = p * factor ** (1 if trial % 2 else rng.randint(1, m))
+            # an even trial's first factor has multiplicity at least 2, so that p has a repeated root
+            p = p * factor ** (1 if trial % 2 else rng.randint(2 if i == 0 else 1, m))
         got = squarefree_decompose(p)
         assert got == yun_full_loop(p)
         kinds["squarefree" if got == [(p.monic(), 1)] else "repeated"] += 1
@@ -251,14 +251,24 @@ def test_gcd_agrees_with_euclids_loop(field, rng):
     assert 0 < trivial < len(pairs)
 
 
+def test_the_exact_quotient_in_z_t_refuses_a_scale_and_a_remainder():
+    """The exact quotient is the pseudo-division's quotient when the divisor divides in Z[t], of either sign;
+    a divisor that divides only over Q (t / 2t) makes the scale 2, and t^2 + 1 by t + 1 leaves 2."""
+    assert polys._exact_quotient([-2, 0, 2], [-1, 1]) == [2, 2]
+    assert polys._exact_quotient([2, 0, -2], [1, -1]) == [2, 2]
+    for a, b in (([0, 1], [0, 2]), ([1, 0, 1], [1, 1])):
+        with pytest.raises(ValueError, match="not exact"):
+            polys._exact_quotient(a, b)
+
+
 def test_gcd_stops_at_the_first_constant_remainder(monkeypatch):
     """Both routes end at the first nonzero constant remainder, where Euclid's loop takes one step more.
 
-    Over Q the steps are the integer kernel's pseudo-remainders; over Q(w_3), with the coefficient w,
+    Over Q the steps are the integer kernel's pseudo-divisions; over Q(w_3), with the coefficient w,
     they are Euclid's divisions in Q(w)[t].
     """
     steps = {"prem": 0, "divmod": 0}
-    prem, divmod_ = polys._pseudo_remainder, Poly.__divmod__
+    prem, divmod_ = polys._pseudo_divmod, Poly.__divmod__
 
     def counted(name, fn):
         def wrapper(*args):
@@ -267,7 +277,7 @@ def test_gcd_stops_at_the_first_constant_remainder(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(polys, "_pseudo_remainder", counted("prem", prem))
+    monkeypatch.setattr(polys, "_pseudo_divmod", counted("prem", prem))
     monkeypatch.setattr(Poly, "__divmod__", counted("divmod", divmod_))
     # the oracle divides by the long division over the field directly, not through divmod
     monkeypatch.setattr(oracles, "_long_division", counted("divmod", oracles._long_division))
@@ -603,10 +613,18 @@ def test_a_monomial_product_takes_one_coefficient_product(monkeypatch):
 
 @pytest.mark.parametrize("field, coeff", [p for p in _poly_fields() if p.id in ("Q(w_3)", "Q(w_7)", "Q(w)(t)", "k(xi)")])
 def test_a_product_with_the_one_polynomial_returns_the_other_factor(field, coeff, rng):
-    """p * 1 and 1 * p are p itself when 1's coefficient is the field's interned one."""
+    """p * 1 and 1 * p are p itself when 1's coefficient is the field's interned one; p is never zero,
+    since 0 * 1 is the product with a zero factor."""
     t = Poly.gen(field)
     one = Poly.one(field)
-    for p in (t**3 * coeff(rng) + coeff(rng), Poly.constant(field, coeff(rng)), t, one):
+
+    def nonzero():
+        while True:
+            c = field.coerce(coeff(rng))
+            if not c.is_zero():
+                return c
+
+    for p in (t**3 * nonzero() + nonzero(), Poly.constant(field, nonzero()), t, one):
         assert p * one is p
-    for p in (t**3 + coeff(rng), t):
+    for p in (t**3 + nonzero(), t):
         assert one * p is p
