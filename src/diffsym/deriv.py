@@ -71,8 +71,6 @@ class Derivation:
     def apply(self, x: SymbolElem) -> SymbolElem:
         """d_s(x) + x theta - theta x, with d_s(c u^i v^j) = (delta(c) + c (i ru + j rv)) u^i v^j.
 
-        The rate i ru + j rv of each (i, j) is computed once per algebra.
-
         The commutator is one pass over the pairs of terms: a u^i v^j and b u^r v^s
         give ab (w^(jr) - w^(si)) u^(i+r) v^(j+s), with u^m = alpha and v^m = beta
         as in ``SymbolElem.__mul__``.  A pair with jr = si (mod m) cancels, the
@@ -82,16 +80,12 @@ class Derivation:
         x = alg.coerce_elem(x)
         out = {}
         if self.includes_ds:
-            rates = alg._rate_multiples
             for (i, j), c in x.terms.items():
                 dc = c.derive()
                 # a scalar needs no rates, which over a larger field cost a division
                 if i or j:
-                    rate = rates.get((i, j))
-                    if rate is None:
-                        ru, rv = alg.standard_rates
-                        rate = rates[i, j] = ru * i + rv * j
-                    dc = dc + c * rate
+                    ru, rv = alg.standard_rates
+                    dc = dc + c * (ru * i + rv * j)
                 if not dc.is_zero():
                     out[i, j] = dc
         m = alg.m

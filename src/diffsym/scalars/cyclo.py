@@ -40,7 +40,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from ..errors import SelfCheckError
-from .elem import FieldElem
+from .elem import Field, FieldElem
 
 
 @lru_cache(maxsize=None)
@@ -80,7 +80,7 @@ def _power_table(m: int) -> tuple:
     return tuple(table)
 
 
-class CycloField:
+class CycloField(Field):
     """Descriptor for Q(w) = Q[x]/(Phi_m)."""
 
     def __init__(self, m: int):
@@ -102,19 +102,13 @@ class CycloField:
         self._one = _elem(self, (1,) + self._zeros, 1)
         self.omega_powers = (self._one,) + tuple(_elem(self, row, 1) for row in powers[1:m])
         self._omega = self.omega_powers[1 % m]
-        self._generators = {"w": self._omega}
+        self._name_generators({"w": self._omega})
 
     @cached_property
     def inverse_gaps(self) -> tuple:
         """(None, (1 - w)^-1, ..., (1 - w^(m-1))^-1): entry j is (1 - w^j)^-1, one norm each."""
         one = self._one
         return (None,) + tuple((one - w).inv() for w in self.omega_powers[1:])
-
-    def zero(self) -> "CycloElem":
-        return self._zero
-
-    def one(self) -> "CycloElem":
-        return self._one
 
     def from_rational(self, q) -> "CycloElem":
         """q as an element; 0 and 1 are the field's interned zero() and one()."""
@@ -126,10 +120,6 @@ class CycloField:
     def omega(self) -> "CycloElem":
         """The class of x, a primitive m-th root of unity."""
         return self._omega
-
-    def generators(self) -> dict:
-        """Name to element for the parser: w."""
-        return self._generators
 
     def coerce(self, x) -> "CycloElem":
         if isinstance(x, CycloElem):

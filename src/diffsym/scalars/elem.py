@@ -1,15 +1,73 @@
-"""The operators that every element type of the tower derives the same way.
+"""The protocol that every field of the tower and every element type share.
 
-Each subclass defines ``__add__``, ``__mul__``, ``__neg__`` and ``inv`` in
-its own body; subtraction, division, integer powers, equality and printing are
-derived here from those.  The hot operations stay in the subclass bodies so
-that ``perfbench/tracing.py`` can wrap them per class through
-``Class.__dict__``.  ``SparseElem`` holds the canonical form shared by the
-element types stored as sparse sums of monomials: the zero test, the equality
-key, negation and the merging sum that their ``__add__`` calls.
+``Field`` is the base of the field descriptors: it returns the interned
+``zero()`` and ``one()`` and the parser's ``generators()``.  ``Extension`` is
+its form for a field over ``base`` whose elements are ``SparseElem`` sums; it
+adds ``cyclo``, the interned units over the base and one ``coerce``.
+
+``FieldElem`` is the base of the element types.  Each subclass defines
+``__add__``, ``__mul__``, ``__neg__`` and ``inv`` in its own body;
+subtraction, division, integer powers, equality and printing are derived here
+from those.  The hot operations stay in the subclass bodies so that
+``perfbench/tracing.py`` can wrap them per class through ``Class.__dict__``.
+``SparseElem`` holds the canonical form shared by the element types stored as
+sparse sums of monomials: the zero test, the equality key, negation and the
+merging sum that their ``__add__`` calls.
 """
 
 from __future__ import annotations
+
+
+class Field:
+    """Base of the field descriptors.
+
+    A subclass sets the interned ``_zero`` and ``_one`` and calls
+    ``_name_generators`` once from its ``__init__``.
+    """
+
+    def zero(self):
+        return self._zero
+
+    def one(self):
+        return self._one
+
+    def generators(self) -> dict:
+        """Name to element for the parser: this field's own generators, then those of the field below."""
+        return self._generators
+
+    def _name_generators(self, own: dict, below=None):
+        if below is not None:
+            for name, g in below.generators().items():
+                own.setdefault(name, self.coerce(g))
+        self._generators = own
+
+
+class Extension(Field):
+    """A field over ``base`` whose elements, of type ``elem_type``, are ``SparseElem`` sums over it.
+
+    A subclass defines ``_constant(c)``: the element c, for a nonzero c in
+    the base, built by its module's trusted constructor.
+    """
+
+    def __init__(self, base, elem_type):
+        self.base = base
+        self.cyclo = base.cyclo
+        self._elem_type = elem_type
+        self._base_one = base.one()
+        # built directly: each trusted constructor returns this zero for empty terms
+        self._zero = zero = object.__new__(elem_type)
+        zero.parent, zero.terms = self, {}
+        self._one = self._constant(self._base_one)
+
+    def coerce(self, x):
+        if isinstance(x, self._elem_type) and (x.parent is self or x.parent == self):
+            return x
+        c = self.base.coerce(x)
+        if c is self._base_one:
+            return self._one
+        if c.is_zero():
+            return self._zero
+        return self._constant(c)
 
 
 class FieldElem:

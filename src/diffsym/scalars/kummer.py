@@ -14,7 +14,7 @@ for p = 2, so every odd prime of m must divide n.
 from __future__ import annotations
 
 from ..errors import SelfCheckError
-from .elem import SparseElem, nonzero_terms
+from .elem import Extension, SparseElem, nonzero_terms
 from .powers import (
     ReducibleRadicandError,
     _prime_factors,
@@ -24,7 +24,7 @@ from .powers import (
 from .ratfunc import RatFuncField
 
 
-class KummerField:
+class KummerField(Extension):
     """F(xi) with xi^m = alpha; base F is Q(w)(t) or another Kummer field."""
 
     def __init__(self, base, alpha, m: int, gen_name: str = "xi", gen_rate=None):
@@ -37,25 +37,16 @@ class KummerField:
         for p in _prime_factors(m):
             if p != 2 and n % p:
                 raise ValueError(f"degree {m} has the odd prime {p}, which does not divide the cyclotomic level {n}")
-        self.base = base
+        super().__init__(base, KummerElem)
         self.alpha = alpha
         self.m = m
         self.gen_name = gen_name
-        self._base_one = base.one()
-        # built directly: _kummer returns this zero for empty terms
-        self._zero = zero = _new(KummerElem)
-        zero.parent, zero.terms = self, {}
-        self._one = _kummer(self, {0: self._base_one})
         self._certify_irreducible()
         # delta_E(xi) = delta(alpha)/(m*alpha) * xi; a caller that holds this rate
         # passes it, and the consistency check below verifies it either way
         self.gen_rate = alpha.derive() / (alpha * m) if gen_rate is None else base.coerce(gen_rate)
         self._check_derivation_consistency()
-        # {i: i * gen_rate}, the rate of xi^i, each filled by the first derive that needs it
-        self._rate_multiples = {}
-        self._generators = {gen_name: self.gen()}
-        for name, g in base.generators().items():
-            self._generators.setdefault(name, self.coerce(g))
+        self._name_generators({gen_name: self.gen()}, base)
 
     # -- construction checks -------------------------------------------
 
@@ -83,34 +74,13 @@ class KummerField:
     # -- descriptor protocol ---------------------------------------------
 
     @property
-    def cyclo(self):
-        return self.base.cyclo
-
-    @property
     def is_zero_derivation(self) -> bool:
         return self.base.is_zero_derivation
-
-    def zero(self) -> "KummerElem":
-        return self._zero
-
-    def one(self) -> "KummerElem":
-        return self._one
 
     def gen(self) -> "KummerElem":
         return _kummer(self, {1: self._base_one})
 
-    def generators(self) -> dict:
-        """Name to element: this field's generator, then the base's generators."""
-        return self._generators
-
-    def coerce(self, x) -> "KummerElem":
-        if isinstance(x, KummerElem) and (x.parent is self or x.parent == self):
-            return x
-        c = self.base.coerce(x)
-        if c is self._base_one:
-            return self._one
-        if c.is_zero():
-            return self._zero
+    def _constant(self, c) -> "KummerElem":
         return _kummer(self, {0: c})
 
     def __eq__(self, other):
@@ -260,25 +230,14 @@ class KummerElem(SparseElem):
     def derive(self) -> "KummerElem":
         """Leibniz-compatible derivation: xi^i picks up i * gen_rate."""
         parent = self.parent
-        rates = parent._rate_multiples
         out = {}
         for i, c in self.terms.items():
             term = c.derive()
             if i:
-                rate = rates.get(i)
-                if rate is None:
-                    rate = rates[i] = parent.gen_rate * i
-                term = term + c * rate
+                term = term + c * (parent.gen_rate * i)
             if not term.is_zero():
                 out[i] = term
         return _kummer(parent, out)
-
-    def conjugate(self, j: int) -> "KummerElem":
-        """The Galois twist xi -> w^j xi (coefficient-wise scaling)."""
-        parent = self.parent
-        w_pows = parent.cyclo.omega_powers
-        n = parent.cyclo.m
-        return _kummer(parent, {i: c * parent.base.coerce(w_pows[i * j % n]) for i, c in self.terms.items()})
 
     def __hash__(self):
         # an element of the base field equals its base value

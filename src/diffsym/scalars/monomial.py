@@ -14,26 +14,20 @@ may be negative (Laurent monomials), but general division is not provided.
 
 from __future__ import annotations
 
-from .elem import SparseElem, nonzero_terms
+from .elem import Extension, SparseElem, nonzero_terms
 
 
-class PolyDiffField:
+class PolyDiffField(Extension):
     """F[x_0..x_{n-1}] with a derivation given on each generator."""
 
     def __init__(self, base, names):
-        self.base = base
+        super().__init__(base, PolyDiffElem)
         self.names = tuple(names)
         self.n = len(self.names)
         self._gen_derivs = [None] * self.n
-        # built directly: _polydiff returns this zero for empty terms
-        self._zero = zero = _new(PolyDiffElem)
-        zero.parent, zero.terms = self, {}
-        self._base_one = one = base.one()
-        self._one = _polydiff(self, {(): one})
+        one = self._base_one
         self._gens = tuple(_polydiff(self, {((i, 1),): one}) for i in range(self.n))
-        self._generators = dict(zip(self.names, self._gens))
-        for name, g in base.generators().items():
-            self._generators.setdefault(name, self.coerce(g))
+        self._name_generators(dict(zip(self.names, self._gens)), base)
 
     def _check_index(self, i: int):
         if not 0 <= i < self.n:
@@ -51,35 +45,14 @@ class PolyDiffField:
         return v
 
     @property
-    def cyclo(self):
-        return self.base.cyclo
-
-    @property
     def is_zero_derivation(self) -> bool:
         return False
-
-    def zero(self) -> "PolyDiffElem":
-        return self._zero
-
-    def one(self) -> "PolyDiffElem":
-        return self._one
 
     def gen(self, i: int) -> "PolyDiffElem":
         self._check_index(i)
         return self._gens[i]
 
-    def generators(self) -> dict:
-        """Name to element for the parser: x0, x1, ..., then the base's generators."""
-        return self._generators
-
-    def coerce(self, x) -> "PolyDiffElem":
-        if isinstance(x, PolyDiffElem) and x.parent is self:
-            return x
-        c = self.base.coerce(x)
-        if c is self._base_one:
-            return self._one
-        if c.is_zero():
-            return self._zero
+    def _constant(self, c) -> "PolyDiffElem":
         return _polydiff(self, {(): c})
 
     def __repr__(self):

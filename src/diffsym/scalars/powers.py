@@ -22,6 +22,9 @@ from .cyclo import CycloElem
 from .polys import Poly, coprime_basis, squarefree_decompose
 from .ratfunc import RatFunc, _ratfunc
 
+# the largest absolute value of an integer coordinate that cyclo_nth_root's search tries
+ROOT_SEARCH_HEIGHT = 3
+
 
 class ReducibleRadicandError(ValueError):
     """Raised when z^m - a fails (or cannot be certified by) the Kummer criterion."""
@@ -83,12 +86,13 @@ def rational_nth_root(q: Fraction, k: int):
     return Fraction(sign * num, den)
 
 
-def cyclo_nth_root(c: CycloElem, k: int, height: int = 3):
+def cyclo_nth_root(c: CycloElem, k: int):
     """Search for e in Q(w) with e^k = c.
 
-    A rational root of a rational c is found exactly.  Otherwise a
-    bounded-height search over integer coordinate vectors is attempted; None
-    means "no root found", which is not a proof that none exists.
+    A rational root of a rational c is found exactly.  Otherwise a search over
+    integer coordinate vectors of height at most ``ROOT_SEARCH_HEIGHT`` is
+    attempted; None means "no root found", which is not a proof that none
+    exists.
     """
     field = c.parent
     if c.is_rational():
@@ -100,7 +104,7 @@ def cyclo_nth_root(c: CycloElem, k: int, height: int = 3):
     deg = field.degree
     if deg > 4:
         return None
-    rng = range(-height, height + 1)
+    rng = range(-ROOT_SEARCH_HEIGHT, ROOT_SEARCH_HEIGHT + 1)
     for coeffs in product(rng, repeat=deg):
         if all(x == 0 for x in coeffs):
             continue

@@ -23,12 +23,12 @@ with no non-constant product, division or gcd over Q(w)[t].
 from __future__ import annotations
 
 from .cyclo import CycloElem, CycloField
-from .elem import FieldElem
+from .elem import Field, FieldElem
 # poly_gcd is not called here; perfbench's tracer test looks it up in this module too
 from .polys import Poly, _poly, poly_cancel, poly_gcd  # noqa: F401
 
 
-class RatFuncField:
+class RatFuncField(Field):
     """Descriptor for Q(w)(t) with the derivation d/dt or the zero derivation."""
 
     def __init__(self, cyclo: CycloField, var: str = "t", derivation: str = "dt"):
@@ -40,19 +40,11 @@ class RatFuncField:
         self._one_poly = one = Poly.one(cyclo)
         self._zero = _ratfunc(self, Poly.zero(cyclo), one)
         self._one = _ratfunc(self, one, one)
-        self._generators = {var: self.gen()}
-        for name, g in cyclo.generators().items():
-            self._generators.setdefault(name, self.coerce(g))
+        self._name_generators({var: self.gen()}, cyclo)
 
     @property
     def is_zero_derivation(self) -> bool:
         return self.derivation == "zero"
-
-    def zero(self) -> "RatFunc":
-        return self._zero
-
-    def one(self) -> "RatFunc":
-        return self._one
 
     def gen(self) -> "RatFunc":
         return _ratfunc(self, Poly.gen(self.cyclo), self._one_poly)
@@ -72,10 +64,6 @@ class RatFuncField:
         if den is None:
             den = self._one_poly
         return RatFunc(self, num, den)
-
-    def generators(self) -> dict:
-        """Name to element for the parser: the variable, then w."""
-        return self._generators
 
     def coerce(self, x) -> "RatFunc":
         # RatFunc is immutable, so an element of this field is returned as is

@@ -284,23 +284,6 @@ def _tower_entry(field: KummerField) -> dict:
     return {"gen": field.gen_name, "power": field.m, "radicand": scalar_to_str(field.alpha)}
 
 
-def _power_ladder(g, exponents) -> dict:
-    """{n: g^n} for every n from min(exponents, 0) to max(exponents, 0).
-
-    Each rung is the one before times g, or times g^-1 below zero: one
-    product per rung and at most one inverse for all the entries of F.
-    """
-    ladder = {0: g._one()}
-    for n in range(1, max(exponents, default=0) + 1):
-        ladder[n] = ladder[n - 1] * g
-    low = min(exponents, default=0)
-    if low < 0:
-        g_inv = g.inv()
-        for n in range(-1, low - 1, -1):
-            ladder[n] = ladder[n + 1] * g_inv
-    return ladder
-
-
 def _diagonal_split(phi, d, p, e, gens, exponents, extension) -> SplitReport:
     """The report for the diagonal gauge F = diag(prod_i gens[i]^exponents[r][i]) over E.
 
@@ -308,8 +291,7 @@ def _diagonal_split(phi, d, p, e, gens, exponents, extension) -> SplitReport:
     F is a gauge for a diagonal P when each row of exponents weights the rates to P[r][r].
     """
     iso = verify_diff_isomorphism(phi, d, p)
-    ladders = [_power_ladder(g, [row[i] for row in exponents]) for i, g in enumerate(gens)]
-    entries = [math.prod((lad[n] for lad, n in zip(ladders, row) if n), start=e.one()) for row in exponents]
+    entries = [math.prod((g**n for g, n in zip(gens, row) if n), start=e.one()) for row in exponents]
     f_mat = DiffMatrix.diagonal(e, entries)
     return SplitReport(extension, p, f_mat, verify_gauge(p.coerce_to(e), f_mat), iso)
 

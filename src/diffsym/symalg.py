@@ -39,8 +39,6 @@ class SymbolAlgebra:
         self._check_primitive_root()
         # the field's omega powers as coefficient-field elements
         self._omega_pow = [field.coerce(w) for w in field.cyclo.omega_powers]
-        # (i, j) -> i ru + j rv, the d_s rate of u^i v^j, filled on first use
-        self._rate_multiples = {}
 
     # -- constants of the algebra, computed on first use ---------------------
     #

@@ -1,4 +1,4 @@
-"""The operators shared by every element type: powers, subtraction, division."""
+"""The operators shared by every element type (powers, subtraction, division) and the protocol of every field."""
 
 from fractions import Fraction
 
@@ -142,3 +142,20 @@ def test_sparse_elements_keep_the_canonical_form(case, text):
     assert _parent(twin_gen) == parent and _parent(twin_gen) is not parent
     for got in (x + twin_gen, empty + twin_gen):
         assert _parent(got) is parent
+
+
+# -- the protocol shared by every field descriptor ------------------------------
+
+
+def test_a_field_names_its_own_generators_before_those_below():
+    """generators() lists a field's own names first, then coerces in those below; an own name shadows one below."""
+    cyclo = CycloField(3)
+    k = RatFuncField(cyclo, "w")
+    assert k.generators() == {"w": k.gen()}
+    k = RatFuncField(cyclo, "t")
+    e = KummerField(k, k.gen(), 3, "t")
+    f = MonomialDiffField(e, ["w"], [e.one()])
+    assert e.generators() == {"t": e.gen(), "w": e.coerce(k.omega())}
+    assert f.generators() == {"w": f.gen(0), "t": f.coerce(e.gen())}
+    for field in (cyclo, k, e, f):
+        assert field.zero() is field.coerce(0) and field.one() is field.coerce(1)

@@ -265,3 +265,16 @@ def test_omega_powers_and_gap_inverses_are_read_from_the_field():
         for hit in _omega_recomputations(ast.parse(path.read_text(), str(path)), path.relative_to(SRC).as_posix())
     }
     assert found == set()
+
+
+def test_the_field_descriptors_share_one_protocol():
+    """zero(), one() and generators() are written once, in elem.Field, and the extensions' coerce once, in Extension."""
+    from diffsym.scalars import CycloField, KummerField, MonomialDiffField, PolyDiffField, RatFuncField
+    from diffsym.scalars.elem import Extension, Field
+
+    for cls in (CycloField, RatFuncField, KummerField, PolyDiffField, MonomialDiffField):
+        assert issubclass(cls, Field)
+        assert not {"zero", "one", "generators"} & vars(cls).keys(), cls
+    for cls in (KummerField, PolyDiffField, MonomialDiffField):
+        assert issubclass(cls, Extension)
+        assert not {"coerce", "cyclo"} & vars(cls).keys(), cls

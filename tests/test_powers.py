@@ -35,7 +35,7 @@ def no_search(monkeypatch):
     """Make the bounded-height root search fail, so a passing test decided exactly."""
     import diffsym.scalars.powers as powers
 
-    def fail(c, k, height=3):
+    def fail(c, k):
         raise AssertionError("bounded search used")
 
     monkeypatch.setattr(powers, "cyclo_nth_root", fail)

@@ -32,6 +32,7 @@ from diffsym.split import (
 from generators import random_element, random_u_polynomial, random_valid_derivation, sharing_radicands
 from oracles import (
     compute_w,
+    dense_kummer_conjugate,
     dense_phi,
     dense_phimap_relations,
     entrywise_P,
@@ -555,7 +556,7 @@ def norm_split_check(algebra, d, theta):
     gamma = theta_p.inv()
     norm = xi_field.one()
     for j in range(m):
-        norm = norm * gamma.conjugate(j)
+        norm = norm * KummerElem(xi_field, dense_kummer_conjugate(gamma, j))
     if not norm.is_base():
         raise SelfCheckError("norm did not land in the base field")
     c = norm.base_value() / algebra.beta**p
