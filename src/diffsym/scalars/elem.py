@@ -60,9 +60,11 @@ class Extension(Field):
         self._one = self._constant(self._base_one)
 
     def coerce(self, x):
+        """x in this field: an element of it (or of an equal field) as it is, an
+        element of ``base`` with no second coerce, anything else through ``base.coerce``."""
         if isinstance(x, self._elem_type) and (x.parent is self or x.parent == self):
             return x
-        c = self.base.coerce(x)
+        c = x if getattr(x, "parent", None) is self.base else self.base.coerce(x)
         if c is self._base_one:
             return self._one
         if c.is_zero():
@@ -145,9 +147,10 @@ class SparseElem(FieldElem):
 
     Invariant: no stored coefficient is zero.  The dict is therefore
     canonical: zero is {}, and ``==`` compares the dicts.  A subclass keeps
-    its parent and ``terms`` in slots and defines ``_with(terms)``, its
-    trusted constructor in the same parent; ``__add__`` stays in the subclass
-    body, its coercion followed by ``self._plus(other)``.
+    its container (``parent``, or ``algebra`` for ``SymbolElem``) and
+    ``terms`` in slots and defines ``_with(terms)``, its trusted constructor
+    in the same container; ``__add__`` stays in the subclass body, its
+    coercion followed by ``self._plus(other)``.
     """
 
     __slots__ = ()

@@ -34,8 +34,9 @@ class PolyDiffField(Extension):
             raise ValueError(f"generator index {i} is out of range for n = {self.n} variables")
 
     def set_gen_derivative(self, i: int, value: "PolyDiffElem"):
+        """Store d(x_i): an element of this field as it is, anything else coerced into it."""
         self._check_index(i)
-        self._gen_derivs[i] = self.coerce(value)
+        self._gen_derivs[i] = value if getattr(value, "parent", None) is self else self.coerce(value)
 
     def gen_derivative(self, i: int) -> "PolyDiffElem":
         self._check_index(i)
@@ -146,12 +147,18 @@ class PolyDiffElem(SparseElem):
     def derive(self) -> "PolyDiffElem":
         """Leibniz extension of the base derivation and the generator images.
 
-        d(c x^e) = d(c) x^e + sum_i e_i c x^(e - 1_i) d(x_i), collected term by
-        term; a coefficient with d(c) = 0 contributes no first term, and the
-        base's one is not derived at all.
+        A bare generator x_i (one term, the base's interned one, exponent 1)
+        returns its stored image ``gen_derivative(i)`` itself.  Any other
+        element is derived by d(c x^e) = d(c) x^e + sum_i e_i c x^(e - 1_i) d(x_i),
+        collected term by term; a coefficient with d(c) = 0 contributes no
+        first term, and the base's one is not derived at all.
         """
         parent = self.parent
         one = parent.base.one()
+        if len(self.terms) == 1:
+            ((key, c),) = self.terms.items()
+            if c is one and len(key) == 1 and key[0][1] == 1:
+                return parent.gen_derivative(key[0][0])
         out = {}
         for key, c in self.terms.items():
             if c is not one:

@@ -120,9 +120,12 @@ class PhiMap:
         A^i is diagonal, and row r of B^j has its one nonzero entry in column
         (r - j) mod m: beta where the shift wraps (r < s), 1 otherwise. So
 
-            Phi(x)[r][s] = (beta if r < s else 1) * sum_i x[i][(r-s) mod m] A^i[r][r],
+            Phi(x)[r][s] = sum_i x[i][(r-s) mod m] (beta if r < s else 1) A^i[r][r].
 
-        m scalar products per term of x in place of m^2 matrix products.
+        Entry (r, s) of A^i B^j wraps (r < s) exactly on the rows r < j, so a
+        term c u^i v^j with j > 0 takes c * beta once, before it meets the
+        roots of unity of A^i: m products per term, plus that one for j > 0,
+        in place of m^2 matrix products.
         """
         x = self.ext_algebra.coerce_elem(x)
         m = self.algebra.m
@@ -131,15 +134,11 @@ class PhiMap:
         a_pows = self._a_powers(max((i for i, _ in x.terms), default=0))
         for (i, j), c in x.terms.items():
             a_i = a_pows[i]
+            wrapped = c * self._beta if j else c
             for r in range(m):
                 row, s = rows[r], (r - j) % m
-                term = c * a_i[r]
+                term = (wrapped if r < j else c) * a_i[r]
                 row[s] = term if row[s].is_zero() else row[s] + term
-        for r in range(m):
-            row = rows[r]
-            for s in range(r + 1, m):
-                if not row[s].is_zero():
-                    row[s] = row[s] * self._beta
         return _matrix(self.ext_field, rows)
 
 

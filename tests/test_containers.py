@@ -13,7 +13,17 @@ import pytest
 from diffsym import SymbolAlgebra, decompose, deriv, inner_derivation, split_standard, standard_derivation
 from diffsym.deriv import Derivation
 from diffsym.matdiff import DiffMatrix
-from diffsym.scalars import CycloElem, CycloField, KummerField, MonomialDiffField, Poly, RatFunc, RatFuncField
+from diffsym.scalars import (
+    CycloElem,
+    CycloField,
+    KummerField,
+    MonomialDiffField,
+    Poly,
+    PolyDiffField,
+    RatFunc,
+    RatFuncField,
+)
+from diffsym.scalars.kummer import KummerElem
 from diffsym.split import (
     PhiMap,
     _checked_t_r,
@@ -76,6 +86,48 @@ def test_split_generic_at_m5_takes_no_polynomial_product(monkeypatch):
     rep = split_generic(p)
     assert rep.passed and rep.gauge.det_nonzero
     assert not products
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_phi_takes_one_product_by_beta_per_wrapping_term(monkeypatch, m):
+    alg = make_algebra(m)
+    phi = make_phi(alg)
+    t = alg.field.gen()
+    x = sum((alg.monomial(i, j, t + i + j) for i in range(m) for j in range(m)), alg.zero_elem())
+    products = _counter(monkeypatch, KummerElem, "__mul__")
+    phi.apply(x)
+    # one c * beta for each of the m (m - 1) terms with j > 0, and no other product by beta
+    assert sum(any(a is phi._beta for a in args) for args in products) == m * (m - 1)
+
+
+def test_an_element_of_the_base_takes_one_coerce_into_the_ring_over_it(monkeypatch):
+    """Coercing an element of k(xi) into k(xi)[x] calls no coerce of k(xi)."""
+    alg = make_algebra(3)
+    xi_field = make_phi(alg).ext_field
+    ring = PolyDiffField(xi_field, ["x0", "x1"])
+    xi, t = xi_field.gen(), alg.field.gen()
+    xs = [xi_field.one(), xi_field.zero(), xi, xi * xi * t + 1]
+    coercions = _counter(monkeypatch, KummerField, "coerce")
+    got = [ring.coerce(x) for x in xs]
+    ring.set_gen_derivative(0, got[3])
+    assert not coercions
+    monkeypatch.undo()
+    assert got[0] is ring.one() and got[1] is ring.zero() and ring.gen_derivative(0) is got[3]
+    assert all(g.terms == {(): x} and g.terms[()] is x for g, x in zip(got[2:], xs[2:]))
+    assert ring.coerce(1) is ring.one() and ring.coerce(t) == ring.coerce(xi_field.coerce(t))
+
+
+def test_split_generic_at_m5_coerces_each_base_element_once(monkeypatch):
+    """P's entries go into k(xi)[x] without a second coerce, and each d(x_rs) is stored as built."""
+    alg = make_algebra(5)
+    p = compute_P(standard_derivation(alg) + inner_derivation(_theta(alg)), make_phi(alg))
+    coercions = _counter(monkeypatch, KummerField, "coerce")
+    ring_coercions = _counter(monkeypatch, PolyDiffField, "coerce")
+    rep = split_generic(p)
+    assert rep.passed and rep.gauge.det_nonzero
+    assert not coercions
+    # P's 25 entries, the 3 generator names of k(xi) and one per entry of the gauge check; 78 before
+    assert len(ring_coercions) <= 25 + 3 + 25
 
 
 def test_split_standard_at_m5_coerces_few_kummer_elements(monkeypatch):

@@ -7,10 +7,13 @@ diagonal gauge; the ``deriv``, ``split verify`` and ``algebra check`` reports
 by the release before symbol elements stored only their nonzero terms; and
 ``split-generic-theta-m11`` (121 indeterminates, padded names x0000..x1010)
 by the release before differential monomials were keyed by their nonzero
-exponents. The ``split maximal``, ``matdiff constants``, ``ode solve`` and
-``power-detect`` reports were written by the release before the
-maximal-subfield test harnesses moved out of the package and the linear
-solver stopped building a kernel. A refactor of the splitting layer, of the
+exponents. ``split-generic-dense-m4``, ``-m5`` and ``split-verify-dense-m5``
+(theta with a term u^i v^j in every column j > 0, so that every row but the
+last of Phi(theta) takes beta) were written by the release before Phi
+multiplied each term by beta once. The ``split maximal``, ``matdiff
+constants``, ``ode solve`` and ``power-detect`` reports were written by the
+release before the maximal-subfield test harnesses moved out of the package
+and the linear solver stopped building a kernel. A refactor of the splitting layer, of the
 symbol algebra, of the monomial keys, of the solver or of the printer must
 reproduce every byte, and exit 0.
 """
@@ -24,6 +27,12 @@ from diffsym.cli import main
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "cli_golden"
 _AB = ("--alpha", "t", "--beta", "t+1")
 
+
+def _dense_theta(m):
+    """A theta with a term in every column j > 0 of u^i v^j at m = 4, 5; each term wraps in Phi on the rows r < j."""
+    return f"u*v + (t+1)*u^2*v^2 + v^3 + (t-2)*u^3*v^{m - 1}"
+
+
 CASES = {
     **{f"split-standard-m{m}": ("split", "standard", "--m", str(m), *_AB) for m in range(2, 10)},
     "split-standard-constant-beta-m3": ("split", "standard", "--m", "3", "--alpha", "t", "--beta", "3"),
@@ -31,6 +40,8 @@ CASES = {
     **{f"split-inner-m{m}": ("split", "inner", "--m", str(m), *_AB, "--rho", "u") for m in range(2, 6)},
     **{f"split-inner-half-m{m}": ("split", "inner", "--m", str(m), *_AB, "--rho", "u", "--half") for m in (2, 4)},
     **{f"split-generic-theta-m{m}": ("split", "generic", "--m", str(m), *_AB, "--theta", "u+v") for m in (2, 3, 4, 11)},
+    **{f"split-generic-dense-m{m}": ("split", "generic", "--m", str(m), *_AB, "--theta", _dense_theta(m)) for m in (4, 5)},
+    "split-verify-dense-m5": ("split", "verify", "--m", "5", *_AB, "--theta", _dense_theta(5)),
     "replay": ("replay",),
     "deriv-decompose-m3": (
         "deriv", "decompose", "--m", "3", *_AB,

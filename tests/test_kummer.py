@@ -513,6 +513,29 @@ def test_generic_gauge_derivative_matches_the_oracle(rng):
     d = standard_derivation(alg) + inner_derivation(random_trace_zero(alg, rng))
     f = split_generic(compute_P(d, phi)).f
     assert all(a.derive() == polydiff_derive(a) for row in f.rows for a in row)
+    # each x_rs derives to the image split_generic stored, not to a copy
+    assert all(f.field.gen(i).derive() is f.field.gen_derivative(i) for i in range(f.field.n))
+
+
+@pytest.mark.parametrize("derivation", ["dt", "zero"])
+def test_polydiff_derive_near_a_generator_takes_the_leibniz_rule(derivation):
+    """A bare generator derives to its stored image; c x_i, x_i^2, x_i^-1, x_i x_j and their sums match the oracle."""
+    k = RatFuncField(CycloField(3), "t", derivation)
+    t = k.gen()
+    e = PolyDiffField(k, ["x0", "x1", "x2"])
+    x0, x1, x2 = (e.gen(i) for i in range(3))
+    e.set_gen_derivative(0, x1.scale(t) + x0 * x2)
+    e.set_gen_derivative(1, x0 + e.coerce(t))
+    e.set_gen_derivative(2, e.zero())
+    rates = MonomialDiffField(k, ["y0", "y1"], [t, k.one() * 2])
+    y0, y1 = rates.gen(0), rates.gen(1)
+    assert all(f.gen(i).derive() is f.gen_derivative(i) for f in (e, rates) for i in range(f.n))
+    for a, b in ((x0, x1), (x1, x2), (y0, y1)):
+        for c in (t + 1, k.coerce(3)):
+            for x in (a.scale(c), a * a, a.inv(), a * b, a.scale(c) + b, a + b, a * a + a.inv() + a * b):
+                assert x.derive() == polydiff_derive(x)
+    # d(x2) = 0, so d((t + 1) x2) is d(t + 1) x2 alone
+    assert x2.scale(t + 1).derive() == x2.scale((t + 1).derive())
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])

@@ -52,7 +52,7 @@ def make_phi(alg):
     return PhiMap(alg, KummerField(alg.field, alg.alpha, alg.m, "xi"))
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", range(2, 8))
 def test_sparse_apply_matches_dense(m, rng):
     alg = make_algebra(m)
     phi = make_phi(alg)
@@ -67,6 +67,13 @@ def test_sparse_apply_matches_dense(m, rng):
         a = ext.coerce_elem(random_element(alg, rng))
         b = ext.coerce_elem(random_element(alg, rng))
         x = a + b.scale(xi ** rng.randrange(1, m))
+        assert phi.apply(x) == dense_phi(phi, x)
+    # a term in every column j, so each row r < m - 1 takes beta through some c * beta
+    for _ in range(2):
+        x = ext.coerce_elem(random_element(alg, rng))
+        for j in range(m):
+            c = ext.field.coerce(alg.field.gen() + rng.randint(-3, 3)) * xi ** rng.randrange(m)
+            x = x + ext.monomial(rng.randrange(m), j, c)
         assert phi.apply(x) == dense_phi(phi, x)
 
 
