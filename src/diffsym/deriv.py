@@ -15,7 +15,7 @@ from functools import cached_property
 from .errors import SelfCheckError
 from .parser import scalar_to_str
 from .scalars import mth_root, valuations
-from .symalg import SymbolAlgebra, SymbolElem, _symbol, centralizer, in_generated_subfield
+from .symalg import SymbolAlgebra, SymbolElem, centralizer, in_generated_subfield
 
 
 @dataclass
@@ -51,7 +51,7 @@ class Derivation:
         for (i, j), c in du.terms.items():
             if j:
                 terms[(i - 1) % m, j] = c * g[j] if i else c * g[j] * alpha_inv
-        self.algebra, self.theta, self.includes_ds = algebra, _symbol(algebra, terms), True
+        self.algebra, self.theta, self.includes_ds = algebra, algebra._make(terms), True
         # d_s + inner(theta) is a derivation, so it gives the images back iff they
         # are valid; validate runs only to name the failing conditions
         if not (self.du == du and self.dv == dv):
@@ -106,7 +106,7 @@ class Derivation:
                     c = c * beta
                 prev = out.get((ii, jj))
                 out[ii, jj] = c if prev is None else prev + c
-        return _symbol(alg, {key: c for key, c in out.items() if not c.is_zero()})
+        return alg._make({key: c for key, c in out.items() if not c.is_zero()})
 
     def __add__(self, other: "Derivation") -> "Derivation":
         alg = self.algebra

@@ -63,9 +63,6 @@ class DiffMatrix(FieldElem):
         rows[r][c] = field.one() if value is None else field.coerce(value)
         return _matrix(field, rows)
 
-    def entry(self, r: int, c: int):
-        return self.rows[r][c]
-
     def _coerce_other(self, other) -> "DiffMatrix":
         if not isinstance(other, DiffMatrix):
             raise TypeError(f"cannot combine a matrix with {type(other).__name__}")

@@ -3,7 +3,8 @@
 ``Field`` is the base of the field descriptors: it returns the interned
 ``zero()`` and ``one()`` and the parser's ``generators()``.  ``Extension`` is
 its form for a field over ``base`` whose elements are ``SparseElem`` sums; it
-adds ``cyclo``, the interned units over the base and one ``coerce``.
+adds ``cyclo``, the interned units over the base, one ``coerce`` and the
+elements' trusted constructor ``_make``.
 
 ``FieldElem`` is the base of the element types.  Each subclass defines
 ``__add__``, ``__mul__``, ``__neg__`` and ``inv`` in its own body;
@@ -16,6 +17,8 @@ merging sum that their ``__add__`` calls.
 """
 
 from __future__ import annotations
+
+_new = object.__new__
 
 
 class Field:
@@ -45,8 +48,8 @@ class Field:
 class Extension(Field):
     """A field over ``base`` whose elements, of type ``elem_type``, are ``SparseElem`` sums over it.
 
-    A subclass defines ``_constant(c)``: the element c, for a nonzero c in
-    the base, built by its module's trusted constructor.
+    ``_make(terms)`` is their trusted constructor; a subclass sets
+    ``_constant_key``, the key of the constant monomial.
     """
 
     def __init__(self, base, elem_type):
@@ -54,10 +57,19 @@ class Extension(Field):
         self.cyclo = base.cyclo
         self._elem_type = elem_type
         self._base_one = base.one()
-        # built directly: each trusted constructor returns this zero for empty terms
-        self._zero = zero = object.__new__(elem_type)
+        # built directly: _make returns this zero for empty terms
+        self._zero = zero = _new(elem_type)
         zero.parent, zero.terms = self, {}
-        self._one = self._constant(self._base_one)
+        self._one = self._make({self._constant_key: self._base_one})
+
+    def _make(self, terms: dict):
+        """The trusted constructor: terms maps keys to nonzero elements of the base; {} gives the interned zero."""
+        if not terms:
+            return self._zero
+        x = _new(self._elem_type)
+        x.parent = self
+        x.terms = terms
+        return x
 
     def coerce(self, x):
         """x in this field: an element of it (or of an equal field) as it is, an
@@ -69,7 +81,7 @@ class Extension(Field):
             return self._one
         if c.is_zero():
             return self._zero
-        return self._constant(c)
+        return self._make({self._constant_key: c})
 
 
 class FieldElem:
@@ -148,12 +160,16 @@ class SparseElem(FieldElem):
     Invariant: no stored coefficient is zero.  The dict is therefore
     canonical: zero is {}, and ``==`` compares the dicts.  A subclass keeps
     its container (``parent``, or ``algebra`` for ``SymbolElem``) and
-    ``terms`` in slots and defines ``_with(terms)``, its trusted constructor
-    in the same container; ``__add__`` stays in the subclass body, its
-    coercion followed by ``self._plus(other)``.
+    ``terms`` in slots.  ``_with(terms)`` builds in the same container
+    through its trusted constructor ``_make``, so a result with no term is
+    the container's interned zero; ``__add__`` stays in the subclass body,
+    its coercion followed by ``self._plus(other)``.
     """
 
     __slots__ = ()
+
+    def _with(self, terms: dict):
+        return self.parent._make(terms)
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -27,6 +27,8 @@ from .ratfunc import RatFuncField
 class KummerField(Extension):
     """F(xi) with xi^m = alpha; base F is Q(w)(t) or another Kummer field."""
 
+    _constant_key = 0
+
     def __init__(self, base, alpha, m: int, gen_name: str = "xi", gen_rate=None):
         alpha = base.coerce(alpha)
         if alpha.is_zero():
@@ -78,10 +80,7 @@ class KummerField(Extension):
         return self.base.is_zero_derivation
 
     def gen(self) -> "KummerElem":
-        return _kummer(self, {1: self._base_one})
-
-    def _constant(self, c) -> "KummerElem":
-        return _kummer(self, {0: c})
+        return self._make({1: self._base_one})
 
     def __eq__(self, other):
         return (
@@ -105,8 +104,8 @@ class KummerElem(SparseElem):
     The c_i are nonzero elements of the base field (see ``SparseElem``), so a
     zero coefficient costs nothing anywhere in a tower.
     ``KummerElem(parent, coeffs)`` takes the dense vector (c_0, ..., c_{m-1}),
-    coerces it and drops the zeros; arithmetic builds through the trusted
-    ``_kummer``.
+    coerces it and drops the zeros; arithmetic builds through the field's
+    trusted ``_make``.
     """
 
     __slots__ = ("parent", "terms")
@@ -117,9 +116,6 @@ class KummerElem(SparseElem):
             raise ValueError("coefficient vector has the wrong length")
         self.parent = parent
         self.terms = nonzero_terms(enumerate(coeffs), parent.base.coerce)
-
-    def _with(self, terms: dict) -> "KummerElem":
-        return _kummer(self.parent, terms)
 
     @property
     def coeffs(self) -> tuple:
@@ -160,7 +156,7 @@ class KummerElem(SparseElem):
             x, y = y, x
         if len(y) == 1 and 0 in y:
             c = y[0]
-            return _kummer(parent, {i: a * c for i, a in x.items()})
+            return parent._make({i: a * c for i, a in x.items()})
         m = parent.m
         alpha = parent.alpha
         out = {}
@@ -173,7 +169,7 @@ class KummerElem(SparseElem):
                     term = term * alpha
                 c = out.get(k)
                 out[k] = term if c is None else c + term
-        return _kummer(parent, {k: c for k, c in out.items() if not c.is_zero()})
+        return parent._make({k: c for k, c in out.items() if not c.is_zero()})
 
     __rmul__ = __mul__
 
@@ -191,8 +187,8 @@ class KummerElem(SparseElem):
         parent = self.parent
         ((k, c),) = terms.items()
         if k == 0:
-            return _kummer(parent, {0: c.inv()})
-        return _kummer(parent, {parent.m - k: (c * parent.alpha).inv()})
+            return parent._make({0: c.inv()})
+        return parent._make({parent.m - k: (c * parent.alpha).inv()})
 
     def _inv_conjugates(self) -> "KummerElem":
         """x^-1 = Q / N(x), Q a product of twists of x and of its partial norms, with N(x) = x Q in the base.
@@ -222,10 +218,10 @@ class KummerElem(SparseElem):
         a primitive p-th root of unity."""
         parent = self.parent
         if p == 2:
-            return _kummer(parent, {i: -c if i // s % 2 else c for i, c in self.terms.items()})
+            return parent._make({i: -c if i // s % 2 else c for i, c in self.terms.items()})
         w_pows, n = parent.cyclo.omega_powers, parent.cyclo.m
         coerce, step = parent.base.coerce, n // p * j
-        return _kummer(parent, {i: c * coerce(w_pows[step * (i // s) % n]) for i, c in self.terms.items()})
+        return parent._make({i: c * coerce(w_pows[step * (i // s) % n]) for i, c in self.terms.items()})
 
     def derive(self) -> "KummerElem":
         """Leibniz-compatible derivation: xi^i picks up i * gen_rate."""
@@ -237,24 +233,10 @@ class KummerElem(SparseElem):
                 term = term + c * (parent.gen_rate * i)
             if not term.is_zero():
                 out[i] = term
-        return _kummer(parent, out)
+        return parent._make(out)
 
     def __hash__(self):
         # an element of the base field equals its base value
         if self.is_base():
             return hash(self.base_value())
         return hash(("KummerElem", tuple(sorted(self.terms.items()))))
-
-
-_new = object.__new__
-
-
-def _kummer(parent: KummerField, terms: dict) -> KummerElem:
-    """The trusted constructor: terms maps exponents in [0, m) to nonzero elements of the base;
-    empty terms give the parent's interned zero."""
-    if not terms:
-        return parent._zero
-    x = _new(KummerElem)
-    x.parent = parent
-    x.terms = terms
-    return x

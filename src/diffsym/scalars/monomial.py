@@ -20,13 +20,15 @@ from .elem import Extension, SparseElem, nonzero_terms
 class PolyDiffField(Extension):
     """F[x_0..x_{n-1}] with a derivation given on each generator."""
 
+    _constant_key = ()
+
     def __init__(self, base, names):
         super().__init__(base, PolyDiffElem)
         self.names = tuple(names)
         self.n = len(self.names)
         self._gen_derivs = [None] * self.n
         one = self._base_one
-        self._gens = tuple(_polydiff(self, {((i, 1),): one}) for i in range(self.n))
+        self._gens = tuple(self._make({((i, 1),): one}) for i in range(self.n))
         self._name_generators(dict(zip(self.names, self._gens)), base)
 
     def _check_index(self, i: int):
@@ -52,9 +54,6 @@ class PolyDiffField(Extension):
     def gen(self, i: int) -> "PolyDiffElem":
         self._check_index(i)
         return self._gens[i]
-
-    def _constant(self, c) -> "PolyDiffElem":
-        return _polydiff(self, {(): c})
 
     def __repr__(self):
         return f"{self.base!r}[{', '.join(self.names)}]"
@@ -82,8 +81,8 @@ class PolyDiffElem(SparseElem):
 
     ``PolyDiffElem(parent, terms)`` takes dense exponent tuples of length n as
     the keys of ``terms``, coerces each coefficient and drops the zeros (see
-    ``SparseElem``); arithmetic builds through the trusted ``_polydiff``, and
-    a coefficient product with the base's one is skipped.  A product with a
+    ``SparseElem``); arithmetic builds through the field's trusted ``_make``,
+    and a coefficient product with the base's one is skipped.  A product with a
     constant, the single term ``{(): c}``, scales the other factor's
     coefficients by c and merges no keys.
     """
@@ -94,9 +93,6 @@ class PolyDiffElem(SparseElem):
         self.parent = parent
         n = parent.n
         self.terms = nonzero_terms(((_dense_to_key(exps, n), c) for exps, c in terms.items()), parent.base.coerce)
-
-    def _with(self, terms: dict) -> "PolyDiffElem":
-        return _polydiff(self.parent, terms)
 
     def scale(self, c) -> "PolyDiffElem":
         c = self.parent.base.coerce(c)
@@ -131,7 +127,7 @@ class PolyDiffElem(SparseElem):
                 key = _mul_keys(k1, k2)
                 c = c2 if c1 is one else c1 if c2 is one else c1 * c2
                 out[key] = out[key] + c if key in out else c
-        return _polydiff(parent, {e: c for e, c in out.items() if not c.is_zero()})
+        return parent._make({e: c for e, c in out.items() if not c.is_zero()})
 
     __rmul__ = __mul__
 
@@ -142,7 +138,7 @@ class PolyDiffElem(SparseElem):
         if len(self.terms) != 1:
             raise ValueError("negative powers are only available for single monomials")
         ((key, c),) = self.terms.items()
-        return _polydiff(self.parent, {tuple((i, -e) for i, e in key): c.inv()})
+        return self.parent._make({tuple((i, -e) for i, e in key): c.inv()})
 
     def derive(self) -> "PolyDiffElem":
         """Leibniz extension of the base derivation and the generator images.
@@ -172,10 +168,7 @@ class PolyDiffElem(SparseElem):
                     mono = _mul_keys(lowered, gkey)
                     v = g if ce is one else ce * g
                     out[mono] = out[mono] + v if mono in out else v
-        return _polydiff(parent, {e: c for e, c in out.items() if not c.is_zero()})
-
-
-_new = object.__new__
+        return parent._make({e: c for e, c in out.items() if not c.is_zero()})
 
 
 def _dense_to_key(exps, n: int) -> tuple:
@@ -220,15 +213,4 @@ def _scaled(x: PolyDiffElem, c) -> PolyDiffElem:
     one = x.parent.base.one()
     if c is one:
         return x
-    return _polydiff(x.parent, {e: c if v is one else v * c for e, v in x.terms.items()})
-
-
-def _polydiff(parent: PolyDiffField, terms: dict) -> PolyDiffElem:
-    """The trusted constructor: terms maps monomial keys to nonzero elements of the base;
-    empty terms give the parent's interned zero."""
-    if not terms:
-        return parent._zero
-    x = _new(PolyDiffElem)
-    x.parent = parent
-    x.terms = terms
-    return x
+    return x.parent._make({e: c if v is one else v * c for e, v in x.terms.items()})

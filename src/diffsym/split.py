@@ -29,7 +29,6 @@ from .scalars import (
     mth_root,
     valuations,
 )
-from .scalars.monomial import _polydiff
 from .symalg import SymbolAlgebra, SymbolElem, twisted_centralizer
 
 
@@ -425,7 +424,7 @@ def split_generic(p: DiffMatrix) -> SplitReport:
         # (index of x_l0, P[r][l]) for each nonzero P[r][l]
         support = [(l * m, c) for l, c in enumerate(row) if not c.is_zero()]
         for s in range(m):
-            e.set_gen_derivative(r * m + s, _polydiff(e, {((i + s, 1),): c for i, c in support}))
+            e.set_gen_derivative(r * m + s, e._make({((i + s, 1),): c for i, c in support}))
     f_mat = _matrix(e, [[e.gen(r * m + s) for s in range(m)] for r in range(m)])
     gauge = verify_gauge(p.coerce_to(e), f_mat)
     return SplitReport(

@@ -4,7 +4,8 @@ Elements are sums of terms c u^i v^j over a pluggable coefficient field, so
 the same type serves A and A tensor E for any extension E of k.  The public
 ``SymbolElem(algebra, grid)`` takes a dense m x m grid, checks the shape,
 coerces every entry and keeps the nonzero ones; arithmetic, whose terms
-already lie in the field, builds through the trusted ``_symbol``.
+already lie in the field, builds through the algebra's trusted ``_make``,
+which returns the algebra's interned zero for empty terms.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ class SymbolAlgebra:
         self._check_primitive_root()
         # the field's omega powers as coefficient-field elements
         self._omega_pow = [field.coerce(w) for w in field.cyclo.omega_powers]
+        # built directly: _make returns this zero for empty terms
+        self._zero = zero = object.__new__(SymbolElem)
+        zero.algebra, zero.terms = self, {}
+        # the algebra that extend built this one from, whose elements coerce_elem takes unchecked
+        self._source = None
 
     # -- constants of the algebra, computed on first use ---------------------
     #
@@ -78,8 +84,17 @@ class SymbolAlgebra:
 
     # -- element constructors --------------------------------------------
 
+    def _make(self, terms: dict) -> "SymbolElem":
+        """The trusted constructor: terms maps (i, j) in [0, m)^2 to nonzero field elements; {} gives the zero."""
+        if not terms:
+            return self._zero
+        x = object.__new__(SymbolElem)
+        x.algebra = self
+        x.terms = terms
+        return x
+
     def zero_elem(self) -> "SymbolElem":
-        return _symbol(self, {})
+        return self._zero
 
     def one(self) -> "SymbolElem":
         return self.monomial(0, 0, self.field.one())
@@ -99,7 +114,7 @@ class SymbolAlgebra:
         if not (0 <= i < self.m and 0 <= j < self.m):
             raise ValueError("exponents out of range")
         c = self.field.coerce(c)
-        return _symbol(self, {} if c.is_zero() else {(i, j): c})
+        return self._make({} if c.is_zero() else {(i, j): c})
 
     def from_grid(self, grid) -> "SymbolElem":
         return SymbolElem(self, grid)
@@ -109,14 +124,23 @@ class SymbolAlgebra:
 
     def extend(self, new_field) -> "SymbolAlgebra":
         """The same relations with scalars in an extension of the base field."""
-        return SymbolAlgebra(new_field, new_field.coerce(self.alpha), new_field.coerce(self.beta), self.m)
+        ext = SymbolAlgebra(new_field, new_field.coerce(self.alpha), new_field.coerce(self.beta), self.m)
+        ext._source = self
+        return ext
 
     def coerce_elem(self, x: "SymbolElem") -> "SymbolElem":
-        """x itself when it belongs to this algebra, else each of its terms coerced once."""
-        if x.algebra is self:
+        """x itself when it belongs to this algebra, else each of its terms coerced once.
+
+        AlgebraMismatchError when x's algebra has another m, alpha or beta, compared in the larger
+        field; the algebra that ``extend`` built this one from is taken without a comparison.
+        """
+        src = x.algebra
+        if src is self:
             return x
+        if src is not self._source and not (src.m == self.m and src.alpha == self.alpha and src.beta == self.beta):
+            raise AlgebraMismatchError("an element of a symbol algebra with other relations")
         coerce = self.field.coerce
-        return _symbol(self, {key: coerce(c) for key, c in x.terms.items()})
+        return self._make({key: coerce(c) for key, c in x.terms.items()})
 
     def __eq__(self, other):
         return (
@@ -137,7 +161,7 @@ class SymbolElem(SparseElem):
     The c_ij are nonzero elements of the coefficient field (see
     ``SparseElem``).  ``SymbolElem(algebra, grid)`` takes the dense m x m
     grid, coerces it and drops the zeros; arithmetic builds through the
-    trusted ``_symbol``.
+    algebra's trusted ``_make``.
     """
 
     __slots__ = ("algebra", "terms")
@@ -150,7 +174,7 @@ class SymbolElem(SparseElem):
         self.terms = nonzero_terms(pairs, algebra.field.coerce)
 
     def _with(self, terms: dict) -> "SymbolElem":
-        return _symbol(self.algebra, terms)
+        return self.algebra._make(terms)
 
     @property
     def grid(self) -> tuple:
@@ -213,7 +237,7 @@ class SymbolElem(SparseElem):
                     c = c * beta
                 prev = out.get((ii, jj))
                 out[ii, jj] = c if prev is None else prev + c
-        return _symbol(alg, {key: c for key, c in out.items() if not c.is_zero()})
+        return alg._make({key: c for key, c in out.items() if not c.is_zero()})
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -253,17 +277,6 @@ class SymbolElem(SparseElem):
         from .parser import symbol_to_str
 
         return symbol_to_str(self)
-
-
-_new = object.__new__
-
-
-def _symbol(algebra: SymbolAlgebra, terms: dict) -> SymbolElem:
-    """The trusted constructor: terms maps (i, j), 0 <= i, j < m, to nonzero elements of algebra.field."""
-    x = _new(SymbolElem)
-    x.algebra = algebra
-    x.terms = terms
-    return x
 
 
 def _columns(elems) -> list:

@@ -157,13 +157,13 @@ def test_criterion_06_corner_pole_constants():
         basis = prop44_constants(p)
         assert len(basis) == m - 1
         for x in basis:
-            assert all(x.entry(r, c).is_zero() for r in range(m) for c in range(m) if r != c)
+            assert all(x.rows[r][c].is_zero() for r in range(m) for c in range(m) if r != c)
     # m = 2: the constants are exactly the scalars
     k = RatFuncField(CycloField(2), "t")
     basis = prop44_constants(prop44_matrix(k, [0, 1], k.one() / k.gen()))
     assert len(basis) == 1
     x = basis[0]
-    assert x.entry(0, 0) == x.entry(1, 1) and not x.entry(0, 0).is_zero()
+    assert x.rows[0][0] == x.rows[1][1] and not x.rows[0][0].is_zero()
 
 
 def test_criterion_07_new_constant_witnesses():

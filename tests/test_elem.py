@@ -6,7 +6,7 @@ import pytest
 
 from diffsym import SymbolAlgebra
 from diffsym.matdiff import DiffMatrix
-from diffsym.scalars import CycloField, KummerField, MonomialDiffField, Poly, RatFuncField
+from diffsym.scalars import CycloField, KummerField, MonomialDiffField, Poly, PolyDiffField, RatFuncField
 from diffsym.scalars.kummer import KummerElem
 from diffsym.scalars.monomial import PolyDiffElem
 from diffsym.scalars.elem import FieldElem
@@ -142,6 +142,36 @@ def test_sparse_elements_keep_the_canonical_form(case, text):
     assert _parent(twin_gen) == parent and _parent(twin_gen) is not parent
     for got in (x + twin_gen, empty + twin_gen):
         assert _parent(got) is parent
+
+
+def _zero_cases():
+    """(container, its interned zero, a nonzero element with two terms) for each sparse container kind."""
+    k = RatFuncField(CycloField(3), "t")
+    t = k.gen()
+    e = KummerField(k, t, 3, "xi")
+    ring = PolyDiffField(k, ["x0", "x1"])
+    ring.set_gen_derivative(0, ring.gen(1))
+    ring.set_gen_derivative(1, ring.gen(0))
+    mono = MonomialDiffField(k, ["x0"], [t])
+    alg = SymbolAlgebra(k, t, t + k.one(), 3)
+    return [
+        (e, e.zero(), e.gen() + t),
+        (ring, ring.zero(), ring.gen(0) * ring.gen(1) + t),
+        (mono, mono.zero(), mono.gen(0) + 1),
+        (alg, alg.zero_elem(), alg.u() + alg.v().scale(t)),
+    ]
+
+
+@pytest.mark.parametrize("container, zero, x", _zero_cases(),
+                         ids=["KummerField", "PolyDiffField", "MonomialDiffField", "SymbolAlgebra"])
+def test_a_result_with_no_term_is_the_containers_interned_zero(container, zero, x):
+    assert zero.terms == {} and container._make({}) is zero
+    assert x - x is zero and x + (-x) is zero and -zero is zero
+    assert x * 0 is zero and 0 * x is zero and x * zero is zero and zero * x is zero
+    if isinstance(container, SymbolAlgebra):
+        assert container.zero_elem() is zero and x.scale(0) is zero and x.scale(container.field.zero()) is zero
+    else:
+        assert container.zero() is zero and container.coerce(0) is zero
 
 
 # -- the protocol shared by every field descriptor ------------------------------

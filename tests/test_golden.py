@@ -15,14 +15,17 @@ constants``, ``ode solve`` and ``power-detect`` reports were written by the
 release before the maximal-subfield test harnesses moved out of the package
 and the linear solver stopped building a kernel. A refactor of the splitting layer, of the
 symbol algebra, of the monomial keys, of the solver or of the printer must
-reproduce every byte, and exit 0.
+reproduce every byte, and exit 0. A golden whose command has a schema under
+``src/diffsym/schemas`` also validates against it.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from diffsym.cli import main
+from test_cli import registry, validate  # noqa: F401  (registry is a fixture)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "cli_golden"
 _AB = ("--alpha", "t", "--beta", "t+1")
@@ -74,3 +77,42 @@ def test_json_report_is_byte_identical(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode() == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+# the schema of each command's --json report, and the key of the part it
+# describes (None for the whole report); a golden of a command with no schema
+# is listed by name in UNSCHEMATISED
+SCHEMAS = {
+    ("split", "standard"): ("split_report.json", None),
+    ("split", "inner"): ("split_report.json", None),
+    ("split", "generic"): ("split_report.json", None),
+    ("split", "maximal"): ("max_subfield_report.json", None),
+    ("replay",): ("replay_report.json", None),
+    ("ode", "solve"): ("ode_solution.json", None),
+    ("deriv", "decompose"): ("grid_element.json", "theta"),
+}
+UNSCHEMATISED = {
+    "algebra-check-m4",
+    "deriv-constants-inner-m3",
+    "deriv-constants-standard-m3",
+    "matdiff-constants-m3",
+    "power-detect-m3",
+    "split-verify-dense-m5",
+    "split-verify-theta-m3",
+}
+
+
+def _command(argv) -> tuple:
+    """The command and subcommand of an argv, without its options."""
+    return tuple(a for a in argv[:2] if not a.startswith("-"))
+
+
+def test_every_golden_has_a_schema_or_is_listed_without_one():
+    assert {name for name, argv in CASES.items() if _command(argv) not in SCHEMAS} == UNSCHEMATISED
+
+
+@pytest.mark.parametrize("name", [name for name in CASES if name not in UNSCHEMATISED])
+def test_golden_report_validates_against_its_schema(name, registry):
+    schema, part = SCHEMAS[_command(CASES[name])]
+    report = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    validate(report if part is None else report[part], schema, registry)

@@ -90,6 +90,72 @@ def test_the_scalar_modules_import_only_their_pinned_layers():
     assert {module for file, module in found if file == "scalars/cyclo.py"} == {".elem", "..errors"}
 
 
+# the private names that one package module imports from another: the trusted
+# constructors that a neighbouring layer builds through, and the factoring
+# helper of the Kummer degree check; a sparse container's elements are built by
+# the container's own _make, so no module imports them: (file, name)
+PRIVATE_IMPORTS = {
+    ("parser.py", "_poly"),
+    ("parser.py", "_ratfunc"),
+    ("scalars/kummer.py", "_prime_factors"),
+    ("scalars/polys.py", "_rational"),
+    ("scalars/powers.py", "_ratfunc"),
+    ("scalars/ratfunc.py", "_poly"),
+    ("split.py", "_matrix"),
+}
+
+
+def _private_imports(path: Path):
+    """(file, name) for each name with a leading underscore that the file imports from the package."""
+    rel = path.relative_to(SRC).as_posix()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "diffsym"):
+            yield from ((rel, alias.name) for alias in node.names if alias.name.startswith("_"))
+
+
+def test_only_the_pinned_private_names_cross_modules():
+    found = {imp for path in sorted(SRC.rglob("*.py")) for imp in _private_imports(path)}
+    assert found == PRIVATE_IMPORTS
+
+
+# the functions that make an object with object.__new__, past its public
+# constructor: one trusted constructor per element kind (Extension._make serves
+# every SparseElem field, SymbolAlgebra._make the symbol algebra), and the two
+# container __init__s that intern their zero: (file, function)
+OBJECT_NEW = {
+    ("deriv.py", "_derivation"),
+    ("matdiff.py", "_matrix"),
+    ("scalars/cyclo.py", "_elem"),
+    ("scalars/elem.py", "__init__"),
+    ("scalars/elem.py", "_make"),
+    ("scalars/polys.py", "_poly"),
+    ("scalars/ratfunc.py", "_ratfunc"),
+    ("symalg.py", "__init__"),
+    ("symalg.py", "_make"),
+}
+
+
+def _object_new_calls(node, rel: str, fn=None):
+    """(file, innermost enclosing function) for each call of object.__new__, directly or as the alias _new."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        fn = node.name
+    elif isinstance(node, ast.Call):
+        f = node.func
+        if (isinstance(f, ast.Name) and f.id == "_new") or (isinstance(f, ast.Attribute) and f.attr == "__new__"):
+            yield rel, fn
+    for child in ast.iter_child_nodes(node):
+        yield from _object_new_calls(child, rel, fn)
+
+
+def test_elements_are_made_past_their_public_constructor_only_by_the_trusted_constructors():
+    found = {
+        call
+        for path in sorted(SRC.rglob("*.py"))
+        for call in _object_new_calls(ast.parse(path.read_text(), str(path)), path.relative_to(SRC).as_posix())
+    }
+    assert found == OBJECT_NEW
+
+
 # every m-th-power decision reads the valuation vectors of scalars/powers.py;
 # ode.py decomposes a denominator for its degree bound, which decides no power
 DECOMPOSERS = {
@@ -268,13 +334,20 @@ def test_omega_powers_and_gap_inverses_are_read_from_the_field():
 
 
 def test_the_field_descriptors_share_one_protocol():
-    """zero(), one() and generators() are written once, in elem.Field, and the extensions' coerce once, in Extension."""
+    """zero(), one() and generators() are written once, in elem.Field, and the extensions' coerce and
+    trusted constructor once, in Extension."""
     from diffsym.scalars import CycloField, KummerField, MonomialDiffField, PolyDiffField, RatFuncField
     from diffsym.scalars.elem import Extension, Field
+    from diffsym.scalars.kummer import KummerElem
+    from diffsym.scalars.monomial import PolyDiffElem
+    from diffsym.symalg import SymbolElem
 
     for cls in (CycloField, RatFuncField, KummerField, PolyDiffField, MonomialDiffField):
         assert issubclass(cls, Field)
         assert not {"zero", "one", "generators"} & vars(cls).keys(), cls
     for cls in (KummerField, PolyDiffField, MonomialDiffField):
         assert issubclass(cls, Extension)
-        assert not {"coerce", "cyclo"} & vars(cls).keys(), cls
+        assert not {"coerce", "cyclo", "_constant", "_make"} & vars(cls).keys(), cls
+    # a sparse element builds in its container through the container's _make;
+    # SparseElem reads it from parent, SymbolElem from algebra
+    assert [cls for cls in (KummerElem, PolyDiffElem, SymbolElem) if "_with" in vars(cls)] == [SymbolElem]

@@ -4,7 +4,7 @@ import pytest
 
 import diffsym.symalg as symalg
 from diffsym import SymbolAlgebra
-from diffsym.split import find_twist_partner
+from diffsym.split import PhiMap, find_twist_partner, split_inner_cyclic, xi_extension
 from diffsym.symalg import (
     centralizer,
     in_generated_subfield,
@@ -255,6 +255,18 @@ def test_mismatched_algebras_rejected():
     other = SymbolAlgebra(k, k.gen(), k.gen(), 2)
     with pytest.raises(AlgebraMismatchError):
         a2.u() + other.u()
+    # coerce_elem takes no element of other relations either, over k or over k(xi)
+    a = make_algebra(3, derivation="zero")
+    k = a.field
+    t = k.gen()
+    b = SymbolAlgebra(k, t * t * 5, t - 7, 3)
+    phi = PhiMap(a, xi_extension(a))
+    for refused in (lambda: a.coerce_elem(b.u()), lambda: split_inner_cyclic(a, b.u()), lambda: phi.apply(b.v())):
+        with pytest.raises(AlgebraMismatchError):
+            refused()
+    # an equal algebra, and the algebra that phi's extension was built from, are taken
+    twin = make_algebra(3, derivation="zero")
+    assert a.coerce_elem(twin.u()) == a.u() and phi.apply(twin.v()) == phi.apply(a.v()) == phi.b_mat
 
 
 def test_one_algebra_takes_no_algebra_comparison(monkeypatch):
