@@ -6,7 +6,6 @@ from .monomial import MonomialDiffField, PolyDiffElem, PolyDiffField
 from .ode import OdeSolution, rational_ode_solve
 from .polys import (
     Poly,
-    coprime_basis,
     poly_gcd,
     squarefree_decompose,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "RatFunc",
     "RatFuncField",
     "ReducibleRadicandError",
-    "coprime_basis",
     "cyclo_nth_root",
     "cyclotomic_polynomial",
     "is_prime",

@@ -13,7 +13,9 @@ from those.  The hot operations stay in the subclass bodies so that
 ``perfbench/tracing.py`` can wrap them per class through ``Class.__dict__``.
 ``SparseElem`` holds the canonical form shared by the element types stored as
 sparse sums of monomials: the zero test, the equality key, negation and the
-merging sum that their ``__add__`` calls.
+merging sum that their ``__add__`` calls.  Such an element has no public
+constructor: its container's ``_make`` (``Extension._make`` here,
+``SymbolAlgebra._make`` for the symbol algebra) is the only way one is made.
 """
 
 from __future__ import annotations
@@ -160,10 +162,11 @@ class SparseElem(FieldElem):
     Invariant: no stored coefficient is zero.  The dict is therefore
     canonical: zero is {}, and ``==`` compares the dicts.  A subclass keeps
     its container (``parent``, or ``algebra`` for ``SymbolElem``) and
-    ``terms`` in slots.  ``_with(terms)`` builds in the same container
-    through its trusted constructor ``_make``, so a result with no term is
-    the container's interned zero; ``__add__`` stays in the subclass body,
-    its coercion followed by ``self._plus(other)``.
+    ``terms`` in slots and defines no ``__init__``: every element is made by
+    the container's trusted ``_make``, so one with no term is the container's
+    interned zero.  ``_with(terms)`` builds in the same container;
+    ``__add__`` stays in the subclass body, its coercion followed by
+    ``self._plus(other)``.
     """
 
     __slots__ = ()
@@ -198,13 +201,3 @@ class SparseElem(FieldElem):
             else:
                 out[key] = s
         return self._with(out)
-
-
-def nonzero_terms(pairs, coerce) -> dict:
-    """{key: coerce(c)} over the (key, c) pairs, without the zero coefficients."""
-    out = {}
-    for key, c in pairs:
-        c = coerce(c)
-        if not c.is_zero():
-            out[key] = c
-    return out

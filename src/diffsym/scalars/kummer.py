@@ -14,7 +14,7 @@ for p = 2, so every odd prime of m must divide n.
 from __future__ import annotations
 
 from ..errors import SelfCheckError
-from .elem import Extension, SparseElem, nonzero_terms
+from .elem import Extension, SparseElem
 from .powers import (
     ReducibleRadicandError,
     _prime_factors,
@@ -102,27 +102,12 @@ class KummerElem(SparseElem):
     """Element sum c_i xi^i (0 <= i < m), stored sparsely as ``terms``, {i: c_i}.
 
     The c_i are nonzero elements of the base field (see ``SparseElem``), so a
-    zero coefficient costs nothing anywhere in a tower.
-    ``KummerElem(parent, coeffs)`` takes the dense vector (c_0, ..., c_{m-1}),
-    coerces it and drops the zeros; arithmetic builds through the field's
-    trusted ``_make``.
+    zero coefficient costs nothing anywhere in a tower.  Every element is made
+    by the field's trusted ``_make``: from its generator, ``coerce`` and
+    arithmetic.
     """
 
     __slots__ = ("parent", "terms")
-
-    def __init__(self, parent: KummerField, coeffs):
-        coeffs = list(coeffs)
-        if len(coeffs) != parent.m:
-            raise ValueError("coefficient vector has the wrong length")
-        self.parent = parent
-        self.terms = nonzero_terms(enumerate(coeffs), parent.base.coerce)
-
-    @property
-    def coeffs(self) -> tuple:
-        """The dense vector (c_0, ..., c_{m-1}), zeros included; a read-only view."""
-        zero = self.parent.base.zero()
-        terms = self.terms
-        return tuple(terms.get(i, zero) for i in range(self.parent.m))
 
     def is_base(self) -> bool:
         return self.terms.keys() <= {0}

@@ -14,7 +14,7 @@ may be negative (Laurent monomials), but general division is not provided.
 
 from __future__ import annotations
 
-from .elem import Extension, SparseElem, nonzero_terms
+from .elem import Extension, SparseElem
 
 
 class PolyDiffField(Extension):
@@ -79,20 +79,14 @@ class PolyDiffElem(SparseElem):
     ``((i, 1),)``.  The printer sorts terms by key in the order of the dense
     exponent tuples.
 
-    ``PolyDiffElem(parent, terms)`` takes dense exponent tuples of length n as
-    the keys of ``terms``, coerces each coefficient and drops the zeros (see
-    ``SparseElem``); arithmetic builds through the field's trusted ``_make``,
-    and a coefficient product with the base's one is skipped.  A product with a
+    Every element is made by the field's trusted ``_make`` (see
+    ``SparseElem``): from its generators, ``coerce`` and arithmetic.  A
+    coefficient product with the base's one is skipped, and a product with a
     constant, the single term ``{(): c}``, scales the other factor's
     coefficients by c and merges no keys.
     """
 
     __slots__ = ("parent", "terms")
-
-    def __init__(self, parent: PolyDiffField, terms: dict):
-        self.parent = parent
-        n = parent.n
-        self.terms = nonzero_terms(((_dense_to_key(exps, n), c) for exps, c in terms.items()), parent.base.coerce)
 
     def scale(self, c) -> "PolyDiffElem":
         c = self.parent.base.coerce(c)
@@ -169,14 +163,6 @@ class PolyDiffElem(SparseElem):
                     v = g if ce is one else ce * g
                     out[mono] = out[mono] + v if mono in out else v
         return parent._make({e: c for e, c in out.items() if not c.is_zero()})
-
-
-def _dense_to_key(exps, n: int) -> tuple:
-    """The key of the monomial with the dense exponent tuple exps, which must have length n."""
-    exps = tuple(exps)
-    if len(exps) != n:
-        raise ValueError(f"exponent tuple of length {len(exps)} for n = {n} variables")
-    return tuple((i, e) for i, e in enumerate(exps) if e)
 
 
 def _mul_keys(a: tuple, b: tuple) -> tuple:

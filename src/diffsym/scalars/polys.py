@@ -493,26 +493,3 @@ def squarefree_decompose(p: Poly):
         d = d - c.derivative()
         i += 1
     return out
-
-
-def coprime_basis(polys):
-    """GCD-free basis: pairwise coprime monic polynomials generating the input.
-
-    Every input polynomial is (up to a constant) a product of powers of basis
-    elements.  Degree-0 inputs are dropped.
-    """
-    basis = []
-    stack = [q.monic() for q in polys if q.degree > 0]
-    while stack:
-        p = stack.pop()
-        if p.degree <= 0:
-            continue
-        for b in basis:
-            g = poly_gcd(p, b)
-            if g.degree > 0:
-                basis.remove(b)
-                stack.extend([g, b.exact_div(g), p.exact_div(g)])
-                break
-        else:
-            basis.append(p)
-    return basis

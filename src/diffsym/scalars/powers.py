@@ -1,11 +1,12 @@
 """Power detection in Q(w)(t) and irreducibility certificates for z^m - a.
 
 Every m-th-power decision reads the valuation vectors of ``valuations``: one
-squarefree decomposition per radicand and one coprime basis for them all.  A
-product of powers of radicands has the same combination of their vectors, and
-is c h^m iff m divides it; ``mth_root`` checks each such verdict before it is
-acted on.  The readers: ``mth_power_up_to_constant``, ``kummer_vahlen_certify``
-(p | gcd v_alpha), ``certify_power_free_over_kummer`` (ramification),
+squarefree decomposition per radicand and one coprime basis for them all,
+refined with the vectors.  A product of powers of radicands has the same
+combination of their vectors, and is c h^m iff m divides it; ``mth_root``
+checks each such verdict before it is acted on.  The readers:
+``mth_power_up_to_constant``, ``kummer_vahlen_certify`` (p | gcd v_alpha),
+``certify_power_free_over_kummer`` (ramification),
 ``deriv.constants_standard`` (-i v_alpha - j v_beta) and
 ``split.maximal_subfield_necessary`` (v - r v_nu).  No irreducible
 factorization is ever computed.
@@ -19,7 +20,7 @@ from math import gcd
 
 from ..errors import SelfCheckError
 from .cyclo import CycloElem
-from .polys import Poly, coprime_basis, squarefree_decompose
+from .polys import Poly, poly_gcd, squarefree_decompose
 from .ratfunc import RatFunc, _ratfunc
 
 # the largest absolute value of an integer coordinate that cyclo_nth_root's search tries
@@ -117,11 +118,14 @@ def cyclo_nth_root(c: CycloElem, k: int):
 def valuations(*fs):
     """(basis, vectors): one coprime basis for the nonzero f and each f's valuation vector on it.
 
-    Each non-constant numerator and denominator is decomposed once and
-    ``coprime_basis`` is built over all the squarefree parts, so f = lc(f.num)
-    prod b^v_b.  The parts of one f are pairwise coprime, f.num and f.den
-    included, so v_b is the signed multiplicity of the one part that b divides,
-    and a single f's parts are its basis.
+    Each non-constant numerator and denominator is decomposed once, so f is
+    lc(f.num) prod q^(v_q) over its squarefree parts q, which are pairwise
+    coprime, f.num and f.den included; a single f's parts are its basis.
+    Several f's parts are refined into one coprime basis, each carrying its
+    vector over the fs (factor refinement; Bach, Driscoll and Shallit,
+    J. Algorithms 1993): a p that meets a basis element b in g = gcd(p, b)
+    is replaced by g, with v_p + v_b, and p/g and b/g, with their own
+    vectors, so that f is lc(f.num) prod b^(v_b) at every step.
     """
     parts = []
     for f in fs:
@@ -131,9 +135,22 @@ def valuations(*fs):
                       for q, j in squarefree_decompose(poly)])
     if len(parts) == 1:  # one f's parts are a coprime basis already
         return [q for q, _ in parts[0]], [[j for _, j in parts[0]]]
-    basis = coprime_basis([q for f_parts in parts for q, _ in f_parts])
-    vectors = [[next((j for q, j in f_parts if (q % b).is_zero()), 0) for b in basis] for f_parts in parts]
-    return basis, vectors
+    zero = (0,) * len(fs)
+    stack = [(q.monic(), zero[:k] + (j,) + zero[k + 1:]) for k, f_parts in enumerate(parts) for q, j in f_parts]
+    basis = []
+    while stack:
+        p, vp = stack.pop()
+        if p.degree <= 0:
+            continue
+        for idx, (b, vb) in enumerate(basis):
+            g = poly_gcd(p, b)
+            if g.degree > 0:
+                del basis[idx]
+                stack += [(g, tuple(x + y for x, y in zip(vp, vb))), (b.exact_div(g), vb), (p.exact_div(g), vp)]
+                break
+        else:
+            basis.append((p, vp))
+    return [b for b, _ in basis], [[v[k] for _, v in basis] for k in range(len(fs))]
 
 
 def mth_root(f: RatFunc, basis, v, m: int):

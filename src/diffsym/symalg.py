@@ -1,11 +1,11 @@
 """The symbol algebra A = (alpha, beta)_{k,w}: u^m = alpha, v^m = beta, vu = w uv.
 
 Elements are sums of terms c u^i v^j over a pluggable coefficient field, so
-the same type serves A and A tensor E for any extension E of k.  The public
-``SymbolElem(algebra, grid)`` takes a dense m x m grid, checks the shape,
-coerces every entry and keeps the nonzero ones; arithmetic, whose terms
-already lie in the field, builds through the algebra's trusted ``_make``,
-which returns the algebra's interned zero for empty terms.
+the same type serves A and A tensor E for any extension E of k.  Every element
+is made by the algebra's trusted ``_make``, which returns the algebra's
+interned zero for empty terms.  The one dense entry point is
+``SymbolAlgebra.from_grid``: it checks the shape of an m x m grid, coerces
+each entry once and keeps the nonzero ones.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import cached_property
 from .errors import SelfCheckError
 from .linalg import kernel_basis, solve_affine
 from .scalars import Poly
-from .scalars.elem import SparseElem, nonzero_terms
+from .scalars.elem import SparseElem
 
 
 class AlgebraMismatchError(ValueError):
@@ -117,7 +117,18 @@ class SymbolAlgebra:
         return self._make({} if c.is_zero() else {(i, j): c})
 
     def from_grid(self, grid) -> "SymbolElem":
-        return SymbolElem(self, grid)
+        """sum grid[i][j] u^i v^j for a dense m x m grid: each entry coerced once, the zeros dropped."""
+        m = self.m
+        if len(grid) != m or any(len(row) != m for row in grid):
+            raise ValueError("grid has the wrong shape")
+        coerce = self.field.coerce
+        terms = {}
+        for i, row in enumerate(grid):
+            for j, c in enumerate(row):
+                c = coerce(c)
+                if not c.is_zero():
+                    terms[i, j] = c
+        return self._make(terms)
 
     def basis(self):
         return [self.monomial(i, j, self.field.one()) for i in range(self.m) for j in range(self.m)]
@@ -159,19 +170,11 @@ class SymbolElem(SparseElem):
     """Element sum c_ij u^i v^j (0 <= i, j < m), stored sparsely as ``terms``, {(i, j): c_ij}.
 
     The c_ij are nonzero elements of the coefficient field (see
-    ``SparseElem``).  ``SymbolElem(algebra, grid)`` takes the dense m x m
-    grid, coerces it and drops the zeros; arithmetic builds through the
-    algebra's trusted ``_make``.
+    ``SparseElem``).  Every element is made by the algebra's trusted
+    ``_make``: from ``monomial``, ``from_grid`` and arithmetic.
     """
 
     __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: SymbolAlgebra, grid):
-        if len(grid) != algebra.m or any(len(r) != algebra.m for r in grid):
-            raise ValueError("grid has the wrong shape")
-        self.algebra = algebra
-        pairs = (((i, j), c) for i, row in enumerate(grid) for j, c in enumerate(row))
-        self.terms = nonzero_terms(pairs, algebra.field.coerce)
 
     def _with(self, terms: dict) -> "SymbolElem":
         return self.algebra._make(terms)
@@ -299,7 +302,7 @@ def twisted_centralizer(a: SymbolElem, c):
     # c is central, so c(ax) = (ca)x
     ca = a.scale(c)
     kernel = kernel_basis(_columns(b * a - ca * b for b in alg.basis()), alg.field)
-    return [SymbolElem(alg, [vec[i * m : (i + 1) * m] for i in range(m)]) for vec in kernel]
+    return [alg.from_grid([vec[i * m : (i + 1) * m] for i in range(m)]) for vec in kernel]
 
 
 def centralizer(a: SymbolElem):

@@ -22,7 +22,7 @@ def random_element(algebra, rng, entries: int = 3, coeff_range: int = 5, max_deg
         j = rng.randrange(algebra.m)
         coeffs = [rng.randint(-coeff_range, coeff_range) for _ in range(max_deg + 1)]
         grid[i][j] = grid[i][j] + _small_scalar(algebra, coeffs)
-    return SymbolElem(algebra, grid)
+    return algebra.from_grid(grid)
 
 
 def _small_scalar(algebra, int_coeffs):
@@ -36,7 +36,7 @@ def random_trace_zero(algebra, rng, entries: int = 3) -> SymbolElem:
     theta = random_element(algebra, rng, entries=entries)
     grid = [list(r) for r in theta.grid]
     grid[0][0] = algebra.field.zero()
-    theta = SymbolElem(algebra, grid)
+    theta = algebra.from_grid(grid)
     if theta.is_zero():
         theta = algebra.u()
     return theta

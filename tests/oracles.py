@@ -19,14 +19,14 @@ every inverse by the extended Euclidean algorithm in place of the sparse
 terms, the closed form for a monomial and the product of twists, one prime
 of the degree at a time, for any other element, the derivative of a
 differential polynomial summed one partial product at a time through the
-coercing constructor in place of one pass over the support, the product of
+coercing dense builder in place of one pass over the support, the product of
 differential polynomials on dense exponent tuples of length n in place of
 the merged keys of their nonzero exponents, a differential polynomial
 printed by zipping all n names with each dense exponent tuple in place of
 printing each key's pairs, and symbol
 algebra and matrix arithmetic over every pair of entries, each product by
 w^(jr) taken even when it is w^0 = 1, built through the coercing
-constructors in place of the support of the right factor and the trusted
+dense builders in place of the support of the right factor and the trusted
 constructors, the decomposition d = d_s + inner(theta) dividing by
 w^i - 1, 1 - w^j and (1 - w^j) alpha on every call in place of the inverses
 cached on the algebra, the minimal polynomial of a symbol element by one
@@ -48,8 +48,10 @@ shortcut and the integer loop on Q[t], power detection
 checked by the quotient f / h^m in place of one polynomial identity, the
 constants of d_s and the maximal-subfield witnesses by one quotient
 alpha^-i beta^-j or value / nu^r decomposed per exponent in place of the
-valuation vectors of one joint decomposition, the tower certificate on
-multiplicities counted by repeated division, the
+valuation vectors of one joint decomposition, the valuation vectors read
+off one coprime basis by the part of each input that a basis element
+divides in place of the vectors carried through the factor refinement, the
+tower certificate on multiplicities counted by repeated division, the
 Kummer derivation rule on m xi^(m-1) delta(xi) in place of m rate alpha =
 delta(alpha), and the determinant certificate that multiplies out the
 diagonal and eliminates every specialised matrix in place of testing each
@@ -79,7 +81,7 @@ from diffsym.parser import MAX_DEPTH, MAX_EXPONENT, MAX_POWER_BITS, ParseError, 
 from diffsym.scalars import CycloElem, CycloField, KummerElem, PolyDiffField, Poly, RatFunc
 from diffsym.scalars.monomial import PolyDiffElem
 from diffsym.scalars.ode import OdeSolution
-from diffsym.scalars.polys import _long_division, coprime_basis
+from diffsym.scalars.polys import _long_division, poly_gcd, squarefree_decompose
 from diffsym.scalars.powers import _prime_factors
 from diffsym.split import IsoVerdict
 from diffsym.symalg import SymbolElem
@@ -155,7 +157,7 @@ def compute_w(phi):
         denom_base = e.coerce(phi.algebra.alpha) * e.coerce(phi.algebra.beta) * m
         for i in range(1, m):
             grid[i][0] = e.coerce(dbeta) * xi ** (m - i) / (denom_base * (e.coerce(w**i) - e.one()))
-    return SymbolElem(alg, grid)
+    return alg.from_grid(grid)
 
 
 def entrywise_P(theta, phi):
@@ -426,13 +428,28 @@ def canonical_derive(x):
     return RatFunc(x.parent, x.num.derivative() * x.den - x.num * x.den.derivative(), x.den * x.den)
 
 
+def kummer_from_coeffs(field, coeffs):
+    """The element sum c_i xi^i of the dense vector (c_0, ..., c_{m-1}): each c_i coerced, the zeros dropped,
+    built through the field's trusted ``_make``."""
+    if len(coeffs) != field.m:
+        raise ValueError("coefficient vector has the wrong length")
+    terms = {i: c for i, c in enumerate(map(field.base.coerce, coeffs)) if not c.is_zero()}
+    return field._make(terms)
+
+
+def kummer_coeffs(x):
+    """The dense vector (c_0, ..., c_{m-1}) of a Kummer element, zeros included."""
+    zero = x.parent.base.zero()
+    return tuple(x.terms.get(i, zero) for i in range(x.parent.m))
+
+
 def dense_kummer_add(x, y):
     """x + y on the dense coefficient vectors, as a tuple of m base elements."""
-    return tuple(a + b for a, b in zip(x.coeffs, y.coeffs))
+    return tuple(a + b for a, b in zip(kummer_coeffs(x), kummer_coeffs(y)))
 
 
 def dense_kummer_neg(x):
-    return tuple(-a for a in x.coeffs)
+    return tuple(-a for a in kummer_coeffs(x))
 
 
 def dense_kummer_mul(x, y):
@@ -440,8 +457,8 @@ def dense_kummer_mul(x, y):
     field = x.parent
     m = field.m
     out = [field.base.zero()] * m
-    for i, a in enumerate(x.coeffs):
-        for j, b in enumerate(y.coeffs):
+    for i, a in enumerate(kummer_coeffs(x)):
+        for j, b in enumerate(kummer_coeffs(y)):
             k = i + j
             term = a * b
             if k >= m:
@@ -456,7 +473,7 @@ def dense_kummer_inv(x):
     field = x.parent
     base = field.base
     modulus = Poly(base, [-field.alpha] + [base.zero()] * (field.m - 1) + [base.one()])
-    g, s, _ = poly_extended_gcd(Poly(base, list(x.coeffs)), modulus)
+    g, s, _ = poly_extended_gcd(Poly(base, list(kummer_coeffs(x))), modulus)
     if g.degree != 0:
         raise ZeroDivisionError("not invertible mod z^m - alpha")
     return tuple(s.coeff(i) for i in range(field.m))
@@ -465,13 +482,13 @@ def dense_kummer_inv(x):
 def dense_kummer_derive(x):
     """delta(sum c_i xi^i) = sum (delta(c_i) + i c_i rate) xi^i over all m slots."""
     rate = x.parent.gen_rate
-    return tuple(c.derive() + c * rate * i for i, c in enumerate(x.coeffs))
+    return tuple(c.derive() + c * rate * i for i, c in enumerate(kummer_coeffs(x)))
 
 
 def dense_kummer_conjugate(x, j):
     field = x.parent
     w = field.cyclo.omega()
-    return tuple(c * field.base.coerce(w ** ((i * j) % field.cyclo.m)) for i, c in enumerate(x.coeffs))
+    return tuple(c * field.base.coerce(w ** ((i * j) % field.cyclo.m)) for i, c in enumerate(kummer_coeffs(x)))
 
 
 def dense_exponents(field, key):
@@ -480,6 +497,19 @@ def dense_exponents(field, key):
     for i, e in key:
         exps[i] = e
     return tuple(exps)
+
+
+def polydiff_from_dense(field, terms):
+    """The sum of c x^e over {e: c}, e a dense exponent tuple of length n: each c coerced, the zeros dropped,
+    built through the field's trusted ``_make``."""
+    out = {}
+    for exps, c in terms.items():
+        if len(exps) != field.n:
+            raise ValueError(f"exponent tuple of length {len(exps)} for n = {field.n} variables")
+        c = field.base.coerce(c)
+        if not c.is_zero():
+            out[tuple((i, e) for i, e in enumerate(exps) if e)] = c
+    return field._make(out)
 
 
 def dense_polydiff_str(x):
@@ -503,20 +533,20 @@ def polydiff_derive(x):
     total = parent.zero()
     for key, c in x.terms.items():
         exps = dense_exponents(parent, key)
-        mono = PolyDiffElem(parent, {exps: parent.base.one()})
+        mono = polydiff_from_dense(parent, {exps: parent.base.one()})
         total = total + mono.scale(c.derive())
         for i, e in enumerate(exps):
             if e == 0:
                 continue
             lowered = list(exps)
             lowered[i] -= 1
-            partial = PolyDiffElem(parent, {tuple(lowered): c * e})
+            partial = polydiff_from_dense(parent, {tuple(lowered): c * e})
             total = total + partial * parent.gen_derivative(i)
     return total
 
 
 def dense_polydiff_mul(x, y):
-    """x * y by adding the dense exponent tuples of every pair of terms, built through the coercing constructor."""
+    """x * y by adding the dense exponent tuples of every pair of terms, built through ``polydiff_from_dense``."""
     parent = x.parent
     out = {}
     for k1, c1 in x.terms.items():
@@ -524,11 +554,11 @@ def dense_polydiff_mul(x, y):
         for k2, c2 in y.terms.items():
             e = tuple(a + b for a, b in zip(e1, dense_exponents(parent, k2)))
             out[e] = out[e] + c1 * c2 if e in out else c1 * c2
-    return PolyDiffElem(parent, out)
+    return polydiff_from_dense(parent, out)
 
 
 def dense_symbol_mul(x, y):
-    """x * y by the m^4 entry products, each times w^(jr), built through the coercing constructor."""
+    """x * y by the m^4 entry products, each times w^(jr), built through the coercing ``from_grid``."""
     alg = x.algebra
     m = alg.m
     out = [[alg.field.zero()] * m for _ in range(m)]
@@ -552,16 +582,16 @@ def dense_symbol_mul(x, y):
                         jj -= m
                         c = c * alg.beta
                     out[ii][jj] = out[ii][jj] + c
-    return SymbolElem(alg, out)
+    return alg.from_grid(out)
 
 
 def coercing_symbol_add(x, y):
-    return SymbolElem(x.algebra, [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(x.grid, y.grid)])
+    return x.algebra.from_grid([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(x.grid, y.grid)])
 
 
 def coercing_symbol_scale(x, c):
     c = x.algebra.field.coerce(c)
-    return SymbolElem(x.algebra, [[a * c for a in row] for row in x.grid])
+    return x.algebra.from_grid([[a * c for a in row] for row in x.grid])
 
 
 def coercing_matrix_mul(x, y):
@@ -614,7 +644,7 @@ def dividing_decompose(d):
         for i in range(m - 1):
             grid[i][j] = a[i + 1][j] / (one - w[j])
         grid[m - 1][j] = a[0][j] / ((one - w[j]) * alg.alpha)
-    return SymbolElem(alg, grid)
+    return alg.from_grid(grid)
 
 
 
@@ -959,6 +989,39 @@ def quotient_maximal_witnesses(algebra, nu):
     return search(algebra.alpha), search(algebra.beta)
 
 
+def coprime_basis(polys):
+    """GCD-free basis: pairwise coprime monic polynomials generating the input.
+
+    Every input polynomial is (up to a constant) a product of powers of basis
+    elements.  Degree-0 inputs are dropped.
+    """
+    basis = []
+    stack = [q.monic() for q in polys if q.degree > 0]
+    while stack:
+        p = stack.pop()
+        if p.degree <= 0:
+            continue
+        for b in basis:
+            g = poly_gcd(p, b)
+            if g.degree > 0:
+                basis.remove(b)
+                stack.extend([g, b.exact_div(g), p.exact_div(g)])
+                break
+        else:
+            basis.append(p)
+    return basis
+
+
+def coprime_valuations(*fs):
+    """``valuations`` by one ``coprime_basis`` over all the squarefree parts, v_b read off the one part of
+    each f that b divides."""
+    parts = [[(q, sign * j) for poly, sign in ((f.num, 1), (f.den, -1)) if poly.degree > 0
+              for q, j in squarefree_decompose(poly)] for f in fs]
+    basis = coprime_basis([q for f_parts in parts for q, _ in f_parts])
+    vectors = [[next((j for q, j in f_parts if (q % b).is_zero()), 0) for b in basis] for f_parts in parts]
+    return basis, vectors
+
+
 def multiplicity(p, q):
     """Largest e with q^e | p, by repeated division (p nonzero, deg q >= 1)."""
     e = 0
@@ -1031,7 +1094,7 @@ def two_product_apply(d, x):
         ru, rv = alg.standard_rates
         for (i, j), c in x.terms.items():
             grid[i][j] = c.derive() + c * (ru * i + rv * j)
-    return SymbolElem(alg, grid) + x * d.theta - d.theta * x
+    return alg.from_grid(grid) + x * d.theta - d.theta * x
 
 
 def dense_poly_mul(p, q):

@@ -285,7 +285,7 @@ def _apply_inputs(alg, rng, coeff):
     return [
         ("scalar", alg.scalar(coeff(rng))),
         ("monomial", alg.monomial(rng.randrange(m), rng.randrange(1, m), coeff(rng))),
-        ("dense", SymbolElem(alg, dense)),
+        ("dense", alg.from_grid(dense)),
     ]
 
 

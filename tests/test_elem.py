@@ -7,10 +7,9 @@ import pytest
 from diffsym import SymbolAlgebra
 from diffsym.matdiff import DiffMatrix
 from diffsym.scalars import CycloField, KummerField, MonomialDiffField, Poly, PolyDiffField, RatFuncField
-from diffsym.scalars.kummer import KummerElem
-from diffsym.scalars.monomial import PolyDiffElem
 from diffsym.scalars.elem import FieldElem
 from diffsym.symalg import SymbolElem
+from oracles import kummer_from_coeffs, polydiff_from_dense
 
 
 class Counted(FieldElem):
@@ -92,7 +91,7 @@ def test_power_matches_repeated_product(x):
 
 # -- the canonical form of the sparse element types ----------------------------
 #
-# Each case gives the parent, the public constructor of the element
+# Each case gives the parent, a dense builder of the element
 # c + x0 * g + x1 * g' (g the first generator, g' a second monomial) and the
 # first generator of an equal but distinct parent, None where parents compare
 # by identity.
@@ -100,12 +99,12 @@ def test_power_matches_repeated_product(x):
 
 def _kummer_case(k):
     e = KummerField(k, k.gen(), 3, "xi")
-    return e, lambda c, x0, x1: KummerElem(e, [c, x0, x1]), KummerField(k, k.gen(), 3, "xi").gen()
+    return e, lambda c, x0, x1: kummer_from_coeffs(e, [c, x0, x1]), KummerField(k, k.gen(), 3, "xi").gen()
 
 
 def _polydiff_case(k):
     f = MonomialDiffField(k, ["x0", "x1"], [k.one(), k.gen()])
-    return f, lambda c, x0, x1: PolyDiffElem(f, {(0, 0): c, (1, 0): x0, (-1, 2): x1}), None
+    return f, lambda c, x0, x1: polydiff_from_dense(f, {(0, 0): c, (1, 0): x0, (-1, 2): x1}), None
 
 
 def _symbol_case(k):
@@ -113,7 +112,7 @@ def _symbol_case(k):
     alg = SymbolAlgebra(k, t, t + k.one(), 3)
     twin = SymbolAlgebra(k, t, t + k.one(), 3)
     zero = k.zero()
-    return alg, lambda c, x0, x1: SymbolElem(alg, [[c, zero, x1], [x0, zero, zero], [zero] * 3]), twin.u()
+    return alg, lambda c, x0, x1: alg.from_grid([[c, zero, x1], [x0, zero, zero], [zero] * 3]), twin.u()
 
 
 def _parent(x):
@@ -126,7 +125,7 @@ def _parent(x):
     (_symbol_case, "(-3) + (t/(t + 1))*v^2 + u"),
 ], ids=["KummerElem", "PolyDiffElem", "SymbolElem"])
 def test_sparse_elements_keep_the_canonical_form(case, text):
-    """No zero is stored: not by a sum that cancels, a zero operand or the public constructor."""
+    """No zero is stored: not by a sum that cancels, a zero operand or a dense builder."""
     k = RatFuncField(CycloField(3), "t")
     t, w, zero = k.gen(), k.omega(), k.zero()
     parent, build, twin_gen = case(k)

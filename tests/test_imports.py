@@ -118,10 +118,10 @@ def test_only_the_pinned_private_names_cross_modules():
     assert found == PRIVATE_IMPORTS
 
 
-# the functions that make an object with object.__new__, past its public
-# constructor: one trusted constructor per element kind (Extension._make serves
-# every SparseElem field, SymbolAlgebra._make the symbol algebra), and the two
-# container __init__s that intern their zero: (file, function)
+# the functions that make an object with object.__new__: one trusted
+# constructor per element kind (Extension._make serves every SparseElem field,
+# SymbolAlgebra._make the symbol algebra, and a sparse element has no public
+# one), and the two container __init__s that intern their zero: (file, function)
 OBJECT_NEW = {
     ("deriv.py", "_derivation"),
     ("matdiff.py", "_matrix"),
@@ -156,11 +156,36 @@ def test_elements_are_made_past_their_public_constructor_only_by_the_trusted_con
     assert found == OBJECT_NEW
 
 
-# every m-th-power decision reads the valuation vectors of scalars/powers.py;
+# a sparse element has no public constructor: its container's _make is the one
+# path, so an element with no term is always the interned zero
+SPARSE_KINDS = ("KummerElem", "PolyDiffElem", "SymbolElem")
+
+
+def test_sparse_elements_are_made_only_by_their_containers():
+    from diffsym.scalars.elem import SparseElem
+
+    kinds, stack = set(), [SparseElem]
+    while stack:
+        subclasses = stack.pop().__subclasses__()
+        kinds.update(subclasses)
+        stack += subclasses
+    assert {cls.__name__ for cls in kinds} >= set(SPARSE_KINDS)
+    assert [cls for cls in kinds if "__init__" in vars(cls)] == []
+    calls = {
+        (path.relative_to(SRC).as_posix(), node.lineno)
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in SPARSE_KINDS
+    }
+    assert calls == set()
+
+
+# every m-th-power decision reads the valuation vectors of scalars/powers.py,
+# which refines the squarefree parts itself (coprime_basis is the tests' oracle);
 # ode.py decomposes a denominator for its degree bound, which decides no power
 DECOMPOSERS = {
     ("scalars/powers.py", "squarefree_decompose"),
-    ("scalars/powers.py", "coprime_basis"),
     ("scalars/ode.py", "squarefree_decompose"),
 }
 

@@ -15,7 +15,6 @@ from diffsym.matdiff import (
     verify_gauge,
 )
 from diffsym.scalars import CycloField, KummerField, PolyDiffField, RatFuncField, mth_power_up_to_constant
-from diffsym.scalars.monomial import PolyDiffElem
 from diffsym.split import PhiMap, xi_extension
 from diffsym.symalg import SymbolAlgebra
 from oracles import (
@@ -24,6 +23,7 @@ from oracles import (
     det_expansion,
     fraction_specialise,
     multiplied_det_certificate,
+    polydiff_from_dense,
 )
 
 _det_certificate = diffsym.matdiff.det_certificate
@@ -455,7 +455,7 @@ def test_integer_specialisation_agrees_with_the_fraction_route(m, rng):
             p = e.zero()
             for _ in range(rng.randint(0, 4)):
                 exps = tuple(rng.randint(-3, 3) for _ in range(m))
-                p = p + PolyDiffElem(e, {exps: base.coerce(rng.choice((1, 1, -2, 3))) + x * rng.randint(-1, 1)})
+                p = p + polydiff_from_dense(e, {exps: base.coerce(rng.choice((1, 1, -2, 3))) + x * rng.randint(-1, 1)})
             negative = {i for key in p.terms for i, d in key if d < 0}
             points = [
                 [rng.randrange(1, 1 << 16) for _ in range(m)],

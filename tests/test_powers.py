@@ -22,7 +22,7 @@ from diffsym.errors import SelfCheckError
 from diffsym.scalars import powers, valuations
 from diffsym.scalars.powers import _prime_factors, certify_power_free_over_kummer
 from generators import sharing_radicands
-from oracles import dividing_power_free_over_kummer, quotient_mth_power
+from oracles import coprime_valuations, dividing_power_free_over_kummer, quotient_mth_power
 
 
 @pytest.fixture
@@ -130,6 +130,26 @@ def test_valuations_count_multiplicities(k):
     assert valuations(k.coerce(7)) == ([], [[]])
     with pytest.raises(ValueError):
         valuations(t, k.zero())
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_valuations_refine_as_the_coprime_basis_oracle(m, rng):
+    """The vectors carried through the factor refinement give the coprime basis oracle's basis, in its order,
+    and its vectors, on 2 and 3 radicands with shared, repeated and non-rational roots."""
+    k = RatFuncField(CycloField(m), "t")
+    t, w = k.gen(), k.omega()
+    blocks = [t + w, t - w * 2, t * t + w]
+    kinds = {"shared": 0, "repeated": 0, "non-rational": 0}
+    for _ in range(15):
+        fs = [f * rng.choice(blocks) ** rng.choice([-1, 0, 1, 2]) for f in sharing_radicands(k, m, rng)]
+        for n in (2, 3):
+            basis, vectors = valuations(*fs[:n])
+            assert (basis, vectors) == coprime_valuations(*fs[:n]), fs[:n]
+            kinds["shared"] += any(sum(1 for v in vectors if v[i]) > 1 for i in range(len(basis)))
+            kinds["repeated"] += any(abs(e) > 1 for v in vectors for e in v)
+            kinds["non-rational"] += any(not c.is_rational() for b in basis for c in b.coeffs)
+    assert kinds["shared"] > 5 and kinds["repeated"] > 5, kinds
+    assert m < 3 or kinds["non-rational"] > 5, kinds
 
 
 def _decompositions(monkeypatch):

@@ -37,6 +37,7 @@ from oracles import (
     dense_phimap_relations,
     entrywise_P,
     full_basis_verdict,
+    kummer_from_coeffs,
     quotient_maximal_witnesses,
     summed_generic_images,
 )
@@ -563,7 +564,7 @@ def norm_split_check(algebra, d, theta):
     gamma = theta_p.inv()
     norm = xi_field.one()
     for j in range(m):
-        norm = norm * KummerElem(xi_field, dense_kummer_conjugate(gamma, j))
+        norm = norm * kummer_from_coeffs(xi_field, dense_kummer_conjugate(gamma, j))
     if not norm.is_base():
         raise SelfCheckError("norm did not land in the base field")
     c = norm.base_value() / algebra.beta**p

@@ -83,6 +83,24 @@ def test_centralizer_of_u_is_ku(m):
         assert in_generated_subfield(b, alg.u())
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_a_grid_builds_through_the_algebras_trusted_constructor(m):
+    """from_grid gives the interned zero for an all-zero grid, and twisted_centralizer reads its kernel back
+    through it: each basis element is from_grid of its own grid, with no zero stored."""
+    alg = make_algebra(m)
+    zero = alg.field.zero()
+    assert alg.from_grid([[0] * m] * m) is alg.zero_elem()
+    assert alg.from_grid([[zero] * m for _ in range(m)]) is alg.zero_elem()
+    with pytest.raises(ValueError, match="wrong shape"):
+        alg.from_grid([[0] * m] * (m - 1))
+    for a, c in ((alg.u(), 1), (alg.u() + alg.v(), 1), (alg.u(), alg.omega)):
+        basis = symalg.twisted_centralizer(a, c)
+        assert basis
+        for x in basis:
+            assert x == alg.from_grid(x.grid) and x.terms == alg.from_grid(x.grid).terms
+            assert not any(coeff.is_zero() for coeff in x.terms.values())
+
+
 # centralizer and find_twist_partner once ran separate kernel computations;
 # these are their outputs then, over the zero base derivation with (t, t+1).
 SEPARATE_KERNEL_OUTPUTS = {
