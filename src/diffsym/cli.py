@@ -192,8 +192,10 @@ def _det_text(gauge) -> str:
 
 
 def _emit_split(args, report) -> int:
-    lines = [
-        f"P = {report.p!r}",
+    lines = [f"P = {report.p!r}"]
+    if report.scalar_shift is not None:
+        lines.append(f"scalar shift lambda = {scalar_to_str(report.scalar_shift)}: verdicts taken against P + lambda I")
+    lines += [
         f"F = {report.f!r}",
         f"gauge: {'ok' if report.gauge.ok else 'FAIL'}",
         f"det F: {_det_text(report.gauge)}",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .deriv import Derivation, decompose, inner_derivation, standard_derivation
@@ -24,6 +24,7 @@ from .scalars import (
     KummerField,
     MonomialDiffField,
     PolyDiffField,
+    RatFunc,
     RatFuncField,
     is_prime,
     mth_root,
@@ -239,13 +240,19 @@ def verify_diff_isomorphism(phi: PhiMap, d: Derivation, p: DiffMatrix) -> IsoVer
 
 @dataclass
 class SplitReport:
-    """``extension["tower"]`` lists the adjoined generators, each with its certified Kummer power or None."""
+    """``extension["tower"]`` lists the adjoined generators, each with its certified Kummer power or None.
+
+    A ``scalar_shift`` lambda in the base field means that both verdicts were
+    taken against P + lambda I, which defines the same derivation d_P as P;
+    None means they were taken against P itself.
+    """
 
     extension: dict
     p: DiffMatrix
     f: DiffMatrix
     gauge: GaugeVerdict
     isomorphism: IsoVerdict | None
+    scalar_shift: RatFunc | None = None
 
     @property
     def degree(self) -> int | None:
@@ -263,9 +270,11 @@ class SplitReport:
         return self.gauge.ok and (self.isomorphism is None or self.isomorphism.ok)
 
     def to_json(self):
+        shift = {} if self.scalar_shift is None else {"scalar_shift": scalar_to_str(self.scalar_shift)}
         return {
             "extension": self.extension,
             "P": self.p.to_json(),
+            **shift,
             "F": self.f.to_json(),
             "verdicts": {
                 "gauge": self.gauge.to_json(),
@@ -287,6 +296,8 @@ def _diagonal_split(phi, d, p, e, gens, exponents, extension) -> SplitReport:
 
     With delta(g_i) = c_i g_i, delta(F[r][r]) = (sum_i exponents[r][i] c_i) F[r][r]:
     F is a gauge for a diagonal P when each row of exponents weights the rates to P[r][r].
+    Both verdicts, the gauge delta(F) = PF and the isomorphism Phi o d = d_P o Phi,
+    are taken against this one P, which the report carries.
     """
     iso = verify_diff_isomorphism(phi, d, p)
     entries = [math.prod((g**n for g, n in zip(gens, row) if n), start=e.one()) for row in exponents]
@@ -295,11 +306,20 @@ def _diagonal_split(phi, d, p, e, gens, exponents, extension) -> SplitReport:
 
 
 def split_standard(algebra: SymbolAlgebra) -> SplitReport:
-    """Finite splitting field for d_s: adjoin xi and g with g^(nm) = beta, and F = diag(g^(n t_r)).
+    """Finite splitting field for d_s: adjoin xi and g with g^(nm) = beta, and F = diag(g^(n (m-1-r))).
 
-    n is the denominator of the t_r = (m-1)/2 - r: for odd m, n = 1 and
-    g = eta, of degree m^2; for even m, n = 2 and g = zeta, of degree 2m^2.
-    A constant beta adjoins no g: P_s = 0 and F = I over k(xi), of degree m.
+    d_P = d_(P + lambda I) for every scalar lambda. With rho = delta(beta)/(m beta),
+    P_s = diag(t_r rho) and t_r = (m-1)/2 - r, the shift lambda = t_0 rho gives
+    P_s + lambda I = diag((m-1-r) rho), built directly, whose gauge has the
+    nonnegative exponents n (m-1-r): F[m-1][m-1] = 1 and no entry needs an
+    inverse. F is g^(n t_0) times the paper's diag(g^(n t_r)). Both verdicts
+    are taken against P_s + lambda I; the report carries the trace-zero
+    P = P_s and lambda as its ``scalar_shift``.
+
+    n is the denominator of t_0: for odd m, n = 1 and g = eta, of degree m^2;
+    for even m, n = 2 and g = zeta, of degree 2m^2 (every exponent of F is
+    then even). A constant beta adjoins no g: P_s = 0, lambda = 0 and F = I
+    over k(xi), of degree m.
     """
     k = algebra.field
     if not isinstance(k, RatFuncField):
@@ -310,16 +330,21 @@ def split_standard(algebra: SymbolAlgebra) -> SplitReport:
     ext = {"tower": [_tower_entry(xi_field)], "derivation_rules": [f"delta(xi) = delta(alpha)/({m} alpha) xi"]}
     t0 = Fraction(m - 1, 2)  # t_r = t0 - r, which t_r_values checks against the cyclotomic sums
     n = t0.denominator
+    rho = algebra.standard_rates[1]
     e, gens = xi_field, []
-    if not algebra.beta.derive().is_zero():
+    if not rho.is_zero():
         name = "eta" if n == 1 else "zeta"
         # delta(g) = delta(beta)/(n m beta) g: the algebra's rate of v over n, as xi_extension reads its own
-        e = KummerField(xi_field, algebra.beta, n * m, name, algebra.standard_rates[1] / n)
+        e = KummerField(xi_field, algebra.beta, n * m, name, rho / n)
         gens = [e.gen()]
         ext["tower"].append(_tower_entry(e))
         ext["derivation_rules"].append(f"delta({name}) = delta(beta)/({n * m} beta) {name}")
-    exponents = [[int(n * (t0 - r))] * len(gens) for r in range(m)]
-    return _diagonal_split(phi, standard_derivation(algebra), phi.p_s, e, gens, exponents, ext)
+    rate = xi_field.coerce(rho)
+    shifted = DiffMatrix.diagonal(xi_field, [rate * (m - 1 - r) for r in range(m)])
+    exponents = [[n * (m - 1 - r)] * len(gens) for r in range(m)]
+    rep = _diagonal_split(phi, standard_derivation(algebra), shifted, e, gens, exponents, ext)
+    p_s = phi.p_s
+    return replace(rep, p=p_s, scalar_shift=p_s.rows[0][0].base_value())  # lambda = t_0 rho = P_s[0][0]
 
 
 def find_twist_partner(rho1: SymbolElem):

@@ -63,9 +63,11 @@ place of the pivot row's support, the images delta(x_rs) = sum_l P[r][l] x_ls
 of the generic splitting field summed one scaled generator at a time in place
 of one pass over the support of row r of P, and the value of a Laurent
 monomial at a point as a product of ``Fraction`` powers in place of an
-integer numerator and denominator, and the printed form of a rational
+integer numerator and denominator, the printed form of a rational
 coefficient read off its ``Fraction`` in place of its integer numerator and
-denominator.
+denominator, and the paper's gauge diag(g^(n t_r)) of the standard splitting field,
+with its negative powers of g, in place of the gauge of P_s + lambda I with
+the nonnegative exponents n (m - 1 - r).
 """
 
 import operator
@@ -83,7 +85,7 @@ from diffsym.scalars.monomial import PolyDiffElem
 from diffsym.scalars.ode import OdeSolution
 from diffsym.scalars.polys import _long_division, poly_gcd, squarefree_decompose
 from diffsym.scalars.powers import _prime_factors
-from diffsym.split import IsoVerdict
+from diffsym.split import IsoVerdict, t_r_values
 from diffsym.symalg import SymbolElem
 
 
@@ -1153,3 +1155,15 @@ def summed_generic_images(p, e):
                     image = image + e.gen(l * m + s).scale(p.rows[r][l])
             images.append(image)
     return images
+
+
+def paper_standard_gauge(e, m):
+    """The paper's F = diag(g^(n t_r)), t_r = (m - 1)/2 - r, over the top field e of a standard splitting.
+
+    g is e's generator, of degree n m over k(xi); a field with no g (a constant
+    beta) gives I. Half of the exponents are negative, each an inverse in e.
+    """
+    if e.gen_name not in ("eta", "zeta"):
+        return DiffMatrix.identity(e, m)
+    g, n = e.gen(), e.m // m
+    return DiffMatrix.diagonal(e, [g ** int(n * t) for t in t_r_values(m)])

@@ -320,10 +320,13 @@ def test_criterion_14_quaternion_regression():
     assert decompose(d) == theta
     assert decompose(Derivation(alg, d.du, d.dv)) == theta
     assert decompose(Derivation(alg, ds.du, ds.dv)).is_zero()
-    # the standard splitting field has degree 2 m^2 = 8 with gauge diag(z, 1/z)
+    # the standard splitting field has degree 2 m^2 = 8; its gauge diag(z^2, 1) is z times the
+    # paper's diag(z, 1/z), for P_s shifted by lambda = (1/2) delta(beta)/(2 beta) = 1/(4 (t + 1))
     rep = split_standard(alg)
     assert rep.passed
     assert rep.degree == 8
     e = rep.f.field
     zeta = e.gen()
-    assert rep.f == DiffMatrix.diagonal(e, [zeta, zeta ** (-1)])
+    assert rep.f == DiffMatrix.diagonal(e, [zeta**2, 1])
+    assert rep.scalar_shift == alg.beta.derive() / (alg.beta * 4) == k.one() / (k.gen() * 4 + 4)
+    assert rep.p == DiffMatrix.diagonal(rep.p.field, [rep.scalar_shift, -rep.scalar_shift])

@@ -1,10 +1,11 @@
 """CLI behaviour: exit codes, JSON reports, schema validation, replay corpus."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from jsonschema import Draft202012Validator
+from jsonschema import Draft202012Validator, ValidationError
 from referencing import Registry, Resource
 
 from diffsym import SymbolAlgebra, inner_derivation, split_standard, standard_derivation
@@ -14,6 +15,7 @@ from diffsym.matdiff import DiffMatrix
 from diffsym.parser import MAX_POWER_BITS, parse_scalar, parse_symbol
 from diffsym.scalars import CycloField, KummerField, RatFuncField
 from diffsym.split import PhiMap, compute_P
+from oracles import paper_standard_gauge
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "diffsym" / "schemas"
 
@@ -139,12 +141,25 @@ def test_split_text_reports_how_det_f_was_decided(capsys):
     assert "det F: nonzero by specialisation at point 0\n" in capsys.readouterr().out
 
 
+def test_split_standard_text_prints_the_scalar_shift(capsys):
+    code, out = run(capsys, "split", "standard", "--m", "3", "--alpha", "t", "--beta", "t+1")
+    assert code == 0
+    assert "scalar shift lambda = (1/3)/(t + 1): verdicts taken against P + lambda I\n" in out
+    assert "F = [eta^2, 0, 0; 0, eta, 0; 0, 0, 1]\n" in out
+    code, out = run(capsys, "split", "generic", "--m", "2", "--alpha", "t", "--beta", "t+1")
+    assert code == 0 and "scalar shift" not in out
+
+
 def test_split_standard_json(capsys, registry):
     code, report = run_json(capsys, "split", "standard", "--m", "3", "--alpha", "t", "--beta", "t+1")
     assert code == 0
     validate(report, "split_report.json", registry)
     assert report["verdicts"]["gauge"]["ok"]
     assert report["degree"] == 9
+    # lambda = t_0 delta(beta)/(m beta) = 1 * 1/(3 (t + 1)), a string the schema requires
+    assert report["scalar_shift"] == "(1/3)/(t + 1)"
+    with pytest.raises(ValidationError):
+        validate({**report, "scalar_shift": 1}, "split_report.json", registry)
 
 
 def test_split_inner_json(capsys, registry):
@@ -307,7 +322,12 @@ def test_replay_has_an_m8_generic_splitting(capsys):
 
 def test_split_standard_prints_a_constant_numerator_once_parenthesised(capsys):
     code, out = run(capsys, "split", "standard", "--m", "3", "--alpha", "2*t", "--beta", "w*t+1", "--json")
-    assert code == 0
+    assert code == 0 and "(((" not in out
+    # the reported F has no inverse; the paper's gauge diag(eta, 1, eta^-1) has
+    # eta^-1 = (1/(wt + 1)) eta^2 at row 2, printed in the same report
+    k = RatFuncField(CycloField(3), "t")
+    rep = split_standard(SymbolAlgebra(k, parse_scalar("2*t", k), parse_scalar("w*t+1", k), 3))
+    out = json.dumps(replace(rep, f=paper_standard_gauge(rep.f.field, 3)).to_json(), indent=2)
     assert '"((-w - 1)/(t + (-w - 1)))*eta^2"' in out and "(((" not in out
 
 

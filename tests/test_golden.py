@@ -1,9 +1,11 @@
 """CLI reports pinned byte for byte.
 
 Each file under ``data/cli_golden`` is the exact ``--json`` stdout of the
-command listed for it below. The splitting reports were written by the
-release before the explicit splitting constructions were folded into one
-diagonal gauge; the ``deriv``, ``split verify`` and ``algebra check`` reports
+command listed for it below. The ``split-standard`` reports were written by
+the release that took both verdicts against P_s + lambda I, with
+F = diag(g^(n (m - 1 - r))) and the shift lambda as ``scalar_shift``; the
+other splitting reports by the release before the explicit splitting
+constructions were folded into one diagonal gauge; the ``deriv``, ``split verify`` and ``algebra check`` reports
 by the release before symbol elements stored only their nonzero terms; and
 ``split-generic-theta-m11`` (121 indeterminates, padded names x0000..x1010)
 by the release before differential monomials were keyed by their nonzero

@@ -1,7 +1,8 @@
 """Splitting constructions: Phi, transported P, gauges, and refutations."""
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,7 @@ import diffsym.matdiff
 from diffsym import SymbolAlgebra, decompose, inner_derivation, split_standard, standard_derivation
 from diffsym.deriv import subfield_stable, validate
 from diffsym.errors import SelfCheckError
-from diffsym.matdiff import DiffMatrix, apply_dP
+from diffsym.matdiff import DiffMatrix, apply_dP, verify_gauge
 from diffsym.parser import parse_scalar, scalar_to_str
 from diffsym.scalars import CycloField, KummerElem, KummerField, RatFuncField
 from diffsym.symalg import minimal_polynomial
@@ -38,6 +39,7 @@ from oracles import (
     entrywise_P,
     full_basis_verdict,
     kummer_from_coeffs,
+    paper_standard_gauge,
     quotient_maximal_witnesses,
     summed_generic_images,
 )
@@ -371,6 +373,96 @@ def test_split_standard_constant_beta():
     assert rep.degree == 2  # only the xi level is needed when delta(beta) = 0
 
 
+def _shift_algebra(m, radicands):
+    """The algebra (t, t+1) or (t^2 + 1, 3t) of degree m over Q(w_m)(t)."""
+    k = RatFuncField(CycloField(m), "t")
+    t = k.gen()
+    alpha, beta = (t, t + 1) if radicands == "t, t+1" else (t * t + 1, t * 3)
+    return SymbolAlgebra(k, alpha, beta, m)
+
+
+SHIFT_CASES = [(m, radicands) for m in range(2, 12) for radicands in ("t, t+1", "t^2+1, 3t")]
+
+
+def _shifted_p(rep, extra=0):
+    """P_s + (lambda + extra) I over k(xi), formed as a sum; split_standard builds it directly at extra = 0."""
+    return rep.p + DiffMatrix.identity(rep.p.field, rep.p.size).scale(rep.scalar_shift + extra)
+
+
+@pytest.mark.parametrize("m,radicands", SHIFT_CASES)
+def test_split_standard_checks_p_s_plus_lambda_i_with_a_gauge_of_nonnegative_exponents(m, radicands, monkeypatch):
+    import diffsym.split as split_module
+
+    alg = _shift_algebra(m, radicands)
+    checked, inverses = [], []
+    # each verifier's argument p: verify_gauge(p, f) and verify_diff_isomorphism(phi, d, p)
+    for name, at in (("verify_gauge", 0), ("verify_diff_isomorphism", 2)):
+        original = getattr(split_module, name)
+        monkeypatch.setattr(split_module, name, lambda *args, f=original, at=at: checked.append(args[at]) or f(*args))
+    inv = KummerElem.inv
+    monkeypatch.setattr(KummerElem, "inv", lambda x: inverses.append(x) or inv(x))
+    rep = split_standard(alg)
+    assert rep.passed and rep.degree == (m * m if m % 2 else 2 * m * m)
+    e = rep.f.field
+    n = e.m // m
+    # lambda = t_0 delta(beta)/(m beta), t_0 = (m - 1)/2, and P stays the trace-zero P_s
+    assert rep.scalar_shift == alg.beta.derive() / (alg.beta * m) * Fraction(m - 1, 2)
+    assert rep.p == make_phi(alg).p_s and rep.p.trace().is_zero()
+    # F[r][r] is g^(n (m - 1 - r)) with coefficient 1: no negative power, so no inverse
+    one = e.base.one()
+    assert [rep.f.rows[r][r].terms for r in range(m)] == [{n * (m - 1 - r): one} for r in range(m)]
+    assert rep.f.rows[m - 1][m - 1] == e.one()
+    assert inverses == []
+    # the isomorphism verdict, then the gauge, each against P_s + lambda I exactly
+    shifted = _shifted_p(rep)
+    assert checked == [shifted, shifted.coerce_to(e)]
+
+
+@pytest.mark.parametrize("m,radicands", SHIFT_CASES)
+def test_the_shifted_gauge_is_g_to_the_n_t0_times_the_papers(m, radicands):
+    alg = _shift_algebra(m, radicands)
+    rep = split_standard(alg)
+    e = rep.f.field
+    g, n = e.gen(), e.m // m
+    paper = paper_standard_gauge(e, m)
+    assert rep.f == paper.scale(g ** (n * (m - 1) // 2))
+    # the paper's gauge, with its inverses, is a gauge for the trace-zero P_s itself
+    assert verify_gauge(rep.p.coerce_to(e), paper).ok
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8, 10])
+def test_at_even_m_the_shifted_gauge_lies_in_k_xi_zeta_squared(m):
+    alg = make_algebra(m)
+    rep = split_standard(alg)
+    e, xi_field = rep.f.field, rep.f.field.base
+    assert e.gen_name == "zeta" and rep.degree == 2 * m * m
+    diagonal = [rep.f.rows[r][r] for r in range(m)]
+    assert all(j % 2 == 0 for x in diagonal for j in x.terms)
+    # eta = zeta^2 is an m-th root of beta, so F lies in k(xi)(eta), of degree m^2 over k,
+    # and read there it is a gauge for the same P_s + lambda I
+    assert (e.gen() ** 2) ** m == e.coerce(alg.beta)
+    eta_field = KummerField(xi_field, alg.beta, m, "eta", alg.standard_rates[1])
+    eta = eta_field.gen()
+    entries = [sum((eta ** (j // 2) * c for j, c in x.terms.items()), eta_field.zero()) for x in diagonal]
+    f_eta = DiffMatrix.diagonal(eta_field, entries)
+    assert verify_gauge(_shifted_p(rep).coerce_to(eta_field), f_eta).ok
+    assert xi_field.m * eta_field.m == m * m
+
+
+@pytest.mark.parametrize("m,radicands", SHIFT_CASES)
+def test_a_shift_of_lambda_plus_one_fails_the_gauge_at_entry_0_0_and_keeps_the_isomorphism(m, radicands):
+    alg = _shift_algebra(m, radicands)
+    rep = split_standard(alg)
+    e = rep.f.field
+    xi_field, n = e.base, e.m // m
+    off = _shifted_p(rep, 1)
+    exponents = [[n * (m - 1 - r)] for r in range(m)]
+    bad = _diagonal_split(PhiMap(alg, xi_field), standard_derivation(alg), off, e, [e.gen()], exponents, rep.extension)
+    assert bad.f == rep.f
+    assert not bad.gauge.ok and bad.gauge.failing_entry == (0, 0)
+    assert bad.isomorphism.ok and not bad.passed
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_split_inner_cyclic(m):
     alg = make_algebra(m, derivation="zero")
@@ -646,33 +738,40 @@ def test_maximal_subfield_hypothesis_guard():
 
 
 def _diagonal_inputs(kind, m):
-    """(phi, d, report, gens, exponents) of one explicit construction, as it calls _diagonal_split."""
+    """(phi, d, report, p, gens, exponents) of one explicit construction, as it calls _diagonal_split.
+
+    p is the matrix both verdicts are taken against: P_s + lambda I for the standard
+    splitting, whose exponents n (m - 1 - r) weight delta(g) = delta(beta)/(n m beta) g
+    to its row r, and the report's own P for the inner ones.
+    """
     if kind in ("eta", "zeta"):
         alg = make_algebra(m)
         rep = split_standard(alg)
         n = 1 if kind == "eta" else 2
         assert rep.f.field.gen_name == kind and rep.f.field.m == n * m
-        exponents = [[int(n * t)] for t in t_r_values(m)]
-        return PhiMap(alg, rep.f.field.base), standard_derivation(alg), rep, [rep.f.field.gen()], exponents
+        exponents = [[n * (m - 1 - r)] for r in range(m)]
+        phi = PhiMap(alg, rep.f.field.base)
+        return phi, standard_derivation(alg), rep, _shifted_p(rep), [rep.f.field.gen()], exponents
     alg = make_algebra(m, derivation="zero")
     rho = alg.coerce_elem(alg.u())
     rep = split_inner_cyclic(alg, rho) if kind == "cyclic" else split_inner_even_half(alg, rho)
     e = rep.f.field
     eye = [[int(r == i) for i in range(e.n)] for r in range(e.n)]
     exponents = eye if kind == "cyclic" else eye + [[-x for x in row] for row in eye]
-    return PhiMap(alg, e.base), inner_derivation(rho), rep, [e.gen(i) for i in range(e.n)], exponents
+    return PhiMap(alg, e.base), inner_derivation(rho), rep, rep.p, [e.gen(i) for i in range(e.n)], exponents
 
 
 @pytest.mark.parametrize("kind,m", [("eta", 3), ("eta", 5), ("zeta", 2), ("zeta", 4), ("cyclic", 3), ("half", 4)])
 def test_diagonal_split_fails_at_the_row_whose_exponent_is_off_by_one(kind, m):
-    phi, d, rep, gens, exponents = _diagonal_inputs(kind, m)
+    phi, d, rep, p, gens, exponents = _diagonal_inputs(kind, m)
     e = rep.f.field
-    same = _diagonal_split(phi, d, rep.p, e, gens, exponents, rep.extension)
-    assert same.passed and same.f == rep.f and same.to_json() == rep.to_json()
+    same = _diagonal_split(phi, d, p, e, gens, exponents, rep.extension)
+    assert same.passed and same.f == rep.f and same.p == p
+    assert replace(same, p=rep.p, scalar_shift=rep.scalar_shift).to_json() == rep.to_json()
     for r in range(m):
         wrong = [list(row) for row in exponents]
         wrong[r][r % len(gens)] += 1
-        bad = _diagonal_split(phi, d, rep.p, e, gens, wrong, rep.extension)
+        bad = _diagonal_split(phi, d, p, e, gens, wrong, rep.extension)
         assert not bad.passed and not bad.gauge.ok
         assert bad.gauge.failing_entry == (r, r)
         assert (bad.gauge.det_nonzero, bad.gauge.det_method) == (True, "diagonal")
