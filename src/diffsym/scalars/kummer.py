@@ -2,7 +2,9 @@
 
 The unique derivation extending the base one satisfies
 delta_E(xi) = delta(alpha)/(m*alpha) * xi; this is checked at construction
-together with an irreducibility certificate for z^m - alpha.
+together with an irreducibility certificate for z^m - alpha: the step must
+multiply the tower's degree over kbar(t), kbar the algebraic closure of Q(w),
+by m, read off the radicands (a_i, n_i), a_i in Q(w)(t), that it records.
 
 A non-monomial is inverted by conjugates (Lang, Algebra, ch. VI 8), one prime
 p of m at a time: the twists xi^s -> z^j xi^s, z a primitive p-th root of
@@ -21,7 +23,7 @@ from .powers import (
     certify_power_free_over_kummer,
     kummer_vahlen_certify,
 )
-from .ratfunc import RatFuncField
+from .ratfunc import RatFunc, RatFuncField
 
 
 class KummerField(Extension):
@@ -53,19 +55,17 @@ class KummerField(Extension):
     # -- construction checks -------------------------------------------
 
     def _certify_irreducible(self):
+        a = self.alpha
+        while type(a) is KummerElem and a.is_base():
+            a = a.base_value()
+        if type(a) is not RatFunc:
+            raise ReducibleRadicandError("can only certify tower radicands that come from the bottom field")
         base = self.base
-        if isinstance(base, RatFuncField):
-            kummer_vahlen_certify(self.alpha, self.m)
+        if isinstance(base, RatFuncField):  # a radical over Q(w)(t) that falls short has a constant step
+            self.radicands, self.geometric_degree = ((a, self.m),), kummer_vahlen_certify(a, self.m)
             return
-        if isinstance(base, KummerField) and isinstance(base.base, RatFuncField):
-            # alpha is a KummerElem over the bottom field Q(w)(t)
-            if not self.alpha.is_base():
-                raise ReducibleRadicandError(
-                    "can only certify tower radicands that come from the bottom field"
-                )
-            certify_power_free_over_kummer(base.alpha, base.m, self.alpha.base_value(), self.m)
-            return
-        raise ReducibleRadicandError("unsupported tower shape for irreducibility check")
+        self.radicands = (*base.radicands, (a, self.m))
+        self.geometric_degree = certify_power_free_over_kummer(base.radicands, base.geometric_degree, a, self.m)
 
     def _check_derivation_consistency(self):
         # delta(xi^m) = m xi^(m-1) delta_E(xi) = m rate xi^m must equal delta(alpha);

@@ -6,8 +6,8 @@ refined with the vectors.  A product of powers of radicands has the same
 combination of their vectors, and is c h^m iff m divides it; ``mth_root``
 checks each such verdict before it is acted on.  The readers:
 ``mth_power_up_to_constant``, ``kummer_vahlen_certify`` (p | gcd v_alpha),
-``certify_power_free_over_kummer`` (ramification),
-``deriv.constants_standard`` (-i v_alpha - j v_beta) and
+``certify_power_free_over_kummer`` (the ``subgroup_order`` of a Kummer
+tower's rows), ``deriv.constants_standard`` (-i v_alpha - j v_beta) and
 ``split.maximal_subfield_necessary`` (v - r v_nu).  No irreducible
 factorization is ever computed.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from ..errors import SelfCheckError
 from .cyclo import CycloElem
@@ -153,6 +153,29 @@ def valuations(*fs):
     return [b for b, _ in basis], [[v[k] for _, v in basis] for k in range(len(fs))]
 
 
+def subgroup_order(rows, n: int) -> int:
+    """The order of the subgroup of (Z/n)^N that the integer rows of length N generate.
+
+    It is n^N / [Z^N : L], L = <rows> + n Z^N.  Column j's pivot row starts
+    as n e_j and takes in each row by Euclid's row steps, which zero the row
+    there; it ends as g_j = gcd(n, column), a factor n / g_j of the order.
+    Entries are kept mod n, since every n e_j lies in L.
+    """
+    order = 1
+    rows = [r for r in ([x % n for x in row] for row in rows) if any(r)]
+    while rows:
+        pivot, rest = [n] + [0] * (len(rows[0]) - 1), []
+        for row in rows:
+            while row[0]:
+                q = pivot[0] // row[0]
+                pivot, row = row, [(p - q * r) % n for p, r in zip(pivot, row)]
+            if any(row):
+                rest.append(row[1:])
+        order *= n // pivot[0]
+        rows = rest
+    return order
+
+
 def mth_root(f: RatFunc, basis, v, m: int):
     """(c, h) with f = c h^m, from f's valuation vector v on basis, every entry divisible by m.
 
@@ -252,8 +275,8 @@ def _constant_is_power(c: CycloElem, k: int) -> bool:
     raise ReducibleRadicandError(f"cannot certify that the constant cofactor is a {k}-th non-power")
 
 
-def kummer_vahlen_certify(alpha: RatFunc, m: int) -> None:
-    """Certify z^m - alpha irreducible over Q(w)(t); raise otherwise.
+def kummer_vahlen_certify(alpha: RatFunc, m: int) -> int:
+    """Certify z^m - alpha irreducible over Q(w)(t); return m / gcd(m, g), its degree over kbar(t), or raise.
 
     Classical criterion: alpha not in k^p for every prime p | m and, when
     4 | m, alpha not in -4 k^4.  alpha = c h^p exactly when p divides the gcd
@@ -277,27 +300,27 @@ def kummer_vahlen_certify(alpha: RatFunc, m: int) -> None:
         c, _h = mth_root(alpha, basis, v, 4)
         if _constant_is_power(c / (-4), 4):
             raise ReducibleRadicandError("radicand lies in -4 k^4 (z^m - a reducible for 4 | m)")
+    return m // gcd(m, g)
 
 
-def certify_power_free_over_kummer(alpha: RatFunc, w_alpha_m: int, beta: RatFunc, big_m: int) -> None:
-    """Certify z^M - beta irreducible over k(xi), xi^m = alpha, via valuations.
+def certify_power_free_over_kummer(tower, degree: int, beta: RatFunc, big_m: int) -> int:
+    """Certify z^M - beta irreducible over the Kummer tower E; return E(beta^(1/M))'s degree over kbar(t).
 
-    For a place q of k = Q(w)(t), the ramification index in k(xi) is
-    e_q = m / gcd(m, v_q(alpha)); if e_q * v_q(beta) is not divisible by a
-    prime p | M at some place, beta is not a p-th power in k(xi).  The places
-    are the blocks of the joint basis of ``valuations`` and the place at
-    infinity, v = deg den - deg num.  This is a sufficient certificate;
-    inconclusive cases raise honestly.
+    ``tower`` lists E's steps (a_i, n_i), a_i in Q(w)(t), bottom step first,
+    and ``degree`` is [E kbar : kbar(t)], kbar the algebraic closure of Q(w).
+    kbar(t) holds every root of unity, so (Lang, Algebra, ch. VI 8) that is
+    the ``subgroup_order`` of the rows (n / n_i) v(a_i) in (Z/n)^N,
+    n = lcm n_i: all roots of a squarefree basis element share its column.
+    [E(beta^(1/M)) : E] >= [E kbar(beta^(1/M)) : E kbar], so beta's row
+    multiplying the degree by M certifies the step.
     """
-    m = w_alpha_m
-    _basis, (va, vb) = valuations(alpha, beta)
-    va.append(alpha.den.degree - alpha.num.degree)
-    vb.append(beta.den.degree - beta.num.degree)
-    ram = [m // gcd(m, v) for v in va]
-    moduli = _prime_factors(big_m) + ([4] if big_m % 4 == 0 else [])
-    for p in moduli:
-        if not any((e * v) % p != 0 for e, v in zip(ram, vb)):
-            raise ReducibleRadicandError(
-                f"cannot certify z^{big_m} - a irreducible over the Kummer tower "
-                f"(valuation test inconclusive mod {p})"
-            )
+    steps = [*tower, (beta, big_m)]
+    n = lcm(*(e for _, e in steps))
+    _basis, vectors = valuations(*(a for a, _ in steps))
+    order = subgroup_order([[n // e * x for x in v] for v, (_, e) in zip(vectors, steps)], n)
+    if order != degree * big_m:
+        raise ReducibleRadicandError(
+            f"cannot certify z^{big_m} - a irreducible over the Kummer tower "
+            f"(degree {order // degree} of {big_m} over kbar(t))"
+        )
+    return order

@@ -51,8 +51,11 @@ alpha^-i beta^-j or value / nu^r decomposed per exponent in place of the
 valuation vectors of one joint decomposition, the valuation vectors read
 off one coprime basis by the part of each input that a basis element
 divides in place of the vectors carried through the factor refinement, the
-tower certificate on multiplicities counted by repeated division, the
-Kummer derivation rule on m xi^(m-1) delta(xi) in place of m rate alpha =
+former depth-2 tower certificate (ramification of alpha against beta's
+valuations, on multiplicities counted by repeated division), which the
+lattice certificate must contain, the order of a subgroup of (Z/n)^N by
+listing every combination of its generators in place of Euclid's row steps,
+the Kummer derivation rule on m xi^(m-1) delta(xi) in place of m rate alpha =
 delta(alpha), and the determinant certificate that multiplies out the
 diagonal and eliminates every specialised matrix in place of testing each
 diagonal entry, the commutator of a derivation as two symbol products in
@@ -70,6 +73,7 @@ with its negative powers of g, in place of the gauge of P_s + lambda I with
 the nonnegative exponents n (m - 1 - r).
 """
 
+import itertools
 import operator
 import re
 from fractions import Fraction
@@ -1036,7 +1040,9 @@ def multiplicity(p, q):
 
 
 def dividing_power_free_over_kummer(alpha, m, beta, big_m):
-    """The tower certificate with v_b(f) = multiplicity(f.num, b) - multiplicity(f.den, b); True iff certified."""
+    """The former certificate of z^M - beta over k(alpha^(1/m)), True iff certified: for each prime p | M, and 4
+    when 4 | M, some place (a basis block, or infinity) where p does not divide the ramification index
+    m / gcd(m, v(alpha)) times v(beta), with v_b(f) = multiplicity(f.num, b) - multiplicity(f.den, b)."""
     parts = [q for f in (alpha, beta) for poly in (f.num, f.den) for q, _ in yun_full_loop(poly)]
     basis = coprime_basis(parts)
 
@@ -1047,6 +1053,14 @@ def dividing_power_free_over_kummer(alpha, m, beta, big_m):
     vb = vals(beta)
     moduli = _prime_factors(big_m) + ([4] if big_m % 4 == 0 else [])
     return all(any((e * v) % p for e, v in zip(ram, vb)) for p in moduli)
+
+
+def enumerated_subgroup_order(rows, n):
+    """The order of the subgroup of (Z/n)^N that the integer rows generate, by listing every sum
+    c_1 r_1 + ... + c_k r_k with 0 <= c_i < n."""
+    width = len(rows[0]) if rows else 0
+    return len({tuple(sum(c * row[j] for c, row in zip(cs, rows)) % n for j in range(width))
+                for cs in itertools.product(range(n), repeat=len(rows))})
 
 
 def kummer_rule_by_power(field, rate):

@@ -270,6 +270,23 @@ def test_split_standard_with_a_huge_radicand_constant(capsys):
     assert report["verdicts"]["gauge"]["ok"] and report["degree"] == 8
 
 
+def test_split_standard_certifies_a_tower_whose_ramification_reads_even(capsys, registry):
+    # zeta^4 = t over k(xi), xi^2 = t(t-1)(t-2): 2 divides every ramification index times v(t), yet the
+    # valuation rows (2, 2, 2) and (1, 0, 0) generate a subgroup of order 8 = 2 * 4 in (Z/4)^3
+    code, report = run_json(capsys, "split", "standard", "--m", "2", "--alpha", "t*(t-1)*(t-2)", "--beta", "t")
+    assert code == 0
+    validate(report, "split_report.json", registry)
+    assert report["verdicts"]["gauge"]["ok"] and report["verdicts"]["isomorphism"]["ok"]
+    assert report["degree"] == 8
+
+
+@pytest.mark.parametrize("m, alpha, beta", [("2", "t", "t^2"), ("3", "t", "8*(t+1)^3"), ("4", "t", "(t+1)^2")])
+def test_split_standard_cannot_certify_a_power_radicand_over_the_tower(capsys, m, alpha, beta):
+    assert main(["split", "standard", "--m", m, "--alpha", alpha, "--beta", beta]) == 2
+    assert "cannot certify z^" in (err := capsys.readouterr().err)
+    assert " - a irreducible over the Kummer tower" in err
+
+
 def test_split_generic_reports_the_isomorphism_verdict(capsys, registry):
     for extra in ([], ["--theta=u*v"]):
         code, report = run_json(capsys, "split", "generic", "--m", "2", "--alpha", "t", "--beta", "t+1", *extra)

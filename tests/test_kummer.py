@@ -119,6 +119,35 @@ def test_tower(k):
     assert e2.coerce(e1.gen()) * e2.coerce(e1.gen().inv()) == e2.one()
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_a_tower_of_four_independent_radicals_has_degree_m_to_the_fourth(m):
+    k = RatFuncField(CycloField(m), "t")
+    t = k.gen()
+    field, gens = k, []
+    for i in range(4):
+        field = KummerField(field, t + i, m, f"x{i}")
+        gens = [field.coerce(g) for g in gens] + [field.gen()]
+    assert field.radicands == tuple((t + i, m) for i in range(4))
+    assert field.geometric_degree == m**4
+    x = gens[0] + gens[1] + gens[2] + gens[3]  # inverts by twists on every step of the tower
+    assert x * x.inv() == field.one()
+
+
+def test_a_dependent_radicand_is_refused_at_its_step():
+    k = RatFuncField(CycloField(2), "t")
+    t = k.gen()
+    field = KummerField(KummerField(k, t, 2, "xi"), t + 1, 2, "eta")
+    assert field.geometric_degree == 4
+    with pytest.raises(ReducibleRadicandError, match=r"z\^2 - a irreducible over the Kummer tower \(degree 1 of 2"):
+        KummerField(field, t * (t + 1), 2, "zeta")
+
+
+def test_a_radicand_outside_the_bottom_field_is_refused(k):
+    xi_field = KummerField(k, k.gen(), 3, "xi")
+    with pytest.raises(ReducibleRadicandError, match="can only certify tower radicands that come from the bottom"):
+        KummerField(xi_field, xi_field.gen() + 1, 3, "eta")
+
+
 def test_monomial_field_rates(k):
     e = MonomialDiffField(k, ["x0", "x1"], [k.one(), k.gen()])
     x0, x1 = e.gen(0), e.gen(1)

@@ -1,6 +1,7 @@
 """Power detection and irreducibility certificates."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -20,9 +21,14 @@ from diffsym.cli import main
 from diffsym.deriv import constants_standard
 from diffsym.errors import SelfCheckError
 from diffsym.scalars import powers, valuations
-from diffsym.scalars.powers import _prime_factors, certify_power_free_over_kummer
+from diffsym.scalars.powers import _prime_factors, certify_power_free_over_kummer, subgroup_order
 from generators import sharing_radicands
-from oracles import coprime_valuations, dividing_power_free_over_kummer, quotient_mth_power
+from oracles import (
+    coprime_valuations,
+    dividing_power_free_over_kummer,
+    enumerated_subgroup_order,
+    quotient_mth_power,
+)
 
 
 @pytest.fixture
@@ -209,28 +215,42 @@ def test_kummer_vahlen_rejects(k):
 
 def test_tower_certificate(k):
     t = k.gen()
-    certify_power_free_over_kummer(t, 3, t + 1, 3)
-    with pytest.raises(ReducibleRadicandError):
-        # valuations of alpha at every place of beta's support: inconclusive
-        certify_power_free_over_kummer(t, 2, t**2, 2)
+    assert certify_power_free_over_kummer([(t, 3)], 3, t + 1, 3) == 9
+    assert certify_power_free_over_kummer([(t, 3), (t + 1, 3)], 9, t + 2, 3) == 27
+    with pytest.raises(ReducibleRadicandError, match=r"z\^2 - a irreducible over the Kummer tower \(degree 1 of 2"):
+        # t^2 is a square over kbar(t): the step adds nothing
+        certify_power_free_over_kummer([(t, 2)], 2, t**2, 2)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
-def test_tower_certificate_agrees_with_the_division_oracle(m, rng):
-    """Valuations on the joint basis give the certificate of multiplicities counted by repeated division."""
+def test_tower_certificate_certifies_all_that_the_division_oracle_certifies(m, rng):
+    """Every pair that the former ramification certificate certifies is certified; each step's degree over
+    kbar(t), certified or refused, is the order of the subgroup that the oracle's valuation rows generate."""
     k = RatFuncField(CycloField(m), "t")
-    kinds = {True: 0, False: 0}
-    for _ in range(12):
+    kinds = {"both": 0, "new": 0, "neither": 0}
+    for _ in range(16):
         alpha, beta, _nu = sharing_radicands(k, m, rng)
-        for big_m in sorted({2, 3, 4, m}):
-            if dividing_power_free_over_kummer(alpha, m, beta, big_m):
-                certify_power_free_over_kummer(alpha, m, beta, big_m)
-                kinds[True] += 1
+        _basis, (va, vb) = coprime_valuations(alpha, beta)
+        degree = m // gcd(m, *va)
+        for big_m in sorted({2, 3, 4, m, 2 * m}):
+            n = lcm(m, big_m)
+            order = enumerated_subgroup_order([[n // m * x for x in va], [n // big_m * x for x in vb]], n)
+            if order == degree * big_m:
+                assert certify_power_free_over_kummer([(alpha, m)], degree, beta, big_m) == order
+                kinds["both" if dividing_power_free_over_kummer(alpha, m, beta, big_m) else "new"] += 1
             else:
-                with pytest.raises(ReducibleRadicandError, match="inconclusive"):
-                    certify_power_free_over_kummer(alpha, m, beta, big_m)
-                kinds[False] += 1
-    assert min(kinds.values()) >= 2, kinds
+                assert not dividing_power_free_over_kummer(alpha, m, beta, big_m)
+                with pytest.raises(ReducibleRadicandError, match=f"degree {order // degree} of {big_m} "):
+                    certify_power_free_over_kummer([(alpha, m)], degree, beta, big_m)
+                kinds["neither"] += 1
+    assert kinds["both"] and kinds["neither"], kinds
+
+
+def test_subgroup_order_counts_the_enumerated_subgroup(rng):
+    for _ in range(200):
+        n, r, width = rng.randint(1, 12), rng.randint(0, 3), rng.randint(1, 4)
+        rows = [[rng.randint(-n, n) * rng.choice([0, 1, 2, 3]) for _ in range(width)] for _ in range(r)]
+        assert subgroup_order(rows, n) == enumerated_subgroup_order(rows, n), (rows, n)
 
 
 def test_int_nth_root_is_exact_for_large_integers():
@@ -340,13 +360,19 @@ def test_kummer_vahlen_refutes_powers_by_the_norm(n, p, a, norm, no_search):
 
 
 def test_kummer_vahlen_cannot_certify_when_the_norm_is_a_power():
-    # (2 + w)(2 + w^4) has norm 11^2 over Q(w_5) yet is no square: no exact test decides it
+    # (2 + w)(2 + w^4) has norm 11^2 over Q(w_5) yet is no square, and -20 t^4 leaves -20 / -4 = 5, a square
+    # there whose norm 5^4 is a 4th power: no exact test decides either, alone or for a Kummer field
+    from diffsym.scalars import KummerField
+
     k5 = RatFuncField(CycloField(5), "t")
     t, w = k5.gen(), k5.coerce(k5.cyclo.omega())
     c = (w + 2) * (w**4 + 2)
     assert c.constant_value().norm() == 121
-    with pytest.raises(ReducibleRadicandError, match="cannot certify"):
-        kummer_vahlen_certify(c * t**2, 2)
+    for radicand, p in ((c * t**2, 2), (t**4 * -20, 4)):
+        with pytest.raises(ReducibleRadicandError, match="cannot certify"):
+            kummer_vahlen_certify(radicand, p)
+        with pytest.raises(ReducibleRadicandError, match="cannot certify"):
+            KummerField(k5, radicand, p)
 
 
 def test_is_prime_and_prime_factors_agree_with_trial_division():
