@@ -2,7 +2,9 @@
 
 Exit codes: 0 for a passing check, 1 for a refuted or failed check, 2 for
 usage and input errors, 3 when an internal self-check fails.  Every
-subcommand accepts --json for a structured report on stdout.
+subcommand accepts --json for a structured report on stdout.  An option
+value may start with '-' (``--alpha -t``): ``main`` joins it to its option
+(``--alpha=-t``) before parsing.
 
 The argument tree is built once per process (``_build_parser``), and so is
 the base field Q(w_m)(t) for each m and derivation (``_field``), with the
@@ -458,9 +460,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _option_strings(parser: argparse.ArgumentParser):
+    """(the option strings that take one value, every option string) of the argument tree."""
+    takes_value, registered = set(), set()
+    parsers = [parser]
+    while parsers:
+        for action in parsers.pop()._actions:
+            registered.update(action.option_strings)
+            if action.option_strings and action.nargs is None:
+                takes_value.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    return frozenset(takes_value), frozenset(registered)
+
+
+def _join_dash_values(parser: argparse.ArgumentParser, argv: list) -> list:
+    """argv with each ``--opt VALUE`` written ``--opt=VALUE`` where VALUE starts with '-' and is no
+    option string: argparse reads such a VALUE (``--alpha -t``) as an option, not as the value."""
+    takes_value, registered = _option_strings(parser)
+    out = []
+    for arg in argv:
+        if out and out[-1] in takes_value and arg.startswith("-") and arg not in registered:
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_join_dash_values(parser, argv))
     try:
         return args.func(args)
     # ParseError and ReducibleRadicandError are ValueErrors

@@ -29,8 +29,12 @@ reads w^k and (1 - w^j)^-1 from these.
 
 A product of two non-rational elements is a schoolbook convolution whose
 high coefficients are folded back through the field's table of x^(d+k) mod
-Phi_m, which has integer entries since Phi_m is monic in Z[x].  An inverse
-is the product of the other Galois conjugates over the norm.
+Phi_m, which has integer entries since Phi_m is monic in Z[x].  A product
+with a rational factor scales the other factor's vector (``_scaled``), and
+an ``int`` or ``Fraction`` operand is such a factor with no element made for
+it.  Two elements of one field compare their (num, den) pairs with no
+coercion.  An inverse is the product of the other Galois conjugates over the
+norm.
 """
 
 from __future__ import annotations
@@ -203,6 +207,11 @@ class CycloElem(FieldElem):
     def __mul__(self, other):
         parent = self.parent
         if type(other) is not CycloElem or other.parent is not parent:
+            # an int or a Fraction scales the vector, with no element made for it
+            if type(other) is int:
+                return _scaled(self, other, 1)
+            if type(other) is Fraction:
+                return _scaled(self, other.numerator, other.denominator)
             other = parent.coerce(other)
         # the interned 1 and 0 by identity: a test that costs no comparison of vectors
         if other is parent._one or self is parent._zero:
@@ -246,6 +255,8 @@ class CycloElem(FieldElem):
 
     def _key(self):
         return self.num, self.den
+
+    __eq__ = FieldElem._parent_eq
 
     def __hash__(self):
         # a rational equals the same rational in every Q(w), and the Fraction itself

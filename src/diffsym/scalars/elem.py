@@ -12,10 +12,12 @@ subtraction, division, integer powers, equality and printing are derived here
 from those.  The hot operations stay in the subclass bodies so that
 ``perfbench/tracing.py`` can wrap them per class through ``Class.__dict__``.
 ``SparseElem`` holds the canonical form shared by the element types stored as
-sparse sums of monomials: the zero test, the equality key, negation and the
-merging sum that their ``__add__`` calls.  Such an element has no public
-constructor: its container's ``_make`` (``Extension._make`` here,
-``SymbolAlgebra._make`` for the symbol algebra) is the only way one is made.
+sparse sums of monomials: the zero test, the equality key, negation, the
+merging sum that their ``__add__`` calls and the product by an ``int`` or a
+``Fraction``, which scales each coefficient and coerces nothing.  Such an
+element has no public constructor: its container's ``_make``
+(``Extension._make`` here, ``SymbolAlgebra._make`` for the symbol algebra)
+is the only way one is made.
 """
 
 from __future__ import annotations
@@ -96,6 +98,9 @@ class FieldElem:
     * ``_one()``: the value of ``x**0`` (default ``self.parent.one()``);
     * ``_key()``: the canonical data that ``==`` compares.
 
+    ``==`` coerces the other operand, then compares keys.  A type whose
+    elements hold ``parent`` sets ``__eq__ = FieldElem._parent_eq``, which
+    compares the keys of two elements of that type and one parent at once.
     A type without inverses defines ``inv`` to raise ValueError, which is then
     what a negative power raises.
     """
@@ -146,6 +151,13 @@ class FieldElem:
             return NotImplemented
         return self._key() == other._key()
 
+    def _parent_eq(self, other):
+        """``__eq__`` of a type whose elements hold ``parent``: keys are canonical, so an element
+        of the same type and parent is compared with no coercion."""
+        if type(other) is type(self) and other.parent is self.parent:
+            return self._key() == other._key()
+        return FieldElem.__eq__(self, other)
+
     def __repr__(self):
         # parser imports this package at module level
         from ..parser import scalar_to_str
@@ -182,6 +194,14 @@ class SparseElem(FieldElem):
 
     def __neg__(self):
         return self._with({key: -c for key, c in self.terms.items()})
+
+    def _times_rational(self, q):
+        """self * q for an int or Fraction q, coefficient by coefficient: 0 gives the interned zero, 1 self."""
+        if not q:
+            return self._with({})
+        if q == 1:
+            return self
+        return self._with({key: c * q for key, c in self.terms.items()})
 
     def _plus(self, other):
         """self + other for an other in self's parent or an equal one; the sum lies in self's parent."""

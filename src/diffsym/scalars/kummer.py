@@ -5,6 +5,13 @@ delta_E(xi) = delta(alpha)/(m*alpha) * xi; this is checked at construction
 together with an irreducibility certificate for z^m - alpha: the step must
 multiply the tower's degree over kbar(t), kbar the algebraic closure of Q(w),
 by m, read off the radicands (a_i, n_i), a_i in Q(w)(t), that it records.
+The rule is the identity m rate alpha = delta(alpha) in Q(w)(t), where alpha
+lies, checked cross-multiplied on the numerators and denominators of the
+three, m p r v = u q s, so it forms no canonical product and takes no gcd.
+
+A product with an ``int`` or ``Fraction`` scales each coefficient and
+coerces nothing, and two elements of one field compare their terms with no
+coercion.
 
 A non-monomial is inverted by conjugates (Lang, Algebra, ch. VI 8), one prime
 p of m at a time: the twists xi^s -> z^j xi^s, z a primitive p-th root of
@@ -14,6 +21,8 @@ for p = 2, so every odd prime of m must divide n.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from ..errors import SelfCheckError
 from .elem import Extension, SparseElem
@@ -55,9 +64,7 @@ class KummerField(Extension):
     # -- construction checks -------------------------------------------
 
     def _certify_irreducible(self):
-        a = self.alpha
-        while type(a) is KummerElem and a.is_base():
-            a = a.base_value()
+        a = _bottom_value(self.alpha)
         if type(a) is not RatFunc:
             raise ReducibleRadicandError("can only certify tower radicands that come from the bottom field")
         base = self.base
@@ -68,9 +75,19 @@ class KummerField(Extension):
         self.geometric_degree = certify_power_free_over_kummer(base.radicands, base.geometric_degree, a, self.m)
 
     def _check_derivation_consistency(self):
-        # delta(xi^m) = m xi^(m-1) delta_E(xi) = m rate xi^m must equal delta(alpha);
-        # with xi^m = alpha that is m rate alpha = delta(alpha), one identity in the base
-        if not self.gen_rate * self.alpha * self.m == self.alpha.derive():
+        """delta(xi^m) = m xi^(m-1) delta_E(xi) = m rate xi^m must equal delta(alpha); with
+        xi^m = alpha that is m rate alpha = delta(alpha), one identity in the base.
+
+        alpha and delta(alpha) lie in Q(w)(t), so the identity needs a rate there too, and
+        with rate = p/q, alpha = r/s and delta(alpha) = u/v it reads m p r v = u q s: two
+        polynomial products a side and a scaling by m, with no canonical product and no gcd.
+        """
+        rate = _bottom_value(self.gen_rate)
+        alpha = self.radicands[-1][0]
+        d_alpha = alpha.derive()
+        if type(rate) is not RatFunc or not (
+            rate.num * alpha.num * d_alpha.den * self.m == d_alpha.num * rate.den * alpha.den
+        ):
             raise SelfCheckError("Kummer derivation rule is inconsistent")
 
     # -- descriptor protocol ---------------------------------------------
@@ -96,6 +113,13 @@ class KummerField(Extension):
 
     def __repr__(self):
         return f"{self.base!r}({self.gen_name}; {self.gen_name}^{self.m}=...)"
+
+
+def _bottom_value(x):
+    """x read down a tower while it lies in the field below: an element of Q(w)(t) when x lies there."""
+    while type(x) is KummerElem and x.is_base():
+        x = x.base_value()
+    return x
 
 
 class KummerElem(SparseElem):
@@ -128,6 +152,8 @@ class KummerElem(SparseElem):
     def __mul__(self, other):
         parent = self.parent
         if type(other) is not KummerElem or other.parent is not parent:
+            if type(other) is int or type(other) is Fraction:
+                return self._times_rational(other)
             other = parent.coerce(other)
         x, y = self.terms, other.terms
         one = parent._base_one
@@ -219,6 +245,8 @@ class KummerElem(SparseElem):
             if not term.is_zero():
                 out[i] = term
         return parent._make(out)
+
+    __eq__ = SparseElem._parent_eq
 
     def __hash__(self):
         # an element of the base field equals its base value

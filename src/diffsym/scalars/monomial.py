@@ -14,6 +14,8 @@ may be negative (Laurent monomials), but general division is not provided.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .elem import Extension, SparseElem
 
 
@@ -83,10 +85,13 @@ class PolyDiffElem(SparseElem):
     ``SparseElem``): from its generators, ``coerce`` and arithmetic.  A
     coefficient product with the base's one is skipped, and a product with a
     constant, the single term ``{(): c}``, scales the other factor's
-    coefficients by c and merges no keys.
+    coefficients by c and merges no keys, and so does an ``int`` or
+    ``Fraction``, which is not coerced.
     """
 
     __slots__ = ("parent", "terms")
+
+    __eq__ = SparseElem._parent_eq
 
     def scale(self, c) -> "PolyDiffElem":
         c = self.parent.base.coerce(c)
@@ -105,6 +110,8 @@ class PolyDiffElem(SparseElem):
     def __mul__(self, other):
         parent = self.parent
         if type(other) is not PolyDiffElem or other.parent is not parent:
+            if type(other) is int or type(other) is Fraction:
+                return self._times_rational(other)
             try:
                 other = parent.coerce(other)
             except TypeError:

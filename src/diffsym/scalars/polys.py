@@ -10,7 +10,8 @@ zeros, since sums and products of field elements are already field elements;
 only the public ``Poly(field, coeffs)`` coerces each coefficient.  A product
 with a zero factor is zero, a product with the one polynomial (its
 coefficient the field's interned one) returns the other factor, and any
-other product with a constant factor scales coefficient by coefficient.
+other product with a constant factor, or with an ``int`` or ``Fraction``,
+which is not coerced, scales coefficient by coefficient.
 
 Polynomials in Q[t] -- the field is a ``CycloField`` and every coefficient is
 rational -- run on an integer kernel.  ``_integer_pair`` converts each operand
@@ -28,6 +29,9 @@ coefficient is the field's interned one:
   quotients: a divisor that divides in Z[t] never scales it (Gauss's lemma);
 * ``poly_cancel(a, b)`` returns a/g and b/g for g = gcd(a, b), taking g and
   both cofactors on the same vectors; ``ratfunc.py`` cancels only through it.
+  Associates, vectors of one length with lead(b) a = lead(a) b entry by
+  entry, have g = a / lead(a), so their cofactors are the two leading
+  coefficients, read with no remainder sequence.
 
 The gcd over Q(w) of polynomials in Q[t] is their gcd over Q, and monic gcds,
 Yun factors, quotients and remainders are unique, so the kernel gives the
@@ -40,6 +44,7 @@ nonzero constant remainder.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 
 from .cyclo import CycloField, _rational
@@ -127,6 +132,11 @@ class Poly(FieldElem):
     def __mul__(self, other):
         field = self.field
         if type(other) is not Poly or other.field is not field:
+            if type(other) is int or type(other) is Fraction:
+                # a rational scales each coefficient, with no constant polynomial made for it
+                if not other:
+                    return _poly(field, [])
+                return self if other == 1 else _poly(field, [x * other for x in self.coeffs])
             other = self._coerce_other(other)
         longer, shorter = self, other
         if len(self.coeffs) < len(other.coeffs):
@@ -443,6 +453,11 @@ def poly_cancel(a: Poly, b: Poly):
             (va, da), (vb, db) = pa, pb
             if len(va) == 1 or len(vb) == 1:
                 return a, b
+            la, lb = va[-1], vb[-1]
+            if len(va) == len(vb) and all(x * lb == y * la for x, y in zip(va, vb)):
+                # associates, lb va = la vb: g = a / lc(a), so the cofactors are the leading coefficients
+                field = a.field
+                return _from_ints(field, [la], da), _from_ints(field, [lb], db)
             g = _gcd_ints(va, vb)
             if len(g) <= 1:
                 return a, b

@@ -11,16 +11,23 @@ TAOCP vol. 2, 4.5.1): they take gcds of the operands' parts, which are smaller
 than the gcd of the unreduced result, and none when a denominator is 1.  A
 sum over one shared denominator b is (a + c)/b, and only gcd(a + c, b) is taken.
 The derivative takes one gcd, g = gcd(b, b'), and its quotient rule over
-b (b/g) is already reduced.
+b (b/g) is already reduced.  A product with an ``int`` or ``Fraction`` q
+scales the numerator's coefficients and keeps the monic denominator: q a/b
+is canonical when a/b is, so it takes no gcd and coerces nothing.  Two
+elements of one field compare their canonical pairs with no coercion.
 
 Every cancellation is one ``polys.poly_cancel(x, y)``, which returns x/g and
 y/g for g = gcd(x, y), and x and y themselves when g = 1.  When both lie in
 Q[t] it takes g and both cofactors on one pair of integer vectors, and with
 the integer products of ``Poly`` a canonical form in Q[t] leads to the next
-with no non-constant product, division or gcd over Q(w)[t].
+with no non-constant product, division or gcd over Q(w)[t].  Associates, as
+a radicand and the denominator of its logarithmic derivative, cancel to their
+leading coefficients with no remainder sequence.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .cyclo import CycloElem, CycloField
 from .elem import Field, FieldElem
@@ -176,6 +183,8 @@ class RatFunc(FieldElem):
     def __mul__(self, other):
         parent = self.parent
         if type(other) is not RatFunc or other.parent is not parent:
+            if type(other) is int or type(other) is Fraction:
+                return self._times_rational(other)
             other = parent.coerce(other)
         # a zero or the field's one takes no polynomial product
         one = parent._one
@@ -196,6 +205,15 @@ class RatFunc(FieldElem):
         return _ratfunc(parent, a * c, b * d)
 
     __rmul__ = __mul__
+
+    def _times_rational(self, q) -> "RatFunc":
+        """self * q for an int or Fraction q: q num / den is canonical as it stands, so no gcd is taken."""
+        num = self.num
+        if not q:
+            return self.parent._zero
+        if q == 1 or not num.coeffs:
+            return self
+        return _ratfunc(self.parent, _poly(num.field, [c * q for c in num.coeffs]), self.den)
 
     def inv(self) -> "RatFunc":
         num, den = self.num, self.den
@@ -225,6 +243,8 @@ class RatFunc(FieldElem):
 
     def _key(self):
         return self.num.coeffs, self.den.coeffs
+
+    __eq__ = FieldElem._parent_eq
 
     def __hash__(self):
         # a constant equals its value in Q(w)

@@ -55,9 +55,9 @@ class PhiMap:
         self.algebra = algebra
         self.ext_field = xi_field
         self.ext_algebra = algebra.extend(xi_field)
-        xi = xi_field.gen()
-        w_pows = xi_field.cyclo.omega_powers
-        diag = [xi * xi_field.coerce(w_pows[(m - r) % m]) for r in range(m)]
+        # A[r][r] = w^(m-r) xi, built as the single term {1: w^(m-r)}
+        w_pows, coerce = xi_field.cyclo.omega_powers, xi_field.base.coerce
+        diag = [xi_field._make({1: coerce(w_pows[(m - r) % m])}) for r in range(m)]
         self.a_mat = DiffMatrix.diagonal(xi_field, diag)
         rows = [[xi_field.zero()] * m for _ in range(m)]
         rows[0][m - 1] = xi_field.coerce(algebra.beta)
@@ -335,7 +335,7 @@ def split_standard(algebra: SymbolAlgebra) -> SplitReport:
     if not rho.is_zero():
         name = "eta" if n == 1 else "zeta"
         # delta(g) = delta(beta)/(n m beta) g: the algebra's rate of v over n, as xi_extension reads its own
-        e = KummerField(xi_field, algebra.beta, n * m, name, rho / n)
+        e = KummerField(xi_field, algebra.beta, n * m, name, rho * Fraction(1, n))
         gens = [e.gen()]
         ext["tower"].append(_tower_entry(e))
         ext["derivation_rules"].append(f"delta({name}) = delta(beta)/({n * m} beta) {name}")

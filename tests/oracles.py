@@ -70,7 +70,9 @@ integer numerator and denominator, the printed form of a rational
 coefficient read off its ``Fraction`` in place of its integer numerator and
 denominator, and the paper's gauge diag(g^(n t_r)) of the standard splitting field,
 with its negative powers of g, in place of the gauge of P_s + lambda I with
-the nonnegative exponents n (m - 1 - r).
+the nonnegative exponents n (m - 1 - r), and the cofactors of two polynomials by
+``poly_gcd`` and ``exact_div`` in place of the leading coefficients that
+``poly_cancel`` reads off a pair of associates.
 """
 
 import itertools
@@ -372,6 +374,12 @@ def euclid_gcd(a, b):
     while not b.is_zero():
         a, b = b, _long_division(a, b)[1]
     return a.monic() if not a.is_zero() else a
+
+
+def gcd_cofactors(a, b):
+    """(a / g, b / g) for g = poly_gcd(a, b), each by exact_div: a remainder sequence and two divisions."""
+    g = poly_gcd(a, b)
+    return a.exact_div(g), b.exact_div(g)
 
 
 def long_exact_div(a, b):

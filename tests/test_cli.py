@@ -216,6 +216,18 @@ def test_a_signed_factor_reads_as_its_negation(capsys, signed, plain):
     assert first[0] in (0, 1) and first[1].err == ""
 
 
+@pytest.mark.parametrize("extra", [(), ("--json",)])
+def test_an_option_value_may_start_with_a_dash(capsys, extra):
+    """--alpha -t and --beta "-3*t + 12" are read as values, and report what the = form reports; an
+    option string after an option that takes a value is still an option, and a usage error."""
+    spaced = ["split", "standard", "--m", "2", "--alpha", "-t", "--beta", "-3*t + 12", *extra]
+    joined = ["split", "standard", "--m=2", "--alpha=-t", "--beta=-3*t + 12", *extra]
+    got = _call(capsys, spaced)
+    assert got == _call(capsys, joined) and got[0] == 0 and got[1] and got[2] == ""
+    code, out, err = _call(capsys, ["split", "standard", "--m", "2", "--alpha", "--beta", "t+1", *extra])
+    assert code == 2 and out == "" and "argument --alpha: expected one argument" in err
+
+
 @pytest.mark.parametrize("argv, err", [
     # v^2 generates a degree-2 subfield, but the u-polynomial test comes first
     (["--m", "4", "--alpha", "t", "--beta", "t+1", "--rho", "v^2"],

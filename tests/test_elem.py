@@ -188,3 +188,77 @@ def test_a_field_names_its_own_generators_before_those_below():
     assert f.generators() == {"w": f.gen(0), "t": f.coerce(e.gen())}
     for field in (cyclo, k, e, f):
         assert field.zero() is field.coerce(0) and field.one() is field.coerce(1)
+
+
+# -- rational multiples and same-parent equality --------------------------------
+
+_RATIONALS = (0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3))
+
+
+def _tower_samples(m, rng):
+    """Seeded nonzero elements of Q(w), Q(w)(t), k(xi), k(xi)(eta) and a differential polynomial ring over k."""
+    cyclo = CycloField(m)
+    k = RatFuncField(cyclo, "t")
+    t = k.gen()
+
+    def constant():
+        c = sum((w * Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for w in cyclo.omega_powers), cyclo.zero())
+        return c if not c.is_zero() else cyclo.one()
+
+    def ratfunc():
+        return (t * constant() + constant()) / (t * t + rng.randint(1, 4))
+
+    r1, r2 = rng.sample(range(-4, 5), 2)
+    xi_field = KummerField(k, t - r1, m, "xi")
+    eta_field = KummerField(xi_field, t - r2, m, "eta")
+    xi, eta = xi_field.gen(), eta_field.gen()
+    x = xi_field.coerce(ratfunc()) + xi * ratfunc() + xi ** (m - 1) * ratfunc()
+    ring = PolyDiffField(k, ["x0", "x1"])
+    x0, x1 = ring.gen(0), ring.gen(1)
+    return [
+        constant(),
+        ratfunc(),
+        x,
+        eta_field.coerce(ratfunc()) + eta * x + eta ** (m - 1) * ratfunc(),
+        x0 * ratfunc() + x0 * x1 * ratfunc() + ring.coerce(ratfunc()),
+    ]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_a_rational_multiple_is_the_product_by_the_coerced_rational(m, rng):
+    """x * q and q * x for an int or Fraction q equal x * parent.coerce(q), in x's parent; 0 gives the
+    interned zero and 1 gives x itself."""
+    for x in _tower_samples(m, rng):
+        parent = x.parent
+        for q in _RATIONALS:
+            want = x * parent.coerce(q)
+            for got in (x * q, q * x):
+                assert type(got) is type(x) and got.parent is parent
+                assert got._key() == want._key() and got == want, (x, q)
+        assert x * 0 is parent.zero() and 0 * x is parent.zero()
+        assert x * 1 is x and 1 * x is x
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_equality_in_one_parent_agrees_with_the_coerced_comparison(m, rng):
+    """== of two elements of one type and parent compares keys with no coercion, and agrees with
+    FieldElem.__eq__, which coerces first: on x itself, an equal element built apart, and others."""
+    for x in _tower_samples(m, rng):
+        twin = x * 2 * Fraction(1, 2)
+        assert twin is not x
+        for y in (x, twin, x * 2, -x, x + 1, x.parent.zero()):
+            assert (x == y) is FieldElem.__eq__(x, y) is (x._key() == y._key())
+        assert x == twin and x != x * 2 and x != x + 1
+
+
+def test_kummer_elements_of_distinct_fields_compare_as_coerced():
+    """An element of an equal Kummer field built apart is coerced as it is and compared; one of a field
+    with another radicand cannot be coerced, so == falls back to identity, even on equal terms."""
+    k = RatFuncField(CycloField(3), "t")
+    t = k.gen()
+    e, twin, other = (KummerField(k, a, 3, "xi") for a in (t, t, t + 1))
+    x = e.gen() * t + 2
+    for y, equal in ((twin.gen() * t + 2, True), (other.gen() * t + 2, False)):
+        assert y.terms == x.terms and y.parent is not e
+        assert (x == y) is (y == x) is equal
+        assert (x != y) is not equal

@@ -87,6 +87,44 @@ def test_derivation_rule_agrees_with_the_power_oracle(m, rng):
                 KummerField(field.base, field.alpha, m, field.gen_name, wrong)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_the_derivation_rule_is_cross_multiplied_in_the_bottom_field(m, rng, monkeypatch):
+    """m rate alpha = delta(alpha) is checked as m p r v = u q s on the parts of rate = p/q,
+    alpha = r/s and delta(alpha) = u/v: no rational function product and no gcd, at depth 1 (xi over k)
+    and 2 (eta over k(xi)). A wrong rate (2 rate, rate + 1, and at depth 2 rate + xi, which does not
+    lie in k) still raises SelfCheckError."""
+    from diffsym.scalars import polys, ratfunc
+    from diffsym.scalars.ratfunc import RatFunc
+
+    k = RatFuncField(CycloField(m), "t")
+    t = k.gen()
+    r1, r2 = rng.sample(range(-4, 5), 2)
+    xi_field = KummerField(k, (t - r1) * rng.choice([1, 2, -3]), m, "xi")
+    eta_field = KummerField(xi_field, (t - r2) * (t * t + 1), m, "eta")
+    calls = []
+    for owner, name in ((RatFunc, "__mul__"), (RatFunc, "__rmul__"), (polys, "poly_cancel"),
+                        (ratfunc, "poly_cancel"), (polys, "_gcd_ints")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
+    for field in (xi_field, eta_field):
+        rate, base = field.gen_rate, field.base
+        wrongs = [rate * 2, rate + base.one()]
+        if field is eta_field:
+            wrongs.append(rate + xi_field.gen())
+        calls.clear()
+        field._check_derivation_consistency()
+        assert calls == []
+        for wrong in wrongs:
+            field.gen_rate = wrong
+            with pytest.raises(SelfCheckError, match="Kummer derivation rule is inconsistent"):
+                field._check_derivation_consistency()
+            assert calls == []
+        field.gen_rate = rate
+        for wrong in wrongs:
+            with pytest.raises(SelfCheckError, match="Kummer derivation rule is inconsistent"):
+                KummerField(base, field.alpha, m, field.gen_name, wrong)
+
+
 def test_conjugate_is_homomorphism(k, rng):
     """The twist xi -> w^j xi of the inverse, for z = w (p = n = 3), respects sums and products."""
     e = KummerField(k, k.gen(), 3, "xi")

@@ -15,7 +15,7 @@ from diffsym.scalars import (
 from diffsym.scalars import polys
 from generators import cli_queries_argv
 import oracles
-from oracles import coprime_basis, dense_poly_mul, euclid_gcd, long_exact_div, multiplicity, poly_extended_gcd, yun_full_loop
+from oracles import coprime_basis, dense_poly_mul, euclid_gcd, gcd_cofactors, long_exact_div, multiplicity, poly_extended_gcd, yun_full_loop
 
 coeffs = st.lists(st.integers(min_value=-6, max_value=6), min_size=0, max_size=5)
 # the rationals, as the cyclotomic field Q(w_1)
@@ -419,6 +419,50 @@ def test_rational_products_divisions_and_cancellations_agree_with_the_q_w_loops(
             else:
                 assert x is a and y is b
     assert q_w == [] and min(kinds.values()) > 0, kinds
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_associates_cancel_to_their_leading_coefficients(m, rng, monkeypatch):
+    """poly_cancel(c b, b) and poly_cancel(b, c b), c rational and b in Q[t], are the poly_gcd and
+    exact_div cofactors, read off the vectors with no remainder sequence; equal-length pairs that are
+    not associates still run one, and so does a pair with a non-rational coefficient, over Q(w)."""
+    field = CycloField(m)
+    gcd_ints, euclid = polys._gcd_ints, polys.poly_gcd
+    calls = {"kernel": 0, "euclid": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(polys, "_gcd_ints", counted("kernel", gcd_ints))
+    monkeypatch.setattr(polys, "poly_gcd", counted("euclid", euclid))
+    for _ in range(12):
+        b = _rational_product(field, rng, rng.randint(1, 3), 2)
+        c = Fraction(rng.choice((-5, -1, 1, 2, 7)), rng.randint(1, 6))
+        for x, y in ((b * c, b), (b, b * c), (b, b)):
+            calls.update(kernel=0, euclid=0)
+            got = polys.poly_cancel(x, y)
+            assert calls == {"kernel": 0, "euclid": 0}
+            want = gcd_cofactors(x, y)
+            assert [p.coeffs for p in got] == [p.coeffs for p in want], (x, y)
+            assert got[0].degree == got[1].degree == 0
+        # same length, never proportional: b and b + 1 differ in the constant term alone
+        other = b + Poly.constant(field, 1)
+        calls["kernel"] = 0
+        got = polys.poly_cancel(other, b)
+        assert calls["kernel"] == 1
+        want = gcd_cofactors(other, b)
+        assert [p.coeffs for p in got] == [p.coeffs for p in want]
+    if m > 2:
+        w = Poly.constant(field, field.omega())
+        b = (Poly.gen(field) + w) * _rational_product(field, rng, 1, 1)
+        calls.update(kernel=0, euclid=0)
+        got = polys.poly_cancel(b * Fraction(-3, 2), b)
+        assert calls == {"kernel": 0, "euclid": 1}
+        assert [p.coeffs for p in got] == [p.coeffs for p in gcd_cofactors(b * Fraction(-3, 2), b)]
 
 
 @pytest.mark.parametrize("m", [3, 5])

@@ -463,6 +463,39 @@ def test_a_shift_of_lambda_plus_one_fails_the_gauge_at_entry_0_0_and_keeps_the_i
     assert bad.isomorphism.ok and not bad.passed
 
 
+@pytest.mark.parametrize("m,radicands", [(m, r) for m in range(2, 7) for r in ("t, t+1", "t^2+1, 3t")])
+def test_split_standard_coerces_no_rational_and_cancels_associates_on_their_vectors(m, radicands, monkeypatch):
+    """Each rational multiple in split_standard (a rate times t_r, m - 1 - r, 1/n or m) scales
+    coefficients, so neither RatFuncField.coerce nor CycloField.coerce is called on an int or a
+    Fraction; and rho_beta * beta cancels beta against the denominator of rho_beta, its associate,
+    on their integer vectors, with no remainder sequence."""
+    from diffsym.scalars import polys
+
+    alg = _shift_algebra(m, radicands)
+    rational = []
+
+    def recording(coerce):
+        def wrapper(field, x):
+            if type(x) in (int, Fraction):
+                rational.append(x)
+            return coerce(field, x)
+
+        return wrapper
+
+    for cls in (RatFuncField, CycloField):
+        monkeypatch.setattr(cls, "coerce", recording(cls.coerce))
+    assert split_standard(alg).passed
+    assert rational == []
+    monkeypatch.undo()
+    rho, beta = alg.standard_rates[1], alg.beta
+    gcds = []
+    gcd_ints = polys._gcd_ints
+    monkeypatch.setattr(polys, "_gcd_ints", lambda *args: gcds.append(args) or gcd_ints(*args))
+    products = rho * beta, beta * rho
+    assert gcds == []
+    assert products[0] == products[1] == beta.derive() * Fraction(1, m)
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_split_inner_cyclic(m):
     alg = make_algebra(m, derivation="zero")
