@@ -277,9 +277,15 @@ def _case_tr_identity():
     return True, "closed form matches the cyclotomic sum for m in {2,3,4,5,7}"
 
 
+def _t_algebra(m: int, zero: bool = False) -> SymbolAlgebra:
+    """The replay algebra (t, t+1) of degree m over Q(w_m)(t), with d/dt or with the zero derivation."""
+    field = _field(m, zero)
+    t = field.gen()
+    return SymbolAlgebra(field, t, t + field.one(), m)
+
+
 def _case_constants_none():
-    field = _field(3)
-    alg = SymbolAlgebra(field, field.gen(), field.gen() + field.one(), 3)
+    alg = _t_algebra(3)
     witnesses = constants_standard(alg)
     return not witnesses, f"{len(witnesses)} monomial constants for (t, t+1), m=3"
 
@@ -300,8 +306,7 @@ def _case_corner_pole():
 
 
 def _case_split_standard(m):
-    field = _field(m)
-    alg = SymbolAlgebra(field, field.gen(), field.gen() + field.one(), m)
+    alg = _t_algebra(m)
     report = split_standard(alg)
     expected = m * m if m % 2 == 1 else 2 * m * m
     ok = report.passed and report.degree == expected
@@ -309,33 +314,28 @@ def _case_split_standard(m):
 
 
 def _case_split_inner(m):
-    field = _field(m, zero=True)
-    alg = SymbolAlgebra(field, field.gen(), field.gen() + field.one(), m)
+    alg = _t_algebra(m, zero=True)
     report = split_inner_cyclic(alg, alg.u())
     return report.passed, f"m={m}: trdeg {report.transcendence_degree}, gauge {'ok' if report.gauge.ok else 'FAIL'}"
 
 
 def _case_split_inner_half(m):
-    field = _field(m, zero=True)
-    alg = SymbolAlgebra(field, field.gen(), field.gen() + field.one(), m)
+    alg = _t_algebra(m, zero=True)
     report = split_inner_even_half(alg, alg.u())
     ok = report.passed and report.transcendence_degree == m // 2
     return ok, f"m={m}: trdeg {report.transcendence_degree}, gauge {'ok' if report.gauge.ok else 'FAIL'}"
 
 
 def _case_split_generic(m):
-    field = _field(m)
-    alg = SymbolAlgebra(field, field.gen(), field.gen() + field.one(), m)
+    alg = _t_algebra(m)
     report = _generic_report(alg, standard_derivation(alg) + inner_derivation(alg.u() + alg.v()))
     ok = report.passed and report.transcendence_degree == m * m
     return ok, f"m={m}: trdeg {report.transcendence_degree}, det F {_det_text(report.gauge)}"
 
 
 def _case_maximal():
-    field = _field(3)
-    t = field.gen()
-    alg = SymbolAlgebra(field, t, t + field.one(), 3)
-    report = maximal_subfield_necessary(alg, t * (t + field.one()))
+    alg = _t_algebra(3)
+    report = maximal_subfield_necessary(alg, alg.alpha * alg.beta)
     return report.refuted, "nu = t(t+1) refuted" if report.refuted else "nu = t(t+1) NOT refuted"
 
 

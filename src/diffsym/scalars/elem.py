@@ -22,6 +22,8 @@ is the only way one is made.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 _new = object.__new__
 
 
@@ -120,6 +122,11 @@ class FieldElem:
         return self._coerce_other(other) - self
 
     def __truediv__(self, other):
+        """self / other; an ``int`` or ``Fraction`` q divides as the product by 1/q, with no element made for q."""
+        if type(other) is int or type(other) is Fraction:
+            if not other:
+                raise ZeroDivisionError("inverse of zero")
+            return self * Fraction(1, other)
         return self * self._coerce_other(other).inv()
 
     def __rtruediv__(self, other):

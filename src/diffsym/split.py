@@ -3,16 +3,16 @@
 The pipeline: Phi maps A tensor k(xi) onto M_m(k(xi)); a derivation
 d = d_s + inner(theta) on A transports to d_P with P = Phi(theta) + P_s,
 P_s the diagonal matrix of d_s; explicit gauge matrices F with
-delta^c(F) = PF are then built over a Kummer tower (standard derivation), a
-monomial differential field (inner derivations over a zero base derivation),
-or a fully generic polynomial field.
+delta^c(F) = PF are then built, for a diagonal P, by one engine over a Kummer
+generator for P_s and exponentials for Phi(theta) (``_diagonal_split``), or
+over a fully generic polynomial field.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .deriv import Derivation, decompose, inner_derivation, standard_derivation
@@ -291,60 +291,67 @@ def _tower_entry(field: KummerField) -> dict:
     return {"gen": field.gen_name, "power": field.m, "radicand": scalar_to_str(field.alpha)}
 
 
-def _diagonal_split(phi, d, p, e, gens, exponents, extension) -> SplitReport:
-    """The report for the diagonal gauge F = diag(prod_i gens[i]^exponents[r][i]) over E.
+def _diagonal_split(phi: PhiMap, d: Derivation, theta_p: DiffMatrix, exponents) -> SplitReport:
+    """The explicit split of d = d_s + inner(theta), or of inner(theta), when P = P_s + Phi(theta) is diagonal.
 
-    With delta(g_i) = c_i g_i, delta(F[r][r]) = (sum_i exponents[r][i] c_i) F[r][r]:
-    F is a gauge for a diagonal P when each row of exponents weights the rates to P[r][r].
-    Both verdicts, the gauge delta(F) = PF and the isomorphism Phi o d = d_P o Phi,
-    are taken against this one P, which the report carries.
+    theta_p is Phi(theta). When d includes d_s and rho = delta(beta)/(m beta) is nonzero,
+    g with g^(nm) = beta and delta(g) = (rho/n) g is adjoined, n the denominator of
+    t_0 = (m-1)/2; column i of exponents adjoins x_i with delta(x_i) = Phi(theta)[i][i] x_i.
+    F = diag(g^(n (m-1-r)) prod_i x_i^exponents[r][i]) is a gauge for
+    diag((m-1-r) rho + Phi(theta)[r][r]) = P + lambda I, lambda = t_0 rho = P_s[0][0], when
+    each row of exponents weights the rates to Phi(theta)[r][r]. d_(P + lambda I) = d_P, and
+    both verdicts are taken against that diagonal, built directly, with no negative power of g
+    in F. The report carries P and, when d includes d_s, lambda as its ``scalar_shift``.
     """
-    iso = verify_diff_isomorphism(phi, d, p)
-    entries = [math.prod((g**n for g, n in zip(gens, row) if n), start=e.one()) for row in exponents]
-    f_mat = DiffMatrix.diagonal(e, entries)
-    return SplitReport(extension, p, f_mat, verify_gauge(p.coerce_to(e), f_mat), iso)
+    algebra, xi_field = phi.algebra, phi.ext_field
+    m, ds = algebra.m, d.includes_ds
+    rho = algebra.standard_rates[1] if ds else algebra.field.zero()
+    tower, rules = [_tower_entry(xi_field)], [f"delta(xi) = delta(alpha)/({m} alpha) xi"] if ds else []
+    theta_diag = [theta_p.rows[r][r] for r in range(m)]
+    e, gens, rows, shifted = xi_field, [], exponents, theta_p
+    if not rho.is_zero():
+        n = Fraction(m - 1, 2).denominator  # t_r = t_0 - r, which t_r_values checks against the cyclotomic sums
+        name = "eta" if n == 1 else "zeta"
+        # the algebra's rate of v over n, as xi_extension reads its own
+        e = KummerField(xi_field, algebra.beta, n * m, name, rho * Fraction(1, n))
+        gens.append(e.gen())
+        tower.append(_tower_entry(e))
+        rules.append(f"delta({name}) = delta(beta)/({n * m} beta) {name}")
+        rows = [[n * (m - 1 - r), *row] for r, row in enumerate(exponents)]
+        rate = xi_field.coerce(rho)
+        diagonal = [rate * (m - 1 - r) for r in range(m)]
+        if not theta_p.is_zero():
+            diagonal = [c + theta_diag[r] for r, c in enumerate(diagonal)]
+        shifted = DiffMatrix.diagonal(xi_field, diagonal)
+    names = [f"x{i}" for i in range(len(exponents[0]))]
+    if names:
+        e = MonomialDiffField(e, names, theta_diag[: len(names)])
+        gens = [e.coerce(g) for g in gens] + [e.gen(i) for i in range(len(names))]
+        tower += [{"gen": x, "power": None, "radicand": None} for x in names]
+        rules += [f"delta({x}) = ({scalar_to_str(c)}) {x}" for x, c in zip(names, theta_diag)]
+    iso = verify_diff_isomorphism(phi, d, shifted)
+    f_mat = DiffMatrix.diagonal(e, [math.prod((g**k for g, k in zip(gens, row) if k), start=e.one()) for row in rows])
+    gauge = verify_gauge(shifted.coerce_to(e), f_mat)
+    # P itself for the report, P_s with no sum when Phi(theta) is zero; read after the verdicts,
+    # since reading p_s earlier moves a garbage collection into the m = 5 cases (BENCH_44.json)
+    p = (phi.p_s if theta_p.is_zero() else theta_p + phi.p_s) if ds else theta_p
+    shift = phi.p_s.rows[0][0].base_value() if ds else None
+    return SplitReport({"tower": tower, "derivation_rules": rules}, p, f_mat, gauge, iso, shift)
 
 
 def split_standard(algebra: SymbolAlgebra) -> SplitReport:
-    """Finite splitting field for d_s: adjoin xi and g with g^(nm) = beta, and F = diag(g^(n (m-1-r))).
+    """Finite splitting field for d_s: the diagonal split with Phi(theta) = 0 and no exponential.
 
-    d_P = d_(P + lambda I) for every scalar lambda. With rho = delta(beta)/(m beta),
-    P_s = diag(t_r rho) and t_r = (m-1)/2 - r, the shift lambda = t_0 rho gives
-    P_s + lambda I = diag((m-1-r) rho), built directly, whose gauge has the
-    nonnegative exponents n (m-1-r): F[m-1][m-1] = 1 and no entry needs an
-    inverse. F is g^(n t_0) times the paper's diag(g^(n t_r)). Both verdicts
-    are taken against P_s + lambda I; the report carries the trace-zero
-    P = P_s and lambda as its ``scalar_shift``.
-
-    n is the denominator of t_0: for odd m, n = 1 and g = eta, of degree m^2;
-    for even m, n = 2 and g = zeta, of degree 2m^2 (every exponent of F is
-    then even). A constant beta adjoins no g: P_s = 0, lambda = 0 and F = I
-    over k(xi), of degree m.
+    F = diag(g^(n (m-1-r))) is g^(n t_0) times the paper's diag(g^(n t_r)), and F[m-1][m-1] = 1.
+    For odd m, n = 1 and g = eta, of degree m^2; for even m, n = 2 and g = zeta, of
+    degree 2m^2 (every exponent of F is then even). A constant beta adjoins no g:
+    P_s = 0, lambda = 0 and F = I over k(xi), of degree m.
     """
-    k = algebra.field
-    if not isinstance(k, RatFuncField):
+    if not isinstance(algebra.field, RatFuncField):
         raise ValueError("standard splitting is built over the rational function field")
     m = algebra.m
-    xi_field = xi_extension(algebra)
-    phi = PhiMap(algebra, xi_field)
-    ext = {"tower": [_tower_entry(xi_field)], "derivation_rules": [f"delta(xi) = delta(alpha)/({m} alpha) xi"]}
-    t0 = Fraction(m - 1, 2)  # t_r = t0 - r, which t_r_values checks against the cyclotomic sums
-    n = t0.denominator
-    rho = algebra.standard_rates[1]
-    e, gens = xi_field, []
-    if not rho.is_zero():
-        name = "eta" if n == 1 else "zeta"
-        # delta(g) = delta(beta)/(n m beta) g: the algebra's rate of v over n, as xi_extension reads its own
-        e = KummerField(xi_field, algebra.beta, n * m, name, rho * Fraction(1, n))
-        gens = [e.gen()]
-        ext["tower"].append(_tower_entry(e))
-        ext["derivation_rules"].append(f"delta({name}) = delta(beta)/({n * m} beta) {name}")
-    rate = xi_field.coerce(rho)
-    shifted = DiffMatrix.diagonal(xi_field, [rate * (m - 1 - r) for r in range(m)])
-    exponents = [[n * (m - 1 - r)] * len(gens) for r in range(m)]
-    rep = _diagonal_split(phi, standard_derivation(algebra), shifted, e, gens, exponents, ext)
-    p_s = phi.p_s
-    return replace(rep, p=p_s, scalar_shift=p_s.rows[0][0].base_value())  # lambda = t_0 rho = P_s[0][0]
+    phi = PhiMap(algebra, xi_extension(algebra))
+    return _diagonal_split(phi, standard_derivation(algebra), DiffMatrix.zero(phi.ext_field, m), [[]] * m)
 
 
 def find_twist_partner(rho1: SymbolElem):
@@ -364,35 +371,16 @@ def _require_zero_base(algebra: SymbolAlgebra):
         raise ValueError("this construction requires the zero base derivation")
 
 
-def _require_u_polynomial(rho: SymbolElem):
-    if any(j for _, j in rho.terms):
-        raise ValueError(
-            "rho must be written as a polynomial in u; "
-            "rewrite it over a Kummer generator first (see find_twist_partner)"
-        )
-
-
-def _exponential_split(phi: PhiMap, rho: SymbolElem, p: DiffMatrix, rates, exponents) -> SplitReport:
-    """Report for inner(rho), P = Phi(rho) diagonal: adjoin x_i with delta(x_i) = rates[i] x_i.
-
-    Row r of the integer matrix exponents makes F[r][r] = prod_i x_i^exponents[r][i].
-    """
-    names = [f"x{i}" for i in range(len(rates))]
-    e = MonomialDiffField(phi.ext_field, names, rates)
-    extension = {
-        "tower": [_tower_entry(phi.ext_field)] + [{"gen": n, "power": None, "radicand": None} for n in names],
-        "derivation_rules": [f"delta({n}) = ({scalar_to_str(r)}) {n}" for n, r in zip(names, rates)],
-    }
-    gens = [e.gen(i) for i in range(len(names))]
-    return _diagonal_split(phi, inner_derivation(rho), p, e, gens, exponents, extension)
-
-
 def split_inner_cyclic(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitReport:
     """Transcendence-degree-m splitting field for inner(rho), zero base derivation: exponents I."""
     _require_zero_base(algebra)
     rho = algebra.coerce_elem(rho)
     m = algebra.m
-    _require_u_polynomial(rho)
+    if any(j for _, j in rho.terms):
+        raise ValueError(
+            "rho must be written as a polynomial in u; "
+            "rewrite it over a Kummer generator first (see find_twist_partner)"
+        )
     phi = PhiMap(algebra, xi_extension(algebra))
     p = phi.apply(rho)
     # k[u] = k(xi) is a field (its Kummer certificate) and Galois over k, as w is in k, so
@@ -401,7 +389,7 @@ def split_inner_cyclic(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitReport:
     if any(rates[r] == rates[s] for r in range(m) for s in range(r)):
         raise ValueError("rho does not generate a degree-m subfield")
     eye = [[int(r == i) for i in range(m)] for r in range(m)]
-    return _exponential_split(phi, rho, p, rates, eye)
+    return _diagonal_split(phi, inner_derivation(rho), p, eye)
 
 
 def split_inner_even_half(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitReport:
@@ -428,7 +416,7 @@ def split_inner_even_half(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitRepor
             raise SelfCheckError(f"block antisymmetry of P fails at row {r}")
     eye = [[int(r == i) for i in range(half)] for r in range(half)]
     exponents = eye + [[-n for n in row] for row in eye]
-    return _exponential_split(phi, rho, p, [p.rows[r][r] for r in range(half)], exponents)
+    return _diagonal_split(phi, inner_derivation(rho), p, exponents)
 
 
 def split_generic(p: DiffMatrix) -> SplitReport:

@@ -262,3 +262,57 @@ def test_kummer_elements_of_distinct_fields_compare_as_coerced():
         assert y.terms == x.terms and y.parent is not e
         assert (x == y) is (y == x) is equal
         assert (x != y) is not equal
+
+
+def _division_samples():
+    """One element of each type that divides: Q(w), Q[t], Q(w)(t), k(xi), k(xi)(eta), a differential
+    polynomial ring over k, the symbol algebra (t, t+1) and a matrix over k, all at m = 3."""
+    cyclo = CycloField(3)
+    w = cyclo.omega()
+    k = RatFuncField(cyclo, "t")
+    t = k.gen()
+    xi_field = KummerField(k, t, 3, "xi")
+    eta_field = KummerField(xi_field, t + 1, 3, "eta")
+    xi, eta = xi_field.gen(), eta_field.gen()
+    ring = PolyDiffField(k, ["x0", "x1"])
+    alg = SymbolAlgebra(k, t, t + k.one(), 3)
+    return {
+        "Q(w)": lambda: w + 2,
+        "Q[t]": lambda: Poly(cyclo, [1, w, 3]),
+        "Q(w)(t)": lambda: (t + w) / (t * t + 1),
+        "k(xi)": lambda: xi * t + xi**2 * w + 1,
+        "k(xi)(eta)": lambda: eta * xi + eta**2 * t + w,
+        "PolyDiffField": lambda: ring.gen(0) * t + ring.gen(0) * ring.gen(1) * w + 1,
+        "SymbolElem": lambda: alg.u().scale(t) + alg.v().scale(w) + alg.one(),
+        "DiffMatrix": lambda: DiffMatrix(k, [[t, k.one()], [k.zero(), t + w]]),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_division_samples()))
+def test_dividing_by_a_rational_is_the_product_by_its_inverse_and_coerces_nothing(kind, monkeypatch):
+    """x / q == x * Fraction(1, q) for an int or Fraction q, and x / 0 raises
+    ZeroDivisionError("inverse of zero"). On a field element neither x / q nor x * q passes a
+    rational to a field's coerce; a symbol element or a matrix scales through its field's coerce."""
+    from diffsym.scalars.elem import Extension
+
+    x = _division_samples()[kind]()
+    rational = []
+
+    def recording(coerce):
+        def wrapper(field, y):
+            if type(y) in (int, Fraction):
+                rational.append(y)
+            return coerce(field, y)
+        return wrapper
+
+    for cls in (CycloField, RatFuncField, Extension):
+        monkeypatch.setattr(cls, "coerce", recording(cls.coerce))
+    for q in (2, -3, Fraction(1, 2), Fraction(-5, 3)):
+        got = x / q
+        # a product by q scales too, from either side where the type multiplies from the left
+        products = [x * q] if kind == "DiffMatrix" else [x * q, q * x]
+        assert kind in ("SymbolElem", "DiffMatrix") or rational == [], (kind, q)
+        assert got == x * Fraction(1, q)
+        assert all(y == got * (q * q) for y in products)
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        x / 0

@@ -241,6 +241,30 @@ def test_generic_eliminations_are_called_only_from_symalg_det_and_ode():
     assert found == ELIMINATORS
 
 
+# one function assembles an explicit split's tower: split.py builds a Kummer
+# field only for xi and in the diagonal engine, and an exponential field only
+# in the engine: (callee, calling function)
+TOWER_BUILDERS = {
+    ("KummerField", "xi_extension"),
+    ("KummerField", "_diagonal_split"),
+    ("MonomialDiffField", "_diagonal_split"),
+}
+
+
+def _tower_calls(node, fn=None):
+    """(callee, innermost enclosing function) for each call of KummerField or MonomialDiffField by name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        fn = node.name
+    elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("KummerField", "MonomialDiffField"):
+        yield node.func.id, fn
+    for child in ast.iter_child_nodes(node):
+        yield from _tower_calls(child, fn)
+
+
+def test_only_the_diagonal_engine_assembles_an_explicit_splits_tower():
+    assert set(_tower_calls(ast.parse((SRC / "split.py").read_text()))) == TOWER_BUILDERS
+
+
 # module-level functions and classes that no code in the package or in
 # perfbench/ refers to, each with the reason it stays; a test harness
 # belongs in tests/, next to the tests that run it

@@ -453,14 +453,35 @@ def test_at_even_m_the_shifted_gauge_lies_in_k_xi_zeta_squared(m):
 def test_a_shift_of_lambda_plus_one_fails_the_gauge_at_entry_0_0_and_keeps_the_isomorphism(m, radicands):
     alg = _shift_algebra(m, radicands)
     rep = split_standard(alg)
-    e = rep.f.field
-    xi_field, n = e.base, e.m // m
-    off = _shifted_p(rep, 1)
-    exponents = [[n * (m - 1 - r)] for r in range(m)]
-    bad = _diagonal_split(PhiMap(alg, xi_field), standard_derivation(alg), off, e, [e.gen()], exponents, rep.extension)
-    assert bad.f == rep.f
+    phi = PhiMap(alg, rep.f.field.base)
+    # Phi(theta) = I is Phi(1), and inner(1) = 0: the engine checks P_s + (lambda + 1) I,
+    # which defines the same d_P, against the same F, whose rows weight no rate to the extra 1
+    bad = _diagonal_split(phi, standard_derivation(alg), DiffMatrix.identity(phi.ext_field, m), [[]] * m)
+    assert bad.f == rep.f and bad.scalar_shift == rep.scalar_shift
     assert not bad.gauge.ok and bad.gauge.failing_entry == (0, 0)
     assert bad.isomorphism.ok and not bad.passed
+    assert verify_gauge(_shifted_p(rep, 1).coerce_to(rep.f.field), rep.f) == bad.gauge
+
+
+@pytest.mark.parametrize("m,radicands", [(m, r) for m in range(2, 10) for r in ("t, t+1", "t^2+1, 3t")])
+def test_the_engine_composes_the_kummer_and_exponential_parts_over_d_dt(m, radicands):
+    """d_s + inner(theta), theta = (t+1) u + t^2 u^(m-1) ((t+1) u at m = 2): P = P_s + Phi(theta)
+    is diagonal, so g takes the P_s part and m exponentials with exponents I take Phi(theta)'s."""
+    alg = _shift_algebra(m, radicands)
+    k = alg.field
+    t, u = k.gen(), alg.u()
+    theta = u.scale(t + 1) + (u ** (m - 1)).scale(t * t) if m > 2 else u.scale(t + 1)
+    d = standard_derivation(alg) + inner_derivation(theta)
+    phi = PhiMap(alg, xi_extension(alg))
+    theta_p = phi.apply(theta)
+    rep = _diagonal_split(phi, d, theta_p, [[int(r == i) for i in range(m)] for r in range(m)])
+    assert rep.gauge.ok and rep.gauge.det_nonzero and rep.isomorphism.ok and rep.passed
+    assert (rep.degree, rep.transcendence_degree) == (None, m)
+    g = "eta" if m % 2 else "zeta"
+    assert [x["gen"] for x in rep.extension["tower"]] == ["xi", g] + [f"x{i}" for i in range(m)]
+    assert rep.extension["derivation_rules"][0].startswith("delta(xi)")
+    assert rep.p == theta_p + phi.p_s == compute_P(d, phi)
+    assert rep.scalar_shift == phi.p_s.rows[0][0].base_value()
 
 
 @pytest.mark.parametrize("m,radicands", [(m, r) for m in range(2, 7) for r in ("t, t+1", "t^2+1, 3t")])
@@ -771,42 +792,50 @@ def test_maximal_subfield_hypothesis_guard():
 
 
 def _diagonal_inputs(kind, m):
-    """(phi, d, report, p, gens, exponents) of one explicit construction, as it calls _diagonal_split.
-
-    p is the matrix both verdicts are taken against: P_s + lambda I for the standard
-    splitting, whose exponents n (m - 1 - r) weight delta(g) = delta(beta)/(n m beta) g
-    to its row r, and the report's own P for the inner ones.
-    """
+    """(report, phi, d, theta_p, exponents): one explicit construction's report and the call it makes to _diagonal_split."""
     if kind in ("eta", "zeta"):
         alg = make_algebra(m)
-        rep = split_standard(alg)
-        n = 1 if kind == "eta" else 2
-        assert rep.f.field.gen_name == kind and rep.f.field.m == n * m
-        exponents = [[n * (m - 1 - r)] for r in range(m)]
-        phi = PhiMap(alg, rep.f.field.base)
-        return phi, standard_derivation(alg), rep, _shifted_p(rep), [rep.f.field.gen()], exponents
+        phi = PhiMap(alg, xi_extension(alg))
+        return split_standard(alg), phi, standard_derivation(alg), DiffMatrix.zero(phi.ext_field, m), [[]] * m
     alg = make_algebra(m, derivation="zero")
     rho = alg.coerce_elem(alg.u())
-    rep = split_inner_cyclic(alg, rho) if kind == "cyclic" else split_inner_even_half(alg, rho)
-    e = rep.f.field
-    eye = [[int(r == i) for i in range(e.n)] for r in range(e.n)]
-    exponents = eye if kind == "cyclic" else eye + [[-x for x in row] for row in eye]
-    return PhiMap(alg, e.base), inner_derivation(rho), rep, rep.p, [e.gen(i) for i in range(e.n)], exponents
+    phi = PhiMap(alg, xi_extension(alg))
+    if kind == "cyclic":
+        eye = [[int(r == i) for i in range(m)] for r in range(m)]
+        return split_inner_cyclic(alg, rho), phi, inner_derivation(rho), phi.apply(rho), eye
+    eye = [[int(r == i) for i in range(m // 2)] for r in range(m // 2)]
+    exponents = eye + [[-x for x in row] for row in eye]
+    return split_inner_even_half(alg, rho), phi, inner_derivation(rho), phi.apply(rho), exponents
 
 
 @pytest.mark.parametrize("kind,m", [("eta", 3), ("eta", 5), ("zeta", 2), ("zeta", 4), ("cyclic", 3), ("half", 4)])
 def test_diagonal_split_fails_at_the_row_whose_exponent_is_off_by_one(kind, m):
-    phi, d, rep, p, gens, exponents = _diagonal_inputs(kind, m)
-    e = rep.f.field
-    same = _diagonal_split(phi, d, p, e, gens, exponents, rep.extension)
-    assert same.passed and same.f == rep.f and same.p == p
-    assert replace(same, p=rep.p, scalar_shift=rep.scalar_shift).to_json() == rep.to_json()
+    """Row r of F times one generator more. For eta and zeta, g's exponent n (m - 1 - r) + 1 in the
+    engine's F, checked by verify_gauge against its P_s + lambda I; for the inner splits, a column
+    of an exponential's exponents off by one, passed to the engine."""
+    rep, phi, d, theta_p, exponents = _diagonal_inputs(kind, m)
+    same = _diagonal_split(phi, d, theta_p, exponents)
+    assert same.passed and same.to_json() == rep.to_json()
+    # each call builds its own tower, so F is compared across calls by its printed entries
+    e = same.f.field
+    assert kind not in ("eta", "zeta") or (e.gen_name, e.m) == (kind, (1 if kind == "eta" else 2) * m)
+    shifted = same.p if same.scalar_shift is None else _shifted_p(same)
+    diagonal = [scalar_to_str(same.f.rows[s][s]) for s in range(m)]
     for r in range(m):
-        wrong = [list(row) for row in exponents]
-        wrong[r][r % len(gens)] += 1
-        bad = _diagonal_split(phi, d, p, e, gens, wrong, rep.extension)
+        if kind in ("eta", "zeta"):
+            rows = [list(row) for row in same.f.rows]
+            rows[r][r] = rows[r][r] * e.gen()
+            f = DiffMatrix(e, rows)
+            bad = replace(same, f=f, gauge=verify_gauge(shifted.coerce_to(e), f))
+            # the isomorphism does not read F: the engine's own verdict is reused on purpose
+            assert bad.isomorphism is same.isomorphism
+        else:
+            wrong = [list(row) for row in exponents]
+            wrong[r][r % e.n] += 1
+            bad = _diagonal_split(phi, d, theta_p, wrong)
+            assert scalar_to_str(bad.f.rows[r][r]) == scalar_to_str(same.f.rows[r][r] * e.gen(r % e.n))
+            assert bad.isomorphism.ok
         assert not bad.passed and not bad.gauge.ok
         assert bad.gauge.failing_entry == (r, r)
         assert (bad.gauge.det_nonzero, bad.gauge.det_method) == (True, "diagonal")
-        assert bad.isomorphism.ok
-        assert [bad.f.rows[s][s] == rep.f.rows[s][s] for s in range(m)] == [s != r for s in range(m)]
+        assert [scalar_to_str(bad.f.rows[s][s]) == diagonal[s] for s in range(m)] == [s != r for s in range(m)]
