@@ -42,8 +42,7 @@ from .split import (
     compute_P,
     maximal_subfield_necessary,
     split_generic,
-    split_inner_cyclic,
-    split_inner_even_half,
+    split_inner,
     split_standard,
     t_r_values,
     verify_diff_isomorphism,
@@ -217,9 +216,7 @@ def cmd_split_standard(args) -> int:
 
 def cmd_split_inner(args) -> int:
     alg = _algebra(args, zero=True)
-    rho = parse_symbol(args.rho, alg)
-    report = split_inner_even_half(alg, rho) if args.half else split_inner_cyclic(alg, rho)
-    return _emit_split(args, report)
+    return _emit_split(args, split_inner(alg, parse_symbol(args.rho, alg)))
 
 
 def _derivation_from_args(args, alg):
@@ -315,14 +312,8 @@ def _case_split_standard(m):
 
 def _case_split_inner(m):
     alg = _t_algebra(m, zero=True)
-    report = split_inner_cyclic(alg, alg.u())
-    return report.passed, f"m={m}: trdeg {report.transcendence_degree}, gauge {'ok' if report.gauge.ok else 'FAIL'}"
-
-
-def _case_split_inner_half(m):
-    alg = _t_algebra(m, zero=True)
-    report = split_inner_even_half(alg, alg.u())
-    ok = report.passed and report.transcendence_degree == m // 2
+    report = split_inner(alg, alg.u())
+    ok = report.passed and report.transcendence_degree == (m if m % 2 else m // 2)
     return ok, f"m={m}: trdeg {report.transcendence_degree}, gauge {'ok' if report.gauge.ok else 'FAIL'}"
 
 
@@ -350,7 +341,6 @@ _REPLAY_CASES = {
     "split-generic-m8": lambda: _case_split_generic(8),
     "split-inner-m2": lambda: _case_split_inner(2),
     "split-inner-m3": lambda: _case_split_inner(3),
-    "split-inner-half-m2": lambda: _case_split_inner_half(2),
     "maximal-subfield": _case_maximal,
 }
 
@@ -441,7 +431,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_split_standard)
     p = p_split.add_parser("inner", parents=[alg_common], help="splitting field for inner(rho)")
     p.add_argument("--rho", required=True, help="a polynomial in u")
-    p.add_argument("--half", action="store_true", help="transcendence degree m/2 variant (even m, rho = c*u)")
     p.set_defaults(func=cmd_split_inner)
     p = p_split.add_parser("generic", parents=[alg_common], help="generic splitting field from P")
     p.add_argument("--theta", help="inner part of the derivation (default: d_s alone)")

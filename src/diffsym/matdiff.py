@@ -105,6 +105,8 @@ class DiffMatrix(FieldElem):
         c = self.field.coerce(c)
         return _matrix(self.field, [[a * c for a in r] for r in self.rows])
 
+    __rmul__ = scale
+
     def inv(self):
         raise ValueError("negative powers of a matrix are not supported")
 

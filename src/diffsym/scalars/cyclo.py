@@ -212,7 +212,10 @@ class CycloElem(FieldElem):
                 return _scaled(self, other, 1)
             if type(other) is Fraction:
                 return _scaled(self, other.numerator, other.denominator)
-            other = parent.coerce(other)
+            try:
+                other = parent.coerce(other)
+            except TypeError:
+                return NotImplemented
         # the interned 1 and 0 by identity: a test that costs no comparison of vectors
         if other is parent._one or self is parent._zero:
             return self

@@ -154,7 +154,10 @@ class KummerElem(SparseElem):
         if type(other) is not KummerElem or other.parent is not parent:
             if type(other) is int or type(other) is Fraction:
                 return self._times_rational(other)
-            other = parent.coerce(other)
+            try:
+                other = parent.coerce(other)
+            except TypeError:
+                return NotImplemented
         x, y = self.terms, other.terms
         one = parent._base_one
         if not x or len(y) == 1 and y.get(0) is one:

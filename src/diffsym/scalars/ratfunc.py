@@ -185,7 +185,10 @@ class RatFunc(FieldElem):
         if type(other) is not RatFunc or other.parent is not parent:
             if type(other) is int or type(other) is Fraction:
                 return self._times_rational(other)
-            other = parent.coerce(other)
+            try:
+                other = parent.coerce(other)
+            except TypeError:
+                return NotImplemented
         # a zero or the field's one takes no polynomial product
         one = parent._one
         if self is one:

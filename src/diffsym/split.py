@@ -5,7 +5,10 @@ d = d_s + inner(theta) on A transports to d_P with P = Phi(theta) + P_s,
 P_s the diagonal matrix of d_s; explicit gauge matrices F with
 delta^c(F) = PF are then built, for a diagonal P, by one engine over a Kummer
 generator for P_s and exponentials for Phi(theta) (``_diagonal_split``), or
-over a fully generic polynomial field.
+over a fully generic polynomial field. The engine's callers are d_s alone
+(``split_standard``) and inner(rho) alone (``split_inner``), which reads off
+rho whether Phi(rho) pairs as diag(P0, -P0) and so needs half the
+exponentials.
 """
 
 from __future__ import annotations
@@ -296,7 +299,9 @@ def _diagonal_split(phi: PhiMap, d: Derivation, theta_p: DiffMatrix, exponents) 
 
     theta_p is Phi(theta). When d includes d_s and rho = delta(beta)/(m beta) is nonzero,
     g with g^(nm) = beta and delta(g) = (rho/n) g is adjoined, n the denominator of
-    t_0 = (m-1)/2; column i of exponents adjoins x_i with delta(x_i) = Phi(theta)[i][i] x_i.
+    t_0 = (m-1)/2; column i of exponents adjoins x_i with delta(x_i) = Phi(theta)[i][i] x_i,
+    so exponents I adjoin one exponential per row, and [I; -I] one per pair of rows r, r + m/2
+    when Phi(theta) = diag(P0, -P0).
     F = diag(g^(n (m-1-r)) prod_i x_i^exponents[r][i]) is a gauge for
     diag((m-1-r) rho + Phi(theta)[r][r]) = P + lambda I, lambda = t_0 rho = P_s[0][0], when
     each row of exponents weights the rates to Phi(theta)[r][r]. d_(P + lambda I) = d_P, and
@@ -366,14 +371,16 @@ def find_twist_partner(rho1: SymbolElem):
     return None
 
 
-def _require_zero_base(algebra: SymbolAlgebra):
+def split_inner(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitReport:
+    """The explicit split of inner(rho), zero base derivation, rho a polynomial in u: exponents I or [I; -I].
+
+    P = Phi(rho) is diag(rho(w^(m-r) xi)). Exponentials x_i with delta(x_i) = P[i][i] x_i give
+    F = diag(x_0..x_(m-1)), of transcendence degree m. When m is even and every u-exponent of rho
+    is odd, w^(m/2) = -1 gives P = diag(P0, -P0), and F = diag(F0, F0^-1) with
+    F0 = diag(x_0..x_(m/2-1)) is a gauge of transcendence degree m/2.
+    """
     if not algebra.field.is_zero_derivation:
         raise ValueError("this construction requires the zero base derivation")
-
-
-def split_inner_cyclic(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitReport:
-    """Transcendence-degree-m splitting field for inner(rho), zero base derivation: exponents I."""
-    _require_zero_base(algebra)
     rho = algebra.coerce_elem(rho)
     m = algebra.m
     if any(j for _, j in rho.terms):
@@ -388,34 +395,14 @@ def split_inner_cyclic(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitReport:
     rates = [p.rows[r][r] for r in range(m)]
     if any(rates[r] == rates[s] for r in range(m) for s in range(r)):
         raise ValueError("rho does not generate a degree-m subfield")
-    eye = [[int(r == i) for i in range(m)] for r in range(m)]
-    return _diagonal_split(phi, inner_derivation(rho), p, eye)
-
-
-def split_inner_even_half(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitReport:
-    """Transcendence degree m/2 for even m and rho a scalar multiple of u: exponents [I; -I].
-
-    The gauge matrix is diag(F0, F0^{-1}) with F0 = diag(x_0..x_{m/2-1}):
-    the lower block must carry the inverse variables for delta^c(F) = PF
-    to hold on the -P0 block.
-    """
-    _require_zero_base(algebra)
-    m = algebra.m
-    if m % 2 != 0:
-        raise ValueError("the half construction needs even m")
-    rho = algebra.coerce_elem(rho)
-    if rho.terms.keys() != {(1, 0)}:
-        raise ValueError("rho must be a nonzero scalar multiple of u")
-    half = m // 2
-    phi = PhiMap(algebra, xi_extension(algebra))
-    p = phi.apply(rho)
-    # P = Phi(c u) has c xi w^(m-r) at row r and its negative at row r + m/2,
-    # since w^(m/2) = -1: the block form diag(P0, -P0) holds by construction
-    for r in range(half):
-        if not (p.rows[r][r] + p.rows[half + r][half + r]).is_zero():
-            raise SelfCheckError(f"block antisymmetry of P fails at row {r}")
-    eye = [[int(r == i) for i in range(half)] for r in range(half)]
-    exponents = eye + [[-n for n in row] for row in eye]
+    n = m // 2 if m % 2 == 0 and all(i % 2 for i, _ in rho.terms) else m
+    exponents = [[int(r == i) for i in range(n)] for r in range(n)]
+    if n < m:
+        # rho(-x) = -rho(x) with x = w^(m-r) xi, as w^(m/2) = -1: checked before the gauge relies on it
+        for r in range(n):
+            if not (rates[r] + rates[n + r]).is_zero():
+                raise SelfCheckError(f"block antisymmetry of P fails at row {r}")
+        exponents += [[-k for k in row] for row in exponents]
     return _diagonal_split(phi, inner_derivation(rho), p, exponents)
 
 

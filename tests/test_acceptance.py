@@ -24,8 +24,7 @@ from diffsym.split import (
     compute_P,
     maximal_subfield_necessary,
     split_generic,
-    split_inner_cyclic,
-    split_inner_even_half,
+    split_inner,
     t_r_values,
     verify_diff_isomorphism,
 )
@@ -191,16 +190,12 @@ def test_criterion_08_standard_splitting_field():
 
 
 def test_criterion_09_inner_splitting():
-    for m in (2, 3):
+    # rho = u: trdeg m at odd m, m/2 at even m (w^(m/2) = -1 pairs the rows of P = Phi(u))
+    for m in (2, 3, 4, 5, 6, 7, 8):
         alg = make_algebra(m, derivation="zero")
-        rep = split_inner_cyclic(alg, alg.u())
-        assert rep.passed
-        assert rep.transcendence_degree == m
-    for m in (2, 4):
-        alg = make_algebra(m, derivation="zero")
-        rep = split_inner_even_half(alg, alg.u())
-        assert rep.passed
-        assert rep.transcendence_degree == m // 2
+        rep = split_inner(alg, alg.u())
+        assert rep.passed and rep.gauge.det_nonzero
+        assert rep.transcendence_degree == (m if m % 2 else m // 2)
         phi = make_phi(alg)
         assert rep.p == phi.apply(alg.coerce_elem(alg.u()))
 
@@ -240,12 +235,13 @@ def test_isomorphism_check_agrees_with_full_basis_oracle():
     for m in (3, 2, 4):
         alg = make_algebra(m)
         cases.append((alg, standard_derivation(alg), split_standard(alg)))
-    for m in (2, 3):
+    for m in (2, 3, 4):
         alg = make_algebra(m, derivation="zero")
-        cases.append((alg, inner_derivation(alg.u()), split_inner_cyclic(alg, alg.u())))
-    for m in (2, 4):
-        alg = make_algebra(m, derivation="zero")
-        cases.append((alg, inner_derivation(alg.u()), split_inner_even_half(alg, alg.u())))
+        cases.append((alg, inner_derivation(alg.u()), split_inner(alg, alg.u())))
+    # exponent rows I at even m
+    alg = make_algebra(2, derivation="zero")
+    rho = alg.u() + alg.u(2)
+    cases.append((alg, inner_derivation(rho), split_inner(alg, rho)))
     for alg, d, rep in cases:
         assert rep.isomorphism.ok
         assert rep.isomorphism == full_basis_verdict(make_phi(alg), d, rep.p)

@@ -165,11 +165,19 @@ def test_split_standard_json(capsys, registry):
 def test_split_inner_json(capsys, registry):
     code, report = run_json(
         capsys, "split", "inner", "--m", "2", "--alpha", "t", "--beta", "t+1",
-        "--rho", "u", "--half",
+        "--rho", "u",
     )
     assert code == 0
     validate(report, "split_report.json", registry)
     assert report["transcendence_degree"] == 1
+
+
+@pytest.mark.parametrize("extra", [(), ("--json",)])
+def test_split_inner_takes_no_half_option(capsys, extra):
+    """The halved tower is read off rho, so --half is an unknown argument."""
+    argv = ["split", "inner", "--m", "4", "--alpha", "t", "--beta", "t+1", "--rho", "u", "--half", *extra]
+    code, out, err = _call(capsys, argv)
+    assert code == 2 and out == "" and "error: unrecognized arguments: --half" in err
 
 
 def test_split_generic_json(capsys, registry):

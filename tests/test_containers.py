@@ -30,8 +30,7 @@ from diffsym.split import (
     closed_form_P,
     compute_P,
     split_generic,
-    split_inner_cyclic,
-    split_inner_even_half,
+    split_inner,
     t_r_values,
     verify_diff_isomorphism,
     xi_extension,
@@ -426,9 +425,7 @@ def test_matrix_arithmetic_matches_the_coercing_oracle(m, rng):
 def test_report_matrices_hold_entries_of_their_field(m, rng):
     alg = make_algebra(m)
     flat = make_algebra(m, derivation="zero")
-    reports = [split_standard(alg), split_inner_cyclic(flat, flat.u())]
-    if m % 2 == 0:
-        reports.append(split_inner_even_half(flat, flat.u()))
+    reports = [split_standard(alg), split_inner(flat, flat.u()), split_inner(flat, flat.u() + flat.u(2))]
     reports.append(split_generic(compute_P(random_valid_derivation(alg, rng), make_phi(alg))))
     for rep in reports:
         assert rep.passed

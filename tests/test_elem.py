@@ -309,10 +309,35 @@ def test_dividing_by_a_rational_is_the_product_by_its_inverse_and_coerces_nothin
         monkeypatch.setattr(cls, "coerce", recording(cls.coerce))
     for q in (2, -3, Fraction(1, 2), Fraction(-5, 3)):
         got = x / q
-        # a product by q scales too, from either side where the type multiplies from the left
-        products = [x * q] if kind == "DiffMatrix" else [x * q, q * x]
+        # a product by q scales too, from either side
+        products = [x * q, q * x]
         assert kind in ("SymbolElem", "DiffMatrix") or rational == [], (kind, q)
         assert got == x * Fraction(1, q)
         assert all(y == got * (q * q) for y in products)
     with pytest.raises(ZeroDivisionError, match="inverse of zero"):
         x / 0
+
+
+def test_a_scalar_on_the_left_scales_a_symbol_element_or_a_matrix():
+    """c * x is x * c for a scalar c of Q(w), Q(w)(t) or k(xi), and for an int or a Fraction: a field
+    element returns NotImplemented for an operand its field cannot coerce, so the right operand's
+    __rmul__ scales. An operand that neither side takes is still a TypeError."""
+    k = RatFuncField(CycloField(3), "t")
+    t, w = k.gen(), k.cyclo.omega()
+    alg = SymbolAlgebra(k, t, t + k.one(), 3)
+    u = alg.u()
+    xi_field = KummerField(k, t, 3, "xi")
+    xi = xi_field.gen()
+    m = DiffMatrix(k, [[t, k.one()], [k.zero(), t + w]])
+    m_xi = DiffMatrix(xi_field, [[xi, xi_field.one()], [xi_field.zero(), xi + t]])
+    assert t * u == u * t == u.scale(t)
+    assert w * u == u * w == u.scale(w) and repr(w * u) == "w*u"
+    assert t * m == m * t == m.scale(t)
+    assert 2 * m == m * 2 == m.scale(2)
+    assert Fraction(1, 2) * m == m * Fraction(1, 2) == m / 2
+    assert t * m_xi == m_xi * t and xi * m_xi == m_xi * xi == m_xi.scale(xi)
+    # a scalar of the field below meets an element of the field above from either side
+    assert t * xi == xi * t and w * t == t * w
+    for c in (t, w, xi):
+        with pytest.raises(TypeError):
+            c * object()

@@ -3,7 +3,9 @@
 Each file under ``data/cli_golden`` is the exact ``--json`` stdout of the
 command listed for it below. The ``split-standard`` reports were written by
 the release that took both verdicts against P_s + lambda I, with
-F = diag(g^(n (m - 1 - r))) and the shift lambda as ``scalar_shift``; the
+F = diag(g^(n (m - 1 - r))) and the shift lambda as ``scalar_shift``;
+``split-inner-m2`` and ``-m4`` (rho = u at even m, so F = diag(F0, F0^-1) of
+transcendence degree m/2) by the release that read that choice off rho; the
 other splitting reports by the release before the explicit splitting
 constructions were folded into one diagonal gauge; the ``deriv``, ``split verify`` and ``algebra check`` reports
 by the release before symbol elements stored only their nonzero terms; and
@@ -43,7 +45,6 @@ CASES = {
     "split-standard-constant-beta-m3": ("split", "standard", "--m", "3", "--alpha", "t", "--beta", "3"),
     "split-standard-w-radicands-m4": ("split", "standard", "--m", "4", "--alpha", "w*t", "--beta", "t+w"),
     **{f"split-inner-m{m}": ("split", "inner", "--m", str(m), *_AB, "--rho", "u") for m in range(2, 6)},
-    **{f"split-inner-half-m{m}": ("split", "inner", "--m", str(m), *_AB, "--rho", "u", "--half") for m in (2, 4)},
     **{f"split-generic-theta-m{m}": ("split", "generic", "--m", str(m), *_AB, "--theta", "u+v") for m in (2, 3, 4, 11)},
     **{f"split-generic-dense-m{m}": ("split", "generic", "--m", str(m), *_AB, "--theta", _dense_theta(m)) for m in (4, 5)},
     "split-verify-dense-m5": ("split", "verify", "--m", "5", *_AB, "--theta", _dense_theta(5)),

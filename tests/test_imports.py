@@ -265,6 +265,28 @@ def test_only_the_diagonal_engine_assembles_an_explicit_splits_tower():
     assert set(_tower_calls(ast.parse((SRC / "split.py").read_text()))) == TOWER_BUILDERS
 
 
+# the engine's callers, each of which sets one explicit split's exponent rows:
+# split_standard none, split_inner I or [I; -I], read off rho; a third caller
+# would be a second hand-built exponent matrix beside these (calling function)
+ENGINE_CALLERS = {"split_standard", "split_inner"}
+
+
+def _engine_callers(node, fn=None):
+    """The innermost enclosing function of each call of _diagonal_split, by name or attribute."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        fn = node.name
+    elif isinstance(node, ast.Call):
+        if (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "_diagonal_split":
+            yield fn
+    for child in ast.iter_child_nodes(node):
+        yield from _engine_callers(child, fn)
+
+
+def test_only_split_standard_and_split_inner_call_the_diagonal_engine():
+    found = [fn for path in sorted(SRC.rglob("*.py")) for fn in _engine_callers(ast.parse(path.read_text(), str(path)))]
+    assert sorted(found) == sorted(ENGINE_CALLERS)
+
+
 # module-level functions and classes that no code in the package or in
 # perfbench/ refers to, each with the reason it stays; a test harness
 # belongs in tests/, next to the tests that run it

@@ -24,8 +24,7 @@ from diffsym.split import (
     _diagonal_split,
     maximal_subfield_necessary,
     split_generic,
-    split_inner_cyclic,
-    split_inner_even_half,
+    split_inner,
     t_r_values,
     verify_diff_isomorphism,
     xi_extension,
@@ -517,27 +516,46 @@ def test_split_standard_coerces_no_rational_and_cancels_associates_on_their_vect
     assert products[0] == products[1] == beta.derive() * Fraction(1, m)
 
 
-@pytest.mark.parametrize("m", [2, 3])
-def test_split_inner_cyclic(m):
+def _halves(m, rho):
+    """The inner split's tower is halved: m is even and every u-exponent of rho is odd, read off rho's terms."""
+    return m % 2 == 0 and all(i % 2 for i, _ in rho.terms)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_split_inner_halves_its_tower_exactly_when_m_is_even_and_every_u_power_is_odd(m):
+    """Exponent rows [I; -I], trdeg m/2, for u, (t+1)u and u + u^3 at even m; rows I, trdeg m, for
+    u + u^2 at even m and for every rho at odd m (u + u^3 only from m = 3, where it is not (1+t)u)."""
     alg = make_algebra(m, derivation="zero")
-    rep = split_inner_cyclic(alg, alg.u())
-    assert rep.passed
-    assert rep.transcendence_degree == m
+    t, u = alg.field.gen(), alg.u()
+    rhos = {"u": u, "(t+1)u": (t + 1) * u}
+    if m > 2:
+        rhos |= {"u + u^3": u + alg.u(3), "u + u^2": u + alg.u(2)}
+    for name, rho in rhos.items():
+        rep = split_inner(alg, rho)
+        n = m // 2 if m % 2 == 0 and name != "u + u^2" else m
+        assert _halves(m, rho) == (n < m), name
+        assert rep.passed and rep.gauge.ok and rep.gauge.det_nonzero and rep.isomorphism.ok, name
+        assert rep.transcendence_degree == n and rep.degree is None
+        assert [g["gen"] for g in rep.extension["tower"]] == ["xi"] + [f"x{i}" for i in range(n)]
+        e = rep.f.field
+        assert rep.f == DiffMatrix.diagonal(e, [e.gen(r % n) ** (1 if r < n else -1) for r in range(m)])
+        assert rep.p == make_phi(alg).apply(alg.coerce_elem(rho))
 
 
 def test_split_inner_rejects_degenerate():
     alg = make_algebra(2, derivation="zero")
     with pytest.raises(ValueError):
-        split_inner_cyclic(alg, alg.one())  # scalar: no degree-m subfield
+        split_inner(alg, alg.one())  # scalar: no degree-m subfield
     with pytest.raises(ValueError):
-        split_inner_cyclic(alg, alg.v())    # not a polynomial in u
+        split_inner(alg, alg.v())    # not a polynomial in u
     with pytest.raises(ValueError):
-        split_inner_cyclic(make_algebra(2), alg.u())  # nonzero base derivation
+        split_inner(make_algebra(2), alg.u())  # nonzero base derivation
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
 def test_split_inner_degree_test_agrees_with_the_minimal_polynomial(m, rng):
-    # accepted exactly when rho's minimal polynomial has degree m: 42 rho per m
+    # accepted exactly when rho's minimal polynomial has degree m: 42 rho per m; the tower is
+    # halved exactly when m is even and every u-exponent of rho is odd
     alg = make_algebra(m, derivation="zero")
     rhos = [alg.zero_elem(), alg.scalar(3), alg.scalar(alg.field.gen())]
     rhos += [alg.u(d) for d in range(1, m + 1) if m % d == 0]
@@ -545,12 +563,12 @@ def test_split_inner_degree_test_agrees_with_the_minimal_polynomial(m, rng):
     accepted = []
     for rho in rhos:
         try:
-            rep = split_inner_cyclic(alg, rho)
+            rep = split_inner(alg, rho)
         except ValueError as exc:
             assert str(exc) == "rho does not generate a degree-m subfield"
             accepted.append(False)
         else:
-            assert rep.passed and rep.transcendence_degree == m
+            assert rep.passed and rep.transcendence_degree == (m // 2 if _halves(m, rho) else m)
             accepted.append(True)
         assert accepted[-1] == (minimal_polynomial(rho).degree == m), rho
     assert len(accepted) == 42 and True in accepted and False in accepted
@@ -564,23 +582,11 @@ def test_split_inner_performs_no_elimination(monkeypatch):
     alg = make_algebra(7, derivation="zero")
     t = alg.field.gen()
     rho = sum((alg.u(i).scale(c) for i, c in enumerate([t + 1, 2 * t - 1, t + 3, t - 2, 5, t], 1)), alg.zero_elem())
-    assert split_inner_cyclic(alg, rho).passed
+    assert split_inner(alg, rho).passed
     with pytest.raises(ValueError, match="degree-m subfield"):
-        split_inner_cyclic(alg, alg.scalar(t))
+        split_inner(alg, alg.scalar(t))
     with pytest.raises(AssertionError, match="an elimination ran"):
         minimal_polynomial(rho)  # the oracle eliminates, so the patch is live
-
-
-@pytest.mark.parametrize("m", [2, 4])
-def test_split_inner_even_half(m):
-    alg = make_algebra(m, derivation="zero")
-    rep = split_inner_even_half(alg, alg.u())
-    assert rep.passed
-    assert rep.transcendence_degree == m // 2
-    assert rep.to_json()["diagnostics"] == []
-    # P agrees with the image of u
-    phi = make_phi(alg)
-    assert rep.p == phi.apply(alg.coerce_elem(alg.u()))
 
 
 def test_block_antisymmetry_of_the_half_construction_is_a_self_check(monkeypatch, capsys):
@@ -596,15 +602,9 @@ def test_block_antisymmetry_of_the_half_construction_is_a_self_check(monkeypatch
     monkeypatch.setattr(PhiMap, "apply", broken)
     alg = make_algebra(4, derivation="zero")
     with pytest.raises(AssertionError, match="block antisymmetry of P fails at row 1"):
-        split_inner_even_half(alg, alg.u())
-    assert main(["split", "inner", "--m", "4", "--alpha", "t", "--beta", "t+1", "--rho", "u", "--half"]) == 3
+        split_inner(alg, alg.u())
+    assert main(["split", "inner", "--m", "4", "--alpha", "t", "--beta", "t+1", "--rho", "u"]) == 3
     assert capsys.readouterr().err == "internal self-check failed: block antisymmetry of P fails at row 1\n"
-
-
-def test_split_inner_even_half_rejects_odd():
-    alg = make_algebra(3, derivation="zero")
-    with pytest.raises(ValueError):
-        split_inner_even_half(alg, alg.u())
 
 
 def test_split_generic(rng):
@@ -792,27 +792,31 @@ def test_maximal_subfield_hypothesis_guard():
 
 
 def _diagonal_inputs(kind, m):
-    """(report, phi, d, theta_p, exponents): one explicit construction's report and the call it makes to _diagonal_split."""
+    """(report, phi, d, theta_p, exponents): one explicit construction's report and the call it makes to _diagonal_split.
+
+    The inner kinds split inner(rho): "cyclic" with rows I (rho = u at odd m, u + u^2 at even m),
+    "half" with rows [I; -I] (rho = u at even m)."""
     if kind in ("eta", "zeta"):
         alg = make_algebra(m)
         phi = PhiMap(alg, xi_extension(alg))
         return split_standard(alg), phi, standard_derivation(alg), DiffMatrix.zero(phi.ext_field, m), [[]] * m
     alg = make_algebra(m, derivation="zero")
-    rho = alg.coerce_elem(alg.u())
+    rho = alg.u() + alg.u(2) if kind == "cyclic" and m % 2 == 0 else alg.u()
     phi = PhiMap(alg, xi_extension(alg))
-    if kind == "cyclic":
-        eye = [[int(r == i) for i in range(m)] for r in range(m)]
-        return split_inner_cyclic(alg, rho), phi, inner_derivation(rho), phi.apply(rho), eye
-    eye = [[int(r == i) for i in range(m // 2)] for r in range(m // 2)]
-    exponents = eye + [[-x for x in row] for row in eye]
-    return split_inner_even_half(alg, rho), phi, inner_derivation(rho), phi.apply(rho), exponents
+    n = m if kind == "cyclic" else m // 2
+    eye = [[int(r == i) for i in range(n)] for r in range(n)]
+    exponents = eye if kind == "cyclic" else eye + [[-x for x in row] for row in eye]
+    return split_inner(alg, rho), phi, inner_derivation(rho), phi.apply(rho), exponents
 
 
-@pytest.mark.parametrize("kind,m", [("eta", 3), ("eta", 5), ("zeta", 2), ("zeta", 4), ("cyclic", 3), ("half", 4)])
+@pytest.mark.parametrize("kind,m", [
+    ("eta", 3), ("eta", 5), ("zeta", 2), ("zeta", 4), ("cyclic", 3), ("cyclic", 4), ("half", 2), ("half", 4),
+])
 def test_diagonal_split_fails_at_the_row_whose_exponent_is_off_by_one(kind, m):
     """Row r of F times one generator more. For eta and zeta, g's exponent n (m - 1 - r) + 1 in the
     engine's F, checked by verify_gauge against its P_s + lambda I; for the inner splits, a column
-    of an exponential's exponents off by one, passed to the engine."""
+    of an exponential's exponents off by one, passed to the engine. For "half", the rows r >= m/2
+    are the lower half, where the wrong exponent -1 + 1 = 0 leaves F[r][r] = 1."""
     rep, phi, d, theta_p, exponents = _diagonal_inputs(kind, m)
     same = _diagonal_split(phi, d, theta_p, exponents)
     assert same.passed and same.to_json() == rep.to_json()
@@ -834,6 +838,7 @@ def test_diagonal_split_fails_at_the_row_whose_exponent_is_off_by_one(kind, m):
             wrong[r][r % e.n] += 1
             bad = _diagonal_split(phi, d, theta_p, wrong)
             assert scalar_to_str(bad.f.rows[r][r]) == scalar_to_str(same.f.rows[r][r] * e.gen(r % e.n))
+            assert (scalar_to_str(bad.f.rows[r][r]) == "1") == (kind == "half" and r >= m // 2)
             assert bad.isomorphism.ok
         assert not bad.passed and not bad.gauge.ok
         assert bad.gauge.failing_entry == (r, r)
