@@ -313,7 +313,7 @@ def _case_split_standard(m):
 def _case_split_inner(m):
     alg = _t_algebra(m, zero=True)
     report = split_inner(alg, alg.u())
-    ok = report.passed and report.transcendence_degree == (m if m % 2 else m // 2)
+    ok = report.passed and report.transcendence_degree == alg.field.cyclo.degree
     return ok, f"m={m}: trdeg {report.transcendence_degree}, gauge {'ok' if report.gauge.ok else 'FAIL'}"
 
 

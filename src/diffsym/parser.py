@@ -512,7 +512,8 @@ def scalar_to_str(x) -> str:
         return _terms_str(x, (x.parent.gen_name,), lambda i: ((0, i),) if i else ())
     if isinstance(x, PolyDiffElem):
         return _terms_str(x, x.parent.names, tuple, _dense_order)
-    raise TypeError(f"cannot print {x!r}")
+    # the type's name, not repr(x): FieldElem.__repr__ prints through this function
+    raise TypeError(f"cannot print {type(x).__name__}")
 
 
 def symbol_to_str(x) -> str:

@@ -12,6 +12,7 @@ from .polys import (
 from .powers import (
     ReducibleRadicandError,
     cyclo_nth_root,
+    echelon,
     is_prime,
     kummer_vahlen_certify,
     mth_power_up_to_constant,
@@ -36,6 +37,7 @@ __all__ = [
     "ReducibleRadicandError",
     "cyclo_nth_root",
     "cyclotomic_polynomial",
+    "echelon",
     "is_prime",
     "kummer_vahlen_certify",
     "mth_power_up_to_constant",

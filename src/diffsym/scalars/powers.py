@@ -9,14 +9,17 @@ checks each such verdict before it is acted on.  The readers:
 ``certify_power_free_over_kummer`` (the ``subgroup_order`` of a Kummer
 tower's rows), ``deriv.constants_standard`` (-i v_alpha - j v_beta) and
 ``split.maximal_subfield_necessary`` (v - r v_nu).  No irreducible
-factorization is ever computed.
+factorization is ever computed.  ``echelon`` is the one integer row-echelon
+routine, with its unimodular transform and the inverse: ``subgroup_order``
+reads the pivots of a tower's rows and n Z^N off it, and ``split.split_inner``
+the integer relations among the rates of its P.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from ..errors import SelfCheckError
 from .cyclo import CycloElem
@@ -153,27 +156,58 @@ def valuations(*fs):
     return [b for b, _ in basis], [[v[k] for _, v in basis] for k in range(len(fs))]
 
 
+def echelon(rows):
+    """(k, u, u_inv): u unimodular, u rows in echelon form with its k nonzero rows first, and u_inv = u^-1.
+
+    Euclid's row steps (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4): in each column, the row of least nonzero absolute value at
+    or below the next pivot place moves there, and each row below takes away
+    its floor quotient of it, until the pivot is the only nonzero entry left.
+    u_inv mirrors each step on u's rows with its inverse on columns: a swap
+    with the same swap, row i -= q row p with column p += q column i.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_inv = [row[:] for row in u]
+    k = 0
+    for j in range(len(a[0]) if a else 0):
+        live = [i for i in range(k, n) if a[i][j]]
+        if not live:
+            continue
+        while live:
+            p = min(live, key=lambda i: abs(a[i][j]))
+            if p != k:
+                a[k], a[p], u[k], u[p] = a[p], a[k], u[p], u[k]
+                for row in u_inv:
+                    row[k], row[p] = row[p], row[k]
+            rest = []
+            for i in range(k + 1, n):
+                q = a[i][j] // a[k][j]  # nonzero exactly when a[i][j] is, as |a[k][j]| is least
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+                    for row in u_inv:
+                        row[k] += q * row[i]
+                    if a[i][j]:
+                        rest.append(i)
+            live = [k, *rest] if rest else []
+        k += 1
+    return k, u, u_inv
+
+
 def subgroup_order(rows, n: int) -> int:
     """The order of the subgroup of (Z/n)^N that the integer rows of length N generate.
 
-    It is n^N / [Z^N : L], L = <rows> + n Z^N.  Column j's pivot row starts
-    as n e_j and takes in each row by Euclid's row steps, which zero the row
-    there; it ends as g_j = gcd(n, column), a factor n / g_j of the order.
-    Entries are kept mod n, since every n e_j lies in L.
+    It is n^N / [Z^N : L], L = <rows> + n Z^N, and the index is the product
+    of the |pivots| of L's ``echelon`` form: L has rank N, so the pivot of
+    row i lies in column i.
     """
-    order = 1
-    rows = [r for r in ([x % n for x in row] for row in rows) if any(r)]
-    while rows:
-        pivot, rest = [n] + [0] * (len(rows[0]) - 1), []
-        for row in rows:
-            while row[0]:
-                q = pivot[0] // row[0]
-                pivot, row = row, [(p - q * r) % n for p, r in zip(pivot, row)]
-            if any(row):
-                rest.append(row[1:])
-        order *= n // pivot[0]
-        rows = rest
-    return order
+    width = len(rows[0]) if rows else 0
+    lattice = [*rows, *([n * (i == j) for j in range(width)] for i in range(width))]
+    _k, u, _u_inv = echelon(lattice)
+    index = prod(abs(sum(x * row[i] for x, row in zip(u[i], lattice))) for i in range(width))
+    return n**width // index
 
 
 def mth_root(f: RatFunc, basis, v, m: int):

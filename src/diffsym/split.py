@@ -6,9 +6,10 @@ P_s the diagonal matrix of d_s; explicit gauge matrices F with
 delta^c(F) = PF are then built, for a diagonal P, by one engine over a Kummer
 generator for P_s and exponentials for Phi(theta) (``_diagonal_split``), or
 over a fully generic polynomial field. The engine's callers are d_s alone
-(``split_standard``) and inner(rho) alone (``split_inner``), which reads off
-rho whether Phi(rho) pairs as diag(P0, -P0) and so needs half the
-exponentials.
+(``split_standard``) and inner(rho) alone (``split_inner``), which takes one
+exponential per basis rate of the lattice that the integer relations among
+Phi(rho)'s diagonal entries leave: over the zero base, the least
+transcendence degree.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .scalars import (
     PolyDiffField,
     RatFunc,
     RatFuncField,
+    echelon,
     is_prime,
     mth_root,
     valuations,
@@ -294,19 +296,19 @@ def _tower_entry(field: KummerField) -> dict:
     return {"gen": field.gen_name, "power": field.m, "radicand": scalar_to_str(field.alpha)}
 
 
-def _diagonal_split(phi: PhiMap, d: Derivation, theta_p: DiffMatrix, exponents) -> SplitReport:
+def _diagonal_split(phi: PhiMap, d: Derivation, theta_p: DiffMatrix, exponents, rates) -> SplitReport:
     """The explicit split of d = d_s + inner(theta), or of inner(theta), when P = P_s + Phi(theta) is diagonal.
 
     theta_p is Phi(theta). When d includes d_s and rho = delta(beta)/(m beta) is nonzero,
     g with g^(nm) = beta and delta(g) = (rho/n) g is adjoined, n the denominator of
-    t_0 = (m-1)/2; column i of exponents adjoins x_i with delta(x_i) = Phi(theta)[i][i] x_i,
-    so exponents I adjoin one exponential per row, and [I; -I] one per pair of rows r, r + m/2
-    when Phi(theta) = diag(P0, -P0).
+    t_0 = (m-1)/2; column i of exponents adjoins x_i with delta(x_i) = rates[i] x_i.
     F = diag(g^(n (m-1-r)) prod_i x_i^exponents[r][i]) is a gauge for
     diag((m-1-r) rho + Phi(theta)[r][r]) = P + lambda I, lambda = t_0 rho = P_s[0][0], when
     each row of exponents weights the rates to Phi(theta)[r][r]. d_(P + lambda I) = d_P, and
     both verdicts are taken against that diagonal, built directly, with no negative power of g
     in F. The report carries P and, when d includes d_s, lambda as its ``scalar_shift``.
+    Adjoining exponentials is sound over any base derivation; the least transcendence degree
+    is claimed only for ``split_inner``'s rates over the zero base, not over d/dt.
     """
     algebra, xi_field = phi.algebra, phi.ext_field
     m, ds = algebra.m, d.includes_ds
@@ -328,12 +330,12 @@ def _diagonal_split(phi: PhiMap, d: Derivation, theta_p: DiffMatrix, exponents) 
         if not theta_p.is_zero():
             diagonal = [c + theta_diag[r] for r, c in enumerate(diagonal)]
         shifted = DiffMatrix.diagonal(xi_field, diagonal)
-    names = [f"x{i}" for i in range(len(exponents[0]))]
+    names = [f"x{i}" for i in range(len(rates))]
     if names:
-        e = MonomialDiffField(e, names, theta_diag[: len(names)])
+        e = MonomialDiffField(e, names, rates)
         gens = [e.coerce(g) for g in gens] + [e.gen(i) for i in range(len(names))]
         tower += [{"gen": x, "power": None, "radicand": None} for x in names]
-        rules += [f"delta({x}) = ({scalar_to_str(c)}) {x}" for x, c in zip(names, theta_diag)]
+        rules += [f"delta({x}) = ({scalar_to_str(c)}) {x}" for x, c in zip(names, rates)]
     iso = verify_diff_isomorphism(phi, d, shifted)
     f_mat = DiffMatrix.diagonal(e, [math.prod((g**k for g, k in zip(gens, row) if k), start=e.one()) for row in rows])
     gauge = verify_gauge(shifted.coerce_to(e), f_mat)
@@ -356,7 +358,7 @@ def split_standard(algebra: SymbolAlgebra) -> SplitReport:
         raise ValueError("standard splitting is built over the rational function field")
     m = algebra.m
     phi = PhiMap(algebra, xi_extension(algebra))
-    return _diagonal_split(phi, standard_derivation(algebra), DiffMatrix.zero(phi.ext_field, m), [[]] * m)
+    return _diagonal_split(phi, standard_derivation(algebra), DiffMatrix.zero(phi.ext_field, m), [[]] * m, [])
 
 
 def find_twist_partner(rho1: SymbolElem):
@@ -372,12 +374,24 @@ def find_twist_partner(rho1: SymbolElem):
 
 
 def split_inner(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitReport:
-    """The explicit split of inner(rho), zero base derivation, rho a polynomial in u: exponents I or [I; -I].
+    """The explicit split of inner(rho), zero base derivation, rho a polynomial in u: exponent rows off the rate lattice.
 
-    P = Phi(rho) is diag(rho(w^(m-r) xi)). Exponentials x_i with delta(x_i) = P[i][i] x_i give
-    F = diag(x_0..x_(m-1)), of transcendence degree m. When m is even and every u-exponent of rho
-    is odd, w^(m/2) = -1 gives P = diag(P0, -P0), and F = diag(F0, F0^-1) with
-    F0 = diag(x_0..x_(m/2-1)) is a gauge of transcendence degree m/2.
+    theta is rho without its u^0 term, as inner(rho) holds it, and P = Phi(theta) is diagonal with
+    c_r = P[r][r] = sum_i theta_i w^(-ri) xi^i, so sum_r c_r = 0. The xi^i are independent over k,
+    so sum_r n_r c_r = 0 exactly when sum_r n_r w^(-ri) = 0 for every u-exponent i of theta: the
+    integer relations among the c_r are those of the rows that join the coordinates of w^(-ri) over
+    those i, built with no field arithmetic. With (l, U, U^-1) = echelon(rows), rows l on of U are
+    relations, so c_r = sum_(i<l) U^-1[r][i] b_i for the basis rates b_i = sum_r U[i][r] c_r:
+    F = diag(prod_i x_i^(U^-1[r][i])), delta(x_i) = b_i x_i, of transcendence degree l, the Q-rank
+    of the c_r. For rho = u that is the degree phi(m) of Q(w).
+
+    l is the least transcendence degree of a splitting field over the zero base. There every
+    element of k(xi) is a constant, and a fundamental matrix over E(xi) holds y_r with
+    delta(y_r)/y_r = c_r + lambda. A minimal algebraic relation among the y_r/y_0 joins only
+    monomials whose exponents n have sum_r n_r (c_r - c_0) = 0 (Rosenlicht's argument for the
+    Kolchin-Ostrowski theorem; Kolchin, Amer. J. Math. 90, 1968), so trdeg E is at least the Q-rank
+    of the c_r - c_0, which is that of the c_r, as they sum to 0. Over d/dt a combination of
+    rates may be a logarithmic derivative in k(xi), and no minimality is claimed there.
     """
     if not algebra.field.is_zero_derivation:
         raise ValueError("this construction requires the zero base derivation")
@@ -389,21 +403,19 @@ def split_inner(algebra: SymbolAlgebra, rho: SymbolElem) -> SplitReport:
             "rewrite it over a Kummer generator first (see find_twist_partner)"
         )
     phi = PhiMap(algebra, xi_extension(algebra))
-    p = phi.apply(rho)
-    # k[u] = k(xi) is a field (its Kummer certificate) and Galois over k, as w is in k, so
-    # the diagonal rho(w^j xi) of P lists rho's conjugates: k(rho) has degree m iff they differ
-    rates = [p.rows[r][r] for r in range(m)]
-    if any(rates[r] == rates[s] for r in range(m) for s in range(r)):
+    d = inner_derivation(rho)
+    w_pows = phi.ext_field.cyclo.omega_powers
+    rows = [tuple(x for i, _ in sorted(d.theta.terms) for x in w_pows[-r * i % m].num) for r in range(m)]
+    # k[u] = k(xi) is a field (its Kummer certificate) and Galois over k, as w is in k, so the
+    # diagonal rho(w^j xi) of Phi(rho) lists rho's conjugates: k(rho) has degree m iff they
+    # differ, and c_r = c_s exactly when rows r and s agree
+    if len(set(rows)) < m:
         raise ValueError("rho does not generate a degree-m subfield")
-    n = m // 2 if m % 2 == 0 and all(i % 2 for i, _ in rho.terms) else m
-    exponents = [[int(r == i) for i in range(n)] for r in range(n)]
-    if n < m:
-        # rho(-x) = -rho(x) with x = w^(m-r) xi, as w^(m/2) = -1: checked before the gauge relies on it
-        for r in range(n):
-            if not (rates[r] + rates[n + r]).is_zero():
-                raise SelfCheckError(f"block antisymmetry of P fails at row {r}")
-        exponents += [[-k for k in row] for row in exponents]
-    return _diagonal_split(phi, inner_derivation(rho), p, exponents)
+    theta_p = phi.apply(d.theta)
+    k, u, u_inv = echelon(rows)
+    c, zero = [theta_p.rows[r][r] for r in range(m)], phi.ext_field.zero()
+    rates = [sum((c_r * n for c_r, n in zip(c, row) if n), zero) for row in u[:k]]
+    return _diagonal_split(phi, d, theta_p, [row[:k] for row in u_inv], rates)
 
 
 def split_generic(p: DiffMatrix) -> SplitReport:

@@ -72,7 +72,10 @@ denominator, and the paper's gauge diag(g^(n t_r)) of the standard splitting fie
 with its negative powers of g, in place of the gauge of P_s + lambda I with
 the nonnegative exponents n (m - 1 - r), and the cofactors of two polynomials by
 ``poly_gcd`` and ``exact_div`` in place of the leading coefficients that
-``poly_cancel`` reads off a pair of associates.
+``poly_cancel`` reads off a pair of associates, and the Q-rank of elements of
+k(xi) by Gaussian elimination over ``Fraction`` on their coordinates over one
+common denominator in place of the integer rows of w^(-ri) and Euclid's row
+steps.
 """
 
 import itertools
@@ -1189,3 +1192,48 @@ def paper_standard_gauge(e, m):
         return DiffMatrix.identity(e, m)
     g, n = e.gen(), e.m // m
     return DiffMatrix.diagonal(e, [g ** int(n * t) for t in t_r_values(m)])
+
+
+def rate_coordinates(rates):
+    """One row of Q-coordinates per element of k(xi), k = Q(w)(t), a column per xi^i t^j w^l.
+
+    Every element is multiplied by the product D of all the denominators of
+    its xi-coefficients; a common nonzero factor keeps the Q-linear
+    relations, and each coefficient of D c is then a polynomial in t.
+    """
+    coeffs = [f for c in rates for f in c.terms.values()]
+    if not coeffs:
+        return [[] for _ in rates]
+    field = coeffs[0].parent
+    one = Poly.one(field.cyclo)
+    d = field.one()
+    for f in coeffs:
+        d = d * RatFunc(field, f.den, one)
+    rows = []
+    for c in rates:
+        row = {}
+        for i, f in c.terms.items():
+            g = f * d
+            assert g.den.degree == 0  # and monic, so 1
+            for j, a in enumerate(g.num.coeffs):
+                for l, q in enumerate(a.coeffs):
+                    row[i, j, l] = q
+        rows.append(row)
+    keys = sorted(set().union(*rows))
+    return [[row.get(key, Fraction(0)) for key in keys] for row in rows]
+
+
+def rational_rank(rows):
+    """The rank of a matrix of rationals by Gaussian elimination over ``Fraction``."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            q = rows[i][j] / rows[rank][j]
+            rows[i] = [x - q * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank

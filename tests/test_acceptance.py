@@ -190,12 +190,13 @@ def test_criterion_08_standard_splitting_field():
 
 
 def test_criterion_09_inner_splitting():
-    # rho = u: trdeg m at odd m, m/2 at even m (w^(m/2) = -1 pairs the rows of P = Phi(u))
+    # rho = u: trdeg phi(m), the Q-rank of the diagonal w^(-r) xi of P = Phi(u), which is the
+    # degree of Q(w)
     for m in (2, 3, 4, 5, 6, 7, 8):
         alg = make_algebra(m, derivation="zero")
         rep = split_inner(alg, alg.u())
         assert rep.passed and rep.gauge.det_nonzero
-        assert rep.transcendence_degree == (m if m % 2 else m // 2)
+        assert rep.transcendence_degree == CycloField(m).degree
         phi = make_phi(alg)
         assert rep.p == phi.apply(alg.coerce_elem(alg.u()))
 

@@ -205,6 +205,34 @@ def test_decompositions_are_called_only_from_powers():
     assert found == DECOMPOSERS
 
 
+# both integer-lattice questions read one echelon routine: the subgroup that a
+# Kummer tower's valuation rows generate mod n, and the relations among the
+# rates of split inner's P: (file, calling function)
+ECHELON_CALLERS = {
+    ("scalars/powers.py", "subgroup_order"),
+    ("split.py", "split_inner"),
+}
+
+
+def _echelon_calls(node, rel: str, fn=None):
+    """(file, innermost enclosing function) for each call of echelon, by name or attribute."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        fn = node.name
+    elif isinstance(node, ast.Call) and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "echelon":
+        yield rel, fn
+    for child in ast.iter_child_nodes(node):
+        yield from _echelon_calls(child, rel, fn)
+
+
+def test_echelon_is_called_only_by_subgroup_order_and_split_inner():
+    found = {
+        call
+        for path in sorted(SRC.rglob("*.py"))
+        for call in _echelon_calls(ast.parse(path.read_text(), str(path)), path.relative_to(SRC).as_posix())
+    }
+    assert found == ECHELON_CALLERS
+
+
 # a generic elimination runs only in symalg's kernels of powers and
 # commutators, the determinant certificate and the ODE's linear system:
 # (file, calling function, eliminator)
@@ -265,9 +293,10 @@ def test_only_the_diagonal_engine_assembles_an_explicit_splits_tower():
     assert set(_tower_calls(ast.parse((SRC / "split.py").read_text()))) == TOWER_BUILDERS
 
 
-# the engine's callers, each of which sets one explicit split's exponent rows:
-# split_standard none, split_inner I or [I; -I], read off rho; a third caller
-# would be a second hand-built exponent matrix beside these (calling function)
+# the engine's callers, each of which sets one explicit split's exponent rows
+# and basis rates: split_standard none, split_inner the rows of the inverse
+# echelon transform of its rate lattice; a third caller would be a second
+# exponent rule beside these (calling function)
 ENGINE_CALLERS = {"split_standard", "split_inner"}
 
 

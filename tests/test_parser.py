@@ -119,6 +119,26 @@ def test_roundtrip_monomial(rng):
         assert parse_scalar(scalar_to_str(x), e) == x
 
 
+def test_an_unprintable_element_is_refused_by_its_type_name_in_one_call(monkeypatch):
+    """The refusal names the type: formatting repr(x) into it would re-enter scalar_to_str through
+    FieldElem.__repr__, one level per call, down to the recursion limit."""
+    import diffsym.parser as parser
+    from diffsym.scalars.elem import FieldElem
+
+    class Stub(FieldElem):
+        def _key(self):
+            return (1, 2)
+
+    calls = []
+    printer = parser.scalar_to_str
+    monkeypatch.setattr(parser, "scalar_to_str", lambda x: calls.append(x) or printer(x))
+    with pytest.raises(TypeError) as exc:
+        parser.scalar_to_str(Stub())
+    assert str(exc.value) == "cannot print Stub" and len(calls) == 1
+    # __repr__ still falls back to the type and key of what the printer refuses
+    assert repr(Stub()) == "Stub((1, 2))" and len(calls) == 2
+
+
 def test_roundtrip_symbol(rng):
     k = RatFuncField(CycloField(3), "t")
     alg = SymbolAlgebra(k, k.gen(), k.gen() + k.one(), 3)

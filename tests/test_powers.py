@@ -21,13 +21,14 @@ from diffsym.cli import main
 from diffsym.deriv import constants_standard
 from diffsym.errors import SelfCheckError
 from diffsym.scalars import powers, valuations
-from diffsym.scalars.powers import _prime_factors, certify_power_free_over_kummer, subgroup_order
+from diffsym.scalars.powers import _prime_factors, certify_power_free_over_kummer, echelon, subgroup_order
 from generators import sharing_radicands
 from oracles import (
     coprime_valuations,
     dividing_power_free_over_kummer,
     enumerated_subgroup_order,
     quotient_mth_power,
+    rational_rank,
 )
 
 
@@ -251,6 +252,32 @@ def test_subgroup_order_counts_the_enumerated_subgroup(rng):
         n, r, width = rng.randint(1, 12), rng.randint(0, 3), rng.randint(1, 4)
         rows = [[rng.randint(-n, n) * rng.choice([0, 1, 2, 3]) for _ in range(width)] for _ in range(r)]
         assert subgroup_order(rows, n) == enumerated_subgroup_order(rows, n), (rows, n)
+
+
+def test_echelon_returns_a_unimodular_transform_to_echelon_form_and_its_inverse(rng):
+    """Random integer matrices of 0-6 rows and 0-5 columns, negative entries, zero rows and zero
+    columns: u rows is in echelon form with its k nonzero rows first, their pivot columns strictly
+    increasing, u_inv u = u u_inv = I, and k is the rank over Q."""
+    shapes = set()
+    for _ in range(300):
+        n, width = rng.randint(0, 6), rng.randint(0, 5)
+        rows = [[rng.randint(-9, 9) * rng.choice([0, 1, 1]) for _ in range(width)] for _ in range(n)]
+        for j in rng.sample(range(width), rng.randint(0, width)) if rng.random() < 0.3 else ():
+            for row in rows:
+                row[j] = 0
+        if n and rng.random() < 0.3:
+            rows[rng.randrange(n)] = [0] * width
+        k, u, u_inv = echelon(rows)
+        ech = [[sum(x * row[j] for x, row in zip(u[i], rows)) for j in range(width)] for i in range(n)]
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert [[sum(x * row[j] for x, row in zip(u_inv[i], u)) for j in range(n)] for i in range(n)] == eye
+        assert [[sum(x * row[j] for x, row in zip(u[i], u_inv)) for j in range(n)] for i in range(n)] == eye
+        assert not any(any(row) for row in ech[k:]), (rows, ech)
+        pivots = [next(j for j, x in enumerate(row) if x) for row in ech[:k]]
+        assert all(a < b for a, b in zip(pivots, pivots[1:])), (rows, ech)
+        assert k == rational_rank(rows)
+        shapes.add((n == 0, width == 0, 0 < k < n))
+    assert len(shapes) >= 4, shapes
 
 
 def test_int_nth_root_is_exact_for_large_integers():

@@ -40,6 +40,8 @@ from oracles import (
     kummer_from_coeffs,
     paper_standard_gauge,
     quotient_maximal_witnesses,
+    rate_coordinates,
+    rational_rank,
     summed_generic_images,
 )
 
@@ -455,7 +457,7 @@ def test_a_shift_of_lambda_plus_one_fails_the_gauge_at_entry_0_0_and_keeps_the_i
     phi = PhiMap(alg, rep.f.field.base)
     # Phi(theta) = I is Phi(1), and inner(1) = 0: the engine checks P_s + (lambda + 1) I,
     # which defines the same d_P, against the same F, whose rows weight no rate to the extra 1
-    bad = _diagonal_split(phi, standard_derivation(alg), DiffMatrix.identity(phi.ext_field, m), [[]] * m)
+    bad = _diagonal_split(phi, standard_derivation(alg), DiffMatrix.identity(phi.ext_field, m), [[]] * m, [])
     assert bad.f == rep.f and bad.scalar_shift == rep.scalar_shift
     assert not bad.gauge.ok and bad.gauge.failing_entry == (0, 0)
     assert bad.isomorphism.ok and not bad.passed
@@ -465,7 +467,8 @@ def test_a_shift_of_lambda_plus_one_fails_the_gauge_at_entry_0_0_and_keeps_the_i
 @pytest.mark.parametrize("m,radicands", [(m, r) for m in range(2, 10) for r in ("t, t+1", "t^2+1, 3t")])
 def test_the_engine_composes_the_kummer_and_exponential_parts_over_d_dt(m, radicands):
     """d_s + inner(theta), theta = (t+1) u + t^2 u^(m-1) ((t+1) u at m = 2): P = P_s + Phi(theta)
-    is diagonal, so g takes the P_s part and m exponentials with exponents I take Phi(theta)'s."""
+    is diagonal, so g takes the P_s part and m exponentials with exponents I and the rates
+    Phi(theta)[r][r] take Phi(theta)'s."""
     alg = _shift_algebra(m, radicands)
     k = alg.field
     t, u = k.gen(), alg.u()
@@ -473,7 +476,8 @@ def test_the_engine_composes_the_kummer_and_exponential_parts_over_d_dt(m, radic
     d = standard_derivation(alg) + inner_derivation(theta)
     phi = PhiMap(alg, xi_extension(alg))
     theta_p = phi.apply(theta)
-    rep = _diagonal_split(phi, d, theta_p, [[int(r == i) for i in range(m)] for r in range(m)])
+    eye, rates = [[int(r == i) for i in range(m)] for r in range(m)], [theta_p.rows[r][r] for r in range(m)]
+    rep = _diagonal_split(phi, d, theta_p, eye, rates)
     assert rep.gauge.ok and rep.gauge.det_nonzero and rep.isomorphism.ok and rep.passed
     assert (rep.degree, rep.transcendence_degree) == (None, m)
     g = "eta" if m % 2 else "zeta"
@@ -516,15 +520,23 @@ def test_split_standard_coerces_no_rational_and_cancels_associates_on_their_vect
     assert products[0] == products[1] == beta.derive() * Fraction(1, m)
 
 
-def _halves(m, rho):
-    """The inner split's tower is halved: m is even and every u-exponent of rho is odd, read off rho's terms."""
-    return m % 2 == 0 and all(i % 2 for i, _ in rho.terms)
+def _lattice_rank(alg, rho):
+    """The Q-rank of the differences c_r - c_0 of Phi(rho)'s diagonal, by the ``Fraction`` oracle:
+    the least transcendence degree of a splitting field of inner(rho) over the zero base."""
+    p = make_phi(alg).apply(alg.coerce_elem(rho))
+    c = [p.rows[r][r] for r in range(alg.m)]
+    return rational_rank(rate_coordinates([x - c[0] for x in c]))
 
 
-@pytest.mark.parametrize("m", range(2, 9))
-def test_split_inner_halves_its_tower_exactly_when_m_is_even_and_every_u_power_is_odd(m):
-    """Exponent rows [I; -I], trdeg m/2, for u, (t+1)u and u + u^3 at even m; rows I, trdeg m, for
-    u + u^2 at even m and for every rho at odd m (u + u^3 only from m = 3, where it is not (1+t)u)."""
+# the lattice rank of u + u^2 and of u + u^3 at m = 3..12 (u + u^3 = u + t at m = 3)
+LATTICE_RANKS = {"u + u^2": [2, 3, 4, 4, 6, 6, 6, 8, 10, 6], "u + u^3": [2, 2, 4, 3, 6, 4, 8, 4, 10, 6]}
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_split_inner_takes_one_exponential_per_basis_rate_of_its_lattice(m):
+    """trdeg phi(m) = CycloField(m).degree for u and (t+1)u, and the pinned lattice rank for
+    u + u^2 and u + u^3, each equal to the oracle's rank, with gauge, det F != 0 and the
+    isomorphism; rho = u at m = 2 and 4 keeps exponent rows [I; -I]."""
     alg = make_algebra(m, derivation="zero")
     t, u = alg.field.gen(), alg.u()
     rhos = {"u": u, "(t+1)u": (t + 1) * u}
@@ -532,14 +544,37 @@ def test_split_inner_halves_its_tower_exactly_when_m_is_even_and_every_u_power_i
         rhos |= {"u + u^3": u + alg.u(3), "u + u^2": u + alg.u(2)}
     for name, rho in rhos.items():
         rep = split_inner(alg, rho)
-        n = m // 2 if m % 2 == 0 and name != "u + u^2" else m
-        assert _halves(m, rho) == (n < m), name
+        n = LATTICE_RANKS[name][m - 3] if name in LATTICE_RANKS else CycloField(m).degree
+        assert _lattice_rank(alg, rho) == n, name
         assert rep.passed and rep.gauge.ok and rep.gauge.det_nonzero and rep.isomorphism.ok, name
         assert rep.transcendence_degree == n and rep.degree is None
         assert [g["gen"] for g in rep.extension["tower"]] == ["xi"] + [f"x{i}" for i in range(n)]
-        e = rep.f.field
-        assert rep.f == DiffMatrix.diagonal(e, [e.gen(r % n) ** (1 if r < n else -1) for r in range(m)])
-        assert rep.p == make_phi(alg).apply(alg.coerce_elem(rho))
+        assert rep.p == make_phi(alg).apply(inner_derivation(rho).theta)
+    if m in (2, 4):
+        f, n = split_inner(alg, u).f, m // 2
+        assert f == DiffMatrix.diagonal(f.field, [f.field.gen(r % n) ** (1 if r < n else -1) for r in range(m)])
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_split_inner_trdeg_is_the_sympy_rank_of_the_rate_coordinates(m, rng):
+    """On random rho in k[u], trdeg is sympy's rank of the coordinates of Phi(rho)'s diagonal
+    differences, and the engine's basis rates have that rank too: no exponential is redundant."""
+    sympy = pytest.importorskip("sympy")
+    alg = make_algebra(m, derivation="zero")
+    ranks = []
+    for _ in range(12):
+        rho = random_u_polynomial(alg, rng)
+        try:
+            rep = split_inner(alg, rho)
+        except ValueError:
+            continue
+        ranks.append(rep.transcendence_degree)
+        p = make_phi(alg).apply(alg.coerce_elem(rho))
+        c = [p.rows[r][r] for r in range(m)]
+        assert rep.passed and rep.gauge.det_nonzero
+        assert rep.transcendence_degree == sympy.Matrix(rate_coordinates([x - c[0] for x in c])).rank(), rho
+        assert sympy.Matrix(rate_coordinates(rep.f.field.rates)).rank() == rep.transcendence_degree
+    assert len(ranks) >= 2, ranks
 
 
 def test_split_inner_rejects_degenerate():
@@ -554,8 +589,8 @@ def test_split_inner_rejects_degenerate():
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
 def test_split_inner_degree_test_agrees_with_the_minimal_polynomial(m, rng):
-    # accepted exactly when rho's minimal polynomial has degree m: 42 rho per m; the tower is
-    # halved exactly when m is even and every u-exponent of rho is odd
+    # accepted exactly when rho's minimal polynomial has degree m: 42 rho per m; the tower has
+    # one exponential per basis rate of the lattice
     alg = make_algebra(m, derivation="zero")
     rhos = [alg.zero_elem(), alg.scalar(3), alg.scalar(alg.field.gen())]
     rhos += [alg.u(d) for d in range(1, m + 1) if m % d == 0]
@@ -568,7 +603,7 @@ def test_split_inner_degree_test_agrees_with_the_minimal_polynomial(m, rng):
             assert str(exc) == "rho does not generate a degree-m subfield"
             accepted.append(False)
         else:
-            assert rep.passed and rep.transcendence_degree == (m // 2 if _halves(m, rho) else m)
+            assert rep.passed and rep.transcendence_degree == _lattice_rank(alg, rho)
             accepted.append(True)
         assert accepted[-1] == (minimal_polynomial(rho).degree == m), rho
     assert len(accepted) == 42 and True in accepted and False in accepted
@@ -587,24 +622,6 @@ def test_split_inner_performs_no_elimination(monkeypatch):
         split_inner(alg, alg.scalar(t))
     with pytest.raises(AssertionError, match="an elimination ran"):
         minimal_polynomial(rho)  # the oracle eliminates, so the patch is live
-
-
-def test_block_antisymmetry_of_the_half_construction_is_a_self_check(monkeypatch, capsys):
-    from diffsym.cli import main
-
-    apply = PhiMap.apply
-
-    def broken(self, x):
-        rows = [list(row) for row in apply(self, x).rows]
-        rows[1][1] = rows[1][1] + self.ext_field.one()
-        return DiffMatrix(self.ext_field, rows)
-
-    monkeypatch.setattr(PhiMap, "apply", broken)
-    alg = make_algebra(4, derivation="zero")
-    with pytest.raises(AssertionError, match="block antisymmetry of P fails at row 1"):
-        split_inner(alg, alg.u())
-    assert main(["split", "inner", "--m", "4", "--alpha", "t", "--beta", "t+1", "--rho", "u"]) == 3
-    assert capsys.readouterr().err == "internal self-check failed: block antisymmetry of P fails at row 1\n"
 
 
 def test_split_generic(rng):
@@ -792,34 +809,40 @@ def test_maximal_subfield_hypothesis_guard():
 
 
 def _diagonal_inputs(kind, m):
-    """(report, phi, d, theta_p, exponents): one explicit construction's report and the call it makes to _diagonal_split.
+    """(report, phi, d, theta_p, exponents, rates): one explicit construction's report and the call it makes to _diagonal_split.
 
-    The inner kinds split inner(rho): "cyclic" with rows I (rho = u at odd m, u + u^2 at even m),
-    "half" with rows [I; -I] (rho = u at even m)."""
+    The inner kinds split inner(rho) over the zero base, rho = u or u + u^2: the lattice's exponent
+    rows are read off F's monomials and its basis rates off F's field."""
     if kind in ("eta", "zeta"):
         alg = make_algebra(m)
         phi = PhiMap(alg, xi_extension(alg))
-        return split_standard(alg), phi, standard_derivation(alg), DiffMatrix.zero(phi.ext_field, m), [[]] * m
+        return split_standard(alg), phi, standard_derivation(alg), DiffMatrix.zero(phi.ext_field, m), [[]] * m, []
     alg = make_algebra(m, derivation="zero")
-    rho = alg.u() + alg.u(2) if kind == "cyclic" and m % 2 == 0 else alg.u()
+    rho = alg.u() + alg.u(2) if kind == "u + u^2" else alg.u()
     phi = PhiMap(alg, xi_extension(alg))
-    n = m if kind == "cyclic" else m // 2
-    eye = [[int(r == i) for i in range(n)] for r in range(n)]
-    exponents = eye if kind == "cyclic" else eye + [[-x for x in row] for row in eye]
-    return split_inner(alg, rho), phi, inner_derivation(rho), phi.apply(rho), exponents
+    rep = split_inner(alg, rho)
+    e = rep.f.field
+    # F[r][r] is one monomial prod_i x_i^n_ri, keyed by the pairs (i, n_ri) with n_ri != 0
+    keys = [dict(*rep.f.rows[r][r].terms) for r in range(m)]
+    exponents = [[key.get(i, 0) for i in range(e.n)] for key in keys]
+    rates = [phi.ext_field.coerce(b) for b in e.rates]
+    return rep, phi, inner_derivation(rho), phi.apply(rho), exponents, rates
 
 
-@pytest.mark.parametrize("kind,m", [
-    ("eta", 3), ("eta", 5), ("zeta", 2), ("zeta", 4), ("cyclic", 3), ("cyclic", 4), ("half", 2), ("half", 4),
-])
+INNER_LATTICES = [("u", 3), ("u", 4), ("u", 6), ("u + u^2", 6)]
+
+
+@pytest.mark.parametrize("kind,m", [("eta", 3), ("eta", 5), ("zeta", 2), ("zeta", 4), *INNER_LATTICES])
 def test_diagonal_split_fails_at_the_row_whose_exponent_is_off_by_one(kind, m):
     """Row r of F times one generator more. For eta and zeta, g's exponent n (m - 1 - r) + 1 in the
-    engine's F, checked by verify_gauge against its P_s + lambda I; for the inner splits, a column
-    of an exponential's exponents off by one, passed to the engine. For "half", the rows r >= m/2
-    are the lower half, where the wrong exponent -1 + 1 = 0 leaves F[r][r] = 1."""
-    rep, phi, d, theta_p, exponents = _diagonal_inputs(kind, m)
-    same = _diagonal_split(phi, d, theta_p, exponents)
+    engine's F, checked by verify_gauge against its P_s + lambda I; for the inner splits, entry
+    (r, r mod k) of the lattice's exponent rows off by one, passed to the engine with its k basis
+    rates. At m = 3 those rows are not +-I (row 1 is x0^-1 x1); at m = 4 they are [I; -I], where
+    the lower half's wrong exponent -1 + 1 = 0 leaves F[r][r] = 1."""
+    rep, phi, d, theta_p, exponents, rates = _diagonal_inputs(kind, m)
+    same = _diagonal_split(phi, d, theta_p, exponents, rates)
     assert same.passed and same.to_json() == rep.to_json()
+    assert kind != "u" or m != 3 or exponents == [[1, 0], [-1, 1], [0, -1]]
     # each call builds its own tower, so F is compared across calls by its printed entries
     e = same.f.field
     assert kind not in ("eta", "zeta") or (e.gen_name, e.m) == (kind, (1 if kind == "eta" else 2) * m)
@@ -836,11 +859,25 @@ def test_diagonal_split_fails_at_the_row_whose_exponent_is_off_by_one(kind, m):
         else:
             wrong = [list(row) for row in exponents]
             wrong[r][r % e.n] += 1
-            bad = _diagonal_split(phi, d, theta_p, wrong)
+            bad = _diagonal_split(phi, d, theta_p, wrong, rates)
             assert scalar_to_str(bad.f.rows[r][r]) == scalar_to_str(same.f.rows[r][r] * e.gen(r % e.n))
-            assert (scalar_to_str(bad.f.rows[r][r]) == "1") == (kind == "half" and r >= m // 2)
+            assert (scalar_to_str(bad.f.rows[r][r]) == "1") == (not any(wrong[r]))
             assert bad.isomorphism.ok
         assert not bad.passed and not bad.gauge.ok
         assert bad.gauge.failing_entry == (r, r)
         assert (bad.gauge.det_nonzero, bad.gauge.det_method) == (True, "diagonal")
         assert [scalar_to_str(bad.f.rows[s][s]) == diagonal[s] for s in range(m)] == [s != r for s in range(m)]
+
+
+@pytest.mark.parametrize("kind,m", INNER_LATTICES)
+def test_diagonal_split_fails_at_the_first_row_that_weights_a_corrupted_basis_rate(kind, m):
+    """Basis rate b_i + 1 in place of b_i: F is unchanged, and row r's rate sum_i n_ri b_i is off by
+    n_ri, so the gauge fails at the first row whose exponent of x_i is nonzero."""
+    rep, phi, d, theta_p, exponents, rates = _diagonal_inputs(kind, m)
+    one = phi.ext_field.one()
+    for i in range(len(rates)):
+        bad = _diagonal_split(phi, d, theta_p, exponents, [b + one if j == i else b for j, b in enumerate(rates)])
+        r = next(r for r in range(m) if exponents[r][i])
+        assert not bad.passed and not bad.gauge.ok and bad.isomorphism.ok
+        assert bad.gauge.failing_entry == (r, r)
+        assert [scalar_to_str(bad.f.rows[s][s]) for s in range(m)] == [scalar_to_str(rep.f.rows[s][s]) for s in range(m)]
