@@ -4,6 +4,14 @@ Includes the gauge verification delta^c(F) = PF with an exact certificate
 for det F != 0, and the constants computation for the diagonal-plus-corner
 matrices P = diag(lambda_0..lambda_{m-1}) + f E_{0,m-1} with distinct
 constant lambdas.
+
+An entry (XY)[r][s] of a product is one sum of the products X[r][k] Y[k][s]
+over the k where both factors are nonzero, which X's field builds in one
+pass (``sum_of_products``): Q(w) and Q(w)(t) fold them one product and one
+sum at a time, and a field of sparse sums (a Kummer field, a differential
+polynomial ring) gathers their terms in one dict and builds the entry once.
+A constant factor there scales the other factor's terms, so P X over
+k(xi)[x], P constant, takes no product of polynomials.
 """
 
 from __future__ import annotations
@@ -84,22 +92,21 @@ class DiffMatrix(FieldElem):
         if not isinstance(other, DiffMatrix):
             return self.scale(other)
         self._coerce_other(other)
-        # row r of the product sums a * (row k of other) over the nonzero a = self[r][k],
-        # each row of other taken on its support: a diagonal factor costs m products
-        z = self.field.zero()
-        supports = [[(s, b) for s, b in enumerate(row) if not b.is_zero()] for row in other.rows]
+        # entry (r, s) is the field's one sum of products self[r][k] * other[k][s] over the k
+        # where both are nonzero, each column of other taken on its support: a diagonal
+        # factor costs m products
+        field = self.field
+        z = field.zero()
+        cols = [[(k, b) for k, row in enumerate(other.rows) if not (b := row[s]).is_zero()] for s in range(self.size)]
         out = []
         for r in self.rows:
-            acc = {}
-            for k, a in enumerate(r):
-                if a.is_zero():
-                    continue
-                for s, b in supports[k]:
-                    ab = a * b
-                    c = acc.get(s)
-                    acc[s] = ab if c is None else c + ab
-            out.append([acc.get(s, z) for s in range(len(r))])
-        return _matrix(self.field, out)
+            nonzero = [None if a.is_zero() else a for a in r]
+            row = []
+            for col in cols:
+                pairs = [(a, b) for k, b in col if (a := nonzero[k]) is not None]
+                row.append(field.sum_of_products(pairs) if pairs else z)
+            out.append(row)
+        return _matrix(field, out)
 
     def scale(self, c) -> "DiffMatrix":
         c = self.field.coerce(c)

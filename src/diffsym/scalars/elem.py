@@ -1,10 +1,12 @@
 """The protocol that every field of the tower and every element type share.
 
 ``Field`` is the base of the field descriptors: it returns the interned
-``zero()`` and ``one()`` and the parser's ``generators()``.  ``Extension`` is
+``zero()`` and ``one()`` and the parser's ``generators()``, and folds the
+``sum_of_products`` that an entry of a matrix product is.  ``Extension`` is
 its form for a field over ``base`` whose elements are ``SparseElem`` sums; it
 adds ``cyclo``, the interned units over the base, one ``coerce`` and the
-elements' trusted constructor ``_make``.
+elements' trusted constructor ``_make``, and gathers a sum of products in
+one dict.
 
 ``FieldElem`` is the base of the element types.  Each subclass defines
 ``__add__``, ``__mul__``, ``__neg__`` and ``inv`` in its own body;
@@ -50,6 +52,14 @@ class Field:
                 own.setdefault(name, self.coerce(g))
         self._generators = own
 
+    def sum_of_products(self, pairs):
+        """The sum of a * b over the (a, b) in pairs, one product and one sum at a time; zero for no pair."""
+        acc = None
+        for a, b in pairs:
+            ab = a * b
+            acc = ab if acc is None else acc + ab
+        return self._zero if acc is None else acc
+
 
 class Extension(Field):
     """A field over ``base`` whose elements, of type ``elem_type``, are ``SparseElem`` sums over it.
@@ -76,6 +86,45 @@ class Extension(Field):
         x.parent = self
         x.terms = terms
         return x
+
+    def sum_of_products(self, pairs):
+        """The sum of a * b over the (a, b) in pairs, its terms gathered in one dict and built once.
+
+        The constant key is the identity of the monomials' product, so a
+        factor of this field that is a constant, {_constant_key: c}, scales
+        the other factor's terms by c: no product element is built, and no
+        coefficient product at all when c is the base's one.  Any other pair,
+        and a pair with a factor from another field, takes a * b in this
+        field and merges its terms.  A term whose sum is zero is dropped, so
+        a sum that cancels, or one of no pair, is the interned zero.
+        """
+        elem_type, key0, one = self._elem_type, self._constant_key, self._base_one
+        out = {}
+        for a, b in pairs:
+            c = one
+            if type(a) is elem_type and a.parent is self and type(b) is elem_type and b.parent is self:
+                x, terms = a.terms, b.terms
+                if len(x) == 1 and key0 in x:
+                    c = x[key0]
+                elif len(terms) == 1 and key0 in terms:
+                    c, terms = terms[key0], x
+                else:
+                    terms = (a * b).terms
+            else:
+                terms = self.coerce(a * b).terms
+            for key, v in terms.items():
+                if c is not one:
+                    v = c if v is one else v * c
+                s = out.get(key)
+                if s is None:
+                    out[key] = v
+                else:
+                    s = s + v
+                    if s.is_zero():
+                        del out[key]
+                    else:
+                        out[key] = s
+        return self._make(out)
 
     def coerce(self, x):
         """x in this field: an element of it (or of an equal field) as it is, an

@@ -430,13 +430,16 @@ def split_generic(p: DiffMatrix) -> SplitReport:
     m = p.size
     base = p.field
     width = len(str(m - 1))
-    names = [f"x{r:0{width}}{s:0{width}}" for r in range(m) for s in range(m)]
+    index = [f"{i:0{width}}" for i in range(m)]
+    names = ["x" + r + s for r in index for s in index]
     e = PolyDiffField(base, names)
+    # the monomial key of each x_j, built once for the m images it appears in
+    keys = [((j, 1),) for j in range(m * m)]
     for r, row in enumerate(p.rows):
         # (index of x_l0, P[r][l]) for each nonzero P[r][l]
         support = [(l * m, c) for l, c in enumerate(row) if not c.is_zero()]
         for s in range(m):
-            e.set_gen_derivative(r * m + s, e._make({((i + s, 1),): c for i, c in support}))
+            e.set_gen_derivative(r * m + s, e._make({keys[i + s]: c for i, c in support}))
     f_mat = _matrix(e, [[e.gen(r * m + s) for s in range(m)] for r in range(m)])
     gauge = verify_gauge(p.coerce_to(e), f_mat)
     return SplitReport(

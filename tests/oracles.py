@@ -75,7 +75,9 @@ the nonnegative exponents n (m - 1 - r), and the cofactors of two polynomials by
 ``poly_cancel`` reads off a pair of associates, and the Q-rank of elements of
 k(xi) by Gaussian elimination over ``Fraction`` on their coordinates over one
 common denominator in place of the integer rows of w^(-ri) and Euclid's row
-steps.
+steps, and each entry of a matrix product as the fold sum(a * b) over every
+index, zero factors included, in place of the field's one pass over the
+pairs of nonzero factors.
 """
 
 import itertools
@@ -628,6 +630,12 @@ def coercing_matrix_mul(x, y):
             row.append(acc)
         out.append(row)
     return DiffMatrix(x.field, out)
+
+
+def folded_matrix_entries(x, y):
+    """The entries of x * y, each the fold sum(a * b) from the zero of x's field over every index."""
+    n, zero = x.size, x.field.zero()
+    return [[sum((x.rows[r][k] * y.rows[k][s] for k in range(n)), zero) for s in range(n)] for r in range(n)]
 
 
 def coercing_matrix_add(x, y):

@@ -1,6 +1,9 @@
 """CLI behaviour: exit codes, JSON reports, schema validation, replay corpus."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -101,6 +104,21 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
         assert f"must not exceed {bound}" in capsys.readouterr().err
     assert diffsym.cli.MAX_M == 16
     assert not hasattr(diffsym.cli, "MAX_GENERIC_M")
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    """``python -m diffsym`` prints what ``cli.main`` prints in process, with its exit code."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", "diffsym", *argv], env=env, capture_output=True, text=True)
+
+    argv = ["split", "standard", "--m", "2", "--alpha", "t", "--beta", "t+1", "--json"]
+    done = python_m(*argv)
+    assert done.returncode == 0 and done.stderr == ""
+    assert (main(argv), capsys.readouterr().out) == (0, done.stdout)
+    refused = python_m("split", "standard", "--m", "99", "--alpha", "t", "--beta", "t+1")
+    assert refused.returncode == 2 and "must not exceed 16" in refused.stderr and refused.stdout == ""
 
 
 @pytest.mark.parametrize("argv", [

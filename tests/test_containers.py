@@ -23,7 +23,9 @@ from diffsym.scalars import (
     RatFunc,
     RatFuncField,
 )
+from diffsym.scalars.elem import SparseElem
 from diffsym.scalars.kummer import KummerElem
+from diffsym.scalars.monomial import PolyDiffElem
 from diffsym.split import (
     PhiMap,
     _checked_t_r,
@@ -85,6 +87,21 @@ def test_split_generic_at_m5_takes_no_polynomial_product(monkeypatch):
     rep = split_generic(p)
     assert rep.passed and rep.gauge.det_nonzero
     assert not products
+
+
+def test_the_generic_gauge_at_m5_takes_no_product_or_sum_of_ring_elements(monkeypatch):
+    """PF scales each generator x_ls by the constant P[r][l] and gathers the m terms of an entry
+    in one dict, so the gauge check of split_generic at m = 5 multiplies and adds no two elements
+    of k(xi)[x]."""
+    alg = make_algebra(5)
+    t = alg.field.gen()
+    theta = alg.monomial(1, 0, t) + alg.monomial(0, 1, t + 1) + alg.monomial(2, 3, t + 3)
+    p = compute_P(standard_derivation(alg) + inner_derivation(theta), make_phi(alg))
+    products = _counter(monkeypatch, PolyDiffElem, "__mul__", "__rmul__")
+    sums = _counter(monkeypatch, SparseElem, "_plus")
+    rep = split_generic(p)
+    assert rep.passed and rep.gauge.det_nonzero
+    assert not products and not [args for args in sums if type(args[0]) is PolyDiffElem]
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])

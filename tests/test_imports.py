@@ -269,6 +269,44 @@ def test_generic_eliminations_are_called_only_from_symalg_det_and_ode():
     assert found == ELIMINATORS
 
 
+# a matrix product entry is one sum of products that its field builds (Field's
+# fold, Extension's one dict), so matdiff.py tests no element class: the
+# accumulation stays with the element types and the product keeps one loop
+ELEMENT_CLASSES = ("SparseElem", "PolyDiffElem", "KummerElem")
+
+
+def _element_class_tests(tree):
+    """(line, class) for each isinstance against an element class, or type(...) compared with one."""
+
+    def named(node):
+        nodes = node.elts if isinstance(node, ast.Tuple) else [node]
+        return [n for n in (getattr(x, "id", None) or getattr(x, "attr", None) for x in nodes) if n in ELEMENT_CLASSES]
+
+    def is_type_call(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "type"
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+            yield from ((node.lineno, name) for name in named(node.args[1]))
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(is_type_call, operands)):
+                yield from ((node.lineno, name) for x in operands for name in named(x))
+
+
+def test_the_matrix_module_tests_no_element_class():
+    assert list(_element_class_tests(ast.parse((SRC / "matdiff.py").read_text()))) == []
+    planted = "\n".join(
+        [
+            "isinstance(a, (int, PolyDiffElem))",
+            "type(a) is not scalars.KummerElem",
+            "SparseElem is type(b)",
+            "type(a) is type(b)",
+        ]
+    )
+    assert list(_element_class_tests(ast.parse(planted))) == [(1, "PolyDiffElem"), (2, "KummerElem"), (3, "SparseElem")]
+
+
 # one function assembles an explicit split's tower: split.py builds a Kummer
 # field only for xi and in the diagonal engine, and an exponential field only
 # in the engine: (callee, calling function)

@@ -21,6 +21,7 @@ from oracles import (
     coercing_matrix_mul,
     dense_apply_dP,
     det_expansion,
+    folded_matrix_entries,
     fraction_specialise,
     multiplied_det_certificate,
     polydiff_from_dense,
@@ -417,6 +418,85 @@ def test_sparse_product_agrees_with_the_dense_oracle(m, rng):
         for a in samples:
             for b in samples:
                 assert a * b == coercing_matrix_mul(a, b)
+
+
+def _assert_folded(x, y):
+    """x * y lies over x's field and equals the fold sum(a * b) entry by entry; over an extension a zero
+    entry is the field's interned zero and no entry stores a zero coefficient."""
+    got, field = x * y, x.field
+    assert got.field is field
+    for row, want_row in zip(got.rows, folded_matrix_entries(x, y)):
+        for a, b in zip(row, want_row):
+            assert a == b
+            if hasattr(a, "terms"):
+                assert a.parent is field and all(not c.is_zero() for c in a.terms.values())
+                assert not b.is_zero() or a is field.zero()
+
+
+def _random_matrices(field, m, rng, entry):
+    """The zero and identity matrices, a diagonal one and two random ones of density 0.3 and 0.8."""
+    samples = [DiffMatrix.zero(field, m), DiffMatrix.identity(field, m)]
+    samples.append(DiffMatrix.diagonal(field, [entry() for _ in range(m)]))
+    for density in (0.3, 0.8):
+        rows = [[entry() if rng.random() < density else 0 for _ in range(m)] for _ in range(m)]
+        samples.append(DiffMatrix(field, rows))
+    return samples
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_a_product_entry_is_the_fold_of_its_products(m, rng):
+    """Over Q(w)(t), over Kummer towers of depth 1 and 2, and over Q(w)(t)(xi)[x0, x1, x2] with Laurent
+    monomials and constant factors on the left, on the right and on both sides; then B_E * A_k, with A_k
+    over the field below E; then sums that cancel, in whole and in part."""
+    k = RatFuncField(CycloField(m), "t")
+    t = k.gen()
+    e1 = KummerField(k, t, m, "xi")
+    e2 = KummerField(e1, t + 1, m, "eta")
+    ring = PolyDiffField(e1, ["x0", "x1", "x2"])
+    xi = e1.gen()
+    scalars = [k.one(), -k.one(), t, t + 3, (t - 1) / (t + 2), k.omega() * t]
+
+    def scalar():
+        return rng.choice(scalars)
+
+    def kummer(field):
+        def entry():
+            terms = rng.randrange(1, 3)
+            return sum((scalar() * field.gen() ** rng.randrange(m) for _ in range(terms)), field.zero())
+
+        return entry
+
+    def monomial():
+        x0, x2 = ring.gen(0) ** rng.randrange(-2, 3), ring.gen(2) ** rng.randrange(-1, 2)
+        return scalar() * xi ** rng.randrange(m) * x0 * x2
+
+    def laurent():
+        return sum((monomial() for _ in range(rng.randrange(1, 4))), ring.zero())
+
+    def constant():
+        return ring.coerce(kummer(e1)())
+
+    fields = {k: scalar, e1: kummer(e1), e2: kummer(e2), ring: lambda: rng.choice((laurent, constant))()}
+    over = {field: _random_matrices(field, m, rng, entry) for field, entry in fields.items()}
+    over[ring] += _random_matrices(ring, m, rng, constant)
+    for field, samples in over.items():
+        for x in samples:
+            for y in samples:
+                _assert_folded(x, y)
+    # B_E * A_k: each pair takes a * b, which lies in E
+    for big, small in ((e1, k), (e2, e1), (e2, k), (ring, e1), (ring, k)):
+        for x in over[big]:
+            for y in over[small]:
+                _assert_folded(x, y)
+    # p q - q p = 0 over the ring, taken by scaling when p or q is a constant; with q x0 added only
+    # that term is left
+    x0 = ring.gen(0)
+    for p_entry, q_entry in ((laurent, laurent), (constant, laurent), (laurent, constant), (constant, constant)):
+        p, q = p_entry(), q_entry()
+        x = DiffMatrix(ring, [[p, q], [q, x0]])
+        y = DiffMatrix(ring, [[q, q], [-p, x0 - p]])
+        _assert_folded(x, y)
+        assert (x * y).rows[0][0] is ring.zero() and (x * y).rows[0][1] == q * x0
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])

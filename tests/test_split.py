@@ -661,6 +661,25 @@ def test_one_pass_generic_images_agree_with_the_sum_of_scales(m, rng):
         assert rep.passed and (rep.gauge.det_method, rep.gauge.det_point) == ("specialisation", 0)
 
 
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_a_corrupted_generic_image_fails_the_gauge_at_its_entry(m, rng):
+    """delta(x_rs) set to its image plus one generator makes delta^c(F) = PF fail at (r, s) alone,
+    and the verdict prints the corrupted image as lhs and sum_l P[r][l] x_ls as rhs."""
+    alg = make_algebra(m)
+    p = compute_P(random_valid_derivation(alg, rng), make_phi(alg))
+    for _ in range(3):
+        rep = split_generic(p)
+        assert rep.passed
+        e = rep.f.field
+        r, s = rng.randrange(m), rng.randrange(m)
+        image = e.gen_derivative(r * m + s)
+        wrong = image + e.gen(rng.randrange(m * m))
+        e.set_gen_derivative(r * m + s, wrong)
+        verdict = verify_gauge(p.coerce_to(e), rep.f)
+        assert not verdict.ok and verdict.det_nonzero and verdict.failing_entry == (r, s)
+        assert (verdict.lhs, verdict.rhs) == (scalar_to_str(wrong), scalar_to_str(image))
+
+
 @pytest.mark.parametrize("m", [8, 16])
 def test_split_generic_at_large_m(m, rng):
     alg = make_algebra(m)
