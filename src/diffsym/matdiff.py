@@ -11,7 +11,9 @@ pass (``sum_of_products``): Q(w) and Q(w)(t) fold them one product and one
 sum at a time, and a field of sparse sums (a Kummer field, a differential
 polynomial ring) gathers their terms in one dict and builds the entry once.
 A constant factor there scales the other factor's terms, so P X over
-k(xi)[x], P constant, takes no product of polynomials.
+k(xi)[x], P constant, takes no product of polynomials.  An entry lies in X's
+field or the product raises TypeError: X over k times Y over an extension of
+k, whose entries would leave k, is refused, as X + Y is.
 """
 
 from __future__ import annotations

@@ -106,7 +106,9 @@ class CycloField(Field):
         self._one = _elem(self, (1,) + self._zeros, 1)
         self.omega_powers = (self._one,) + tuple(_elem(self, row, 1) for row in powers[1:m])
         self._omega = self.omega_powers[1 % m]
-        self._name_generators({"w": self._omega})
+
+    def _own_generators(self) -> dict:
+        return {"w": self._omega}
 
     @cached_property
     def inverse_gaps(self) -> tuple:

@@ -8,6 +8,16 @@ adds ``cyclo``, the interned units over the base, one ``coerce`` and the
 elements' trusted constructor ``_make``, and gathers a sum of products in
 one dict.
 
+Ownership: an element holds its container (``parent``, or ``algebra``) by a
+strong reference, so a field lives as long as any of its elements does.  A
+container built per case (an ``Extension``, a ``SymbolAlgebra``) holds no
+strong reference to an element of itself: it keeps its interned elements
+through weak references and rebuilds one only after every reference to it
+has gone.  "Interned" therefore means one live object: ``zero() is zero()``
+whenever anyone can compare the two, and such a container is freed by
+reference counting, with no reference cycle for the cyclic collector.
+``CycloField`` and ``RatFuncField``, shared per m, hold theirs strongly.
+
 ``FieldElem`` is the base of the element types.  Each subclass defines
 ``__add__``, ``__mul__``, ``__neg__`` and ``inv`` in its own body;
 subtraction, division, integer powers, equality and printing are derived here
@@ -25,16 +35,26 @@ is the only way one is made.
 from __future__ import annotations
 
 from fractions import Fraction
+from weakref import ref
 
 _new = object.__new__
+
+
+def unset_ref():
+    """A stand-in for a weak reference not yet taken: it returns None, as a reference to an object that has gone does."""
+    return None
 
 
 class Field:
     """Base of the field descriptors.
 
-    A subclass sets the interned ``_zero`` and ``_one`` and calls
-    ``_name_generators`` once from its ``__init__``.
+    A subclass sets the interned ``_zero`` and ``_one`` (``Extension``
+    builds them on demand instead), names its own generators in
+    ``_own_generators()`` and sets ``_below``, the field whose generators
+    follow them, when there is one.
     """
+
+    _below = None
 
     def zero(self):
         return self._zero
@@ -43,45 +63,68 @@ class Field:
         return self._one
 
     def generators(self) -> dict:
-        """Name to element for the parser: this field's own generators, then those of the field below."""
-        return self._generators
+        """Name to element for the parser: this field's own generators, then those of the field below.
 
-    def _name_generators(self, own: dict, below=None):
-        if below is not None:
-            for name, g in below.generators().items():
+        Built on each call, so that the field holds none of its elements.
+        """
+        own = self._own_generators()
+        if self._below is not None:
+            for name, g in self._below.generators().items():
                 own.setdefault(name, self.coerce(g))
-        self._generators = own
+        return own
 
     def sum_of_products(self, pairs):
-        """The sum of a * b over the (a, b) in pairs, one product and one sum at a time; zero for no pair."""
+        """The sum of a * b over the (a, b) in pairs, one product and one sum at a time; zero for no pair.
+
+        TypeError when the sum leaves this field, as a product with a factor
+        from an extension of it does.
+        """
         acc = None
         for a, b in pairs:
             ab = a * b
             acc = ab if acc is None else acc + ab
-        return self._zero if acc is None else acc
+        if acc is None:
+            return self.zero()
+        return acc if acc.parent is self else self.coerce(acc)
 
 
 class Extension(Field):
     """A field over ``base`` whose elements, of type ``elem_type``, are ``SparseElem`` sums over it.
 
     ``_make(terms)`` is their trusted constructor; a subclass sets
-    ``_constant_key``, the key of the constant monomial.
+    ``_constant_key``, the key of the constant monomial.  The field holds
+    its interned ``zero()`` and ``one()`` weakly (see the module docstring):
+    each is built on first use and again only after every reference to it
+    has gone, so an extension built per case is not part of a reference cycle.
     """
 
     def __init__(self, base, elem_type):
-        self.base = base
+        self.base = self._below = base
         self.cyclo = base.cyclo
         self._elem_type = elem_type
         self._base_one = base.one()
-        # built directly: _make returns this zero for empty terms
-        self._zero = zero = _new(elem_type)
-        zero.parent, zero.terms = self, {}
-        self._one = self._make({self._constant_key: self._base_one})
+        self._zero_ref = self._one_ref = unset_ref
+
+    def zero(self):
+        zero = self._zero_ref()
+        if zero is None:
+            # built directly: _make returns this zero for empty terms
+            zero = _new(self._elem_type)
+            zero.parent, zero.terms = self, {}
+            self._zero_ref = ref(zero)
+        return zero
+
+    def one(self):
+        one = self._one_ref()
+        if one is None:
+            one = self._make({self._constant_key: self._base_one})
+            self._one_ref = ref(one)
+        return one
 
     def _make(self, terms: dict):
         """The trusted constructor: terms maps keys to nonzero elements of the base; {} gives the interned zero."""
         if not terms:
-            return self._zero
+            return self.zero()
         x = _new(self._elem_type)
         x.parent = self
         x.terms = terms
@@ -133,9 +176,9 @@ class Extension(Field):
             return x
         c = x if getattr(x, "parent", None) is self.base else self.base.coerce(x)
         if c is self._base_one:
-            return self._one
+            return self.one()
         if c.is_zero():
-            return self._zero
+            return self.zero()
         return self._make({self._constant_key: c})
 
 

@@ -59,7 +59,6 @@ class KummerField(Extension):
         # passes it, and the consistency check below verifies it either way
         self.gen_rate = alpha.derive() / (alpha * m) if gen_rate is None else base.coerce(gen_rate)
         self._check_derivation_consistency()
-        self._name_generators({gen_name: self.gen()}, base)
 
     # -- construction checks -------------------------------------------
 
@@ -99,6 +98,9 @@ class KummerField(Extension):
     def gen(self) -> "KummerElem":
         return self._make({1: self._base_one})
 
+    def _own_generators(self) -> dict:
+        return {self.gen_name: self.gen()}
+
     def __eq__(self, other):
         return (
             isinstance(other, KummerField)
@@ -131,7 +133,7 @@ class KummerElem(SparseElem):
     arithmetic.
     """
 
-    __slots__ = ("parent", "terms")
+    __slots__ = ("parent", "terms", "__weakref__")
 
     def is_base(self) -> bool:
         return self.terms.keys() <= {0}

@@ -15,12 +15,22 @@ may be negative (Laurent monomials), but general division is not provided.
 from __future__ import annotations
 
 from fractions import Fraction
+from weakref import ref
 
-from .elem import Extension, SparseElem
+from .elem import Extension, SparseElem, unset_ref
 
 
 class PolyDiffField(Extension):
-    """F[x_0..x_{n-1}] with a derivation given on each generator."""
+    """F[x_0..x_{n-1}] with a derivation given on each generator.
+
+    The ring holds no strong reference to an element of itself (the
+    ownership rule of ``scalars/elem.py``).  It keeps each generator x_i
+    through a weak reference, and each image d(x_i) as its term dict, which
+    holds only coefficients in the base, with a weak reference to the element
+    built from it.  An element is rebuilt only after every reference to it
+    has gone, so ``gen(i) is gen(i)`` and ``gen(i).derive() is
+    gen_derivative(i)`` hold whenever the two can be compared.
+    """
 
     _constant_key = ()
 
@@ -28,10 +38,10 @@ class PolyDiffField(Extension):
         super().__init__(base, PolyDiffElem)
         self.names = tuple(names)
         self.n = len(self.names)
-        self._gen_derivs = [None] * self.n
-        one = self._base_one
-        self._gens = tuple(self._make({((i, 1),): one}) for i in range(self.n))
-        self._name_generators(dict(zip(self.names, self._gens)), base)
+        self._gen_refs = [unset_ref] * self.n
+        # d(x_i): its terms (None until set) and a weak reference to its element
+        self._image_terms = [None] * self.n
+        self._image_refs = [unset_ref] * self.n
 
     def _check_index(self, i: int):
         if not 0 <= i < self.n:
@@ -40,13 +50,19 @@ class PolyDiffField(Extension):
     def set_gen_derivative(self, i: int, value: "PolyDiffElem"):
         """Store d(x_i): an element of this field as it is, anything else coerced into it."""
         self._check_index(i)
-        self._gen_derivs[i] = value if getattr(value, "parent", None) is self else self.coerce(value)
+        value = value if getattr(value, "parent", None) is self else self.coerce(value)
+        self._image_terms[i] = value.terms
+        self._image_refs[i] = ref(value)
 
     def gen_derivative(self, i: int) -> "PolyDiffElem":
         self._check_index(i)
-        v = self._gen_derivs[i]
+        v = self._image_refs[i]()
         if v is None:
-            raise ValueError(f"derivation of {self.names[i]} was never set")
+            terms = self._image_terms[i]
+            if terms is None:
+                raise ValueError(f"derivation of {self.names[i]} was never set")
+            v = self._make(terms)
+            self._image_refs[i] = ref(v)
         return v
 
     @property
@@ -55,7 +71,14 @@ class PolyDiffField(Extension):
 
     def gen(self, i: int) -> "PolyDiffElem":
         self._check_index(i)
-        return self._gens[i]
+        x = self._gen_refs[i]()
+        if x is None:
+            x = self._make({((i, 1),): self._base_one})
+            self._gen_refs[i] = ref(x)
+        return x
+
+    def _own_generators(self) -> dict:
+        return {name: self.gen(i) for i, name in enumerate(self.names)}
 
     def __repr__(self):
         return f"{self.base!r}[{', '.join(self.names)}]"
@@ -89,14 +112,14 @@ class PolyDiffElem(SparseElem):
     ``Fraction``, which is not coerced.
     """
 
-    __slots__ = ("parent", "terms")
+    __slots__ = ("parent", "terms", "__weakref__")
 
     __eq__ = SparseElem._parent_eq
 
     def scale(self, c) -> "PolyDiffElem":
         c = self.parent.base.coerce(c)
         if c.is_zero():
-            return self.parent._zero
+            return self.parent.zero()
         return _scaled(self, c)
 
     def __add__(self, other):
@@ -121,7 +144,7 @@ class PolyDiffElem(SparseElem):
             return _scaled(self, y[()])
         if len(x) == 1 and () in x:
             return _scaled(other, x[()])
-        one = parent.base.one()
+        one = parent._base_one
         out = {}
         for k1, c1 in x.items():
             for k2, c2 in y.items():
@@ -151,7 +174,7 @@ class PolyDiffElem(SparseElem):
         first term, and the base's one is not derived at all.
         """
         parent = self.parent
-        one = parent.base.one()
+        one = parent._base_one
         if len(self.terms) == 1:
             ((key, c),) = self.terms.items()
             if c is one and len(key) == 1 and key[0][1] == 1:
@@ -203,7 +226,7 @@ def _mul_keys(a: tuple, b: tuple) -> tuple:
 
 def _scaled(x: PolyDiffElem, c) -> PolyDiffElem:
     """x * c for a nonzero c in the base; the base is a field, so no coefficient product is zero."""
-    one = x.parent.base.one()
+    one = x.parent._base_one
     if c is one:
         return x
     return x.parent._make({e: c if v is one else v * c for e, v in x.terms.items()})

@@ -47,7 +47,10 @@ class RatFuncField(Field):
         self._one_poly = one = Poly.one(cyclo)
         self._zero = _ratfunc(self, Poly.zero(cyclo), one)
         self._one = _ratfunc(self, one, one)
-        self._name_generators({var: self.gen()}, cyclo)
+        self._below = cyclo
+
+    def _own_generators(self) -> dict:
+        return {self.var: self.gen()}
 
     @property
     def is_zero_derivation(self) -> bool:

@@ -11,11 +11,12 @@ each entry once and keeps the nonzero ones.
 from __future__ import annotations
 
 from functools import cached_property
+from weakref import ref
 
 from .errors import SelfCheckError
 from .linalg import kernel_basis, solve_affine
 from .scalars import Poly
-from .scalars.elem import SparseElem
+from .scalars.elem import SparseElem, unset_ref
 
 
 class AlgebraMismatchError(ValueError):
@@ -23,6 +24,15 @@ class AlgebraMismatchError(ValueError):
 
 
 class SymbolAlgebra:
+    """(alpha, beta)_{k,w} over ``field``, the container of its ``SymbolElem``s.
+
+    An element holds its ``algebra`` strongly; the algebra holds no strong
+    reference to an element of itself (the ownership rule of
+    ``scalars/elem.py``).  Its interned zero is held weakly, so "interned"
+    means one live object, and an algebra built per case is freed by
+    reference counting.
+    """
+
     def __init__(self, field, alpha, beta, m: int):
         if m < 2:
             raise ValueError(f"a symbol algebra needs degree m >= 2, got m = {m}")
@@ -40,9 +50,7 @@ class SymbolAlgebra:
         self._check_primitive_root()
         # the field's omega powers as coefficient-field elements
         self._omega_pow = [field.coerce(w) for w in field.cyclo.omega_powers]
-        # built directly: _make returns this zero for empty terms
-        self._zero = zero = object.__new__(SymbolElem)
-        zero.algebra, zero.terms = self, {}
+        self._zero_ref = unset_ref
         # the algebra that extend built this one from, whose elements coerce_elem takes unchecked
         self._source = None
 
@@ -87,14 +95,21 @@ class SymbolAlgebra:
     def _make(self, terms: dict) -> "SymbolElem":
         """The trusted constructor: terms maps (i, j) in [0, m)^2 to nonzero field elements; {} gives the zero."""
         if not terms:
-            return self._zero
+            return self.zero_elem()
         x = object.__new__(SymbolElem)
         x.algebra = self
         x.terms = terms
         return x
 
     def zero_elem(self) -> "SymbolElem":
-        return self._zero
+        """The interned zero, held weakly: built on first use and again only after every reference to it has gone."""
+        zero = self._zero_ref()
+        if zero is None:
+            # built directly: _make returns this zero for empty terms
+            zero = object.__new__(SymbolElem)
+            zero.algebra, zero.terms = self, {}
+            self._zero_ref = ref(zero)
+        return zero
 
     def one(self) -> "SymbolElem":
         return self.monomial(0, 0, self.field.one())
@@ -174,7 +189,7 @@ class SymbolElem(SparseElem):
     ``_make``: from ``monomial``, ``from_grid`` and arithmetic.
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra", "terms", "__weakref__")
 
     def _with(self, terms: dict) -> "SymbolElem":
         return self.algebra._make(terms)

@@ -6,6 +6,8 @@ takes no product in the layer below.  The counts pin that; the oracles and
 the membership checks guard what the trusted constructors take on trust.
 """
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -305,6 +307,102 @@ def test_units_are_interned():
         assert x.coerce(2) == 2 and x.coerce(2) is not x.one()
 
 
+def test_interned_elements_are_rebuilt_once_every_reference_has_gone():
+    """A per-case container holds its interned elements weakly: once every reference is dropped
+    the element is gone, and the container returns an equal element, interned again."""
+    alg = make_algebra(3)
+    k = alg.field
+    xi = KummerField(k, k.gen(), 3, "xi")
+    # over k: a ring over xi would hold xi's one as the coefficient of its monomials
+    ring = MonomialDiffField(k, ["x0", "x1"], [k.one(), k.gen()])
+    reads = {
+        "zero of k(xi)": xi.zero,
+        "one of k(xi)": xi.one,
+        "zero of the ring": ring.zero,
+        "one of the ring": ring.one,
+        "x1": lambda: ring.gen(1),
+        "d(x1)": lambda: ring.gen_derivative(1),
+        "zero of the algebra": alg.zero_elem,
+    }
+    for label, read in reads.items():
+        x = read()
+        terms, gone = dict(x.terms), weakref.ref(x)
+        del x
+        assert gone() is None, label
+        again = read()
+        assert again is read() and again.terms == terms, label
+    assert xi.coerce(0) is xi.zero() and xi._make({}) is xi.zero() and xi.coerce(1) is xi.one()
+    assert ring.gen(0).derive() is ring.gen_derivative(0) and ring.gen(1).scale(0) is ring.zero()
+    assert alg.u() - alg.u() is alg.zero_elem()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_split_generic_f_derives_to_p_f_after_the_images_are_dropped(m, rng):
+    alg = make_algebra(m)
+    rep = split_generic(compute_P(random_valid_derivation(alg, rng), make_phi(alg)))
+    ring, n = rep.f.field, m * m
+    images = [weakref.ref(ring.gen_derivative(i)) for i in range(n)]
+    assert [r() for r in images] == [None] * n
+    assert rep.f.derive() == rep.p.coerce_to(ring) * rep.f
+    assert all(rep.f.rows[i][j].derive() is ring.gen_derivative(i * m + j) for i in range(m) for j in range(m))
+
+
+@pytest.fixture
+def collector_off():
+    """The cyclic collector off, after one collection; restored afterwards."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _cyclic_garbage(build) -> int:
+    """The number of objects that only the cyclic collector frees once build() has run and its result is dropped."""
+    gc.collect()
+    build()
+    return gc.collect()
+
+
+def test_no_construction_leaves_cyclic_garbage(collector_off):
+    """Fields, algebras, maps and reports built per case are freed by reference counting alone."""
+    for m in (2, 3, 4, 5):
+        alg = make_algebra(m)
+        k = alg.field
+        t = k.gen()
+        flat = make_algebra(m, derivation="zero")
+        phi = make_phi(alg)
+        d = standard_derivation(alg) + inner_derivation(alg.u() * alg.v())
+        # the cyclotomic sums of t_r are checked once per m, into a cache
+        t_r_values(m)
+        builds = {
+            "split_standard(t, t + 1)": lambda: split_standard(SymbolAlgebra(k, t, t + 1, m)),
+            "split_standard(t^2 + 1, 3t)": lambda: split_standard(SymbolAlgebra(k, t * t + 1, t * 3, m)),
+            "split_inner(u)": lambda: split_inner(flat, flat.u()),
+            "split_inner(u + u^2)": lambda: split_inner(flat, flat.u() + flat.u(2)),
+            "split_generic": lambda: split_generic(compute_P(d, phi)),
+            "SymbolAlgebra and PhiMap": lambda: make_phi(SymbolAlgebra(k, t, t + 1, m)).apply(alg.u() + alg.v()),
+        }
+        for label, build in builds.items():
+            assert _cyclic_garbage(build) == 0, (m, label)
+
+    # Q(w_3)(t) is shared, as the CLI shares it per m
+    k = make_algebra(3).field
+    t = k.gen()
+
+    def tower():
+        xi = KummerField(k, t, 3, "xi")
+        eta = KummerField(xi, t + 1, 3, "eta")
+        x = eta.gen() + eta.coerce(xi.gen()) * t
+        y = x * x - eta.one()
+        return y.inv() * y, y.derive(), eta.generators()
+
+    assert _cyclic_garbage(tower) == 0
+
+
 def test_coerce_elem_coerces_a_foreign_grid_once(monkeypatch):
     alg = make_algebra(3)
     ext = make_phi(alg).ext_algebra
@@ -451,14 +549,20 @@ def test_report_matrices_hold_entries_of_their_field(m, rng):
 
 
 def test_mixed_field_matrix_arithmetic():
-    """Over E = k(xi), B_E + A_k and B_E * A_k lie over E; A_k + B_E is a TypeError."""
+    """Over E = k(xi) and over a ring R = k[x0, x1, x2], B_E + A_k and B_E * A_k lie over E;
+    A_k + B_E and A_k * B_E, whose entries would leave k, are TypeErrors."""
     alg = make_algebra(3)
     phi = make_phi(alg)
-    k, e = alg.field, phi.ext_field
+    k = alg.field
     t = k.gen()
     a_k = DiffMatrix(k, [[t, k.one(), k.zero()], [k.zero(), t + 1, t], [k.one(), k.zero(), t * t]])
-    b_e = phi.a_mat + phi.b_mat
-    for got, want in ((b_e + a_k, b_e + a_k.coerce_to(e)), (b_e * a_k, b_e * a_k.coerce_to(e))):
-        assert got.field is e and _in_field(got, e) and got == want
-    with pytest.raises(TypeError):
-        a_k + b_e
+    r = PolyDiffField(k, ["x0", "x1", "x2"])
+    x0, x1, x2 = (r.gen(i) for i in range(3))
+    b_r = DiffMatrix(r, [[x0, 1, 0], [t, x1, 0], [0, x2, x0 * x1]])
+    for e, b_e in ((phi.ext_field, phi.a_mat + phi.b_mat), (r, b_r)):
+        for got, want in ((b_e + a_k, b_e + a_k.coerce_to(e)), (b_e * a_k, b_e * a_k.coerce_to(e))):
+            assert got.field is e and _in_field(got, e) and got == want
+        with pytest.raises(TypeError):
+            a_k + b_e
+        with pytest.raises(TypeError):
+            a_k * b_e

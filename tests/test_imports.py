@@ -121,17 +121,18 @@ def test_only_the_pinned_private_names_cross_modules():
 # the functions that make an object with object.__new__: one trusted
 # constructor per element kind (Extension._make serves every SparseElem field,
 # SymbolAlgebra._make the symbol algebra, and a sparse element has no public
-# one), and the two container __init__s that intern their zero: (file, function)
+# one), and the two containers' zero accessors, which rebuild the weakly
+# interned zero (Extension.zero, SymbolAlgebra.zero_elem): (file, function)
 OBJECT_NEW = {
     ("deriv.py", "_derivation"),
     ("matdiff.py", "_matrix"),
     ("scalars/cyclo.py", "_elem"),
-    ("scalars/elem.py", "__init__"),
     ("scalars/elem.py", "_make"),
+    ("scalars/elem.py", "zero"),
     ("scalars/polys.py", "_poly"),
     ("scalars/ratfunc.py", "_ratfunc"),
-    ("symalg.py", "__init__"),
     ("symalg.py", "_make"),
+    ("symalg.py", "zero_elem"),
 }
 
 
