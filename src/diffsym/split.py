@@ -55,6 +55,8 @@ class PhiMap:
         m = algebra.m
         if xi_field.m != m:
             raise ValueError("extension degree must match the algebra degree")
+        if xi_field.base != algebra.field:
+            raise ValueError("xi must be adjoined to the algebra's own field")
         if not xi_field.coerce(algebra.alpha) == xi_field.coerce(xi_field.alpha):
             raise ValueError("xi^m must equal alpha")
         self.algebra = algebra
@@ -69,9 +71,6 @@ class PhiMap:
         for r in range(1, m):
             rows[r][r - 1] = xi_field.one()
         self.b_mat = _matrix(xi_field, rows)
-        # _a_diag[i][r] = A^i[r][r] = xi^i w^((m-r)i mod m), a row appended when apply first needs it
-        self._a_diag = [[xi_field.one()] * m, diag]
-        self._beta = xi_field.coerce(algebra.beta)
         self._validate_relations()
 
     @functools.cached_property
@@ -112,39 +111,63 @@ class PhiMap:
         if not a[0][0] ** m == e.coerce(self.algebra.alpha):
             raise SelfCheckError("A^m != alpha I: A[0][0]^m is not alpha")
 
-    def _a_powers(self, top: int) -> list:
-        """The rows A^0, ..., A^top of _a_diag, each new row the one before times A's diagonal."""
-        table = self._a_diag
-        while len(table) <= top:
-            table.append([a * b for a, b in zip(table[-1], table[1])])
-        return table
+    def apply(self, x: SymbolElem, diagonal=()) -> DiffMatrix:
+        """Phi(x) = sum_ij x_ij A^i B^j, plus diag(diagonal) for scalars in diagonal, built in one pass.
 
-    def apply(self, x: SymbolElem) -> DiffMatrix:
-        """Phi(x) = sum_ij x_ij A^i B^j, built entry by entry.
+        A^i = diag(w^((m-r)i mod m) xi^i), and row r of B^j has its one
+        nonzero entry in column (r - j) mod m: beta where the shift wraps
+        (r < j), 1 otherwise.  So a term c u^i v^j, with c = sum_l c_l xi^l
+        over k (an element of k is the single term c xi^0), adds to entry
+        (r, (r - j) mod m) the term
 
-        A^i is diagonal, and row r of B^j has its one nonzero entry in column
-        (r - j) mod m: beta where the shift wraps (r < s), 1 otherwise. So
+            c_l (beta if r < j) w^((m-r)i mod m) xi^(l+i),  xi^m = alpha.
 
-            Phi(x)[r][s] = sum_i x[i][(r-s) mod m] (beta if r < s else 1) A^i[r][r].
-
-        Entry (r, s) of A^i B^j wraps (r < s) exactly on the rows r < j, so a
-        term c u^i v^j with j > 0 takes c * beta once, before it meets the
-        roots of unity of A^i: m products per term, plus that one for j > 0,
-        in place of m^2 matrix products.
+        Each entry's terms are gathered in one dict over k, alpha and beta
+        taken once per term c_l, w^0 with no product, and a sum that cancels
+        dropped; each nonzero entry is then built once.  An element of A is
+        read over k as it is; any other goes through ``coerce_elem``.  The
+        diagonal seeds the gather, so Phi(x) + diag(diagonal) takes no
+        matrix sum.
         """
-        x = self.ext_algebra.coerce_elem(x)
-        m = self.algebra.m
-        zero = self.ext_field.zero()
-        rows = [[zero] * m for _ in range(m)]
-        a_pows = self._a_powers(max((i for i, _ in x.terms), default=0))
-        for (i, j), c in x.terms.items():
-            a_i = a_pows[i]
-            wrapped = c * self._beta if j else c
-            for r in range(m):
-                row, s = rows[r], (r - j) % m
-                term = (wrapped if r < j else c) * a_i[r]
-                row[s] = term if row[s].is_zero() else row[s] + term
-        return _matrix(self.ext_field, rows)
+        alg = self.algebra
+        if x.algebra is alg:
+            terms = [(key, ((0, c),)) for key, c in x.terms.items()]
+        else:
+            terms = [(key, c.terms.items()) for key, c in self.ext_algebra.coerce_elem(x).terms.items()]
+        m, w, alpha, beta = alg.m, alg._omega_pow, alg.alpha, alg.beta
+        e = self.ext_field
+        # rows[r][s] is the dict of entry (r, s), None until a term reaches it
+        rows = [[None] * m for _ in range(m)]
+        for r, d in enumerate(diagonal):
+            rows[r][r] = dict(e.coerce(d).terms)
+        for (i, j), xi_terms in terms:
+            for l, c in xi_terms:
+                n = l + i
+                if n >= m:
+                    n -= m
+                    c = c * alpha
+                wrapped = c * beta if j else c
+                for r in range(m):
+                    v = wrapped if r < j else c
+                    p = (m - r) * i % m
+                    if p:
+                        v = v * w[p]
+                    row, s = rows[r], (r - j) % m
+                    entry = row[s]
+                    if entry is None:
+                        row[s] = {n: v}
+                        continue
+                    prev = entry.get(n)
+                    if prev is None:
+                        entry[n] = v
+                    else:
+                        v = prev + v
+                        if v.is_zero():
+                            del entry[n]
+                        else:
+                            entry[n] = v
+        make, zero = e._make, e.zero()
+        return _matrix(e, [[make(t) if t else zero for t in row] for row in rows])
 
 
 def t_r_values(m: int) -> list[Fraction]:
@@ -182,9 +205,10 @@ def closed_form_P(theta: SymbolElem, phi: PhiMap) -> DiffMatrix:
 
     Phi carries d_s to d_{P_s} (``phi.p_s``; P_s = -Phi(w) for the w with
     d_Phi = d_s + inner(w)), and inner(theta) to the commutator with
-    Phi(theta).
+    Phi(theta).  P_s's diagonal seeds the gather of Phi(theta) in ``apply``, so
+    P is built in one pass, with no matrix sum.
     """
-    return phi.apply(theta) + phi.p_s
+    return phi.apply(theta, [row[r] for r, row in enumerate(phi.p_s.rows)])
 
 
 def compute_P(d: Derivation, phi: PhiMap) -> DiffMatrix:
@@ -423,9 +447,11 @@ def split_generic(p: DiffMatrix) -> SplitReport:
 
     x_rs is named x{r}{s} with both indices padded to the width of m - 1, so
     the names stay distinct past m = 10 (x0110 is x_{1,10}, x1100 is x_{11,0}).
-    delta(x_rs) = sum_l P[r][l] x_ls is built in one pass over the support of
-    row r of P: its monomials x_ls are distinct, so no two terms merge.  F is
-    the matrix of the field's own generators.
+    delta(x_rs) = sum_l P[r][l] x_ls is built as its term dict in one pass over
+    the support of row r of P: its monomials x_ls are distinct, so no two terms
+    merge.  The m^2 dicts are stored as built, and no element is made for an
+    image before the gauge check derives F, the matrix of the field's own
+    generators.
     """
     m = p.size
     base = p.field
@@ -435,11 +461,12 @@ def split_generic(p: DiffMatrix) -> SplitReport:
     e = PolyDiffField(base, names)
     # the monomial key of each x_j, built once for the m images it appears in
     keys = [((j, 1),) for j in range(m * m)]
-    for r, row in enumerate(p.rows):
+    images = []
+    for row in p.rows:
         # (index of x_l0, P[r][l]) for each nonzero P[r][l]
         support = [(l * m, c) for l, c in enumerate(row) if not c.is_zero()]
-        for s in range(m):
-            e.set_gen_derivative(r * m + s, e._make({keys[i + s]: c for i, c in support}))
+        images += [{keys[i + s]: c for i, c in support} for s in range(m)]
+    e._set_images(images)
     f_mat = _matrix(e, [[e.gen(r * m + s) for s in range(m)] for r in range(m)])
     gauge = verify_gauge(p.coerce_to(e), f_mat)
     return SplitReport(

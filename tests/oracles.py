@@ -77,7 +77,8 @@ k(xi) by Gaussian elimination over ``Fraction`` on their coordinates over one
 common denominator in place of the integer rows of w^(-ri) and Euclid's row
 steps, and each entry of a matrix product as the fold sum(a * b) over every
 index, zero factors included, in place of the field's one pass over the
-pairs of nonzero factors.
+pairs of nonzero factors, and P = Phi(theta) + P_s as a sum of two matrices
+in place of the one gather of Phi(theta) that P_s's diagonal seeds.
 """
 
 import itertools
@@ -207,6 +208,11 @@ def entrywise_P(theta, phi):
             row.append(acc)
         rows.append(row)
     return DiffMatrix(e, rows)
+
+
+def summed_closed_form_P(theta, phi):
+    """P = Phi(theta) + P_s as the sum of two matrices."""
+    return phi.apply(theta) + phi.p_s
 
 
 def det_expansion(matrix, ring):

@@ -28,6 +28,7 @@ from diffsym.scalars import (
 from diffsym.scalars.elem import SparseElem
 from diffsym.scalars.kummer import KummerElem
 from diffsym.scalars.monomial import PolyDiffElem
+import diffsym.split as split_module
 from diffsym.split import (
     PhiMap,
     _checked_t_r,
@@ -108,14 +109,34 @@ def test_the_generic_gauge_at_m5_takes_no_product_or_sum_of_ring_elements(monkey
 
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_phi_takes_one_product_by_beta_per_wrapping_term(monkeypatch, m):
+    """Phi gathers its entries over k, so the products by beta are products in k."""
     alg = make_algebra(m)
     phi = make_phi(alg)
     t = alg.field.gen()
     x = sum((alg.monomial(i, j, t + i + j) for i in range(m) for j in range(m)), alg.zero_elem())
-    products = _counter(monkeypatch, KummerElem, "__mul__")
+    products = _counter(monkeypatch, RatFunc, "__mul__")
     phi.apply(x)
     # one c * beta for each of the m (m - 1) terms with j > 0, and no other product by beta
-    assert sum(any(a is phi._beta for a in args) for args in products) == m * (m - 1)
+    assert sum(any(a is alg.beta for a in args) for args in products) == m * (m - 1)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_phi_of_an_element_over_k_builds_each_nonzero_entry_once(monkeypatch, m, rng):
+    """Phi(x) for x in A takes no product in k(xi) and calls _make once per nonzero entry."""
+    alg = make_algebra(m)
+    phi = make_phi(alg)
+    xs = [random_element(alg, rng), alg.u(), alg.v(), alg.one()]
+    products = _counter(monkeypatch, KummerElem, "__mul__")
+    makes = _counter(monkeypatch, KummerField, "_make")
+    images = []
+    for x in xs:
+        before = len(makes)
+        images.append(phi.apply(x))
+        nonzero = sum(not c.is_zero() for row in images[-1].rows for c in row)
+        assert len(makes) - before == nonzero
+    assert not products
+    monkeypatch.undo()
+    assert images[1] == phi.a_mat and images[2] == phi.b_mat and images[3] == phi.b_mat**0
 
 
 def test_an_element_of_the_base_takes_one_coerce_into_the_ring_over_it(monkeypatch):
@@ -146,6 +167,32 @@ def test_split_generic_at_m5_coerces_each_base_element_once(monkeypatch):
     assert not coercions
     # P's 25 entries, the 3 generator names of k(xi) and one per entry of the gauge check; 78 before
     assert len(ring_coercions) <= 25 + 3 + 25
+
+
+@pytest.mark.parametrize("m", [2, 5])
+def test_split_generic_builds_each_image_only_when_the_gauge_reads_it(monkeypatch, m):
+    """The m^2 images d(x_rs) are stored as the term dicts split_generic builds, with no
+    set_gen_derivative: no PolyDiffElem is made from one before verify_gauge starts, and the
+    gauge, deriving F, makes each once."""
+    alg = make_algebra(m)
+    t = alg.field.gen()
+    theta = alg.monomial(1, 0, t) + alg.monomial(0, 1, t + 1) + alg.monomial(1, 1, t + 3)
+    p = compute_P(standard_derivation(alg) + inner_derivation(theta), make_phi(alg))
+    stores = _counter(monkeypatch, PolyDiffField, "set_gen_derivative")
+    makes = _counter(monkeypatch, PolyDiffField, "_make")
+    gauge_starts = []
+    verify_gauge = split_module.verify_gauge
+
+    def gauge(*args):
+        gauge_starts.append(len(makes))
+        return verify_gauge(*args)
+
+    monkeypatch.setattr(split_module, "verify_gauge", gauge)
+    rep = split_generic(p)
+    assert rep.passed and not stores and len(gauge_starts) == 1
+    images = rep.f.field._image_terms
+    made = [n for n, (_, terms) in enumerate(makes) if any(terms is image for image in images)]
+    assert len(made) == m * m and min(made) >= gauge_starts[0]
 
 
 def test_split_standard_at_m5_coerces_few_kummer_elements(monkeypatch):

@@ -42,6 +42,7 @@ from oracles import (
     quotient_maximal_witnesses,
     rate_coordinates,
     rational_rank,
+    summed_closed_form_P,
     summed_generic_images,
 )
 
@@ -62,8 +63,8 @@ def test_sparse_apply_matches_dense(m, rng):
     phi = make_phi(alg)
     ext = phi.ext_algebra
     xi = phi.ext_field.gen()
-    # u^i for i >= 2 first, the highest first, so that the first apply builds
-    # every row of the A^i table at once and the later ones build none
+    # u^i for i >= 2, the highest first, each with xi^l for a random l, so that
+    # l + i wraps past m, and the gather takes alpha, on some of them
     for i in range(m - 1, 1, -1):
         x = ext.monomial(i, rng.randrange(m), xi ** rng.randrange(m)) + ext.u()
         assert phi.apply(x) == dense_phi(phi, x)
@@ -79,6 +80,30 @@ def test_sparse_apply_matches_dense(m, rng):
             c = ext.field.coerce(alg.field.gen() + rng.randint(-3, 3)) * xi ** rng.randrange(m)
             x = x + ext.monomial(rng.randrange(m), j, c)
         assert phi.apply(x) == dense_phi(phi, x)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_the_gather_merges_and_drops_cancelled_xi_terms(m, rng):
+    """Terms of A tensor k(xi) that meet on one entry and one power of xi merge, and a pair that
+    cancels leaves no stored zero: a xi v^j and -a u v^j cancel at row 0 (A[0][0] = xi),
+    a xi^(m-1) u v^j and b v^j meet at xi^0 through alpha, and an entry with nothing else left
+    is the interned zero."""
+    alg = make_algebra(m)
+    phi = make_phi(alg)
+    ext, e = phi.ext_algebra, phi.ext_field
+    t, xi = alg.field.gen(), e.gen()
+    for j in range(m):
+        a = e.coerce(t + rng.randint(-3, 3))
+        b = e.coerce(t * t + rng.randint(1, 3))
+        pair = ext.monomial(0, j, a * xi) - ext.monomial(1, j, a)
+        x = pair + ext.monomial(1, j, a * xi ** (m - 1)) + ext.monomial(0, j, b)
+        for y in (pair, x):
+            p = phi.apply(y)
+            assert p == dense_phi(phi, y)
+            assert all(not c.is_zero() for row in p.rows for entry in row for c in entry.terms.values())
+        # entry (0, -j mod m): xi^1 cancelled, the xi^0 terms merged
+        assert phi.apply(pair).rows[0][-j % m] is e.zero()
+        assert p.rows[0][-j % m].terms.keys() == {0}
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -239,6 +264,17 @@ def test_relation_check_agrees_with_the_dense_oracle(m):
                 dense_phimap_relations(bad)
 
 
+def test_phimap_refuses_xi_over_another_field():
+    """Phi gathers its entries over the algebra's field, so k(xi) must be built over that field."""
+    alg = make_algebra(3)
+    other = RatFuncField(CycloField(3), "t", "zero")
+    with pytest.raises(ValueError, match="own field"):
+        PhiMap(alg, KummerField(other, other.gen(), 3, "xi"))
+    # an equal field built apart is the same field
+    same = RatFuncField(CycloField(3), "t")
+    assert PhiMap(alg, KummerField(same, same.gen(), 3, "xi")).apply(alg.u()).rows[0][0].terms == {1: same.one()}
+
+
 def test_phimap_takes_no_matrix_product(monkeypatch):
     """At m = 16, building A and checking the relations take 84 Kummer products; the dense check took 10 matrix products."""
     alg = make_algebra(16)
@@ -342,6 +378,31 @@ def test_P_matches_both_oracles(m, rng):
         p = compute_P(d, phi)
         assert p == entrywise_P(theta, phi)
         assert p == dense_phi(phi, phi.ext_algebra.coerce_elem(theta) - compute_w(phi))
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_closed_form_P_matches_the_summed_oracle(m, rng):
+    """One gather seeded with P_s's diagonal equals Phi(theta) + P_s as a matrix sum, and theta = 0 gives P_s."""
+    alg = make_algebra(m)
+    phi = make_phi(alg)
+    for theta in [alg.zero_elem()] + [random_element(alg, rng) for _ in range(3)]:
+        assert closed_form_P(theta, phi) == summed_closed_form_P(theta, phi)
+    assert closed_form_P(alg.zero_elem(), phi) == phi.p_s
+    # a diagonal of elements of k is coerced into k(xi)
+    t, e = alg.field.gen(), phi.ext_field
+    assert phi.apply(theta, [t] * m) == phi.apply(theta) + DiffMatrix.identity(e, m).scale(e.coerce(t))
+
+
+def test_closed_form_P_drops_a_cancelled_diagonal_term(rng):
+    """At m = 3 a u^0 v^0 term c = -P_s[0][0] cancels P_s at (0, 0): the entry is the interned zero."""
+    alg = make_algebra(3)
+    phi = make_phi(alg)
+    c = -phi.p_s.rows[0][0].base_value()
+    theta = alg.scalar(c) + alg.monomial(1, 1, alg.field.gen() + rng.randint(1, 3))
+    p = closed_form_P(theta, phi)
+    assert p == summed_closed_form_P(theta, phi)
+    assert p.rows[0][0] is phi.ext_field.zero()
+    assert all(not p.rows[r][r].is_zero() for r in (1, 2))
 
 
 def test_closed_form_matches_for_standard(rng):
