@@ -30,11 +30,6 @@ class PolyDiffField(Extension):
     built from it.  An element is rebuilt only after every reference to it
     has gone, so ``gen(i) is gen(i)`` and ``gen(i).derive() is
     gen_derivative(i)`` hold whenever the two can be compared.
-
-    A caller that holds an image as an element stores it with
-    ``set_gen_derivative``, which checks its index and field; one that builds
-    the term dicts itself stores them all as built with ``_set_images``, and
-    each element is then built on its first read.
     """
 
     _constant_key = ()
@@ -58,15 +53,6 @@ class PolyDiffField(Extension):
         value = value if getattr(value, "parent", None) is self else self.coerce(value)
         self._image_terms[i] = value.terms
         self._image_refs[i] = ref(value)
-
-    def _set_images(self, images: list):
-        """The trusted store of every d(x_i) at once: images[i] is the term dict of d(x_i), with
-        canonical keys and nonzero coefficients in the base, as ``_make`` takes it.
-
-        No element is built: ``gen_derivative(i)`` builds d(x_i) when it is first read.
-        """
-        self._image_terms = images
-        self._image_refs = [unset_ref] * self.n
 
     def gen_derivative(self, i: int) -> "PolyDiffElem":
         self._check_index(i)

@@ -136,10 +136,10 @@ class PhiMap:
             terms = [(key, c.terms.items()) for key, c in self.ext_algebra.coerce_elem(x).terms.items()]
         m, w, alpha, beta = alg.m, alg._omega_pow, alg.alpha, alg.beta
         e = self.ext_field
-        # rows[r][s] is the dict of entry (r, s), None until a term reaches it
-        rows = [[None] * m for _ in range(m)]
+        # rows[r][s] is the dict of entry (r, s), from powers of xi to their coefficients in k
+        rows = [[{} for _ in range(m)] for _ in range(m)]
         for r, d in enumerate(diagonal):
-            rows[r][r] = dict(e.coerce(d).terms)
+            rows[r][r].update(e.coerce(d).terms)
         for (i, j), xi_terms in terms:
             for l, c in xi_terms:
                 n = l + i
@@ -152,20 +152,15 @@ class PhiMap:
                     p = (m - r) * i % m
                     if p:
                         v = v * w[p]
-                    row, s = rows[r], (r - j) % m
-                    entry = row[s]
-                    if entry is None:
-                        row[s] = {n: v}
-                        continue
+                    # a sum is tested for zero only where it is taken, as in Extension.sum_of_products
+                    entry = rows[r][(r - j) % m]
                     prev = entry.get(n)
                     if prev is None:
                         entry[n] = v
+                    elif (v := prev + v).is_zero():
+                        del entry[n]
                     else:
-                        v = prev + v
-                        if v.is_zero():
-                            del entry[n]
-                        else:
-                            entry[n] = v
+                        entry[n] = v
         make, zero = e._make, e.zero()
         return _matrix(e, [[make(t) if t else zero for t in row] for row in rows])
 
@@ -447,11 +442,9 @@ def split_generic(p: DiffMatrix) -> SplitReport:
 
     x_rs is named x{r}{s} with both indices padded to the width of m - 1, so
     the names stay distinct past m = 10 (x0110 is x_{1,10}, x1100 is x_{11,0}).
-    delta(x_rs) = sum_l P[r][l] x_ls is built as its term dict in one pass over
-    the support of row r of P: its monomials x_ls are distinct, so no two terms
-    merge.  The m^2 dicts are stored as built, and no element is made for an
-    image before the gauge check derives F, the matrix of the field's own
-    generators.
+    delta(x_rs) = sum_l P[r][l] x_ls is built in one pass over the support of
+    row r of P: its monomials x_ls are distinct, so no two terms merge.  F is
+    the matrix of the field's own generators.
     """
     m = p.size
     base = p.field
@@ -461,12 +454,11 @@ def split_generic(p: DiffMatrix) -> SplitReport:
     e = PolyDiffField(base, names)
     # the monomial key of each x_j, built once for the m images it appears in
     keys = [((j, 1),) for j in range(m * m)]
-    images = []
-    for row in p.rows:
+    for r, row in enumerate(p.rows):
         # (index of x_l0, P[r][l]) for each nonzero P[r][l]
         support = [(l * m, c) for l, c in enumerate(row) if not c.is_zero()]
-        images += [{keys[i + s]: c for i, c in support} for s in range(m)]
-    e._set_images(images)
+        for s in range(m):
+            e.set_gen_derivative(r * m + s, e._make({keys[i + s]: c for i, c in support}))
     f_mat = _matrix(e, [[e.gen(r * m + s) for s in range(m)] for r in range(m)])
     gauge = verify_gauge(p.coerce_to(e), f_mat)
     return SplitReport(

@@ -28,7 +28,6 @@ from diffsym.scalars import (
 from diffsym.scalars.elem import SparseElem
 from diffsym.scalars.kummer import KummerElem
 from diffsym.scalars.monomial import PolyDiffElem
-import diffsym.split as split_module
 from diffsym.split import (
     PhiMap,
     _checked_t_r,
@@ -167,32 +166,6 @@ def test_split_generic_at_m5_coerces_each_base_element_once(monkeypatch):
     assert not coercions
     # P's 25 entries, the 3 generator names of k(xi) and one per entry of the gauge check; 78 before
     assert len(ring_coercions) <= 25 + 3 + 25
-
-
-@pytest.mark.parametrize("m", [2, 5])
-def test_split_generic_builds_each_image_only_when_the_gauge_reads_it(monkeypatch, m):
-    """The m^2 images d(x_rs) are stored as the term dicts split_generic builds, with no
-    set_gen_derivative: no PolyDiffElem is made from one before verify_gauge starts, and the
-    gauge, deriving F, makes each once."""
-    alg = make_algebra(m)
-    t = alg.field.gen()
-    theta = alg.monomial(1, 0, t) + alg.monomial(0, 1, t + 1) + alg.monomial(1, 1, t + 3)
-    p = compute_P(standard_derivation(alg) + inner_derivation(theta), make_phi(alg))
-    stores = _counter(monkeypatch, PolyDiffField, "set_gen_derivative")
-    makes = _counter(monkeypatch, PolyDiffField, "_make")
-    gauge_starts = []
-    verify_gauge = split_module.verify_gauge
-
-    def gauge(*args):
-        gauge_starts.append(len(makes))
-        return verify_gauge(*args)
-
-    monkeypatch.setattr(split_module, "verify_gauge", gauge)
-    rep = split_generic(p)
-    assert rep.passed and not stores and len(gauge_starts) == 1
-    images = rep.f.field._image_terms
-    made = [n for n, (_, terms) in enumerate(makes) if any(terms is image for image in images)]
-    assert len(made) == m * m and min(made) >= gauge_starts[0]
 
 
 def test_split_standard_at_m5_coerces_few_kummer_elements(monkeypatch):
