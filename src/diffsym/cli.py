@@ -6,8 +6,9 @@ subcommand accepts --json for a structured report on stdout.  An option
 value may start with '-' (``--alpha -t``): ``main`` joins it to its option
 (``--alpha=-t``) before parsing.
 
-The argument tree is built once per process (``_build_parser``), and so is
-the base field Q(w_m)(t) for each m and derivation (``_field``), with the
+The argument tree is built once per process (``_build_parser``), and a call
+that names a subcommand is parsed by that subcommand's parser alone.  The base
+field Q(w_m)(t) is built once per m and derivation (``_field``), with the
 constants of Q(w_m) that every symbol algebra reads: a second query at the
 same m builds neither again.
 """
@@ -77,8 +78,7 @@ def _algebra(args, zero: bool = False) -> SymbolAlgebra:
 
 def _emit(args, report: dict, text_lines) -> None:
     if args.json:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(report, indent=2) + "\n")
     else:
         for line in text_lines:
             print(line)
@@ -366,7 +366,7 @@ def cmd_replay(args) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument tree, built once per process: parse_args returns a fresh Namespace per call."""
+    """The argument tree and its index, built once per process: each parse returns a fresh Namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
 
@@ -446,41 +446,56 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", help="run a single named case")
     p.set_defaults(func=cmd_replay)
 
+    _index(parser)
     return parser
 
 
-@functools.cache
-def _option_strings(parser: argparse.ArgumentParser):
-    """(the option strings that take one value, every option string) of the argument tree."""
-    takes_value, registered = set(), set()
-    parsers = [parser]
-    while parsers:
-        for action in parsers.pop()._actions:
-            registered.update(action.option_strings)
+def _index(parser: argparse.ArgumentParser) -> None:
+    """Record on the root parser, in one walk of its tree: ``leaves``, the leaf parser and the
+    namespace its subcommand words set, by those words; ``takes_value``, the option strings that take
+    one value; and ``registered``, every option string."""
+    parser.leaves, parser.takes_value, parser.registered = {}, set(), set()
+    nodes = [((), {}, parser)]
+    while nodes:
+        words, names, node = nodes.pop()
+        if node._subparsers is None:
+            parser.leaves[words] = node, names
+        for action in node._actions:
+            parser.registered.update(action.option_strings)
             if action.option_strings and action.nargs is None:
-                takes_value.update(action.option_strings)
+                parser.takes_value.update(action.option_strings)
             if isinstance(action, argparse._SubParsersAction):
-                parsers.extend(action.choices.values())
-    return frozenset(takes_value), frozenset(registered)
+                nodes.extend(((*words, name), {**names, action.dest: name}, sub) for name, sub in action.choices.items())
 
 
 def _join_dash_values(parser: argparse.ArgumentParser, argv: list) -> list:
     """argv with each ``--opt VALUE`` written ``--opt=VALUE`` where VALUE starts with '-' and is no
     option string: argparse reads such a VALUE (``--alpha -t``) as an option, not as the value."""
-    takes_value, registered = _option_strings(parser)
     out = []
     for arg in argv:
-        if out and out[-1] in takes_value and arg.startswith("-") and arg not in registered:
+        if out and out[-1] in parser.takes_value and arg.startswith("-") and arg not in parser.registered:
             out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out
 
 
+def _parse_args(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, by the leaf parser when argv starts with its subcommand words: the
+    root and middle parsers would hand that leaf the rest of argv unchanged, and report its leftovers."""
+    leaf, names = parser.leaves.get(tuple(argv[:1])) or parser.leaves.get(tuple(argv[:2]), (None, None))
+    if leaf is None:
+        return parser.parse_args(argv)
+    args, extras = leaf.parse_known_args(argv[len(names):], argparse.Namespace(**names))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_join_dash_values(parser, argv))
+    args = _parse_args(parser, _join_dash_values(parser, argv))
     try:
         return args.func(args)
     # ParseError and ReducibleRadicandError are ValueErrors

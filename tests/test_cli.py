@@ -1,9 +1,13 @@
 """CLI behaviour: exit codes, JSON reports, schema validation, replay corpus."""
 
+import argparse
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -386,10 +390,28 @@ def test_split_standard_prints_a_constant_numerator_once_parenthesised(capsys):
     assert '"((-w - 1)/(t + (-w - 1)))*eta^2"' in out and "(((" not in out
 
 
-def test_the_argument_parser_is_built_once():
+def test_the_argument_parser_is_built_once(capsys):
+    """One tree and one leaf table per process; clearing the cache leaves no old tree alive."""
     from diffsym.cli import _build_parser
 
-    assert _build_parser() is _build_parser()
+    parser = _build_parser()
+    leaves = parser.leaves
+    assert sorted(" ".join(words) for words in leaves) == [
+        "algebra check", "deriv constants", "deriv decompose", "deriv validate", "matdiff constants",
+        "ode solve", "power-detect", "replay", "split generic", "split inner", "split maximal",
+        "split standard", "split verify",
+    ]
+    for words, (leaf, names) in leaves.items():
+        assert leaf.prog == " ".join(("diffsym",) + words)
+        assert names == dict(zip(("command", "subcommand"), words))
+    for _ in range(2):
+        assert run(capsys, "power-detect", "--m", "2", "--f", "t^2")[0] == 0
+    assert _build_parser() is parser and parser.leaves is leaves
+    old = weakref.ref(parser)
+    del parser, leaves
+    _build_parser.cache_clear()
+    gc.collect()
+    assert old() is None and _build_parser() is _build_parser()
 
 
 def _call(capsys, argv):
@@ -420,6 +442,100 @@ def test_successive_calls_print_what_fresh_calls_print(capsys, first, second, co
     parser = _build_parser()
     assert [_call(capsys, first), _call(capsys, second)] == fresh
     assert _build_parser() is parser
+
+
+_AB = ["--m", "2", "--alpha", "t", "--beta", "t+1"]
+_IMAGES_UV = ["--du", "(1/(2*t))*u", "--dv", "(1/(2*(t+1)))*v"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["algebra", "check", *_AB],
+    ["deriv", "validate", *_AB, *_IMAGES_UV],
+    ["deriv", "decompose", *_AB, *_IMAGES_UV, "--json"],
+    ["deriv", "constants", *_AB, "--standard"],
+    ["deriv", "constants", *_AB, "--theta", "u"],
+    ["matdiff", "constants", "--m", "2", "--f", "1/t"],
+    ["ode", "solve", "--mu", "1", "--g", "1/t"],
+    ["power-detect", "--m", "2", "--f", "4*t^2"],
+    ["split", "standard", *_AB, "--json"],
+    ["split", "inner", *_AB, "--rho", "u"],
+    ["split", "generic", *_AB, "--theta", "u*v"],
+    ["split", "verify", *_AB],
+    ["split", "maximal", *_AB, "--nu", "t*(t+1)"],
+    ["replay", "--case", "corner-pole"],
+    [],
+    ["-h"],
+    ["deriv"],
+    ["deriv", "-h"],
+    ["deriv", "validate", "-h"],
+    ["bogus"],
+    ["deriv", "bogus"],
+    ["deriv", "validate", *_AB, *_IMAGES_UV, "--bogus"],
+    ["split", "standard", *_AB, "extra"],
+    ["power-detect", "extra", "--m", "2", "--f", "t"],
+    ["split", "standard", "--m", "x", "--alpha", "t", "--beta", "t+1"],
+    ["split", "standard", "--m", "2", "--alpha", "t"],
+    ["--json", "split", "standard", *_AB],
+    ["split", "standard", "--m", "2", "--al", "t", "--beta", "t+1"],
+    ["split", "standard", "--m", "2", "--alpha", "-t", "--beta", "t+1"],
+    ["split", "standard", "--", *_AB],
+    ["split", "standard", *_AB, "--"],
+    ["split", "standard", *_AB, "--", "x"],
+    ["replay", "x"],
+    ["split", "standard", *_AB, "--standard"],
+])
+def test_a_leaf_parses_a_call_as_the_whole_tree_does(capsys, monkeypatch, argv):
+    """Exit code, stdout and stderr of a call parsed by its leaf are those of the root parser's
+    parse_args: leftovers are reported by the root, under its usage."""
+    from diffsym import cli
+
+    routed = _call(capsys, argv)
+    monkeypatch.setattr(cli, "_parse_args", lambda parser, argv: parser.parse_args(argv))
+    assert _call(capsys, argv) == routed
+
+
+def test_a_call_that_names_a_leaf_runs_that_parser_alone(capsys, monkeypatch):
+    from diffsym.cli import _build_parser
+
+    parsers = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    root = _build_parser()
+    for argv, words in (
+        (["deriv", "validate", *_AB, *_IMAGES_UV], ("deriv", "validate")),
+        (["power-detect", "--m", "2", "--f", "4*t^2"], ("power-detect",)),
+    ):
+        parsers.clear()
+        assert _call(capsys, argv)[0] == 0
+        assert len(parsers) == 1 and parsers[0] is root.leaves[words][0]
+    for argv in ([], ["deriv"], ["deriv", "-h"], ["--json", "power-detect", "--m", "2", "--f", "t"]):
+        parsers.clear()
+        _call(capsys, argv)
+        assert parsers[0] is root
+
+
+class _CountedWrites(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["split", "standard", "--m", "3", "--alpha", "t", "--beta", "t+1"],
+    ["deriv", "decompose", *_AB, *_IMAGES_UV],
+])
+def test_a_json_report_is_one_write(monkeypatch, argv):
+    out = _CountedWrites()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv + ["--json"]) == 0
+    assert out.writes == 1 and out.getvalue().endswith("}\n") and json.loads(out.getvalue())
 
 
 def test_negative_scalar_powers_in_derivation_images(capsys):
