@@ -10,7 +10,11 @@ The argument tree is built once per process (``_build_parser``), and a call
 that names a subcommand is parsed by that subcommand's parser alone.  The base
 field Q(w_m)(t) is built once per m and derivation (``_field``), with the
 constants of Q(w_m) that every symbol algebra reads: a second query at the
-same m builds neither again.
+same m builds neither again.  A symbol algebra is built once per m,
+derivation, and --alpha and --beta as written (``_symbol_algebra``), for the
+``MAX_ALGEBRAS`` most recently used; its rates and inverse gaps are computed
+with it on first use and read by every later query on it.  A process that makes
+one call does the same work as without these caches.
 """
 
 from __future__ import annotations
@@ -55,6 +59,9 @@ from .symalg import SymbolAlgebra
 # The largest --m any subcommand accepts: every subcommand answers within
 # seconds at m = 16, while `algebra check --m 150` runs for minutes.
 MAX_M = 16
+# The symbol algebras one process keeps: of the order of the at most 32 fields
+# that _field keeps.
+MAX_ALGEBRAS = 32
 
 
 def _field(m: int, zero: bool = False) -> RatFuncField:
@@ -70,10 +77,14 @@ def _rational_function_field(m: int, derivation: str) -> RatFuncField:
 
 
 def _algebra(args, zero: bool = False) -> SymbolAlgebra:
-    field = _field(args.m, zero)
-    alpha = parse_scalar(args.alpha, field)
-    beta = parse_scalar(args.beta, field)
-    return SymbolAlgebra(field, alpha, beta, args.m)
+    return _symbol_algebra(_field(args.m, zero), args.alpha, args.beta, args.m)
+
+
+@functools.lru_cache(maxsize=MAX_ALGEBRAS)
+def _symbol_algebra(field: RatFuncField, alpha: str, beta: str, m: int) -> SymbolAlgebra:
+    """(alpha, beta) of degree m over field, parsed from the source strings; shared by every call with
+    the same arguments, so nothing in this module mutates an algebra."""
+    return SymbolAlgebra(field, parse_scalar(alpha, field), parse_scalar(beta, field), m)
 
 
 def _emit(args, report: dict, text_lines) -> None:
@@ -276,9 +287,7 @@ def _case_tr_identity():
 
 def _t_algebra(m: int, zero: bool = False) -> SymbolAlgebra:
     """The replay algebra (t, t+1) of degree m over Q(w_m)(t), with d/dt or with the zero derivation."""
-    field = _field(m, zero)
-    t = field.gen()
-    return SymbolAlgebra(field, t, t + field.one(), m)
+    return _symbol_algebra(_field(m, zero), "t", "t+1", m)
 
 
 def _case_constants_none():
@@ -288,8 +297,7 @@ def _case_constants_none():
 
 
 def _case_constants_witness():
-    field = _field(3)
-    alg = SymbolAlgebra(field, field.gen() * 2, field.gen(), 3)
+    alg = _symbol_algebra(_field(3), "2*t", "t", 3)
     pairs = [(w.i, w.j) for w in constants_standard(alg)]
     return (1, 2) in pairs, f"witness pairs {pairs} for (2t, t), m=3"
 
@@ -375,7 +383,10 @@ def _build_parser() -> argparse.ArgumentParser:
     alg_common.add_argument("--alpha", required=True, help="u^m, a scalar expression")
     alg_common.add_argument("--beta", required=True, help="v^m, a scalar expression")
 
-    parser = argparse.ArgumentParser(prog="diffsym", description=__doc__)
+    parser = argparse.ArgumentParser(prog="diffsym", description=(
+        "Exact computations on differential symbol algebras (alpha, beta) over Q(w_m)(t): validate and "
+        "decompose derivations, find constants and build splitting fields, checking each answer. Exit codes: "
+        "0 a passing check, 1 a refuted or failed check, 2 a usage or input error, 3 a failed internal self-check."))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_algebra = sub.add_parser("algebra", help="symbol algebra checks").add_subparsers(

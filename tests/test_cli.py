@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -89,13 +90,14 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
     capsys.readouterr()
     assert main(["matdiff", "constants", "--m", "1", "--f", "1/t"]) == 2
     assert capsys.readouterr().err == "error: need size at least 2\n"
-    # an --m past its bound is refused before any field is built
+    # an --m past its bound is refused before any field or algebra is built
     import diffsym.cli
 
     def no_field(*args):
-        raise AssertionError("a field was built")
+        raise AssertionError("a field or an algebra was built")
 
     monkeypatch.setattr(diffsym.cli, "RatFuncField", no_field)
+    monkeypatch.setattr(diffsym.cli, "SymbolAlgebra", no_field)
     for argv, bound in (
         (["algebra", "check", "--m", "150", "--alpha", "t", "--beta", "t+1"], 16),
         (["power-detect", "--m", "20000", "--f", "t"], 16),
@@ -390,6 +392,14 @@ def test_split_standard_prints_a_constant_numerator_once_parenthesised(capsys):
     assert '"((-w - 1)/(t + (-w - 1)))*eta^2"' in out and "(((" not in out
 
 
+def test_the_help_text_is_written_for_users(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and "Exit codes:" in out
+    assert "``" not in out and not re.search(r"(?<![\w-])_\w", out), out
+
+
 def test_the_argument_parser_is_built_once(capsys):
     """One tree and one leaf table per process; clearing the cache leaves no old tree alive."""
     from diffsym.cli import _build_parser
@@ -430,13 +440,19 @@ def _call(capsys, argv):
      ["algebra", "check", "--m", "3", "--alpha", "t", "--beta", "t+1"], (0, 0)),
     (["deriv", "validate", "--m", "2", "--alpha", "t"],
      ["deriv", "validate", "--m", "2", "--alpha", "t", "--beta", "t+1", "--du", "u", "--dv", "v"], (2, 1)),
+    (["deriv", "validate", "--m", "3", "--alpha", "2*t", "--beta", "t^2+1", "--du", "u*v", "--dv", "v"],
+     ["deriv", "decompose", "--m", "3", "--alpha", "2*t", "--beta", "t^2+1",
+      "--du", "(1/(3*t))*u", "--dv", "(2*t/(3*(t^2+1)))*v + (1-w)*u*v", "--json"], (1, 0)),
+    (["split", "inner", "--m", "3", "--alpha", "t", "--beta", "t+1", "--rho", "u"],
+     ["split", "standard", "--m", "3", "--alpha", "t", "--beta", "t+1"], (0, 0)),
 ])
 def test_successive_calls_print_what_fresh_calls_print(capsys, first, second, codes):
-    from diffsym.cli import _build_parser
+    from diffsym.cli import _build_parser, _symbol_algebra
 
     fresh = []
     for argv in (first, second):
         _build_parser.cache_clear()
+        _symbol_algebra.cache_clear()
         fresh.append(_call(capsys, argv))
     assert tuple(code for code, _, _ in fresh) == codes
     parser = _build_parser()
@@ -658,6 +674,45 @@ def test_one_field_per_m_and_derivation_per_process():
     assert cli._field(5, True) is not cli._field(5) and cli._field(5, True).is_zero_derivation
     with pytest.raises(ValueError, match="must not exceed 16"):
         cli._field(17)
+
+
+def _algebra_of(m, alpha, beta="t+1", zero=False):
+    from diffsym import cli
+
+    return cli._algebra(argparse.Namespace(m=m, alpha=alpha, beta=beta), zero)
+
+
+def test_one_algebra_per_field_and_radicands_as_written_per_process():
+    alg = _algebra_of(3, "t")
+    assert _algebra_of(3, "t") is alg
+    for other in (_algebra_of(3, "t", zero=True), _algebra_of(2, "t"), _algebra_of(3, "2*t")):
+        assert other is not alg
+    # the rates and gaps a first query computed are read by the next one
+    rates, gaps = alg.standard_rates, alg.inverse_gaps
+    assert _algebra_of(3, "t").standard_rates is rates and _algebra_of(3, "t").inverse_gaps is gaps
+
+
+def test_a_refused_radicand_is_refused_on_every_call(capsys):
+    for _ in range(2):
+        assert main(["algebra", "check", "--m", "2", "--alpha", "0", "--beta", "t"]) == 2
+        assert capsys.readouterr().err == "error: alpha and beta must be nonzero\n"
+
+
+def test_an_evicted_algebra_is_freed_by_reference_counting():
+    from diffsym import cli
+
+    assert cli._symbol_algebra.cache_info().maxsize == cli.MAX_ALGEBRAS
+    cli._symbol_algebra.cache_clear()
+    gc.disable()
+    try:
+        first = weakref.ref(_algebra_of(2, "t"))
+        for i in range(1, cli.MAX_ALGEBRAS):
+            _algebra_of(2, f"t+{i}")
+        assert first() is not None
+        _algebra_of(2, f"t+{cli.MAX_ALGEBRAS}")
+        assert first() is None
+    finally:
+        gc.enable()
 
 
 def test_a_long_sum_of_reciprocals_is_refused_at_the_sum_past_the_degree_bound(capsys):
