@@ -13,8 +13,10 @@ constants of Q(w_m) that every symbol algebra reads: a second query at the
 same m builds neither again.  A symbol algebra is built once per m,
 derivation, and --alpha and --beta as written (``_symbol_algebra``), for the
 ``MAX_ALGEBRAS`` most recently used; its rates and inverse gaps are computed
-with it on first use and read by every later query on it.  A process that makes
-one call does the same work as without these caches.
+with it on first use and read by every later query on it.  Each algebra keeps
+the ``MAX_IMAGES`` symbols most recently parsed in it (--du, --dv, --theta,
+--rho), by source string.  A process that makes one call does the same work as
+without these caches.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ MAX_M = 16
 # The symbol algebras one process keeps: of the order of the at most 32 fields
 # that _field keeps.
 MAX_ALGEBRAS = 32
+# The parsed symbols each of those algebras keeps: a derivation query parses two.
+MAX_IMAGES = 32
 
 
 def _field(m: int, zero: bool = False) -> RatFuncField:
@@ -76,22 +80,25 @@ def _rational_function_field(m: int, derivation: str) -> RatFuncField:
     return RatFuncField(CycloField(m), "t", derivation)
 
 
-def _algebra(args, zero: bool = False) -> SymbolAlgebra:
+def _algebra(args, zero: bool = False) -> tuple:
     return _symbol_algebra(_field(args.m, zero), args.alpha, args.beta, args.m)
 
 
 @functools.lru_cache(maxsize=MAX_ALGEBRAS)
-def _symbol_algebra(field: RatFuncField, alpha: str, beta: str, m: int) -> SymbolAlgebra:
-    """(alpha, beta) of degree m over field, parsed from the source strings; shared by every call with
-    the same arguments, so nothing in this module mutates an algebra."""
-    return SymbolAlgebra(field, parse_scalar(alpha, field), parse_scalar(beta, field), m)
+def _symbol_algebra(field: RatFuncField, alpha: str, beta: str, m: int) -> tuple:
+    """(alpha, beta) of degree m over field, parsed from the source strings, and its ``parse_symbol``
+    by source string; shared by every call with the same arguments, so nothing in this module mutates
+    an algebra or a symbol.  The parsed symbols go with the algebra when it is evicted."""
+    alg = SymbolAlgebra(field, parse_scalar(alpha, field), parse_scalar(beta, field), m)
+    return alg, functools.lru_cache(maxsize=MAX_IMAGES)(lambda src: parse_symbol(src, alg))
 
 
 def _emit(args, report: dict, text_lines) -> None:
+    """report as JSON under --json, else the lines that text_lines() builds."""
     if args.json:
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -99,7 +106,7 @@ def _emit(args, report: dict, text_lines) -> None:
 
 
 def cmd_algebra_check(args) -> int:
-    alg = _algebra(args)
+    alg = _algebra(args)[0]
     checks = {
         "u^m = alpha": alg.u() ** alg.m == alg.scalar(alg.alpha),
         "v^m = beta": alg.v() ** alg.m == alg.scalar(alg.beta),
@@ -108,42 +115,36 @@ def cmd_algebra_check(args) -> int:
     }
     ok = all(checks.values())
     _emit(args, {"ok": ok, "checks": {k: bool(v) for k, v in checks.items()}},
-          [f"{'ok' if v else 'FAIL'}  {k}" for k, v in checks.items()])
+          lambda: [f"{'ok' if v else 'FAIL'}  {k}" for k, v in checks.items()])
     return 0 if ok else 1
 
 
 def cmd_deriv_validate(args) -> int:
-    alg = _algebra(args)
-    du = parse_symbol(args.du, alg)
-    dv = parse_symbol(args.dv, alg)
-    verdict = validate(alg, du, dv)
+    alg, symbol = _algebra(args)
+    verdict = validate(alg, symbol(args.du), symbol(args.dv))
     _emit(args, verdict.to_json(),
-          ["valid derivation" if verdict.ok else f"not a derivation: {' '.join(verdict.failing)}"])
+          lambda: ["valid derivation" if verdict.ok else f"not a derivation: {' '.join(verdict.failing)}"])
     return 0 if verdict.ok else 1
 
 
 def cmd_deriv_decompose(args) -> int:
-    alg = _algebra(args)
-    du = parse_symbol(args.du, alg)
-    dv = parse_symbol(args.dv, alg)
-    theta = decompose(Derivation(alg, du, dv))
-    _emit(args, {"ok": True, "theta": theta.to_json()}, [f"theta = {theta!r}"])
+    alg, symbol = _algebra(args)
+    theta = decompose(Derivation(alg, symbol(args.du), symbol(args.dv)))
+    _emit(args, {"ok": True, "theta": theta.to_json()}, lambda: [f"theta = {theta!r}"])
     return 0
 
 
 def cmd_deriv_constants(args) -> int:
     if args.standard:
-        alg = _algebra(args)
-        witnesses = constants_standard(alg)
+        witnesses = constants_standard(_algebra(args)[0])
         _emit(args, {"ok": True, "witnesses": [w.to_json() for w in witnesses]},
-              [f"witness u^{w.i} v^{w.j} with h = {scalar_to_str(w.h)}" for w in witnesses]
+              lambda: [f"witness u^{w.i} v^{w.j} with h = {scalar_to_str(w.h)}" for w in witnesses]
               or ["no monomial constants beyond the base field"])
         return 0
-    alg = _algebra(args, zero=True)
-    theta = parse_symbol(args.theta, alg)
-    basis = constants_inner(theta)
+    symbol = _algebra(args, zero=True)[1]
+    basis = constants_inner(symbol(args.theta))
     _emit(args, {"ok": True, "dimension": len(basis), "basis": [b.to_json() for b in basis]},
-          [f"constants dimension {len(basis)}"] + [f"  {b!r}" for b in basis])
+          lambda: [f"constants dimension {len(basis)}"] + [f"  {b!r}" for b in basis])
     return 0
 
 
@@ -160,7 +161,7 @@ def cmd_matdiff_constants(args) -> int:
     p = prop44_matrix(field, lambdas, f)
     basis = prop44_constants(p)
     _emit(args, {"ok": True, "dimension": len(basis), "basis": [b.to_json() for b in basis]},
-          [f"constants dimension {len(basis)}"] + [f"  {b!r}" for b in basis])
+          lambda: [f"constants dimension {len(basis)}"] + [f"  {b!r}" for b in basis])
     return 0
 
 
@@ -174,12 +175,11 @@ def cmd_ode_solve(args) -> int:
         "particular": scalar_to_str(sol.particular) if sol.has_solution else None,
         "homogeneous": [scalar_to_str(h) for h in sol.homogeneous],
     }
-    lines = (
+    _emit(args, report, lambda: (
         [f"x = {report['particular']}"] + [f"  + c * {h}" for h in report["homogeneous"]]
         if sol.has_solution
         else ["no rational solution"]
-    )
-    _emit(args, report, lines)
+    ))
     return 0 if sol.has_solution else 1
 
 
@@ -188,11 +188,11 @@ def cmd_power_detect(args) -> int:
     f = parse_scalar(args.f, field)
     res = mth_power_up_to_constant(f, args.m)
     if res is None:
-        _emit(args, {"ok": False, "c": None, "h": None}, [f"not a {args.m}-th power up to constant"])
+        _emit(args, {"ok": False, "c": None, "h": None}, lambda: [f"not a {args.m}-th power up to constant"])
         return 1
     c, h = res
-    _emit(args, {"ok": True, "c": scalar_to_str(c), "h": scalar_to_str(h)},
-          [f"f = ({scalar_to_str(c)}) * ({scalar_to_str(h)})^{args.m}"])
+    report = {"ok": True, "c": scalar_to_str(c), "h": scalar_to_str(h)}
+    _emit(args, report, lambda: [f"f = ({report['c']}) * ({report['h']})^{args.m}"])
     return 0
 
 
@@ -203,7 +203,7 @@ def _det_text(gauge) -> str:
     return f"{verdict} by {gauge.det_method} at point {gauge.det_point}"
 
 
-def _emit_split(args, report) -> int:
+def _split_lines(report) -> list:
     lines = [f"P = {report.p!r}"]
     if report.scalar_shift is not None:
         lines.append(f"scalar shift lambda = {scalar_to_str(report.scalar_shift)}: verdicts taken against P + lambda I")
@@ -217,23 +217,27 @@ def _emit_split(args, report) -> int:
     if report.degree is not None:
         lines.append(f"extension degree {report.degree}")
     lines.append(f"transcendence degree {report.transcendence_degree}")
-    _emit(args, report.to_json(), lines)
+    return lines
+
+
+def _emit_split(args, report) -> int:
+    _emit(args, report.to_json(), lambda: _split_lines(report))
     return 0 if report.passed else 1
 
 
 def cmd_split_standard(args) -> int:
-    return _emit_split(args, split_standard(_algebra(args)))
+    return _emit_split(args, split_standard(_algebra(args)[0]))
 
 
 def cmd_split_inner(args) -> int:
-    alg = _algebra(args, zero=True)
-    return _emit_split(args, split_inner(alg, parse_symbol(args.rho, alg)))
+    alg, symbol = _algebra(args, zero=True)
+    return _emit_split(args, split_inner(alg, symbol(args.rho)))
 
 
-def _derivation_from_args(args, alg):
+def _derivation_from_args(args, alg, symbol):
     d = standard_derivation(alg)
     if args.theta:
-        d = d + inner_derivation(parse_symbol(args.theta, alg))
+        d = d + inner_derivation(symbol(args.theta))
     return d
 
 
@@ -245,34 +249,37 @@ def _generic_report(alg, d):
 
 
 def cmd_split_generic(args) -> int:
-    alg = _algebra(args)
-    return _emit_split(args, _generic_report(alg, _derivation_from_args(args, alg)))
+    alg, symbol = _algebra(args)
+    return _emit_split(args, _generic_report(alg, _derivation_from_args(args, alg, symbol)))
 
 
 def cmd_split_verify(args) -> int:
-    alg = _algebra(args)
+    alg, symbol = _algebra(args)
     phi = PhiMap(alg, xi_extension(alg))
-    d = _derivation_from_args(args, alg)
+    d = _derivation_from_args(args, alg, symbol)
     p = compute_P(d, phi)
     iso = verify_diff_isomorphism(phi, d, p)
     _emit(args, {"ok": iso.ok, "P": p.to_json(), "isomorphism": iso.to_json()},
-          [f"P = {p!r}", f"isomorphism: {'ok' if iso.ok else 'FAIL'}"])
+          lambda: [f"P = {p!r}", f"isomorphism: {'ok' if iso.ok else 'FAIL'}"])
     return 0 if iso.ok else 1
 
 
-def cmd_split_maximal(args) -> int:
-    alg = _algebra(args)
-    nu = parse_scalar(args.nu, alg.field)
-    report = maximal_subfield_necessary(alg, nu)
+def _maximal_lines(report, m: int) -> list:
     lines = []
     for name, wit in (("alpha", report.alpha_witness), ("beta", report.beta_witness)):
         if wit is None:
             lines.append(f"{name}: no witness for any power of nu")
         else:
             r, c, h = wit
-            lines.append(f"{name} = ({scalar_to_str(c)}) * nu^{r} * ({scalar_to_str(h)})^{alg.m}")
+            lines.append(f"{name} = ({scalar_to_str(c)}) * nu^{r} * ({scalar_to_str(h)})^{m}")
     lines.append("refuted: k(nu^(1/m)) cannot split the algebra" if report.refuted else "necessary condition holds")
-    _emit(args, report.to_json(), lines)
+    return lines
+
+
+def cmd_split_maximal(args) -> int:
+    alg = _algebra(args)[0]
+    report = maximal_subfield_necessary(alg, parse_scalar(args.nu, alg.field))
+    _emit(args, report.to_json(), lambda: _maximal_lines(report, alg.m))
     return 1 if report.refuted else 0
 
 
@@ -287,7 +294,7 @@ def _case_tr_identity():
 
 def _t_algebra(m: int, zero: bool = False) -> SymbolAlgebra:
     """The replay algebra (t, t+1) of degree m over Q(w_m)(t), with d/dt or with the zero derivation."""
-    return _symbol_algebra(_field(m, zero), "t", "t+1", m)
+    return _symbol_algebra(_field(m, zero), "t", "t+1", m)[0]
 
 
 def _case_constants_none():
@@ -297,7 +304,7 @@ def _case_constants_none():
 
 
 def _case_constants_witness():
-    alg = _symbol_algebra(_field(3), "2*t", "t", 3)
+    alg = _symbol_algebra(_field(3), "2*t", "t", 3)[0]
     pairs = [(w.i, w.j) for w in constants_standard(alg)]
     return (1, 2) in pairs, f"witness pairs {pairs} for (2t, t), m=3"
 
@@ -365,7 +372,7 @@ def cmd_replay(args) -> int:
         results.append({"case": name, "ok": bool(ok), "detail": detail})
     all_ok = all(r["ok"] for r in results)
     _emit(args, {"ok": all_ok, "cases": results},
-          [f"{'ok' if r['ok'] else 'FAIL'}  {r['case']}: {r['detail']}" for r in results])
+          lambda: [f"{'ok' if r['ok'] else 'FAIL'}  {r['case']}: {r['detail']}" for r in results])
     return 0 if all_ok else 1
 
 

@@ -20,7 +20,7 @@ from diffsym import SymbolAlgebra, inner_derivation, split_standard, standard_de
 from diffsym.cli import main
 from diffsym.errors import SelfCheckError
 from diffsym.matdiff import DiffMatrix
-from diffsym.parser import MAX_POWER_BITS, parse_scalar, parse_symbol
+from diffsym.parser import MAX_POWER_BITS, parse_scalar, parse_symbol, scalar_to_str
 from diffsym.scalars import CycloField, KummerField, RatFuncField
 from diffsym.split import PhiMap, compute_P
 from oracles import paper_standard_gauge
@@ -679,7 +679,7 @@ def test_one_field_per_m_and_derivation_per_process():
 def _algebra_of(m, alpha, beta="t+1", zero=False):
     from diffsym import cli
 
-    return cli._algebra(argparse.Namespace(m=m, alpha=alpha, beta=beta), zero)
+    return cli._algebra(argparse.Namespace(m=m, alpha=alpha, beta=beta), zero)[0]
 
 
 def test_one_algebra_per_field_and_radicands_as_written_per_process():
@@ -713,6 +713,113 @@ def test_an_evicted_algebra_is_freed_by_reference_counting():
         assert first() is None
     finally:
         gc.enable()
+
+
+def test_each_image_is_parsed_once_per_algebra(capsys, monkeypatch):
+    """validate and decompose on the same images, and a validate that changes one of them, parse
+    each distinct image once, and print what calls with the caches cleared print."""
+    from diffsym import cli
+
+    calls = [
+        ["deriv", "validate", *_AB, *_IMAGES_UV],
+        ["deriv", "decompose", *_AB, *_IMAGES_UV, "--json"],
+        ["deriv", "validate", *_AB, "--du", "u", _IMAGES_UV[2], _IMAGES_UV[3], "--json"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._symbol_algebra.cache_clear()
+        fresh.append(_call(capsys, argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 1]
+    sources = []
+
+    def counted(src, algebra):
+        sources.append(src)
+        return parse_symbol(src, algebra)
+
+    monkeypatch.setattr(cli, "parse_symbol", counted)
+    cli._symbol_algebra.cache_clear()
+    assert [_call(capsys, argv) for argv in calls + calls] == fresh + fresh
+    assert sorted(sources) == sorted([_IMAGES_UV[1], _IMAGES_UV[3], "u"])
+
+
+def test_images_are_elements_of_the_algebra_the_command_uses(capsys, monkeypatch):
+    from diffsym import cli, deriv
+
+    seen = []
+
+    def recorded(check):
+        def call(alg, du, dv):
+            seen.append((alg, du, dv))
+            return check(alg, du, dv)
+        return call
+
+    monkeypatch.setattr(cli, "validate", recorded(deriv.validate))
+    monkeypatch.setattr(cli, "Derivation", recorded(deriv.Derivation))
+    for _ in range(2):
+        assert _call(capsys, ["deriv", "validate", *_AB, *_IMAGES_UV])[0] == 0
+        assert _call(capsys, ["deriv", "decompose", *_AB, *_IMAGES_UV])[0] == 0
+        # MAX_ALGEBRAS other algebras evict (t, t+1) with its images
+        for i in range(1, cli.MAX_ALGEBRAS + 1):
+            _algebra_of(2, f"t+{i}")
+    assert len(seen) == 4 and seen[0][0] is seen[1][0] and seen[2][0] is seen[3][0]
+    assert seen[0][0] is not seen[2][0] and seen[0][0] == seen[2][0]
+    for alg, du, dv in seen:
+        assert du.algebra is alg and dv.algebra is alg
+    # the zero derivation's algebra on the same radicands parses into itself
+    zero_alg, symbol = cli._algebra(argparse.Namespace(m=2, alpha="t", beta="t+1"), True)
+    assert zero_alg is not _algebra_of(2, "t") and symbol("u").algebra is zero_alg
+
+
+def test_an_unparsable_image_is_refused_on_every_call(capsys):
+    for _ in range(2):
+        assert main(["deriv", "validate", *_AB, "--du", "u*", "--dv", "v"]) == 2
+        assert capsys.readouterr().err == "error: unexpected token '' at position 2 (expected atom)\n"
+
+
+def test_an_evicted_algebra_is_freed_with_its_images_by_reference_counting(capsys):
+    from diffsym import cli
+
+    cli._symbol_algebra.cache_clear()
+    gc.disable()
+    try:
+        assert main(["deriv", "validate", *_AB, *_IMAGES_UV]) == 0
+        alg, symbol = cli._algebra(argparse.Namespace(m=2, alpha="t", beta="t+1"))
+        assert symbol.cache_info().currsize == 2 and symbol.cache_info().maxsize == cli.MAX_IMAGES
+        first, image = weakref.ref(alg), weakref.ref(symbol(_IMAGES_UV[1]))
+        del alg, symbol
+        for i in range(1, cli.MAX_ALGEBRAS):
+            _algebra_of(2, f"t+{i}")
+        assert first() is not None and image() is not None
+        _algebra_of(2, f"t+{cli.MAX_ALGEBRAS}")
+        assert first() is None and image() is None
+    finally:
+        gc.enable()
+
+
+def test_a_json_report_builds_no_text_lines(capsys, monkeypatch):
+    from diffsym import cli
+    from diffsym.symalg import SymbolElem
+
+    def refused(self):
+        raise AssertionError("a text line was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SymbolElem, "__repr__", refused)
+        code, report = run_json(capsys, "deriv", "decompose", *_AB, *_IMAGES_UV)
+        assert code == 0 and report == {"ok": True, "theta": {"m": 2, "entries": []}}
+    printed = []
+
+    def counted(x):
+        printed.append(x)
+        return scalar_to_str(x)
+
+    monkeypatch.setattr(cli, "scalar_to_str", counted)
+    # c and h are printed once each, with --json and without
+    for extra in (["--json"], []):
+        printed.clear()
+        assert main(["power-detect", "--m", "2", "--f", "4*t^2", *extra]) == 0
+        assert len(printed) == 2
+    capsys.readouterr()
 
 
 def test_a_long_sum_of_reciprocals_is_refused_at_the_sum_past_the_degree_bound(capsys):
