@@ -93,10 +93,10 @@ def _symbol_algebra(field: RatFuncField, alpha: str, beta: str, m: int) -> tuple
     return alg, functools.lru_cache(maxsize=MAX_IMAGES)(lambda src: parse_symbol(src, alg))
 
 
-def _emit(args, report: dict, text_lines) -> None:
-    """report as JSON under --json, else the lines that text_lines() builds."""
+def _emit(args, report, text_lines) -> None:
+    """The dict that report() builds as JSON under --json, else the lines that text_lines() builds."""
     if args.json:
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(json.dumps(report(), indent=2) + "\n")
     else:
         for line in text_lines():
             print(line)
@@ -114,7 +114,7 @@ def cmd_algebra_check(args) -> int:
         "t_r identity": len(t_r_values(alg.m)) == alg.m,
     }
     ok = all(checks.values())
-    _emit(args, {"ok": ok, "checks": {k: bool(v) for k, v in checks.items()}},
+    _emit(args, lambda: {"ok": ok, "checks": {k: bool(v) for k, v in checks.items()}},
           lambda: [f"{'ok' if v else 'FAIL'}  {k}" for k, v in checks.items()])
     return 0 if ok else 1
 
@@ -122,7 +122,7 @@ def cmd_algebra_check(args) -> int:
 def cmd_deriv_validate(args) -> int:
     alg, symbol = _algebra(args)
     verdict = validate(alg, symbol(args.du), symbol(args.dv))
-    _emit(args, verdict.to_json(),
+    _emit(args, verdict.to_json,
           lambda: ["valid derivation" if verdict.ok else f"not a derivation: {' '.join(verdict.failing)}"])
     return 0 if verdict.ok else 1
 
@@ -130,20 +130,20 @@ def cmd_deriv_validate(args) -> int:
 def cmd_deriv_decompose(args) -> int:
     alg, symbol = _algebra(args)
     theta = decompose(Derivation(alg, symbol(args.du), symbol(args.dv)))
-    _emit(args, {"ok": True, "theta": theta.to_json()}, lambda: [f"theta = {theta!r}"])
+    _emit(args, lambda: {"ok": True, "theta": theta.to_json()}, lambda: [f"theta = {theta!r}"])
     return 0
 
 
 def cmd_deriv_constants(args) -> int:
     if args.standard:
         witnesses = constants_standard(_algebra(args)[0])
-        _emit(args, {"ok": True, "witnesses": [w.to_json() for w in witnesses]},
+        _emit(args, lambda: {"ok": True, "witnesses": [w.to_json() for w in witnesses]},
               lambda: [f"witness u^{w.i} v^{w.j} with h = {scalar_to_str(w.h)}" for w in witnesses]
               or ["no monomial constants beyond the base field"])
         return 0
     symbol = _algebra(args, zero=True)[1]
     basis = constants_inner(symbol(args.theta))
-    _emit(args, {"ok": True, "dimension": len(basis), "basis": [b.to_json() for b in basis]},
+    _emit(args, lambda: {"ok": True, "dimension": len(basis), "basis": [b.to_json() for b in basis]},
           lambda: [f"constants dimension {len(basis)}"] + [f"  {b!r}" for b in basis])
     return 0
 
@@ -160,7 +160,7 @@ def cmd_matdiff_constants(args) -> int:
     f = parse_scalar(args.f, field)
     p = prop44_matrix(field, lambdas, f)
     basis = prop44_constants(p)
-    _emit(args, {"ok": True, "dimension": len(basis), "basis": [b.to_json() for b in basis]},
+    _emit(args, lambda: {"ok": True, "dimension": len(basis), "basis": [b.to_json() for b in basis]},
           lambda: [f"constants dimension {len(basis)}"] + [f"  {b!r}" for b in basis])
     return 0
 
@@ -175,7 +175,7 @@ def cmd_ode_solve(args) -> int:
         "particular": scalar_to_str(sol.particular) if sol.has_solution else None,
         "homogeneous": [scalar_to_str(h) for h in sol.homogeneous],
     }
-    _emit(args, report, lambda: (
+    _emit(args, lambda: report, lambda: (
         [f"x = {report['particular']}"] + [f"  + c * {h}" for h in report["homogeneous"]]
         if sol.has_solution
         else ["no rational solution"]
@@ -188,11 +188,11 @@ def cmd_power_detect(args) -> int:
     f = parse_scalar(args.f, field)
     res = mth_power_up_to_constant(f, args.m)
     if res is None:
-        _emit(args, {"ok": False, "c": None, "h": None}, lambda: [f"not a {args.m}-th power up to constant"])
+        _emit(args, lambda: {"ok": False, "c": None, "h": None}, lambda: [f"not a {args.m}-th power up to constant"])
         return 1
     c, h = res
     report = {"ok": True, "c": scalar_to_str(c), "h": scalar_to_str(h)}
-    _emit(args, report, lambda: [f"f = ({report['c']}) * ({report['h']})^{args.m}"])
+    _emit(args, lambda: report, lambda: [f"f = ({report['c']}) * ({report['h']})^{args.m}"])
     return 0
 
 
@@ -221,7 +221,7 @@ def _split_lines(report) -> list:
 
 
 def _emit_split(args, report) -> int:
-    _emit(args, report.to_json(), lambda: _split_lines(report))
+    _emit(args, report.to_json, lambda: _split_lines(report))
     return 0 if report.passed else 1
 
 
@@ -259,7 +259,7 @@ def cmd_split_verify(args) -> int:
     d = _derivation_from_args(args, alg, symbol)
     p = compute_P(d, phi)
     iso = verify_diff_isomorphism(phi, d, p)
-    _emit(args, {"ok": iso.ok, "P": p.to_json(), "isomorphism": iso.to_json()},
+    _emit(args, lambda: {"ok": iso.ok, "P": p.to_json(), "isomorphism": iso.to_json()},
           lambda: [f"P = {p!r}", f"isomorphism: {'ok' if iso.ok else 'FAIL'}"])
     return 0 if iso.ok else 1
 
@@ -279,7 +279,7 @@ def _maximal_lines(report, m: int) -> list:
 def cmd_split_maximal(args) -> int:
     alg = _algebra(args)[0]
     report = maximal_subfield_necessary(alg, parse_scalar(args.nu, alg.field))
-    _emit(args, report.to_json(), lambda: _maximal_lines(report, alg.m))
+    _emit(args, report.to_json, lambda: _maximal_lines(report, alg.m))
     return 1 if report.refuted else 0
 
 
@@ -371,7 +371,7 @@ def cmd_replay(args) -> int:
         ok, detail = _REPLAY_CASES[name]()
         results.append({"case": name, "ok": bool(ok), "detail": detail})
     all_ok = all(r["ok"] for r in results)
-    _emit(args, {"ok": all_ok, "cases": results},
+    _emit(args, lambda: {"ok": all_ok, "cases": results},
           lambda: [f"{'ok' if r['ok'] else 'FAIL'}  {r['case']}: {r['detail']}" for r in results])
     return 0 if all_ok else 1
 

@@ -2,8 +2,11 @@
 
 Pole orders of a solution are bounded by one less than those of g (the degree
 argument behind the matrix-constants computation), so a candidate denominator
-comes straight out of the squarefree decomposition of den(g); the rest is a
-finite linear system over Q(w).
+D comes straight out of the squarefree decomposition of den(g). For x = p/D,
+L(p) = D p' + (mu D - D') p = g D^2 is triangular on Q(w)[t] (the polynomial
+Risch equation, Bronstein, Symbolic Integration I, ch. 6): L(t^i) has degree at
+most i + deg(mu D - D'), with leading coefficient mu lc(D), or (i - deg D) lc(D)
+at mu = 0, so p is read off from the top degree down, with no linear system.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from ..errors import SelfCheckError
-from ..linalg import solve_affine
 from .cyclo import CycloElem
 from .polys import Poly, squarefree_decompose
 from .ratfunc import RatFunc, RatFuncField
@@ -53,27 +55,24 @@ def rational_ode_solve(mu, g: RatFunc) -> OdeSolution:
     for q, j in squarefree_decompose(g.den):
         if j > 1:
             d_poly = d_poly * q ** (j - 1)
-    bound = d_poly.degree + max(g.degree(), 0) + 1
-
     rhs = g * field.from_poly(d_poly) ** 2
     if rhs.den.degree != 0:
         # a pole of g survives D^2: no rational solution (simple-pole obstruction)
         return OdeSolution(None, homogeneous)
 
-    d_deriv = d_poly.derivative()
-    n_rows = bound + d_poly.degree + 2
-    columns = []
-    for i in range(bound + 1):
-        basis = Poly.monomial(cyclo, i)
-        img = basis.derivative() * d_poly - basis * d_deriv + basis * d_poly * mu
-        columns.append([img.coeff(r) for r in range(n_rows)])
-    matrix = [[columns[c][r] for c in range(bound + 1)] for r in range(n_rows)]
-    target = [rhs.num.coeff(r) for r in range(n_rows)]
-
-    particular_vec = solve_affine(matrix, target, cyclo)
-    if particular_vec is None:
-        return OdeSolution(None, homogeneous)
-    particular = field.from_poly(Poly(cyclo, particular_vec), d_poly)
+    e = d_poly * mu - d_poly.derivative()
+    p, r = Poly.zero(cyclo), rhs.num
+    while not r.is_zero():
+        i = r.degree - e.degree
+        if i < 0:
+            return OdeSolution(None, homogeneous)
+        t_i = Poly.monomial(cyclo, i)
+        img = t_i.derivative() * d_poly + t_i * e
+        if img.degree < r.degree:  # only mu = 0, i = deg D, as L(D) = 0: the kernel direction x = 1 stays out
+            return OdeSolution(None, homogeneous)
+        c = r.leading_coeff() / img.leading_coeff()
+        p, r = p + t_i * c, r - img * c
+    particular = field.from_poly(p, d_poly)
     if not particular.derive() + particular * field.coerce(mu) == g:
         raise SelfCheckError("ODE particular solution failed verification")
     return OdeSolution(particular, homogeneous)

@@ -276,8 +276,7 @@ def _random_ratfunc(k, rng, num_deg, den_deg):
     return num / den
 
 
-def test_criterion_13_ode_oracle_agreement():
-    rng = random.Random(SEED)
+def test_criterion_13_ode_oracle_agreement(rng):
     k = RatFuncField(CycloField(2), "t")
     checked = 0
     zero_mu = 0

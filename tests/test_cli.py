@@ -822,6 +822,30 @@ def test_a_json_report_builds_no_text_lines(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_a_text_report_builds_no_json_report(capsys, monkeypatch):
+    from diffsym import deriv, matdiff, split, symalg
+
+    def refused(self):
+        raise AssertionError("a --json report was built")
+
+    for cls in (symalg.SymbolElem, matdiff.DiffMatrix, matdiff.GaugeVerdict, split.IsoVerdict, split.SplitReport,
+                split.MaxSubfieldReport, deriv.DerivationVerdict, deriv.ConstantWitness):
+        monkeypatch.setattr(cls, "to_json", refused)
+    for argv in (
+        ["deriv", "decompose", *_AB, *_IMAGES_UV],
+        ["deriv", "validate", *_AB, *_IMAGES_UV],
+        ["deriv", "constants", *_AB, "--theta", "u"],
+        ["split", "standard", *_AB],
+        ["split", "inner", *_AB, "--rho", "u"],
+        ["split", "generic", *_AB, "--theta", "u+v"],
+        ["split", "verify", *_AB, "--theta", "u"],
+        ["split", "maximal", "--m", "3", "--alpha", "t", "--beta", "t^2*(t+1)^3", "--nu", "t"],
+        ["matdiff", "constants", "--m", "2", "--f", "t"],
+    ):
+        assert main(argv) in (0, 1), argv
+    capsys.readouterr()
+
+
 def test_a_long_sum_of_reciprocals_is_refused_at_the_sum_past_the_degree_bound(capsys):
     """1/(t+1) + ... + 1/(t+1001) over Q(w_2)(t): the last '+' would give a denominator of degree 1001."""
     src = " + ".join(f"1/(t+{i})" for i in range(1, 1002))

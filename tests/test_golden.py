@@ -21,7 +21,9 @@ last of Phi(theta) takes beta) were written by the release before Phi
 multiplied each term by beta once. The ``split maximal``, ``matdiff
 constants``, ``ode solve`` and ``power-detect`` reports were written by the
 release before the maximal-subfield test harnesses moved out of the package
-and the linear solver stopped building a kernel. A refactor of the splitting layer, of the
+and the linear solver stopped building a kernel, and ``ode-solve-mu0-m3`` (mu = 0,
+where the particular is one choice among x + c) by the release
+before the ODE solver dropped its linear system. A refactor of the splitting layer, of the
 symbol algebra, of the monomial keys, of the solver or of the printer must
 reproduce every byte, and exit 0. A golden whose command has a schema under
 ``src/diffsym/schemas`` also validates against it.
@@ -70,6 +72,7 @@ CASES = {
     "split-maximal-m3": ("split", "maximal", "--m", "3", "--alpha", "t", "--beta", "t^2*(t+1)^3", "--nu", "t"),
     "matdiff-constants-m3": ("matdiff", "constants", "--m", "3", "--f", "t"),
     "ode-solve-m3": ("ode", "solve", "--m", "3", "--mu", "1", "--g", "t"),
+    "ode-solve-mu0-m3": ("ode", "solve", "--m", "3", "--mu", "0", "--g", "t/(t^2+1)^2"),
     "power-detect-m3": ("power-detect", "--m", "3", "--f", "8*t^3/(t+1)^3"),
 }
 

@@ -58,7 +58,6 @@ SCALAR_IMPORTS = {
     ("scalars/kummer.py", ".ratfunc"),
     ("scalars/monomial.py", ".elem"),
     ("scalars/ode.py", "..errors"),
-    ("scalars/ode.py", "..linalg"),
     ("scalars/ode.py", ".cyclo"),
     ("scalars/ode.py", ".polys"),
     ("scalars/ode.py", ".ratfunc"),
@@ -184,7 +183,7 @@ def test_sparse_elements_are_made_only_by_their_containers():
 
 # every m-th-power decision reads the valuation vectors of scalars/powers.py,
 # which refines the squarefree parts itself (coprime_basis is the tests' oracle);
-# ode.py decomposes a denominator for its degree bound, which decides no power
+# ode.py decomposes a denominator for its candidate D, which decides no power
 DECOMPOSERS = {
     ("scalars/powers.py", "squarefree_decompose"),
     ("scalars/ode.py", "squarefree_decompose"),
@@ -235,8 +234,8 @@ def test_echelon_is_called_only_by_subgroup_order_and_split_inner():
 
 
 # a generic elimination runs only in symalg's kernels of powers and
-# commutators, the determinant certificate and the ODE's linear system:
-# (file, calling function, eliminator)
+# commutators and in the determinant certificate; the ODE solver reads its
+# triangular operator by back-substitution: (file, calling function, eliminator)
 ELIMINATORS = {
     ("symalg.py", "twisted_centralizer", "kernel_basis"),
     ("symalg.py", "_minimal_polynomial", "kernel_basis"),
@@ -244,7 +243,6 @@ ELIMINATORS = {
     ("symalg.py", "in_generated_subfield", "solve_affine"),
     ("symalg.py", "inverse_via_minimal_polynomial", "_minimal_polynomial"),
     ("matdiff.py", "det_certificate", "kernel_basis"),
-    ("scalars/ode.py", "rational_ode_solve", "solve_affine"),
 }
 _ELIMINATIONS = ("kernel_basis", "solve_affine", "minimal_polynomial", "_minimal_polynomial")
 
@@ -261,7 +259,7 @@ def _elimination_calls(node, rel: str, fn=None):
         yield from _elimination_calls(child, rel, fn)
 
 
-def test_generic_eliminations_are_called_only_from_symalg_det_and_ode():
+def test_generic_eliminations_are_called_only_from_symalg_and_det():
     found = {
         call
         for path in sorted(SRC.rglob("*.py"))
