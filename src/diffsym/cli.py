@@ -6,6 +6,19 @@ subcommand accepts --json for a structured report on stdout.  An option
 value may start with '-' (``--alpha -t``): ``main`` joins it to its option
 (``--alpha=-t``) before parsing.
 
+There is one dispatch path.  Each subcommand handler (``cmd_*``) returns its
+exit code and two zero-argument callables, the --json report and the text
+lines; ``main`` alone prints one of them (``_emit``), inside the ``try`` that
+turns a ValueError into exit 2 and a failed self-check into exit 3, also when
+it is raised while the report is built.  ``replay`` is a table of worked
+examples (``_REPLAY``), each row a command line, its exit code and the report
+values it must give, run through the same parser and handlers: the defining
+relations and the t_r sums at m = 4 and 5 (``algebra check``); the monomial
+constants of d_s for (t, t+1), none, and for (2t, t), at m = 3; the constants
+of the corner pole f = 1/t at m = 2; ``split standard`` at m = 2, 3 and 7;
+``split generic`` with theta = u + v at m = 8; ``split inner`` with rho = u at
+m = 2 and 3; and the maximal-subfield refutation of nu = t(t+1) at m = 3.
+
 The argument tree is built once per process (``_build_parser``), and a call
 that names a subcommand is parsed by that subcommand's parser alone.  The base
 field Q(w_m)(t) is built once per m and derivation (``_field``), with the
@@ -24,6 +37,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import shlex
 import sys
 from dataclasses import replace
 
@@ -105,7 +119,7 @@ def _emit(args, report, text_lines) -> None:
 # -- subcommand handlers ----------------------------------------------------
 
 
-def cmd_algebra_check(args) -> int:
+def cmd_algebra_check(args) -> tuple:
     alg = _algebra(args)[0]
     checks = {
         "u^m = alpha": alg.u() ** alg.m == alg.scalar(alg.alpha),
@@ -114,41 +128,39 @@ def cmd_algebra_check(args) -> int:
         "t_r identity": len(t_r_values(alg.m)) == alg.m,
     }
     ok = all(checks.values())
-    _emit(args, lambda: {"ok": ok, "checks": {k: bool(v) for k, v in checks.items()}},
-          lambda: [f"{'ok' if v else 'FAIL'}  {k}" for k, v in checks.items()])
-    return 0 if ok else 1
+    return (0 if ok else 1, lambda: {"ok": ok, "checks": {k: bool(v) for k, v in checks.items()}},
+            lambda: [f"{'ok' if v else 'FAIL'}  {k}" for k, v in checks.items()])
 
 
-def cmd_deriv_validate(args) -> int:
+def cmd_deriv_validate(args) -> tuple:
     alg, symbol = _algebra(args)
     verdict = validate(alg, symbol(args.du), symbol(args.dv))
-    _emit(args, verdict.to_json,
-          lambda: ["valid derivation" if verdict.ok else f"not a derivation: {' '.join(verdict.failing)}"])
-    return 0 if verdict.ok else 1
+    return (0 if verdict.ok else 1, verdict.to_json,
+            lambda: ["valid derivation" if verdict.ok else f"not a derivation: {' '.join(verdict.failing)}"])
 
 
-def cmd_deriv_decompose(args) -> int:
+def cmd_deriv_decompose(args) -> tuple:
     alg, symbol = _algebra(args)
     theta = decompose(Derivation(alg, symbol(args.du), symbol(args.dv)))
-    _emit(args, lambda: {"ok": True, "theta": theta.to_json()}, lambda: [f"theta = {theta!r}"])
-    return 0
+    return 0, lambda: {"ok": True, "theta": theta.to_json()}, lambda: [f"theta = {theta!r}"]
 
 
-def cmd_deriv_constants(args) -> int:
+def cmd_deriv_constants(args) -> tuple:
     if args.standard:
         witnesses = constants_standard(_algebra(args)[0])
-        _emit(args, lambda: {"ok": True, "witnesses": [w.to_json() for w in witnesses]},
-              lambda: [f"witness u^{w.i} v^{w.j} with h = {scalar_to_str(w.h)}" for w in witnesses]
-              or ["no monomial constants beyond the base field"])
-        return 0
+        return (0, lambda: {"ok": True, "witnesses": [w.to_json() for w in witnesses]},
+                lambda: [f"witness u^{w.i} v^{w.j} with h = {scalar_to_str(w.h)}" for w in witnesses]
+                or ["no monomial constants beyond the base field"])
     symbol = _algebra(args, zero=True)[1]
-    basis = constants_inner(symbol(args.theta))
-    _emit(args, lambda: {"ok": True, "dimension": len(basis), "basis": [b.to_json() for b in basis]},
-          lambda: [f"constants dimension {len(basis)}"] + [f"  {b!r}" for b in basis])
-    return 0
+    return _basis_result(constants_inner(symbol(args.theta)))
 
 
-def cmd_matdiff_constants(args) -> int:
+def _basis_result(basis) -> tuple:
+    return (0, lambda: {"ok": True, "dimension": len(basis), "basis": [b.to_json() for b in basis]},
+            lambda: [f"constants dimension {len(basis)}"] + [f"  {b!r}" for b in basis])
+
+
+def cmd_matdiff_constants(args) -> tuple:
     field = _field(args.m)
     if args.lambdas is not None:
         entries = args.lambdas.split(",")
@@ -158,14 +170,10 @@ def cmd_matdiff_constants(args) -> int:
     else:
         lambdas = [field.cyclo.from_rational(i) for i in range(args.m)]
     f = parse_scalar(args.f, field)
-    p = prop44_matrix(field, lambdas, f)
-    basis = prop44_constants(p)
-    _emit(args, lambda: {"ok": True, "dimension": len(basis), "basis": [b.to_json() for b in basis]},
-          lambda: [f"constants dimension {len(basis)}"] + [f"  {b!r}" for b in basis])
-    return 0
+    return _basis_result(prop44_constants(prop44_matrix(field, lambdas, f)))
 
 
-def cmd_ode_solve(args) -> int:
+def cmd_ode_solve(args) -> tuple:
     field = _field(args.m)
     mu = parse_scalar(args.mu, field.cyclo)
     g = parse_scalar(args.g, field)
@@ -175,25 +183,22 @@ def cmd_ode_solve(args) -> int:
         "particular": scalar_to_str(sol.particular) if sol.has_solution else None,
         "homogeneous": [scalar_to_str(h) for h in sol.homogeneous],
     }
-    _emit(args, lambda: report, lambda: (
+    return 0 if sol.has_solution else 1, lambda: report, lambda: (
         [f"x = {report['particular']}"] + [f"  + c * {h}" for h in report["homogeneous"]]
         if sol.has_solution
         else ["no rational solution"]
-    ))
-    return 0 if sol.has_solution else 1
+    )
 
 
-def cmd_power_detect(args) -> int:
+def cmd_power_detect(args) -> tuple:
     field = _field(args.m)
     f = parse_scalar(args.f, field)
     res = mth_power_up_to_constant(f, args.m)
     if res is None:
-        _emit(args, lambda: {"ok": False, "c": None, "h": None}, lambda: [f"not a {args.m}-th power up to constant"])
-        return 1
+        return 1, lambda: {"ok": False, "c": None, "h": None}, lambda: [f"not a {args.m}-th power up to constant"]
     c, h = res
     report = {"ok": True, "c": scalar_to_str(c), "h": scalar_to_str(h)}
-    _emit(args, lambda: report, lambda: [f"f = ({report['c']}) * ({report['h']})^{args.m}"])
-    return 0
+    return 0, lambda: report, lambda: [f"f = ({report['c']}) * ({report['h']})^{args.m}"]
 
 
 def _det_text(gauge) -> str:
@@ -220,48 +225,39 @@ def _split_lines(report) -> list:
     return lines
 
 
-def _emit_split(args, report) -> int:
-    _emit(args, report.to_json, lambda: _split_lines(report))
-    return 0 if report.passed else 1
+def _split_result(report) -> tuple:
+    return 0 if report.passed else 1, report.to_json, lambda: _split_lines(report)
 
 
-def cmd_split_standard(args) -> int:
-    return _emit_split(args, split_standard(_algebra(args)[0]))
+def cmd_split_standard(args) -> tuple:
+    return _split_result(split_standard(_algebra(args)[0]))
 
 
-def cmd_split_inner(args) -> int:
+def cmd_split_inner(args) -> tuple:
     alg, symbol = _algebra(args, zero=True)
-    return _emit_split(args, split_inner(alg, symbol(args.rho)))
+    return _split_result(split_inner(alg, symbol(args.rho)))
 
 
-def _derivation_from_args(args, alg, symbol):
+def _transport(args) -> tuple:
+    """P of d = d_s, or d_s + inner(--theta), through Phi, and the isomorphism verdict for that P."""
+    alg, symbol = _algebra(args)
     d = standard_derivation(alg)
     if args.theta:
         d = d + inner_derivation(symbol(args.theta))
-    return d
-
-
-def _generic_report(alg, d):
-    """split_generic on the P of d, with the isomorphism verdict for that P."""
     phi = PhiMap(alg, xi_extension(alg))
     p = compute_P(d, phi)
-    return replace(split_generic(p), isomorphism=verify_diff_isomorphism(phi, d, p))
+    return p, verify_diff_isomorphism(phi, d, p)
 
 
-def cmd_split_generic(args) -> int:
-    alg, symbol = _algebra(args)
-    return _emit_split(args, _generic_report(alg, _derivation_from_args(args, alg, symbol)))
+def cmd_split_generic(args) -> tuple:
+    p, iso = _transport(args)
+    return _split_result(replace(split_generic(p), isomorphism=iso))
 
 
-def cmd_split_verify(args) -> int:
-    alg, symbol = _algebra(args)
-    phi = PhiMap(alg, xi_extension(alg))
-    d = _derivation_from_args(args, alg, symbol)
-    p = compute_P(d, phi)
-    iso = verify_diff_isomorphism(phi, d, p)
-    _emit(args, lambda: {"ok": iso.ok, "P": p.to_json(), "isomorphism": iso.to_json()},
-          lambda: [f"P = {p!r}", f"isomorphism: {'ok' if iso.ok else 'FAIL'}"])
-    return 0 if iso.ok else 1
+def cmd_split_verify(args) -> tuple:
+    p, iso = _transport(args)
+    return (0 if iso.ok else 1, lambda: {"ok": iso.ok, "P": p.to_json(), "isomorphism": iso.to_json()},
+            lambda: [f"P = {p!r}", f"isomorphism: {'ok' if iso.ok else 'FAIL'}"])
 
 
 def _maximal_lines(report, m: int) -> list:
@@ -276,104 +272,70 @@ def _maximal_lines(report, m: int) -> list:
     return lines
 
 
-def cmd_split_maximal(args) -> int:
+def cmd_split_maximal(args) -> tuple:
     alg = _algebra(args)[0]
     report = maximal_subfield_necessary(alg, parse_scalar(args.nu, alg.field))
-    _emit(args, report.to_json, lambda: _maximal_lines(report, alg.m))
-    return 1 if report.refuted else 0
+    return 1 if report.refuted else 0, report.to_json, lambda: _maximal_lines(report, alg.m)
 
 
 # -- replay corpus ----------------------------------------------------------
 
+# the replay algebra (t, t+1)
+_AB = ["--alpha", "t", "--beta", "t+1"]
 
-def _case_tr_identity():
-    for m in (2, 3, 4, 5, 7):
-        t_r_values(m)
-    return True, "closed form matches the cyclotomic sum for m in {2,3,4,5,7}"
-
-
-def _t_algebra(m: int, zero: bool = False) -> SymbolAlgebra:
-    """The replay algebra (t, t+1) of degree m over Q(w_m)(t), with d/dt or with the zero derivation."""
-    return _symbol_algebra(_field(m, zero), "t", "t+1", m)[0]
-
-
-def _case_constants_none():
-    alg = _t_algebra(3)
-    witnesses = constants_standard(alg)
-    return not witnesses, f"{len(witnesses)} monomial constants for (t, t+1), m=3"
-
-
-def _case_constants_witness():
-    alg = _symbol_algebra(_field(3), "2*t", "t", 3)[0]
-    pairs = [(w.i, w.j) for w in constants_standard(alg)]
-    return (1, 2) in pairs, f"witness pairs {pairs} for (2t, t), m=3"
-
-
-def _case_corner_pole():
-    field = _field(2)
-    f = field.one() / field.gen()
-    p = prop44_matrix(field, [0, 1], f)
-    basis = prop44_constants(p)
-    return len(basis) == 1, f"constants dimension {len(basis)} for f = 1/t, m=2"
-
-
-def _case_split_standard(m):
-    alg = _t_algebra(m)
-    report = split_standard(alg)
-    expected = m * m if m % 2 == 1 else 2 * m * m
-    ok = report.passed and report.degree == expected
-    return ok, f"m={m}: degree {report.degree}, gauge {'ok' if report.gauge.ok else 'FAIL'}"
-
-
-def _case_split_inner(m):
-    alg = _t_algebra(m, zero=True)
-    report = split_inner(alg, alg.u())
-    ok = report.passed and report.transcendence_degree == alg.field.cyclo.degree
-    return ok, f"m={m}: trdeg {report.transcendence_degree}, gauge {'ok' if report.gauge.ok else 'FAIL'}"
-
-
-def _case_split_generic(m):
-    alg = _t_algebra(m)
-    report = _generic_report(alg, standard_derivation(alg) + inner_derivation(alg.u() + alg.v()))
-    ok = report.passed and report.transcendence_degree == m * m
-    return ok, f"m={m}: trdeg {report.transcendence_degree}, det F {_det_text(report.gauge)}"
-
-
-def _case_maximal():
-    alg = _t_algebra(3)
-    report = maximal_subfield_necessary(alg, alg.alpha * alg.beta)
-    return report.refuted, "nu = t(t+1) refuted" if report.refuted else "nu = t(t+1) NOT refuted"
-
-
-_REPLAY_CASES = {
-    "tr-identity": _case_tr_identity,
-    "constants-standard-none": _case_constants_none,
-    "constants-standard-witness": _case_constants_witness,
-    "corner-pole": _case_corner_pole,
-    "split-standard-m2": lambda: _case_split_standard(2),
-    "split-standard-m3": lambda: _case_split_standard(3),
-    "split-standard-m7": lambda: _case_split_standard(7),
-    "split-generic-m8": lambda: _case_split_generic(8),
-    "split-inner-m2": lambda: _case_split_inner(2),
-    "split-inner-m3": lambda: _case_split_inner(3),
-    "maximal-subfield": _case_maximal,
+# name: (argv, exit code, report values); the split rows read the t_r sums at
+# m = 2, 3 and 7 through P_s, and the algebra checks at m = 4 and 5
+_REPLAY = {
+    **{
+        f"tr-identity-m{m}": (
+            ["algebra", "check", "--m", str(m), *_AB], 0,
+            {"checks": dict.fromkeys(("u^m = alpha", "v^m = beta", "vu = w uv", "t_r identity"), True)},
+        )
+        for m in (4, 5)
+    },
+    "constants-standard-none": (["deriv", "constants", "--m", "3", *_AB, "--standard"], 0, {"witnesses": []}),
+    "constants-standard-witness": (
+        ["deriv", "constants", "--m", "3", "--alpha", "2*t", "--beta", "t", "--standard"], 0,
+        {"witnesses": [{"i": 1, "j": 2, "c": "1/2", "h": "1/t"}, {"i": 2, "j": 1, "c": "1/4", "h": "1/t"}]},
+    ),
+    "corner-pole": (["matdiff", "constants", "--m", "2", "--f", "1/t"], 0, {"dimension": 1}),
+    **{
+        f"split-standard-m{m}": (["split", "standard", "--m", str(m), *_AB], 0, {"degree": degree})
+        for m, degree in ((2, 8), (3, 9), (7, 49))
+    },
+    "split-generic-m8": (["split", "generic", "--m", "8", *_AB, "--theta", "u+v"], 0, {"transcendence_degree": 64}),
+    **{
+        f"split-inner-m{m}": (["split", "inner", "--m", str(m), *_AB, "--rho", "u"], 0, {"transcendence_degree": trdeg})
+        for m, trdeg in ((2, 1), (3, 2))
+    },
+    "maximal-subfield": (["split", "maximal", "--m", "3", *_AB, "--nu", "t*(t+1)"], 1, {"refuted": True}),
 }
 
 
-def cmd_replay(args) -> int:
-    names = [args.case] if args.case else list(_REPLAY_CASES)
-    for name in names:
-        if name not in _REPLAY_CASES:
-            print(f"unknown case {name!r}", file=sys.stderr)
-            return 2
+def _run(argv: list) -> tuple:
+    """The exit code and the --json report of one call, by the parser and handler that main runs."""
+    args = _parse_args(_build_parser(), argv)
+    code, report, _ = args.func(args)
+    return code, report()
+
+
+def cmd_replay(args) -> tuple:
+    if args.case and args.case not in _REPLAY:
+        raise ValueError(f"unknown case {args.case!r}")
     results = []
-    for name in names:
-        ok, detail = _REPLAY_CASES[name]()
-        results.append({"case": name, "ok": bool(ok), "detail": detail})
+    for name in [args.case] if args.case else _REPLAY:
+        argv, code, expected = _REPLAY[name]
+        exit_code, report = _run(argv)
+        values = {"exit": (exit_code, code), **{key: (report.get(key), value) for key, value in expected.items()}}
+        detail = ", ".join(
+            f"{key} {json.dumps(got)}" + ("" if got == want else f" (expected {json.dumps(want)})")
+            for key, (got, want) in values.items()
+        )
+        ok = all(got == want for got, want in values.values())
+        results.append({"case": name, "ok": ok, "detail": f"{shlex.join(argv)}: {detail}"})
     all_ok = all(r["ok"] for r in results)
-    _emit(args, lambda: {"ok": all_ok, "cases": results},
-          lambda: [f"{'ok' if r['ok'] else 'FAIL'}  {r['case']}: {r['detail']}" for r in results])
-    return 0 if all_ok else 1
+    return (0 if all_ok else 1, lambda: {"ok": all_ok, "cases": results},
+            lambda: [f"{'ok' if r['ok'] else 'FAIL'}  {r['case']}: {r['detail']}" for r in results])
 
 
 # -- argument wiring --------------------------------------------------------
@@ -515,7 +477,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_args(parser, _join_dash_values(parser, argv))
     try:
-        return args.func(args)
+        code, report, text_lines = args.func(args)
+        _emit(args, report, text_lines)
+        return code
     # ParseError and ReducibleRadicandError are ValueErrors
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

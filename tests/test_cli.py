@@ -303,8 +303,46 @@ def test_replay_all_cases(capsys, registry):
 
 
 def test_replay_single_and_unknown(capsys):
-    assert main(["replay", "--case", "tr-identity"]) == 0
+    assert main(["replay", "--case", "tr-identity-m4"]) == 0
+    capsys.readouterr()
     assert main(["replay", "--case", "nope"]) == 2
+    assert capsys.readouterr() == ("", "error: unknown case 'nope'\n")
+
+
+def test_replay_checks_the_reports_that_the_cli_prints(capsys, monkeypatch):
+    """Each row's exit code and report, as replay reads them, are those of the one-shot --json call."""
+    from diffsym import cli
+
+    seen = []
+    run_row = cli._run
+    monkeypatch.setattr(cli, "_run", lambda argv: seen.append((argv, run_row(argv))) or seen[-1][1])
+    assert main(["replay"]) == 0
+    capsys.readouterr()
+    assert [argv for argv, _ in seen] == [argv for argv, _, _ in cli._REPLAY.values()]
+    for argv, (code, report) in seen:
+        assert run_json(capsys, *argv) == (code, report), argv
+
+
+def test_a_replay_row_with_a_wrong_value_fails_and_names_the_key(capsys, monkeypatch):
+    from diffsym import cli
+
+    argv, code, _ = cli._REPLAY["split-standard-m2"]
+    monkeypatch.setitem(cli._REPLAY, "split-standard-m2", (argv, code, {"degree": 9}))
+    assert run_json(capsys, "replay", "--case", "split-standard-m2") == (1, {"ok": False, "cases": [{
+        "case": "split-standard-m2", "ok": False,
+        "detail": "split standard --m 2 --alpha t --beta t+1: exit 0, degree 8 (expected 9)",
+    }]})
+
+
+def test_a_full_replay_checks_the_t_r_sums_at_m_2_3_4_5_and_7(capsys, monkeypatch):
+    import diffsym.split as split_module
+
+    checked = split_module._checked_t_r
+    checked.cache_clear()
+    reached = set()
+    monkeypatch.setattr(split_module, "_checked_t_r", lambda m: reached.add(m) or checked(m))
+    assert main(["replay"]) == 0
+    assert reached >= {2, 3, 4, 5, 7}
 
 
 def test_split_standard_with_a_huge_radicand_constant(capsys):
@@ -370,14 +408,17 @@ def test_a_failed_relation_of_phi_exits_3(capsys, monkeypatch):
 def test_replay_has_an_m7_standard_splitting(capsys):
     code, report = run_json(capsys, "replay", "--case", "split-standard-m7")
     assert code == 0
-    assert report["cases"] == [{"case": "split-standard-m7", "ok": True, "detail": "m=7: degree 49, gauge ok"}]
+    assert report["cases"] == [{
+        "case": "split-standard-m7", "ok": True, "detail": "split standard --m 7 --alpha t --beta t+1: exit 0, degree 49",
+    }]
 
 
 def test_replay_has_an_m8_generic_splitting(capsys):
     code, report = run_json(capsys, "replay", "--case", "split-generic-m8")
     assert code == 0
     assert report["cases"] == [
-        {"case": "split-generic-m8", "ok": True, "detail": "m=8: trdeg 64, det F nonzero by specialisation at point 0"}
+        {"case": "split-generic-m8", "ok": True,
+         "detail": "split generic --m 8 --alpha t --beta t+1 --theta u+v: exit 0, transcendence_degree 64"}
     ]
 
 

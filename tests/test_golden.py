@@ -6,10 +6,12 @@ the release that took both verdicts against P_s + lambda I, with
 F = diag(g^(n (m - 1 - r))) and the shift lambda as ``scalar_shift``;
 ``split-inner-m2`` and ``-m4`` (rho = u at even m, so F = diag(F0, F0^-1) of
 transcendence degree m/2) by the release that read that choice off rho, and
-kept by the rate lattice, which gives the same rows there; ``split-inner-m3``,
-``-m5`` and ``replay`` (rho = u of transcendence degree phi(m) = 2 and 4, its
-exponent rows off the inverse echelon transform) by the release that read
-every inner split off that lattice; the
+kept by the rate lattice, which gives the same rows there; ``split-inner-m3``
+and ``-m5`` (rho = u of transcendence degree phi(m) = 2 and 4, its exponent
+rows off the inverse echelon transform) by the release that read every inner
+split off that lattice; ``replay`` by the release that ran its worked examples
+through the CLI's own parser and handlers, each detail the command line and
+the report values checked; the
 other splitting reports by the release before the explicit splitting
 constructions were folded into one diagonal gauge; the ``deriv``, ``split verify`` and ``algebra check`` reports
 by the release before symbol elements stored only their nonzero terms; and

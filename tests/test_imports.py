@@ -353,13 +353,30 @@ def test_only_split_standard_and_split_inner_call_the_diagonal_engine():
     assert sorted(found) == sorted(ENGINE_CALLERS)
 
 
+# the CLI prints a report in one place: every handler returns its exit code,
+# report and text lines, and main alone prints one of them, inside the try that
+# maps errors to exit codes 2 and 3; replay reads the reports, printing none
+def _emit_callers(node, fn=None):
+    """The innermost enclosing function of each call of _emit, by name or attribute."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        fn = node.name
+    elif isinstance(node, ast.Call) and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "_emit":
+        yield fn
+    for child in ast.iter_child_nodes(node):
+        yield from _emit_callers(child, fn)
+
+
+def test_only_main_prints_a_cli_report():
+    assert list(_emit_callers(ast.parse((SRC / "cli.py").read_text()))) == ["main"]
+
+
 # module-level functions and classes that no code in the package or in
 # perfbench/ refers to, each with the reason it stays; a test harness
 # belongs in tests/, next to the tests that run it
 BENCH = SRC.parents[1] / "perfbench"
 UNREFERENCED = {
     "minimal_polynomial": "the oracle of split inner's degree test, and the start of ROADMAP direction 1's z",
-    "subfield_stable": "stage 2 of ROADMAP direction 4's maximal-subfield decision",
+    "subfield_stable": "stage 2 of the maximal-subfield decision, which gets its caller or goes by ROADMAP direction 24",
 }
 
 
