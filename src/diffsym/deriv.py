@@ -117,15 +117,17 @@ class Derivation:
         return _derivation(alg, self.theta + other.theta, self.includes_ds or other.includes_ds)
 
     def extend(self, ext: SymbolAlgebra) -> "Derivation":
-        """The induced derivation on A tensor E, where ext is ``algebra.extend(E)`` or an equal algebra."""
+        """The induced derivation on A tensor E, where ext is ``algebra.extend(E)`` or an equal algebra.
+
+        Only theta is coerced into ext; d*(u) and d*(v) over E are built on
+        first read, and a caller that reads them over k reads ``self.du`` and
+        ``self.dv``, which d* extends.
+        """
         alg = self.algebra
         coerce = ext.field.coerce
         if not (ext.m == alg.m and ext.alpha == coerce(alg.alpha) and ext.beta == coerce(alg.beta)):
             raise ValueError("ext is not the algebra extended to a larger field")
-        d = _derivation(ext, ext.coerce_elem(self.theta), self.includes_ds)
-        # d(u), d(v) computed over k and coerced; computing them over E reads slower
-        d.du, d.dv = ext.coerce_elem(self.du), ext.coerce_elem(self.dv)
-        return d
+        return _derivation(ext, ext.coerce_elem(self.theta), self.includes_ds)
 
 
 _new = object.__new__

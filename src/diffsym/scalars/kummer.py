@@ -4,7 +4,8 @@ The unique derivation extending the base one satisfies
 delta_E(xi) = delta(alpha)/(m*alpha) * xi; this is checked at construction
 together with an irreducibility certificate for z^m - alpha: the step must
 multiply the tower's degree over kbar(t), kbar the algebraic closure of Q(w),
-by m, read off the radicands (a_i, n_i), a_i in Q(w)(t), that it records.
+by m, read off the radicands (a_i, n_i), a_i in Q(w)(t), that it records with
+their valuation vectors on one coprime basis.
 The rule is the identity m rate alpha = delta(alpha) in Q(w)(t), where alpha
 lies, checked cross-multiplied on the numerators and denominators of the
 three, m p r v = u q s, so it forms no canonical product and takes no gcd.
@@ -31,12 +32,20 @@ from .powers import (
     _prime_factors,
     certify_power_free_over_kummer,
     kummer_vahlen_certify,
+    valuations,
 )
 from .ratfunc import RatFunc, RatFuncField
 
 
 class KummerField(Extension):
-    """F(xi) with xi^m = alpha; base F is Q(w)(t) or another Kummer field."""
+    """F(xi) with xi^m = alpha; base F is Q(w)(t) or another Kummer field.
+
+    The field records its tower's steps (a_i, n_i) as ``radicands``, a_i in
+    Q(w)(t), bottom step first, their valuation basis and vectors (one
+    vector per a_i, in the same order) as ``valuation_basis`` and
+    ``valuation_vectors``, and the tower's ``geometric_degree`` over kbar(t).
+    A step refines only its own radicand into the basis of the step below.
+    """
 
     _constant_key = 0
 
@@ -68,10 +77,15 @@ class KummerField(Extension):
             raise ReducibleRadicandError("can only certify tower radicands that come from the bottom field")
         base = self.base
         if isinstance(base, RatFuncField):  # a radical over Q(w)(t) that falls short has a constant step
-            self.radicands, self.geometric_degree = ((a, self.m),), kummer_vahlen_certify(a, self.m)
-            return
-        self.radicands = (*base.radicands, (a, self.m))
-        self.geometric_degree = certify_power_free_over_kummer(base.radicands, base.geometric_degree, a, self.m)
+            lattice = valuations(a)
+            self.radicands, self.geometric_degree = ((a, self.m),), kummer_vahlen_certify(a, self.m, lattice)
+        else:
+            lattice = valuations(a, lattice=(base.valuation_basis, base.valuation_vectors))
+            self.radicands = (*base.radicands, (a, self.m))
+            self.geometric_degree = certify_power_free_over_kummer(
+                base.radicands, base.geometric_degree, a, self.m, lattice
+            )
+        self.valuation_basis, self.valuation_vectors = lattice
 
     def _check_derivation_consistency(self):
         """delta(xi^m) = m xi^(m-1) delta_E(xi) = m rate xi^m must equal delta(alpha); with

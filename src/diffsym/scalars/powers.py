@@ -2,7 +2,9 @@
 
 Every m-th-power decision reads the valuation vectors of ``valuations``: one
 squarefree decomposition per radicand and one coprime basis for them all,
-refined with the vectors.  A product of powers of radicands has the same
+refined with the vectors.  A Kummer tower keeps its radicands' basis and
+vectors, and each step refines only its new radicand into them, so a tower
+decomposes each radicand once.  A product of powers of radicands has the same
 combination of their vectors, and is c h^m iff m divides it; ``mth_root``
 checks each such verdict before it is acted on.  The readers:
 ``mth_power_up_to_constant``, ``kummer_vahlen_certify`` (p | gcd v_alpha),
@@ -118,29 +120,36 @@ def cyclo_nth_root(c: CycloElem, k: int):
     return None
 
 
-def valuations(*fs):
-    """(basis, vectors): one coprime basis for the nonzero f and each f's valuation vector on it.
+def valuations(*fs, lattice=((), ())):
+    """(basis, vectors): the coprime ``lattice`` (basis, vectors) of earlier radicands refined by the nonzero fs.
 
-    Each non-constant numerator and denominator is decomposed once, so f is
+    A fresh call starts from the empty lattice: one coprime basis for the fs
+    and each f's valuation vector on it.  Given the lattice of earlier
+    radicands, only the fs are decomposed; the result holds the earlier
+    vectors, then one per f, on the refined basis.  Each non-constant
+    numerator and denominator is decomposed once, so f is
     lc(f.num) prod q^(v_q) over its squarefree parts q, which are pairwise
     coprime, f.num and f.den included; a single f's parts are its basis.
-    Several f's parts are refined into one coprime basis, each carrying its
-    vector over the fs (factor refinement; Bach, Driscoll and Shallit,
-    J. Algorithms 1993): a p that meets a basis element b in g = gcd(p, b)
-    is replaced by g, with v_p + v_b, and p/g and b/g, with their own
-    vectors, so that f is lc(f.num) prod b^(v_b) at every step.
+    The parts are refined into the basis, each carrying its vector over the
+    radicands (factor refinement; Bach, Driscoll and Shallit, J. Algorithms
+    1993): a p that meets a basis element b in g = gcd(p, b) is replaced by
+    g, with v_p + v_b, and p/g and b/g, with their own vectors, so that every
+    radicand f is lc(f.num) prod b^(v_b) at every step.
     """
+    old_basis, old_vectors = lattice
     parts = []
     for f in fs:
         if f.is_zero():
             raise ValueError("power detection needs a nonzero input")
         parts.append([(q, sign * j) for poly, sign in ((f.num, 1), (f.den, -1)) if poly.degree > 0
                       for q, j in squarefree_decompose(poly)])
-    if len(parts) == 1:  # one f's parts are a coprime basis already
+    if not old_vectors and len(parts) == 1:  # one f's parts are a coprime basis already
         return [q for q, _ in parts[0]], [[j for _, j in parts[0]]]
-    zero = (0,) * len(fs)
-    stack = [(q.monic(), zero[:k] + (j,) + zero[k + 1:]) for k, f_parts in enumerate(parts) for q, j in f_parts]
-    basis = []
+    n_old = len(old_vectors)
+    zero = (0,) * (n_old + len(fs))
+    basis = [(b, tuple(v[i] for v in old_vectors) + zero[n_old:]) for i, b in enumerate(old_basis)]
+    stack = [(q.monic(), zero[:k] + (j,) + zero[k + 1:])
+             for k, f_parts in enumerate(parts, start=n_old) for q, j in f_parts]
     while stack:
         p, vp = stack.pop()
         if p.degree <= 0:
@@ -153,7 +162,7 @@ def valuations(*fs):
                 break
         else:
             basis.append((p, vp))
-    return [b for b, _ in basis], [[v[k] for _, v in basis] for k in range(len(fs))]
+    return [b for b, _ in basis], [[v[k] for _, v in basis] for k in range(len(zero))]
 
 
 def echelon(rows):
@@ -309,8 +318,11 @@ def _constant_is_power(c: CycloElem, k: int) -> bool:
     raise ReducibleRadicandError(f"cannot certify that the constant cofactor is a {k}-th non-power")
 
 
-def kummer_vahlen_certify(alpha: RatFunc, m: int) -> int:
+def kummer_vahlen_certify(alpha: RatFunc, m: int, lattice=None) -> int:
     """Certify z^m - alpha irreducible over Q(w)(t); return m / gcd(m, g), its degree over kbar(t), or raise.
+
+    ``lattice`` is ``valuations(alpha)``, as the Kummer field records it; it
+    is computed when None.
 
     Classical criterion: alpha not in k^p for every prime p | m and, when
     4 | m, alpha not in -4 k^4.  alpha = c h^p exactly when p divides the gcd
@@ -323,7 +335,7 @@ def kummer_vahlen_certify(alpha: RatFunc, m: int) -> int:
     """
     if alpha.is_zero():
         raise ReducibleRadicandError("radicand must be nonzero")
-    basis, (v,) = valuations(alpha)
+    basis, (v,) = valuations(alpha) if lattice is None else lattice
     g = gcd(*v)
     for p in _prime_factors(m):
         if g % p == 0:
@@ -337,7 +349,7 @@ def kummer_vahlen_certify(alpha: RatFunc, m: int) -> int:
     return m // gcd(m, g)
 
 
-def certify_power_free_over_kummer(tower, degree: int, beta: RatFunc, big_m: int) -> int:
+def certify_power_free_over_kummer(tower, degree: int, beta: RatFunc, big_m: int, lattice=None) -> int:
     """Certify z^M - beta irreducible over the Kummer tower E; return E(beta^(1/M))'s degree over kbar(t).
 
     ``tower`` lists E's steps (a_i, n_i), a_i in Q(w)(t), bottom step first,
@@ -346,11 +358,13 @@ def certify_power_free_over_kummer(tower, degree: int, beta: RatFunc, big_m: int
     the ``subgroup_order`` of the rows (n / n_i) v(a_i) in (Z/n)^N,
     n = lcm n_i: all roots of a squarefree basis element share its column.
     [E(beta^(1/M)) : E] >= [E kbar(beta^(1/M)) : E kbar], so beta's row
-    multiplying the degree by M certifies the step.
+    multiplying the degree by M certifies the step.  ``lattice`` is the
+    ``valuations`` of the a_i and beta, as the Kummer field records it: the
+    tower's own refined by beta alone.  It is computed when None.
     """
     steps = [*tower, (beta, big_m)]
     n = lcm(*(e for _, e in steps))
-    _basis, vectors = valuations(*(a for a, _ in steps))
+    _basis, vectors = valuations(*(a for a, _ in steps)) if lattice is None else lattice
     order = subgroup_order([[n // e * x for x in v] for v, (_, e) in zip(vectors, steps)], n)
     if order != degree * big_m:
         raise ReducibleRadicandError(

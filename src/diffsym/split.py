@@ -86,11 +86,14 @@ class PhiMap:
         A must be diagonal and B a weighted cyclic shift, nonzero only at
         (r, r - 1 mod m). Then B^m is the product of B's m shift entries
         times I, and row r of BA = w AB is
-        B[r][r-1] A[r-1][r-1] = w A[r][r] B[r][r-1]: one identity per row,
-        and no matrix product. A^m is diag(A[r][r]^m), and one row decides
-        it: the shift entries multiply to beta, so none is zero, and the rows
-        of BA = w AB give A[r-1][r-1] = w A[r][r], so every A[r][r]^m equals
-        A[0][0]^m, since w^m = 1.
+        B[r][r-1] A[r-1][r-1] = w A[r][r] B[r][r-1]. The shift entries
+        multiply to beta != 0, checked first, and k(xi) is a field (its
+        Kummer certificate), so none is zero; so that row holds exactly when
+        A[r-1][r-1] = w A[r][r], and it is checked with the shift entry
+        cancelled: one identity per row, and no matrix product. A^m is
+        diag(A[r][r]^m), and one row decides it: the rows give
+        A[r-1][r-1] = w A[r][r], so every A[r][r]^m equals A[0][0]^m, since
+        w^m = 1. Both products are compared with beta and alpha in k.
         """
         m = self.algebra.m
         e = self.ext_field
@@ -101,14 +104,13 @@ class PhiMap:
                     raise SelfCheckError(f"A is not diagonal: entry ({r}, {s}) is nonzero")
                 if s != (r - 1) % m and not b[r][s].is_zero():
                     raise SelfCheckError(f"B is not a weighted cyclic shift: entry ({r}, {s}) is nonzero")
-        if not math.prod((b[r][r - 1] for r in range(m)), start=e.one()) == e.coerce(self.algebra.beta):
+        if not _equals_in_base(math.prod((b[r][r - 1] for r in range(m)), start=e.one()), self.algebra.beta):
             raise SelfCheckError("B^m != beta I: the shift entries do not multiply to beta")
         omega = e.coerce(e.cyclo.omega())
         for r in range(m):
-            shift = b[r][r - 1]
-            if not shift * a[r - 1][r - 1] == omega * a[r][r] * shift:
+            if not a[r - 1][r - 1] == omega * a[r][r]:
                 raise SelfCheckError(f"BA != omega AB: row {r}")
-        if not a[0][0] ** m == e.coerce(self.algebra.alpha):
+        if not _equals_in_base(a[0][0] ** m, self.algebra.alpha):
             raise SelfCheckError("A^m != alpha I: A[0][0]^m is not alpha")
 
     def apply(self, x: SymbolElem, diagonal=()) -> DiffMatrix:
@@ -163,6 +165,11 @@ class PhiMap:
                         entry[n] = v
         make, zero = e._make, e.zero()
         return _matrix(e, [[make(t) if t else zero for t in row] for row in rows])
+
+
+def _equals_in_base(x, c) -> bool:
+    """Whether the element x of k(xi) is the element c of k, read off x's xi^0 term with no coercion."""
+    return x.is_base() and x.base_value() == c
 
 
 def t_r_values(m: int) -> list[Fraction]:
@@ -243,6 +250,10 @@ def verify_diff_isomorphism(phi: PhiMap, d: Derivation, p: DiffMatrix) -> IsoVer
     d_P(I) = 0), a failure at any u^i v^j implies one at u or v, and
     v = (0, 1) comes before u = (1, 0).
 
+    d*(v) and d*(u) are d(v) and d(u) in A, as d* extends d, and Phi is
+    applied to them there: ``PhiMap.apply`` reads an element of A over k
+    as it is, so neither is coerced into A tensor k(xi).
+
     On a scalar x, Phi(x) = xI commutes with P, so d_P(xI) = delta(x) I, and
     Phi is injective: the check is d*(x) = delta(x) in A tensor k(xi), with
     no matrix built. It runs on each of the field's ``generators()`` but w, xi
@@ -251,9 +262,8 @@ def verify_diff_isomorphism(phi: PhiMap, d: Derivation, p: DiffMatrix) -> IsoVer
     """
     alg = phi.ext_algebra
     d_ext = d.extend(alg)
-    # d_ext.dv and d_ext.du are d*(v) and d*(u), computed over k and coerced by extend;
     # Phi(v) = B and Phi(u) = A are the matrices PhiMap validated
-    for label, x, image in (((0, 1), phi.b_mat, d_ext.dv), ((1, 0), phi.a_mat, d_ext.du)):
+    for label, x, image in (((0, 1), phi.b_mat, d.dv), ((1, 0), phi.a_mat, d.du)):
         if not phi.apply(image) == apply_dP(p, x):
             return IsoVerdict(False, label)
     for name, x in phi.ext_field.generators().items():
@@ -265,6 +275,9 @@ def verify_diff_isomorphism(phi: PhiMap, d: Derivation, p: DiffMatrix) -> IsoVer
 @dataclass
 class SplitReport:
     """``extension["tower"]`` lists the adjoined generators, each with its certified Kummer power or None.
+
+    Each generator's radicand is kept as the field element (None for a
+    transcendental generator) and printed by ``to_json``, as P and F are.
 
     A ``scalar_shift`` lambda in the base field means that both verdicts were
     taken against P + lambda I, which defines the same derivation d_P as P;
@@ -295,8 +308,10 @@ class SplitReport:
 
     def to_json(self):
         shift = {} if self.scalar_shift is None else {"scalar_shift": scalar_to_str(self.scalar_shift)}
+        tower = [g if g["radicand"] is None else {**g, "radicand": scalar_to_str(g["radicand"])}
+                 for g in self.extension["tower"]]
         return {
-            "extension": self.extension,
+            "extension": {**self.extension, "tower": tower},
             "P": self.p.to_json(),
             **shift,
             "F": self.f.to_json(),
@@ -312,7 +327,7 @@ class SplitReport:
 
 
 def _tower_entry(field: KummerField) -> dict:
-    return {"gen": field.gen_name, "power": field.m, "radicand": scalar_to_str(field.alpha)}
+    return {"gen": field.gen_name, "power": field.m, "radicand": field.alpha}
 
 
 def _diagonal_split(phi: PhiMap, d: Derivation, theta_p: DiffMatrix, exponents, rates) -> SplitReport:

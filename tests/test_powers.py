@@ -7,6 +7,7 @@ import pytest
 
 from diffsym.scalars import (
     CycloField,
+    KummerField,
     Poly,
     RatFuncField,
     ReducibleRadicandError,
@@ -185,14 +186,15 @@ def test_constants_standard_decomposes_each_radicand_once(m, monkeypatch):
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 12])
-def test_split_standard_decomposes_alpha_twice(m, monkeypatch):
-    """Once for z^m - alpha and once for the tower over k(xi), also at m = 6 and 12 with two primes p | m."""
+def test_split_standard_decomposes_alpha_once(m, monkeypatch):
+    """alpha for z^m - alpha, then beta alone refined into k(xi)'s recorded basis for the step above it,
+    also at m = 6 and 12 with two primes p | m."""
     k = RatFuncField(CycloField(m), "t")
     t = k.gen()
     alg = SymbolAlgebra(k, t * (t + 3), t + 5, m)
     seen = _decompositions(monkeypatch)
     split_standard(alg)
-    assert sum(p == alg.alpha.num for p in seen) == 2
+    assert seen == [alg.alpha.num, alg.beta.num]
 
 
 def test_kummer_vahlen_accepts(k):
@@ -245,6 +247,44 @@ def test_tower_certificate_certifies_all_that_the_division_oracle_certifies(m, r
                     certify_power_free_over_kummer([(alpha, m)], degree, beta, big_m)
                 kinds["neither"] += 1
     assert kinds["both"] and kinds["neither"], kinds
+
+
+def _columns(basis, vectors):
+    """The (basis element, its column of valuations) pairs, in an order that does not depend on the basis order."""
+    return sorted(zip(basis, zip(*vectors)), key=repr)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_a_two_step_tower_records_the_valuations_of_its_radicands(m, rng):
+    """k(alpha^(1/m))(beta^(1/M)) keeps valuations(alpha, beta) up to basis order, refined from its bottom
+    step's record, and the subgroup_order of its rows is its geometric_degree; a dependent beta is refused
+    with the message of the stand-alone certificate, which the division oracle does not certify either."""
+    k = RatFuncField(CycloField(m), "t")
+    kinds = {"certified": 0, "refused": 0}
+    for _ in range(16):
+        alpha, beta, _nu = sharing_radicands(k, m, rng)
+        try:
+            bottom = KummerField(k, alpha, m, "xi")
+        except ReducibleRadicandError:
+            continue
+        assert _columns(bottom.valuation_basis, bottom.valuation_vectors) == _columns(*valuations(alpha))
+        for big_m in sorted({2, m, 2 * m}):
+            try:
+                top = KummerField(bottom, beta, big_m, "eta")
+            except ReducibleRadicandError as exc:
+                with pytest.raises(ReducibleRadicandError) as fresh:
+                    certify_power_free_over_kummer([(alpha, m)], bottom.geometric_degree, beta, big_m)
+                assert str(exc) == str(fresh.value)
+                assert not dividing_power_free_over_kummer(alpha, m, beta, big_m)
+                kinds["refused"] += 1
+                continue
+            assert top.radicands == ((alpha, m), (beta, big_m))
+            assert _columns(top.valuation_basis, top.valuation_vectors) == _columns(*valuations(alpha, beta))
+            n = lcm(m, big_m)
+            rows = [[n // e * x for x in v] for v, (_, e) in zip(top.valuation_vectors, top.radicands)]
+            assert subgroup_order(rows, n) == top.geometric_degree == bottom.geometric_degree * big_m
+            kinds["certified"] += 1
+    assert kinds["certified"] and kinds["refused"], kinds
 
 
 def test_subgroup_order_counts_the_enumerated_subgroup(rng):

@@ -240,6 +240,8 @@ def _corruptions(phi):
         (a.scale(2), b, r"A\^m != alpha I"),
         (a, changed(b, 0, last, b.rows[0][last] + e.one()), r"B\^m != beta I"),
         (a, changed(b, last, last - 1, e.coerce(2)), r"B\^m != beta I"),
+        # a zero shift entry is caught by the product before a row, which divides the shift out, is read
+        (a, changed(b, last, last - 1, e.zero()), r"B\^m != beta I"),
         (changed(a, 0, last, e.one()), b, rf"A is not diagonal: entry \(0, {last}\)"),
         (changed(a, last, 0, e.gen()), b, rf"A is not diagonal: entry \({last}, 0\)"),
         (a, changed(b, 0, 0, e.one()), r"B is not a weighted cyclic shift: entry \(0, 0\)"),
@@ -307,14 +309,42 @@ def _count_calls(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_the_isomorphism_check_applies_phi_twice(m, rng, monkeypatch):
-    """Phi(u) = A and Phi(v) = B are read from the PhiMap; only Phi(d*(u)) and Phi(d*(v)) are built."""
+    """Phi(u) = A and Phi(v) = B are read from the PhiMap; only Phi(d*(u)) and Phi(d*(v)) are built, from
+    d(u) and d(v) in A itself, not coerced into A tensor k(xi).  Each failure is still named: v before u,
+    and the scalar generators xi and t after both."""
     alg = make_algebra(m)
     phi = make_phi(alg)
+    e = phi.ext_field
     d = random_valid_derivation(alg, rng)
     p = compute_P(d, phi)
     calls = _count_calls(monkeypatch, PhiMap, "apply")
-    assert verify_diff_isomorphism(phi, d, p) == IsoVerdict(True, None)
-    assert len(calls) == 2
+
+    def verdict(phi, d, p):
+        calls.clear()
+        out = verify_diff_isomorphism(phi, d, p)
+        assert calls and all(x.algebra is phi.algebra for _phi, x in calls)
+        return out, len(calls)
+
+    assert verdict(phi, d, p) == (IsoVerdict(True, None), 2)
+    # xi on entry (0, 0) commutes with A, so only v fails; xi B commutes with B, so only u fails
+    assert verdict(phi, d, p + DiffMatrix.unit(e, m, 0, 0, e.gen())) == (IsoVerdict(False, (0, 1)), 1)
+    assert verdict(phi, d, p + phi.b_mat.scale(e.gen())) == (IsoVerdict(False, (1, 0)), 2)
+    # inner(u) alone, with P = A, agrees on v when beta is constant, and on u when alpha is too; it kills
+    # t, which d/dt does not
+    const = SymbolAlgebra(alg.field, 2, 3, m)
+    const_phi = make_phi(const)
+    p_u = const_phi.apply(const.u())
+    assert verdict(const_phi, inner_derivation(const.u()), p_u) == (IsoVerdict(False, ("t",)), 2)
+    # over alpha = t, agreement on u would give d_P(alpha I) = Phi(d*(alpha)) = 0 by the Leibniz rule, so
+    # u fails before xi; xi is named once A is swapped, after validation, for its constant part diag(w^(m-r))
+    xi_alg = SymbolAlgebra(alg.field, alg.alpha, 3, m)
+    xi_phi = make_phi(xi_alg)
+    p_u = xi_phi.apply(xi_alg.u())
+    xi_d = inner_derivation(xi_alg.u())
+    assert verdict(xi_phi, xi_d, p_u) == (IsoVerdict(False, (1, 0)), 2)
+    xe = xi_phi.ext_field
+    xi_phi.a_mat = DiffMatrix.diagonal(xe, [xe.coerce(row[r].terms[1]) for r, row in enumerate(xi_phi.a_mat.rows)])
+    assert verdict(xi_phi, xi_d, p_u) == (IsoVerdict(False, ("xi",)), 2)
 
 
 def test_ps_is_built_once_per_phimap():
