@@ -83,7 +83,7 @@ class KummerField(Extension):
             lattice = valuations(a, lattice=(base.valuation_basis, base.valuation_vectors))
             self.radicands = (*base.radicands, (a, self.m))
             self.geometric_degree = certify_power_free_over_kummer(
-                base.radicands, base.geometric_degree, a, self.m, lattice
+                base.radicands, base.geometric_degree, a, self.m, lattice[1]
             )
         self.valuation_basis, self.valuation_vectors = lattice
 

@@ -318,11 +318,10 @@ def _constant_is_power(c: CycloElem, k: int) -> bool:
     raise ReducibleRadicandError(f"cannot certify that the constant cofactor is a {k}-th non-power")
 
 
-def kummer_vahlen_certify(alpha: RatFunc, m: int, lattice=None) -> int:
+def kummer_vahlen_certify(alpha: RatFunc, m: int, lattice) -> int:
     """Certify z^m - alpha irreducible over Q(w)(t); return m / gcd(m, g), its degree over kbar(t), or raise.
 
-    ``lattice`` is ``valuations(alpha)``, as the Kummer field records it; it
-    is computed when None.
+    ``lattice`` is ``valuations(alpha)``, as the Kummer field records it.
 
     Classical criterion: alpha not in k^p for every prime p | m and, when
     4 | m, alpha not in -4 k^4.  alpha = c h^p exactly when p divides the gcd
@@ -333,9 +332,7 @@ def kummer_vahlen_certify(alpha: RatFunc, m: int, lattice=None) -> int:
     a square: nothing is left to test.  Otherwise, when 4 | g, c/(-4) is
     tested for a 4th power in the same way.
     """
-    if alpha.is_zero():
-        raise ReducibleRadicandError("radicand must be nonzero")
-    basis, (v,) = valuations(alpha) if lattice is None else lattice
+    basis, (v,) = lattice
     g = gcd(*v)
     for p in _prime_factors(m):
         if g % p == 0:
@@ -349,7 +346,7 @@ def kummer_vahlen_certify(alpha: RatFunc, m: int, lattice=None) -> int:
     return m // gcd(m, g)
 
 
-def certify_power_free_over_kummer(tower, degree: int, beta: RatFunc, big_m: int, lattice=None) -> int:
+def certify_power_free_over_kummer(tower, degree: int, beta: RatFunc, big_m: int, vectors) -> int:
     """Certify z^M - beta irreducible over the Kummer tower E; return E(beta^(1/M))'s degree over kbar(t).
 
     ``tower`` lists E's steps (a_i, n_i), a_i in Q(w)(t), bottom step first,
@@ -358,13 +355,12 @@ def certify_power_free_over_kummer(tower, degree: int, beta: RatFunc, big_m: int
     the ``subgroup_order`` of the rows (n / n_i) v(a_i) in (Z/n)^N,
     n = lcm n_i: all roots of a squarefree basis element share its column.
     [E(beta^(1/M)) : E] >= [E kbar(beta^(1/M)) : E kbar], so beta's row
-    multiplying the degree by M certifies the step.  ``lattice`` is the
-    ``valuations`` of the a_i and beta, as the Kummer field records it: the
-    tower's own refined by beta alone.  It is computed when None.
+    multiplying the degree by M certifies the step.  ``vectors`` are the
+    valuation vectors of the a_i and beta, as the Kummer field records them:
+    the tower's own, refined by beta alone.
     """
     steps = [*tower, (beta, big_m)]
     n = lcm(*(e for _, e in steps))
-    _basis, vectors = valuations(*(a for a, _ in steps)) if lattice is None else lattice
     order = subgroup_order([[n // e * x for x in v] for v, (_, e) in zip(vectors, steps)], n)
     if order != degree * big_m:
         raise ReducibleRadicandError(

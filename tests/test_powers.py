@@ -49,6 +49,17 @@ def no_search(monkeypatch):
     monkeypatch.setattr(powers, "cyclo_nth_root", fail)
 
 
+def _vahlen(alpha, m):
+    """kummer_vahlen_certify on alpha's own valuations, as a bottom Kummer step computes them."""
+    return kummer_vahlen_certify(alpha, m, valuations(alpha))
+
+
+def _tower_certify(tower, degree, beta, big_m):
+    """certify_power_free_over_kummer on the valuation vectors of the tower's radicands and beta."""
+    _basis, vectors = valuations(*(a for a, _ in tower), beta)
+    return certify_power_free_over_kummer(tower, degree, beta, big_m, vectors)
+
+
 def test_rational_nth_root():
     assert rational_nth_root(Fraction(8, 27), 3) == Fraction(2, 3)
     assert rational_nth_root(Fraction(-8), 3) == -2
@@ -115,7 +126,7 @@ def test_a_corrupted_decomposition_is_a_self_check_failure(monkeypatch, capsys):
         mth_power_up_to_constant(k.gen() + 1, 2)
     # the reducible branch checks its verdict before deciding the constant
     with pytest.raises(SelfCheckError):
-        kummer_vahlen_certify(k.gen() ** 2 * 4, 2)
+        _vahlen(k.gen() ** 2 * 4, 2)
     for argv in (
         ["power-detect", "--m", "2", "--f", "t+1"],
         ["deriv", "constants", "--standard", "--m", "2", "--alpha", "t", "--beta", "t+1"],
@@ -199,30 +210,30 @@ def test_split_standard_decomposes_alpha_once(m, monkeypatch):
 
 def test_kummer_vahlen_accepts(k):
     t = k.gen()
-    kummer_vahlen_certify(t, 3)
-    kummer_vahlen_certify(t + 1, 3)
-    kummer_vahlen_certify(t**2, 3)  # multiplicity 2, not divisible by 3
+    _vahlen(t, 3)
+    _vahlen(t + 1, 3)
+    _vahlen(t**2, 3)  # multiplicity 2, not divisible by 3
 
 
 def test_kummer_vahlen_rejects(k):
     t = k.gen()
     with pytest.raises(ReducibleRadicandError):
-        kummer_vahlen_certify(t**3, 3)
+        _vahlen(t**3, 3)
     with pytest.raises(ReducibleRadicandError):
-        kummer_vahlen_certify(t**2 * 4, 2)
+        _vahlen(t**2 * 4, 2)
     k4 = RatFuncField(CycloField(4), "t")
     with pytest.raises(ReducibleRadicandError):
         # -4 t^4 lies in -4 k^4, so z^4 + 4t^4 is reducible
-        kummer_vahlen_certify(k4.gen() ** 4 * (-4), 4)
+        _vahlen(k4.gen() ** 4 * (-4), 4)
 
 
 def test_tower_certificate(k):
     t = k.gen()
-    assert certify_power_free_over_kummer([(t, 3)], 3, t + 1, 3) == 9
-    assert certify_power_free_over_kummer([(t, 3), (t + 1, 3)], 9, t + 2, 3) == 27
+    assert _tower_certify([(t, 3)], 3, t + 1, 3) == 9
+    assert _tower_certify([(t, 3), (t + 1, 3)], 9, t + 2, 3) == 27
     with pytest.raises(ReducibleRadicandError, match=r"z\^2 - a irreducible over the Kummer tower \(degree 1 of 2"):
         # t^2 is a square over kbar(t): the step adds nothing
-        certify_power_free_over_kummer([(t, 2)], 2, t**2, 2)
+        _tower_certify([(t, 2)], 2, t**2, 2)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -239,12 +250,12 @@ def test_tower_certificate_certifies_all_that_the_division_oracle_certifies(m, r
             n = lcm(m, big_m)
             order = enumerated_subgroup_order([[n // m * x for x in va], [n // big_m * x for x in vb]], n)
             if order == degree * big_m:
-                assert certify_power_free_over_kummer([(alpha, m)], degree, beta, big_m) == order
+                assert _tower_certify([(alpha, m)], degree, beta, big_m) == order
                 kinds["both" if dividing_power_free_over_kummer(alpha, m, beta, big_m) else "new"] += 1
             else:
                 assert not dividing_power_free_over_kummer(alpha, m, beta, big_m)
                 with pytest.raises(ReducibleRadicandError, match=f"degree {order // degree} of {big_m} "):
-                    certify_power_free_over_kummer([(alpha, m)], degree, beta, big_m)
+                    _tower_certify([(alpha, m)], degree, beta, big_m)
                 kinds["neither"] += 1
     assert kinds["both"] and kinds["neither"], kinds
 
@@ -273,7 +284,7 @@ def test_a_two_step_tower_records_the_valuations_of_its_radicands(m, rng):
                 top = KummerField(bottom, beta, big_m, "eta")
             except ReducibleRadicandError as exc:
                 with pytest.raises(ReducibleRadicandError) as fresh:
-                    certify_power_free_over_kummer([(alpha, m)], bottom.geometric_degree, beta, big_m)
+                    _tower_certify([(alpha, m)], bottom.geometric_degree, beta, big_m)
                 assert str(exc) == str(fresh.value)
                 assert not dividing_power_free_over_kummer(alpha, m, beta, big_m)
                 kinds["refused"] += 1
@@ -338,7 +349,7 @@ def test_kummer_vahlen_rejects_a_cube_with_a_large_constant(k):
     t = k.gen()
     with pytest.raises(ReducibleRadicandError):
         # z^3 - ((10^20+1) t)^3 has the root (10^20+1) t
-        kummer_vahlen_certify((t * (10**20 + 1)) ** 3, 3)
+        _vahlen((t * (10**20 + 1)) ** 3, 3)
 
 
 def test_kummer_vahlen_rejects_squares_of_gauss_sums():
@@ -347,11 +358,11 @@ def test_kummer_vahlen_rejects_squares_of_gauss_sums():
     t = k14.gen()
     for m in (2, 14):
         with pytest.raises(ReducibleRadicandError):
-            kummer_vahlen_certify(t**2 * (-7), m)
-        kummer_vahlen_certify(t**2 * 5, m)  # 5 is no square in Q(w_14)
+            _vahlen(t**2 * (-7), m)
+        _vahlen(t**2 * 5, m)  # 5 is no square in Q(w_14)
     k9 = RatFuncField(CycloField(9), "t")
     with pytest.raises(ReducibleRadicandError):
-        kummer_vahlen_certify(k9.gen() ** 2 * (-3), 2)
+        _vahlen(k9.gen() ** 2 * (-3), 2)
 
 
 def test_rational_powers_in_cyclotomic_fields():
@@ -384,11 +395,11 @@ def test_kummer_vahlen_decides_rational_times_root_of_unity(no_search):
     # over Q(w_5), w^k = (w^(3k))^2, so q w^k is a square iff q is: exact, no search
     k5 = RatFuncField(CycloField(5), "t")
     t, w = k5.gen(), k5.coerce(k5.cyclo.omega())
-    kummer_vahlen_certify(w * t**2 * 2, 2)
-    kummer_vahlen_certify(w**4 * t**2 * 3, 2)  # w^4 = -1 - w - w^2 - w^3
+    _vahlen(w * t**2 * 2, 2)
+    _vahlen(w**4 * t**2 * 3, 2)  # w^4 = -1 - w - w^2 - w^3
     for square in (w * t**2 * 4, w**4 * t**2 * 5):  # 4w = (2w^3)^2; 5 = sqrt(5)^2 in Q(w_5)
         with pytest.raises(ReducibleRadicandError):
-            kummer_vahlen_certify(square, 2)
+            _vahlen(square, 2)
 
 
 def test_kummer_vahlen_rejects_minus_four_times_a_fourth_power_over_q_w3():
@@ -402,7 +413,7 @@ def test_kummer_vahlen_rejects_minus_four_times_a_fourth_power_over_q_w3():
     factors = Poly(k3, [b**2 * 2, b * 2, 1]) * Poly(k3, [b**2 * 2, b * -2, 1])
     assert factors == Poly(k3, [-alpha, 0, 0, 0, 1])
     with pytest.raises(ReducibleRadicandError, match="-4 k"):
-        kummer_vahlen_certify(alpha, 4)
+        _vahlen(alpha, 4)
     with pytest.raises(ReducibleRadicandError):
         KummerField(k3, alpha, 4)
 
@@ -412,9 +423,9 @@ def test_kummer_vahlen_decides_rational_fourth_powers_for_4_prime_to_n(no_search
     k3 = RatFuncField(CycloField(3), "t")
     t = k3.gen()
     for q in (4, 2, -3):  # alpha = -4 q t^4 with q no 4th power in Q(w_3)
-        kummer_vahlen_certify(t**4 * (-4 * q), 4)
+        _vahlen(t**4 * (-4 * q), 4)
     with pytest.raises(ReducibleRadicandError, match="-4 k"):
-        kummer_vahlen_certify(t**4 * (-4 * 81), 4)  # 81 = 3^4
+        _vahlen(t**4 * (-4 * 81), 4)  # 81 = 3^4
 
 
 @pytest.mark.parametrize("n, p, a, norm", [(5, 2, 2, 11), (7, 2, 2, 43), (8, 2, 2, 17), (5, 3, 3, 61)])
@@ -423,7 +434,7 @@ def test_kummer_vahlen_refutes_powers_by_the_norm(n, p, a, norm, no_search):
     t, w = k.gen(), k.coerce(k.cyclo.omega())
     c = w + a
     assert c.constant_value().norm() == norm
-    kummer_vahlen_certify(c * t**p, p)
+    _vahlen(c * t**p, p)
 
 
 def test_kummer_vahlen_cannot_certify_when_the_norm_is_a_power():
@@ -437,7 +448,7 @@ def test_kummer_vahlen_cannot_certify_when_the_norm_is_a_power():
     assert c.constant_value().norm() == 121
     for radicand, p in ((c * t**2, 2), (t**4 * -20, 4)):
         with pytest.raises(ReducibleRadicandError, match="cannot certify"):
-            kummer_vahlen_certify(radicand, p)
+            _vahlen(radicand, p)
         with pytest.raises(ReducibleRadicandError, match="cannot certify"):
             KummerField(k5, radicand, p)
 
